@@ -78,9 +78,6 @@ func run() error {
 				"issue a speculative duplicate and keep the first answer")
 		hedgeDelay = flag.Duration("hedge-delay", 0,
 			"fixed hedge delay for -hedge (0 = adaptive: p95 of observed child latencies)")
-		partialCache = flag.Int("partial-cache", 0,
-			"memoize up to N per-shard partial results in the -children router,\n"+
-				"keyed by child version tokens (0 = off)")
 		partition = flag.String("partition", "",
 			"keep only the i-th of n contiguous blocks of each preloaded dataset (\"i/n\",\n"+
 				"0-based) — run one child server per partition behind a -children router")
@@ -176,10 +173,9 @@ func run() error {
 			bes[i] = c
 		}
 		router, err := shardbe.New(bes, shardbe.Options{
-			Telemetry:           srv.Telemetry(),
-			Hedge:               shardbe.HedgeOptions{Enabled: *hedge, Delay: *hedgeDelay},
-			PartialCacheEntries: *partialCache,
-			Breakers:            breakerOptions(*breakers),
+			Telemetry: srv.Telemetry(),
+			Hedge:     shardbe.HedgeOptions{Enabled: *hedge, Delay: *hedgeDelay},
+			Breakers:  breakerOptions(*breakers),
 		})
 		if err != nil {
 			return err

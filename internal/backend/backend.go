@@ -217,11 +217,6 @@ type ExecStats struct {
 	// start until the last shard answers.
 	ShardFanout       int
 	ShardStragglerMax time.Duration
-	// ShardPartialsCached counts child executions a routing backend
-	// answered from its per-shard partial memo (keyed by the child's own
-	// version token) instead of re-executing; they do not appear in
-	// ShardFanout, which counts real executions only.
-	ShardPartialsCached int
 	// HedgedPartials counts speculative duplicate child executions a
 	// routing backend issued against stragglers; HedgeWins counts the
 	// duplicates that answered first (the primary was then cancelled).

@@ -117,62 +117,59 @@ func DecodeRows(rows [][]Value) ([][]sqldb.Value, error) {
 // ExecStats mirrors backend.ExecStats field for field (durations in
 // nanoseconds), so a remote execution's cost report survives the wire.
 type ExecStats struct {
-	RowsScanned         int    `json:"rows_scanned"`
-	Groups              int    `json:"groups"`
-	Vectorized          bool   `json:"vectorized"`
-	FallbackReason      string `json:"fallback_reason,omitempty"`
-	Workers             int    `json:"workers"`
-	SelectionKernels    int    `json:"selection_kernels"`
-	ResidualPredicates  int    `json:"residual_predicates"`
-	ShardFanout         int    `json:"shard_fanout"`
-	ShardStragglerNS    int64  `json:"shard_straggler_ns"`
-	ShardPartialsCached int    `json:"shard_partials_cached"`
-	HedgedPartials      int    `json:"hedged_partials"`
-	HedgeWins           int    `json:"hedge_wins"`
-	NetRetries          int    `json:"net_retries"`
-	ShardsDegraded      int    `json:"shards_degraded,omitempty"`
-	DegradedShards      []int  `json:"degraded_shards,omitempty"`
+	RowsScanned        int    `json:"rows_scanned"`
+	Groups             int    `json:"groups"`
+	Vectorized         bool   `json:"vectorized"`
+	FallbackReason     string `json:"fallback_reason,omitempty"`
+	Workers            int    `json:"workers"`
+	SelectionKernels   int    `json:"selection_kernels"`
+	ResidualPredicates int    `json:"residual_predicates"`
+	ShardFanout        int    `json:"shard_fanout"`
+	ShardStragglerNS   int64  `json:"shard_straggler_ns"`
+	HedgedPartials     int    `json:"hedged_partials"`
+	HedgeWins          int    `json:"hedge_wins"`
+	NetRetries         int    `json:"net_retries"`
+	ShardsDegraded     int    `json:"shards_degraded,omitempty"`
+	DegradedShards     []int  `json:"degraded_shards,omitempty"`
 }
 
 // FromExecStats encodes execution stats.
 func FromExecStats(s backend.ExecStats) ExecStats {
 	return ExecStats{
-		RowsScanned:         s.RowsScanned,
-		Groups:              s.Groups,
-		Vectorized:          s.Vectorized,
-		FallbackReason:      s.FallbackReason,
-		Workers:             s.Workers,
-		SelectionKernels:    s.SelectionKernels,
-		ResidualPredicates:  s.ResidualPredicates,
-		ShardFanout:         s.ShardFanout,
-		ShardStragglerNS:    s.ShardStragglerMax.Nanoseconds(),
-		ShardPartialsCached: s.ShardPartialsCached,
-		HedgedPartials:      s.HedgedPartials,
-		HedgeWins:           s.HedgeWins,
-		NetRetries:          s.NetRetries,
-		ShardsDegraded:      s.ShardsDegraded,
-		DegradedShards:      s.DegradedShards,
+		RowsScanned:        s.RowsScanned,
+		Groups:             s.Groups,
+		Vectorized:         s.Vectorized,
+		FallbackReason:     s.FallbackReason,
+		Workers:            s.Workers,
+		SelectionKernels:   s.SelectionKernels,
+		ResidualPredicates: s.ResidualPredicates,
+		ShardFanout:        s.ShardFanout,
+		ShardStragglerNS:   s.ShardStragglerMax.Nanoseconds(),
+		HedgedPartials:     s.HedgedPartials,
+		HedgeWins:          s.HedgeWins,
+		NetRetries:         s.NetRetries,
+		ShardsDegraded:     s.ShardsDegraded,
+		DegradedShards:     s.DegradedShards,
 	}
 }
 
 // ToExecStats decodes execution stats.
 func (w ExecStats) ToExecStats() backend.ExecStats {
 	return backend.ExecStats{
-		RowsScanned:         w.RowsScanned,
-		Groups:              w.Groups,
-		Vectorized:          w.Vectorized,
-		FallbackReason:      w.FallbackReason,
-		Workers:             w.Workers,
-		SelectionKernels:    w.SelectionKernels,
-		ResidualPredicates:  w.ResidualPredicates,
-		ShardFanout:         w.ShardFanout,
-		ShardStragglerMax:   time.Duration(w.ShardStragglerNS),
-		ShardPartialsCached: w.ShardPartialsCached,
-		HedgedPartials:      w.HedgedPartials,
-		HedgeWins:           w.HedgeWins,
-		NetRetries:          w.NetRetries,
-		ShardsDegraded:      w.ShardsDegraded,
-		DegradedShards:      w.DegradedShards,
+		RowsScanned:        w.RowsScanned,
+		Groups:             w.Groups,
+		Vectorized:         w.Vectorized,
+		FallbackReason:     w.FallbackReason,
+		Workers:            w.Workers,
+		SelectionKernels:   w.SelectionKernels,
+		ResidualPredicates: w.ResidualPredicates,
+		ShardFanout:        w.ShardFanout,
+		ShardStragglerMax:  time.Duration(w.ShardStragglerNS),
+		HedgedPartials:     w.HedgedPartials,
+		HedgeWins:          w.HedgeWins,
+		NetRetries:         w.NetRetries,
+		ShardsDegraded:     w.ShardsDegraded,
+		DegradedShards:     w.DegradedShards,
 	}
 }
 

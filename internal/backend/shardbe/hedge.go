@@ -1,5 +1,4 @@
-// Straggler hedging and per-shard partial memoization for the shard
-// router.
+// Straggler hedging for the shard router.
 //
 // Hedging bounds a fan-out's tail latency: the merge cannot start until
 // the slowest shard answers, so one straggling child drags the whole
@@ -11,20 +10,12 @@
 // Exactly one result per partial ever reaches the merge, so hedged and
 // unhedged executions are bit-identical; hedging spends duplicate work
 // to buy tail latency, never correctness.
-//
-// The partial memo answers repeated child executions from memory, keyed
-// by the child's own version token — the shard-level analogue of the
-// engine's result cache. It is off by default: the shard benchmarks
-// (and TestShardFanoutEngages) measure cold fan-out cost, and a router
-// that silently answered from memory would report a fanout of zero.
-// Deployments opt in with Options.PartialCacheEntries.
 package shardbe
 
 import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"seedb/internal/backend"
@@ -108,48 +99,6 @@ func (r *Router) hedgeTarget(child int) backend.Backend {
 // hasReplica reports whether a child has a configured hedge replica.
 func (r *Router) hasReplica(child int) bool {
 	return child < len(r.replicas) && len(r.replicas[child]) > 0
-}
-
-// runChild executes one planned partial: memo lookup first (when the
-// memo is on and the child's version is observable), then a plain or
-// hedged execution, then memo fill.
-func (r *Router) runChild(ctx context.Context, table, childSQL string, t childTask, opts backend.ExecOptions) childRun {
-	childOpts := backend.ExecOptions{
-		Lo: t.lo, Hi: t.hi,
-		Workers:            opts.Workers,
-		NoSelectionKernels: opts.NoSelectionKernels,
-	}
-	var memoKey string
-	if r.memo != nil {
-		if v, ok := r.children[t.child].TableVersion(ctx, table); ok {
-			memoKey = partialKey(t.child, v, childSQL, childOpts)
-			if e, ok := r.memo.get(memoKey); ok {
-				// A memo hit did no scanning, so only the result-shaped
-				// stats survive; scan-cost counters stay zero and the hit
-				// is invisible to the straggler max.
-				return childRun{
-					rows: e.rows,
-					stats: backend.ExecStats{
-						Groups:         e.groups,
-						Vectorized:     e.vectorized,
-						FallbackReason: e.reason,
-						Workers:        1,
-					},
-					cached: true,
-				}
-			}
-		}
-	}
-	run := r.execHedged(ctx, t, childSQL, childOpts)
-	if run.err == nil && memoKey != "" {
-		r.memo.put(memoKey, partialEntry{
-			rows:       run.rows,
-			groups:     run.stats.Groups,
-			vectorized: run.stats.Vectorized,
-			reason:     run.stats.FallbackReason,
-		})
-	}
-	return run
 }
 
 // execHedged runs one partial with hedging (when enabled): launch the
@@ -283,60 +232,4 @@ func stampChildSpan(sp *telemetry.Span, stats backend.ExecStats, err error) {
 	if stats.NetRetries > 0 {
 		sp.SetAttr("net_retries", strconv.Itoa(stats.NetRetries))
 	}
-}
-
-// partialKey identifies one child execution for the memo. The child's
-// version token pins the data generation; the rest pins the exact work.
-func partialKey(child int, version, childSQL string, opts backend.ExecOptions) string {
-	return fmt.Sprintf("%d\x00%s\x00%s\x00%d|%d|%d|%t",
-		child, version, childSQL, opts.Lo, opts.Hi, opts.Workers, opts.NoSelectionKernels)
-}
-
-// partialEntry is one memoized child partial. Rows are shared, never
-// copied: partial results are immutable once returned (the merge builds
-// fresh output rows and only reads child rows).
-type partialEntry struct {
-	rows       *backend.Rows
-	groups     int
-	vectorized bool
-	reason     string
-}
-
-// partialMemo is a bounded FIFO memo of child partials. FIFO (not LRU)
-// keeps eviction O(1) with no per-hit bookkeeping; the memo's job is
-// absorbing repeated identical fan-outs, not modelling reuse distance.
-type partialMemo struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]partialEntry
-	order   []string
-}
-
-// newPartialMemo creates a memo holding at most max entries.
-func newPartialMemo(max int) *partialMemo {
-	return &partialMemo{max: max, entries: make(map[string]partialEntry, max)}
-}
-
-// get returns the memoized partial for key, if any.
-func (m *partialMemo) get(key string) (partialEntry, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	return e, ok
-}
-
-// put memoizes one partial, evicting the oldest entry over budget.
-func (m *partialMemo) put(key string, e partialEntry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, dup := m.entries[key]; dup {
-		return
-	}
-	for len(m.entries) >= m.max && len(m.order) > 0 {
-		oldest := m.order[0]
-		m.order = m.order[1:]
-		delete(m.entries, oldest)
-	}
-	m.entries[key] = e
-	m.order = append(m.order, key)
 }

@@ -8,7 +8,6 @@ import (
 
 	"seedb/internal/backend"
 	"seedb/internal/backend/faultbe"
-	"seedb/internal/sqldb"
 )
 
 // hedgeFixture builds a 2-child router where child 1 is a faultbe
@@ -138,84 +137,5 @@ func TestAdaptiveHedgeDelay(t *testing.T) {
 	r.hedge.Delay = 7 * time.Millisecond
 	if d := r.hedgeDelay(); d != 7*time.Millisecond {
 		t.Errorf("fixed delay = %v, want 7ms", d)
-	}
-}
-
-// TestPartialMemo opts into the per-shard partial memo and checks the
-// full lifecycle: cold fan-out fills it, an identical query answers
-// from it (bit-exactly, with ShardPartialsCached accounting and no
-// child executions), and a single child's data change invalidates only
-// because the version key rotates.
-func TestPartialMemo(t *testing.T) {
-	src := buildSource(t, 90)
-	dbs, bes := EmbeddedChildren(2)
-	tab, _ := src.Table("sales")
-	if err := ScatterTable(src, "sales", dbs, Blocks{Total: tab.NumRows()}); err != nil {
-		t.Fatal(err)
-	}
-	counted := []*faultbe.Fault{faultbe.Wrap(bes[0]), faultbe.Wrap(bes[1])}
-	r, err := New([]backend.Backend{counted[0], counted[1]}, Options{PartialCacheEntries: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	cold, coldStats, err := r.Exec(ctx, hedgeQuery, backend.ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coldStats.ShardFanout != 2 || coldStats.ShardPartialsCached != 0 {
-		t.Fatalf("cold stats = fanout %d cached %d, want 2/0", coldStats.ShardFanout, coldStats.ShardPartialsCached)
-	}
-
-	warm, warmStats, err := r.Exec(ctx, hedgeQuery, backend.ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmStats.ShardFanout != 0 || warmStats.ShardPartialsCached != 2 {
-		t.Errorf("warm stats = fanout %d cached %d, want 0/2", warmStats.ShardFanout, warmStats.ShardPartialsCached)
-	}
-	if !reflect.DeepEqual(warm, cold) {
-		t.Errorf("memoized result diverges:\ngot  %+v\nwant %+v", warm.Rows, cold.Rows)
-	}
-	if counted[0].Execs() != 1 || counted[1].Execs() != 1 {
-		t.Errorf("children executed %d/%d times, want 1/1", counted[0].Execs(), counted[1].Execs())
-	}
-	// Vectorized accounting must survive the memo: a warm fan-out is
-	// still "vectorized" iff the memoized executions were.
-	if warmStats.Vectorized != coldStats.Vectorized {
-		t.Errorf("warm Vectorized = %t, cold was %t", warmStats.Vectorized, coldStats.Vectorized)
-	}
-
-	// Appending a row to child 1 rotates its version token: its partial
-	// re-executes, child 0's stays memoized.
-	ctab, _ := dbs[1].Table("sales")
-	if err := ctab.AppendRow([]sqldb.Value{sqldb.Str("east"), sqldb.Int(1), sqldb.Float(0.25)}); err != nil {
-		t.Fatal(err)
-	}
-	_, postStats, err := r.Exec(ctx, hedgeQuery, backend.ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if postStats.ShardFanout != 1 || postStats.ShardPartialsCached != 1 {
-		t.Errorf("post-append stats = fanout %d cached %d, want 1/1", postStats.ShardFanout, postStats.ShardPartialsCached)
-	}
-}
-
-// TestPartialMemoBound checks FIFO eviction keeps the memo at its
-// configured size.
-func TestPartialMemoBound(t *testing.T) {
-	m := newPartialMemo(2)
-	m.put("a", partialEntry{groups: 1})
-	m.put("b", partialEntry{groups: 2})
-	m.put("c", partialEntry{groups: 3})
-	if _, ok := m.get("a"); ok {
-		t.Error("oldest entry survived over-budget insert")
-	}
-	if _, ok := m.get("b"); !ok {
-		t.Error("entry b evicted early")
-	}
-	if _, ok := m.get("c"); !ok {
-		t.Error("entry c missing")
 	}
 }

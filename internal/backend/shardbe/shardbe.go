@@ -87,12 +87,6 @@ type Options struct {
 	// of doubling load on the straggler itself. Missing or empty entries
 	// fall back to re-querying the same child.
 	Replicas [][]backend.Backend
-	// PartialCacheEntries bounds the per-shard partial memo (0 disables
-	// it, the default): repeated identical child executions answer from
-	// memory, keyed by the child's own version token, and report as
-	// ShardPartialsCached instead of ShardFanout. Off by default because
-	// the shard benchmarks measure cold fan-out cost.
-	PartialCacheEntries int
 	// Breakers, when non-nil, arms one circuit breaker per child with
 	// these options: a child whose executions keep failing with
 	// unavailability is opened (fail-fast, no hammering) until a
@@ -122,8 +116,6 @@ type Router struct {
 	// hedgeLat tracks winning child-execution latencies for the adaptive
 	// hedge delay (router-internal, independent of Options.Telemetry).
 	hedgeLat *telemetry.Histogram
-	// memo is the per-shard partial memo, nil when disabled.
-	memo *partialMemo
 	// breakers holds one circuit breaker per child, nil when disabled.
 	breakers []*resilience.Breaker
 	// allowPartial is the router-level degraded-results opt-in;
@@ -167,9 +159,6 @@ func New(children []backend.Backend, opts Options) (*Router, error) {
 		hedgeLat:     &telemetry.Histogram{},
 		statsMemo:    make(map[string]statsEntry),
 		allowPartial: opts.AllowPartial,
-	}
-	if opts.PartialCacheEntries > 0 {
-		r.memo = newPartialMemo(opts.PartialCacheEntries)
 	}
 	if opts.Breakers != nil {
 		r.breakers = make([]*resilience.Breaker, len(children))
@@ -473,14 +462,12 @@ type childTask struct {
 }
 
 // childRun is one partial's outcome: the winning attempt's result plus
-// how it was obtained (memo hit, hedged, hedge won).
+// how it was obtained (hedged, hedge won).
 type childRun struct {
 	rows  *backend.Rows
 	stats backend.ExecStats
 	lat   time.Duration
 	err   error
-	// cached marks a partial answered from the memo (no execution).
-	cached bool
 	// hedged marks that a speculative duplicate was issued for this
 	// partial; hedgeWon that the duplicate answered first.
 	hedged   bool
@@ -617,7 +604,11 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 						}
 						continue
 					}
-					run := r.runChild(fanCtx, stmt.Table, childSQL, t, opts)
+					run := r.execHedged(fanCtx, t, childSQL, backend.ExecOptions{
+						Lo: t.lo, Hi: t.hi,
+						Workers:            opts.Workers,
+						NoSelectionKernels: opts.NoSelectionKernels,
+					})
 					if br != nil {
 						// A child is "failing" only when it looks down —
 						// unreachable or timing out while the request itself
@@ -647,9 +638,9 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 					runs[ti] = run
 					if run.err != nil {
 						cancel() // first failure aborts the straggling shards
-					} else if !run.cached && !run.degraded {
-						// Memo hits cost no child execution; only winners of
-						// real executions belong in the latency distribution.
+					} else if !run.degraded {
+						// Only real executions belong in the latency
+						// distribution.
 						r.tel.ObserveShard(run.lat)
 					}
 				}
@@ -705,11 +696,9 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 		return nil, backend.ExecStats{}, fmt.Errorf("shardbe: %w: all %d shards unavailable", backend.ErrUnavailable, len(r.children))
 	}
 
-	// ShardFanout counts real child executions; memo hits report as
-	// ShardPartialsCached instead (and cost no latency, so they never
-	// touch the straggler max). Nested robustness counters — a netbe
-	// child's retries, a nested router's hedges — sum through, so the
-	// top-level ExecStats sees the whole tree.
+	// ShardFanout counts child executions. Nested robustness counters —
+	// a netbe child's retries, a nested router's hedges — sum through,
+	// so the top-level ExecStats sees the whole tree.
 	var stats backend.ExecStats
 	stats.ShardsDegraded = len(degradedShards)
 	stats.DegradedShards = degradedShards
@@ -718,11 +707,7 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 		if run.degraded {
 			continue // no execution, no part: only the degraded stamp above
 		}
-		if run.cached {
-			stats.ShardPartialsCached++
-		} else {
-			stats.ShardFanout++
-		}
+		stats.ShardFanout++
 		if run.hedged {
 			stats.HedgedPartials++
 		}
@@ -732,7 +717,6 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 		stats.RowsScanned += run.stats.RowsScanned
 		stats.SelectionKernels += run.stats.SelectionKernels
 		stats.ResidualPredicates += run.stats.ResidualPredicates
-		stats.ShardPartialsCached += run.stats.ShardPartialsCached
 		stats.HedgedPartials += run.stats.HedgedPartials
 		stats.HedgeWins += run.stats.HedgeWins
 		stats.NetRetries += run.stats.NetRetries

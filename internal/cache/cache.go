@@ -3,7 +3,7 @@
 // complement of the paper's sharing optimizations, which only
 // deduplicate work within a single Recommend invocation.
 //
-// The subsystem has three cooperating pieces:
+// It is the only place the system retains a computed result:
 //
 //   - A byte-budgeted LRU memoization cache (Cache) with cost-aware
 //     admission: entries are keyed by opaque strings that embed a dataset
@@ -13,10 +13,9 @@
 //   - Singleflight request collapsing (Do): N concurrent computations of
 //     the same key execute the underlying work exactly once and share
 //     the result.
-//   - A reference-view store (RefStore, refstore.go) that materializes
-//     full-table (dimension, measure, aggregate) distributions once and
-//     serves them to every later request regardless of its target
-//     predicate.
+//   - Typed key constructors (keys.go), one per namespace: whole-request
+//     results, shared view-query results, materialized reference views
+//     and the version-less stale-on-outage aliases.
 //
 // Values stored in the cache are shared between goroutines and MUST be
 // treated as immutable by all readers; callers that need to mutate a

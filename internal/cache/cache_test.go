@@ -336,34 +336,48 @@ func contains(s, sub string) bool {
 	return false
 }
 
+// TestKeyNamespacesDisjoint feeds every key constructor the same
+// components: the namespace prefix alone must keep them apart, and
+// within a namespace any one differing component must change the key.
 func TestKeyNamespacesDisjoint(t *testing.T) {
-	q := QueryKey("t", "1.0", "x", 0, 0, false)
-	r := RequestKey("t", "1.0", "x", "0", "0")
-	if q == r {
-		t.Fatal("query and request keys collide")
+	keys := map[string]string{
+		"q": QueryKey("t", "1.0", "x", 0, 0, false),
+		"r": RequestKey("t", "1.0", "x", "0", "0"),
+		"v": RefViewKey("t", "1.0", "x", "0", "0"),
+		"s": StaleKey("t", "1.0", "x", "0", "0"),
 	}
-}
-
-func TestRefStore(t *testing.T) {
-	c := New(1 << 20)
-	s := NewRefStore(c)
-	if _, ok := s.Get("t", "1.0", "d", "m", "AVG"); ok {
-		t.Fatal("empty store hit")
+	seen := map[string]string{}
+	for ns, k := range keys {
+		if k[:1] != ns {
+			t.Errorf("%s key has prefix %q", ns, k[:1])
+		}
+		if other, dup := seen[k]; dup {
+			t.Errorf("%s and %s keys collide", ns, other)
+		}
+		seen[k] = ns
 	}
-	d := RefDistribution{"a": {Sum: 10, Count: 2}, "b": {Sum: 4, Count: 1}}
-	if !s.Put("t", "1.0", "d", "m", "AVG", d, time.Millisecond) {
-		t.Fatal("Put rejected")
+	for name, other := range map[string]string{
+		"v version":   RefViewKey("t", "2.0", "x", "0", "0"),
+		"v dimension": RefViewKey("t", "1.0", "y", "0", "0"),
+		"v measure":   RefViewKey("t", "1.0", "x", "1", "0"),
+		"v agg":       RefViewKey("t", "1.0", "x", "0", "1"),
+		"v table":     RefViewKey("u", "1.0", "x", "0", "0"),
+	} {
+		if other == keys["v"] {
+			t.Errorf("%s does not reach the key", name)
+		}
 	}
-	got, ok := s.Get("t", "1.0", "d", "m", "AVG")
-	if !ok || len(got) != 2 || got["a"].Sum != 10 {
-		t.Fatalf("Get = %+v, %v", got, ok)
+	for name, other := range map[string]string{
+		"s scope": StaleKey("t", "other", "x", "0", "0"),
+		"s parts": StaleKey("t", "1.0", "x", "0", "1"),
+		"s table": StaleKey("u", "1.0", "x", "0", "0"),
+	} {
+		if other == keys["s"] {
+			t.Errorf("%s does not reach the key", name)
+		}
 	}
-	// A different version or view misses.
-	if _, ok := s.Get("t", "2.0", "d", "m", "AVG"); ok {
-		t.Fatal("stale version hit")
-	}
-	if _, ok := s.Get("t", "1.0", "d", "m", "SUM"); ok {
-		t.Fatal("different agg hit")
+	if RefViewKey("T", "1.0", "x", "0", "0") != keys["v"] || StaleKey("T", "1.0", "x", "0", "0") != keys["s"] {
+		t.Error("table names must key case-insensitively")
 	}
 }
 

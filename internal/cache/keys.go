@@ -5,12 +5,16 @@ import (
 	"strings"
 )
 
-// Key construction. Every key embeds the dataset version token produced
-// by sqldb.(*DB).TableVersion, which is what makes invalidation purely
+// Key construction. A namespace is a one-letter key prefix; the four
+// constructors below are the only place keys are built, which keeps the
+// namespaces (q query results, r request results, v reference views,
+// s stale-on-outage aliases) disjoint inside one shared budget. The
+// q, r and v keys embed the dataset version token produced by
+// sqldb.(*DB).TableVersion, which is what makes invalidation purely
 // versioned: when a table is reloaded or appended to, new requests carry
 // a new version and can never observe entries written under the old one.
-// Namespace prefixes keep the three key spaces (query results, request
-// results, reference views) disjoint inside one shared budget.
+// The s key is deliberately version-less: it exists for the moment the
+// current version is unreachable.
 
 // sep separates key components; it cannot appear in SQL text or
 // identifiers.
@@ -79,8 +83,22 @@ func RequestKey(table, version string, parts ...string) string {
 	return "r" + sep + strings.ToLower(table) + sep + version + sep + strings.Join(parts, sep)
 }
 
-// refViewKey keys one materialized full-table reference distribution.
-func refViewKey(table, version, dimension, measure, agg string) string {
+// RefViewKey keys one materialized full-table reference distribution.
+// Under the paper's default reference mode (D_R = D) the reference side
+// of a view is a pure function of the dataset, so it is shared by every
+// request at this version whatever its target predicate.
+func RefViewKey(table, version, dimension, measure, agg string) string {
 	return "v" + sep + strings.ToLower(table) + sep + version + sep +
 		dimension + sep + measure + sep + agg
+}
+
+// StaleKey keys the stale-on-outage alias for one raw request shape:
+// its value is the RequestKey of the last complete result computed for
+// that shape, at whatever version that was. scope is the backend's name
+// (what RequestKey carries inside its version token), so engines over
+// different backends sharing one cache never replay each other's
+// answers. parts must be computable without touching the backend — an
+// outage is exactly when table metadata is unavailable.
+func StaleKey(table, scope string, parts ...string) string {
+	return "s" + sep + strings.ToLower(table) + sep + scope + sep + strings.Join(parts, sep)
 }

@@ -33,20 +33,7 @@ type Engine struct {
 	// the slow-query log. Atomic so it can be installed while requests
 	// are in flight; a nil collector makes every observation a no-op.
 	tel atomic.Pointer[telemetry.Collector]
-
-	// The stale-result store backs Options.ServeStaleOnError: the last
-	// complete Result per request shape, kept independently of the
-	// dataset version so an outage can be masked with yesterday's
-	// answer. Bounded FIFO; deliberately separate from the result cache,
-	// whose entries die with their version — stale serving exists
-	// precisely for the moment the current version is unreachable.
-	staleMu    sync.Mutex
-	stale      map[string]*Result
-	staleOrder []string
 }
-
-// staleStoreMax bounds how many request shapes the stale store retains.
-const staleStoreMax = 256
 
 // NewEngine creates an engine over a backend. Wrap the embedded store
 // with backend.NewEmbedded.
@@ -60,9 +47,11 @@ func (e *Engine) Backend() backend.Backend { return e.be }
 // Generator returns the engine's view generator.
 func (e *Engine) Generator() *ViewGenerator { return e.gen }
 
-// SetCache installs a shared result cache. One cache may back many
-// engines (and the HTTP server installs one process-wide cache); it is
-// only consulted by requests with Options.EnableCache set.
+// SetCache installs a shared result cache; its byte budget is fixed
+// when the cache is constructed. One cache may back many engines (and
+// the HTTP server installs one process-wide cache); it is only consulted
+// by requests with Options.EnableCache set. An engine with nothing
+// installed creates a default-budget cache on its first such request.
 func (e *Engine) SetCache(c *cache.Cache) {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
@@ -87,15 +76,28 @@ func (e *Engine) SetTelemetry(tel *telemetry.Collector) { e.tel.Store(tel) }
 // Telemetry returns the installed collector, or nil.
 func (e *Engine) Telemetry() *telemetry.Collector { return e.tel.Load() }
 
-// ensureCache returns the installed cache, creating one with the given
-// budget on first cached request.
-func (e *Engine) ensureCache(budgetBytes int64) *cache.Cache {
+// ensureCache returns the installed cache, creating a default-budget one
+// on the first cached request.
+func (e *Engine) ensureCache() *cache.Cache {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
 	if e.cache == nil {
-		e.cache = cache.New(budgetBytes)
+		e.cache = cache.New(cache.DefaultBudgetBytes)
 	}
 	return e.cache
+}
+
+// versionToken returns the dataset version token cache keys embed for
+// table. It is namespaced by the backend's name, so two backends holding
+// coincidentally same-named tables can share one cache without ever
+// sharing entries. ok is false when the backend cannot version the
+// table; such requests are uncacheable.
+func (e *Engine) versionToken(ctx context.Context, table string) (string, bool) {
+	v, ok := e.be.TableVersion(ctx, table)
+	if !ok {
+		return "", false
+	}
+	return e.be.Name() + "|" + v, true
 }
 
 // Metrics reports what one Recommend invocation cost.
@@ -133,10 +135,6 @@ type Metrics struct {
 	// ShardStragglerMax is the slowest child execution observed across
 	// all fanned-out queries — the shard merge's critical path.
 	ShardStragglerMax time.Duration
-	// ShardPartialsCached counts per-shard partials the router served
-	// from its version-keyed partial memo instead of re-executing on a
-	// child.
-	ShardPartialsCached int
 	// HedgedPartials counts speculative duplicate child executions the
 	// shard router issued against stragglers; HedgeWins counts the
 	// duplicates that answered first. Wins never double-count in any
@@ -154,9 +152,9 @@ type Metrics struct {
 	// result cache.
 	ShardsDegraded int
 	DegradedShards []int
-	// ServedStale marks a response answered from the stale-result store
-	// under Options.ServeStaleOnError after the backend became
-	// unavailable: the data may predate the current dataset version.
+	// ServedStale marks a response replayed from the result cache under
+	// Options.ServeStaleOnError after the backend became unavailable:
+	// the data may predate the current dataset version.
 	ServedStale bool
 	// RowsScanned sums base-table rows visited across all queries.
 	RowsScanned int64
@@ -177,7 +175,7 @@ type Metrics struct {
 	CacheHits   int
 	CacheMisses int
 	// RefViewsReused counts candidate views whose full-table reference
-	// distribution came from the materialized reference-view store.
+	// distribution came from a cached reference view.
 	RefViewsReused int
 	// ServedFromCache marks an invocation answered entirely by the
 	// result cache (a whole-request hit, or a concurrent duplicate that
@@ -321,84 +319,81 @@ func (e *Engine) Recommend(ctx context.Context, req Request, opts Options) (*Res
 }
 
 // recommend wraps recommendInner with the stale-on-outage path
-// (Options.ServeStaleOnError): fresh complete results refresh the stale
-// store, and an unavailability failure is answered from it when
-// possible. The store is keyed on the raw request+options — option
-// canonicalization needs table metadata, which is exactly what a
-// full outage takes away — so the key is computable on both the fill
-// and the serve side without touching the backend.
+// (Options.ServeStaleOnError): an unavailability failure is answered
+// with the last complete result the cache still holds for this request
+// shape, at whatever dataset version it was computed.
 func (e *Engine) recommend(ctx context.Context, req Request, opts Options) (*Result, error) {
 	if opts.AllowPartial {
 		// The introspection legs (TableInfo, TableStats) have no options
 		// parameter; the context carries the opt-in to routing backends.
 		ctx = backend.WithAllowPartial(ctx)
 	}
-	useStale := opts.ServeStaleOnError && opts.EnableCache
-	var staleKey string
-	if useStale {
-		staleKey = requestCacheKey(req, opts, "stale")
-	}
 	start := time.Now()
 	res, err := e.recommendInner(ctx, req, opts)
-	if err == nil {
-		// Only complete, freshly-consistent answers are worth replaying
-		// during an outage: degraded results are partial by construction.
-		if useStale && res.Metrics.ShardsDegraded == 0 {
-			e.storeStale(staleKey, res)
-		}
-		return res, nil
-	}
-	if useStale && errors.Is(err, backend.ErrUnavailable) && ctx.Err() == nil {
-		if sres, ok := e.loadStale(staleKey); ok {
+	if err != nil && opts.ServeStaleOnError && opts.EnableCache &&
+		errors.Is(err, backend.ErrUnavailable) && ctx.Err() == nil {
+		if sres, ok := e.staleResult(req, opts); ok {
 			telemetry.SpanFromContext(ctx).SetAttr("served_stale", "true")
 			sres.Metrics.Elapsed = time.Since(start)
 			return sres, nil
 		}
 	}
-	return nil, err
+	return res, err
 }
 
-// storeStale records a private copy of a complete result as the outage
-// fallback for its request shape, evicting the oldest shape at cap.
-func (e *Engine) storeStale(key string, res *Result) {
-	cp := cloneResult(res)
-	e.staleMu.Lock()
-	defer e.staleMu.Unlock()
-	if e.stale == nil {
-		e.stale = make(map[string]*Result, staleStoreMax)
+// staleResult follows the request shape's stale alias to the versioned
+// entry it names. Either lookup may miss — nothing complete was ever
+// computed for the shape, or the LRU has since evicted it — and then
+// the outage propagates.
+func (e *Engine) staleResult(req Request, opts Options) (*Result, bool) {
+	c := e.Cache()
+	if c == nil {
+		return nil, false
 	}
-	if _, exists := e.stale[key]; !exists {
-		e.staleOrder = append(e.staleOrder, key)
-		if len(e.staleOrder) > staleStoreMax {
-			delete(e.stale, e.staleOrder[0])
-			e.staleOrder = e.staleOrder[1:]
-		}
-	}
-	e.stale[key] = cp
-}
-
-// loadStale returns a copy of the stored fallback for a request shape,
-// with cost counters zeroed (this invocation executed nothing) and
-// ServedStale stamped.
-func (e *Engine) loadStale(key string) (*Result, bool) {
-	e.staleMu.Lock()
-	r, ok := e.stale[key]
-	e.staleMu.Unlock()
+	alias, ok := c.Get(staleCacheKey(e.be.Name(), req, opts))
 	if !ok {
 		return nil, false
 	}
-	res := cloneResult(r)
-	m := &res.Metrics
+	v, ok := c.Get(alias.(string))
+	if !ok {
+		return nil, false
+	}
+	res := cloneResult(v.(*Result))
+	res.Metrics.resetInvocationCost()
+	res.Metrics.ServedStale = true
+	stampDegradation(res, opts.Strategy, EffectiveStrategy(opts.Strategy, e.be.Capabilities()))
+	return res, true
+}
+
+// stampDegradation records on a result whether the requested strategy
+// was rewritten for this backend. The rewrite happens before cache-key
+// construction (a degraded COMB request shares the equivalent SHARING
+// request's entry), so replayed responses are stamped per caller rather
+// than trusting whatever request computed the cached value.
+func stampDegradation(res *Result, requested, executed Strategy) {
+	res.Metrics.StrategyDegraded = executed != requested
+	res.Metrics.DegradedFrom = ""
+	if executed != requested {
+		res.Metrics.DegradedFrom = requested.String()
+	}
+}
+
+// resetInvocationCost zeroes the counters that report what one
+// invocation executed, keeping the fields that describe the result's
+// content (Views, PrunedViews, EarlyStopped): a response replayed from
+// the cache, warm or stale, cost its caller nothing. Cached results are
+// complete and fresh by construction (degraded ones are never
+// admitted), so the degradation fields reset too.
+func (m *Metrics) resetInvocationCost() {
 	m.QueriesExecuted, m.RowsScanned, m.MaxGroups, m.PhasesRun = 0, 0, 0, 0
 	m.VectorizedQueries, m.FallbackQueries, m.ScanWorkers = 0, 0, 0
 	m.FallbackReasons = nil
 	m.SelectionKernels, m.ResidualPredicates = 0, 0
 	m.ShardQueries, m.ShardFanout, m.ShardStragglerMax = 0, 0, 0
-	m.ShardPartialsCached, m.HedgedPartials, m.HedgeWins, m.NetRetries = 0, 0, 0, 0
+	m.HedgedPartials, m.HedgeWins, m.NetRetries = 0, 0, 0
+	m.ShardsDegraded, m.DegradedShards, m.ServedStale = 0, nil, false
 	m.CacheHits, m.CacheMisses, m.RefViewsReused = 0, 0, 0
 	m.ServedFromCache = false
-	m.ServedStale = true
-	return res, true
 }
 
 // recommendInner is the Recommend body; the exported wrapper owns the
@@ -406,11 +401,27 @@ func (e *Engine) loadStale(key string) (*Result, bool) {
 // recommend wrapper owns stale-on-outage serving.
 func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) (*Result, error) {
 	start := time.Now()
+	// The stale alias is keyed on the options as the caller wrote them:
+	// canonicalization below needs table metadata, which is exactly what
+	// an outage takes away.
+	rawOpts := opts
 	if req.TargetWhere == "" {
 		return nil, fmt.Errorf("core: request needs a target predicate (TargetWhere)")
 	}
 	if req.Reference == RefCustom && req.ReferenceWhere == "" {
 		return nil, fmt.Errorf("core: RefCustom requires ReferenceWhere")
+	}
+	// The version token is read before anything it must describe (row
+	// count, scans): data that moves in between then lands under the
+	// older token, which no later request asks for, instead of an old
+	// scan being cached under the newer one. Without a token, cached
+	// entries could never be invalidated — the request is treated as
+	// uncacheable rather than risk serving stale results forever. The
+	// token is only fetched for caching requests (it may cost a store
+	// round-trip on external backends with watermark version functions).
+	version, versioned := "", false
+	if opts.EnableCache {
+		version, versioned = e.versionToken(ctx, req.Table)
 	}
 	_, tsp := telemetry.StartSpan(ctx, "table_info")
 	ti, err := e.be.TableInfo(ctx, req.Table)
@@ -431,7 +442,6 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 	caps := e.be.Capabilities()
 	requested := opts.Strategy
 	opts.Strategy = EffectiveStrategy(opts.Strategy, caps)
-	degraded := opts.Strategy != requested
 	if opts.Strategy == NoOpt || opts.Strategy == Sharing {
 		// Pruning options are inert on single-pass plans (the pruner
 		// never runs); canonicalize them before defaulting and cache-key
@@ -463,47 +473,33 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 		opts.K = len(views)
 	}
 
-	// Without a dataset version token, cached entries could never be
-	// invalidated — treat the request as uncacheable rather than risk
-	// serving stale results forever. The token is only fetched for
-	// caching requests (it may cost a store round-trip on external
-	// backends with watermark version functions).
-	version, versioned := "", false
-	if opts.EnableCache {
-		version, versioned = e.be.TableVersion(ctx, req.Table)
-	}
-	// recordDegradation stamps the strategy rewrite onto a result. The
-	// rewrite happens before cache-key construction (a degraded COMB
-	// request shares the equivalent SHARING request's entry), so warm
-	// responses are re-stamped per caller rather than trusting whatever
-	// request computed the cached value.
-	recordDegradation := func(res *Result) {
-		res.Metrics.StrategyDegraded = degraded
-		if degraded {
-			res.Metrics.DegradedFrom = requested.String()
-		} else {
-			res.Metrics.DegradedFrom = ""
-		}
-	}
-
 	if !versioned {
 		res, err := e.runRecommend(ctx, req, opts, views, ti, nil, "")
 		if err != nil {
 			return nil, err
 		}
-		recordDegradation(res)
+		stampDegradation(res, requested, opts.Strategy)
 		res.Metrics.Elapsed = time.Since(start)
 		return res, nil
 	}
 
-	c := e.ensureCache(opts.CacheBudgetBytes)
-	// The version token is namespaced by the backend's name, so two
-	// backends holding coincidentally same-named tables can share one
-	// cache without ever sharing entries.
-	version = e.be.Name() + "|" + version
+	c := e.ensureCache()
 	key := requestCacheKey(req, opts, version)
+	// admitted records that the leader's result is consistent with its
+	// key. The size callback runs on the computing caller's goroutine,
+	// before Do returns to it.
+	admitted := false
 	v, outcome, err := c.Do(ctx, key,
-		func(v any) int64 { return resultSizeBytes(v.(*Result)) },
+		func(v any) int64 {
+			n := resultSizeBytes(v.(*Result))
+			if now, _ := e.versionToken(ctx, req.Table); now != version {
+				// The data moved under the computation: the result mixes
+				// generations and matches no version's key.
+				n = -1
+			}
+			admitted = n >= 0
+			return n
+		},
 		func(cctx context.Context) (any, error) {
 			return e.runRecommend(cctx, req, opts, views, ti, c, version)
 		},
@@ -516,31 +512,25 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 	// deep copy.
 	res := cloneResult(v.(*Result))
 	if outcome != cache.Computed {
-		// Warm path: report what THIS invocation cost, keeping the
-		// fields that describe the result's content (Views, PrunedViews,
-		// EarlyStopped, Partial flags).
-		m := &res.Metrics
-		m.QueriesExecuted, m.RowsScanned, m.MaxGroups, m.PhasesRun = 0, 0, 0, 0
-		m.VectorizedQueries, m.FallbackQueries, m.ScanWorkers = 0, 0, 0
-		m.FallbackReasons = nil
-		m.SelectionKernels, m.ResidualPredicates = 0, 0
-		m.ShardQueries, m.ShardFanout, m.ShardStragglerMax = 0, 0, 0
-		m.ShardPartialsCached, m.HedgedPartials, m.HedgeWins, m.NetRetries = 0, 0, 0, 0
-		// Degraded results are never admitted, so a warm response is by
-		// construction complete and fresh.
-		m.ShardsDegraded, m.DegradedShards, m.ServedStale = 0, nil, false
-		m.CacheMisses, m.RefViewsReused = 0, 0
-		m.CacheHits = 1
-		m.ServedFromCache = true
+		// Warm path: report what THIS invocation cost.
+		res.Metrics.resetInvocationCost()
+		res.Metrics.CacheHits = 1
+		res.Metrics.ServedFromCache = true
+	} else if admitted {
+		// Point this request shape's outage fallback at the entry just
+		// filled. Written by every complete computation, whether or not
+		// it asked for stale serving, so the alias keeps up with the
+		// data even when the opted-in requests themselves only hit.
+		c.Put(staleCacheKey(e.be.Name(), req, rawOpts), key, int64(2*len(key)), 0)
 	}
-	recordDegradation(res)
+	stampDegradation(res, requested, opts.Strategy)
 	res.Metrics.Elapsed = time.Since(start)
 	return res, nil
 }
 
 // runRecommend executes one cold recommendation. With a non-nil cache it
-// consults the shared-query memoization inside runQueries and the
-// reference-view store around the run.
+// consults the shared-query memoization inside runQueries and the cached
+// reference views around the run.
 func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, views []View, ti backend.TableInfo, c *cache.Cache, version string) (*Result, error) {
 	start := time.Now()
 	st := &execState{
@@ -560,7 +550,7 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 		st.alive[i] = true
 	}
 
-	// Seed reference sides from the materialized reference-view store:
+	// Seed reference sides from cached reference views:
 	// under RefAll the reference distribution of a view is a pure
 	// function of the dataset, so any earlier request (whatever its
 	// target predicate) may already have paid for it. Seeded views issue
@@ -572,15 +562,16 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 	// estimates — seeding would compare partial targets against full
 	// references and make prune decisions (and therefore cached results)
 	// depend on cache warmth. They still publish below.
-	var refs *cache.RefStore
+	refKey := func(v View) string {
+		return cache.RefViewKey(req.Table, version, v.Dimension, v.Measure, string(v.Agg))
+	}
 	if c != nil && req.Reference == RefAll {
 		_, rsp := telemetry.StartSpan(ctx, "ref_seed")
-		refs = cache.NewRefStore(c)
 		st.refSeeded = make([]bool, len(views))
 		if opts.Strategy == NoOpt || opts.Strategy == Sharing {
 			for i, v := range views {
-				if d, ok := refs.Get(req.Table, version, v.Dimension, v.Measure, string(v.Agg)); ok {
-					seedReference(st.accums[i], d)
+				if d, ok := c.Get(refKey(v)); ok {
+					d.(refView).thaw(st.accums[i].reference)
 					st.refSeeded[i] = true
 					st.metrics.RefViewsReused++
 				}
@@ -624,15 +615,15 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 	// requests. Only views that saw every partition qualify (pruned,
 	// bandit-accepted and early-returned views hold partial reference
 	// state).
-	if refs != nil {
+	if st.refSeeded != nil {
 		_, psp := telemetry.StartSpan(ctx, "ref_publish")
 		cost := time.Since(start) / time.Duration(len(views))
 		for i, v := range views {
 			if st.refSeeded[i] || (st.partial != nil && st.partial[i]) {
 				continue
 			}
-			refs.Put(req.Table, version, v.Dimension, v.Measure, string(v.Agg),
-				snapshotReference(st.accums[i].reference), cost)
+			frozen := st.accums[i].reference.freeze()
+			c.Put(refKey(v), frozen, frozen.sizeBytes(), cost)
 		}
 		psp.End()
 	}

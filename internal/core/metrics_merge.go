@@ -32,7 +32,6 @@ func (m *Metrics) Merge(o Metrics) {
 	if o.ShardStragglerMax > m.ShardStragglerMax {
 		m.ShardStragglerMax = o.ShardStragglerMax
 	}
-	m.ShardPartialsCached += o.ShardPartialsCached
 	m.HedgedPartials += o.HedgedPartials
 	m.HedgeWins += o.HedgeWins
 	m.NetRetries += o.NetRetries

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"seedb/internal/backend"
-	"seedb/internal/cache"
 	"seedb/internal/distance"
 )
 
@@ -141,10 +140,6 @@ const (
 	DefaultColMemoryBudget = 100
 )
 
-// DefaultCacheBudgetBytes is the shared result cache's byte budget when
-// caching is enabled without an explicit budget.
-const DefaultCacheBudgetBytes = cache.DefaultBudgetBytes
-
 // Options configures the SeeDB engine.
 type Options struct {
 	// Strategy is the execution strategy (default Comb).
@@ -218,15 +213,11 @@ type Options struct {
 	KeepAllViews bool
 	// EnableCache routes this request through the engine's shared result
 	// cache (internal/cache): whole-request memoization, shared-query
-	// memoization with singleflight collapsing, and the materialized
-	// reference-view store. The cache is keyed by dataset version, so
+	// memoization with singleflight collapsing, and materialized
+	// reference views. The cache is keyed by dataset version, so
 	// loads, inserts and drops invalidate stale entries automatically.
 	// Default false (every request recomputes, the paper's behavior).
 	EnableCache bool
-	// CacheBudgetBytes sizes the engine's cache when EnableCache has to
-	// create it lazily (an engine-level cache installed via SetCache
-	// wins). 0 means DefaultCacheBudgetBytes.
-	CacheBudgetBytes int64
 	// SlowQueryThreshold overrides the engine telemetry collector's
 	// slow-log threshold for this request: queries (and the request
 	// itself) taking at least this long are written to the collector's
@@ -288,9 +279,6 @@ func (o Options) withDefaults(layout backend.Layout, numViews int) Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.CacheBudgetBytes <= 0 {
-		o.CacheBudgetBytes = DefaultCacheBudgetBytes
 	}
 	if o.Phases <= 0 {
 		switch o.Pruning {

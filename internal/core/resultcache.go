@@ -1,20 +1,24 @@
 package core
 
-// This file is the engine side of the shared result-cache subsystem
-// (internal/cache). Three reuse layers compose, coarsest first:
+// This file is the engine side of the shared result cache
+// (internal/cache): what the engine stores under each key namespace,
+// how big it says those values are, and how it copies them in and out.
+// Three reuse layers compose, coarsest first:
 //
-//  1. Whole-request memoization: a Recommend whose canonical request key
-//     (request + result-affecting options + dataset version) was already
-//     answered returns the cached Result without touching the DBMS, and
-//     concurrent identical requests collapse to one execution.
-//  2. Shared-query memoization: each generated view query is keyed by
-//     normalized SQL + row range + dataset version, so requests that
+//  1. Whole-request memoization (r): a Recommend whose canonical request
+//     key (request + result-affecting options + dataset version) was
+//     already answered returns the cached Result without touching the
+//     DBMS, and concurrent identical requests collapse to one execution.
+//     The version-less stale alias (s) points at the newest such entry
+//     for outage replay.
+//  2. Shared-query memoization (q): each generated view query is keyed
+//     by normalized SQL + row range + dataset version, so requests that
 //     overlap partially (different K, different pruning, a re-issued
 //     phase) still skip the scans they share with earlier work.
-//  3. The reference-view store: under RefAll the reference side of every
-//     view depends only on the data, so completed reference
-//     distributions are materialized once and seeded into later
-//     requests, which then issue target-only queries.
+//  3. Reference views (v): under RefAll the reference side of every view
+//     depends only on the data, so completed reference distributions
+//     are materialized once and seeded into later requests, which then
+//     issue target-only queries.
 
 import (
 	"fmt"
@@ -23,10 +27,39 @@ import (
 	"seedb/internal/cache"
 )
 
-// requestCacheKey canonicalizes everything that can influence a
-// Recommend result. opts must already have defaults applied.
-// Parallelism, ScanParallelism and the cache options themselves are
-// excluded: they change cost, never output. (ScanParallelism's parallel
+// requestCacheKey keys one whole Recommend invocation at one dataset
+// version. opts must already be canonicalized with defaults applied.
+func requestCacheKey(req Request, opts Options, version string) string {
+	return renderRequestKey(req, opts, version, false)
+}
+
+// staleCacheKey keys the outage alias for a request shape on the named
+// backend. opts are the caller's raw options, so the key is computable
+// on both the fill and the serve side without touching the backend.
+func staleCacheKey(backendName string, req Request, opts Options) string {
+	return renderRequestKey(req, opts, backendName, true)
+}
+
+// keyExemptOptions names every Options field renderRequestKey leaves out,
+// with the reason each is safe to leave out; every other field of
+// Options and Request must be rendered into the key
+// (TestCacheKeyCoversEveryField enforces the split).
+var keyExemptOptions = map[string]string{
+	"Parallelism":             "cost only: concurrent view queries",
+	"ScanParallelism":         "cost only: scan workers (see renderRequestKey on float reassociation)",
+	"DisableSelectionKernels": "cost only: predicate evaluation path",
+	"GroupBySet":              "resolved into GroupBy by withDefaults",
+	"EnableCache":             "selects whether the key is used at all",
+	"SlowQueryThreshold":      "observation only",
+	"ServeStaleOnError":       "selects the error path, never a computed result",
+}
+
+// renderRequestKey canonicalizes everything that can influence a
+// Recommend result into a versioned request key (scope is the version
+// token) or a stale alias key (scope is the backend name). The
+// keyExemptOptions fields are excluded: they change cost, never output.
+// The parts slice is handed straight to the key constructor rather than
+// returned, so it stays on the stack. (ScanParallelism's parallel
 // merge is deterministic, but SUM/AVG reassociate float addition across
 // scan chunks, so a cached result may differ in final ulps from what a
 // different worker count would have computed; both are valid
@@ -35,7 +68,7 @@ import (
 // spliced in as individual key parts (the key separator cannot occur in
 // identifiers), so lists like ["a,b"] and ["a","b"] — or elements
 // shifting between adjacent lists — can never collide.
-func requestCacheKey(req Request, opts Options, version string) string {
+func renderRequestKey(req Request, opts Options, scope string, stale bool) string {
 	parts := []string{
 		req.TargetWhere,
 		strconv.Itoa(int(req.Reference)),
@@ -70,7 +103,10 @@ func requestCacheKey(req Request, opts Options, version string) string {
 		// flight — with degradable ones.
 		strconv.FormatBool(opts.AllowPartial),
 	)
-	return cache.RequestKey(req.Table, version, parts...)
+	if stale {
+		return cache.StaleKey(req.Table, scope, parts...)
+	}
+	return cache.RequestKey(req.Table, scope, parts...)
 }
 
 // appendList appends a length-prefixed string list to key parts.
@@ -166,21 +202,33 @@ func execResultSizeBytes(res *execResult) int64 {
 	return n
 }
 
-// seedReference fills a view accumulator's reference side from a
-// materialized distribution (copying into fresh cells; the stored
-// distribution is shared and immutable).
-func seedReference(acc *viewAccum, d cache.RefDistribution) {
-	for g, cl := range d {
-		acc.reference[g] = &cell{sum: cl.Sum, count: cl.Count, min: cl.Min, max: cl.Max, seen: cl.Seen}
+// refView is the cached form of one completed full-table reference
+// distribution: the accumulator's cells by value, so the shared entry
+// stays immutable while each run folds into private copies.
+type refView map[string]cell
+
+// freeze snapshots a completed reference accumulator for the cache.
+func (s sideAccum) freeze() refView {
+	r := make(refView, len(s))
+	for g, c := range s {
+		r[g] = *c
+	}
+	return r
+}
+
+// thaw seeds a view accumulator's reference side from a cached view.
+func (r refView) thaw(into sideAccum) {
+	for g, c := range r {
+		into[g] = &c
 	}
 }
 
-// snapshotReference converts a completed reference accumulator into the
-// store's shareable form.
-func snapshotReference(s sideAccum) cache.RefDistribution {
-	d := make(cache.RefDistribution, len(s))
-	for g, c := range s {
-		d[g] = cache.Cell{Sum: c.sum, Count: c.count, Min: c.min, Max: c.max, Seen: c.seen}
+// sizeBytes estimates a cached reference view's footprint: map overhead
+// plus a fixed-size cell and the key bytes per group.
+func (r refView) sizeBytes() int64 {
+	n := int64(48)
+	for g := range r {
+		n += 64 + int64(len(g))
 	}
-	return d
+	return n
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
+	"seedb/internal/backend"
 	"seedb/internal/sqldb"
 )
 
@@ -71,12 +73,19 @@ func TestCacheWarmRequestIssuesZeroQueries(t *testing.T) {
 		t.Fatalf("cold run: %+v", cold.Metrics)
 	}
 
+	before := eng.Cache().Stats()
 	warm, err := eng.Recommend(ctx, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Metrics.QueriesExecuted != 0 {
 		t.Fatalf("warm run executed %d queries, want 0", warm.Metrics.QueriesExecuted)
+	}
+	// One lookup, no fill: the stale alias is written by computations and
+	// read by outages, never touched by a hit.
+	after := eng.Cache().Stats()
+	if lookups := (after.Hits + after.Misses) - (before.Hits + before.Misses); lookups != 1 || after.Entries != before.Entries {
+		t.Fatalf("warm run made %d cache lookups (want 1), entries %d -> %d", lookups, before.Entries, after.Entries)
 	}
 	if warm.Metrics.RowsScanned != 0 || !warm.Metrics.ServedFromCache || warm.Metrics.CacheHits == 0 {
 		t.Fatalf("warm metrics: %+v", warm.Metrics)
@@ -284,5 +293,156 @@ func TestCachedResultsAreIsolated(t *testing.T) {
 	}
 	if second.Recommendations[0].Groups[0] == "corrupted" {
 		t.Fatal("caller mutation of groups leaked into the cache")
+	}
+}
+
+// TestCacheKeyCoversEveryField guards cache-key completeness: every
+// field of Options and Request must either change the request key when
+// it changes, or be named in keyExemptOptions — and an exempt field must
+// really not reach the key. A new result-affecting option therefore
+// cannot silently share entries with requests that differ in it.
+func TestCacheKeyCoversEveryField(t *testing.T) {
+	base := requestCacheKey(Request{}, Options{}, "v")
+	perturb := func(f reflect.Value) {
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Slice:
+			s := reflect.MakeSlice(f.Type(), 1, 1)
+			s.Index(0).SetString("x")
+			f.Set(s)
+		default:
+			t.Fatalf("field kind %v: teach this test to perturb it", f.Kind())
+		}
+	}
+	seen := map[string]bool{}
+	ot := reflect.TypeOf(Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		name := ot.Field(i).Name
+		seen[name] = true
+		var opts Options
+		perturb(reflect.ValueOf(&opts).Elem().Field(i))
+		changed := requestCacheKey(Request{}, opts, "v") != base
+		_, exempt := keyExemptOptions[name]
+		switch {
+		case exempt && changed:
+			t.Errorf("Options.%s is listed as key-exempt but reaches the key", name)
+		case !exempt && !changed:
+			t.Errorf("Options.%s neither reaches requestCacheKey nor is listed in keyExemptOptions", name)
+		}
+	}
+	for name := range keyExemptOptions {
+		if !seen[name] {
+			t.Errorf("keyExemptOptions names %q, which is not an Options field", name)
+		}
+	}
+	rt := reflect.TypeOf(Request{})
+	for i := 0; i < rt.NumField(); i++ {
+		var req Request
+		perturb(reflect.ValueOf(&req).Elem().Field(i))
+		if requestCacheKey(req, Options{}, "v") == base {
+			t.Errorf("Request.%s does not reach requestCacheKey", rt.Field(i).Name)
+		}
+	}
+}
+
+// ingestBetween is a backend whose table gains a row between the
+// engine's two introspection reads (row count and version token, in
+// whichever order the engine makes them) — a Recommend overlapping an
+// ingest, made deterministic.
+type ingestBetween struct {
+	backend.Backend
+	first  string // kind of the first introspection call seen
+	fired  bool
+	ingest func()
+}
+
+func (b *ingestBetween) between(kind string) {
+	if b.first == "" {
+		b.first = kind
+	}
+	if kind != b.first && !b.fired {
+		b.fired = true
+		b.ingest()
+	}
+}
+
+func (b *ingestBetween) TableInfo(ctx context.Context, table string) (backend.TableInfo, error) {
+	b.between("info")
+	return b.Backend.TableInfo(ctx, table)
+}
+
+func (b *ingestBetween) TableVersion(ctx context.Context, table string) (string, bool) {
+	b.between("version")
+	return b.Backend.TableVersion(ctx, table)
+}
+
+// TestRecommendOverlappingIngestIsNotCachedUnderNewVersion: a request
+// whose row count and version token straddle an append must not leave a
+// scan of the old rows cached under the new version — the next request
+// at that version has to see the appended row.
+func TestRecommendOverlappingIngestIsNotCachedUnderNewVersion(t *testing.T) {
+	db := sqldb.NewDB()
+	tab, err := db.CreateTable("t", sqldb.MustSchema(
+		sqldb.Column{Name: "d", Type: sqldb.TypeString},
+		sqldb.Column{Name: "m", Type: sqldb.TypeFloat},
+	), sqldb.LayoutCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := tab.AppendRow([]sqldb.Value{sqldb.Str([]string{"a", "b"}[i%2]), sqldb.Float(float64(i%9 + 1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	be := &ingestBetween{Backend: backend.NewEmbedded(db)}
+	be.ingest = func() {
+		if err := tab.AppendRow([]sqldb.Value{sqldb.Str("fresh"), sqldb.Float(5)}); err != nil {
+			t.Error(err)
+		}
+	}
+	eng := NewEngine(be)
+	req := Request{Table: "t", TargetWhere: "m > 0", Dimensions: []string{"d"}, Measures: []string{"m"}}
+	// Phased execution scans [0, rows) as read from TableInfo, so a row
+	// count read before the append really does miss the new row.
+	opts := Options{Strategy: Comb, Pruning: NoPruning, K: 1, EnableCache: true}
+	ctx := context.Background()
+
+	if _, err := eng.Recommend(ctx, req, opts); err != nil {
+		t.Fatal(err)
+	}
+	if !be.fired {
+		t.Fatal("fixture never appended: the engine made only one kind of introspection call")
+	}
+	sawFresh := func(res *Result) bool {
+		for _, g := range res.Recommendations[0].Groups {
+			if g == "fresh" {
+				return true
+			}
+		}
+		return false
+	}
+	after, err := eng.Recommend(ctx, req, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sawFresh(after) {
+		t.Fatalf("request at the post-append version misses the appended row (served_from_cache=%t): groups %v",
+			after.Metrics.ServedFromCache, after.Recommendations[0].Groups)
+	}
+	// With the data at rest the same request is admitted and replays.
+	warm, err := eng.Recommend(ctx, req, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Metrics.ServedFromCache || !sawFresh(warm) {
+		t.Fatalf("stable-version repeat: served_from_cache=%t groups %v",
+			warm.Metrics.ServedFromCache, warm.Recommendations[0].Groups)
 	}
 }

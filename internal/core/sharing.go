@@ -116,7 +116,7 @@ type queryBuilder struct {
 	opts     Options
 	distinct map[string]int // dimension → distinct count
 	// refDone marks views whose reference side was seeded from the
-	// materialized reference-view store; they get target-only queries so
+	// cached reference views; they get target-only queries so
 	// the shared reference work is not redone (and not double-counted).
 	// nil means no view is seeded.
 	refDone []bool
@@ -555,14 +555,13 @@ func (m *Metrics) RecordExec(stats backend.ExecStats) {
 	}
 	m.SelectionKernels += stats.SelectionKernels
 	m.ResidualPredicates += stats.ResidualPredicates
-	if stats.ShardFanout > 0 || stats.ShardPartialsCached > 0 {
+	if stats.ShardFanout > 0 {
 		m.ShardQueries++
 		m.ShardFanout += stats.ShardFanout
 		if stats.ShardStragglerMax > m.ShardStragglerMax {
 			m.ShardStragglerMax = stats.ShardStragglerMax
 		}
 	}
-	m.ShardPartialsCached += stats.ShardPartialsCached
 	m.HedgedPartials += stats.HedgedPartials
 	m.HedgeWins += stats.HedgeWins
 	m.NetRetries += stats.NetRetries

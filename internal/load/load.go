@@ -192,7 +192,7 @@ type Report struct {
 	CacheServed int64 `json:"cache_served"`
 	// Chaos echoes Config.Chaos; DegradedResponses counts recommend 200s
 	// computed from partial shard coverage during the injected outage,
-	// StaleResponses counts 200s served from the stale-result store, and
+	// StaleResponses counts 200s replayed stale from the result cache, and
 	// ShedResponses counts 503/429 admission rejections (these also
 	// count as errors — the driver's SLO gate treats shedding as a
 	// capacity failure the run must be sized to avoid).

@@ -234,6 +234,16 @@ func TestStaleServeOnOutage(t *testing.T) {
 	if code != 200 || !strings.Contains(metrics, "seedb_stale_serves_total 1") {
 		t.Errorf("/metrics should count 1 stale serve (code %d)", code)
 	}
+
+	// The fallbacks live in the result cache, so an operator's clear
+	// drops them too: the opted-in shape now sees the outage.
+	req["serve_stale"] = true
+	if code := postJSON(t, srv.URL+"/api/cache/clear", nil, nil); code != 200 {
+		t.Fatalf("cache clear = %d", code)
+	}
+	if code := postJSON(t, srv.URL+"/api/recommend", req, nil); code != http.StatusBadGateway {
+		t.Fatalf("outage recommend after cache clear = %d, want 502", code)
+	}
 }
 
 // TestPanicContainment: a handler panic becomes a 500 with the panic

@@ -131,7 +131,7 @@ type Server struct {
 
 	// Resilience counters for /metrics and /healthz: recovered handler
 	// panics, requests answered from partial shard coverage, and
-	// requests answered from the stale-result store during an outage.
+	// requests replayed from the result cache during an outage.
 	panics           atomic.Int64
 	degradedRequests atomic.Int64
 	staleServes      atomic.Int64
@@ -234,7 +234,6 @@ func (e *executorStats) healthSnapshot() map[string]any {
 		"shard_queries":              m.ShardQueries,
 		"shard_fanout":               m.ShardFanout,
 		"shard_straggler_max_ms":     float64(m.ShardStragglerMax) / 1e6,
-		"shard_partials_cached":      m.ShardPartialsCached,
 		"hedged_partials":            m.HedgedPartials,
 		"hedge_wins":                 m.HedgeWins,
 		"net_retries":                m.NetRetries,
@@ -245,7 +244,7 @@ func (e *executorStats) healthSnapshot() map[string]any {
 
 // New creates a server over db with the default cache budget.
 func New(db *sqldb.DB) *Server {
-	return NewWithCacheBudget(db, core.DefaultCacheBudgetBytes)
+	return NewWithCacheBudget(db, cache.DefaultBudgetBytes)
 }
 
 // NewWithCacheBudget creates a server whose process-wide result cache
@@ -662,7 +661,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	pw.Counter("seedb_shard_queries_total", "Queries fanned out by the shard router.", float64(m.ShardQueries))
 	pw.Counter("seedb_shard_fanout_total", "Child executions issued by the shard router.", float64(m.ShardFanout))
 	pw.Gauge("seedb_shard_straggler_seconds_max", "Slowest single shard child execution observed.", m.ShardStragglerMax.Seconds())
-	pw.Counter("seedb_shard_partials_cached_total", "Shard partials served from the router's version-keyed memo.", float64(m.ShardPartialsCached))
 	pw.Counter("seedb_hedged_partials_total", "Speculative duplicate shard executions issued against stragglers.", float64(m.HedgedPartials))
 	pw.Counter("seedb_hedge_wins_total", "Hedged duplicates that answered before their primary.", float64(m.HedgeWins))
 	pw.Counter("seedb_net_retries_total", "Transparent retries performed by network child backends.", float64(m.NetRetries))
@@ -671,7 +669,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Graceful-degradation families (docs/RESILIENCE.md).
 	pw.Counter("seedb_panics_total", "Handler panics recovered by the middleware.", float64(s.panics.Load()))
 	pw.Counter("seedb_degraded_requests_total", "Requests answered from partial shard coverage under allow_partial.", float64(s.degradedRequests.Load()))
-	pw.Counter("seedb_stale_serves_total", "Requests answered from the stale-result store during an outage.", float64(s.staleServes.Load()))
+	pw.Counter("seedb_stale_serves_total", "Requests replayed from the result cache during an outage.", float64(s.staleServes.Load()))
 	shed := map[string]float64{}
 	if s.queryGate != nil {
 		gs := s.queryGate.Stats()
@@ -1078,8 +1076,8 @@ type RecommendResponse struct {
 	DegradedFrom     string `json:"degraded_from,omitempty"`
 	// Degraded marks a result computed from partial shard coverage under
 	// allow_partial; DegradedShards lists the shard indices that were
-	// skipped. Stale marks a result served from the stale-result store
-	// under serve_stale while the backend was unavailable.
+	// skipped. Stale marks a result replayed from the result cache under
+	// serve_stale while the backend was unavailable.
 	Degraded       bool    `json:"degraded,omitempty"`
 	DegradedShards []int   `json:"degraded_shards,omitempty"`
 	Stale          bool    `json:"stale,omitempty"`

@@ -3,7 +3,7 @@ package sqldb
 import (
 	"context"
 	"fmt"
-	"sync"
+	"strings"
 )
 
 // ColumnStats summarizes one column for the optimizer and for SeeDB's
@@ -39,15 +39,6 @@ func (ts *TableStats) Column(name string) (ColumnStats, bool) {
 	return ColumnStats{}, false
 }
 
-// statsCache memoizes computed statistics per (table pointer, row count)
-// so repeated SeeDB invocations don't rescan.
-var statsCache sync.Map // map[statsKey]*TableStats
-
-type statsKey struct {
-	t    Table
-	rows int
-}
-
 // Stats computes (or returns cached) statistics for the named table by a
 // single full scan.
 func (db *DB) Stats(table string) (*TableStats, error) {
@@ -63,19 +54,29 @@ func (db *DB) StatsContext(ctx context.Context, table string) (*TableStats, erro
 			return nil, err
 		}
 	}
-	t, ok := db.Table(table)
+	key := strings.ToLower(table)
+	db.mu.RLock()
+	t, ok := db.tables[key]
+	cached := db.stats[key]
+	db.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("sqldb: table %q does not exist", table)
 	}
-	key := statsKey{t: t, rows: t.NumRows()}
-	if cached, ok := statsCache.Load(key); ok {
-		return cached.(*TableStats), nil
+	if cached != nil && cached.Rows == t.NumRows() {
+		return cached, nil
 	}
 	ts, err := computeStats(ctx, t)
 	if err != nil {
 		return nil, err
 	}
-	statsCache.Store(key, ts)
+	// One slot per table: a moved row count replaces it and DropTable
+	// deletes it, so ingest batches and reloads retain nothing. A scan
+	// that outlived its table's incarnation must not answer for the next.
+	db.mu.Lock()
+	if db.tables[key] == t {
+		db.stats[key] = ts
+	}
+	db.mu.Unlock()
 	return ts, nil
 }
 

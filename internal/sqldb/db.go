@@ -24,6 +24,9 @@ type DB struct {
 	// reloading a table bumps the epoch, so entries cached under the old
 	// incarnation can never be served again.
 	epochs map[string]uint64
+	// stats memoizes the current incarnation's statistics per table
+	// name (see StatsContext).
+	stats map[string]*TableStats
 	// id is process-unique, so version tokens from different DB
 	// instances never collide (a result cache may be shared by engines
 	// over different databases that hold same-named tables).
@@ -38,6 +41,7 @@ func NewDB() *DB {
 	return &DB{
 		tables: make(map[string]Table),
 		epochs: make(map[string]uint64),
+		stats:  make(map[string]*TableStats),
 		id:     dbIDs.Add(1),
 	}
 }
@@ -90,6 +94,7 @@ func (db *DB) DropTable(name string) error {
 		return fmt.Errorf("sqldb: table %q does not exist", name)
 	}
 	delete(db.tables, key)
+	delete(db.stats, key)
 	db.epochs[key]++
 	return nil
 }

@@ -205,6 +205,44 @@ func TestStatsComputation(t *testing.T) {
 	}
 }
 
+// TestStatsMemoIsOneSlotPerTable: the statistics memo must not grow
+// with ingest batches or reloads — each append replaces the table's one
+// slot, and dropping the table drops it.
+func TestStatsMemoIsOneSlotPerTable(t *testing.T) {
+	db := buildDB(t, LayoutCol)
+	tab, _ := db.Table("census")
+	row := make([]Value, tab.Schema().NumColumns())
+	if err := tab.ScanRange(0, 1, nil, func(rv RowView) error {
+		for i := range row {
+			row[i] = rv.Value(i)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := tab.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+		ts, err := db.Stats("census")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ts.Rows != tab.NumRows() {
+			t.Fatalf("round %d: stats describe %d rows, table has %d", i, ts.Rows, tab.NumRows())
+		}
+	}
+	if n := len(db.stats); n != 1 {
+		t.Errorf("%d stats entries retained after 100 append+Stats rounds, want 1", n)
+	}
+	if err := db.DropTable("census"); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(db.stats); n != 0 {
+		t.Errorf("%d stats entries retained after DropTable, want 0", n)
+	}
+}
+
 func TestColStoreDictSize(t *testing.T) {
 	db := buildDB(t, LayoutCol)
 	tab, _ := db.Table("census")

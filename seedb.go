@@ -105,7 +105,7 @@ type (
 )
 
 // DefaultCacheBudgetBytes is the result cache's default byte budget.
-const DefaultCacheBudgetBytes = core.DefaultCacheBudgetBytes
+const DefaultCacheBudgetBytes = cache.DefaultBudgetBytes
 
 // Re-exported constants.
 const (
@@ -391,8 +391,7 @@ func (c *Client) Recommend(ctx context.Context, req Request, opts Options) (*Res
 
 // EnableCache installs a shared result cache with the given byte budget
 // (<= 0 selects DefaultCacheBudgetBytes). Individual requests opt in
-// with Options.EnableCache; without this call, the first opting-in
-// request creates the cache lazily from its Options.CacheBudgetBytes.
+// with Options.EnableCache.
 func (c *Client) EnableCache(budgetBytes int64) {
 	c.engine.SetCache(cache.New(budgetBytes))
 }
