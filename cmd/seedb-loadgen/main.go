@@ -114,7 +114,6 @@ func run(args []string, stdout *os.File) error {
 		Backend:      *backendName,
 		TailFraction: *tail,
 		K:            *k,
-		AllowPartial: *chaos,
 		Chaos:        *chaos,
 	}
 	if *mix != "" {
@@ -134,9 +133,9 @@ func run(args []string, stdout *os.File) error {
 		// follows the spec push.
 		if *chaos {
 			// Chaos runs route around the failure with breakers evicting
-			// the dead child; tolerance is purely per-request (the driver
-			// sets allow_partial on every read), so the run exercises the
-			// same opt-in path real clients use.
+			// the dead child; tolerance is purely per-request (a chaos
+			// run's driver opts every read into partial results), so the
+			// run exercises the same opt-in path real clients use.
 			opts := shardbe.Options{
 				Breakers: &resilience.BreakerOptions{},
 			}

@@ -33,8 +33,8 @@ import (
 	"seedb/internal/backend"
 	"seedb/internal/backend/netbe"
 	"seedb/internal/backend/shardbe"
+	"seedb/internal/core"
 	"seedb/internal/dataset"
-	"seedb/internal/distance"
 	"seedb/internal/sqldb"
 	"seedb/internal/telemetry"
 )
@@ -179,52 +179,36 @@ func run() error {
 		return fmt.Errorf("need -target predicate for recommendations")
 	}
 
-	dist, err := distance.ParseFunc(strings.ToUpper(*distName))
+	// The flags fill in the one textual request schema; Resolve owns the
+	// names and their defaults. A one-shot process has no second request
+	// to share results with, so the cache stays off.
+	noCache := false
+	rr := core.RecommendRequest{
+		Table:       table,
+		TargetWhere: *target,
+		Reference:   *reference,
+		K:           *k,
+		Strategy:    *strategy,
+		Pruning:     *pruning,
+		Distance:    *distName,
+		Dimensions:  splitList(*dims),
+		Measures:    splitList(*measures),
+		Cache:       &noCache,
+	}
+	if _, err := core.ParseRefMode(*reference); *reference != "" && err != nil {
+		// Anything that is not a reference mode's name is a predicate.
+		rr.Reference, rr.ReferenceWhere = core.RefCustom.String(), *reference
+	}
+	req, opts, err := rr.Resolve()
 	if err != nil {
 		return err
 	}
-	opts := seedb.Options{K: *k, Distance: dist}
-	switch strings.ToLower(*strategy) {
-	case "noopt":
-		opts.Strategy = seedb.NoOpt
-	case "sharing":
-		opts.Strategy = seedb.Sharing
-	case "comb":
-		opts.Strategy = seedb.Comb
-	case "combearly", "early":
-		opts.Strategy = seedb.CombEarly
-	default:
-		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-	switch strings.ToLower(*pruning) {
-	case "none":
-		opts.Pruning = seedb.NoPruning
-	case "ci":
-		opts.Pruning = seedb.CIPruning
-	case "mab":
-		opts.Pruning = seedb.MABPruning
-	default:
-		return fmt.Errorf("unknown pruning scheme %q", *pruning)
-	}
-
-	req := seedb.Request{Table: table, TargetWhere: *target}
 	refLabel := "reference: entire table"
-	switch strings.ToLower(*reference) {
-	case "all", "":
-		req.Reference = seedb.RefAll
-	case "complement":
-		req.Reference = seedb.RefComplement
+	switch req.Reference {
+	case core.RefComplement:
 		refLabel = "reference: complement of target"
-	default:
-		req.Reference = seedb.RefCustom
-		req.ReferenceWhere = *reference
-		refLabel = "reference: " + *reference
-	}
-	if *dims != "" {
-		req.Dimensions = splitList(*dims)
-	}
-	if *measures != "" {
-		req.Measures = splitList(*measures)
+	case core.RefCustom:
+		refLabel = "reference: " + req.ReferenceWhere
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -240,7 +224,7 @@ func run() error {
 
 	fmt.Printf("\ntarget: %s   (%s)\n", *target, refLabel)
 	fmt.Printf("top-%d recommended visualizations (%s, %s pruning, %s):\n\n",
-		len(res.Recommendations), opts.Strategy, opts.Pruning, dist)
+		len(res.Recommendations), opts.Strategy, opts.Pruning, opts.Distance)
 	for i, rec := range res.Recommendations {
 		fmt.Printf("#%d  %s", i+1, seedb.RenderChartLabeled(rec, "target", "reference"))
 		fmt.Println()

@@ -140,27 +140,30 @@ func (ts *TableStats) Column(name string) (ColumnStats, bool) {
 	return ColumnStats{}, false
 }
 
-// ExecOptions controls one query execution.
+// ExecOptions controls one query execution. The JSON tags are the netbe
+// wire form (wire.QueryRequest embeds this struct), so a field added
+// here travels to remote children without a second declaration.
 type ExecOptions struct {
 	// Lo and Hi restrict the scan to base-table rows in [Lo, Hi).
 	// Hi <= 0 means "to the end of the table". Only meaningful on
 	// backends with SupportsPhasedExecution; others must reject a
 	// sub-range rather than silently scan everything.
-	Lo, Hi int
+	Lo int `json:"lo,omitempty"`
+	Hi int `json:"hi,omitempty"`
 	// Workers is the intra-query scan parallelism hint. Backends without
 	// SupportsVectorized ignore it.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// NoSelectionKernels disables compiled predicate selection kernels
 	// inside a vectorized executor (a cost-only benchmarking knob).
 	// Backends without SupportsVectorized ignore it.
-	NoSelectionKernels bool
+	NoSelectionKernels bool `json:"no_selection_kernels,omitempty"`
 	// AllowPartial opts this execution into degraded results on routing
 	// backends (internal/backend/shardbe): child shards that are
 	// unavailable (hard failure or open circuit breaker) are skipped and
 	// the merge proceeds over the survivors, with the omission reported
 	// in ExecStats.ShardsDegraded/DegradedShards. Leaf backends ignore
 	// it — a single store is either available or not.
-	AllowPartial bool
+	AllowPartial bool `json:"allow_partial,omitempty"`
 }
 
 // partialKey carries the per-request degraded-results opt-in through
@@ -186,57 +189,58 @@ func AllowPartialFrom(ctx context.Context) bool {
 
 // ExecStats reports what one query execution cost. Fields a backend
 // cannot measure are zero (see the capability matrix in
-// docs/BACKENDS.md).
+// docs/BACKENDS.md). The JSON tags are the netbe wire form (the "stats"
+// object of wire.QueryResponse; durations travel as nanoseconds).
 type ExecStats struct {
 	// RowsScanned is the number of base-table rows visited (0 when the
 	// store does not expose scan counts).
-	RowsScanned int
+	RowsScanned int `json:"rows_scanned"`
 	// Groups is the number of distinct groups materialized.
-	Groups int
+	Groups int `json:"groups"`
 	// Vectorized reports whether a parallel vectorized fast path
 	// executed the aggregation.
-	Vectorized bool
+	Vectorized bool `json:"vectorized"`
 	// FallbackReason says why Vectorized is false (e.g. "serial
 	// execution", "non-column group key", "id-space overflow"). Backends
 	// that cannot introspect their executor leave it empty; the engine
 	// then reports the fallback as "unreported".
-	FallbackReason string
+	FallbackReason string `json:"fallback_reason,omitempty"`
 	// Workers is the number of scan workers actually used (1 for serial
 	// execution).
-	Workers int
+	Workers int `json:"workers"`
 	// SelectionKernels counts compiled predicate selection kernels the
 	// execution used; ResidualPredicates counts predicate conjuncts that
 	// stayed on a row-at-a-time path. Zero on backends without an
 	// engine-side vectorized executor.
-	SelectionKernels   int
-	ResidualPredicates int
+	SelectionKernels   int `json:"selection_kernels"`
+	ResidualPredicates int `json:"residual_predicates"`
 	// ShardFanout counts the child-backend executions a routing backend
 	// (internal/backend/shardbe) fanned this query out to; leaf backends
 	// leave it zero. ShardStragglerMax is the slowest of those child
 	// executions — the fan-out's critical path, since the merge cannot
 	// start until the last shard answers.
-	ShardFanout       int
-	ShardStragglerMax time.Duration
+	ShardFanout       int           `json:"shard_fanout"`
+	ShardStragglerMax time.Duration `json:"shard_straggler_ns"`
 	// HedgedPartials counts speculative duplicate child executions a
 	// routing backend issued against stragglers; HedgeWins counts the
 	// duplicates that answered first (the primary was then cancelled).
 	// Exactly one result per partial ever reaches the merge, hedged or
 	// not.
-	HedgedPartials int
-	HedgeWins      int
+	HedgedPartials int `json:"hedged_partials"`
+	HedgeWins      int `json:"hedge_wins"`
 	// NetRetries counts transparent retries a network child backend
 	// (internal/backend/netbe) performed inside this execution after
 	// retryable transport or 5xx failures. Zero means every round trip
 	// succeeded first try.
-	NetRetries int
+	NetRetries int `json:"net_retries"`
 	// ShardsDegraded counts child shards this execution skipped because
 	// they were unavailable and ExecOptions.AllowPartial was set; the
 	// result covers only the surviving shards' rows. DegradedShards
 	// lists their indices (sorted). Both are zero/nil for complete
 	// results — callers (and the result cache, which must never admit a
 	// partial result) key off ShardsDegraded > 0.
-	ShardsDegraded int
-	DegradedShards []int
+	ShardsDegraded int   `json:"shards_degraded,omitempty"`
+	DegradedShards []int `json:"degraded_shards,omitempty"`
 }
 
 // Rows is a fully materialized query result: named columns over rows of

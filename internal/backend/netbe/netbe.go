@@ -227,16 +227,7 @@ func (c *Client) TableVersion(ctx context.Context, table string) (string, bool) 
 // are reported in ExecStats.NetRetries, which the metrics pipeline sums
 // into /healthz and /metrics.
 func (c *Client) Exec(ctx context.Context, query string, opts backend.ExecOptions) (*backend.Rows, backend.ExecStats, error) {
-	reqBody, err := json.Marshal(wire.QueryRequest{
-		SQL:                query,
-		Backend:            c.opts.Backend,
-		Wire:               true,
-		Lo:                 opts.Lo,
-		Hi:                 opts.Hi,
-		Workers:            opts.Workers,
-		NoSelectionKernels: opts.NoSelectionKernels,
-		AllowPartial:       opts.AllowPartial,
-	})
+	reqBody, err := json.Marshal(wire.QueryRequest{SQL: query, Backend: c.opts.Backend, Wire: true, ExecOptions: opts})
 	if err != nil {
 		return nil, backend.ExecStats{}, err
 	}
@@ -249,7 +240,7 @@ func (c *Client) Exec(ctx context.Context, query string, opts backend.ExecOption
 	if err != nil {
 		return nil, backend.ExecStats{}, fmt.Errorf("netbe: exec: %w", err)
 	}
-	stats := w.Stats.ToExecStats()
+	stats := w.Stats
 	stats.NetRetries += retries
 	if w.Trace != nil {
 		if sp := telemetry.SpanFromContext(ctx); sp != nil {

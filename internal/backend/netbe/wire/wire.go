@@ -17,7 +17,6 @@ package wire
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"seedb/internal/backend"
 	"seedb/internal/sqldb"
@@ -114,65 +113,6 @@ func DecodeRows(rows [][]Value) ([][]sqldb.Value, error) {
 	return out, nil
 }
 
-// ExecStats mirrors backend.ExecStats field for field (durations in
-// nanoseconds), so a remote execution's cost report survives the wire.
-type ExecStats struct {
-	RowsScanned        int    `json:"rows_scanned"`
-	Groups             int    `json:"groups"`
-	Vectorized         bool   `json:"vectorized"`
-	FallbackReason     string `json:"fallback_reason,omitempty"`
-	Workers            int    `json:"workers"`
-	SelectionKernels   int    `json:"selection_kernels"`
-	ResidualPredicates int    `json:"residual_predicates"`
-	ShardFanout        int    `json:"shard_fanout"`
-	ShardStragglerNS   int64  `json:"shard_straggler_ns"`
-	HedgedPartials     int    `json:"hedged_partials"`
-	HedgeWins          int    `json:"hedge_wins"`
-	NetRetries         int    `json:"net_retries"`
-	ShardsDegraded     int    `json:"shards_degraded,omitempty"`
-	DegradedShards     []int  `json:"degraded_shards,omitempty"`
-}
-
-// FromExecStats encodes execution stats.
-func FromExecStats(s backend.ExecStats) ExecStats {
-	return ExecStats{
-		RowsScanned:        s.RowsScanned,
-		Groups:             s.Groups,
-		Vectorized:         s.Vectorized,
-		FallbackReason:     s.FallbackReason,
-		Workers:            s.Workers,
-		SelectionKernels:   s.SelectionKernels,
-		ResidualPredicates: s.ResidualPredicates,
-		ShardFanout:        s.ShardFanout,
-		ShardStragglerNS:   s.ShardStragglerMax.Nanoseconds(),
-		HedgedPartials:     s.HedgedPartials,
-		HedgeWins:          s.HedgeWins,
-		NetRetries:         s.NetRetries,
-		ShardsDegraded:     s.ShardsDegraded,
-		DegradedShards:     s.DegradedShards,
-	}
-}
-
-// ToExecStats decodes execution stats.
-func (w ExecStats) ToExecStats() backend.ExecStats {
-	return backend.ExecStats{
-		RowsScanned:        w.RowsScanned,
-		Groups:             w.Groups,
-		Vectorized:         w.Vectorized,
-		FallbackReason:     w.FallbackReason,
-		Workers:            w.Workers,
-		SelectionKernels:   w.SelectionKernels,
-		ResidualPredicates: w.ResidualPredicates,
-		ShardFanout:        w.ShardFanout,
-		ShardStragglerMax:  time.Duration(w.ShardStragglerNS),
-		HedgedPartials:     w.HedgedPartials,
-		HedgeWins:          w.HedgeWins,
-		NetRetries:         w.NetRetries,
-		ShardsDegraded:     w.ShardsDegraded,
-		DegradedShards:     w.DegradedShards,
-	}
-}
-
 // Column is one schema column on the wire.
 type Column struct {
 	Name string `json:"name"`
@@ -264,19 +204,13 @@ type Handshake struct {
 
 // QueryRequest is the typed POST /api/query payload a netbe client
 // sends: Wire true selects the typed response (string cells otherwise,
-// for human clients), and the ExecOptions fields travel alongside.
+// for human clients), and the execution options travel alongside under
+// their own JSON tags.
 type QueryRequest struct {
 	SQL     string `json:"sql"`
 	Backend string `json:"backend,omitempty"`
 	Wire    bool   `json:"wire,omitempty"`
-	Lo      int    `json:"lo,omitempty"`
-	Hi      int    `json:"hi,omitempty"`
-	Workers int    `json:"workers,omitempty"`
-	// NoSelectionKernels forwards the cost-ablation knob.
-	NoSelectionKernels bool `json:"no_selection_kernels,omitempty"`
-	// AllowPartial forwards the degraded-results opt-in to a remote
-	// shard router (leaf backends ignore it).
-	AllowPartial bool `json:"allow_partial,omitempty"`
+	backend.ExecOptions
 }
 
 // QueryResponse is the typed /api/query response (Wire true). Trace is
@@ -286,7 +220,7 @@ type QueryRequest struct {
 type QueryResponse struct {
 	Columns []string            `json:"columns"`
 	Rows    [][]Value           `json:"vrows"`
-	Stats   ExecStats           `json:"stats"`
+	Stats   backend.ExecStats   `json:"stats"`
 	Trace   *telemetry.SpanNode `json:"trace,omitempty"`
 }
 

@@ -1,0 +1,57 @@
+package wire
+
+import (
+	"encoding/json"
+	"reflect"
+	"testing"
+	"time"
+
+	"seedb/internal/backend"
+	"seedb/internal/sqldb"
+)
+
+// TestGoldenBytes pins proto v1: the literals below were captured from
+// the encoder as it stood when QueryRequest declared the five execution
+// options itself and ExecStats was a hand-copied mirror. The request
+// now embeds backend.ExecOptions and the response carries
+// backend.ExecStats under their own JSON tags, so a tag that drifts in
+// package backend — a rename, a reordering, a lost omitempty — fails
+// here rather than against a child running the previous build.
+func TestGoldenBytes(t *testing.T) {
+	stats := backend.ExecStats{
+		RowsScanned: 1, Groups: 2, Vectorized: true, FallbackReason: "serial execution", Workers: 3,
+		SelectionKernels: 4, ResidualPredicates: 5, ShardFanout: 6, ShardStragglerMax: 7 * time.Microsecond,
+		HedgedPartials: 8, HedgeWins: 9, NetRetries: 10, ShardsDegraded: 2, DegradedShards: []int{1, 3},
+	}
+	for _, tc := range []struct {
+		name string
+		v    any
+		want string
+	}{
+		{"request, every field", QueryRequest{SQL: "SELECT 1", Backend: "shard", Wire: true,
+			ExecOptions: backend.ExecOptions{Lo: 10, Hi: 20, Workers: 4, NoSelectionKernels: true, AllowPartial: true}},
+			`{"sql":"SELECT 1","backend":"shard","wire":true,"lo":10,"hi":20,"workers":4,"no_selection_kernels":true,"allow_partial":true}`},
+		{"request, zero options", QueryRequest{SQL: "SELECT 1"},
+			`{"sql":"SELECT 1"}`},
+		{"response, every stat", QueryResponse{Columns: []string{"a"}, Rows: EncodeRows([][]sqldb.Value{{sqldb.Int(1)}}), Stats: stats},
+			`{"columns":["a"],"vrows":[[{"k":"i","i":1}]],"stats":{"rows_scanned":1,"groups":2,"vectorized":true,"fallback_reason":"serial execution","workers":3,"selection_kernels":4,"residual_predicates":5,"shard_fanout":6,"shard_straggler_ns":7000,"hedged_partials":8,"hedge_wins":9,"net_retries":10,"shards_degraded":2,"degraded_shards":[1,3]}}`},
+		{"response, zero stats", QueryResponse{Columns: []string{"a"}, Rows: [][]Value{}},
+			`{"columns":["a"],"vrows":[],"stats":{"rows_scanned":0,"groups":0,"vectorized":false,"workers":0,"selection_kernels":0,"residual_predicates":0,"shard_fanout":0,"shard_straggler_ns":0,"hedged_partials":0,"hedge_wins":0,"net_retries":0}}`},
+	} {
+		got, err := json.Marshal(tc.v)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		// And the bytes decode back to what was sent.
+		back := reflect.New(reflect.TypeOf(tc.v))
+		if err := json.Unmarshal(got, back.Interface()); err != nil {
+			t.Fatalf("%s: decoding: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(back.Elem().Interface(), tc.v) {
+			t.Errorf("%s: round trip = %+v, want %+v", tc.name, back.Elem().Interface(), tc.v)
+		}
+	}
+}

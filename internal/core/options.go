@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"seedb/internal/backend"
@@ -63,6 +64,23 @@ func (s Strategy) String() string {
 	}
 }
 
+// ParseStrategy inverts String: it accepts the paper's names and the
+// lowercase aliases the HTTP API and CLI have always taken, in any case.
+func ParseStrategy(name string) (Strategy, error) {
+	switch strings.ToLower(name) {
+	case "noopt", "no_opt":
+		return NoOpt, nil
+	case "sharing":
+		return Sharing, nil
+	case "comb":
+		return Comb, nil
+	case "combearly", "comb_early", "early":
+		return CombEarly, nil
+	default:
+		return 0, fmt.Errorf("unknown strategy %q", name)
+	}
+}
+
 // PruningScheme selects the pruning optimization (Section 4.2).
 type PruningScheme int
 
@@ -96,6 +114,23 @@ func (p PruningScheme) String() string {
 		return "RANDOM"
 	default:
 		return fmt.Sprintf("PruningScheme(%d)", int(p))
+	}
+}
+
+// ParsePruning inverts String: the paper's names plus the lowercase
+// aliases ("none" for NO_PRU), in any case.
+func ParsePruning(name string) (PruningScheme, error) {
+	switch strings.ToLower(name) {
+	case "none", "no_pru":
+		return NoPruning, nil
+	case "ci":
+		return CIPruning, nil
+	case "mab":
+		return MABPruning, nil
+	case "random":
+		return RandomPruning, nil
+	default:
+		return 0, fmt.Errorf("unknown pruning %q", name)
 	}
 }
 
@@ -142,10 +177,13 @@ const (
 
 // Options configures the SeeDB engine.
 type Options struct {
-	// Strategy is the execution strategy (default Comb).
+	// Strategy is the execution strategy. The zero value is NoOpt, the
+	// unoptimized baseline: set Comb (with a Pruning scheme) for the
+	// paper's recommended configuration. The textual request form
+	// defaults to it — see RecommendRequest.Resolve.
 	Strategy Strategy
-	// Pruning selects the pruning scheme for Comb/CombEarly (default
-	// CIPruning).
+	// Pruning selects the pruning scheme for Comb/CombEarly. The zero
+	// value is NoPruning; CIPruning is the paper's default.
 	Pruning PruningScheme
 	// Distance is the utility distance function (default EMD, the
 	// paper's default).
@@ -320,6 +358,20 @@ func (m RefMode) String() string {
 		return "CUSTOM"
 	default:
 		return fmt.Sprintf("RefMode(%d)", int(m))
+	}
+}
+
+// ParseRefMode inverts String, in any case.
+func ParseRefMode(name string) (RefMode, error) {
+	switch strings.ToLower(name) {
+	case "all":
+		return RefAll, nil
+	case "complement":
+		return RefComplement, nil
+	case "custom":
+		return RefCustom, nil
+	default:
+		return 0, fmt.Errorf("unknown reference %q", name)
 	}
 }
 

@@ -45,6 +45,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"seedb/internal/backend/netbe/wire"
+	"seedb/internal/core"
 	"seedb/internal/dataset"
 	"seedb/internal/telemetry"
 )
@@ -102,15 +104,14 @@ type Config struct {
 	// Backend optionally routes recommend/query traffic to a named
 	// server backend ("" = the embedded default).
 	Backend string `json:"backend,omitempty"`
-	// AllowPartial opts recommend traffic into degraded results: with a
-	// breaker-equipped shard backend, a child outage then yields 200s
-	// covering the surviving shards (marked degraded) instead of 5xx.
-	AllowPartial bool `json:"allow_partial,omitempty"`
 	// Chaos marks a run whose harness injects a mid-run child outage
-	// (see cmd/seedb-loadgen -chaos). Validate then additionally
-	// requires that degraded responses were actually observed — the
-	// outage must have been hit — while keeping the zero-error gate:
-	// graceful degradation means the fault is absorbed, not surfaced.
+	// (see cmd/seedb-loadgen -chaos). Every read then opts into degraded
+	// results: with a breaker-equipped shard backend the outage yields
+	// 200s covering the surviving shards (marked degraded) instead of
+	// 5xx. Validate additionally requires that degraded responses were
+	// actually observed — the outage must have been hit — while keeping
+	// the zero-error gate: graceful degradation means the fault is
+	// absorbed, not surfaced.
 	Chaos bool `json:"chaos,omitempty"`
 	// Client overrides the HTTP client (default: no timeout — the
 	// driver never abandons an in-flight request, which is what keeps
@@ -555,17 +556,15 @@ func (s *user) doRecommend(ctx context.Context) {
 	} else {
 		where = s.w.predicates[int(s.zipf.Uint64())]
 	}
-	req := map[string]any{
-		"table":        s.w.table,
-		"target_where": where,
-		"k":            s.cfg.K,
-		"dimensions":   s.w.dims,
-		"measures":     s.w.measures,
-		"aggregates":   []string{"AVG"},
-		"backend":      s.cfg.Backend,
-	}
-	if s.cfg.AllowPartial {
-		req["allow_partial"] = true
+	req := core.RecommendRequest{
+		Table:        s.w.table,
+		TargetWhere:  where,
+		K:            s.cfg.K,
+		Dimensions:   s.w.dims,
+		Measures:     s.w.measures,
+		Aggregates:   []string{"AVG"},
+		Backend:      s.cfg.Backend,
+		AllowPartial: s.cfg.Chaos,
 	}
 	var res recommendResult
 	if s.timedPost(ctx, ClassRecommend, "/api/recommend", req, &res) {
@@ -585,10 +584,8 @@ func (s *user) doRecommend(ctx context.Context) {
 // doQuery issues one raw /api/query draw from the Zipf-ranked pool.
 func (s *user) doQuery(ctx context.Context) {
 	sql := s.w.queries[int(s.qz.Uint64())]
-	req := map[string]any{"sql": sql, "backend": s.cfg.Backend}
-	if s.cfg.AllowPartial {
-		req["allow_partial"] = true
-	}
+	req := wire.QueryRequest{SQL: sql, Backend: s.cfg.Backend}
+	req.AllowPartial = s.cfg.Chaos
 	if s.timedPost(ctx, ClassQuery, "/api/query", req, nil) {
 		// One /api/query = exactly one backend execution folded into
 		// the server's queries_executed.

@@ -14,7 +14,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -82,9 +81,8 @@ type ingestResponse struct {
 // rows are also routed into the shard children, keeping {"backend":
 // "shard"} answers consistent with the primary store.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	req, ok := decode[ingestRequest](w, r)
+	if !ok {
 		return
 	}
 	if len(req.Rows) == 0 {
@@ -159,9 +157,8 @@ type synthLoadRequest struct {
 // server-side, so a million-row load ships a ~1 KB spec instead of a
 // CSV).
 func (s *Server) handleLoadSynth(w http.ResponseWriter, r *http.Request) {
-	var req synthLoadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	req, ok := decode[synthLoadRequest](w, r)
+	if !ok {
 		return
 	}
 	spec := req.Spec
@@ -180,18 +177,8 @@ func (s *Server) handleLoadSynth(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The write lock covers both the build and the shard re-scatter:
-	// scatter drops and recreates child tables, which concurrent shard
-	// queries must never observe mid-flight.
-	s.dataMu.Lock()
-	_, buildErr := dataset.BuildSynth(s.db, spec, layout)
-	if buildErr == nil {
-		buildErr = s.scatterShards(spec.Name)
-	}
-	s.dataMu.Unlock()
-	if buildErr != nil {
-		writeError(w, http.StatusConflict, buildErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"table": spec.Name, "rows": spec.Rows})
+	s.install(w, spec.Name, spec.Rows, func() error {
+		_, err := dataset.BuildSynth(s.db, spec, layout)
+		return err
+	})
 }

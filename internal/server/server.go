@@ -37,6 +37,10 @@
 // are opt-in via the -pprof flag on cmd/seedb-server).
 //
 // Requests with a wrong HTTP method receive 405 Method Not Allowed.
+// Every request crosses one chain (middleware.go) — panic recovery,
+// then admission control, then the route mux — and every POST body is
+// read by one bounded decoder: 413 past 32 MiB, 400 for malformed JSON
+// or anything after the JSON value.
 //
 // The server owns one process-wide result cache (internal/cache) shared
 // by every recommendation request, so repeated and concurrent identical
@@ -48,14 +52,10 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,7 +70,6 @@ import (
 	"seedb/internal/chart"
 	"seedb/internal/core"
 	"seedb/internal/dataset"
-	"seedb/internal/distance"
 	"seedb/internal/resilience"
 	"seedb/internal/sqldb"
 	"seedb/internal/telemetry"
@@ -93,7 +92,9 @@ type Server struct {
 	db    *sqldb.DB
 	cache *cache.Cache
 	mux   *http.ServeMux
-	exec  executorStats
+	// handler is what ServeHTTP runs: the middleware chain over mux.
+	handler http.Handler
+	exec    executorStats
 	// tel is the process-wide telemetry collector: latency histograms
 	// (exported on /metrics) and the optional slow-query log. Every
 	// registered engine and the shard router share it.
@@ -153,95 +154,6 @@ type breakerReporter interface {
 	BreakerStats() []resilience.BreakerStats
 }
 
-// executorStats accumulates, across every recommendation served by this
-// process, how the sqldb executor ran its queries. Surfaced on /healthz
-// and /metrics next to the cache counters so dashboards can see whether
-// the parallel vectorized fast path — and its predicate selection
-// kernels — is actually carrying the load, and why any queries fell
-// back.
-//
-// All counters fold under one mutex through core.Metrics.Merge and are
-// snapshotted under the same mutex, so a scrape concurrent with
-// recommendations can never observe a torn aggregate: the RecordExec
-// invariants (QueriesExecuted == VectorizedQueries + FallbackQueries,
-// per-reason counts summing to FallbackQueries) hold in every snapshot,
-// not just at rest. The previous per-field atomics could interleave with
-// a scrape mid-record and break exactly those identities.
-type executorStats struct {
-	mu sync.Mutex
-	// requests counts recommendations served; degraded counts the ones
-	// whose strategy was rewritten by capability degradation
-	// (core.Metrics.Merge only ORs the StrategyDegraded flag, so the
-	// count lives here).
-	requests int64
-	degraded int64
-	totals   core.Metrics
-}
-
-// record folds one recommendation request's metrics in.
-func (e *executorStats) record(m core.Metrics) {
-	e.mu.Lock()
-	e.requests++
-	if m.StrategyDegraded {
-		e.degraded++
-	}
-	e.totals.Merge(m)
-	e.mu.Unlock()
-}
-
-// recordQuery folds one raw /api/query execution's metrics in without
-// advancing the request counter: requests counts recommendations
-// served, while the executor totals — and the invariant that the query
-// latency histogram's count equals queries_executed — cover manual
-// chart traffic too.
-func (e *executorStats) recordQuery(m core.Metrics) {
-	e.mu.Lock()
-	e.totals.Merge(m)
-	e.mu.Unlock()
-}
-
-// snapshot returns a consistent copy of the aggregate (reasons map
-// deep-copied) with the request counters.
-func (e *executorStats) snapshot() (requests, degraded int64, totals core.Metrics) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	totals = e.totals
-	if e.totals.FallbackReasons != nil {
-		totals.FallbackReasons = make(map[string]int, len(e.totals.FallbackReasons))
-		for r, n := range e.totals.FallbackReasons {
-			totals.FallbackReasons[r] = n
-		}
-	}
-	return e.requests, e.degraded, totals
-}
-
-// healthSnapshot renders the counters for the /healthz JSON payload.
-func (e *executorStats) healthSnapshot() map[string]any {
-	requests, degraded, m := e.snapshot()
-	reasons := make(map[string]int, len(m.FallbackReasons))
-	for r, n := range m.FallbackReasons {
-		reasons[r] = n
-	}
-	return map[string]any{
-		"requests":                   requests,
-		"queries_executed":           m.QueriesExecuted,
-		"vectorized_queries":         m.VectorizedQueries,
-		"fallback_queries":           m.FallbackQueries,
-		"fallback_reasons":           reasons,
-		"max_scan_workers":           m.ScanWorkers,
-		"selection_kernels":          m.SelectionKernels,
-		"residual_predicates":        m.ResidualPredicates,
-		"shard_queries":              m.ShardQueries,
-		"shard_fanout":               m.ShardFanout,
-		"shard_straggler_max_ms":     float64(m.ShardStragglerMax) / 1e6,
-		"hedged_partials":            m.HedgedPartials,
-		"hedge_wins":                 m.HedgeWins,
-		"net_retries":                m.NetRetries,
-		"shards_degraded":            m.ShardsDegraded,
-		"strategy_degraded_requests": degraded,
-	}
-}
-
 // New creates a server over db with the default cache budget.
 func New(db *sqldb.DB) *Server {
 	return NewWithCacheBudget(db, cache.DefaultBudgetBytes)
@@ -279,6 +191,7 @@ func NewWithCacheBudget(db *sqldb.DB, cacheBudgetBytes int64) *Server {
 	s.mux.HandleFunc("GET /api/backend/info", s.handleBackendInfo)
 	s.mux.HandleFunc("GET /api/backend/stats", s.handleBackendStats)
 	s.mux.HandleFunc("GET /api/backend/version", s.handleBackendVersion)
+	s.handler = s.recoverPanics(s.admit(s.mux))
 	return s
 }
 
@@ -364,19 +277,6 @@ func (s *Server) SetAdmission(maxInflight int, queueWait time.Duration) {
 	}
 	s.queryGate = resilience.NewGate(maxInflight, 4*maxInflight, queueWait)
 	s.ingestGate = resilience.NewGate(ingest, 4*ingest, queueWait)
-}
-
-// gateFor classifies a request path into an admission budget (nil =
-// ungated: health, metrics and introspection must stay reachable
-// exactly when the server is saturated).
-func (s *Server) gateFor(path string) *resilience.Gate {
-	switch path {
-	case "/api/recommend", "/api/query":
-		return s.queryGate
-	case "/api/ingest", "/api/datasets/load", "/api/datasets/synth":
-		return s.ingestGate
-	}
-	return nil
 }
 
 // EnableSharding registers a shard router (under ShardBackendName) over
@@ -489,69 +389,10 @@ func (s *Server) backendSnapshot() []backendInfo {
 	return out
 }
 
-// ServeHTTP implements http.Handler: admission control, then panic
-// containment, then the route mux. A handler panic is converted to a
-// 500 (instead of net/http's per-connection reset, which looks like an
-// outage to load balancers), counted in seedb_panics_total, and logged
-// with its stack to the slow-query sink.
+// ServeHTTP implements http.Handler: the chain New assembled — panic
+// containment, then admission control, then the route mux.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if gate := s.gateFor(r.URL.Path); gate != nil {
-		release, err := gate.Acquire(r.Context())
-		if err != nil {
-			s.writeAdmissionError(w, err)
-			return
-		}
-		defer release()
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			s.panics.Add(1)
-			if sl := s.tel.Slow(); sl != nil {
-				sl.Log(telemetry.SlowEntry{
-					Kind:  "panic",
-					Path:  r.URL.Path,
-					Stack: fmt.Sprintf("panic: %v\n%s", p, debug.Stack()),
-				})
-			}
-			// Best-effort: if the handler already wrote headers this is a
-			// no-op on the status, but the connection still closes cleanly.
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", p))
-		}
-	}()
-	s.mux.ServeHTTP(w, r)
-}
-
-// writeAdmissionError maps a gate rejection to its HTTP shape: 429 for
-// a full wait queue (clients should back off harder), 503 for a timed
-// shed, and the blameless 503 for a caller that gave up while queued.
-// Both overload statuses carry Retry-After so well-behaved clients
-// pace themselves.
-func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {
-	status := http.StatusServiceUnavailable
-	if errors.Is(err, resilience.ErrQueueFull) {
-		status = http.StatusTooManyRequests
-	}
-	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeError(w, status, err)
-}
-
-// errorResponse is the uniform error payload.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError writes a JSON error.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+	s.handler.ServeHTTP(w, r)
 }
 
 // handleHealth implements GET /healthz. The payload carries the cache
@@ -559,12 +400,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // and fast-path coverage without a second probe) plus the registered
 // backends with their capability flags.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	snap := s.scrape()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
-		"cache":      s.cache.Stats(),
-		"executor":   s.exec.healthSnapshot(),
+		"cache":      snap.cache,
+		"executor":   executorHealth(snap),
 		"backends":   s.backendSnapshot(),
-		"resilience": s.resilienceSnapshot(),
+		"resilience": s.resilienceSnapshot(snap.breakers),
 	})
 }
 
@@ -577,6 +419,8 @@ type breakerHealth struct {
 	Failures    int64                  `json:"failures"`
 	Refusals    int64                  `json:"refusals"`
 	Transitions resilience.Transitions `json:"transitions"`
+	// state is State before rendering: the seedb_breaker_state gauge.
+	state resilience.State
 }
 
 // breakerSnapshot collects per-child breaker state from every backend
@@ -602,6 +446,7 @@ func (s *Server) breakerSnapshot() []breakerHealth {
 				Backend:     nr.name,
 				Child:       i,
 				State:       bs.State.String(),
+				state:       bs.State,
 				Successes:   bs.Successes,
 				Failures:    bs.Failures,
 				Refusals:    bs.Refusals,
@@ -615,7 +460,7 @@ func (s *Server) breakerSnapshot() []breakerHealth {
 // resilienceSnapshot renders the graceful-degradation counters for
 // /healthz: admission gates, circuit breakers, and the degraded/stale
 // serve counts.
-func (s *Server) resilienceSnapshot() map[string]any {
+func (s *Server) resilienceSnapshot(brs []breakerHealth) map[string]any {
 	out := map[string]any{
 		"panics":            s.panics.Load(),
 		"degraded_requests": s.degradedRequests.Load(),
@@ -627,104 +472,10 @@ func (s *Server) resilienceSnapshot() map[string]any {
 	if s.ingestGate != nil {
 		out["ingest_gate"] = s.ingestGate.Stats()
 	}
-	if brs := s.breakerSnapshot(); len(brs) > 0 {
+	if len(brs) > 0 {
 		out["breakers"] = brs
 	}
 	return out
-}
-
-// handleMetrics implements GET /metrics: the Prometheus text exposition
-// (format 0.0.4) of every executor counter, cache counter, and latency
-// histogram. Counters come from the same single-lock snapshot as
-// /healthz, so scrapes mid-request still satisfy the executor
-// invariants. The full name table lives in docs/OBSERVABILITY.md.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	requests, degraded, m := s.exec.snapshot()
-	cs := s.cache.Stats()
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	pw := telemetry.NewPromWriter(w)
-
-	pw.Counter("seedb_requests_total", "Recommendation requests served.", float64(requests))
-	pw.Counter("seedb_queries_executed_total", "View queries executed across all requests.", float64(m.QueriesExecuted))
-	pw.Counter("seedb_vectorized_queries_total", "Queries served by the vectorized fast path.", float64(m.VectorizedQueries))
-	pw.Counter("seedb_fallback_queries_total", "Queries served by the row-at-a-time interpreter.", float64(m.FallbackQueries))
-	reasons := make(map[string]float64, len(m.FallbackReasons))
-	for r, n := range m.FallbackReasons {
-		reasons[r] = float64(n)
-	}
-	pw.CounterVec("seedb_fallback_queries_by_reason_total", "Interpreter fallbacks by cause.", "reason", reasons)
-	pw.Counter("seedb_selection_kernels_total", "Vectorized predicate selection kernel dispatches.", float64(m.SelectionKernels))
-	pw.Counter("seedb_residual_predicates_total", "Predicates evaluated row-at-a-time after kernel selection.", float64(m.ResidualPredicates))
-	pw.Counter("seedb_rows_scanned_total", "Base-table rows scanned by view queries.", float64(m.RowsScanned))
-	pw.Counter("seedb_strategy_degraded_requests_total", "Requests whose strategy was rewritten by capability degradation.", float64(degraded))
-	pw.Counter("seedb_shard_queries_total", "Queries fanned out by the shard router.", float64(m.ShardQueries))
-	pw.Counter("seedb_shard_fanout_total", "Child executions issued by the shard router.", float64(m.ShardFanout))
-	pw.Gauge("seedb_shard_straggler_seconds_max", "Slowest single shard child execution observed.", m.ShardStragglerMax.Seconds())
-	pw.Counter("seedb_hedged_partials_total", "Speculative duplicate shard executions issued against stragglers.", float64(m.HedgedPartials))
-	pw.Counter("seedb_hedge_wins_total", "Hedged duplicates that answered before their primary.", float64(m.HedgeWins))
-	pw.Counter("seedb_net_retries_total", "Transparent retries performed by network child backends.", float64(m.NetRetries))
-	pw.Gauge("seedb_scan_workers_max", "Widest per-query scan worker pool observed.", float64(m.ScanWorkers))
-
-	// Graceful-degradation families (docs/RESILIENCE.md).
-	pw.Counter("seedb_panics_total", "Handler panics recovered by the middleware.", float64(s.panics.Load()))
-	pw.Counter("seedb_degraded_requests_total", "Requests answered from partial shard coverage under allow_partial.", float64(s.degradedRequests.Load()))
-	pw.Counter("seedb_stale_serves_total", "Requests replayed from the result cache during an outage.", float64(s.staleServes.Load()))
-	shed := map[string]float64{}
-	if s.queryGate != nil {
-		gs := s.queryGate.Stats()
-		shed["query"] = float64(gs.Shed + gs.Refused)
-	}
-	if s.ingestGate != nil {
-		gs := s.ingestGate.Stats()
-		shed["ingest"] = float64(gs.Shed + gs.Refused)
-	}
-	pw.CounterVec("seedb_shed_requests_total", "Requests rejected by admission control (shed after queueing plus queue-full refusals) by traffic class.", "class", shed)
-	states := map[string]float64{}
-	transitions := map[string]float64{}
-	for _, bh := range s.breakerSnapshot() {
-		states[fmt.Sprintf("%s/%d", bh.Backend, bh.Child)] = float64(breakerStateCode(bh.State))
-		transitions["closed_to_open"] += float64(bh.Transitions.ClosedToOpen)
-		transitions["open_to_half_open"] += float64(bh.Transitions.OpenToHalfOpen)
-		transitions["half_open_to_closed"] += float64(bh.Transitions.HalfOpenToClosed)
-		transitions["half_open_to_open"] += float64(bh.Transitions.HalfOpenToOpen)
-	}
-	pw.GaugeVec("seedb_breaker_state", "Per-child circuit breaker state (0=closed, 1=open, 2=half_open).", "child", states)
-	pw.CounterVec("seedb_breaker_transitions_total", "Circuit breaker state transitions by edge, summed across children.", "transition", transitions)
-
-	// Trace retention families (docs/OBSERVABILITY.md, "Trace store").
-	tss := s.traces.Stats()
-	pw.Counter("seedb_traces_sampled_total", "Completed traces captured to the trace store (explicit trace requests plus head-sampled ones).", float64(tss.Sampled))
-	pw.Counter("seedb_trace_dropped_total", "Completed traces evicted from the trace store under its count/byte caps.", float64(tss.Dropped))
-	pw.Gauge("seedb_trace_store_entries", "Traces currently retained in the trace store.", float64(tss.Entries))
-	pw.Gauge("seedb_trace_store_bytes", "Serialized bytes currently retained in the trace store.", float64(tss.Bytes))
-
-	pw.Counter("seedb_cache_hits_total", "Result-cache hits.", float64(cs.Hits))
-	pw.Counter("seedb_cache_misses_total", "Result-cache misses.", float64(cs.Misses))
-	pw.Counter("seedb_cache_shared_total", "Lookups collapsed onto an in-flight identical computation.", float64(cs.Shared))
-	pw.Counter("seedb_cache_evictions_total", "Entries evicted under LRU byte pressure.", float64(cs.Evictions))
-	pw.Counter("seedb_cache_rejected_total", "Entries refused by the admission policy.", float64(cs.Rejected))
-	pw.Gauge("seedb_cache_entries", "Entries currently cached.", float64(cs.Entries))
-	pw.Gauge("seedb_cache_bytes", "Bytes currently cached.", float64(cs.Bytes))
-	pw.Gauge("seedb_cache_budget_bytes", "Configured cache byte budget.", float64(cs.BudgetBytes))
-
-	pw.Histogram("seedb_request_duration_seconds", "End-to-end recommendation request latency.", s.tel.RequestLatency.Snapshot())
-	pw.Histogram("seedb_query_duration_seconds", "Per-view-query backend execution latency.", s.tel.QueryLatency.Snapshot())
-	pw.Histogram("seedb_shard_partial_duration_seconds", "Per-shard child execution latency under fan-out.", s.tel.ShardLatency.Snapshot())
-}
-
-// breakerStateCode maps a breaker state name to its stable gauge code.
-func breakerStateCode(state string) int {
-	switch state {
-	case "closed":
-		return int(resilience.Closed)
-	case "open":
-		return int(resilience.Open)
-	case "half_open":
-		return int(resilience.HalfOpen)
-	default:
-		return -1
-	}
 }
 
 // handleCacheStats implements GET /api/cache.
@@ -783,9 +534,8 @@ type loadRequest struct {
 
 // handleLoadDataset implements POST /api/datasets/load.
 func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
-	var req loadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	req, ok := decode[loadRequest](w, r)
+	if !ok {
 		return
 	}
 	spec, err := dataset.ByName(req.Name)
@@ -801,21 +551,29 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The write lock keeps the build (and the shard re-scatter, which
-	// drops and recreates child tables) invisible to in-flight queries.
+	s.install(w, spec.Name, spec.Rows, func() error {
+		_, err := dataset.Build(s.db, spec, layout)
+		return err
+	})
+}
+
+// install runs build — which creates the named table in the embedded
+// store — and mirrors the table across the shard children, so
+// {"backend": "shard"} requests see every loaded table. Both happen
+// under the data write lock: the scatter drops and recreates child
+// tables, which in-flight queries must never observe mid-way.
+func (s *Server) install(w http.ResponseWriter, table string, rows int, build func() error) {
 	s.dataMu.Lock()
-	_, buildErr := dataset.Build(s.db, spec, layout)
-	if buildErr == nil {
-		// Keep the shard children in sync so {"backend": "shard"}
-		// requests see every loaded table.
-		buildErr = s.scatterShards(spec.Name)
+	err := build()
+	if err == nil {
+		err = s.scatterShards(table)
 	}
 	s.dataMu.Unlock()
-	if buildErr != nil {
-		writeError(w, http.StatusConflict, buildErr)
+	if err != nil {
+		writeError(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"table": spec.Name, "rows": spec.Rows})
+	writeJSON(w, http.StatusOK, map[string]any{"table": table, "rows": rows})
 }
 
 // tableInfo describes one loaded table.
@@ -863,9 +621,8 @@ type queryResponse struct {
 // queries and remote shard partials are first-class citizens of every
 // dashboard invariant (histogram count == queries_executed included).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req wire.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	req, ok := decode[wire.QueryRequest](w, r)
+	if !ok {
 		return
 	}
 	rb, err := s.backendFor(req.Backend)
@@ -873,14 +630,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx := r.Context()
-	if s.Timeout > 0 {
-		// The same deadline /api/recommend runs under; previously raw
-		// queries could hold a connection forever.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.deadline(r.Context())
+	defer cancel()
 	// A Traceparent header means a remote caller (netbe) is tracing:
 	// open a child-side trace under the caller's span, so the executor
 	// spans of this process travel home in the wire response.
@@ -889,13 +640,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, ctr = telemetry.WithRemoteTrace(ctx, "child.query", tid, psid)
 	}
 	start := time.Now()
-	res, stats, err := rb.be.Exec(ctx, req.SQL, backend.ExecOptions{
-		Lo:                 req.Lo,
-		Hi:                 req.Hi,
-		Workers:            req.Workers,
-		NoSelectionKernels: req.NoSelectionKernels,
-		AllowPartial:       req.AllowPartial,
-	})
+	res, stats, err := rb.be.Exec(ctx, req.SQL, req.ExecOptions)
 	elapsed := time.Since(start)
 	if err != nil {
 		writeError(w, statusForError(err), err)
@@ -918,13 +663,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	m.RecordExec(stats)
 	s.exec.recordQuery(m)
 	if req.Wire {
-		wresp := wire.QueryResponse{
+		writeJSON(w, http.StatusOK, wire.QueryResponse{
 			Columns: res.Columns,
 			Rows:    wire.EncodeRows(res.Rows),
-			Stats:   wire.FromExecStats(stats),
-		}
-		wresp.Trace = childTrace
-		writeJSON(w, http.StatusOK, wresp)
+			Stats:   stats,
+			Trace:   childTrace,
+		})
 		return
 	}
 	resp := queryResponse{Columns: res.Columns, Count: len(res.Rows), Rows: [][]string{}}
@@ -986,48 +730,10 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// RecommendRequest is the POST /api/recommend payload.
-type RecommendRequest struct {
-	Table          string   `json:"table"`
-	TargetWhere    string   `json:"target_where"`
-	Reference      string   `json:"reference"`       // "all" (default), "complement", "custom"
-	ReferenceWhere string   `json:"reference_where"` // for "custom"
-	K              int      `json:"k"`
-	Strategy       string   `json:"strategy"` // "noopt","sharing","comb","combearly"
-	Pruning        string   `json:"pruning"`  // "none","ci","mab"
-	Distance       string   `json:"distance"` // "EMD" (default), ...
-	Dimensions     []string `json:"dimensions"`
-	Measures       []string `json:"measures"`
-	Aggregates     []string `json:"aggregates"`
-	// Cache opts this request out of the shared result cache when set to
-	// false; omitted or true uses the cache.
-	Cache *bool `json:"cache"`
-	// ScanParallelism caps per-query scan workers (0 = GOMAXPROCS; 1
-	// forces the serial interpreter).
-	ScanParallelism int `json:"scan_parallelism"`
-	// Backend selects which registered backend executes the request
-	// (empty = the embedded default; see /healthz for the list).
-	Backend string `json:"backend"`
-	// Trace opts this request into span tracing: the response carries the
-	// full span tree under "trace". Off by default — building the tree
-	// allocates per span, so clients ask for it explicitly.
-	Trace bool `json:"trace"`
-	// SlowQueryMS overrides the server's slow-query log threshold for
-	// this request, in milliseconds (0 = server default; ignored when no
-	// slow log is configured).
-	SlowQueryMS float64 `json:"slow_query_ms"`
-	// AllowPartial opts this request into degraded results: when the
-	// selected backend is a shard router with circuit breakers, queries
-	// proceed over the surviving shards instead of failing while a child
-	// is down. Responses computed this way carry "degraded": true and
-	// are never cached.
-	AllowPartial bool `json:"allow_partial"`
-	// ServeStale opts this request into stale-on-outage serving: when
-	// the backend is entirely unavailable, the last complete result for
-	// this request shape (if any) is returned marked "stale": true
-	// instead of a 5xx. Requires caching (the default).
-	ServeStale bool `json:"serve_stale"`
-}
+// RecommendRequest is the POST /api/recommend payload: the one textual
+// request schema, declared in core next to the Resolve that interprets
+// it.
+type RecommendRequest = core.RecommendRequest
 
 // RecommendedView is one ranked visualization.
 type RecommendedView struct {
@@ -1074,10 +780,10 @@ type RecommendResponse struct {
 	Strategy         string `json:"strategy"`
 	StrategyDegraded bool   `json:"strategy_degraded"`
 	DegradedFrom     string `json:"degraded_from,omitempty"`
-	// Degraded marks a result computed from partial shard coverage under
-	// allow_partial; DegradedShards lists the shard indices that were
-	// skipped. Stale marks a result replayed from the result cache under
-	// serve_stale while the backend was unavailable.
+	// Degraded marks a result computed from partial shard coverage;
+	// DegradedShards lists the shard indices that were skipped. Stale
+	// marks a result replayed from the result cache while the backend
+	// was unavailable. Both happen only to requests that opted in.
 	Degraded       bool    `json:"degraded,omitempty"`
 	DegradedShards []int   `json:"degraded_shards,omitempty"`
 	Stale          bool    `json:"stale,omitempty"`
@@ -1092,88 +798,26 @@ type RecommendResponse struct {
 	Trace   *telemetry.SpanNode `json:"trace,omitempty"`
 }
 
-// handleRecommend implements POST /api/recommend.
+// handleRecommend implements POST /api/recommend: decode the textual
+// request, resolve it, pick the backend, decide on tracing, run the
+// engine, shape the response.
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	var req RecommendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	req, ok := decode[RecommendRequest](w, r)
+	if !ok {
 		return
 	}
-	coreReq := core.Request{
-		Table:          req.Table,
-		TargetWhere:    req.TargetWhere,
-		ReferenceWhere: req.ReferenceWhere,
-		Dimensions:     req.Dimensions,
-		Measures:       req.Measures,
-	}
-	switch strings.ToLower(req.Reference) {
-	case "", "all":
-		coreReq.Reference = core.RefAll
-	case "complement":
-		coreReq.Reference = core.RefComplement
-	case "custom":
-		coreReq.Reference = core.RefCustom
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown reference %q", req.Reference))
+	coreReq, opts, err := req.Resolve()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	for _, a := range req.Aggregates {
-		coreReq.Aggs = append(coreReq.Aggs, core.AggFunc(strings.ToUpper(a)))
-	}
-
-	opts := core.Options{
-		K:                  req.K,
-		EnableCache:        req.Cache == nil || *req.Cache,
-		ScanParallelism:    req.ScanParallelism,
-		SlowQueryThreshold: time.Duration(req.SlowQueryMS * float64(time.Millisecond)),
-		AllowPartial:       req.AllowPartial,
-		ServeStaleOnError:  req.ServeStale,
-	}
-	switch strings.ToLower(req.Strategy) {
-	case "noopt":
-		opts.Strategy = core.NoOpt
-	case "sharing":
-		opts.Strategy = core.Sharing
-	case "", "comb":
-		opts.Strategy = core.Comb
-	case "combearly", "early":
-		opts.Strategy = core.CombEarly
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown strategy %q", req.Strategy))
-		return
-	}
-	switch strings.ToLower(req.Pruning) {
-	case "none":
-		opts.Pruning = core.NoPruning
-	case "", "ci":
-		opts.Pruning = core.CIPruning
-	case "mab":
-		opts.Pruning = core.MABPruning
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown pruning %q", req.Pruning))
-		return
-	}
-	if req.Distance != "" {
-		f, err := distance.ParseFunc(strings.ToUpper(req.Distance))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		opts.Distance = f
-	}
-
 	rb, err := s.backendFor(req.Backend)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-
-	ctx := r.Context()
-	if s.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.deadline(r.Context())
+	defer cancel()
 	// Tracing: an explicit {"trace": true} always traces (the
 	// per-request override); otherwise head sampling may pick the
 	// request up, retaining its tree in the trace store without
@@ -1194,36 +838,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	if res.Metrics.ServedStale {
 		s.staleServes.Add(1)
 	}
-
-	resp := RecommendResponse{
-		Backend:          rb.name,
-		Strategy:         core.EffectiveStrategy(opts.Strategy, rb.be.Capabilities()).String(),
-		Recommendations:  []RecommendedView{},
-		Views:            res.Metrics.Views,
-		QueriesExecuted:  res.Metrics.QueriesExecuted,
-		RowsScanned:      res.Metrics.RowsScanned,
-		PrunedViews:      res.Metrics.PrunedViews,
-		EarlyStopped:     res.Metrics.EarlyStopped,
-		CacheHits:        res.Metrics.CacheHits,
-		CacheMisses:      res.Metrics.CacheMisses,
-		RefViewsReused:   res.Metrics.RefViewsReused,
-		ServedFromCache:  res.Metrics.ServedFromCache,
-		Vectorized:       res.Metrics.VectorizedQueries,
-		Fallback:         res.Metrics.FallbackQueries,
-		FallbackReasons:  res.Metrics.FallbackReasons,
-		SelectionKernel:  res.Metrics.SelectionKernels,
-		ResidualPreds:    res.Metrics.ResidualPredicates,
-		ScanWorkers:      res.Metrics.ScanWorkers,
-		ShardQueries:     res.Metrics.ShardQueries,
-		ShardFanout:      res.Metrics.ShardFanout,
-		ShardStragglerMS: float64(res.Metrics.ShardStragglerMax.Microseconds()) / 1000,
-		StrategyDegraded: res.Metrics.StrategyDegraded,
-		DegradedFrom:     res.Metrics.DegradedFrom,
-		Degraded:         res.Metrics.ShardsDegraded > 0,
-		DegradedShards:   res.Metrics.DegradedShards,
-		Stale:            res.Metrics.ServedStale,
-		ElapsedMS:        float64(res.Metrics.Elapsed.Microseconds()) / 1000,
-	}
+	resp := responseFrom(rb, opts.Strategy, res)
 	if tr != nil {
 		node := tr.Finish()
 		resp.TraceID = tr.ID()
@@ -1231,6 +846,42 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 			resp.Trace = node
 		}
 		s.traces.Add(tr.ID(), node)
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// responseFrom shapes an engine result for the wire. requested is the
+// strategy the client asked for; the response names the one that ran.
+func responseFrom(rb *registeredBackend, requested core.Strategy, res *core.Result) RecommendResponse {
+	m := res.Metrics
+	resp := RecommendResponse{
+		Backend:          rb.name,
+		Strategy:         core.EffectiveStrategy(requested, rb.be.Capabilities()).String(),
+		Recommendations:  make([]RecommendedView, 0, len(res.Recommendations)),
+		Views:            m.Views,
+		QueriesExecuted:  m.QueriesExecuted,
+		RowsScanned:      m.RowsScanned,
+		PrunedViews:      m.PrunedViews,
+		EarlyStopped:     m.EarlyStopped,
+		CacheHits:        m.CacheHits,
+		CacheMisses:      m.CacheMisses,
+		RefViewsReused:   m.RefViewsReused,
+		ServedFromCache:  m.ServedFromCache,
+		Vectorized:       m.VectorizedQueries,
+		Fallback:         m.FallbackQueries,
+		FallbackReasons:  m.FallbackReasons,
+		SelectionKernel:  m.SelectionKernels,
+		ResidualPreds:    m.ResidualPredicates,
+		ScanWorkers:      m.ScanWorkers,
+		ShardQueries:     m.ShardQueries,
+		ShardFanout:      m.ShardFanout,
+		ShardStragglerMS: float64(m.ShardStragglerMax.Microseconds()) / 1000,
+		StrategyDegraded: m.StrategyDegraded,
+		DegradedFrom:     m.DegradedFrom,
+		Degraded:         m.ShardsDegraded > 0,
+		DegradedShards:   m.DegradedShards,
+		Stale:            m.ServedStale,
+		ElapsedMS:        float64(m.Elapsed.Microseconds()) / 1000,
 	}
 	for i, rec := range res.Recommendations {
 		title := fmt.Sprintf("%s    [utility %.4f]", rec.View.String(), rec.Utility)
@@ -1247,7 +898,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 			Chart:     chart.Render(title, rec.Groups, rec.Target, rec.Reference, chart.Options{ASCII: true}),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // parseLayout resolves a layout name.

@@ -127,22 +127,7 @@ func TestStitchedCrossProcessTrace(t *testing.T) {
 		if rn.Find("sqldb.scan") == nil || rn.Find("sqldb.plan") == nil {
 			t.Errorf("remote span lacks child-side plan/scan work:\n%s", rn.Render())
 		}
-		// Structure, not proportions: the child-side spans must sit in
-		// start order inside the remote span's interval. (Their share of
-		// a sub-millisecond span is decided by fixed per-span overhead.)
-		const epsMS = 1e-3
-		prev := rn.StartMS
-		for _, c := range rn.Children {
-			if c.StartMS < prev-epsMS {
-				t.Errorf("remote child %q starts at %.4fms, before its predecessor (%.4fms):\n%s",
-					c.Name, c.StartMS, prev, rn.Render())
-			}
-			if c.StartMS+c.DurMS > rn.StartMS+rn.DurMS+epsMS {
-				t.Errorf("remote child %q ends at %.4fms, after its parent (%.4fms):\n%s",
-					c.Name, c.StartMS+c.DurMS, rn.StartMS+rn.DurMS, rn.Render())
-			}
-			prev = c.StartMS
-		}
+		assertChildrenNested(t, rn)
 	}
 	if !procs["child0"] || !procs["child1"] {
 		t.Errorf("remote processes %v, want both child0 and child1", procs)

@@ -35,36 +35,16 @@ func (p *PromWriter) header(name, help, typ string) {
 	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, typ)
 }
 
-// Counter writes one unlabeled counter.
-func (p *PromWriter) Counter(name, help string, value float64) {
-	p.header(name, help, "counter")
+// Scalar writes one unlabeled counter or gauge (typ names which).
+func (p *PromWriter) Scalar(typ, name, help string, value float64) {
+	p.header(name, help, typ)
 	p.printf("%s %s\n", name, formatFloat(value))
 }
 
-// CounterVec writes one counter family with a single label, in sorted
+// Vec writes one counter or gauge family with a single label, in sorted
 // label-value order so scrapes are byte-stable.
-func (p *PromWriter) CounterVec(name, help, label string, values map[string]float64) {
-	p.header(name, help, "counter")
-	keys := make([]string, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		p.printf("%s{%s=%q} %s\n", name, label, escapeLabel(k), formatFloat(values[k]))
-	}
-}
-
-// Gauge writes one unlabeled gauge.
-func (p *PromWriter) Gauge(name, help string, value float64) {
-	p.header(name, help, "gauge")
-	p.printf("%s %s\n", name, formatFloat(value))
-}
-
-// GaugeVec writes one gauge family with a single label, in sorted
-// label-value order so scrapes are byte-stable.
-func (p *PromWriter) GaugeVec(name, help, label string, values map[string]float64) {
-	p.header(name, help, "gauge")
+func (p *PromWriter) Vec(typ, name, help, label string, values map[string]float64) {
+	p.header(name, help, typ)
 	keys := make([]string, 0, len(values))
 	for k := range values {
 		keys = append(keys, k)

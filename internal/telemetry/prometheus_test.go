@@ -13,10 +13,10 @@ func TestPromWriterOutputValidates(t *testing.T) {
 
 	var b strings.Builder
 	p := NewPromWriter(&b)
-	p.Counter("seedb_queries_executed_total", "Queries executed.", 42)
-	p.CounterVec("seedb_fallback_queries_by_reason_total", "Fallbacks by reason.",
+	p.Scalar("counter", "seedb_queries_executed_total", "Queries executed.", 42)
+	p.Vec("counter", "seedb_fallback_queries_by_reason_total", "Fallbacks by reason.",
 		"reason", map[string]float64{"serial execution": 3, `weird "quoted"` + "\nreason": 1})
-	p.Gauge("seedb_cache_bytes", "Cache occupancy.", 1234.5)
+	p.Scalar("gauge", "seedb_cache_bytes", "Cache occupancy.", 1234.5)
 	p.Histogram("seedb_request_duration_seconds", "Request latency.", h.Snapshot())
 	if p.Err() != nil {
 		t.Fatal(p.Err())

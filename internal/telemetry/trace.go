@@ -432,17 +432,6 @@ func (n *SpanNode) Find(name string) *SpanNode {
 	return nil
 }
 
-// ChildrenDurMS sums the node's direct children's durations — the
-// "explained" share of the node's own duration (children that overlap
-// in time, e.g. a worker pool's, may sum past it).
-func (n *SpanNode) ChildrenDurMS() float64 {
-	total := 0.0
-	for _, c := range n.Children {
-		total += c.DurMS
-	}
-	return total
-}
-
 // Render formats the tree as indented text for terminals (seedb -trace).
 // Attributes print sorted, so output is stable.
 func (n *SpanNode) Render() string {

@@ -102,10 +102,3 @@ func TestOpenAndFinishClosesSpans(t *testing.T) {
 	}
 	sp.End() // idempotent after force-close
 }
-
-func TestChildrenDurMS(t *testing.T) {
-	n := &SpanNode{Name: "p", DurMS: 10, Children: []*SpanNode{{DurMS: 4}, {DurMS: 5}}}
-	if got := n.ChildrenDurMS(); got != 9 {
-		t.Fatalf("ChildrenDurMS = %v", got)
-	}
-}

@@ -20,7 +20,7 @@
 //	res, err := client.Recommend(ctx, seedb.Request{
 //		Table:       "census",
 //		TargetWhere: "marital = 'Unmarried'",
-//	}, seedb.Options{K: 5})
+//	}, seedb.Options{K: 5, Strategy: seedb.Comb, Pruning: seedb.CIPruning})
 //	for _, rec := range res.Recommendations {
 //		fmt.Println(seedb.RenderChart(rec))
 //	}
