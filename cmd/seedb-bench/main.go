@@ -1,11 +1,12 @@
 // Command seedb-bench drives the experiment harness that regenerates
 // every table and figure of the SeeDB paper's evaluation. It prints the
 // same rows/series the paper reports, annotated with the paper's expected
-// shapes, and can write the output to a file for EXPERIMENTS.md.
+// shapes; -o FILE also writes them to a file.
 //
 // Examples:
 //
 //	seedb-bench -all                 # full suite at default (laptop) scale
+//	seedb-bench -all -o FILE         # ... and keep the tables
 //	seedb-bench -all -quick          # CI-friendly reduced scale
 //	seedb-bench -exp fig5            # one experiment
 //	seedb-bench -all -paperscale     # Table 1 dataset sizes (hours)
@@ -14,7 +15,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -31,125 +31,19 @@ func main() {
 	}
 }
 
-// writeJSON writes v as indented JSON to path.
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 func run() error {
 	var (
-		all          = flag.Bool("all", false, "run every experiment")
-		expID        = flag.String("exp", "", "run one experiment by id (see -list)")
-		list         = flag.Bool("list", false, "list experiments")
-		quick        = flag.Bool("quick", false, "reduced datasets and sweeps")
-		paperScale   = flag.Bool("paperscale", false, "use Table 1 dataset sizes (very slow)")
-		runs         = flag.Int("runs", 0, "repetitions for quality experiments (default 5; paper uses 20)")
-		seed         = flag.Int64("seed", 1, "base random seed")
-		outPath      = flag.String("o", "", "also write output to this file")
-		cacheJSON    = flag.String("cachejson", "", "run the cache experiment and write its datapoint to this JSON file")
-		parallelJSON = flag.String("paralleljson", "", "run the parallel-executor experiment and write its datapoint to this JSON file")
-		filterJSON   = flag.String("filterjson", "", "run the selection-kernel filter experiment and write its report to this JSON file")
-		shardJSON    = flag.String("shardjson", "", "run the shard-router scaling experiment and write its report to this JSON file")
-		loadJSON     = flag.String("loadjson", "", "run the mixed-workload load replay and write its report to this JSON file")
-		timeout      = flag.Duration("timeout", 4*time.Hour, "overall timeout")
+		all        = flag.Bool("all", false, "run every experiment")
+		expID      = flag.String("exp", "", "run one experiment by id (see -list)")
+		list       = flag.Bool("list", false, "list experiments")
+		quick      = flag.Bool("quick", false, "reduced datasets and sweeps")
+		paperScale = flag.Bool("paperscale", false, "use Table 1 dataset sizes (very slow)")
+		runs       = flag.Int("runs", 0, "repetitions for quality experiments (default 5; paper uses 20)")
+		seed       = flag.Int64("seed", 1, "base random seed")
+		outPath    = flag.String("o", "", "also write output to this file")
+		timeout    = flag.Duration("timeout", 4*time.Hour, "overall timeout")
 	)
 	flag.Parse()
-
-	if *cacheJSON != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		dp, err := bench.MeasureCache(ctx, bench.Config{Quick: *quick, PaperScale: *paperScale, Seed: *seed})
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(*cacheJSON, dp); err != nil {
-			return err
-		}
-		fmt.Printf("cache datapoint: cold %.2fms, warm %.2fms (%.1fx), query latency p50/p95/p99 %.2f/%.2f/%.2fms over %d queries, wrote %s\n",
-			dp.ColdMS, dp.WarmMS, dp.Speedup,
-			dp.QueryLatency.P50MS, dp.QueryLatency.P95MS, dp.QueryLatency.P99MS, dp.QueryLatency.Count, *cacheJSON)
-		return nil
-	}
-
-	if *parallelJSON != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		dp, err := bench.MeasureParallel(ctx, bench.Config{Quick: *quick, PaperScale: *paperScale, Seed: *seed})
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(*parallelJSON, dp); err != nil {
-			return err
-		}
-		fmt.Printf("parallel datapoint: serial %.2fms, vectorized %.2fms (%.1fx at %d workers), query latency p50/p95/p99 %.2f/%.2f/%.2fms, wrote %s\n",
-			dp.SerialMS, dp.ParallelMS, dp.Speedup, dp.ScanWorkers,
-			dp.QueryLatency.P50MS, dp.QueryLatency.P95MS, dp.QueryLatency.P99MS, *parallelJSON)
-		return nil
-	}
-
-	if *filterJSON != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		rep, err := bench.MeasureFilter(ctx, bench.Config{Quick: *quick, PaperScale: *paperScale, Seed: *seed})
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(*filterJSON, rep); err != nil {
-			return err
-		}
-		best := rep.Points[0]
-		fmt.Printf("filter datapoint (%.0f%% selectivity): closure %.2fms, kernels %.2fms (%.1fx; %.1fx vs serial), kernel latency p50/p95/p99 %.2f/%.2f/%.2fms, wrote %s\n",
-			best.Selectivity*100, best.BaselineMS, best.KernelMS, best.Speedup, best.SpeedupVsSerial,
-			rep.KernelLatency.P50MS, rep.KernelLatency.P95MS, rep.KernelLatency.P99MS, *filterJSON)
-		return nil
-	}
-
-	if *shardJSON != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		rep, err := bench.MeasureShard(ctx, bench.Config{Quick: *quick, PaperScale: *paperScale, Seed: *seed})
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(*shardJSON, rep); err != nil {
-			return err
-		}
-		last := rep.Points[len(rep.Points)-1]
-		fmt.Printf("shard curve (GOMAXPROCS=%d): 1 shard %.2fms → %d shards %.2fms (%.2fx), child latency p50/p95/p99 %.2f/%.2f/%.2fms over %d partials, wrote %s\n",
-			rep.GOMAXPROCS, rep.Points[0].ColdMS, last.Shards, last.ColdMS, last.Speedup,
-			rep.ShardPartialLatency.P50MS, rep.ShardPartialLatency.P95MS, rep.ShardPartialLatency.P99MS,
-			rep.ShardPartialLatency.Count, *shardJSON)
-		if len(rep.Hedge) == 2 {
-			fmt.Printf("hedging vs one slow child: straggler %.2fms → %.2fms (%d of %d partials hedged, %d wins)\n",
-				rep.Hedge[0].StragglerMS, rep.Hedge[1].StragglerMS,
-				rep.Hedge[1].HedgedPartials, rep.Hedge[1].ShardFanout, rep.Hedge[1].HedgeWins)
-		}
-		return nil
-	}
-
-	if *loadJSON != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		rep, err := bench.MeasureLoad(ctx, bench.Config{Quick: *quick, PaperScale: *paperScale, Seed: *seed})
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(*loadJSON, rep); err != nil {
-			return err
-		}
-		rec, raw := rep.Classes["recommend"], rep.Classes["query"]
-		fmt.Printf("load replay: %d rows, %d users, %.0fs: %.1f req/s total; recommend p50/p95/p99 %.2f/%.2f/%.2fms, query p50/p95/p99 %.2f/%.2f/%.2fms, %d queries (match=%v), wrote %s\n",
-			rep.RowsLoaded, rep.Users, rep.DurationS, rep.ThroughputRPS,
-			rec.P50MS, rec.P95MS, rec.P99MS, raw.P50MS, raw.P95MS, raw.P99MS,
-			rep.ServerQueriesDelta, rep.QueriesMatch, *loadJSON)
-		// The report doubles as the SLO regression gate: a malformed or
-		// mismatched run fails the command (and CI with it).
-		return rep.Validate()
-	}
 
 	if *list {
 		for _, e := range bench.All() {

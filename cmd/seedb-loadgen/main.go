@@ -6,7 +6,7 @@
 // Examples:
 //
 //	seedb-loadgen                               # self-serve quick run
-//	seedb-loadgen -rows 1000000 -users 64 -duration 25s -o BENCH_load.json
+//	seedb-loadgen -rows 1000000 -users 64 -duration 25s -o load_report.json
 //	seedb-loadgen -url http://127.0.0.1:8080    # drive an external server
 //	seedb-loadgen -spec spec.json -shards 4     # custom table, sharded self-serve
 //

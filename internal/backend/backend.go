@@ -153,10 +153,6 @@ type ExecOptions struct {
 	// Workers is the intra-query scan parallelism hint. Backends without
 	// SupportsVectorized ignore it.
 	Workers int `json:"workers,omitempty"`
-	// NoSelectionKernels disables compiled predicate selection kernels
-	// inside a vectorized executor (a cost-only benchmarking knob).
-	// Backends without SupportsVectorized ignore it.
-	NoSelectionKernels bool `json:"no_selection_kernels,omitempty"`
 	// AllowPartial opts this execution into degraded results on routing
 	// backends (internal/backend/shardbe): child shards that are
 	// unavailable (hard failure or open circuit breaker) are skipped and

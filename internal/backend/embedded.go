@@ -92,11 +92,10 @@ func (b *Embedded) TableStats(ctx context.Context, table string) (*TableStats, e
 // intra-query scan parallelism.
 func (b *Embedded) Exec(ctx context.Context, query string, opts ExecOptions) (*Rows, ExecStats, error) {
 	res, err := b.db.QueryOpts(query, sqldb.ExecOptions{
-		Ctx:                ctx,
-		Lo:                 opts.Lo,
-		Hi:                 opts.Hi,
-		Workers:            opts.Workers,
-		NoSelectionKernels: opts.NoSelectionKernels,
+		Ctx:     ctx,
+		Lo:      opts.Lo,
+		Hi:      opts.Hi,
+		Workers: opts.Workers,
 	})
 	if err != nil {
 		return nil, ExecStats{}, err

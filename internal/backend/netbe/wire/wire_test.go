@@ -29,8 +29,8 @@ func TestGoldenBytes(t *testing.T) {
 		want string
 	}{
 		{"request, every field", QueryRequest{SQL: "SELECT 1", Backend: "shard", Wire: true,
-			ExecOptions: backend.ExecOptions{Lo: 10, Hi: 20, Workers: 4, NoSelectionKernels: true, AllowPartial: true}},
-			`{"sql":"SELECT 1","backend":"shard","wire":true,"lo":10,"hi":20,"workers":4,"no_selection_kernels":true,"allow_partial":true}`},
+			ExecOptions: backend.ExecOptions{Lo: 10, Hi: 20, Workers: 4, AllowPartial: true}},
+			`{"sql":"SELECT 1","backend":"shard","wire":true,"lo":10,"hi":20,"workers":4,"allow_partial":true}`},
 		{"request, zero options", QueryRequest{SQL: "SELECT 1"},
 			`{"sql":"SELECT 1"}`},
 		{"response, every stat", QueryResponse{Columns: []string{"a"}, Rows: EncodeRows([][]sqldb.Value{{sqldb.Int(1)}}), Stats: stats},
@@ -53,5 +53,16 @@ func TestGoldenBytes(t *testing.T) {
 		if !reflect.DeepEqual(back.Elem().Interface(), tc.v) {
 			t.Errorf("%s: round trip = %+v, want %+v", tc.name, back.Elem().Interface(), tc.v)
 		}
+	}
+
+	// A router one build behind may still send the retired
+	// no_selection_kernels option; a child must decode the rest of the
+	// request rather than reject it.
+	var old QueryRequest
+	if err := json.Unmarshal([]byte(`{"sql":"SELECT 1","wire":true,"workers":4,"no_selection_kernels":true}`), &old); err != nil {
+		t.Fatalf("request carrying the retired field: %v", err)
+	}
+	if want := (QueryRequest{SQL: "SELECT 1", Wire: true, ExecOptions: backend.ExecOptions{Workers: 4}}); !reflect.DeepEqual(old, want) {
+		t.Errorf("request carrying the retired field = %+v, want %+v", old, want)
 	}
 }

@@ -606,8 +606,7 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 					}
 					run := r.execHedged(fanCtx, t, childSQL, backend.ExecOptions{
 						Lo: t.lo, Hi: t.hi,
-						Workers:            opts.Workers,
-						NoSelectionKernels: opts.NoSelectionKernels,
+						Workers: opts.Workers,
 					})
 					if br != nil {
 						// A child is "failing" only when it looks down —

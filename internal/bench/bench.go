@@ -7,8 +7,9 @@
 //
 // Absolute numbers depend on the host and on the embedded substrate; the
 // experiments are designed so the paper's *shapes* reproduce: who wins,
-// by roughly what factor, and where crossovers fall. See EXPERIMENTS.md
-// for paper-vs-measured results.
+// by roughly what factor, and where crossovers fall. Each table carries
+// the paper's expectation as a note; "seedb-bench -all -o FILE" keeps a
+// run's tables.
 package bench
 
 import (
@@ -23,7 +24,6 @@ import (
 	"seedb/internal/dataset"
 	"seedb/internal/distance"
 	"seedb/internal/sqldb"
-	"seedb/internal/telemetry"
 )
 
 // newEngine wires an engine over the embedded store through the backend
@@ -70,10 +70,10 @@ func (c Config) rowsFor(spec dataset.Spec) int {
 	rows := spec.Rows
 	if c.Quick {
 		// Quick mode: cap dataset sizes so the full suite runs in
-		// minutes on a laptop.
+		// minutes on a laptop (air10 stays 5x air, as in Table 1).
 		caps := map[string]int{
 			"syn": 20_000, "syn10": 20_000, "syn100": 20_000,
-			"bank": 12_000, "diab": 16_000, "air": 16_000, "air10": 80_000,
+			"bank": 12_000, "diab": 16_000, "air": 2_000, "air10": 10_000,
 			"census": 8_000, "housing": 500, "movies": 1000,
 		}
 		if cap, ok := caps[spec.Name]; ok && rows > cap {
@@ -159,11 +159,6 @@ func All() []Experiment {
 		{"fig15", "Deviation metric vs expert ground truth (Figure 15)", Figure15},
 		{"table2", "SEEDB vs MANUAL bookmarking (Table 2)", Table2},
 		{"ablations", "Design-choice ablations (beyond the paper)", Ablations},
-		{"cache", "Cross-request result cache (beyond the paper)", CacheExperiment},
-		{"parallel", "Intra-query parallel vectorized executor (beyond the paper)", ParallelExperiment},
-		{"filter", "Vectorized predicate selection kernels (beyond the paper)", FilterExperiment},
-		{"shard", "Shard-router partitioned fan-out scaling (beyond the paper)", ShardExperiment},
-		{"load", "Mixed-workload production load replay (beyond the paper)", LoadExperiment},
 	}
 }
 
@@ -227,27 +222,6 @@ func requestFor(spec dataset.Spec) core.Request {
 		Measures:    spec.MeasureNames(),
 		Aggs:        []core.AggFunc{core.AggAvg},
 	}
-}
-
-// LatencySummary condenses a telemetry latency histogram into the
-// percentile fields the BENCH_*.json payloads report.
-type LatencySummary struct {
-	Count uint64  `json:"count"`
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
-}
-
-// summarizeLatency snapshots h, guarding the observation count against
-// the number of events the experiment itself counted: percentiles from
-// a histogram that silently missed (or double-counted) observations
-// would lie, so any drift is an error rather than a degraded report.
-func summarizeLatency(h *telemetry.Histogram, wantCount int) (LatencySummary, error) {
-	s := h.Snapshot()
-	if s.Count != uint64(wantCount) {
-		return LatencySummary{}, fmt.Errorf("bench: latency histogram holds %d observations, experiment counted %d", s.Count, wantCount)
-	}
-	return LatencySummary{Count: s.Count, P50MS: s.P50MS, P95MS: s.P95MS, P99MS: s.P99MS}, nil
 }
 
 // timeRecommend runs one Recommend call and returns elapsed time plus the

@@ -41,6 +41,12 @@ func Table1(ctx context.Context, cfg Config) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
+// workCells renders a run's host-independent cost — SQL queries
+// executed and base-table rows visited — as two table cells.
+func workCells(res *core.Result) []string {
+	return []string{fmt.Sprintf("%d", res.Metrics.QueriesExecuted), fmt.Sprintf("%d", res.Metrics.RowsScanned)}
+}
+
 // Figure5 regenerates Figures 5a and 5b: for each real dataset and each
 // store, the latency of NO_OPT, SHARING, COMB and COMB_EARLY (CI
 // pruning, k=10).
@@ -63,14 +69,26 @@ func Figure5(ctx context.Context, cfg Config) ([]*Table, error) {
 		t := &Table{
 			ID:     fmt.Sprintf("figure5%c", 'a'+li),
 			Title:  fmt.Sprintf("Performance gains from all optimizations (%s store)", layout),
-			Header: []string{"dataset", "rows", "views", "NO_OPT", "SHARING", "COMB", "COMB_EARLY", "sharing-gain", "total-gain"},
+			Header: []string{"dataset", "rows", "views", "NO_OPT", "SHARING", "COMB", "COMB_EARLY"},
 		}
+		for _, s := range strategies {
+			t.Header = append(t.Header, s.name+"-queries", s.name+"-scanned")
+		}
+		t.Header = append(t.Header, "sharing-gain", "total-gain")
 		for _, name := range datasets {
 			spec, err := dataset.ByName(name)
 			if err != nil {
 				return nil, err
 			}
-			spec = spec.WithRows(cfg.rowsFor(spec))
+			rows := cfg.rowsFor(spec)
+			if cfg.Quick {
+				// The quick caps are sized for the quality figures, whose
+				// planted utility gaps must rise above sampling noise. This
+				// figure needs only the orderings and pays NO_OPT's two
+				// full scans per view on both stores, so it takes a quarter.
+				rows /= 4
+			}
+			spec = spec.WithRows(rows)
 			db, err := build(spec, layout)
 			if err != nil {
 				return nil, err
@@ -78,20 +96,24 @@ func Figure5(ctx context.Context, cfg Config) ([]*Table, error) {
 			eng := newEngine(db)
 			req := requestFor(spec)
 			lat := make([]time.Duration, len(strategies))
+			var work []string
 			for si, s := range strategies {
 				opts := s.opts
 				opts.Parallelism = cfg.Parallelism
-				d, _, err := timeRecommend(ctx, eng, req, opts)
+				d, res, err := timeRecommend(ctx, eng, req, opts)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%v/%s: %w", name, layout, s.name, err)
 				}
 				lat[si] = d
+				work = append(work, workCells(res)...)
 			}
-			t.AddRow(name, fmt.Sprintf("%d", spec.Rows), fmt.Sprintf("%d", spec.NumViews()),
-				ms(lat[0]), ms(lat[1]), ms(lat[2]), ms(lat[3]),
-				speedup(lat[0], lat[1]), speedup(lat[0], lat[3]))
+			row := append([]string{name, fmt.Sprintf("%d", spec.Rows), fmt.Sprintf("%d", spec.NumViews()),
+				ms(lat[0]), ms(lat[1]), ms(lat[2]), ms(lat[3])}, work...)
+			t.AddRow(append(row, speedup(lat[0], lat[1]), speedup(lat[0], lat[3]))...)
 		}
-		t.Notes = append(t.Notes, "paper: ROW 50x(COMB)-300x(COMB_EARLY), COL 10x-30x; gains grow with dataset size")
+		t.Notes = append(t.Notes,
+			"paper: ROW 50x(COMB)-300x(COMB_EARLY), COL 10x-30x; gains grow with dataset size",
+			"-queries / -scanned: SQL queries executed and base-table rows visited, the host-independent cost behind each latency")
 		out = append(out, t)
 	}
 	return out, nil
@@ -107,7 +129,7 @@ func Figure6(ctx context.Context, cfg Config) ([]*Table, error) {
 	if !cfg.PaperScale {
 		rowSweep = []int{10_000, 25_000, 50_000, 100_000}
 		if cfg.Quick {
-			rowSweep = []int{5_000, 10_000, 20_000}
+			rowSweep = []int{500, 1_000, 2_000}
 		}
 	}
 	// Fixed moderate view count for the row sweep: 10 dims × 5 measures.
@@ -116,11 +138,12 @@ func Figure6(ctx context.Context, cfg Config) ([]*Table, error) {
 	tA := &Table{
 		ID:     "figure6a",
 		Title:  "NO_OPT latency vs number of rows (SYN, 50 views)",
-		Header: []string{"rows", "ROW", "COL", "COL-speedup"},
+		Header: []string{"rows", "ROW", "COL", "ROW-queries", "ROW-scanned", "COL-queries", "COL-scanned", "COL-speedup"},
 	}
 	for _, rows := range rowSweep {
 		spec := base.WithRows(rows)
 		var lat [2]time.Duration
+		var work []string
 		for li, layout := range []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol} {
 			db, err := build(spec, layout)
 			if err != nil {
@@ -128,13 +151,15 @@ func Figure6(ctx context.Context, cfg Config) ([]*Table, error) {
 			}
 			req := requestFor(spec)
 			req.Dimensions, req.Measures = dimsA, measA
-			d, _, err := timeRecommend(ctx, newEngine(db), req, core.Options{Strategy: core.NoOpt, K: 10})
+			d, res, err := timeRecommend(ctx, newEngine(db), req, core.Options{Strategy: core.NoOpt, K: 10})
 			if err != nil {
 				return nil, err
 			}
 			lat[li] = d
+			work = append(work, workCells(res)...)
 		}
-		tA.AddRow(fmt.Sprintf("%d", rows), ms(lat[0]), ms(lat[1]), speedup(lat[0], lat[1]))
+		row := append([]string{fmt.Sprintf("%d", rows), ms(lat[0]), ms(lat[1])}, work...)
+		tA.AddRow(append(row, speedup(lat[0], lat[1]))...)
 	}
 	tA.Notes = append(tA.Notes, "paper: latency linear in rows; COL ≈5x faster than ROW")
 
@@ -147,7 +172,7 @@ func Figure6(ctx context.Context, cfg Config) ([]*Table, error) {
 	tB := &Table{
 		ID:     "figure6b",
 		Title:  fmt.Sprintf("NO_OPT latency vs number of views (SYN, %d rows)", viewRows),
-		Header: []string{"views", "ROW", "COL"},
+		Header: []string{"views", "ROW", "COL", "ROW-queries", "ROW-scanned", "COL-queries", "COL-scanned"},
 	}
 	spec := base.WithRows(viewRows)
 	dbRow, err := build(spec, sqldb.LayoutRow)
@@ -162,15 +187,16 @@ func Figure6(ctx context.Context, cfg Config) ([]*Table, error) {
 		req := requestFor(spec)
 		req.Dimensions = base.DimNames()[:vs.d]
 		req.Measures = base.MeasureNames()[:vs.m]
-		dRow, _, err := timeRecommend(ctx, newEngine(dbRow), req, core.Options{Strategy: core.NoOpt, K: 10})
+		dRow, resRow, err := timeRecommend(ctx, newEngine(dbRow), req, core.Options{Strategy: core.NoOpt, K: 10})
 		if err != nil {
 			return nil, err
 		}
-		dCol, _, err := timeRecommend(ctx, newEngine(dbCol), req, core.Options{Strategy: core.NoOpt, K: 10})
+		dCol, resCol, err := timeRecommend(ctx, newEngine(dbCol), req, core.Options{Strategy: core.NoOpt, K: 10})
 		if err != nil {
 			return nil, err
 		}
-		tB.AddRow(fmt.Sprintf("%d", vs.d*vs.m), ms(dRow), ms(dCol))
+		row := []string{fmt.Sprintf("%d", vs.d*vs.m), ms(dRow), ms(dCol)}
+		tB.AddRow(append(append(row, workCells(resRow)...), workCells(resCol)...)...)
 	}
 	tB.Notes = append(tB.Notes, "paper: latency linear in views")
 	return []*Table{tA, tB}, nil

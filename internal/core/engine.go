@@ -455,19 +455,17 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 	}
 	if opts.Strategy == NoOpt {
 		// The unoptimized baseline pins serial scans (see runQueries);
-		// canonicalize the inert intra-query knobs the same way the
-		// pruning options are, so they can never make two equivalent
+		// canonicalize the inert intra-query knob the same way the
+		// pruning options are, so it can never make two equivalent
 		// NO_OPT requests look different anywhere downstream.
 		opts.ScanParallelism = 1
-		opts.DisableSelectionKernels = false
 	}
 	opts = opts.withDefaults(ti.Layout, len(views))
 	telemetry.SpanFromContext(ctx).SetAttr("strategy", opts.Strategy.String())
 	if !caps.SupportsVectorized {
-		// Scan-parallelism knobs are inert on backends without an
-		// engine-side vectorized executor; canonicalize them too.
+		// Scan parallelism is inert on backends without an engine-side
+		// vectorized executor; canonicalize it too.
 		opts.ScanParallelism = 1
-		opts.DisableSelectionKernels = false
 	}
 	if opts.K > len(views) {
 		opts.K = len(views)

@@ -206,14 +206,6 @@ type Options struct {
 	// ScanParallelism goroutines scan concurrently — which pays off when
 	// sharing collapses a request into fewer queries than cores.
 	ScanParallelism int
-	// DisableSelectionKernels turns off the compiled predicate selection
-	// kernels inside sqldb's vectorized executor: WHERE and CASE-flag
-	// predicates then evaluate row-at-a-time through closures. Like
-	// ScanParallelism it changes cost, never output, so it is excluded
-	// from cache keys (and canonicalized away wherever it is inert:
-	// NO_OPT plans and backends without a vectorized executor). Intended
-	// for benchmarking the kernels against the closure baseline.
-	DisableSelectionKernels bool
 	// GroupBy selects the group-by combining strategy. Defaults to
 	// GroupByBinPack for row stores and GroupBySingle for column stores.
 	GroupBy GroupByStrategy

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // newPhaseState builds a phase state with the given estimates, all views
 // alive, k as specified, halfway through the scan.
@@ -239,60 +236,5 @@ func TestNoPrunerIsInert(t *testing.T) {
 func TestClamp01(t *testing.T) {
 	if clamp01(-0.5) != 0 || clamp01(1.5) != 1 || clamp01(0.5) != 0.5 {
 		t.Error("clamp01 wrong")
-	}
-}
-
-func TestGeneralizedUtilityScore(t *testing.T) {
-	rec := Recommendation{
-		View:    View{Dimension: "sex", Measure: "capital_gain", Agg: AggAvg},
-		Utility: 0.25,
-		Groups:  []string{"F", "M"},
-	}
-	// Plain deviation.
-	if got := (UtilityWeights{}).Score(rec); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("default score = %g, want 0.25", got)
-	}
-	// Attribute boosts.
-	w := UtilityWeights{
-		DimensionBoost: map[string]float64{"sex": 0.1},
-		MeasureBoost:   map[string]float64{"capital_gain": 0.05},
-	}
-	if got := w.Score(rec); math.Abs(got-0.40) > 1e-12 {
-		t.Errorf("boosted score = %g, want 0.40", got)
-	}
-	// Group penalty for wide charts.
-	wide := rec
-	wide.Groups = make([]string, 20)
-	wp := UtilityWeights{GroupPenalty: 0.01, PreferredGroups: 12}
-	if got := wp.Score(wide); math.Abs(got-(0.25-0.08)) > 1e-12 {
-		t.Errorf("penalized score = %g, want 0.17", got)
-	}
-	// Narrow charts pay no penalty.
-	if got := wp.Score(rec); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("narrow chart penalized: %g", got)
-	}
-}
-
-func TestGeneralizedUtilityRerank(t *testing.T) {
-	recs := []Recommendation{
-		{View: View{Dimension: "a", Measure: "m", Agg: AggAvg}, Utility: 0.5},
-		{View: View{Dimension: "b", Measure: "m", Agg: AggAvg}, Utility: 0.4},
-		{View: View{Dimension: "c", Measure: "m", Agg: AggAvg}, Utility: 0.3},
-	}
-	w := UtilityWeights{DimensionBoost: map[string]float64{"c": 0.3}}
-	ranked := w.Rerank(recs)
-	if ranked[0].View.Dimension != "c" {
-		t.Errorf("boosted view should rank first, got %s", ranked[0].View.Dimension)
-	}
-	if math.Abs(ranked[0].Utility-0.6) > 1e-12 {
-		t.Errorf("reranked utility = %g, want 0.6", ranked[0].Utility)
-	}
-	// Input untouched.
-	if recs[0].View.Dimension != "a" || recs[0].Utility != 0.5 {
-		t.Error("Rerank must not mutate its input")
-	}
-	// Empty input.
-	if out := w.Rerank(nil); len(out) != 0 {
-		t.Error("empty rerank should be empty")
 	}
 }

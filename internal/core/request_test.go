@@ -105,7 +105,6 @@ func TestResolveDefaultsAndErrors(t *testing.T) {
 var engineOnlyOptions = map[string]string{
 	"Phases":                   "evaluation harness: phase-count ablation",
 	"Parallelism":              "deployment: concurrent view queries, GOMAXPROCS by default",
-	"DisableSelectionKernels":  "benchmarking: kernels against the closure baseline",
 	"GroupBy":                  "evaluation harness: Figure 8 group-by strategies",
 	"GroupBySet":               "evaluation harness: forces a zero-valued GroupBy",
 	"MemoryBudget":             "evaluation harness: Figure 8a budget sweep",

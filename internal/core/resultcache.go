@@ -45,13 +45,12 @@ func staleCacheKey(backendName string, req Request, opts Options) string {
 // Options and Request must be rendered into the key
 // (TestCacheKeyCoversEveryField enforces the split).
 var keyExemptOptions = map[string]string{
-	"Parallelism":             "cost only: concurrent view queries",
-	"ScanParallelism":         "cost only: scan workers (see renderRequestKey on float reassociation)",
-	"DisableSelectionKernels": "cost only: predicate evaluation path",
-	"GroupBySet":              "resolved into GroupBy by withDefaults",
-	"EnableCache":             "selects whether the key is used at all",
-	"SlowQueryThreshold":      "observation only",
-	"ServeStaleOnError":       "selects the error path, never a computed result",
+	"Parallelism":        "cost only: concurrent view queries",
+	"ScanParallelism":    "cost only: scan workers (see renderRequestKey on float reassociation)",
+	"GroupBySet":         "resolved into GroupBy by withDefaults",
+	"EnableCache":        "selects whether the key is used at all",
+	"SlowQueryThreshold": "observation only",
+	"ServeStaleOnError":  "selects the error path, never a computed result",
 }
 
 // renderRequestKey canonicalizes everything that can influence a

@@ -94,10 +94,10 @@ func TestCacheWarmRequestIssuesZeroQueries(t *testing.T) {
 }
 
 // TestCacheHitParityAcrossCostKnobs pins the cost-knob canonicalization:
-// ScanParallelism and DisableSelectionKernels change how a query
-// executes, never what it returns, so requests differing only in those
-// knobs must share one cache entry (mirroring the PR 3 pruning-option
-// canonicalization for single-pass plans).
+// ScanParallelism changes how a query executes, never what it returns,
+// so requests differing only in it must share one cache entry
+// (mirroring the PR 3 pruning-option canonicalization for single-pass
+// plans).
 func TestCacheHitParityAcrossCostKnobs(t *testing.T) {
 	eng, req := buildCensus(t, sqldb.LayoutCol, 3000)
 	ctx := context.Background()
@@ -114,8 +114,8 @@ func TestCacheHitParityAcrossCostKnobs(t *testing.T) {
 
 	variants := []Options{
 		{Strategy: Sharing, K: 4, EnableCache: true, ScanParallelism: 4},
-		{Strategy: Sharing, K: 4, EnableCache: true, ScanParallelism: 7, DisableSelectionKernels: true},
-		{Strategy: Sharing, K: 4, EnableCache: true, DisableSelectionKernels: true},
+		{Strategy: Sharing, K: 4, EnableCache: true, ScanParallelism: 7},
+		{Strategy: Sharing, K: 4, EnableCache: true},
 	}
 	for i, opts := range variants {
 		warm, err := eng.Recommend(ctx, req, opts)

@@ -474,8 +474,7 @@ func (s *execState) runQuery(ctx context.Context, sql string, qi, lo, hi int, re
 	}
 	execOpts := backend.ExecOptions{
 		Lo: lo, Hi: hi, Workers: scanWorkers,
-		NoSelectionKernels: s.opts.DisableSelectionKernels,
-		AllowPartial:       s.opts.AllowPartial,
+		AllowPartial: s.opts.AllowPartial,
 	}
 	qctx, qsp := telemetry.StartSpan(ctx, "query")
 	qsp.SetAttr("sql", sql)

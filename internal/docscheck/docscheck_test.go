@@ -122,48 +122,65 @@ func TestArchitectureDocsLinkedFromREADME(t *testing.T) {
 	}
 }
 
-// TestBenchmarksDocPinned pins the benchmark documentation contract:
-// the guide must exist, be linked from the README, and describe every
-// committed BENCH_*.json artifact, the load workload model, and the
-// regeneration commands.
+// TestBenchmarksDocPinned pins the one-benchmark-generation contract.
+// docs/BENCHMARKS.md is the seedb-loadgen report guide (workload model,
+// accounting invariant, gates); performance numbers live under
+// benchmarks/ and nowhere else: the root holds BENCHMARK.json and no
+// BENCH_*.json snapshot, and the paper-reproduction harness prints
+// tables rather than growing a machine-readable format of its own.
 func TestBenchmarksDocPinned(t *testing.T) {
 	root := repoRoot(t)
 	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(readme), "(docs/BENCHMARKS.md)") {
-		t.Error("README.md does not link docs/BENCHMARKS.md")
+	for _, link := range []string{"(docs/BENCHMARKS.md)", "(benchmarks/README.md)"} {
+		if !strings.Contains(string(readme), link) {
+			t.Errorf("README.md does not link %s", link)
+		}
 	}
 	doc, err := os.ReadFile(filepath.Join(root, "docs", "BENCHMARKS.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		// every committed artifact
-		"BENCH_cache.json", "BENCH_parallel.json", "BENCH_filter.json",
-		"BENCH_shard.json", "BENCH_load.json",
-		// regeneration commands
-		"-cachejson", "-paralleljson", "-filterjson", "-shardjson",
-		"-loadjson", "seedb-loadgen",
+		"seedb-loadgen", "benchmarks/README.md",
 		// load workload model + gates
 		"recommend", "ingest", "cache-hostile", "tail_fraction",
 		"driver_queries_observed", "server_queries_delta", "queries_match",
-		"p50_ms", "p95_ms", "p99_ms", "Report.Validate",
+		"p50_ms", "p95_ms", "p99_ms", "Report.Validate", "-chaos",
 	} {
 		if !strings.Contains(string(doc), want) {
 			t.Errorf("BENCHMARKS.md does not mention %s", want)
 		}
 	}
-	// Every committed BENCH artifact must actually be documented; a new
-	// one must land with its schema description.
-	matches, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
+
+	if _, err := os.Stat(filepath.Join(root, "BENCHMARK.json")); err != nil {
+		t.Errorf("the repository root must hold BENCHMARK.json: %v", err)
+	}
+	snapshots, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range matches {
-		if !strings.Contains(string(doc), filepath.Base(m)) {
-			t.Errorf("BENCHMARKS.md does not document committed artifact %s", filepath.Base(m))
+	for _, m := range snapshots {
+		t.Errorf("%s: benchmark results belong in benchmarks/ledger.jsonl, not in a root snapshot", filepath.Base(m))
+	}
+	for _, dir := range []string{"internal/bench", "cmd/seedb-bench"} {
+		files, err := filepath.Glob(filepath.Join(root, dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) == 0 {
+			t.Errorf("%s holds no Go files", dir)
+		}
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(string(src), "json:\"") {
+				t.Errorf("%s/%s declares a JSON payload; machine-readable numbers belong to benchmarks/", dir, filepath.Base(f))
+			}
 		}
 	}
 }

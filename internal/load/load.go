@@ -165,7 +165,8 @@ type ClassStats struct {
 	MeanMS        float64 `json:"mean_ms"`
 }
 
-// Report is the load run's result — the BENCH_load.json payload.
+// Report is the load run's result — what seedb-loadgen -o writes
+// (schema in docs/BENCHMARKS.md).
 type Report struct {
 	Experiment string  `json:"experiment"`
 	Table      string  `json:"table"`

@@ -32,12 +32,6 @@ type ExecOptions struct {
 	// aggregates may differ from the serial result in final ulps on data
 	// whose partial sums are inexact.
 	Workers int
-	// NoSelectionKernels disables the compiled predicate selection
-	// kernels inside the vectorized fast path: WHERE and CASE-flag
-	// predicates then evaluate through their per-row closures, as they
-	// did before predicate compilation existed. A cost-only debugging and
-	// benchmarking knob — results are identical either way.
-	NoSelectionKernels bool
 }
 
 // ExecStats reports per-query execution measurements.
@@ -63,7 +57,7 @@ type ExecStats struct {
 	// execution bound (WHERE conjuncts plus CASE-flag conjuncts);
 	// ResidualPredicates counts the conjuncts that stayed on the per-row
 	// closure path (the hybrid residual filter). Both are zero for the
-	// serial interpreter and when NoSelectionKernels is set.
+	// serial interpreter.
 	SelectionKernels   int
 	ResidualPredicates int
 }

@@ -426,29 +426,27 @@ func (v *vecInfo) run(p *plan, t *ColStore, opts ExecOptions, lo, hi int) (res *
 	res = &vecRun{workers: workers}
 	var boundFilter *boundSel
 	boundFlags := make([]*boundSel, len(v.groups))
-	if !opts.NoSelectionKernels {
-		// An all-residual program would just re-run the whole predicate
-		// through closures with bitmap bookkeeping on top; bind only when
-		// at least one conjunct actually compiled. Residual conjuncts are
-		// counted either way — they run on the closure path regardless of
-		// whether that is per-conjunct (bound) or whole-predicate.
-		if p.filter != nil && v.filterSel != nil {
-			res.residuals += v.filterSel.residualCount()
-			if v.filterSel.kernelCount() > 0 {
-				boundFilter = v.filterSel.bind(t)
-				res.kernels += v.filterSel.kernelCount()
-			}
+	// An all-residual program would just re-run the whole predicate
+	// through closures with bitmap bookkeeping on top; bind only when
+	// at least one conjunct actually compiled. Residual conjuncts are
+	// counted either way — they run on the closure path regardless of
+	// whether that is per-conjunct (bound) or whole-predicate.
+	if p.filter != nil && v.filterSel != nil {
+		res.residuals += v.filterSel.residualCount()
+		if v.filterSel.kernelCount() > 0 {
+			boundFilter = v.filterSel.bind(t)
+			res.kernels += v.filterSel.kernelCount()
 		}
-		for i := range v.groups {
-			g := &v.groups[i]
-			if g.kind != vecGroupFlag || g.flagSel == nil {
-				continue
-			}
-			res.residuals += g.flagSel.residualCount()
-			if g.flagSel.kernelCount() > 0 {
-				boundFlags[i] = g.flagSel.bind(t)
-				res.kernels += g.flagSel.kernelCount()
-			}
+	}
+	for i := range v.groups {
+		g := &v.groups[i]
+		if g.kind != vecGroupFlag || g.flagSel == nil {
+			continue
+		}
+		res.residuals += g.flagSel.residualCount()
+		if g.flagSel.kernelCount() > 0 {
+			boundFlags[i] = g.flagSel.bind(t)
+			res.kernels += g.flagSel.kernelCount()
 		}
 	}
 

@@ -236,8 +236,8 @@ func TestVectorizedFallbacks(t *testing.T) {
 
 // TestSelectionKernelStats asserts the executor reports how the
 // predicate ran: compilable conjuncts as kernels, exotic conjuncts as
-// residuals, and nothing at all when kernels are disabled — with
-// identical results on every path.
+// residuals, and neither under the serial interpreter — with identical
+// results on both paths.
 func TestSelectionKernelStats(t *testing.T) {
 	db := vexecTable(t, 4000)
 	sql := "SELECT d1, COUNT(*), SUM(m1) FROM t WHERE m2 > 0 AND d2 != 'h2' AND m2 % 3 = 0 GROUP BY d1"
@@ -254,16 +254,6 @@ func TestSelectionKernelStats(t *testing.T) {
 			kern.Stats.SelectionKernels, kern.Stats.ResidualPredicates)
 	}
 
-	off, err := db.QueryOpts(sql, ExecOptions{Workers: 4, NoSelectionKernels: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !off.Stats.Vectorized {
-		t.Fatal("NoSelectionKernels must not disable the vectorized path itself")
-	}
-	if off.Stats.SelectionKernels != 0 || off.Stats.ResidualPredicates != 0 {
-		t.Fatalf("kernel counters must be zero with kernels disabled: %+v", off.Stats)
-	}
 	serial, err := db.QueryOpts(sql, ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +262,6 @@ func TestSelectionKernelStats(t *testing.T) {
 		t.Fatalf("serial interpreter must not report kernels: %+v", serial.Stats)
 	}
 	mustEqualResults(t, sql, serial, kern)
-	mustEqualResults(t, sql, serial, off)
 
 	// The CASE-flag predicate of the combined target/reference rewrite
 	// also compiles to kernels.

@@ -29,6 +29,49 @@ func TestNoTraceIsNoop(t *testing.T) {
 	}
 }
 
+// TestDisabledTracingAllocatesNothing pins the cost of the hooks that
+// are compiled into every query path: on a context carrying no trace,
+// and on a trace whose span budget is spent, StartSpan + End hand back
+// the caller's context and a nil span without allocating.
+func TestDisabledTracingAllocatesNothing(t *testing.T) {
+	spent, tr := WithTraceBudget(context.Background(), "req", 1) // the root is the whole budget
+	defer tr.Finish()
+	for name, ctx := range map[string]context.Context{
+		"no trace":     context.Background(),
+		"budget spent": spent,
+	} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			got, sp := StartSpan(ctx, "hook")
+			sp.End()
+			if got != ctx || sp != nil {
+				t.Fatalf("%s: StartSpan returned a new context or a live span", name)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: StartSpan + End allocates %v times per call, want 0", name, allocs)
+		}
+	}
+}
+
+// TestSamplingDecisionAllocatesNothing pins what every request pays
+// for always-on head sampling: one allocation-free draw, which at 1%
+// neither never fires nor always does.
+func TestSamplingDecisionAllocatesNothing(t *testing.T) {
+	const draws = 1_000_000
+	sampled := 0
+	for i := 0; i < draws; i++ {
+		if ShouldSample(0.01) {
+			sampled++
+		}
+	}
+	if sampled == 0 || sampled == draws {
+		t.Errorf("ShouldSample(0.01) hit %d of %d draws", sampled, draws)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { ShouldSample(0.01) }); allocs != 0 {
+		t.Errorf("ShouldSample allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestTraceTree(t *testing.T) {
 	ctx, tr := WithTrace(context.Background(), "request")
 	ctx1, a := StartSpan(ctx, "a")
