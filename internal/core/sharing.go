@@ -609,7 +609,11 @@ func (s *execState) logSlowQuery(sql string, lo, hi int, d time.Duration, stats 
 	})
 }
 
-// mergeResult folds one query result into the accumulators.
+// mergeResult folds one query result into the accumulators. A view's
+// consumers are adjacent (aggPlan emits them view by view) and all read
+// the same group, so per result row each group key is rendered once per
+// dimension column and each view's cells are looked up once — lazily, on
+// the first value that folds, because a lookup creates the cell.
 func (s *execState) mergeResult(q *sharedQuery, res *backend.Rows) {
 	aggBase := q.numDims
 	flagPos := -1
@@ -617,14 +621,20 @@ func (s *execState) mergeResult(q *sharedQuery, res *backend.Rows) {
 		flagPos = q.numDims
 		aggBase = q.numDims + 1
 	}
+	groups := make([]string, q.numDims)
+	rendered := make([]bool, q.numDims)
 	for _, row := range res.Rows {
-		isTarget := false
-		switch q.side {
-		case sideCombined:
-			isTarget = row[flagPos].Truthy()
-		case sideTarget:
-			isTarget = true
+		// toTarget/toRef: which side(s) this row's values fold into.
+		// Combined rows route by flag; the reference side takes every row
+		// under RefAll (D_R = D) and only non-target rows otherwise.
+		toTarget, toRef := q.side == sideTarget, q.side == sideReference
+		if q.side == sideCombined {
+			toTarget = row[flagPos].Truthy()
+			toRef = s.req.Reference == RefAll || !toTarget
 		}
+		clear(rendered)
+		view := -1
+		var target, ref *cell
 		for _, c := range q.consumers {
 			v := row[aggBase+c.col]
 			if v.IsNull() {
@@ -634,25 +644,28 @@ func (s *execState) mergeResult(q *sharedQuery, res *backend.Rows) {
 			if !ok {
 				continue
 			}
-			group := row[c.dimPos].String()
 			acc := s.accums[c.viewIdx]
 			if acc == nil {
 				continue // view pruned between build and merge (defensive)
 			}
-			switch q.side {
-			case sideCombined:
-				if isTarget {
-					fold(acc.target.at(group), c.role, f)
+			if c.viewIdx != view {
+				view, target, ref = c.viewIdx, nil, nil
+				if !rendered[c.dimPos] {
+					groups[c.dimPos], rendered[c.dimPos] = row[c.dimPos].String(), true
 				}
-				// Reference side: RefAll folds every row (D_R = D);
-				// RefComplement folds only non-target rows.
-				if s.req.Reference == RefAll || !isTarget {
-					fold(acc.reference.at(group), c.role, f)
+				group := groups[c.dimPos]
+				if toTarget {
+					target = acc.target.at(group)
 				}
-			case sideTarget:
-				fold(acc.target.at(group), c.role, f)
-			case sideReference:
-				fold(acc.reference.at(group), c.role, f)
+				if toRef {
+					ref = acc.reference.at(group)
+				}
+			}
+			if target != nil {
+				fold(target, c.role, f)
+			}
+			if ref != nil {
+				fold(ref, c.role, f)
 			}
 		}
 	}

@@ -82,7 +82,7 @@ func newAggSpec(f *FuncExpr, schema *Schema) (aggSpec, error) {
 type aggState struct {
 	count    int64
 	sum      float64
-	min, max Value
+	ext      Value // the running MIN or MAX; a slot is one or the other
 	seen     bool
 	distinct map[string]struct{} // only for COUNT(DISTINCT)
 }
@@ -115,13 +115,13 @@ func (s *aggState) update(spec *aggSpec, row RowView) {
 		s.count++
 		s.sum += f
 	case aggMin:
-		if !s.seen || v.Compare(s.min) < 0 {
-			s.min = v
+		if !s.seen || v.Compare(s.ext) < 0 {
+			s.ext = v
 			s.seen = true
 		}
 	case aggMax:
-		if !s.seen || v.Compare(s.max) > 0 {
-			s.max = v
+		if !s.seen || v.Compare(s.ext) > 0 {
+			s.ext = v
 			s.seen = true
 		}
 	}
@@ -145,13 +145,13 @@ func (s *aggState) merge(spec *aggSpec, o *aggState) {
 		s.count += o.count
 		s.sum += o.sum
 	case aggMin:
-		if o.seen && (!s.seen || o.min.Compare(s.min) < 0) {
-			s.min = o.min
+		if o.seen && (!s.seen || o.ext.Compare(s.ext) < 0) {
+			s.ext = o.ext
 			s.seen = true
 		}
 	case aggMax:
-		if o.seen && (!s.seen || o.max.Compare(s.max) > 0) {
-			s.max = o.max
+		if o.seen && (!s.seen || o.ext.Compare(s.ext) > 0) {
+			s.ext = o.ext
 			s.seen = true
 		}
 	}
@@ -177,16 +177,11 @@ func (s *aggState) final(spec *aggSpec) Value {
 			return Null()
 		}
 		return Float(s.sum / float64(s.count))
-	case aggMin:
+	case aggMin, aggMax:
 		if !s.seen {
 			return Null()
 		}
-		return s.min
-	case aggMax:
-		if !s.seen {
-			return Null()
-		}
-		return s.max
+		return s.ext
 	}
 	return Null()
 }

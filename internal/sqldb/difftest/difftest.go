@@ -14,8 +14,11 @@
 //
 // The generator deliberately produces queries on both sides of the fast
 // path's eligibility line (DISTINCT aggregates, string MIN, expression
-// group keys and arguments all fall back to the interpreter; int/float
-// group keys exercise the runtime value dictionaries), plus the
+// group keys and arguments all fall back to the interpreter; int group
+// keys are range-coded when the scanned rows' span is narrow and
+// dictionary-coded when it is wide — Run counts both from the scan
+// span's group_keys attribute — and float keys always
+// dictionary-coded), plus the
 // NULL-handling and empty-group edge cases: NULL dimension values, NULL
 // measures inside groups, all-NULL groups, predicates selecting zero
 // rows, and empty row ranges. WHERE clauses span every column type and
@@ -28,12 +31,14 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 
 	"seedb/internal/sqldb"
+	"seedb/internal/telemetry"
 )
 
 // Harness owns the generated table and the query generator.
@@ -41,17 +46,52 @@ type Harness struct {
 	DB   *sqldb.DB
 	rng  *rand.Rand
 	rows int
+	// groupPool is what Gen draws GROUP BY expressions from; intKeys names
+	// the pool's int columns, whose coding Run counts.
+	groupPool []string
+	intKeys   map[string]bool
+	// edges are the row ranges over which column e0 sits at one edge of
+	// the int group-key coding each: all NULL, a single value, a span that
+	// just fits range coding, a span one value too wide for it. Gen draws
+	// them as sub-ranges now and then. Empty on tables without e0.
+	edges [][2]int
 }
+
+// baseGroupPool is the GROUP BY pool every harness table supports: plain
+// columns of every type vectorize — k0 and m2 (small-range ints, m2 with
+// NULLs) range-coded, m0 (float, with NULLs) through a runtime value
+// dictionary — while scalar expressions exercise the interpreter
+// fallback under Workers>1.
+var baseGroupPool = []string{"d0", "d1", "d2", "b0", "d0", "d1", "b0", "k0", "m0", "m2", "LOWER(d0)"}
+
+// rangeCodedSpan is the widest value span (max − min) of an int group
+// key that sqldb still range-codes when it is the only key: its dense
+// id space holds 1<<16 ids, one of them NULL's.
+const rangeCodedSpan = 1<<16 - 2
+
+// wideInts are the values of column w0: a handful of groups whose span
+// is far beyond any range coding, int64's extremes included.
+var wideInts = []int64{math.MinInt64, math.MaxInt64, -1 << 40, -1, 0, 7, 1 << 33, 1<<53 + 1}
 
 // dimension cardinalities of the generated table (d0, d1, d2).
 var dimCards = [3]int{3, 8, 40}
 
 // New builds a deterministic random ColStore table "t" with seeded
 // contents: three string dimensions (two with NULLs), a bool column, a
-// low-cardinality int column, float and int measures with NULLs, and a
-// string column used as a COUNT/MIN argument.
+// low-cardinality int column, float and int measures with NULLs, a
+// string column used as a COUNT/MIN argument, and two int columns that
+// exist to be group keys: w0, wide (see wideInts, with NULLs), and e0,
+// whose values depend on the row's position (see Harness.edges).
 func New(seed int64, rows int) (*Harness, error) {
 	h := &Harness{DB: sqldb.NewDB(), rng: rand.New(rand.NewSource(seed)), rows: rows}
+	h.groupPool = append(append([]string{}, baseGroupPool...), "w0", "e0")
+	h.intKeys = map[string]bool{"k0": true, "m2": true, "w0": true, "e0": true}
+	cuts := [5]int{0, rows / 8, rows / 4, rows / 2, rows}
+	for i := 0; i < 4; i++ {
+		if cuts[i] < cuts[i+1] {
+			h.edges = append(h.edges, [2]int{cuts[i], cuts[i+1]})
+		}
+	}
 	schema := sqldb.MustSchema(
 		sqldb.Column{Name: "d0", Type: sqldb.TypeString},
 		sqldb.Column{Name: "d1", Type: sqldb.TypeString},
@@ -62,6 +102,8 @@ func New(seed int64, rows int) (*Harness, error) {
 		sqldb.Column{Name: "m1", Type: sqldb.TypeFloat},
 		sqldb.Column{Name: "m2", Type: sqldb.TypeInt},
 		sqldb.Column{Name: "s0", Type: sqldb.TypeString},
+		sqldb.Column{Name: "w0", Type: sqldb.TypeInt},
+		sqldb.Column{Name: "e0", Type: sqldb.TypeInt},
 	)
 	tab, err := h.DB.CreateTable("t", schema, sqldb.LayoutCol)
 	if err != nil {
@@ -78,12 +120,44 @@ func New(seed int64, rows int) (*Harness, error) {
 			h.floatValue(0),
 			h.intValue(0.10),
 			sqldb.Str(fmt.Sprintf("s%02d", h.rng.Intn(30))),
+			sqldb.Int(pick(h.rng, wideInts)),
+			h.edgeValue(i, cuts),
+		}
+		if h.rng.Float64() < 0.05 {
+			row[9] = sqldb.Null()
 		}
 		if err := tab.AppendRow(row); err != nil {
 			return nil, err
 		}
 	}
 	return h, nil
+}
+
+// edgeValue is column e0 at row i: NULL throughout the first of the four
+// ranges cuts delimits, 42 throughout the second, and in the last two a
+// few values between 0 and a maximum — rangeCodedSpan in the third, one
+// more in the fourth — with both ends pinned to the range's first rows.
+func (h *Harness) edgeValue(i int, cuts [5]int) sqldb.Value {
+	switch {
+	case i < cuts[1]:
+		return sqldb.Null()
+	case i < cuts[2]:
+		return sqldb.Int(42)
+	}
+	lo, top := cuts[2], int64(rangeCodedSpan)
+	if i >= cuts[3] {
+		lo, top = cuts[3], rangeCodedSpan+1
+	}
+	switch i - lo {
+	case 0:
+		return sqldb.Int(0)
+	case 1:
+		return sqldb.Int(top)
+	}
+	if h.rng.Float64() < 0.05 {
+		return sqldb.Null()
+	}
+	return sqldb.Int(pick(h.rng, []int64{0, 17, 40_000, top}))
 }
 
 // dimValue picks a dimension value (or NULL with the given probability).
@@ -123,10 +197,12 @@ func (h *Harness) intValue(nullP float64) sqldb.Value {
 // pick returns one random element.
 func pick[T any](rng *rand.Rand, xs []T) T { return xs[rng.Intn(len(xs))] }
 
-// Query is one generated test case.
+// Query is one generated test case. Groups lists its GROUP BY
+// expressions in order.
 type Query struct {
 	SQL    string
 	Lo, Hi int
+	Groups []string
 }
 
 // Gen generates one random grouped-aggregate query with an optional row
@@ -134,16 +210,12 @@ type Query struct {
 func (h *Harness) Gen() Query {
 	rng := h.rng
 
-	// GROUP BY: 0-3 distinct grouping expressions. Plain columns of every
-	// type vectorize — k0 (int) and m0/m2 (float/int measures, with
-	// NULLs) through runtime value dictionaries — while scalar
-	// expressions exercise the interpreter fallback under Workers>1.
-	groupPool := []string{"d0", "d1", "d2", "b0", "d0", "d1", "b0", "k0", "m0", "m2", "LOWER(d0)"}
+	// GROUP BY: 0-3 distinct grouping expressions.
 	nGroups := rng.Intn(4)
 	var groups []string
 	seen := map[string]bool{}
 	for len(groups) < nGroups {
-		g := pick(rng, groupPool)
+		g := pick(rng, h.groupPool)
 		if !seen[g] {
 			seen[g] = true
 			groups = append(groups, g)
@@ -209,7 +281,7 @@ func (h *Harness) Gen() Query {
 		}
 	}
 
-	q := Query{SQL: b.String(), Hi: 0}
+	q := Query{SQL: b.String(), Hi: 0, Groups: groups}
 	switch rng.Intn(10) {
 	case 0, 1, 2: // random sub-range
 		q.Lo = rng.Intn(h.rows)
@@ -220,6 +292,11 @@ func (h *Harness) Gen() Query {
 	case 4: // single row
 		q.Lo = rng.Intn(h.rows)
 		q.Hi = q.Lo + 1
+	case 5: // one of e0's coding edges
+		if len(h.edges) > 0 {
+			e := pick(rng, h.edges)
+			q.Lo, q.Hi = e[0], e[1]
+		}
 	}
 	return q
 }
@@ -271,6 +348,25 @@ type Stats struct {
 	Fallback   int // queries that fell back to the interpreter
 	Kernels    int // selection kernels bound across all vectorized runs
 	Residuals  int // predicate conjuncts left on the closure path
+	// IntRange and IntDict count the int group keys the vectorized runs
+	// range-coded and dictionary-coded.
+	IntRange, IntDict int
+}
+
+// exec runs q with the given worker count and reports, next to the
+// result, how the vectorized scan coded each of q.Groups — the scan
+// span's group_keys attribute; nil when the interpreter ran.
+func (h *Harness) exec(q Query, workers int) (*sqldb.Result, []string, error) {
+	ctx, tr := telemetry.WithTrace(context.Background(), "difftest")
+	res, err := h.DB.QueryOpts(q.SQL, sqldb.ExecOptions{Ctx: ctx, Lo: q.Lo, Hi: q.Hi, Workers: workers})
+	if err != nil || !res.Stats.Vectorized || len(q.Groups) == 0 {
+		return res, nil, err
+	}
+	scan := tr.Finish().Find("sqldb.scan")
+	if scan == nil || scan.Attrs["group_keys"] == "" {
+		return res, nil, fmt.Errorf("vectorized run left no group_keys on its sqldb.scan span (sql: %s)", q.SQL)
+	}
+	return res, strings.Split(scan.Attrs["group_keys"], ","), nil
 }
 
 // Run generates and checks n queries, executing each under Workers=1 and
@@ -285,7 +381,7 @@ func (h *Harness) Run(n, workers int) (Stats, error) {
 		if err != nil {
 			return st, fmt.Errorf("query %d serial failed: %v (sql: %s)", i, err, q.SQL)
 		}
-		par, err := h.DB.QueryOpts(q.SQL, sqldb.ExecOptions{Lo: q.Lo, Hi: q.Hi, Workers: workers})
+		par, codings, err := h.exec(q, workers)
 		if err != nil {
 			return st, fmt.Errorf("query %d workers=%d failed: %v (sql: %s)", i, workers, err, q.SQL)
 		}
@@ -293,6 +389,15 @@ func (h *Harness) Run(n, workers int) (Stats, error) {
 			st.Vectorized++
 			st.Kernels += par.Stats.SelectionKernels
 			st.Residuals += par.Stats.ResidualPredicates
+			for gi, coding := range codings {
+				switch {
+				case !h.intKeys[q.Groups[gi]]:
+				case coding == "range":
+					st.IntRange++
+				case coding == "numdict":
+					st.IntDict++
+				}
+			}
 		} else {
 			st.Fallback++
 		}

@@ -47,8 +47,89 @@ func TestDifferential(t *testing.T) {
 		if st.Residuals == 0 {
 			t.Errorf("seed %d: no residual predicate conjuncts exercised", seed)
 		}
-		t.Logf("seed %d workers %d: %d queries, %d vectorized (%d kernels, %d residuals), %d fallback",
-			seed, workers, st.Queries, st.Vectorized, st.Kernels, st.Residuals, st.Fallback)
+		// Int group keys must take both codings: range (k0, m2, narrow
+		// stretches of e0) and runtime dictionary (w0, wide stretches).
+		if st.IntRange == 0 || st.IntDict == 0 {
+			t.Errorf("seed %d: int group keys coded %d× by range, %d× by dictionary; want both", seed, st.IntRange, st.IntDict)
+		}
+		t.Logf("seed %d workers %d: %d queries, %d vectorized (%d kernels, %d residuals; int keys %d range, %d dict), %d fallback",
+			seed, workers, st.Queries, st.Vectorized, st.Kernels, st.Residuals, st.IntRange, st.IntDict, st.Fallback)
+	}
+}
+
+// TestDifferentialBlockEdges runs the generator on a table large enough
+// that every worker chunk spans at least two full scan blocks (sqldb's
+// selBlockRows is 1024) plus a ragged tail, with the generator's random
+// sub-ranges putting chunk and block boundaries at arbitrary rows.
+func TestDifferentialBlockEdges(t *testing.T) {
+	const rows, queries = 9000, 120
+	h, err := New(5, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3} {
+		if rows/workers < 2*1024 {
+			t.Fatalf("workers=%d: chunks of %d rows hold fewer than two full blocks", workers, rows/workers)
+		}
+		st, err := h.Run(queries, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if st.IntRange == 0 || st.IntDict == 0 || st.Residuals == 0 {
+			t.Errorf("workers=%d: under-exercised: int keys %d range / %d dict, %d residuals",
+				workers, st.IntRange, st.IntDict, st.Residuals)
+		}
+	}
+}
+
+// TestIntGroupKeyCodingEdges groups by e0 over each of the row ranges
+// that put it at an edge of the int group-key coding, and checks both
+// the coding the executor chose and — as everywhere — bit-exact
+// agreement with the interpreter.
+func TestIntGroupKeyCodingEdges(t *testing.T) {
+	h, err := New(9, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per edge range: all NULL, one value, span fits, span + 1. The flag
+	// of the second query doubles the id space, so there the span that
+	// just fits on its own no longer does.
+	const flag = "CASE WHEN m1 > 0 THEN 1 ELSE 0 END"
+	cases := []struct {
+		sql  string
+		want [4]string
+	}{
+		{"SELECT e0, COUNT(*), SUM(m1), MIN(m2) FROM t GROUP BY e0",
+			[4]string{"range", "range", "range", "numdict"}},
+		{"SELECT e0, " + flag + ", COUNT(m0) FROM t WHERE ABS(m2) < 80 GROUP BY e0, " + flag,
+			[4]string{"range", "range", "numdict", "numdict"}},
+	}
+	if len(h.edges) != 4 {
+		t.Fatalf("harness has %d edge ranges, want 4", len(h.edges))
+	}
+	for i, e := range h.edges {
+		for _, tc := range cases {
+			q := Query{SQL: tc.sql, Lo: e[0], Hi: e[1], Groups: []string{"e0"}}
+			serial, _, err := h.exec(q, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, codings, err := h.exec(q, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(codings) == 0 || codings[0] != tc.want[i] {
+				t.Errorf("rows [%d,%d): e0 coded %v, want %s (sql: %s)", e[0], e[1], codings, tc.want[i], tc.sql)
+			}
+			if err := equalResults(serial, par); err != nil {
+				t.Errorf("rows [%d,%d): %v (sql: %s)", e[0], e[1], err, tc.sql)
+			}
+		}
+	}
+	// The two coding ranges side by side exceed the span: dictionary.
+	q := Query{SQL: "SELECT e0, COUNT(*) FROM t GROUP BY e0", Groups: []string{"e0"}}
+	if _, codings, err := h.exec(q, 2); err != nil || len(codings) == 0 || codings[0] != "numdict" {
+		t.Errorf("whole table: e0 coded %v (err %v), want numdict", codings, err)
 	}
 }
 

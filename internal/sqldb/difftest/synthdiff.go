@@ -72,6 +72,9 @@ func NewSynth(seed int64, rows int) (*Harness, error) {
 		DB:   sqldb.NewDB(),
 		rng:  rand.New(rand.NewSource(seed ^ 0x5eedb)),
 		rows: rows,
+
+		groupPool: baseGroupPool,
+		intKeys:   map[string]bool{"k0": true, "m2": true},
 	}
 	if _, err := dataset.BuildSynth(h.DB, spec, sqldb.LayoutCol); err != nil {
 		return nil, err

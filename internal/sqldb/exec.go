@@ -591,7 +591,10 @@ func (p *plan) executeSimple(opts ExecOptions, lo, hi int, res *Result) error {
 // interpreter or parallel vectorized fast path) followed by the shared
 // finalize stage (HAVING, outputs, order keys).
 func (p *plan) executeGrouped(opts ExecOptions, lo, hi int, res *Result) error {
-	_, ssp := telemetry.StartSpan(opts.Ctx, "sqldb.scan")
+	// The scan runs under its own span's context so the executor can
+	// annotate it (the fast path records how it coded the group keys).
+	var ssp *telemetry.Span
+	opts.Ctx, ssp = telemetry.StartSpan(opts.Ctx, "sqldb.scan")
 	entries, err := p.aggregateRange(opts, lo, hi, &res.Stats)
 	ssp.SetAttr("rows", strconv.Itoa(res.Stats.RowsScanned))
 	ssp.SetAttr("workers", strconv.Itoa(res.Stats.Workers))
@@ -616,21 +619,36 @@ func (p *plan) finalizeGroups(entries []*groupEntry, res *Result) {
 		entries = append(entries, &groupEntry{states: make([]aggState, len(p.aggs))})
 	}
 
+	// One slab holds every output row and one scratch vector every
+	// group's finalized aggregates (outputs copy the Values they keep),
+	// so allocations do not scale with the group count.
+	width := len(p.outputs)
+	for _, key := range p.orderBy {
+		if key.eval != nil {
+			width++
+		}
+	}
+	slab := make([]Value, len(entries)*width)
+	gr := &groupRow{aggs: make([]Value, len(p.aggs))}
+	var row RowView = gr // boxed once: a pointer converts without allocating
 	for _, g := range entries {
-		gr := groupRow{keys: g.keys, aggs: make([]Value, len(p.aggs))}
+		gr.keys = g.keys
 		for i := range p.aggs {
 			gr.aggs[i] = g.states[i].final(&p.aggs[i])
 		}
-		if p.having != nil && !p.having(gr).Truthy() {
+		if p.having != nil && !p.having(row).Truthy() {
 			continue
 		}
-		out := make([]Value, len(p.outputs))
+		out := slab[:width:width]
+		slab = slab[width:]
 		for i, f := range p.outputs {
-			out[i] = f(gr)
+			out[i] = f(row)
 		}
+		k := len(p.outputs)
 		for _, key := range p.orderBy {
 			if key.eval != nil {
-				out = append(out, key.eval(gr))
+				out[k] = key.eval(row)
+				k++
 			}
 		}
 		res.Rows = append(res.Rows, out)

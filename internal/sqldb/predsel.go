@@ -669,36 +669,73 @@ func (k *kernNumCmp) trueAt(r int) bool {
 }
 
 func (k *kernNumCmp) and(lo, hi int, sel, _ []bool) {
-	nulls, op, val := k.c.nulls, k.op, k.val
+	if k.c.nulls != nil {
+		clearWhere(sel, k.c.nulls[lo:hi])
+	}
 	if k.flt {
-		flts := k.c.flts
-		if nulls == nil {
-			for r := lo; r < hi; r++ {
-				if sel[r-lo] {
-					sel[r-lo] = cmpFloat(op, flts[r], val)
-				}
-			}
-			return
-		}
-		for r := lo; r < hi; r++ {
-			if sel[r-lo] {
-				sel[r-lo] = !nulls[r] && cmpFloat(op, flts[r], val)
-			}
-		}
-		return
+		andCmp(k.op, k.c.flts[lo:hi], k.val, sel)
+	} else {
+		andCmp(k.op, k.c.ints[lo:hi], k.val, sel)
 	}
-	ints := k.c.ints
-	if nulls == nil {
-		for r := lo; r < hi; r++ {
-			if sel[r-lo] {
-				sel[r-lo] = cmpFloat(op, float64(ints[r]), val)
+}
+
+// andCmp folds "x <op> val" into sel over one block of a NULL-free (or
+// NULL-cleared) numeric column. The operator is dispatched once, outside
+// the row loops; each loop is cmpFloat's arm for that operator, so the
+// NaN and <=/>= semantics documented there hold here too. The loops
+// compare every row and then mask with sel, which compiles without a
+// branch: what sel holds after an earlier kernel is data, not a pattern
+// a predictor can learn.
+func andCmp[T int64 | float64](op cmpOp, xs []T, val float64, sel []bool) {
+	sel = sel[:len(xs)]
+	switch op {
+	case opEQ:
+		for i, x := range xs {
+			keep := float64(x) == val
+			if !sel[i] {
+				keep = false
 			}
+			sel[i] = keep
 		}
-		return
-	}
-	for r := lo; r < hi; r++ {
-		if sel[r-lo] {
-			sel[r-lo] = !nulls[r] && cmpFloat(op, float64(ints[r]), val)
+	case opNE:
+		for i, x := range xs {
+			keep := float64(x) != val
+			if !sel[i] {
+				keep = false
+			}
+			sel[i] = keep
+		}
+	case opLT:
+		for i, x := range xs {
+			keep := float64(x) < val
+			if !sel[i] {
+				keep = false
+			}
+			sel[i] = keep
+		}
+	case opLE:
+		for i, x := range xs {
+			keep := !(float64(x) > val)
+			if !sel[i] {
+				keep = false
+			}
+			sel[i] = keep
+		}
+	case opGT:
+		for i, x := range xs {
+			keep := float64(x) > val
+			if !sel[i] {
+				keep = false
+			}
+			sel[i] = keep
+		}
+	default: // opGE
+		for i, x := range xs {
+			keep := !(float64(x) < val)
+			if !sel[i] {
+				keep = false
+			}
+			sel[i] = keep
 		}
 	}
 }
@@ -818,6 +855,17 @@ func (k *kernOr) and(lo, hi int, sel, scratch []bool) {
 // lowers to memclr).
 func clearRange(b []bool, n int) {
 	clear(b[:n])
+}
+
+// clearWhere deselects the rows whose mask entry is set (a column's NULL
+// markers: no comparison is TRUE on NULL).
+func clearWhere(sel, mask []bool) {
+	sel = sel[:len(mask)]
+	for i, m := range mask {
+		if m {
+			sel[i] = false
+		}
+	}
 }
 
 // fillRange sets the first n entries of b to true.

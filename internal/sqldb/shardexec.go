@@ -330,14 +330,14 @@ func (s *shardSlot) fold(st *aggState, row []Value) {
 		st.sum += f
 	case s.kind == aggMin:
 		v := row[s.valCol]
-		if !v.IsNull() && (!st.seen || v.Compare(st.min) < 0) {
-			st.min = v
+		if !v.IsNull() && (!st.seen || v.Compare(st.ext) < 0) {
+			st.ext = v
 			st.seen = true
 		}
 	case s.kind == aggMax:
 		v := row[s.valCol]
-		if !v.IsNull() && (!st.seen || v.Compare(st.max) > 0) {
-			st.max = v
+		if !v.IsNull() && (!st.seen || v.Compare(st.ext) > 0) {
+			st.ext = v
 			st.seen = true
 		}
 	}

@@ -21,7 +21,9 @@
 // scan parallelism (ExecOptions.Workers), which engages the parallel
 // vectorized fast path in vexec.go for eligible column-store queries:
 // dictionary/bool/int/float group keys become small integer ids
-// (int/float via runtime value dictionaries), and WHERE / CASE-flag
+// (narrow-ranging ints by value range, floats and wide ints via runtime
+// value dictionaries), rows are processed a block at a time by typed
+// loops over struct-of-arrays accumulators, and WHERE / CASE-flag
 // predicates of common shape compile into selection-vector kernels
 // (predsel.go) with per-row closures only for residual conjuncts.
 // Executions report why the fast path declined

@@ -5,45 +5,60 @@ package sqldb
 // The dominant SeeDB query shape — GROUP BY one or more dimension columns
 // (plus, for the combined target/reference rewrite, a CASE-WHEN flag over
 // the target predicate), aggregating SUM/COUNT/AVG/MIN/MAX over measure
-// columns — spends almost all of its time in the row interpreter's
+// columns — would spend almost all of its time in the row interpreter's
 // per-row closure calls, group-key string encoding and map lookups. This
-// file replaces that inner loop for column-store tables:
+// file executes it block-at-a-time over column-store tables:
 //
 //   - The row range [lo, hi) is partitioned into one contiguous chunk per
 //     worker. Chunk boundaries are a pure function of (lo, hi, workers),
 //     so execution is deterministic regardless of scheduling.
-//   - Each worker scans the referenced column vectors directly, in blocks
-//     of selBlockRows rows. WHERE predicates and CASE-flag predicates of
-//     compilable shape run as selection kernels over each block (see
-//     predsel.go); conjuncts outside the kernel grammar evaluate per row
-//     through their original closures, restricted to rows the kernels
-//     kept (the hybrid residual filter) — a query never falls back whole
-//     because one conjunct is exotic.
-//   - Group identity is a small integer — the mixed-radix combination of
-//     per-column dictionary codes (strings), tri-state bool codes, the
-//     CASE flag, and runtime value-dictionary codes for int/float
-//     dimensions — instead of a per-row encoded string key. Numeric
-//     dimensions get a per-worker dictionary built during the scan
-//     (bounded by the query's share of maxGroupIDSpace); the merge
-//     remaps worker-local codes onto a global dictionary. Dense group-id
-//     spaces use a flat lookup table; larger ones an integer map, never
-//     a string map.
-//   - MIN/MAX accumulate through typed comparisons on the column vectors
-//     (no Value construction per row); SUM/COUNT/AVG accumulate into
-//     typed fields as before.
-//   - Workers accumulate private aggState tables (first-seen order within
-//     the chunk) that merge in chunk order, which reproduces exactly the
-//     first-seen group order of a sequential scan. Results are therefore
-//     identical to the serial interpreter, with one caveat family:
-//     SUM/AVG reassociate floating-point addition across chunks, so
-//     float aggregates can differ in final ulps when partial sums are
-//     inexact, and on data containing NaN the non-transitive Compare
-//     semantics (NaN "equals" everything) make MIN/MAX and NaN payload
-//     bits order-dependent across chunk splits. Selection kernels
-//     reproduce the interpreter's NaN comparison semantics exactly
-//     (see cmpFloat), so row selection never diverges.
-//   - Context cancellation checks run every block inside each worker
-//     loop, so large scans stay cancellable.
+//   - Each worker walks its chunk in blocks of selBlockRows rows, and
+//     every block goes through four stages of tight, type-specialized
+//     loops — there is no per-row dispatch on group kind, aggregate kind,
+//     argument type or null-ness anywhere:
+//       1. Selection. The compilable WHERE conjuncts run as selection
+//          kernels over the block (predsel.go); conjuncts outside the
+//          kernel grammar evaluate through their original closures on the
+//          rows the kernels kept (the hybrid residual filter — a query
+//          never falls back whole because one conjunct is exotic). The
+//          survivors become a vector of block-relative row indices.
+//       2. Group ids. One loop per GROUP BY column adds id·stride into a
+//          vector of combined group ids — the mixed-radix combination of
+//          per-column dictionary codes (strings), tri-state bool codes,
+//          the CASE flag (its predicate again kernels + residuals), and
+//          int/float codes (below).
+//       3. Slots. Group ids resolve to accumulator slots through a flat
+//          table when the id space is small and an integer map otherwise
+//          (never a string map); unseen ids take the next slot, in row
+//          order, so slots are in first-seen order.
+//       4. Accumulate. One loop per aggregate slot folds the selected
+//          rows into struct-of-arrays accumulators indexed by group slot
+//          (groupAcc), visiting rows in ascending order so every
+//          per-group float sum associates exactly as a row-at-a-time scan
+//          of the chunk would. MIN/MAX compare typed column values; no
+//          Value is built per row.
+//   - Int GROUP BY columns whose value span over [lo, hi) keeps the whole
+//     id space within denseGroupIDCap are range-coded: id = v − min + 1,
+//     with the bounds taken by a stateless pre-pass over the range. Like
+//     dictionary strings they are static, dense and need no remapping at
+//     the merge. Float columns and wider ints get a per-worker runtime
+//     value dictionary (numDict, bounded by the query's share of
+//     maxGroupIDSpace) whose worker-local codes the merge remaps onto a
+//     global dictionary.
+//   - At the end of its chunk a worker materializes groupEntry, aggState
+//     and key Values once, from three slabs, and the partials merge in
+//     chunk order, which reproduces exactly the first-seen group order of
+//     a sequential scan. Results are therefore identical to the serial
+//     interpreter, with one caveat family: SUM/AVG reassociate
+//     floating-point addition across chunks, so float aggregates can
+//     differ in final ulps when partial sums are inexact, and on data
+//     containing NaN the non-transitive Compare semantics (NaN "equals"
+//     everything) make MIN/MAX and NaN payload bits order-dependent
+//     across chunk splits. Selection kernels reproduce the interpreter's
+//     NaN comparison semantics exactly (see cmpFloat), so row selection
+//     never diverges.
+//   - Context cancellation is checked once per block inside each worker,
+//     so large scans stay cancellable.
 //
 // Queries outside the shape (row stores, expression group keys or
 // aggregate arguments, DISTINCT aggregates, string MIN/MAX, group-id
@@ -57,11 +72,16 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
+
+	"seedb/internal/telemetry"
 )
 
 // denseGroupIDCap bounds the per-worker flat lookup table (entries are
-// int32, so this is 256 KiB per worker). Larger id spaces use a map.
+// int32, so this is 256 KiB per worker). Larger id spaces use a map. It
+// is also the id-space budget within which int group columns are
+// range-coded rather than dictionary-coded.
 const denseGroupIDCap = 1 << 16
 
 // maxGroupIDSpace bounds the total mixed-radix group-id space; beyond it
@@ -73,9 +93,9 @@ const maxGroupIDSpace = 1 << 40
 // than this is effectively continuous and belongs to the interpreter.
 const maxNumDictRadix = 1 << 20
 
-// selBlockRows is the selection-kernel block size: predicates evaluate
-// over blocks of this many rows, so the per-worker selection bitmaps
-// stay L1-resident however large the chunk is.
+// selBlockRows is the block size of the scan: every stage runs over
+// blocks of this many rows, so the per-worker selection bitmaps and
+// row/id/slot vectors stay L1-resident however large the chunk is.
 const selBlockRows = 1024
 
 // Fast-path fallback reasons, reported via ExecStats.FallbackReason and
@@ -113,8 +133,10 @@ const (
 	// vecGroupBool is a bool column; ids are 0 = NULL, 1 = false,
 	// 2 = true.
 	vecGroupBool
-	// vecGroupNum is an int or float column; ids are 0 = NULL, else a
-	// runtime value-dictionary code + 1 (per worker, remapped at merge).
+	// vecGroupNum is an int or float column; ids are 0 = NULL, else
+	// either v − min + 1 (a range-coded int) or a runtime
+	// value-dictionary code + 1 (per worker, remapped at merge). Which
+	// one is decided per execution, see vecLayout.
 	vecGroupNum
 	// vecGroupFlag is CASE WHEN pred THEN a ELSE b END over integer
 	// literals (SeeDB's combined target/reference flag); ids are
@@ -141,6 +163,11 @@ type vecInfo struct {
 	filterSel *selProg
 	// numGroups indexes the vecGroupNum entries of groups.
 	numGroups []int
+	// countOf[ai] >= 0 says aggregate slot ai is a COUNT(x) whose value
+	// the SUM(x) or AVG(x) in slot countOf[ai] keeps anyway — the number
+	// of values it summed — so the scan skips ai and copies that count.
+	// SeeDB asks for every measure as such a SUM/COUNT pair.
+	countOf []int
 }
 
 // vectorizeGrouped analyzes a grouped statement and returns the
@@ -220,6 +247,17 @@ func vectorizeGrouped(stmt *SelectStmt, p *plan, schema *Schema) (*vecInfo, stri
 			return nil, fallbackDistinctAgg
 		}
 	}
+	v.countOf = make([]int, len(p.aggs))
+	for i := range p.aggs {
+		v.countOf[i] = -1
+		for j := range p.aggs {
+			if sums := p.aggs[j].kind == aggSum || p.aggs[j].kind == aggAvg; sums &&
+				p.aggs[i].kind == aggCount && p.aggs[i].argCol == p.aggs[j].argCol {
+				v.countOf[i] = j
+				break
+			}
+		}
+	}
 	if stmt.Where != nil {
 		sel, err := compileSelection(stmt.Where, schema)
 		if err == nil {
@@ -227,6 +265,141 @@ func vectorizeGrouped(stmt *SelectStmt, p *plan, schema *Schema) (*vecInfo, stri
 		}
 	}
 	return v, ""
+}
+
+// vecLayout is one execution's mixed-radix layout of the combined group
+// id: per GROUP BY column a cardinality and a stride, decided against
+// the live table and the scanned range on every execution.
+type vecLayout struct {
+	cards, strides []uint64
+	idSpace        uint64
+	// ranged marks the int group columns coded by value range, and base
+	// holds the value their id 1 stands for (id = v − base + 1).
+	ranged []bool
+	base   []int64
+	// dictGroups indexes the numeric group columns on runtime value
+	// dictionaries — the only ids that are worker-local.
+	dictGroups []int
+}
+
+// layout lays out the group id for a scan of [lo, hi). Static
+// cardinalities come from the live table (dictionary sizes); int columns
+// are range-coded while the id space stays dense; the remaining numeric
+// columns share the leftover id-space budget as their runtime-dictionary
+// radix. ok=false reports an id space beyond maxGroupIDSpace.
+func (v *vecInfo) layout(t *ColStore, lo, hi int) (lay *vecLayout, ok bool) {
+	n := len(v.groups)
+	lay = &vecLayout{
+		cards: make([]uint64, n), strides: make([]uint64, n),
+		ranged: make([]bool, n), base: make([]int64, n),
+	}
+	space := uint64(1)
+	for i, g := range v.groups {
+		var card uint64
+		switch g.kind {
+		case vecGroupDict:
+			card = uint64(len(t.cols[g.col].dict)) + 1 // +1 for NULL
+		case vecGroupBool:
+			card = 3
+		case vecGroupFlag:
+			card = 2
+		case vecGroupNum:
+			continue // assigned below
+		}
+		lay.cards[i] = card
+		if space > maxGroupIDSpace/card {
+			return nil, false
+		}
+		space *= card
+	}
+	for _, i := range v.numGroups {
+		g := &v.groups[i]
+		if g.typ == TypeInt {
+			if base, card, fits := intRangeCard(&t.cols[g.col], lo, hi, denseGroupIDCap/space); fits {
+				lay.ranged[i], lay.base[i], lay.cards[i] = true, base, card
+				space *= card
+				continue
+			}
+		}
+		lay.dictGroups = append(lay.dictGroups, i)
+	}
+	if n := len(lay.dictGroups); n > 0 {
+		radix := nthRootFloor(maxGroupIDSpace/space, n)
+		if radix > maxNumDictRadix {
+			radix = maxNumDictRadix
+		}
+		if radix < 2 {
+			return nil, false
+		}
+		for _, i := range lay.dictGroups {
+			lay.cards[i] = radix
+		}
+	}
+	lay.idSpace = 1
+	for i, card := range lay.cards {
+		lay.strides[i] = lay.idSpace
+		if lay.idSpace > maxGroupIDSpace/card {
+			return nil, false
+		}
+		lay.idSpace *= card
+	}
+	return lay, true
+}
+
+// intRangeCard takes the bounds of int column c over rows [lo, hi) and
+// returns the range coding they allow: ids are 0 = NULL and v − base + 1
+// otherwise, card of them in all. fits=false means the coding needs more
+// than maxCard ids; the scan stops at the first block that shows it.
+func intRangeCard(c *columnVector, lo, hi int, maxCard uint64) (base int64, card uint64, fits bool) {
+	if maxCard < 2 {
+		return 0, 0, false
+	}
+	mn, mx := int64(math.MaxInt64), int64(math.MinInt64)
+	for bLo := lo; bLo < hi; bLo += selBlockRows {
+		bHi := min(bLo+selBlockRows, hi)
+		ints := c.ints[bLo:bHi]
+		if c.nulls == nil {
+			for _, x := range ints {
+				mn, mx = min(mn, x), max(mx, x)
+			}
+		} else {
+			for i, isNull := range c.nulls[bLo:bHi] {
+				if !isNull {
+					mn, mx = min(mn, ints[i]), max(mx, ints[i])
+				}
+			}
+		}
+		// The unsigned difference is the true span even when mx − mn
+		// overflows int64.
+		if mn <= mx && uint64(mx)-uint64(mn) > maxCard-2 {
+			return 0, 0, false
+		}
+	}
+	if mn > mx {
+		return 0, 1, true // no non-NULL value in range: NULL's id is the only one
+	}
+	return mn, uint64(mx) - uint64(mn) + 2, true
+}
+
+// describe names how each GROUP BY column is coded in this layout, for
+// the scan span's group_keys attribute.
+func (lay *vecLayout) describe(v *vecInfo) string {
+	names := make([]string, len(v.groups))
+	for i, g := range v.groups {
+		switch {
+		case g.kind == vecGroupDict:
+			names[i] = "dict"
+		case g.kind == vecGroupBool:
+			names[i] = "bool"
+		case g.kind == vecGroupFlag:
+			names[i] = "flag"
+		case lay.ranged[i]:
+			names[i] = "range"
+		default:
+			names[i] = "numdict"
+		}
+	}
+	return strings.Join(names, ",")
 }
 
 // numDict is one worker's runtime value dictionary for a numeric group
@@ -273,7 +446,7 @@ func (d *numDict) idFor(bits uint64) (uint32, bool) {
 type vecPartial struct {
 	entries []*groupEntry
 	gids    []uint64
-	dicts   []*numDict // indexed like vecInfo.groups; nil for non-num
+	dicts   []*numDict // indexed like vecInfo.groups; nil for non-dictionary groups
 	scanned int
 }
 
@@ -362,51 +535,9 @@ func powFits(r uint64, n int, b uint64) bool {
 // false the caller must use the serial interpreter.
 func (v *vecInfo) run(p *plan, t *ColStore, opts ExecOptions, lo, hi int) (res *vecRun, ran bool, err error) {
 	lo, hi = clampRange(lo, hi, t.rows)
-
-	// Mixed-radix layout of the combined group id. Static cardinalities
-	// come from the live table (dictionary sizes); numeric group columns
-	// share the remaining id-space budget as their runtime-dictionary
-	// radix. This is a runtime check on every execution.
-	cards := make([]uint64, len(v.groups))
-	staticSpace := uint64(1)
-	for i, g := range v.groups {
-		var card uint64
-		switch g.kind {
-		case vecGroupDict:
-			card = uint64(len(t.cols[g.col].dict)) + 1 // +1 for NULL
-		case vecGroupBool:
-			card = 3
-		case vecGroupFlag:
-			card = 2
-		case vecGroupNum:
-			continue // assigned from the leftover budget below
-		}
-		cards[i] = card
-		if staticSpace > maxGroupIDSpace/card {
-			return nil, false, nil
-		}
-		staticSpace *= card
-	}
-	if n := len(v.numGroups); n > 0 {
-		radix := nthRootFloor(maxGroupIDSpace/staticSpace, n)
-		if radix > maxNumDictRadix {
-			radix = maxNumDictRadix
-		}
-		if radix < 2 {
-			return nil, false, nil
-		}
-		for _, i := range v.numGroups {
-			cards[i] = radix
-		}
-	}
-	strides := make([]uint64, len(v.groups))
-	idSpace := uint64(1)
-	for i, card := range cards {
-		strides[i] = idSpace
-		if idSpace > maxGroupIDSpace/card {
-			return nil, false, nil
-		}
-		idSpace *= card
+	lay, ok := v.layout(t, lo, hi)
+	if !ok {
+		return nil, false, nil
 	}
 
 	workers := opts.Workers
@@ -463,7 +594,8 @@ func (v *vecInfo) run(p *plan, t *ColStore, opts ExecOptions, lo, hi int) (res *
 		wg.Add(1)
 		go func(w, cLo, cHi int) {
 			defer wg.Done()
-			parts[w], errs[w] = v.scanChunk(p, t, opts.Ctx, cLo, cHi, cards, strides, wanted, boundFilter, boundFlags)
+			s := newChunkScan(v, p, t, lay, wanted, boundFilter, boundFlags)
+			parts[w], errs[w] = s.scan(opts.Ctx, cLo, cHi)
 		}(w, cLo, cHi)
 	}
 	wg.Wait()
@@ -476,335 +608,557 @@ func (v *vecInfo) run(p *plan, t *ColStore, opts ExecOptions, lo, hi int) (res *
 		}
 	}
 
-	entries, scanned, ok := v.merge(p, parts, cards, strides, idSpace)
+	entries, scanned, ok := v.merge(p, parts, lay)
 	if !ok {
 		return nil, false, nil
 	}
 	res.entries, res.scanned = entries, scanned
+	if sp := telemetry.SpanFromContext(opts.Ctx); sp != nil {
+		sp.SetAttr("group_keys", lay.describe(v))
+	}
 	return res, true, nil
 }
 
-// scanChunk accumulates one worker's contiguous row chunk, block by
-// block: selection kernels evaluate the compilable predicate conjuncts
-// over each block, then the row loop visits only the selected rows
-// (applying residual conjuncts per row).
-func (v *vecInfo) scanChunk(p *plan, t *ColStore, ctx context.Context, lo, hi int, cards, strides []uint64, wanted []bool, boundFilter *boundSel, boundFlags []*boundSel) (*vecPartial, error) {
-	part := &vecPartial{}
-	index := newGIDIndex(idSpaceOf(cards))
-	view := colRowView{t: t, wanted: wanted}
+// identRows is the selected-row vector of a block nothing filtered:
+// every block-relative index in order. Shared and read-only.
+var identRows = func() (ident [selBlockRows]int32) {
+	for i := range ident {
+		ident[i] = int32(i)
+	}
+	return ident
+}()
 
-	// Hoist loop-invariant column-vector derivations out of the row loop.
-	groupCols := make([]*columnVector, len(v.groups))
-	for i, g := range v.groups {
-		if g.kind != vecGroupFlag {
-			groupCols[i] = &t.cols[g.col]
-		}
-	}
-	if len(v.numGroups) > 0 {
-		part.dicts = make([]*numDict, len(v.groups))
-		for _, i := range v.numGroups {
-			part.dicts[i] = newNumDict(cards[i])
-		}
-	}
-	aggCols := make([]*columnVector, len(p.aggs))
-	for ai := range p.aggs {
-		if p.aggs[ai].argCol >= 0 {
-			aggCols[ai] = &t.cols[p.aggs[ai].argCol]
-		}
-	}
+// chunkScan is one worker's scan of one contiguous row chunk: the
+// read-only execution context, the per-block vectors every stage reads
+// and writes, and the chunk's accumulators.
+type chunkScan struct {
+	v      *vecInfo
+	p      *plan
+	t      *ColStore
+	lay    *vecLayout
+	filter *boundSel   // bound WHERE kernels, nil → closure or no filter
+	flags  []*boundSel // bound flag kernels per group column, nil → closure
+	// view is the row the residual and closure evaluations see; rowView
+	// is &view boxed once, so handing it to an evalFn does not allocate.
+	view    colRowView
+	rowView RowView
 
-	// Per-worker selection bitmaps, reused across blocks.
-	sel := make([]bool, selBlockRows)
-	scratch := make([]bool, selBlockRows)
-	var flagSels [][]bool
-	for i := range v.groups {
-		if boundFlags[i] != nil {
-			if flagSels == nil {
-				flagSels = make([][]bool, len(v.groups))
-			}
-			flagSels[i] = make([]bool, selBlockRows)
+	// Block vectors, reused across blocks. sel, scratch and flag are
+	// bitmaps over the block's rows; rows lists the selected rows as
+	// block-relative indices; gids and slots run parallel to rows.
+	sel, scratch, flag [selBlockRows]bool
+	rows, slots        [selBlockRows]int32
+	gids               [selBlockRows]uint64
+
+	index *gidIndex
+	dicts []*numDict // indexed like vecInfo.groups; nil unless dictionary-coded
+	acc   groupAcc
+}
+
+// newChunkScan sets up one worker's scan state.
+func newChunkScan(v *vecInfo, p *plan, t *ColStore, lay *vecLayout, wanted []bool, filter *boundSel, flags []*boundSel) *chunkScan {
+	s := &chunkScan{
+		v: v, p: p, t: t, lay: lay, filter: filter, flags: flags,
+		view:  colRowView{t: t, wanted: wanted},
+		index: newGIDIndex(lay.idSpace),
+	}
+	if len(lay.dictGroups) > 0 {
+		s.dicts = make([]*numDict, len(v.groups))
+		for _, i := range lay.dictGroups {
+			s.dicts[i] = newNumDict(lay.cards[i])
 		}
 	}
-	useFilterKernels := boundFilter != nil
+	s.rowView = &s.view
+	s.acc.init(p.aggs, lay.idSpace)
+	return s
+}
 
+// scan accumulates rows [lo, hi) block by block and materializes the
+// chunk's groups.
+func (s *chunkScan) scan(ctx context.Context, lo, hi int) (*vecPartial, error) {
 	for blockLo := lo; blockLo < hi; blockLo += selBlockRows {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		blockHi := blockLo + selBlockRows
-		if blockHi > hi {
-			blockHi = hi
+		blockHi := min(blockLo+selBlockRows, hi)
+		rows := s.selectRows(blockLo, blockHi)
+		if len(rows) == 0 {
+			continue
 		}
-		n := blockHi - blockLo
+		gids := s.gids[:len(rows)]
+		if err := s.groupIDs(blockLo, blockHi, rows, gids); err != nil {
+			return nil, err
+		}
+		s.accumulate(blockLo, blockHi, rows, s.resolveSlots(gids))
+	}
+	return s.materialize(hi - lo), nil
+}
 
-		// The bitmap is only consulted when kernels are in play (flag
-		// kernels seed from it too); skip the fill otherwise.
-		if useFilterKernels || flagSels != nil {
-			fillRange(sel, n)
+// selectRows is stage 1: it returns the block-relative indices of the
+// rows of [lo, hi) that pass the WHERE clause, ascending. When kernels
+// ran, s.sel holds their verdict (before residuals) for the flag kernels
+// to seed from.
+func (s *chunkScan) selectRows(lo, hi int) []int32 {
+	n := hi - lo
+	switch {
+	case s.filter != nil:
+		sel := s.sel[:n]
+		fillRange(sel, n)
+		s.filter.apply(lo, hi, sel, s.scratch[:n])
+		rows := s.rows[:n]
+		k := 0
+		for i, keep := range sel {
+			rows[k] = int32(i)
+			if keep {
+				k++
+			}
 		}
-		if useFilterKernels {
-			boundFilter.apply(blockLo, blockHi, sel[:n], scratch[:n])
+		return s.keepTruthy(rows[:k], lo, s.filter.residual)
+	case s.p.filter != nil:
+		rows := s.rows[:0]
+		for i := 0; i < n; i++ {
+			s.view.row = lo + i
+			if s.p.filter(s.rowView).Truthy() {
+				rows = append(rows, int32(i))
+			}
 		}
-		for i := range v.groups {
-			if boundFlags[i] == nil {
+		return rows
+	default:
+		return identRows[:n]
+	}
+}
+
+// keepTruthy filters rows, in place, down to those on which every
+// residual conjunct is TRUE.
+func (s *chunkScan) keepTruthy(rows []int32, lo int, residual []evalFn) []int32 {
+	if len(residual) == 0 {
+		return rows
+	}
+	kept := rows[:0]
+rowLoop:
+	for _, r := range rows {
+		s.view.row = lo + int(r)
+		for _, fn := range residual {
+			if !fn(s.rowView).Truthy() {
+				continue rowLoop
+			}
+		}
+		kept = append(kept, r)
+	}
+	return kept
+}
+
+// nullsIn returns c's NULL markers for rows [lo, hi), or nil when the
+// column has none — the one null-ness test a block loop hoists.
+func nullsIn(c *columnVector, lo, hi int) []bool {
+	if c.nulls == nil {
+		return nil
+	}
+	return c.nulls[lo:hi]
+}
+
+// groupIDs is stage 2: gids[j] becomes the combined group id of selected
+// row rows[j], one pass per GROUP BY column.
+func (s *chunkScan) groupIDs(lo, hi int, rows []int32, gids []uint64) error {
+	clear(gids)
+	for i := range s.v.groups {
+		g := &s.v.groups[i]
+		stride := s.lay.strides[i]
+		switch {
+		case g.kind == vecGroupFlag:
+			// Load, conditionally add, store: unlike a conditional +=
+			// this compiles without a branch, and the flag is data no
+			// predictor learns.
+			flag := s.flagBits(i, lo, hi, rows)
+			for j, r := range rows {
+				gid := gids[j]
+				if flag[r] {
+					gid += stride
+				}
+				gids[j] = gid
+			}
+		case g.kind == vecGroupDict:
+			c := &s.t.cols[g.col]
+			addCodeIDs(gids, rows, c.codes[lo:hi], nullsIn(c, lo, hi), 0, stride)
+		case g.kind == vecGroupBool:
+			// Stored 0/1, so false and true are the range code over base 0.
+			c := &s.t.cols[g.col]
+			addCodeIDs(gids, rows, c.ints[lo:hi], nullsIn(c, lo, hi), 0, stride)
+		case s.lay.ranged[i]:
+			c := &s.t.cols[g.col]
+			addCodeIDs(gids, rows, c.ints[lo:hi], nullsIn(c, lo, hi), s.lay.base[i], stride)
+		default:
+			c, dict := &s.t.cols[g.col], s.dicts[i]
+			nulls := nullsIn(c, lo, hi)
+			for j, r := range rows {
+				if nulls != nil && nulls[r] {
+					continue
+				}
+				code, ok := dict.idFor(groupKeyBits(c, g.typ, lo+int(r)))
+				if !ok {
+					return errGroupIDSpace
+				}
+				gids[j] += uint64(code) * stride
+			}
+		}
+	}
+	return nil
+}
+
+// addCodeIDs adds one column's share of the group id for codes that are
+// already small integers — dictionary codes, bools, range-coded ints:
+// id = code − base + 1, and 0 for NULL.
+func addCodeIDs[T int32 | int64](gids []uint64, rows []int32, codes []T, nulls []bool, base T, stride uint64) {
+	rows = rows[:len(gids)]
+	if nulls == nil {
+		for j, r := range rows {
+			gids[j] += (uint64(codes[r]-base) + 1) * stride
+		}
+		return
+	}
+	for j, r := range rows {
+		if !nulls[r] {
+			gids[j] += (uint64(codes[r]-base) + 1) * stride
+		}
+	}
+}
+
+// flagBits evaluates flag group column i over the block and returns a
+// bitmap that holds the predicate's truth at every selected row.
+func (s *chunkScan) flagBits(i, lo, hi int, rows []int32) []bool {
+	n := hi - lo
+	flag := s.flag[:n]
+	bf := s.flags[i]
+	if bf == nil {
+		pred := s.v.groups[i].pred
+		for _, r := range rows {
+			s.view.row = lo + int(r)
+			flag[r] = pred(s.rowView).Truthy()
+		}
+		return flag
+	}
+	// Seed from the filter's verdict so the flag kernels skip rows the
+	// filter kernels already rejected.
+	if s.filter != nil {
+		copy(flag, s.sel[:n])
+	} else {
+		fillRange(flag, n)
+	}
+	bf.apply(lo, hi, flag, s.scratch[:n])
+	if len(bf.residual) > 0 {
+		for _, r := range rows {
+			if !flag[r] {
 				continue
 			}
-			// Seed the flag bitmap from the filter selection so the flag
-			// kernels skip rows the filter already rejected.
-			fs := flagSels[i]
-			copy(fs[:n], sel[:n])
-			boundFlags[i].apply(blockLo, blockHi, fs[:n], scratch[:n])
+			s.view.row = lo + int(r)
+			for _, fn := range bf.residual {
+				if !fn(s.rowView).Truthy() {
+					flag[r] = false
+					break
+				}
+			}
 		}
+	}
+	return flag
+}
 
-	rowLoop:
-		for r := blockLo; r < blockHi; r++ {
-			idx := r - blockLo
-			if useFilterKernels {
-				if !sel[idx] {
-					continue
-				}
-				if len(boundFilter.residual) > 0 {
-					view.row = r
-					for _, fn := range boundFilter.residual {
-						if !fn(view).Truthy() {
-							continue rowLoop
-						}
-					}
-				}
-			} else if p.filter != nil {
-				view.row = r
-				if !p.filter(view).Truthy() {
-					continue
-				}
-			}
-
-			gid := uint64(0)
-			for i := range v.groups {
-				g := &v.groups[i]
-				var id uint64
-				switch g.kind {
-				case vecGroupDict:
-					c := groupCols[i]
-					if c.nulls == nil || !c.nulls[r] {
-						id = uint64(c.codes[r]) + 1
-					}
-				case vecGroupBool:
-					c := groupCols[i]
-					switch {
-					case c.nulls != nil && c.nulls[r]:
-						id = 0
-					case c.ints[r] != 0:
-						id = 2
-					default:
-						id = 1
-					}
-				case vecGroupNum:
-					c := groupCols[i]
-					if c.nulls == nil || !c.nulls[r] {
-						code, ok := part.dicts[i].idFor(groupKeyBits(c, g.typ, r))
-						if !ok {
-							return nil, errGroupIDSpace
-						}
-						id = uint64(code)
-					}
-				case vecGroupFlag:
-					truth := false
-					if bf := boundFlags[i]; bf != nil {
-						truth = flagSels[i][idx]
-						if truth && len(bf.residual) > 0 {
-							view.row = r
-							for _, fn := range bf.residual {
-								if !fn(view).Truthy() {
-									truth = false
-									break
-								}
-							}
-						}
-					} else {
-						view.row = r
-						truth = g.pred(view).Truthy()
-					}
-					if truth {
-						id = 1
-					}
-				}
-				gid += id * strides[i]
-			}
-
-			slot := index.get(gid)
+// resolveSlots is stage 3: each group id becomes its accumulator slot,
+// and an id not seen before in this chunk takes the next one — ids are
+// visited in row order, so slots are in first-seen order.
+func (s *chunkScan) resolveSlots(gids []uint64) []int32 {
+	slots := s.slots[:len(gids)]
+	if dense := s.index.dense; dense != nil {
+		for j, gid := range gids {
+			slot := dense[gid]
 			if slot < 0 {
-				slot = int32(len(part.entries))
-				part.entries = append(part.entries, &groupEntry{
-					keys:   v.decodeKeys(t, gid, cards, strides, part.dicts),
-					states: make([]aggState, len(p.aggs)),
-				})
-				part.gids = append(part.gids, gid)
-				index.put(gid, slot)
+				slot = s.acc.addGroup(gid)
+				dense[gid] = slot
 			}
+			slots[j] = slot
+		}
+		return slots
+	}
+	for j, gid := range gids {
+		slot, ok := s.index.sparse[gid]
+		if !ok {
+			slot = s.acc.addGroup(gid)
+			s.index.sparse[gid] = slot
+		}
+		slots[j] = slot
+	}
+	return slots
+}
 
-			states := part.entries[slot].states
-			for ai := range p.aggs {
-				a := &p.aggs[ai]
-				s := &states[ai]
-				c := aggCols[ai]
-				switch a.kind {
-				case aggCountStar:
-					s.count++
-				case aggCount:
-					if c.nulls == nil || !c.nulls[r] {
-						s.count++
-					}
-				case aggSum, aggAvg:
-					if c.nulls != nil && c.nulls[r] {
-						break
-					}
-					s.count++
-					if a.argType == TypeFloat {
-						s.sum += c.flts[r]
-					} else {
-						s.sum += float64(c.ints[r])
-					}
-				case aggMin:
-					if c.nulls != nil && c.nulls[r] {
-						break
-					}
-					// Typed comparisons; a Value is built only when the
-					// running minimum actually improves. Int comparisons go
-					// through float64 on purpose: the interpreter's
-					// Value.Compare coerces every numeric kind with AsFloat,
-					// so ints beyond 2^53 that collide as float64 must
-					// keep-first here too or parallel results would diverge
-					// from serial ones.
-					switch a.argType {
-					case TypeFloat:
-						if x := c.flts[r]; !s.seen || x < s.min.F {
-							s.min = Float(x)
-							s.seen = true
-						}
-					case TypeInt:
-						if x := c.ints[r]; !s.seen || float64(x) < float64(s.min.I) {
-							s.min = Int(x)
-							s.seen = true
-						}
-					default: // TypeBool
-						if x := c.ints[r]; !s.seen || x < s.min.I {
-							s.min = Bool(x != 0)
-							s.seen = true
-						}
-					}
-				case aggMax:
-					if c.nulls != nil && c.nulls[r] {
-						break
-					}
-					switch a.argType {
-					case TypeFloat:
-						if x := c.flts[r]; !s.seen || x > s.max.F {
-							s.max = Float(x)
-							s.seen = true
-						}
-					case TypeInt:
-						if x := c.ints[r]; !s.seen || float64(x) > float64(s.max.I) {
-							s.max = Int(x)
-							s.seen = true
-						}
-					default: // TypeBool
-						if x := c.ints[r]; !s.seen || x > s.max.I {
-							s.max = Bool(x != 0)
-							s.seen = true
-						}
-					}
+// accumulate is stage 4: one typed loop per aggregate slot folds the
+// selected rows into the accumulators of their groups.
+func (s *chunkScan) accumulate(lo, hi int, rows, slots []int32) {
+	rows = rows[:len(slots)]
+	for ai := range s.p.aggs {
+		if s.v.countOf[ai] >= 0 {
+			continue // materialize copies the count from the summing slot
+		}
+		a := &s.p.aggs[ai]
+		ints, flts, seen := s.acc.slot(ai)
+		if a.kind == aggCountStar {
+			for _, g := range slots {
+				ints[g]++
+			}
+			continue
+		}
+		c := &s.t.cols[a.argCol]
+		nulls := nullsIn(c, lo, hi)
+		switch {
+		case a.kind == aggCount:
+			if nulls == nil {
+				for _, g := range slots {
+					ints[g]++
+				}
+				continue
+			}
+			for j, g := range slots {
+				if !nulls[rows[j]] {
+					ints[g]++
+				}
+			}
+		case a.kind == aggSum || a.kind == aggAvg:
+			if a.argType == TypeFloat {
+				foldSum(ints, flts, slots, rows, c.flts[lo:hi], nulls)
+			} else {
+				foldSum(ints, flts, slots, rows, c.ints[lo:hi], nulls)
+			}
+		case a.argType == TypeFloat:
+			foldExtreme(flts, seen, slots, rows, c.flts[lo:hi], nulls, a.kind == aggMax)
+		default: // MIN/MAX over int or bool
+			foldExtreme(ints, seen, slots, rows, c.ints[lo:hi], nulls, a.kind == aggMax)
+		}
+	}
+}
+
+// foldSum adds the non-NULL xs of the selected rows into their groups'
+// sums, counting them.
+func foldSum[T int64 | float64](count []int64, sum []float64, slots, rows []int32, xs []T, nulls []bool) {
+	if nulls == nil {
+		for j, g := range slots {
+			count[g]++
+			sum[g] += float64(xs[rows[j]])
+		}
+		return
+	}
+	for j, g := range slots {
+		if r := rows[j]; !nulls[r] {
+			count[g]++
+			sum[g] += float64(xs[r])
+		}
+	}
+}
+
+// foldExtreme keeps each group's running MIN (or MAX) of the non-NULL xs
+// of the selected rows. Comparisons go through float64 on purpose, ints
+// included: the interpreter's Value.Compare coerces every numeric kind
+// with AsFloat, so ints beyond 2^53 that collide as float64 must
+// keep-first here too or parallel results would diverge from serial
+// ones.
+func foldExtreme[T int64 | float64](ext []T, seen []bool, slots, rows []int32, xs []T, nulls []bool, isMax bool) {
+	if isMax {
+		for j, g := range slots {
+			r := rows[j]
+			if nulls != nil && nulls[r] {
+				continue
+			}
+			if x := xs[r]; !seen[g] || float64(x) > float64(ext[g]) {
+				ext[g], seen[g] = x, true
+			}
+		}
+		return
+	}
+	for j, g := range slots {
+		r := rows[j]
+		if nulls != nil && nulls[r] {
+			continue
+		}
+		if x := xs[r]; !seen[g] || float64(x) < float64(ext[g]) {
+			ext[g], seen[g] = x, true
+		}
+	}
+}
+
+// groupAcc holds one chunk's aggregate accumulators as struct-of-arrays
+// slabs: for aggregate slot ai and group slot g, the cell is at
+// [ai*cap+g] of each slab, so one aggregate's loop walks one dense
+// segment. What a cell means depends on the aggregate:
+//
+//	COUNT(*), COUNT(x)   ints = rows counted
+//	SUM(x), AVG(x)       ints = values summed, flts = their sum
+//	MIN(x), MAX(x)       seen = has a value; the running extreme is in
+//	                     flts for a float x, in ints for an int or bool x
+type groupAcc struct {
+	nAggs  int
+	minMax bool     // some aggregate is a MIN or MAX, so seen is kept
+	cap    int      // group slots each segment has room for
+	gids   []uint64 // group id per slot, in first-seen order
+	ints   []int64
+	flts   []float64
+	seen   []bool
+}
+
+// init sizes the accumulators for the plan's aggregates, with room for
+// the whole id space when that is small and for any first block's groups
+// otherwise.
+func (a *groupAcc) init(aggs []aggSpec, idSpace uint64) {
+	a.nAggs = len(aggs)
+	for i := range aggs {
+		if aggs[i].kind == aggMin || aggs[i].kind == aggMax {
+			a.minMax = true
+		}
+	}
+	a.grow(int(min(idSpace, selBlockRows)))
+}
+
+// grow re-lays the slabs out with room for cap groups per segment.
+func (a *groupAcc) grow(cap int) {
+	ints, flts := make([]int64, a.nAggs*cap), make([]float64, a.nAggs*cap)
+	var seen []bool
+	if a.minMax {
+		seen = make([]bool, a.nAggs*cap)
+	}
+	n := len(a.gids)
+	for ai := 0; ai < a.nAggs; ai++ {
+		copy(ints[ai*cap:], a.ints[ai*a.cap:ai*a.cap+n])
+		copy(flts[ai*cap:], a.flts[ai*a.cap:ai*a.cap+n])
+		if a.minMax {
+			copy(seen[ai*cap:], a.seen[ai*a.cap:ai*a.cap+n])
+		}
+	}
+	a.ints, a.flts, a.seen, a.cap = ints, flts, seen, cap
+}
+
+// addGroup opens the next slot for a group id not seen before.
+func (a *groupAcc) addGroup(gid uint64) int32 {
+	if len(a.gids) == a.cap {
+		a.grow(2 * a.cap)
+	}
+	a.gids = append(a.gids, gid)
+	return int32(len(a.gids) - 1)
+}
+
+// slot returns aggregate slot ai's segments, indexed by group slot.
+func (a *groupAcc) slot(ai int) (ints []int64, flts []float64, seen []bool) {
+	lo, hi := ai*a.cap, (ai+1)*a.cap
+	if a.minMax {
+		seen = a.seen[lo:hi]
+	}
+	return a.ints[lo:hi], a.flts[lo:hi], seen
+}
+
+// materialize turns the chunk's accumulators into the groupEntry form
+// the merge and the finalize stage share with the interpreter. Entries,
+// aggregate states and key Values each come from one slab, whatever the
+// number of groups.
+func (s *chunkScan) materialize(scanned int) *vecPartial {
+	n, nAggs, nKeys := len(s.acc.gids), len(s.p.aggs), len(s.v.groups)
+	entries := make([]groupEntry, n)
+	states := make([]aggState, n*nAggs)
+	keys := make([]Value, n*nKeys)
+	part := &vecPartial{entries: make([]*groupEntry, n), gids: s.acc.gids, dicts: s.dicts, scanned: scanned}
+	for g, gid := range s.acc.gids {
+		e := &entries[g]
+		e.keys = keys[g*nKeys : (g+1)*nKeys : (g+1)*nKeys]
+		e.states = states[g*nAggs : (g+1)*nAggs : (g+1)*nAggs]
+		s.v.decodeKeys(e.keys, s.t, gid, s.lay, s.dicts)
+		part.entries[g] = e
+	}
+	for ai := range s.p.aggs {
+		a := &s.p.aggs[ai]
+		src := ai
+		if of := s.v.countOf[ai]; of >= 0 {
+			src = of
+		}
+		ints, flts, seen := s.acc.slot(src)
+		for g := 0; g < n; g++ {
+			st := &states[g*nAggs+ai]
+			switch a.kind {
+			case aggCountStar, aggCount:
+				st.count = ints[g]
+			case aggSum, aggAvg:
+				st.count, st.sum = ints[g], flts[g]
+			default: // aggMin, aggMax
+				if !seen[g] {
+					continue
+				}
+				st.seen = true
+				switch a.argType {
+				case TypeFloat:
+					st.ext = Float(flts[g])
+				case TypeInt:
+					st.ext = Int(ints[g])
+				default: // TypeBool
+					st.ext = Bool(ints[g] != 0)
 				}
 			}
 		}
 	}
-	part.scanned = hi - lo
-	return part, nil
+	return part
 }
 
-// idSpaceOf multiplies cardinalities (already overflow-checked by run).
-func idSpaceOf(cards []uint64) uint64 {
-	s := uint64(1)
-	for _, c := range cards {
-		s *= c
-	}
-	return s
-}
-
-// decodeKeys reconstructs the group-key Values a serial scan would have
-// produced for the row(s) behind a combined group id. dicts supplies the
-// worker-local numeric dictionaries (nil entries for non-numeric
-// groups).
-func (v *vecInfo) decodeKeys(t *ColStore, gid uint64, cards, strides []uint64, dicts []*numDict) []Value {
-	keys := make([]Value, len(v.groups))
+// decodeKeys fills keys with the group-key Values a serial scan would
+// have produced for the row(s) behind a combined group id. dicts
+// supplies the worker-local numeric dictionaries (nil entries for the
+// other groups).
+func (v *vecInfo) decodeKeys(keys []Value, t *ColStore, gid uint64, lay *vecLayout, dicts []*numDict) {
 	for i := range v.groups {
 		g := &v.groups[i]
-		id := (gid / strides[i]) % cards[i]
-		switch g.kind {
-		case vecGroupDict:
-			if id == 0 {
-				keys[i] = Null()
-			} else {
-				keys[i] = Str(t.cols[g.col].dict[id-1])
-			}
-		case vecGroupBool:
-			switch id {
-			case 0:
-				keys[i] = Null()
-			case 1:
-				keys[i] = Bool(false)
-			default:
-				keys[i] = Bool(true)
-			}
-		case vecGroupNum:
-			if id == 0 {
-				keys[i] = Null()
-			} else {
-				bits := dicts[i].order[id-1]
-				if g.typ == TypeFloat {
-					keys[i] = Float(math.Float64frombits(bits))
-				} else {
-					keys[i] = Int(int64(bits))
-				}
-			}
-		case vecGroupFlag:
+		id := (gid / lay.strides[i]) % lay.cards[i]
+		switch {
+		case g.kind == vecGroupFlag:
 			if id == 1 {
 				keys[i] = Int(g.thenV)
 			} else {
 				keys[i] = Int(g.elseV)
 			}
+		case id == 0:
+			keys[i] = Null()
+		case g.kind == vecGroupDict:
+			keys[i] = Str(t.cols[g.col].dict[id-1])
+		case g.kind == vecGroupBool:
+			keys[i] = Bool(id == 2)
+		case lay.ranged[i]:
+			keys[i] = Int(lay.base[i] + int64(id-1))
+		case g.typ == TypeFloat:
+			keys[i] = Float(math.Float64frombits(dicts[i].order[id-1]))
+		default:
+			keys[i] = Int(int64(dicts[i].order[id-1]))
 		}
 	}
-	return keys
 }
 
 // merge folds worker partials together in chunk order. Because chunks
 // are contiguous and ordered, appending each chunk's unseen groups in
 // its own first-seen order reproduces the first-seen order of a
-// sequential scan. Numeric group-key codes are worker-local, so the
-// merge remaps them onto a global dictionary before comparing ids;
-// ok=false reports a (theoretical) global id-space overflow, which sends
-// the query to the serial interpreter.
-func (v *vecInfo) merge(p *plan, parts []*vecPartial, cards, strides []uint64, idSpace uint64) (entries []*groupEntry, scanned int, ok bool) {
+// sequential scan. Dictionary-coded numeric group keys are worker-local,
+// so the merge remaps them onto a global dictionary before comparing
+// ids; ok=false reports a (theoretical) global id-space overflow, which
+// sends the query to the serial interpreter.
+func (v *vecInfo) merge(p *plan, parts []*vecPartial, lay *vecLayout) (entries []*groupEntry, scanned int, ok bool) {
 	if len(parts) == 1 {
 		return parts[0].entries, parts[0].scanned, true
 	}
-	if len(v.numGroups) == 0 {
-		return v.mergeStatic(p, parts, idSpace), totalScanned(parts), true
+	if len(lay.dictGroups) == 0 {
+		return v.mergeStatic(p, parts, lay.idSpace), totalScanned(parts), true
 	}
 
 	// Pass 1: build global numeric dictionaries (walking partials in
 	// chunk order keeps the assignment deterministic) and per-partial
 	// code remap tables.
 	globalIDs := make([]map[uint64]uint32, len(v.groups))
-	for _, i := range v.numGroups {
+	for _, i := range lay.dictGroups {
 		globalIDs[i] = make(map[uint64]uint32)
 	}
 	remaps := make([][][]uint32, len(parts)) // [part][group] local code+null → global
 	for pi, part := range parts {
 		remaps[pi] = make([][]uint32, len(v.groups))
-		for _, i := range v.numGroups {
+		for _, i := range lay.dictGroups {
 			local := part.dicts[i]
 			rm := make([]uint32, len(local.order)+1)
 			for j, bits := range local.order {
@@ -821,8 +1175,8 @@ func (v *vecInfo) merge(p *plan, parts []*vecPartial, cards, strides []uint64, i
 	}
 
 	// Global mixed-radix layout with the exact merged cardinalities.
-	gCards := append([]uint64(nil), cards...)
-	for _, i := range v.numGroups {
+	gCards := append([]uint64(nil), lay.cards...)
+	for _, i := range lay.dictGroups {
 		gCards[i] = uint64(len(globalIDs[i])) + 1
 	}
 	gStrides := make([]uint64, len(v.groups))
@@ -844,7 +1198,7 @@ func (v *vecInfo) merge(p *plan, parts []*vecPartial, cards, strides []uint64, i
 			gid := part.gids[j]
 			ggid := uint64(0)
 			for i := range v.groups {
-				id := (gid / strides[i]) % cards[i]
+				id := (gid / lay.strides[i]) % lay.cards[i]
 				if rm := remaps[pi][i]; rm != nil {
 					id = uint64(rm[id])
 				}

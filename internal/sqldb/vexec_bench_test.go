@@ -1,0 +1,76 @@
+package sqldb_test
+
+// Layer microbenchmark for the vectorized grouped scan (vexec.go), the
+// layer under the benchmark's sqldb.exec_ms: one SeeDB-shaped query —
+// one dimension, optionally the combined target/reference flag, eight
+// SUM/COUNT aggregates — per group-key coding, over the load harness's
+// own table. An external test package because dataset imports sqldb.
+//
+//	go test ./internal/sqldb -run '^$' -bench GroupedScan -benchmem
+
+import (
+	"fmt"
+	"testing"
+
+	"seedb/internal/dataset"
+	"seedb/internal/sqldb"
+)
+
+const (
+	benchRows = 100_000
+	benchAggs = "SUM(sessions), COUNT(sessions), SUM(price), COUNT(price), " +
+		"SUM(revenue), COUNT(revenue), SUM(score), COUNT(score)"
+	benchFlag = "CASE WHEN price > 22.50 AND sessions < 100 THEN 1 ELSE 0 END"
+)
+
+// benchTable is dataset.TrafficSpec plus one derived column: account =
+// 1e6·quantity, an int dimension with quantity's ~50 values spread over
+// a span far beyond the dense id space — TrafficSpec's own ints are all
+// narrow enough to be range-coded.
+func benchTable(b *testing.B) *sqldb.DB {
+	b.Helper()
+	spec := dataset.TrafficSpec().WithRows(benchRows).WithSeed(1)
+	spec.Columns = append(spec.Columns,
+		dataset.SynthColumn{Name: "account", Type: "int", Parent: "quantity", Scale: 1e6})
+	db := sqldb.NewDB()
+	if _, err := dataset.BuildSynth(db, spec, sqldb.LayoutCol); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+var benchSink *sqldb.Result
+
+func BenchmarkGroupedScan(b *testing.B) {
+	db := benchTable(b)
+	dims := []struct{ name, col string }{
+		{"dict", "city"},          // dictionary codes, ~190 groups
+		{"bool", "active"},        // tri-state bool
+		{"int_small", "quantity"}, // range-coded int, NULLs
+		{"int_wide", "account"},   // runtime value dictionary over ints
+		{"float", "price"},        // runtime value dictionary over floats, ~4k groups
+	}
+	for _, d := range dims {
+		for _, flag := range []bool{true, false} {
+			keys, name := d.col, d.name+"/noflag"
+			if flag {
+				keys, name = d.col+", "+benchFlag, d.name+"/flag"
+			}
+			sql := fmt.Sprintf("SELECT %s, %s FROM traffic GROUP BY %s", keys, benchAggs, keys)
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := db.QueryOpts(sql, sqldb.ExecOptions{Workers: 2})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !res.Stats.Vectorized {
+						b.Fatalf("not vectorized: %s", res.Stats.FallbackReason)
+					}
+					benchSink = res
+				}
+				b.ReportMetric(float64(benchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+			})
+		}
+	}
+}

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // vexecTable builds a ColStore with SeeDB-shaped data: string dims (with
@@ -362,41 +362,189 @@ func TestNumericGroupKeyEdges(t *testing.T) {
 	}
 }
 
-// TestVectorizedCancellation asserts the checkEvery context checks are
-// preserved inside the per-worker loops: a cancelled context aborts the
-// scan promptly instead of completing it.
-func TestVectorizedCancellation(t *testing.T) {
-	db := vexecTable(t, 100_000) // > checkEvery rows per worker chunk
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before the scan starts: first checkEvery boundary must abort
+// countingCtx is a context whose Err turns into context.Canceled after
+// it has been asked a set number of times, and counts every ask — a
+// cancellation that arrives mid-scan at an exact point, with no clock.
+type countingCtx struct {
+	context.Context
+	after int64
+	calls atomic.Int64
+}
 
+func (c *countingCtx) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestVectorizedCancellation asserts the scan loops keep checking the
+// context as they go: the per-block check inside every vectorized worker
+// and the checkEvery check of the interpreter. A context that cancels
+// after N checks must stop the scan with at most one more check per
+// worker — a scan that checked only up front, or not at all, would run
+// to completion and return no error.
+func TestVectorizedCancellation(t *testing.T) {
+	const rows, after = 100_000, 5
+	db := vexecTable(t, rows)
 	for _, workers := range []int{1, 4} {
-		start := time.Now()
-		_, err := db.QueryOpts("SELECT d1, SUM(m1) FROM t GROUP BY d1",
+		// Un-cancelled, every chunk alone makes more checks than `after`,
+		// so the cancellation lands mid-scan whatever the scheduling.
+		every := checkEvery
+		if workers > 1 {
+			every = selBlockRows
+		}
+		if checks := rows / workers / every; checks <= after {
+			t.Fatalf("workers=%d: only %d checks per chunk, cancellation would not be mid-scan", workers, checks)
+		}
+		ctx := &countingCtx{Context: context.Background(), after: after}
+		_, err := db.QueryOpts("SELECT d1, d2, b1, AVG(m1), SUM(m2) FROM t GROUP BY d1, d2, b1",
 			ExecOptions{Ctx: ctx, Workers: workers})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
 		}
-		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Fatalf("workers=%d: cancellation took %v, want prompt return", workers, elapsed)
+		if calls := ctx.calls.Load(); calls <= after || calls > int64(after+workers) {
+			t.Fatalf("workers=%d: %d context checks, want in (%d, %d]", workers, calls, after, after+workers)
 		}
 	}
+}
 
-	// Mid-scan cancellation: cancel shortly after kickoff; the query must
-	// return an error (or, on a fast machine, complete) without hanging.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := db.QueryOpts("SELECT d1, d2, b1, AVG(m1), SUM(m2) FROM t GROUP BY d1, d2, b1",
-			ExecOptions{Ctx: ctx2, Workers: 4})
-		done <- err
-	}()
-	time.Sleep(time.Millisecond)
-	cancel2()
-	select {
-	case <-done:
-		// Completed or cancelled — either way it returned promptly.
-	case <-time.After(10 * time.Second):
-		t.Fatal("query did not return after cancellation")
+// TestGroupIDSpaceOverflowRetriesOnInterpreter drives a runtime value
+// dictionary past its radix mid-scan: four float group columns share the
+// id space, leaving each 2^10 codes, and the first holds 1500 distinct
+// values. The fast path must give up (errGroupIDSpace) and the query
+// must still answer, from the interpreter, with the reason reported.
+func TestGroupIDSpaceOverflowRetriesOnInterpreter(t *testing.T) {
+	db := NewDB()
+	tab, err := db.CreateTable("t", MustSchema(
+		Column{Name: "f1", Type: TypeFloat}, Column{Name: "f2", Type: TypeFloat},
+		Column{Name: "f3", Type: TypeFloat}, Column{Name: "f4", Type: TypeFloat},
+		Column{Name: "m", Type: TypeInt},
+	), LayoutCol)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := 0; i < 3000; i++ {
+		row := []Value{Float(float64(i % 1500)), Float(float64(i % 2)), Float(float64(i % 3)), Float(0.5), Int(int64(i))}
+		if err := tab.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sql := "SELECT f1, f2, f3, f4, COUNT(*), SUM(m) FROM t GROUP BY f1, f2, f3, f4"
+	serial, err := db.QueryOpts(sql, ExecOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := db.QueryOpts(sql, ExecOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.Stats.Vectorized || par.Stats.FallbackReason != fallbackIDSpace {
+		t.Fatalf("want interpreter retry for %q, stats: %+v", fallbackIDSpace, par.Stats)
+	}
+	mustEqualResults(t, sql, serial, par)
+}
+
+// TestIntRangeCard pins the range-coding decision for int group columns:
+// the bounds come from the non-NULL values of exactly the scanned rows,
+// one id is reserved for NULL, and the coding is refused as soon as the
+// ids would not fit — including spans that overflow int64.
+func TestIntRangeCard(t *testing.T) {
+	col := func(vals ...any) *columnVector {
+		c := &columnVector{typ: TypeInt}
+		for i, v := range vals {
+			if v == nil {
+				if c.nulls == nil {
+					c.nulls = make([]bool, len(vals))
+				}
+				c.nulls[i] = true
+				c.ints = append(c.ints, 0)
+				continue
+			}
+			c.ints = append(c.ints, int64(v.(int)))
+		}
+		return c
+	}
+	cases := []struct {
+		name     string
+		c        *columnVector
+		lo, hi   int
+		maxCard  uint64
+		wantBase int64
+		wantCard uint64
+		wantFits bool
+	}{
+		{"plain", col(7, 3, 9), 0, 3, 100, 3, 8, true},
+		{"sub-range only", col(7, 3, 9, -50), 0, 3, 100, 3, 8, true},
+		{"nulls skipped", col(nil, 5, nil, 6), 0, 4, 100, 5, 3, true},
+		{"all null", col(nil, nil), 0, 2, 100, 0, 1, true},
+		{"empty range", col(1, 2), 1, 1, 100, 0, 1, true},
+		{"single value", col(42, 42), 0, 2, 2, 42, 2, true},
+		{"exactly fits", col(0, 98), 0, 2, 100, 0, 100, true},
+		{"one too wide", col(0, 99), 0, 2, 100, 0, 0, false},
+		{"no id budget", col(1), 0, 1, 1, 0, 0, false},
+		{"int64 extremes", col(math.MinInt64, math.MaxInt64), 0, 2, denseGroupIDCap, 0, 0, false},
+	}
+	for _, tc := range cases {
+		base, card, fits := intRangeCard(tc.c, tc.lo, tc.hi, tc.maxCard)
+		if base != tc.wantBase || card != tc.wantCard || fits != tc.wantFits {
+			t.Errorf("%s: got (base %d, card %d, fits %v), want (%d, %d, %v)",
+				tc.name, base, card, fits, tc.wantBase, tc.wantCard, tc.wantFits)
+		}
+	}
+}
+
+// TestGroupedScanAllocations pins the allocation shape of the vectorized
+// scan on the SeeDB query form (dictionary dimension + target flag,
+// eight aggregates, two workers): what a query allocates depends on
+// neither how many rows it scans nor — beyond the few doublings of a
+// slab — on groups × aggregates. Per-row boxing or a per-group make
+// would fail it by orders of magnitude. Counts only; nothing is timed.
+func TestGroupedScanAllocations(t *testing.T) {
+	build := func(rows, groups int) *DB {
+		db := NewDB()
+		tab, err := db.CreateTable("t", MustSchema(
+			Column{Name: "d", Type: TypeString},
+			Column{Name: "a", Type: TypeFloat}, Column{Name: "b", Type: TypeFloat},
+			Column{Name: "c", Type: TypeInt}, Column{Name: "e", Type: TypeInt},
+		), LayoutCol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			row := []Value{Str(fmt.Sprintf("g%04d", i%groups)), Float(float64(i%64) * 0.25), Float(float64(i % 9)), Int(int64(i % 100)), Int(int64(i % 7))}
+			if i%13 == 0 {
+				row[1] = Null()
+			}
+			if err := tab.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	const flag = "CASE WHEN a > 4 AND c < 60 THEN 1 ELSE 0 END"
+	sql := "SELECT d, " + flag + ", SUM(a), COUNT(a), SUM(b), COUNT(b), SUM(c), COUNT(c), SUM(e), COUNT(e) FROM t GROUP BY d, " + flag
+	allocs := func(db *DB) float64 {
+		return testing.AllocsPerRun(5, func() {
+			res, err := db.QueryOpts(sql, ExecOptions{Workers: 2})
+			if err != nil || !res.Stats.Vectorized {
+				t.Fatalf("err %v, stats %+v", err, res.Stats)
+			}
+		})
+	}
+	// Ten times the rows is 88 more blocks: one allocation per block
+	// would show, let alone one per row. (The counts are equal; the slack
+	// is for the race detector's runtime, which allocates on its own.)
+	small, large := allocs(build(10_000, 8)), allocs(build(100_000, 8))
+	if large-small > 16 {
+		t.Errorf("allocations grew with rows: %v at 10k rows, %v at 100k", small, large)
+	}
+	// 8 → 2000 dictionary values is 16 → 4000 groups, ×8 aggregates: the
+	// slabs double twice past their first block's worth in each worker,
+	// and the result row slice grows by appends; nothing is per group.
+	many := allocs(build(100_000, 2000))
+	if many-large > 64 {
+		t.Errorf("allocations grew with groups: %v at 16 groups, %v at 4000", large, many)
+	}
+	t.Logf("allocs/query: %v (10k rows), %v (100k rows), %v (4000 groups)", small, large, many)
 }
