@@ -34,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"time"
 
 	"seedb/internal/sqldb"
 )
@@ -68,6 +67,17 @@ type ColumnType = sqldb.ColumnType
 // conservative default for general-purpose stores.
 type Layout = sqldb.Layout
 
+// Column, ColumnStats, TableStats and ExecStats are the records that
+// cross this seam. Each is declared once, in sqldb, with the JSON tags
+// the netbe wire encodes; every layer above reuses it through these
+// aliases rather than declaring a mirror.
+type (
+	Column      = sqldb.Column
+	ColumnStats = sqldb.ColumnStats
+	TableStats  = sqldb.TableStats
+	ExecStats   = sqldb.ExecStats
+)
+
 // Column types and layouts, re-exported so engine code above this seam
 // does not import the embedded store directly.
 const (
@@ -80,26 +90,22 @@ const (
 	LayoutCol = sqldb.LayoutCol
 )
 
-// Column describes one attribute of a table.
-type Column struct {
-	Name string
-	Type ColumnType
-}
-
 // TableInfo is the schema-level description of one table, as the view
-// generator and the engine's option defaulting need it.
+// generator and the engine's option defaulting need it. The JSON tags
+// are the netbe wire form (GET /api/backend/info's payload).
 type TableInfo struct {
 	// Name is the table's canonical name.
-	Name string
+	Name string `json:"name"`
 	// Columns lists the table's attributes in declaration order.
-	Columns []Column
+	Columns []Column `json:"columns"`
 	// Rows is the current row count. The phased execution framework
 	// partitions [0, Rows) into scan ranges; backends without
 	// SupportsPhasedExecution still report it for diagnostics.
-	Rows int
+	Rows int `json:"rows"`
 	// Layout is the physical layout, which selects the engine's default
-	// group-by memory budget (Figure 8a of the paper).
-	Layout Layout
+	// group-by memory budget (Figure 8a of the paper). "row" or "col" on
+	// the wire.
+	Layout Layout `json:"layout"`
 }
 
 // Lookup returns the named column (case-insensitive) and whether it
@@ -111,33 +117,6 @@ func (ti TableInfo) Lookup(name string) (Column, bool) {
 		}
 	}
 	return Column{}, false
-}
-
-// ColumnStats summarizes one column for the view generator (which
-// classifies columns into dimension and measure attributes) and the
-// bin-packing group-by optimizer (which needs distinct counts).
-type ColumnStats struct {
-	Name string
-	Type ColumnType
-	// Distinct is the distinct non-NULL value count. Exact for the
-	// embedded store; external backends may estimate.
-	Distinct int
-}
-
-// TableStats holds per-column statistics for a table.
-type TableStats struct {
-	Rows    int
-	Columns []ColumnStats
-}
-
-// Column returns stats for the named column (case-insensitive).
-func (ts *TableStats) Column(name string) (ColumnStats, bool) {
-	for _, c := range ts.Columns {
-		if strings.EqualFold(c.Name, name) {
-			return c, true
-		}
-	}
-	return ColumnStats{}, false
 }
 
 // ExecOptions controls one query execution. The JSON tags are the netbe
@@ -183,62 +162,6 @@ func AllowPartialFrom(ctx context.Context) bool {
 	return b
 }
 
-// ExecStats reports what one query execution cost. Fields a backend
-// cannot measure are zero (see the capability matrix in
-// docs/BACKENDS.md). The JSON tags are the netbe wire form (the "stats"
-// object of wire.QueryResponse; durations travel as nanoseconds).
-type ExecStats struct {
-	// RowsScanned is the number of base-table rows visited (0 when the
-	// store does not expose scan counts).
-	RowsScanned int `json:"rows_scanned"`
-	// Groups is the number of distinct groups materialized.
-	Groups int `json:"groups"`
-	// Vectorized reports whether a parallel vectorized fast path
-	// executed the aggregation.
-	Vectorized bool `json:"vectorized"`
-	// FallbackReason says why Vectorized is false (e.g. "serial
-	// execution", "non-column group key", "id-space overflow"). Backends
-	// that cannot introspect their executor leave it empty; the engine
-	// then reports the fallback as "unreported".
-	FallbackReason string `json:"fallback_reason,omitempty"`
-	// Workers is the number of scan workers actually used (1 for serial
-	// execution).
-	Workers int `json:"workers"`
-	// SelectionKernels counts compiled predicate selection kernels the
-	// execution used; ResidualPredicates counts predicate conjuncts that
-	// stayed on a row-at-a-time path. Zero on backends without an
-	// engine-side vectorized executor.
-	SelectionKernels   int `json:"selection_kernels"`
-	ResidualPredicates int `json:"residual_predicates"`
-	// ShardFanout counts the child-backend executions a routing backend
-	// (internal/backend/shardbe) fanned this query out to; leaf backends
-	// leave it zero. ShardStragglerMax is the slowest of those child
-	// executions — the fan-out's critical path, since the merge cannot
-	// start until the last shard answers.
-	ShardFanout       int           `json:"shard_fanout"`
-	ShardStragglerMax time.Duration `json:"shard_straggler_ns"`
-	// HedgedPartials counts speculative duplicate child executions a
-	// routing backend issued against stragglers; HedgeWins counts the
-	// duplicates that answered first (the primary was then cancelled).
-	// Exactly one result per partial ever reaches the merge, hedged or
-	// not.
-	HedgedPartials int `json:"hedged_partials"`
-	HedgeWins      int `json:"hedge_wins"`
-	// NetRetries counts transparent retries a network child backend
-	// (internal/backend/netbe) performed inside this execution after
-	// retryable transport or 5xx failures. Zero means every round trip
-	// succeeded first try.
-	NetRetries int `json:"net_retries"`
-	// ShardsDegraded counts child shards this execution skipped because
-	// they were unavailable and ExecOptions.AllowPartial was set; the
-	// result covers only the surviving shards' rows. DegradedShards
-	// lists their indices (sorted). Both are zero/nil for complete
-	// results — callers (and the result cache, which must never admit a
-	// partial result) key off ShardsDegraded > 0.
-	ShardsDegraded int   `json:"shards_degraded,omitempty"`
-	DegradedShards []int `json:"degraded_shards,omitempty"`
-}
-
 // Rows is a fully materialized query result: named columns over rows of
 // engine scalars.
 type Rows struct {
@@ -248,17 +171,18 @@ type Rows struct {
 
 // Capabilities declares which engine optimizations a backend can
 // support. The engine consults them once per request and degrades
-// gracefully: a missing capability changes cost, never correctness.
+// gracefully: a missing capability changes cost, never correctness. The
+// JSON tags are the netbe wire form (wire.Handshake embeds this struct).
 type Capabilities struct {
 	// SupportsVectorized reports whether Exec honors ExecOptions.Workers
 	// with an intra-query parallel scan.
-	SupportsVectorized bool
+	SupportsVectorized bool `json:"supports_vectorized"`
 	// SupportsPhasedExecution reports whether Exec honors the
 	// ExecOptions.Lo/Hi row-range restriction, which SeeDB's phased
 	// execution framework (Section 3) needs to process the i-th of n
 	// partitions. Without it the engine rewrites COMB/COMB_EARLY
 	// requests to the single-pass SHARING strategy.
-	SupportsPhasedExecution bool
+	SupportsPhasedExecution bool `json:"supports_phased_execution"`
 }
 
 // Backend is a data store the SeeDB engine can recommend over.

@@ -48,15 +48,9 @@ func (b *Embedded) TableInfo(ctx context.Context, table string) (TableInfo, erro
 	if !ok {
 		return TableInfo{}, fmt.Errorf("%w: %q", ErrNoTable, table)
 	}
-	schema := t.Schema()
-	cols := make([]Column, schema.NumColumns())
-	for i := range cols {
-		c := schema.Column(i)
-		cols[i] = Column{Name: c.Name, Type: c.Type}
-	}
 	return TableInfo{
 		Name:    t.Name(),
-		Columns: cols,
+		Columns: t.Schema().Columns(),
 		Rows:    t.NumRows(),
 		Layout:  t.Layout(),
 	}, nil
@@ -73,19 +67,12 @@ func (b *Embedded) TableVersion(ctx context.Context, table string) (string, bool
 	return b.db.TableVersion(table)
 }
 
-// TableStats converts the store's exact single-scan statistics. The
+// TableStats returns the store's exact single-scan statistics, shared
+// with the store's own memo (callers treat them as read-only). The
 // statistics scan itself honors ctx, so introspecting a huge cold table
 // is cancellable, not just Exec.
 func (b *Embedded) TableStats(ctx context.Context, table string) (*TableStats, error) {
-	ts, err := b.db.StatsContext(ctx, table)
-	if err != nil {
-		return nil, err
-	}
-	out := &TableStats{Rows: ts.Rows, Columns: make([]ColumnStats, len(ts.Columns))}
-	for i, c := range ts.Columns {
-		out.Columns[i] = ColumnStats{Name: c.Name, Type: c.Type, Distinct: c.Distinct}
-	}
-	return out, nil
+	return b.db.StatsContext(ctx, table)
 }
 
 // Exec executes one query with full support for row ranges and
@@ -100,16 +87,7 @@ func (b *Embedded) Exec(ctx context.Context, query string, opts ExecOptions) (*R
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
-	stats := ExecStats{
-		RowsScanned:        res.Stats.RowsScanned,
-		Groups:             res.Stats.Groups,
-		Vectorized:         res.Stats.Vectorized,
-		FallbackReason:     res.Stats.FallbackReason,
-		Workers:            res.Stats.Workers,
-		SelectionKernels:   res.Stats.SelectionKernels,
-		ResidualPredicates: res.Stats.ResidualPredicates,
-	}
-	return &Rows{Columns: res.Columns, Rows: res.Rows}, stats, nil
+	return &Rows{Columns: res.Columns, Rows: res.Rows}, res.Stats, nil
 }
 
 // ctxErr returns ctx.Err(), tolerating a nil context.

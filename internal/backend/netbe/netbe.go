@@ -150,10 +150,7 @@ func New(ctx context.Context, baseURL string, opts Options) (*Client, error) {
 	if hs.Proto != wire.ProtoVersion {
 		return nil, fmt.Errorf("netbe: server %s speaks wire protocol %d, this client speaks %d", c.base, hs.Proto, wire.ProtoVersion)
 	}
-	c.caps = backend.Capabilities{
-		SupportsVectorized:      hs.SupportsVectorized,
-		SupportsPhasedExecution: hs.SupportsPhasedExecution,
-	}
+	c.caps = hs.Capabilities
 	return c, nil
 }
 
@@ -192,20 +189,20 @@ func (c *Client) Stats() Stats {
 // as backend.ErrNoTable; outages (after the retry budget) wrap
 // backend.ErrUnavailable.
 func (c *Client) TableInfo(ctx context.Context, table string) (backend.TableInfo, error) {
-	var w wire.TableInfo
-	if _, err := c.getJSON(ctx, c.endpoint("/api/backend/info", table), &w); err != nil {
+	var ti backend.TableInfo
+	if _, err := c.getJSON(ctx, c.endpoint("/api/backend/info", table), &ti); err != nil {
 		return backend.TableInfo{}, fmt.Errorf("netbe: table info %s: %w", table, err)
 	}
-	return w.ToTableInfo(), nil
+	return ti, nil
 }
 
 // TableStats fetches the remote per-column statistics.
 func (c *Client) TableStats(ctx context.Context, table string) (*backend.TableStats, error) {
-	var w wire.TableStats
-	if _, err := c.getJSON(ctx, c.endpoint("/api/backend/stats", table), &w); err != nil {
+	var ts backend.TableStats
+	if _, err := c.getJSON(ctx, c.endpoint("/api/backend/stats", table), &ts); err != nil {
 		return nil, fmt.Errorf("netbe: table stats %s: %w", table, err)
 	}
-	return w.ToTableStats(), nil
+	return &ts, nil
 }
 
 // TableVersion fetches the remote version token, prefixed with the base

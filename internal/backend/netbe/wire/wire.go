@@ -4,7 +4,11 @@
 // these types on its introspection endpoints and on the typed
 // /api/query path; netbe decodes them back into backend.Backend
 // results. Both sides compile against this one package, so the contract
-// cannot drift silently.
+// cannot drift silently. The introspection payloads (/api/backend/info
+// and /stats) and the execution options and stats are the backend
+// package's own structs under their own JSON tags; this package adds
+// only what exists on the wire alone — typed values, the handshake, the
+// version token and the query envelope.
 //
 // Values round-trip bit-exactly: integers travel as JSON numbers
 // (decoded straight into int64, no float detour), and floats travel as
@@ -113,78 +117,6 @@ func DecodeRows(rows [][]Value) ([][]sqldb.Value, error) {
 	return out, nil
 }
 
-// Column is one schema column on the wire.
-type Column struct {
-	Name string `json:"name"`
-	// Type is the ColumnType's numeric code (stable across both sides:
-	// the codes are part of this protocol).
-	Type uint8 `json:"type"`
-}
-
-// TableInfo is GET /api/backend/info's payload.
-type TableInfo struct {
-	Name    string   `json:"name"`
-	Columns []Column `json:"columns"`
-	Rows    int      `json:"rows"`
-	// Layout is "row" or "col".
-	Layout string `json:"layout"`
-}
-
-// FromTableInfo encodes a table description.
-func FromTableInfo(ti backend.TableInfo) TableInfo {
-	out := TableInfo{Name: ti.Name, Rows: ti.Rows, Layout: "row"}
-	if ti.Layout == backend.LayoutCol {
-		out.Layout = "col"
-	}
-	for _, c := range ti.Columns {
-		out.Columns = append(out.Columns, Column{Name: c.Name, Type: uint8(c.Type)})
-	}
-	return out
-}
-
-// ToTableInfo decodes a table description.
-func (w TableInfo) ToTableInfo() backend.TableInfo {
-	out := backend.TableInfo{Name: w.Name, Rows: w.Rows, Layout: backend.LayoutRow}
-	if w.Layout == "col" {
-		out.Layout = backend.LayoutCol
-	}
-	for _, c := range w.Columns {
-		out.Columns = append(out.Columns, backend.Column{Name: c.Name, Type: backend.ColumnType(c.Type)})
-	}
-	return out
-}
-
-// ColumnStats is one column's statistics on the wire.
-type ColumnStats struct {
-	Name     string `json:"name"`
-	Type     uint8  `json:"type"`
-	Distinct int    `json:"distinct"`
-}
-
-// TableStats is GET /api/backend/stats's payload.
-type TableStats struct {
-	Rows    int           `json:"rows"`
-	Columns []ColumnStats `json:"columns"`
-}
-
-// FromTableStats encodes table statistics.
-func FromTableStats(ts *backend.TableStats) TableStats {
-	out := TableStats{Rows: ts.Rows}
-	for _, c := range ts.Columns {
-		out.Columns = append(out.Columns, ColumnStats{Name: c.Name, Type: uint8(c.Type), Distinct: c.Distinct})
-	}
-	return out
-}
-
-// ToTableStats decodes table statistics.
-func (w TableStats) ToTableStats() *backend.TableStats {
-	out := &backend.TableStats{Rows: w.Rows}
-	for _, c := range w.Columns {
-		out.Columns = append(out.Columns, backend.ColumnStats{Name: c.Name, Type: backend.ColumnType(c.Type), Distinct: c.Distinct})
-	}
-	return out
-}
-
 // TableVersion is GET /api/backend/version's payload. OK false means
 // the table does not exist (or the store could not say).
 type TableVersion struct {
@@ -196,10 +128,9 @@ type TableVersion struct {
 // identity and capability flags, checked once when a netbe client is
 // constructed.
 type Handshake struct {
-	Proto                   int    `json:"proto"`
-	Backend                 string `json:"backend"`
-	SupportsVectorized      bool   `json:"supports_vectorized"`
-	SupportsPhasedExecution bool   `json:"supports_phased_execution"`
+	Proto   int    `json:"proto"`
+	Backend string `json:"backend"`
+	backend.Capabilities
 }
 
 // QueryRequest is the typed POST /api/query payload a netbe client

@@ -11,12 +11,13 @@ import (
 )
 
 // TestGoldenBytes pins proto v1: the literals below were captured from
-// the encoder as it stood when QueryRequest declared the five execution
-// options itself and ExecStats was a hand-copied mirror. The request
-// now embeds backend.ExecOptions and the response carries
-// backend.ExecStats under their own JSON tags, so a tag that drifts in
-// package backend — a rename, a reordering, a lost omitempty — fails
-// here rather than against a child running the previous build.
+// the encoder as it stood when this package declared its own mirror of
+// every payload (QueryRequest's five execution options, ExecStats,
+// Column, TableInfo, ColumnStats, TableStats, the handshake's capability
+// flags) and converted field by field. The wire now carries the backend
+// and sqldb structs under their own JSON tags, so a tag that drifts
+// there — a rename, a reordering, a lost omitempty — fails here rather
+// than against a child running the previous build.
 func TestGoldenBytes(t *testing.T) {
 	stats := backend.ExecStats{
 		RowsScanned: 1, Groups: 2, Vectorized: true, FallbackReason: "serial execution", Workers: 3,
@@ -37,6 +38,19 @@ func TestGoldenBytes(t *testing.T) {
 			`{"columns":["a"],"vrows":[[{"k":"i","i":1}]],"stats":{"rows_scanned":1,"groups":2,"vectorized":true,"fallback_reason":"serial execution","workers":3,"selection_kernels":4,"residual_predicates":5,"shard_fanout":6,"shard_straggler_ns":7000,"hedged_partials":8,"hedge_wins":9,"net_retries":10,"shards_degraded":2,"degraded_shards":[1,3]}}`},
 		{"response, zero stats", QueryResponse{Columns: []string{"a"}, Rows: [][]Value{}},
 			`{"columns":["a"],"vrows":[],"stats":{"rows_scanned":0,"groups":0,"vectorized":false,"workers":0,"selection_kernels":0,"residual_predicates":0,"shard_fanout":0,"shard_straggler_ns":0,"hedged_partials":0,"hedge_wins":0,"net_retries":0}}`},
+		{"caps", Handshake{Proto: ProtoVersion, Backend: "sqldb", Capabilities: backend.Capabilities{SupportsVectorized: true, SupportsPhasedExecution: true}},
+			`{"proto":1,"backend":"sqldb","supports_vectorized":true,"supports_phased_execution":true}`},
+		{"caps, degraded store", Handshake{Proto: ProtoVersion, Backend: "sql"},
+			`{"proto":1,"backend":"sql","supports_vectorized":false,"supports_phased_execution":false}`},
+		{"info", backend.TableInfo{Name: "sales", Rows: 42, Layout: backend.LayoutCol, Columns: []backend.Column{
+			{Name: "region", Type: backend.TypeString}, {Name: "qty", Type: backend.TypeInt},
+			{Name: "price", Type: backend.TypeFloat}, {Name: "promo", Type: backend.TypeBool}}},
+			`{"name":"sales","columns":[{"name":"region","type":2},{"name":"qty","type":0},{"name":"price","type":1},{"name":"promo","type":3}],"rows":42,"layout":"col"}`},
+		{"info, row layout", backend.TableInfo{Name: "t", Columns: []backend.Column{{Name: "a", Type: backend.TypeInt}}},
+			`{"name":"t","columns":[{"name":"a","type":0}],"rows":0,"layout":"row"}`},
+		{"stats", backend.TableStats{Rows: 42, Columns: []backend.ColumnStats{
+			{Name: "region", Type: backend.TypeString, Distinct: 4}, {Name: "price", Type: backend.TypeFloat, Distinct: 40}}},
+			`{"rows":42,"columns":[{"name":"region","type":2,"distinct":4},{"name":"price","type":1,"distinct":40}]}`},
 	} {
 		got, err := json.Marshal(tc.v)
 		if err != nil {
@@ -53,6 +67,12 @@ func TestGoldenBytes(t *testing.T) {
 		if !reflect.DeepEqual(back.Elem().Interface(), tc.v) {
 			t.Errorf("%s: round trip = %+v, want %+v", tc.name, back.Elem().Interface(), tc.v)
 		}
+	}
+
+	// The layout's text form is closed: anything but "row" or "col" is a
+	// damaged or foreign payload, not a row store.
+	if err := json.Unmarshal([]byte(`{"name":"t","layout":"heap"}`), new(backend.TableInfo)); err == nil {
+		t.Error(`info with layout "heap" decoded`)
 	}
 
 	// A router one build behind may still send the retired

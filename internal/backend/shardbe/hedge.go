@@ -27,21 +27,19 @@ type HedgeOptions struct {
 	// Enabled turns hedging on.
 	Enabled bool
 	// Delay is a fixed hedge delay. Zero selects the adaptive delay: the
-	// configured Percentile of the router's own observed child latencies,
-	// floored at MinDelay.
+	// 95th percentile of the router's own observed child latencies (a
+	// partial slower than that is, by construction, a straggler), floored
+	// at hedgeMinDelay.
 	Delay time.Duration
-	// Percentile picks the adaptive delay from the child-latency
-	// distribution (50, 90, 95 or 99; default 95). A partial slower than
-	// this percentile is, by construction, a straggler.
-	Percentile float64
-	// MinDelay floors the adaptive delay (default 1ms), and stands in for
-	// it entirely until enough latency history accumulates. It keeps a
-	// fast-and-tight latency distribution from hedging every call.
-	MinDelay time.Duration
 }
 
+// hedgeMinDelay floors the adaptive delay, and stands in for it
+// entirely until enough latency history accumulates. It keeps a
+// fast-and-tight latency distribution from hedging every call.
+const hedgeMinDelay = time.Millisecond
+
 // hedgeHistoryMin is how many child latencies the adaptive delay wants
-// before trusting a percentile over MinDelay.
+// before trusting the percentile over hedgeMinDelay.
 const hedgeHistoryMin = 8
 
 // hedgeLoserGrace bounds how long a winning attempt waits for the
@@ -58,30 +56,11 @@ func (r *Router) hedgeDelay() time.Duration {
 	if r.hedge.Delay > 0 {
 		return r.hedge.Delay
 	}
-	min := r.hedge.MinDelay
-	if min <= 0 {
-		min = time.Millisecond
-	}
 	snap := r.hedgeLat.Snapshot()
 	if snap.Count < hedgeHistoryMin {
-		return min
+		return hedgeMinDelay
 	}
-	var ms float64
-	switch {
-	case r.hedge.Percentile >= 99:
-		ms = snap.P99MS
-	case r.hedge.Percentile >= 95 || r.hedge.Percentile <= 0:
-		ms = snap.P95MS
-	case r.hedge.Percentile >= 90:
-		ms = snap.P90MS
-	default:
-		ms = snap.P50MS
-	}
-	d := time.Duration(ms * float64(time.Millisecond))
-	if d < min {
-		d = min
-	}
-	return d
+	return max(time.Duration(snap.P95MS*float64(time.Millisecond)), hedgeMinDelay)
 }
 
 // hedgeTarget picks where a child's speculative duplicate runs: the
@@ -212,7 +191,8 @@ func (r *Router) execHedged(ctx context.Context, t childTask, childSQL string, c
 }
 
 // stampChildSpan records one child attempt's outcome on its span:
-// resource counters on success, a status marker on failure. Hedge
+// resource counters on success (ExecStats.StampSpan, the same stamper
+// the engine's query spans use), a status marker on failure. Hedge
 // losers cancelled by the winner land here with a context error, so the
 // stitched tree shows them as cancelled — ended exactly once, never
 // dangling open.
@@ -228,8 +208,5 @@ func stampChildSpan(sp *telemetry.Span, stats backend.ExecStats, err error) {
 		}
 		return
 	}
-	sp.SetAttr("rows_scanned", strconv.Itoa(stats.RowsScanned))
-	if stats.NetRetries > 0 {
-		sp.SetAttr("net_retries", strconv.Itoa(stats.NetRetries))
-	}
+	stats.StampSpan(sp)
 }

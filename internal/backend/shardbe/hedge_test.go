@@ -118,14 +118,19 @@ func TestHedgeFailureIsNotRetried(t *testing.T) {
 }
 
 // TestAdaptiveHedgeDelay seeds the latency history and checks the
-// percentile-based delay respects both the distribution and the floor.
+// p95-based delay respects both the distribution and the floor.
 func TestAdaptiveHedgeDelay(t *testing.T) {
-	r, _ := hedgeFixture(t, Options{
-		Hedge: HedgeOptions{Enabled: true, Percentile: 95, MinDelay: 2 * time.Millisecond},
-	})
+	r, _ := hedgeFixture(t, Options{Hedge: HedgeOptions{Enabled: true}})
 	// No history yet: the floor stands in.
-	if d := r.hedgeDelay(); d != 2*time.Millisecond {
-		t.Errorf("empty-history delay = %v, want the 2ms floor", d)
+	if d := r.hedgeDelay(); d != hedgeMinDelay {
+		t.Errorf("empty-history delay = %v, want the %v floor", d, hedgeMinDelay)
+	}
+	// History faster than the floor: the floor still wins.
+	for i := 0; i < hedgeHistoryMin; i++ {
+		r.hedgeLat.Observe(10 * time.Microsecond)
+	}
+	if d := r.hedgeDelay(); d != hedgeMinDelay {
+		t.Errorf("delay = %v after 10µs history, want the %v floor", d, hedgeMinDelay)
 	}
 	for i := 0; i < 32; i++ {
 		r.hedgeLat.Observe(80 * time.Millisecond)

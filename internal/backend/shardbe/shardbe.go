@@ -69,11 +69,6 @@ type Options struct {
 	// different child sets may share a result cache even under one name:
 	// the child version tokens embed process-unique store ids.
 	Name string
-	// MaxParallel bounds how many children one Exec queries concurrently
-	// (default: all of them). Child-side scan parallelism multiplies on
-	// top, exactly as Options.Parallelism × ScanParallelism does in the
-	// engine.
-	MaxParallel int
 	// Telemetry, when non-nil, observes every child execution's latency
 	// in the collector's shard-latency histogram — per-child partials,
 	// which is what turns "the straggler max" into a distribution.
@@ -109,7 +104,6 @@ type Options struct {
 type Router struct {
 	name     string
 	children []backend.Backend
-	par      int
 	tel      *telemetry.Collector
 	hedge    HedgeOptions
 	replicas [][]backend.Backend
@@ -142,17 +136,12 @@ func New(children []backend.Backend, opts Options) (*Router, error) {
 	if name == "" {
 		name = DefaultName
 	}
-	par := opts.MaxParallel
-	if par <= 0 || par > len(children) {
-		par = len(children)
-	}
 	if len(opts.Replicas) > len(children) {
 		return nil, fmt.Errorf("shardbe: %d replica sets for %d children", len(opts.Replicas), len(children))
 	}
 	r := &Router{
 		name:         name,
 		children:     append([]backend.Backend(nil), children...),
-		par:          par,
 		tel:          opts.Telemetry,
 		hedge:        opts.Hedge,
 		replicas:     opts.Replicas,
@@ -497,7 +486,7 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 		psp.End()
 		return nil, backend.ExecStats{}, err
 	}
-	schema, err := schemaOf(infos[0])
+	schema, err := sqldb.NewSchema(infos[0].Columns...)
 	if err != nil {
 		psp.End()
 		return nil, backend.ExecStats{}, err
@@ -573,82 +562,73 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 		fanCtx, cancel = context.WithCancel(fanCtx)
 		defer cancel()
 
-		par := r.par
-		if par > len(tasks) {
-			par = len(tasks)
-		}
+		// One goroutine per planned child: the fan-out is as wide as the
+		// task list. Child-side scan parallelism multiplies on top.
 		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < par; w++ {
+		for ti := range tasks {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for ti := range work {
-					t := tasks[ti]
-					br := r.breakerFor(t.child)
-					if br != nil && !br.Allow() {
-						// Open circuit: fail fast without touching the child.
-						// The skip still leaves a closed, status-marked span,
-						// so a traced tree shows the hole instead of silently
-						// missing a shard.
-						_, ssp := telemetry.StartSpan(fanCtx, "shard.exec")
-						ssp.SetAttr("shard", strconv.Itoa(t.child))
-						ssp.SetAttr("status", "skipped")
-						ssp.SetAttr("circuit", "open")
-						ssp.End()
-						if partial {
-							runs[ti] = childRun{degraded: true}
-						} else {
-							runs[ti] = childRun{err: fmt.Errorf("%w: circuit open", backend.ErrUnavailable)}
-							cancel()
-						}
-						continue
+				t := tasks[ti]
+				br := r.breakerFor(t.child)
+				if br != nil && !br.Allow() {
+					// Open circuit: fail fast without touching the child.
+					// The skip still leaves a closed, status-marked span,
+					// so a traced tree shows the hole instead of silently
+					// missing a shard.
+					_, ssp := telemetry.StartSpan(fanCtx, "shard.exec")
+					ssp.SetAttr("shard", strconv.Itoa(t.child))
+					ssp.SetAttr("status", "skipped")
+					ssp.SetAttr("circuit", "open")
+					ssp.End()
+					if partial {
+						runs[ti] = childRun{degraded: true}
+					} else {
+						runs[ti] = childRun{err: fmt.Errorf("%w: circuit open", backend.ErrUnavailable)}
+						cancel()
 					}
-					run := r.execHedged(fanCtx, t, childSQL, backend.ExecOptions{
-						Lo: t.lo, Hi: t.hi,
-						Workers: opts.Workers,
-					})
-					if br != nil {
-						// A child is "failing" only when it looks down —
-						// unreachable or timing out while the request itself
-						// is still live. The caller's own cancellation, and
-						// child-side errors like a parse rejection, say
-						// nothing bad about child health.
-						switch {
-						case run.err == nil:
-							br.RecordSuccess()
-						case (errors.Is(run.err, backend.ErrUnavailable) || errors.Is(run.err, context.DeadlineExceeded)) && ctx.Err() == nil:
-							br.RecordFailure()
-						case !isCtxErr(run.err):
-							// The child answered, just not usefully (parse
-							// rejection, unknown column): it is alive.
-							br.RecordSuccess()
-						default:
-							// Cancellation with the parent request dead or
-							// dying: no health signal either way.
-							br.RecordCancel()
-						}
+					return
+				}
+				run := r.execHedged(fanCtx, t, childSQL, backend.ExecOptions{
+					Lo: t.lo, Hi: t.hi,
+					Workers: opts.Workers,
+				})
+				if br != nil {
+					// A child is "failing" only when it looks down —
+					// unreachable or timing out while the request itself
+					// is still live. The caller's own cancellation, and
+					// child-side errors like a parse rejection, say
+					// nothing bad about child health.
+					switch {
+					case run.err == nil:
+						br.RecordSuccess()
+					case (errors.Is(run.err, backend.ErrUnavailable) || errors.Is(run.err, context.DeadlineExceeded)) && ctx.Err() == nil:
+						br.RecordFailure()
+					case !isCtxErr(run.err):
+						// The child answered, just not usefully (parse
+						// rejection, unknown column): it is alive.
+						br.RecordSuccess()
+					default:
+						// Cancellation with the parent request dead or
+						// dying: no health signal either way.
+						br.RecordCancel()
 					}
-					if run.err != nil && partial && errors.Is(run.err, backend.ErrUnavailable) && ctx.Err() == nil {
-						// Degraded-results mode tolerates an unavailable
-						// child: skip its part, keep the fan-out running.
-						run = childRun{degraded: true}
-					}
-					runs[ti] = run
-					if run.err != nil {
-						cancel() // first failure aborts the straggling shards
-					} else if !run.degraded {
-						// Only real executions belong in the latency
-						// distribution.
-						r.tel.ObserveShard(run.lat)
-					}
+				}
+				if run.err != nil && partial && errors.Is(run.err, backend.ErrUnavailable) && ctx.Err() == nil {
+					// Degraded-results mode tolerates an unavailable
+					// child: skip its part, keep the fan-out running.
+					run = childRun{degraded: true}
+				}
+				runs[ti] = run
+				if run.err != nil {
+					cancel() // first failure aborts the straggling shards
+				} else if !run.degraded {
+					// Only real executions belong in the latency
+					// distribution.
+					r.tel.ObserveShard(run.lat)
 				}
 			}()
 		}
-		for ti := range tasks {
-			work <- ti
-		}
-		close(work)
 		wg.Wait()
 		fsp.End()
 	}
@@ -773,15 +753,6 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 // isCtxErr reports a context cancellation/deadline error.
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// schemaOf rebuilds a sqldb schema from a backend table description.
-func schemaOf(ti backend.TableInfo) (*sqldb.Schema, error) {
-	cols := make([]sqldb.Column, len(ti.Columns))
-	for i, c := range ti.Columns {
-		cols[i] = sqldb.Column{Name: c.Name, Type: c.Type}
-	}
-	return sqldb.NewSchema(cols...)
 }
 
 // clamp bounds v to [lo, hi].

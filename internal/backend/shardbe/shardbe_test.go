@@ -82,7 +82,7 @@ func TestIntrospection(t *testing.T) {
 
 	// Stats must match the unsharded exact statistics (distinct counts
 	// union across shards, not sum).
-	want, err := src.Stats("sales")
+	want, err := src.StatsContext(ctx, "sales")
 	if err != nil {
 		t.Fatal(err)
 	}

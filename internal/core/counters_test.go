@@ -11,7 +11,7 @@ import (
 // These tests pin the executor-counter contract: on every execution
 // path, QueriesExecuted == VectorizedQueries + FallbackQueries, and the
 // counters describe what actually ran. The audit behind them found the
-// counters are folded in exactly one place (Metrics.RecordExec, called
+// counters are folded in exactly one place (ExecTotals.Add, called
 // per paid execution in runQueries); the edge most worth guarding is the
 // vectorized fast path's runtime fallback retry — a query whose plan is
 // vectorizable (opts.Workers > 1, eligible shape) but whose execution

@@ -100,67 +100,18 @@ func (e *Engine) versionToken(ctx context.Context, table string) (string, bool) 
 	return e.be.Name() + "|" + v, true
 }
 
-// Metrics reports what one Recommend invocation cost.
+// Metrics reports what one Recommend invocation cost. The counters
+// derived from backend executions live in the embedded ExecTotals (its
+// fields are promoted, so res.Metrics.QueriesExecuted reads as before);
+// the fields declared here describe the request itself.
 type Metrics struct {
+	ExecTotals
 	// Views is the number of candidate views enumerated.
 	Views int
-	// QueriesExecuted counts SQL queries executed against the DBMS.
-	QueriesExecuted int
-	// VectorizedQueries counts executed queries served by sqldb's
-	// parallel vectorized fast path; FallbackQueries counts the ones the
-	// serial row interpreter handled. Together they partition
-	// QueriesExecuted (cache hits are counted in neither).
-	VectorizedQueries int
-	FallbackQueries   int
-	// FallbackReasons breaks FallbackQueries down by the executor's
-	// reported reason ("serial execution", "non-column group key",
-	// "id-space overflow", ...); backends that report none are counted
-	// under "unreported". The per-reason counts always sum to
-	// FallbackQueries. Nil when nothing fell back.
-	FallbackReasons map[string]int
-	// SelectionKernels counts the compiled predicate selection kernels
-	// bound across executed queries; ResidualPredicates counts predicate
-	// conjuncts that stayed on the per-row closure path (the hybrid
-	// residual filter).
-	SelectionKernels   int
-	ResidualPredicates int
-	// ScanWorkers is the peak per-query scan worker count used.
-	ScanWorkers int
-	// ShardQueries counts executed queries that a shard-routing backend
-	// fanned out to child backends; ShardFanout sums the child executions
-	// across them (fanout/queries is the average fan-out width). Both are
-	// zero on leaf backends.
-	ShardQueries int
-	ShardFanout  int
-	// ShardStragglerMax is the slowest child execution observed across
-	// all fanned-out queries — the shard merge's critical path.
-	ShardStragglerMax time.Duration
-	// HedgedPartials counts speculative duplicate child executions the
-	// shard router issued against stragglers; HedgeWins counts the
-	// duplicates that answered first. Wins never double-count in any
-	// merge — exactly one result per partial is folded.
-	HedgedPartials int
-	HedgeWins      int
-	// NetRetries counts transparent retries network child backends
-	// performed after retryable transport or 5xx failures.
-	NetRetries int
-	// ShardsDegraded sums child shards skipped across this invocation's
-	// queries because they were unavailable under Options.AllowPartial;
-	// DegradedShards lists the distinct skipped shard indices (sorted).
-	// Non-zero means the recommendation covers only the surviving
-	// partitions' rows — such results are never admitted to the shared
-	// result cache.
-	ShardsDegraded int
-	DegradedShards []int
 	// ServedStale marks a response replayed from the result cache under
 	// Options.ServeStaleOnError after the backend became unavailable:
 	// the data may predate the current dataset version.
 	ServedStale bool
-	// RowsScanned sums base-table rows visited across all queries.
-	RowsScanned int64
-	// MaxGroups is the peak distinct-group count of any single query
-	// (the memory-utilization proxy).
-	MaxGroups int
 	// PhasesRun counts executed phases (1 for non-phased strategies).
 	PhasesRun int
 	// PrunedViews counts views discarded before full processing.
@@ -383,15 +334,10 @@ func stampDegradation(res *Result, requested, executed Strategy) {
 // content (Views, PrunedViews, EarlyStopped): a response replayed from
 // the cache, warm or stale, cost its caller nothing. Cached results are
 // complete and fresh by construction (degraded ones are never
-// admitted), so the degradation fields reset too.
+// admitted), so the degradation counters inside ExecTotals reset too.
 func (m *Metrics) resetInvocationCost() {
-	m.QueriesExecuted, m.RowsScanned, m.MaxGroups, m.PhasesRun = 0, 0, 0, 0
-	m.VectorizedQueries, m.FallbackQueries, m.ScanWorkers = 0, 0, 0
-	m.FallbackReasons = nil
-	m.SelectionKernels, m.ResidualPredicates = 0, 0
-	m.ShardQueries, m.ShardFanout, m.ShardStragglerMax = 0, 0, 0
-	m.HedgedPartials, m.HedgeWins, m.NetRetries = 0, 0, 0
-	m.ShardsDegraded, m.DegradedShards, m.ServedStale = 0, nil, false
+	m.ExecTotals = ExecTotals{}
+	m.PhasesRun, m.ServedStale = 0, false
 	m.CacheHits, m.CacheMisses, m.RefViewsReused = 0, 0, 0
 	m.ServedFromCache = false
 }
@@ -424,16 +370,13 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 		version, versioned = e.versionToken(ctx, req.Table)
 	}
 	_, tsp := telemetry.StartSpan(ctx, "table_info")
-	ti, err := e.be.TableInfo(ctx, req.Table)
+	meta, err := e.gen.fetchMeta(ctx, req.Table)
 	tsp.End()
-	if errors.Is(err, backend.ErrNoTable) {
-		return nil, fmt.Errorf("core: table %q does not exist", req.Table)
-	}
 	if err != nil {
-		return nil, fmt.Errorf("core: table metadata for %q: %w", req.Table, err)
+		return nil, err
 	}
 	_, vsp := telemetry.StartSpan(ctx, "view_enum")
-	views, err := e.gen.Views(ctx, req)
+	views, err := e.gen.views(ctx, req, meta)
 	vsp.SetAttr("views", strconv.Itoa(len(views)))
 	vsp.End()
 	if err != nil {
@@ -460,7 +403,7 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 		// NO_OPT requests look different anywhere downstream.
 		opts.ScanParallelism = 1
 	}
-	opts = opts.withDefaults(ti.Layout, len(views))
+	opts = opts.withDefaults(meta.info.Layout, len(views))
 	telemetry.SpanFromContext(ctx).SetAttr("strategy", opts.Strategy.String())
 	if !caps.SupportsVectorized {
 		// Scan parallelism is inert on backends without an engine-side
@@ -472,7 +415,7 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 	}
 
 	if !versioned {
-		res, err := e.runRecommend(ctx, req, opts, views, ti, nil, "")
+		res, err := e.runRecommend(ctx, req, opts, views, meta, nil, "")
 		if err != nil {
 			return nil, err
 		}
@@ -499,7 +442,7 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 			return n
 		},
 		func(cctx context.Context) (any, error) {
-			return e.runRecommend(cctx, req, opts, views, ti, c, version)
+			return e.runRecommend(cctx, req, opts, views, meta, c, version)
 		},
 	)
 	if err != nil {
@@ -529,7 +472,7 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 // runRecommend executes one cold recommendation. With a non-nil cache it
 // consults the shared-query memoization inside runQueries and the cached
 // reference views around the run.
-func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, views []View, ti backend.TableInfo, c *cache.Cache, version string) (*Result, error) {
+func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, views []View, meta *tableMeta, c *cache.Cache, version string) (*Result, error) {
 	start := time.Now()
 	st := &execState{
 		be:      e.be,
@@ -583,7 +526,7 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 	if opts.GroupBy == GroupByBinPack && opts.Strategy != NoOpt {
 		_, ssp := telemetry.StartSpan(ctx, "stats")
 		dims := dimensionSet(views)
-		cards, err := e.gen.DimensionCardinalities(ctx, req.Table, dims)
+		cards, err := e.gen.cardinalities(ctx, req.Table, dims, meta)
 		ssp.End()
 		if err != nil {
 			return nil, err
@@ -600,7 +543,7 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 	case NoOpt, Sharing:
 		err = st.runSinglePass(ectx, qb)
 	case Comb, CombEarly:
-		err = st.runPhased(ectx, qb, ti.Rows)
+		err = st.runPhased(ectx, qb, meta.info.Rows)
 	default:
 		err = fmt.Errorf("core: unknown strategy %v", opts.Strategy)
 	}

@@ -27,6 +27,41 @@ func NewViewGenerator(be backend.Backend) *ViewGenerator {
 	return &ViewGenerator{be: be}
 }
 
+// tableMeta is the table metadata one request has fetched so far. The
+// engine threads it through view enumeration and bin-packing so each
+// Recommend asks the backend for TableInfo once and for TableStats at
+// most once — through a shard router either call fans out to every
+// child.
+type tableMeta struct {
+	info  backend.TableInfo
+	stats *backend.TableStats // nil until a step needed them
+}
+
+// fetchMeta reads the table's description, telling a missing table
+// from a store that could not be introspected.
+func (g *ViewGenerator) fetchMeta(ctx context.Context, table string) (*tableMeta, error) {
+	ti, err := g.be.TableInfo(ctx, table)
+	if errors.Is(err, backend.ErrNoTable) {
+		return nil, fmt.Errorf("core: table %q does not exist", table)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: table metadata for %q: %w", table, err)
+	}
+	return &tableMeta{info: ti}, nil
+}
+
+// statsFor returns the table's statistics, fetching them on first use.
+func (g *ViewGenerator) statsFor(ctx context.Context, table string, m *tableMeta) (*backend.TableStats, error) {
+	if m.stats == nil {
+		stats, err := g.be.TableStats(ctx, table)
+		if err != nil {
+			return nil, err
+		}
+		m.stats = stats
+	}
+	return m.stats, nil
+}
+
 // Views enumerates V = A × M × F for the request. Explicitly listed
 // dimensions/measures are validated against the schema; otherwise
 // dimension attributes are string-typed columns (or integer columns with
@@ -35,18 +70,20 @@ func NewViewGenerator(be backend.Backend) *ViewGenerator {
 // enumeration: low-cardinality numerics become dimensions, the rest
 // measures.
 func (g *ViewGenerator) Views(ctx context.Context, req Request) ([]View, error) {
-	ti, err := g.be.TableInfo(ctx, req.Table)
-	if errors.Is(err, backend.ErrNoTable) {
-		return nil, fmt.Errorf("core: table %q does not exist", req.Table)
-	}
+	meta, err := g.fetchMeta(ctx, req.Table)
 	if err != nil {
-		return nil, fmt.Errorf("core: table metadata for %q: %w", req.Table, err)
+		return nil, err
 	}
+	return g.views(ctx, req, meta)
+}
 
+// views is Views over metadata the caller already holds.
+func (g *ViewGenerator) views(ctx context.Context, req Request, meta *tableMeta) ([]View, error) {
+	ti := meta.info
 	dims := req.Dimensions
 	measures := req.Measures
 	if len(dims) == 0 || len(measures) == 0 {
-		stats, err := g.be.TableStats(ctx, req.Table)
+		stats, err := g.statsFor(ctx, req.Table, meta)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +158,13 @@ func (g *ViewGenerator) Views(ctx context.Context, req Request) ([]View, error) 
 // DimensionCardinalities returns the distinct-value count for each named
 // dimension, in order — the |a_i| inputs to the bin-packing optimizer.
 func (g *ViewGenerator) DimensionCardinalities(ctx context.Context, table string, dims []string) ([]int, error) {
-	stats, err := g.be.TableStats(ctx, table)
+	return g.cardinalities(ctx, table, dims, &tableMeta{})
+}
+
+// cardinalities is DimensionCardinalities over metadata the caller
+// already holds.
+func (g *ViewGenerator) cardinalities(ctx context.Context, table string, dims []string, m *tableMeta) ([]int, error) {
+	stats, err := g.statsFor(ctx, table, m)
 	if err != nil {
 		return nil, err
 	}

@@ -1,47 +1,153 @@
 package core
 
+import (
+	"time"
+
+	"seedb/internal/backend"
+)
+
+// ExecTotals is the exec-derived half of Metrics: what a set of paid
+// backend executions cost, folded from their backend.ExecStats. Add is
+// the single place the executor counters advance, which is what keeps
+// the invariants QueriesExecuted == VectorizedQueries + FallbackQueries
+// and sum(FallbackReasons) == FallbackQueries true on every path —
+// including the vectorized fast path's runtime fallback retry and
+// backends that never vectorize. The HTTP server's raw-query path
+// (/api/query) folds its executions through the same point, so
+// manual-chart traffic obeys the same invariants as engine traffic.
+//
+// Adding an execution counter is two steps: a field on sqldb.ExecStats
+// with its fold in this file (Add and Merge), and a row in the server's
+// metricFamilies. TestExecTotalsCoverEveryStat fails until the fold
+// exists.
+type ExecTotals struct {
+	// QueriesExecuted counts SQL queries executed against the DBMS.
+	QueriesExecuted int
+	// VectorizedQueries counts executed queries served by sqldb's
+	// parallel vectorized fast path; FallbackQueries counts the ones the
+	// serial row interpreter handled. Together they partition
+	// QueriesExecuted (cache hits are counted in neither).
+	VectorizedQueries int
+	FallbackQueries   int
+	// FallbackReasons breaks FallbackQueries down by the executor's
+	// reported reason ("serial execution", "non-column group key",
+	// "id-space overflow", ...); backends that report none are counted
+	// under "unreported". Nil when nothing fell back.
+	FallbackReasons map[string]int
+	// SelectionKernels counts the compiled predicate selection kernels
+	// bound across executed queries; ResidualPredicates counts predicate
+	// conjuncts that stayed on the per-row closure path (the hybrid
+	// residual filter).
+	SelectionKernels   int
+	ResidualPredicates int
+	// ScanWorkers is the peak per-query scan worker count used.
+	ScanWorkers int
+	// ShardQueries counts executed queries that a shard-routing backend
+	// fanned out to child backends; ShardFanout sums the child executions
+	// across them (fanout/queries is the average fan-out width). Both are
+	// zero on leaf backends.
+	ShardQueries int
+	ShardFanout  int
+	// ShardStragglerMax is the slowest child execution observed across
+	// all fanned-out queries — the shard merge's critical path.
+	ShardStragglerMax time.Duration
+	// HedgedPartials counts speculative duplicate child executions the
+	// shard router issued against stragglers; HedgeWins counts the
+	// duplicates that answered first. Wins never double-count in any
+	// merge — exactly one result per partial is folded.
+	HedgedPartials int
+	HedgeWins      int
+	// NetRetries counts transparent retries network child backends
+	// performed after retryable transport or 5xx failures.
+	NetRetries int
+	// ShardsDegraded sums child shards skipped across the executions
+	// because they were unavailable under Options.AllowPartial;
+	// DegradedShards lists the distinct skipped shard indices (sorted).
+	// Non-zero means the recommendation covers only the surviving
+	// partitions' rows — such results are never admitted to the shared
+	// result cache.
+	ShardsDegraded int
+	DegradedShards []int
+	// RowsScanned sums base-table rows visited across all queries.
+	RowsScanned int64
+	// MaxGroups is the peak distinct-group count of any single query
+	// (the memory-utilization proxy).
+	MaxGroups int
+}
+
+// Add folds one paid query execution in: it restates the execution as
+// the totals of a single query and merges those, so every sum, max and
+// union is written once, in Merge.
+func (t *ExecTotals) Add(stats backend.ExecStats) {
+	one := ExecTotals{
+		QueriesExecuted:    1,
+		SelectionKernels:   stats.SelectionKernels,
+		ResidualPredicates: stats.ResidualPredicates,
+		ScanWorkers:        stats.Workers,
+		ShardFanout:        stats.ShardFanout,
+		ShardStragglerMax:  stats.ShardStragglerMax,
+		HedgedPartials:     stats.HedgedPartials,
+		HedgeWins:          stats.HedgeWins,
+		NetRetries:         stats.NetRetries,
+		ShardsDegraded:     stats.ShardsDegraded,
+		DegradedShards:     stats.DegradedShards,
+		RowsScanned:        int64(stats.RowsScanned),
+		MaxGroups:          stats.Groups,
+	}
+	if stats.ShardFanout > 0 {
+		one.ShardQueries = 1
+	}
+	if stats.Vectorized {
+		one.VectorizedQueries = 1
+	} else {
+		reason := stats.FallbackReason
+		if reason == "" {
+			reason = "unreported"
+		}
+		one.FallbackQueries, one.FallbackReasons = 1, map[string]int{reason: 1}
+	}
+	t.Merge(one)
+}
+
+// Merge folds another set of totals into t: additive counters sum, peak
+// counters take the max, FallbackReasons merges per reason (allocating
+// only when the source has any) and DegradedShards unions.
+func (t *ExecTotals) Merge(o ExecTotals) {
+	t.QueriesExecuted += o.QueriesExecuted
+	t.VectorizedQueries += o.VectorizedQueries
+	t.FallbackQueries += o.FallbackQueries
+	if len(o.FallbackReasons) > 0 {
+		if t.FallbackReasons == nil {
+			t.FallbackReasons = make(map[string]int, len(o.FallbackReasons))
+		}
+		for reason, n := range o.FallbackReasons {
+			t.FallbackReasons[reason] += n
+		}
+	}
+	t.SelectionKernels += o.SelectionKernels
+	t.ResidualPredicates += o.ResidualPredicates
+	t.ScanWorkers = max(t.ScanWorkers, o.ScanWorkers)
+	t.ShardQueries += o.ShardQueries
+	t.ShardFanout += o.ShardFanout
+	t.ShardStragglerMax = max(t.ShardStragglerMax, o.ShardStragglerMax)
+	t.HedgedPartials += o.HedgedPartials
+	t.HedgeWins += o.HedgeWins
+	t.NetRetries += o.NetRetries
+	t.ShardsDegraded += o.ShardsDegraded
+	t.DegradedShards = unionSorted(t.DegradedShards, o.DegradedShards)
+	t.RowsScanned += o.RowsScanned
+	t.MaxGroups = max(t.MaxGroups, o.MaxGroups)
+}
+
 // Merge folds another invocation's metrics into m, producing the
-// aggregate view a server exposes across requests: additive counters
-// sum, peak counters take the max, and booleans OR. FallbackReasons
-// merges per reason (allocating only when the source has any), so the
-// aggregate preserves the RecordExec invariants — QueriesExecuted ==
-// VectorizedQueries + FallbackQueries and the per-reason counts sum to
-// FallbackQueries — whenever every input satisfied them. DegradedFrom
+// aggregate view a server exposes across requests: the execution totals
+// merge as above, request counters sum and booleans OR. DegradedFrom
 // keeps the first value seen, since a mixed aggregate has no single
 // requested strategy.
 func (m *Metrics) Merge(o Metrics) {
+	m.ExecTotals.Merge(o.ExecTotals)
 	m.Views += o.Views
-	m.QueriesExecuted += o.QueriesExecuted
-	m.VectorizedQueries += o.VectorizedQueries
-	m.FallbackQueries += o.FallbackQueries
-	if len(o.FallbackReasons) > 0 {
-		if m.FallbackReasons == nil {
-			m.FallbackReasons = make(map[string]int, len(o.FallbackReasons))
-		}
-		for reason, n := range o.FallbackReasons {
-			m.FallbackReasons[reason] += n
-		}
-	}
-	m.SelectionKernels += o.SelectionKernels
-	m.ResidualPredicates += o.ResidualPredicates
-	if o.ScanWorkers > m.ScanWorkers {
-		m.ScanWorkers = o.ScanWorkers
-	}
-	m.ShardQueries += o.ShardQueries
-	m.ShardFanout += o.ShardFanout
-	if o.ShardStragglerMax > m.ShardStragglerMax {
-		m.ShardStragglerMax = o.ShardStragglerMax
-	}
-	m.HedgedPartials += o.HedgedPartials
-	m.HedgeWins += o.HedgeWins
-	m.NetRetries += o.NetRetries
-	m.ShardsDegraded += o.ShardsDegraded
-	m.DegradedShards = unionSorted(m.DegradedShards, o.DegradedShards)
 	m.ServedStale = m.ServedStale || o.ServedStale
-	m.RowsScanned += o.RowsScanned
-	if o.MaxGroups > m.MaxGroups {
-		m.MaxGroups = o.MaxGroups
-	}
 	m.PhasesRun += o.PhasesRun
 	m.PrunedViews += o.PrunedViews
 	m.EarlyStopped = m.EarlyStopped || o.EarlyStopped

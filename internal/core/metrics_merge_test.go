@@ -7,17 +7,22 @@ import (
 
 func TestMetricsMergeCounters(t *testing.T) {
 	a := Metrics{
-		Views: 10, QueriesExecuted: 4, VectorizedQueries: 3, FallbackQueries: 1,
-		FallbackReasons:  map[string]int{"serial execution": 1},
-		SelectionKernels: 2, ResidualPredicates: 1,
-		ScanWorkers: 2, RowsScanned: 100, MaxGroups: 7, PhasesRun: 1,
-		CacheHits: 1, Elapsed: time.Second,
+		ExecTotals: ExecTotals{
+			QueriesExecuted: 4, VectorizedQueries: 3, FallbackQueries: 1,
+			FallbackReasons:  map[string]int{"serial execution": 1},
+			SelectionKernels: 2, ResidualPredicates: 1,
+			ScanWorkers: 2, RowsScanned: 100, MaxGroups: 7,
+		},
+		Views: 10, PhasesRun: 1, CacheHits: 1, Elapsed: time.Second,
 	}
 	b := Metrics{
-		Views: 5, QueriesExecuted: 6, VectorizedQueries: 2, FallbackQueries: 4,
-		FallbackReasons:  map[string]int{"serial execution": 3, "id-space overflow": 1},
-		SelectionKernels: 1,
-		ScanWorkers:      8, RowsScanned: 50, MaxGroups: 3, PhasesRun: 10,
+		ExecTotals: ExecTotals{
+			QueriesExecuted: 6, VectorizedQueries: 2, FallbackQueries: 4,
+			FallbackReasons:  map[string]int{"serial execution": 3, "id-space overflow": 1},
+			SelectionKernels: 1,
+			ScanWorkers:      8, RowsScanned: 50, MaxGroups: 3,
+		},
+		Views: 5, PhasesRun: 10,
 		PrunedViews: 2, EarlyStopped: true, CacheMisses: 2, RefViewsReused: 1,
 		ServedFromCache: true, StrategyDegraded: true, DegradedFrom: "COMB",
 		Elapsed: time.Second,
@@ -71,8 +76,8 @@ func TestMetricsMergeZeroValues(t *testing.T) {
 	}
 
 	// zero.Merge(populated) copies everything.
-	src := Metrics{QueriesExecuted: 2, FallbackQueries: 2,
-		FallbackReasons: map[string]int{"unreported": 2}, DegradedFrom: "COMB_EARLY"}
+	src := Metrics{ExecTotals: ExecTotals{QueriesExecuted: 2, FallbackQueries: 2,
+		FallbackReasons: map[string]int{"unreported": 2}}, DegradedFrom: "COMB_EARLY"}
 	var dst Metrics
 	dst.Merge(src)
 	if dst.FallbackReasons["unreported"] != 2 || dst.DegradedFrom != "COMB_EARLY" {
@@ -88,8 +93,8 @@ func TestMetricsMergeZeroValues(t *testing.T) {
 }
 
 func TestMetricsMergeShardCounters(t *testing.T) {
-	a := Metrics{ShardQueries: 1, ShardFanout: 4, ShardStragglerMax: 5 * time.Millisecond}
-	b := Metrics{ShardQueries: 2, ShardFanout: 8, ShardStragglerMax: 3 * time.Millisecond}
+	a := Metrics{ExecTotals: ExecTotals{ShardQueries: 1, ShardFanout: 4, ShardStragglerMax: 5 * time.Millisecond}}
+	b := Metrics{ExecTotals: ExecTotals{ShardQueries: 2, ShardFanout: 8, ShardStragglerMax: 3 * time.Millisecond}}
 	a.Merge(b)
 	if a.ShardQueries != 3 || a.ShardFanout != 12 {
 		t.Fatalf("shard sums wrong: %+v", a)
@@ -97,7 +102,7 @@ func TestMetricsMergeShardCounters(t *testing.T) {
 	if a.ShardStragglerMax != 5*time.Millisecond {
 		t.Fatalf("straggler max wrong: %v", a.ShardStragglerMax)
 	}
-	a.Merge(Metrics{ShardStragglerMax: time.Second})
+	a.Merge(Metrics{ExecTotals: ExecTotals{ShardStragglerMax: time.Second}})
 	if a.ShardStragglerMax != time.Second {
 		t.Fatalf("straggler max did not advance: %v", a.ShardStragglerMax)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -449,11 +448,11 @@ func (s *execState) runQueries(ctx context.Context, queries []*sharedQuery, lo, 
 	}
 	for qi, res := range results {
 		if outcomes[qi] == cache.Computed {
-			// This invocation paid for the execution. RecordExec keeps the
-			// executed/vectorized/fallback counters in lockstep whatever
-			// path the backend took (fast path, runtime fallback, external
-			// store).
-			s.metrics.RecordExec(res.stats)
+			// This invocation paid for the execution. ExecTotals.Add keeps
+			// the executed/vectorized/fallback counters in lockstep
+			// whatever path the backend took (fast path, runtime fallback,
+			// external store).
+			s.metrics.Add(res.stats)
 			if s.cache != nil {
 				s.metrics.CacheMisses++
 			}
@@ -488,19 +487,10 @@ func (s *execState) runQuery(ctx context.Context, sql string, qi, lo, hi int, re
 		if err != nil {
 			return nil, err
 		}
-		if qsp != nil {
-			// Cost attribution on the paid path: the query span carries
-			// the execution's resource counters, so a trace shows where
-			// the rows went, not just where the time went.
-			qsp.SetAttr("rows_scanned", strconv.Itoa(stats.RowsScanned))
-			qsp.SetAttr("groups", strconv.Itoa(stats.Groups))
-			if stats.ShardFanout > 0 {
-				qsp.SetAttr("shard_fanout", strconv.Itoa(stats.ShardFanout))
-			}
-			if stats.NetRetries > 0 {
-				qsp.SetAttr("net_retries", strconv.Itoa(stats.NetRetries))
-			}
-		}
+		// Cost attribution on the paid path: the query span carries the
+		// execution's resource counters, so a trace shows where the rows
+		// went, not just where the time went.
+		stats.StampSpan(qsp)
 		s.tel.ObserveQuery(d)
 		s.logSlowQuery(sql, lo, hi, d, stats, qsp)
 		return &execResult{rows: rows, stats: stats}, nil
@@ -526,53 +516,6 @@ func (s *execState) runQuery(ctx context.Context, sql string, qi, lo, hi int, re
 		return
 	}
 	results[qi], outcomes[qi] = v.(*execResult), outcome
-}
-
-// RecordExec folds one paid query execution into the invocation
-// metrics. It is the single place the executor counters advance, which
-// is what keeps the invariant QueriesExecuted == VectorizedQueries +
-// FallbackQueries true on every path — including the vectorized fast
-// path's runtime fallback retry (row-store tables, group-id overflow)
-// and backends that never vectorize. It is exported because the HTTP
-// server's raw-query path (/api/query) folds its executions through the
-// same single point, so manual-chart traffic obeys the same invariants
-// as engine traffic.
-func (m *Metrics) RecordExec(stats backend.ExecStats) {
-	m.QueriesExecuted++
-	if stats.Vectorized {
-		m.VectorizedQueries++
-	} else {
-		m.FallbackQueries++
-		reason := stats.FallbackReason
-		if reason == "" {
-			reason = "unreported"
-		}
-		if m.FallbackReasons == nil {
-			m.FallbackReasons = make(map[string]int)
-		}
-		m.FallbackReasons[reason]++
-	}
-	m.SelectionKernels += stats.SelectionKernels
-	m.ResidualPredicates += stats.ResidualPredicates
-	if stats.ShardFanout > 0 {
-		m.ShardQueries++
-		m.ShardFanout += stats.ShardFanout
-		if stats.ShardStragglerMax > m.ShardStragglerMax {
-			m.ShardStragglerMax = stats.ShardStragglerMax
-		}
-	}
-	m.HedgedPartials += stats.HedgedPartials
-	m.HedgeWins += stats.HedgeWins
-	m.NetRetries += stats.NetRetries
-	m.ShardsDegraded += stats.ShardsDegraded
-	m.DegradedShards = unionSorted(m.DegradedShards, stats.DegradedShards)
-	if stats.Workers > m.ScanWorkers {
-		m.ScanWorkers = stats.Workers
-	}
-	m.RowsScanned += int64(stats.RowsScanned)
-	if stats.Groups > m.MaxGroups {
-		m.MaxGroups = stats.Groups
-	}
 }
 
 // logSlowQuery writes one paid execution over the slow threshold to the

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -149,7 +150,7 @@ func TestGenerateCardinalities(t *testing.T) {
 	if tab.NumRows() != 5000 {
 		t.Errorf("rows = %d", tab.NumRows())
 	}
-	ts, err := db.Stats(spec.Name)
+	ts, err := db.StatsContext(context.Background(), spec.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"sync"
 
+	"seedb/internal/backend"
 	"seedb/internal/cache"
 	"seedb/internal/core"
 	"seedb/internal/telemetry"
@@ -24,10 +25,10 @@ import (
 //
 // All counters fold under one mutex through core.Metrics.Merge and are
 // snapshotted under the same mutex, so a scrape concurrent with
-// recommendations can never observe a torn aggregate: the RecordExec
-// invariants (QueriesExecuted == VectorizedQueries + FallbackQueries,
-// per-reason counts summing to FallbackQueries) hold in every snapshot,
-// not just at rest.
+// recommendations can never observe a torn aggregate: the
+// core.ExecTotals invariants (QueriesExecuted == VectorizedQueries +
+// FallbackQueries, per-reason counts summing to FallbackQueries) hold
+// in every snapshot, not just at rest.
 type executorStats struct {
 	mu sync.Mutex
 	// requests counts recommendations served; degraded counts the ones
@@ -50,14 +51,14 @@ func (e *executorStats) record(m core.Metrics) {
 	e.mu.Unlock()
 }
 
-// recordQuery folds one raw /api/query execution's metrics in without
-// advancing the request counter: requests counts recommendations
-// served, while the executor totals — and the invariant that the query
-// latency histogram's count equals queries_executed — cover manual
-// chart traffic too.
-func (e *executorStats) recordQuery(m core.Metrics) {
+// recordQuery folds one raw /api/query execution in without advancing
+// the request counter: requests counts recommendations served, while
+// the executor totals — and the invariant that the query latency
+// histogram's count equals queries_executed — cover manual chart
+// traffic too.
+func (e *executorStats) recordQuery(stats backend.ExecStats) {
 	e.mu.Lock()
-	e.totals.Merge(m)
+	e.totals.Add(stats)
 	e.mu.Unlock()
 }
 

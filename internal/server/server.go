@@ -652,16 +652,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// span and the grafted subtree.
 	var childTrace *telemetry.SpanNode
 	if ctr != nil {
-		stampExecAttrs(ctr.Root(), stats)
+		stats.StampSpan(ctr.Root())
 		childTrace = ctr.Finish()
 	}
 	if stats.ShardsDegraded > 0 {
 		s.degradedRequests.Add(1)
 	}
 	s.tel.ObserveQuery(elapsed)
-	var m core.Metrics
-	m.RecordExec(stats)
-	s.exec.recordQuery(m)
+	s.exec.recordQuery(stats)
 	if req.Wire {
 		writeJSON(w, http.StatusOK, wire.QueryResponse{
 			Columns: res.Columns,
@@ -680,23 +678,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Rows = append(resp.Rows, cells)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// stampExecAttrs threads one execution's resource counters into span
-// attributes — the cost-attribution half of tracing: where the rows
-// went, not just where the time went. Zero counters stay off the span.
-func stampExecAttrs(sp *telemetry.Span, stats backend.ExecStats) {
-	if sp == nil {
-		return
-	}
-	sp.SetAttr("rows_scanned", fmt.Sprintf("%d", stats.RowsScanned))
-	sp.SetAttr("groups", fmt.Sprintf("%d", stats.Groups))
-	if stats.ShardFanout > 0 {
-		sp.SetAttr("shard_fanout", fmt.Sprintf("%d", stats.ShardFanout))
-	}
-	if stats.NetRetries > 0 {
-		sp.SetAttr("net_retries", fmt.Sprintf("%d", stats.NetRetries))
-	}
 }
 
 // handleTraces implements GET /api/traces: summaries of the retained

@@ -135,7 +135,7 @@ func TestWireEndpoints(t *testing.T) {
 		t.Errorf("handshake = %+v", hs)
 	}
 
-	var ti wire.TableInfo
+	var ti backend.TableInfo
 	if code := getJSONInto("/api/backend/info?table=census", &ti); code != 200 {
 		t.Fatalf("info status %d", code)
 	}
@@ -143,7 +143,7 @@ func TestWireEndpoints(t *testing.T) {
 		t.Errorf("info = %+v", ti)
 	}
 
-	var ts wire.TableStats
+	var ts backend.TableStats
 	if code := getJSONInto("/api/backend/stats?table=census", &ts); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}

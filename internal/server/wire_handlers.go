@@ -76,13 +76,7 @@ func (s *Server) handleBackendCaps(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	caps := rb.be.Capabilities()
-	writeJSON(w, http.StatusOK, wire.Handshake{
-		Proto:                   wire.ProtoVersion,
-		Backend:                 rb.name,
-		SupportsVectorized:      caps.SupportsVectorized,
-		SupportsPhasedExecution: caps.SupportsPhasedExecution,
-	})
+	writeJSON(w, http.StatusOK, wire.Handshake{Proto: wire.ProtoVersion, Backend: rb.name, Capabilities: rb.be.Capabilities()})
 }
 
 // handleBackendInfo implements GET /api/backend/info?table=t: the
@@ -102,7 +96,7 @@ func (s *Server) handleBackendInfo(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusForError(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.FromTableInfo(ti))
+	writeJSON(w, http.StatusOK, ti)
 }
 
 // handleBackendStats implements GET /api/backend/stats?table=t: the
@@ -121,7 +115,7 @@ func (s *Server) handleBackendStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusForError(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.FromTableStats(ts))
+	writeJSON(w, http.StatusOK, ts)
 }
 
 // handleBackendVersion implements GET /api/backend/version?table=t: the

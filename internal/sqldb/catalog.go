@@ -6,48 +6,40 @@ import (
 	"strings"
 )
 
-// ColumnStats summarizes one column for the optimizer and for SeeDB's
-// view generator (which classifies columns into dimension and measure
-// attributes and needs distinct counts for bin-packed GROUP BY planning).
+// ColumnStats summarizes one column for SeeDB's view generator (which
+// classifies columns into dimension and measure attributes) and the
+// bin-packing group-by optimizer (which needs distinct counts). Like
+// Column and TableStats it is declared once, here: backend.ColumnStats
+// is an alias and the JSON tags are the netbe wire form.
 type ColumnStats struct {
-	Name     string
-	Type     ColumnType
-	Distinct int     // exact distinct non-NULL value count
-	Nulls    int     // NULL count
-	Min, Max float64 // numeric columns only; 0 otherwise
-	numeric  bool
+	Name string     `json:"name"`
+	Type ColumnType `json:"type"`
+	// Distinct is the distinct non-NULL value count. Exact for the
+	// embedded store; external backends may estimate.
+	Distinct int `json:"distinct"`
 }
 
-// HasMinMax reports whether Min/Max are meaningful (numeric column with at
-// least one non-NULL value).
-func (s ColumnStats) HasMinMax() bool { return s.numeric }
-
-// TableStats holds per-column statistics for a table.
+// TableStats holds per-column statistics for a table (GET
+// /api/backend/stats's payload).
 type TableStats struct {
-	Table   string
-	Rows    int
-	Columns []ColumnStats
+	Rows    int           `json:"rows"`
+	Columns []ColumnStats `json:"columns"`
 }
 
-// Column returns stats for the named column.
+// Column returns stats for the named column (case-insensitive).
 func (ts *TableStats) Column(name string) (ColumnStats, bool) {
 	for _, c := range ts.Columns {
-		if c.Name == name {
+		if strings.EqualFold(c.Name, name) {
 			return c, true
 		}
 	}
 	return ColumnStats{}, false
 }
 
-// Stats computes (or returns cached) statistics for the named table by a
-// single full scan.
-func (db *DB) Stats(table string) (*TableStats, error) {
-	return db.StatsContext(nil, table)
-}
-
-// StatsContext is Stats with cancellation: the statistics scan checks
-// ctx every checkEvery rows, so introspecting a huge table stays
-// abortable (a nil ctx disables the checks).
+// StatsContext computes (or returns cached) statistics for the named
+// table by a single full scan. The scan checks ctx every checkEvery
+// rows, so introspecting a huge table stays abortable (a nil ctx
+// disables the checks).
 func (db *DB) StatsContext(ctx context.Context, table string) (*TableStats, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -80,23 +72,17 @@ func (db *DB) StatsContext(ctx context.Context, table string) (*TableStats, erro
 	return ts, nil
 }
 
-// ComputeStats scans t once and computes exact per-column statistics.
-func ComputeStats(t Table) (*TableStats, error) {
-	return computeStats(nil, t)
-}
-
-// computeStats is ComputeStats with optional cancellation.
+// computeStats scans t once and counts each column's exact distinct
+// non-NULL values.
 func computeStats(ctx context.Context, t Table) (*TableStats, error) {
 	schema := t.Schema()
 	n := schema.NumColumns()
-	ts := &TableStats{Table: t.Name(), Rows: t.NumRows()}
+	ts := &TableStats{Rows: t.NumRows(), Columns: make([]ColumnStats, n)}
 	distinct := make([]map[string]struct{}, n)
 	cols := make([]int, n)
-	stats := make([]ColumnStats, n)
 	for i := 0; i < n; i++ {
 		distinct[i] = make(map[string]struct{})
 		cols[i] = i
-		stats[i] = ColumnStats{Name: schema.Column(i).Name, Type: schema.Column(i).Type}
 	}
 	var keyBuf []byte
 	seen := 0
@@ -110,33 +96,19 @@ func computeStats(ctx context.Context, t Table) (*TableStats, error) {
 		for i := 0; i < n; i++ {
 			v := row.Value(i)
 			if v.IsNull() {
-				stats[i].Nulls++
 				continue
 			}
 			keyBuf = v.appendKey(keyBuf[:0])
 			distinct[i][string(keyBuf)] = struct{}{}
-			if f, ok := v.AsFloat(); ok && v.Kind != KindString {
-				if !stats[i].numeric {
-					stats[i].numeric = true
-					stats[i].Min, stats[i].Max = f, f
-				} else {
-					if f < stats[i].Min {
-						stats[i].Min = f
-					}
-					if f > stats[i].Max {
-						stats[i].Max = f
-					}
-				}
-			}
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		stats[i].Distinct = len(distinct[i])
+	for i := range ts.Columns {
+		c := schema.Column(i)
+		ts.Columns[i] = ColumnStats{Name: c.Name, Type: c.Type, Distinct: len(distinct[i])}
 	}
-	ts.Columns = stats
 	return ts, nil
 }

@@ -149,12 +149,6 @@ func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
 	return db.QueryOpts(sql, ExecOptions{Ctx: ctx})
 }
 
-// QueryRange executes sql against base-table rows [lo, hi) only. This is
-// the partition primitive used by SeeDB's phased execution framework.
-func (db *DB) QueryRange(sql string, lo, hi int) (*Result, error) {
-	return db.QueryOpts(sql, ExecOptions{Lo: lo, Hi: hi})
-}
-
 // QueryOpts parses and executes sql with full execution options.
 func (db *DB) QueryOpts(sql string, opts ExecOptions) (*Result, error) {
 	stmt, err := Parse(sql)
@@ -221,42 +215,4 @@ func (q *PreparedQuery) Exec(opts ExecOptions) (*Result, error) {
 	}
 	p.table = q.table
 	return p.execute(opts)
-}
-
-// QueryBatch executes the given queries on a pool of `parallelism` workers
-// and returns results in input order. A nil error requires every query to
-// have succeeded; on error the first failure is returned. This implements
-// the "Parallel Query Execution" sharing optimization (Section 4.1): view
-// queries run concurrently and share the (in-memory) buffer pool.
-func (db *DB) QueryBatch(ctx context.Context, queries []string, parallelism int) ([]*Result, error) {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	if parallelism > len(queries) {
-		parallelism = len(queries)
-	}
-	results := make([]*Result, len(queries))
-	errs := make([]error, len(queries))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				results[i], errs[i] = db.QueryOpts(queries[i], ExecOptions{Ctx: ctx})
-			}
-		}()
-	}
-	for i := range queries {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
 }

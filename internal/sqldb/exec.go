@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"seedb/internal/telemetry"
 )
@@ -34,32 +35,92 @@ type ExecOptions struct {
 	Workers int
 }
 
-// ExecStats reports per-query execution measurements.
+// ExecStats reports what one query execution cost. It is the one
+// per-execution record in the repository: backend.ExecStats is an alias,
+// the JSON tags are the netbe wire form (the "stats" object of
+// wire.QueryResponse; durations travel as nanoseconds), and
+// core.ExecTotals.Add is the one fold over it — a counter added here
+// reaches remote children and the engine's totals without a second
+// declaration. The embedded store fills the first seven fields; the
+// rest belong to routing and network backends and stay zero here.
+// Fields a backend cannot measure are zero (see the capability matrix
+// in docs/BACKENDS.md).
 type ExecStats struct {
-	// RowsScanned is the number of base-table rows visited.
-	RowsScanned int
+	// RowsScanned is the number of base-table rows visited (0 when the
+	// store does not expose scan counts).
+	RowsScanned int `json:"rows_scanned"`
 	// Groups is the peak number of distinct groups materialized by hash
 	// aggregation — the engine's memory-utilization proxy for the SeeDB
 	// memory budget B (Problem 4.1 in the paper).
-	Groups int
+	Groups int `json:"groups"`
 	// Vectorized reports whether the parallel vectorized fast path
 	// executed the aggregation (false for the serial interpreter and for
 	// non-grouped queries).
-	Vectorized bool
+	Vectorized bool `json:"vectorized"`
 	// FallbackReason says why Vectorized is false ("serial execution",
 	// "non-column group key", "distinct agg", "id-space overflow", ...).
-	// Empty when the fast path ran.
-	FallbackReason string
+	// Empty when the fast path ran; backends that cannot introspect
+	// their executor leave it empty too, and the engine then reports the
+	// fallback as "unreported".
+	FallbackReason string `json:"fallback_reason,omitempty"`
 	// Workers is the number of scan workers actually used (1 for the
 	// serial interpreter; never more than the scanned row count).
-	Workers int
+	Workers int `json:"workers"`
 	// SelectionKernels counts the compiled predicate kernels this
 	// execution bound (WHERE conjuncts plus CASE-flag conjuncts);
 	// ResidualPredicates counts the conjuncts that stayed on the per-row
 	// closure path (the hybrid residual filter). Both are zero for the
-	// serial interpreter.
-	SelectionKernels   int
-	ResidualPredicates int
+	// serial interpreter and on backends without an engine-side
+	// vectorized executor.
+	SelectionKernels   int `json:"selection_kernels"`
+	ResidualPredicates int `json:"residual_predicates"`
+	// ShardFanout counts the child-backend executions a routing backend
+	// (internal/backend/shardbe) fanned this query out to; leaf backends
+	// leave it zero. ShardStragglerMax is the slowest of those child
+	// executions — the fan-out's critical path, since the merge cannot
+	// start until the last shard answers.
+	ShardFanout       int           `json:"shard_fanout"`
+	ShardStragglerMax time.Duration `json:"shard_straggler_ns"`
+	// HedgedPartials counts speculative duplicate child executions a
+	// routing backend issued against stragglers; HedgeWins counts the
+	// duplicates that answered first (the primary was then cancelled).
+	// Exactly one result per partial ever reaches the merge, hedged or
+	// not.
+	HedgedPartials int `json:"hedged_partials"`
+	HedgeWins      int `json:"hedge_wins"`
+	// NetRetries counts transparent retries a network child backend
+	// (internal/backend/netbe) performed inside this execution after
+	// retryable transport or 5xx failures. Zero means every round trip
+	// succeeded first try.
+	NetRetries int `json:"net_retries"`
+	// ShardsDegraded counts child shards this execution skipped because
+	// they were unavailable and the caller allowed partial results; the
+	// result covers only the surviving shards' rows. DegradedShards
+	// lists their indices (sorted). Both are zero/nil for complete
+	// results — callers (and the result cache, which must never admit a
+	// partial result) key off ShardsDegraded > 0.
+	ShardsDegraded int   `json:"shards_degraded,omitempty"`
+	DegradedShards []int `json:"degraded_shards,omitempty"`
+}
+
+// StampSpan threads the execution's resource counters into span
+// attributes — the cost-attribution half of tracing: where the rows
+// went, not just where the time went. It is the one per-execution
+// stamper; the engine's query span, the server's child.query root and
+// the shard router's shard.exec spans all call it. Zero shard/net
+// counters stay off leaf-backend traces.
+func (s ExecStats) StampSpan(sp *telemetry.Span) {
+	if sp == nil {
+		return
+	}
+	sp.SetAttr("rows_scanned", strconv.Itoa(s.RowsScanned))
+	sp.SetAttr("groups", strconv.Itoa(s.Groups))
+	if s.ShardFanout > 0 {
+		sp.SetAttr("shard_fanout", strconv.Itoa(s.ShardFanout))
+	}
+	if s.NetRetries > 0 {
+		sp.SetAttr("net_retries", strconv.Itoa(s.NetRetries))
+	}
 }
 
 // Result is a fully materialized query result.

@@ -254,7 +254,7 @@ func TestRangeScanPartitions(t *testing.T) {
 		}
 		counts := map[string]int64{}
 		for _, lohi := range [][2]int{{0, 2}, {2, 4}, {4, 6}} {
-			res, err := db.QueryRange("SELECT sex, COUNT(*) FROM census GROUP BY sex", lohi[0], lohi[1])
+			res, err := db.QueryOpts("SELECT sex, COUNT(*) FROM census GROUP BY sex", ExecOptions{Lo: lohi[0], Hi: lohi[1]})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,14 +272,14 @@ func TestRangeScanPartitions(t *testing.T) {
 
 func TestRangeScanClamping(t *testing.T) {
 	bothLayouts(t, func(t *testing.T, db *DB) {
-		res, err := db.QueryRange("SELECT COUNT(*) FROM census", 4, 100)
+		res, err := db.QueryOpts("SELECT COUNT(*) FROM census", ExecOptions{Lo: 4, Hi: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Rows[0][0].I != 2 {
 			t.Errorf("clamped range count = %v, want 2", res.Rows[0][0])
 		}
-		res, err = db.QueryRange("SELECT COUNT(*) FROM census", -5, 2)
+		res, err = db.QueryOpts("SELECT COUNT(*) FROM census", ExecOptions{Lo: -5, Hi: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,10 +5,12 @@ import (
 	"strings"
 )
 
-// Column describes one attribute of a table.
+// Column describes one attribute of a table. The JSON tags are the
+// netbe wire form; Type travels as the ColumnType's numeric code, which
+// is therefore part of that protocol.
 type Column struct {
-	Name string
-	Type ColumnType
+	Name string     `json:"name"`
+	Type ColumnType `json:"type"`
 }
 
 // Schema is an ordered set of columns with case-insensitive name lookup.
@@ -85,6 +87,31 @@ const (
 	LayoutRow Layout = iota
 	LayoutCol
 )
+
+// MarshalText gives the layout its wire form, "row" or "col".
+func (l Layout) MarshalText() ([]byte, error) {
+	switch l {
+	case LayoutRow:
+		return []byte("row"), nil
+	case LayoutCol:
+		return []byte("col"), nil
+	default:
+		return nil, fmt.Errorf("sqldb: unknown layout %d", uint8(l))
+	}
+}
+
+// UnmarshalText inverts MarshalText.
+func (l *Layout) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "row":
+		*l = LayoutRow
+	case "col":
+		*l = LayoutCol
+	default:
+		return fmt.Errorf("sqldb: unknown layout %q (want row or col)", text)
+	}
+	return nil
+}
 
 // String returns the paper's name for the layout.
 func (l Layout) String() string {

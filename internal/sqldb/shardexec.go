@@ -89,10 +89,6 @@ func NewShardPlan(stmt *SelectStmt, schema *Schema) (*ShardPlan, error) {
 // as canonical SQL.
 func (sp *ShardPlan) ChildSQL() string { return sp.childSQL }
 
-// Grouped reports whether the plan aggregates (merge combines partial
-// aggregation states) or projects (merge concatenates rows).
-func (sp *ShardPlan) Grouped() bool { return sp.p.grouped }
-
 // buildGroupedChild rewrites an aggregation statement into its partial
 // form: the original group keys (plus any COUNT(DISTINCT) argument
 // columns) followed by decomposed partial-aggregate columns.

@@ -1,7 +1,8 @@
 // Package stats provides the statistical machinery behind SeeDB's
 // confidence-interval pruning: the Hoeffding–Serfling inequality for
-// sampling without replacement (Theorem 4.1 in the paper), plus running
-// mean/interval trackers used by the phased execution framework.
+// sampling without replacement (Theorem 4.1 in the paper), which
+// core/pruning.go calls once per view per phase, plus the Welford
+// mean/variance tracker the evaluation harness reports with.
 package stats
 
 import (
@@ -35,74 +36,6 @@ func HoeffdingSerfling(m, N int, delta float64) float64 {
 	shrink := 1 - float64(m-1)/float64(N)
 	num := shrink * (2*loglog + math.Log(math.Pi*math.Pi/(3*delta)))
 	return math.Sqrt(num / (2 * float64(m)))
-}
-
-// RunningMean tracks a streaming mean together with its
-// Hoeffding–Serfling interval over a population of known size.
-type RunningMean struct {
-	n     int // population size N
-	m     int // samples drawn
-	sum   float64
-	delta float64
-}
-
-// NewRunningMean creates a tracker for a population of n values in [0,1],
-// with failure probability delta.
-func NewRunningMean(n int, delta float64) *RunningMean {
-	return &RunningMean{n: n, delta: delta}
-}
-
-// Observe folds one sampled value into the mean.
-func (r *RunningMean) Observe(x float64) {
-	r.m++
-	r.sum += x
-}
-
-// ObserveBatch folds a batch mean covering k samples (the phased engine
-// observes one utility estimate per phase that summarizes k rows).
-func (r *RunningMean) ObserveBatch(x float64, k int) {
-	if k <= 0 {
-		return
-	}
-	r.m += k
-	r.sum += x * float64(k)
-}
-
-// Count returns the number of samples observed.
-func (r *RunningMean) Count() int { return r.m }
-
-// Mean returns the running mean (0 before any observation).
-func (r *RunningMean) Mean() float64 {
-	if r.m == 0 {
-		return 0
-	}
-	return r.sum / float64(r.m)
-}
-
-// Epsilon returns the current confidence half-width.
-func (r *RunningMean) Epsilon() float64 {
-	if r.m == 0 {
-		return math.Inf(1)
-	}
-	return HoeffdingSerfling(r.m, r.n, r.delta)
-}
-
-// Bounds returns the confidence interval [lower, upper], clamped to
-// [0, 1] (utilities are normalized into the unit interval before
-// pruning).
-func (r *RunningMean) Bounds() (lower, upper float64) {
-	mean, eps := r.Mean(), r.Epsilon()
-	lower, upper = mean-eps, mean+eps
-	if lower < 0 {
-		lower = 0
-	}
-	if upper > 1 {
-		upper = 1
-	}
-	if math.IsInf(eps, 1) {
-		lower, upper = 0, 1
-	}
-	return lower, upper
 }
 
 // Welford tracks mean and variance of a stream (used for reporting

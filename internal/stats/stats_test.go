@@ -71,59 +71,18 @@ func TestHoeffdingSerflingCoverageEmpirical(t *testing.T) {
 	covered := 0
 	for trial := 0; trial < trials; trial++ {
 		perm := rng.Perm(N)
-		rm := NewRunningMean(N, delta)
 		m := 100 + rng.Intn(500)
+		var drawn float64
 		for i := 0; i < m; i++ {
-			rm.Observe(pop[perm[i]])
+			drawn += pop[perm[i]]
 		}
-		lo, hi := rm.Bounds()
-		if trueMean >= lo && trueMean <= hi {
+		mean, eps := drawn/float64(m), HoeffdingSerfling(m, N, delta)
+		if trueMean >= mean-eps && trueMean <= mean+eps {
 			covered++
 		}
 	}
 	if frac := float64(covered) / trials; frac < 1-delta {
 		t.Errorf("coverage %.3f below 1-δ = %.3f", frac, 1-delta)
-	}
-}
-
-func TestRunningMeanBasics(t *testing.T) {
-	rm := NewRunningMean(100, 0.05)
-	if rm.Mean() != 0 || !math.IsInf(rm.Epsilon(), 1) {
-		t.Error("empty tracker should have zero mean and infinite ε")
-	}
-	lo, hi := rm.Bounds()
-	if lo != 0 || hi != 1 {
-		t.Errorf("empty bounds = [%g, %g], want [0, 1]", lo, hi)
-	}
-	rm.Observe(0.2)
-	rm.Observe(0.4)
-	if math.Abs(rm.Mean()-0.3) > 1e-12 || rm.Count() != 2 {
-		t.Errorf("mean = %g count = %d", rm.Mean(), rm.Count())
-	}
-}
-
-func TestRunningMeanBatch(t *testing.T) {
-	a := NewRunningMean(1000, 0.05)
-	for i := 0; i < 10; i++ {
-		a.Observe(0.5)
-	}
-	b := NewRunningMean(1000, 0.05)
-	b.ObserveBatch(0.5, 10)
-	if a.Mean() != b.Mean() || a.Count() != b.Count() {
-		t.Errorf("batch differs: %g/%d vs %g/%d", a.Mean(), a.Count(), b.Mean(), b.Count())
-	}
-	b.ObserveBatch(0.7, 0) // no-op
-	if b.Count() != 10 {
-		t.Error("zero-size batch must be ignored")
-	}
-}
-
-func TestRunningMeanBoundsClamped(t *testing.T) {
-	rm := NewRunningMean(1000, 0.05)
-	rm.Observe(0.01)
-	lo, hi := rm.Bounds()
-	if lo < 0 || hi > 1 {
-		t.Errorf("bounds [%g, %g] escaped [0,1]", lo, hi)
 	}
 }
 

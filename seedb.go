@@ -369,12 +369,7 @@ func (c *Client) QueryContext(ctx context.Context, sql string) (*SQLResult, erro
 	return &SQLResult{
 		Columns: rows.Columns,
 		Rows:    rows.Rows,
-		Stats: sqldb.ExecStats{
-			RowsScanned: stats.RowsScanned,
-			Groups:      stats.Groups,
-			Vectorized:  stats.Vectorized,
-			Workers:     stats.Workers,
-		},
+		Stats:   stats,
 	}, nil
 }
 

@@ -48,6 +48,12 @@ func TestClientManualQueryPath(t *testing.T) {
 	if res.Rows[0][0].I != 200 {
 		t.Errorf("count = %v", res.Rows[0][0])
 	}
+	// The client hands back the backend's whole execution record, not a
+	// hand-picked subset: a non-grouped query never takes the vectorized
+	// path, and the record says why.
+	if res.Stats.RowsScanned != 200 || res.Stats.Vectorized || res.Stats.FallbackReason == "" {
+		t.Errorf("stats = %+v, want 200 rows scanned and a fallback reason", res.Stats)
+	}
 	if _, err := client.QueryContext(context.Background(), "SELECT nosuch FROM housing"); err == nil {
 		t.Error("bad query should fail")
 	}
