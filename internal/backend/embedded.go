@@ -67,10 +67,10 @@ func (b *Embedded) TableVersion(ctx context.Context, table string) (string, bool
 	return b.db.TableVersion(table)
 }
 
-// TableStats returns the store's exact single-scan statistics, shared
-// with the store's own memo (callers treat them as read-only). The
-// statistics scan itself honors ctx, so introspecting a huge cold table
-// is cancellable, not just Exec.
+// TableStats returns the store's exact statistics, an immutable snapshot
+// shared with every caller of the same version; a new version costs a
+// scan of the appended rows only. That scan honors ctx, so the first
+// introspection of a huge cold table is cancellable, not just Exec.
 func (b *Embedded) TableStats(ctx context.Context, table string) (*TableStats, error) {
 	return b.db.StatsContext(ctx, table)
 }

@@ -2,14 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
+	"seedb/internal/backend"
 	"seedb/internal/dataset"
 	"seedb/internal/sqldb"
 )
@@ -90,6 +93,73 @@ func TestIngestEndpoint(t *testing.T) {
 			t.Fatal("failed ingest partially applied")
 		}
 	})
+}
+
+// statsSpy records the last statistics read through it.
+type statsSpy struct {
+	backend.Backend
+	mu   sync.Mutex
+	last *backend.TableStats
+}
+
+func (s *statsSpy) TableStats(ctx context.Context, table string) (*backend.TableStats, error) {
+	ts, err := s.Backend.TableStats(ctx, table)
+	s.mu.Lock()
+	s.last = ts
+	s.mu.Unlock()
+	return ts, err
+}
+
+// TestIngestRefreshesStatistics: an ingest batch carrying a device never
+// seen before shows in /api/backend/stats at once, and a Recommend issued
+// after it reads the same statistics through the guarded backend.
+func TestIngestRefreshesStatistics(t *testing.T) {
+	db := sqldb.NewDB()
+	tab, err := dataset.BuildSynth(db, dataset.TrafficSpec().WithRows(2000), sqldb.LayoutCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db)
+	spy := &statsSpy{Backend: backend.NewEmbedded(db)}
+	if err := s.RegisterBackend("spy", spy); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	stats := func() *backend.TableStats {
+		var ts backend.TableStats
+		if status := getJSON(t, srv.URL+"/api/backend/stats?table=traffic", &ts); status != http.StatusOK {
+			t.Fatalf("stats status %d", status)
+		}
+		return &ts
+	}
+
+	before := stats()
+	device, _ := tab.Schema().Lookup("device")
+	row := make([]string, tab.Schema().NumColumns()) // NULL elsewhere
+	row[device] = "device-never-seen"
+	batch := [][]string{row, row, row}
+	if status := postJSON(t, srv.URL+"/api/ingest", ingestRequest{Table: "traffic", Rows: batch}, nil); status != http.StatusOK {
+		t.Fatalf("ingest status %d", status)
+	}
+	after := stats()
+	want := &backend.TableStats{Rows: before.Rows + len(batch), Columns: append([]backend.ColumnStats(nil), before.Columns...)}
+	want.Columns[device].Distinct++
+	if !reflect.DeepEqual(after, want) {
+		t.Fatalf("stats after ingest %+v, want %+v", after, want)
+	}
+
+	off := false
+	if status := postJSON(t, srv.URL+"/api/recommend", RecommendRequest{
+		Table: "traffic", TargetWhere: "plan = 'free'", K: 2, Backend: "spy", Cache: &off,
+	}, nil); status != http.StatusOK {
+		t.Fatalf("recommend status %d", status)
+	}
+	spy.mu.Lock()
+	defer spy.mu.Unlock()
+	if !reflect.DeepEqual(spy.last, after) {
+		t.Fatalf("recommend read stats %+v, /api/backend/stats served %+v", spy.last, after)
+	}
 }
 
 func TestIngestMirrorsToShards(t *testing.T) {

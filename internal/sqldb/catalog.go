@@ -3,7 +3,9 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 )
 
 // ColumnStats summarizes one column for SeeDB's view generator (which
@@ -36,10 +38,14 @@ func (ts *TableStats) Column(name string) (ColumnStats, bool) {
 	return ColumnStats{}, false
 }
 
-// StatsContext computes (or returns cached) statistics for the named
-// table by a single full scan. The scan checks ctx every checkEvery
-// rows, so introspecting a huge table stays abortable (a nil ctx
-// disables the checks).
+// StatsContext returns exact statistics for the named table's current
+// rows. Tables are append-only between drops, so the statistics of a new
+// version are those of the last one plus the appended tail: each call
+// scans only the rows added since the previous one, O(appended rows),
+// into distinct-value sets retained for the table's incarnation until
+// DropTable or a reload replaces it. Concurrent callers at one version
+// share one scan and one snapshot. The scan checks ctx every checkEvery
+// rows (a nil ctx disables the checks).
 func (db *DB) StatsContext(ctx context.Context, table string) (*TableStats, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -47,68 +53,101 @@ func (db *DB) StatsContext(ctx context.Context, table string) (*TableStats, erro
 		}
 	}
 	key := strings.ToLower(table)
-	db.mu.RLock()
+	db.mu.Lock()
 	t, ok := db.tables[key]
-	cached := db.stats[key]
-	db.mu.RUnlock()
+	st := db.stats[key]
+	if ok && (st == nil || st.table != t) {
+		st = newStatsState(t)
+		db.stats[key] = st
+	}
+	db.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("sqldb: table %q does not exist", table)
 	}
-	if cached != nil && cached.Rows == t.NumRows() {
-		return cached, nil
-	}
-	ts, err := computeStats(ctx, t)
-	if err != nil {
-		return nil, err
-	}
-	// One slot per table: a moved row count replaces it and DropTable
-	// deletes it, so ingest batches and reloads retain nothing. A scan
-	// that outlived its table's incarnation must not answer for the next.
-	db.mu.Lock()
-	if db.tables[key] == t {
-		db.stats[key] = ts
-	}
-	db.mu.Unlock()
-	return ts, nil
+	return st.extend(ctx)
 }
 
-// computeStats scans t once and counts each column's exact distinct
-// non-NULL values.
-func computeStats(ctx context.Context, t Table) (*TableStats, error) {
-	schema := t.Schema()
-	n := schema.NumColumns()
-	ts := &TableStats{Rows: t.NumRows(), Columns: make([]ColumnStats, n)}
-	distinct := make([]map[string]struct{}, n)
-	cols := make([]int, n)
-	for i := 0; i < n; i++ {
-		distinct[i] = make(map[string]struct{})
-		cols[i] = i
+// statsState is the incremental statistics of one table incarnation:
+// one distinct-value set per column over the first snap.Rows rows, and
+// the snapshot last published from them. Published snapshots are never
+// mutated; each extension publishes a fresh one.
+type statsState struct {
+	mu    sync.Mutex
+	table Table
+	sets  []distinctSet
+	snap  *TableStats
+}
+
+func newStatsState(t Table) *statsState {
+	st := &statsState{table: t, sets: make([]distinctSet, t.Schema().NumColumns())}
+	for i := range st.sets {
+		st.sets[i] = distinctSet{nums: make(map[uint64]struct{}), strs: make(map[string]struct{})}
 	}
-	var keyBuf []byte
+	st.snap = st.publish(0)
+	return st
+}
+
+// extend folds the rows appended since the last snapshot into the sets
+// and publishes the result. A cancelled scan leaves snap (and so the
+// folded row count) where it was: the next call rescans the same tail,
+// and the values the cancelled scan already inserted are harmless —
+// rows are immutable and set union is idempotent.
+func (st *statsState) extend(ctx context.Context) (*TableStats, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	lo, n := st.snap.Rows, st.table.NumRows()
+	if lo == n {
+		return st.snap, nil
+	}
 	seen := 0
-	err := t.ScanRange(0, t.NumRows(), cols, func(row RowView) error {
+	err := st.table.ScanRange(lo, n, nil, func(row RowView) error {
 		seen++
 		if ctx != nil && seen%checkEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		for i := 0; i < n; i++ {
-			v := row.Value(i)
-			if v.IsNull() {
-				continue
-			}
-			keyBuf = v.appendKey(keyBuf[:0])
-			distinct[i][string(keyBuf)] = struct{}{}
+		for i := range st.sets {
+			st.sets[i].add(row.Value(i))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range ts.Columns {
+	st.snap = st.publish(n)
+	return st.snap, nil
+}
+
+func (st *statsState) publish(rows int) *TableStats {
+	schema := st.table.Schema()
+	ts := &TableStats{Rows: rows, Columns: make([]ColumnStats, len(st.sets))}
+	for i, s := range st.sets {
 		c := schema.Column(i)
-		ts.Columns[i] = ColumnStats{Name: c.Name, Type: c.Type, Distinct: len(distinct[i])}
+		ts.Columns[i] = ColumnStats{Name: c.Name, Type: c.Type, Distinct: len(s.nums) + len(s.strs)}
 	}
-	return ts, nil
+	return ts
+}
+
+// distinctSet holds one column's distinct non-NULL values with
+// appendKey's identity and no per-value allocation: TEXT by the stored
+// string (which aliases the store's dictionary or intern table), INT
+// and BOOL by uint64(I), FLOAT by its bit pattern (so -0/+0 and NaN
+// payloads stay distinct). Stored values carry their column's type
+// (AppendRow coerces), so one numeric set per column never mixes kinds.
+type distinctSet struct {
+	nums map[uint64]struct{}
+	strs map[string]struct{}
+}
+
+func (s *distinctSet) add(v Value) {
+	switch v.Kind {
+	case KindNull:
+	case KindString:
+		s.strs[v.S] = struct{}{}
+	case KindFloat:
+		s.nums[math.Float64bits(v.F)] = struct{}{}
+	default:
+		s.nums[uint64(v.I)] = struct{}{}
+	}
 }

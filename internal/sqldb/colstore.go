@@ -63,15 +63,6 @@ func (t *ColStore) NumRows() int { return t.rows }
 // Generation returns the table's content generation (bumped per append).
 func (t *ColStore) Generation() uint64 { return t.gen.Load() }
 
-// DictSize returns the dictionary cardinality of a string column, and 0
-// for non-string columns. Exposed for catalog statistics.
-func (t *ColStore) DictSize(col int) int {
-	if col < 0 || col >= len(t.cols) || t.cols[col].typ != TypeString {
-		return 0
-	}
-	return len(t.cols[col].dict)
-}
-
 // AppendRow appends one tuple, decomposing it into the column vectors.
 // The row is coerced up front so a failure leaves the table unchanged
 // (the vectors must never go out of sync, and dataset-version consumers
@@ -203,7 +194,9 @@ func (t *ColStore) wantedMask(cols []int) []bool {
 // are touched; passing nil cols grants access to every column.
 func (t *ColStore) ScanRange(lo, hi int, cols []int, fn func(row RowView) error) error {
 	lo, hi = clampRange(lo, hi, t.rows)
-	view := colRowView{t: t, wanted: t.wantedMask(cols)}
+	// One view per scan, passed by pointer: a struct converted to RowView
+	// per row would allocate per row.
+	view := &colRowView{t: t, wanted: t.wantedMask(cols)}
 	for i := lo; i < hi; i++ {
 		view.row = i
 		if err := fn(view); err != nil {

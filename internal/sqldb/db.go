@@ -12,9 +12,11 @@ import (
 )
 
 // DB is an embedded in-memory database: a named collection of tables plus
-// a query interface. A DB is safe for concurrent queries; table loading
-// must complete before queries begin (the usual analytical bulk-load
-// pattern, which is also how the SeeDB experiments operate).
+// a query interface. A DB is safe for concurrent queries. Tables are
+// append-only between drops; appends are not synchronized with reads,
+// so a writer (the server's ingest path) excludes readers itself. Each
+// table incarnation keeps incremental statistics (StatsContext) that
+// cost O(appended rows) per new version and are dropped with it.
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]Table
@@ -24,9 +26,9 @@ type DB struct {
 	// reloading a table bumps the epoch, so entries cached under the old
 	// incarnation can never be served again.
 	epochs map[string]uint64
-	// stats memoizes the current incarnation's statistics per table
-	// name (see StatsContext).
-	stats map[string]*TableStats
+	// stats holds the current incarnation's incremental statistics per
+	// table name (see StatsContext); DropTable deletes the entry.
+	stats map[string]*statsState
 	// id is process-unique, so version tokens from different DB
 	// instances never collide (a result cache may be shared by engines
 	// over different databases that hold same-named tables).
@@ -41,7 +43,7 @@ func NewDB() *DB {
 	return &DB{
 		tables: make(map[string]Table),
 		epochs: make(map[string]uint64),
-		stats:  make(map[string]*TableStats),
+		stats:  make(map[string]*statsState),
 		id:     dbIDs.Add(1),
 	}
 }

@@ -162,9 +162,9 @@ func TestStatsComputation(t *testing.T) {
 	}
 }
 
-// TestStatsMemoIsOneSlotPerTable: the statistics memo must not grow
-// with ingest batches or reloads — each append replaces the table's one
-// slot, and dropping the table drops it.
+// TestStatsMemoIsOneSlotPerTable: the statistics state must not grow
+// with ingest batches or reloads — appends extend the table's one
+// state, and dropping the table drops it.
 func TestStatsMemoIsOneSlotPerTable(t *testing.T) {
 	db := buildDB(t, LayoutCol)
 	tab, _ := db.Table("census")
@@ -197,21 +197,6 @@ func TestStatsMemoIsOneSlotPerTable(t *testing.T) {
 	}
 	if n := len(db.stats); n != 0 {
 		t.Errorf("%d stats entries retained after DropTable, want 0", n)
-	}
-}
-
-func TestColStoreDictSize(t *testing.T) {
-	db := buildDB(t, LayoutCol)
-	tab, _ := db.Table("census")
-	cs := tab.(*ColStore)
-	if got := cs.DictSize(0); got != 2 {
-		t.Errorf("sex dict size = %d, want 2", got)
-	}
-	if got := cs.DictSize(1); got != 0 {
-		t.Errorf("int column dict size = %d, want 0", got)
-	}
-	if got := cs.DictSize(99); got != 0 {
-		t.Errorf("out-of-range dict size = %d, want 0", got)
 	}
 }
 

@@ -153,11 +153,12 @@ func (r rowSlice) Value(col int) Value { return r[col] }
 func (t *RowStore) ScanRange(lo, hi int, cols []int, fn func(row RowView) error) error {
 	lo, hi = clampRange(lo, hi, t.NumRows())
 	scratch := make([]Value, t.width)
+	view := RowView(rowSlice(scratch)) // once: converting per row allocates per row
 	for i := lo; i < hi; i++ {
 		if err := t.decode(t.data[t.offsets[i]:t.offsets[i+1]], scratch); err != nil {
 			return err
 		}
-		if err := fn(rowSlice(scratch)); err != nil {
+		if err := fn(view); err != nil {
 			return err
 		}
 	}
