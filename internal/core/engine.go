@@ -189,6 +189,14 @@ type execState struct {
 	partial []bool // per-view: estimate computed from a strict data subset
 	metrics Metrics
 
+	// mergeMu serializes folding query results into the accumulators and
+	// metrics: each pool worker merges its own result as soon as it
+	// arrives. rowOrds is mergeResult's per-row scratch; scratch is the
+	// scorers' (scoring runs only between phases, when no worker runs).
+	mergeMu sync.Mutex
+	rowOrds []int32
+	scratch scoreScratch
+
 	// Shared result-cache state (nil/empty when caching is off).
 	cache     *cache.Cache
 	version   string // dataset version token the whole run is keyed under
@@ -484,10 +492,9 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 		tel:     e.tel.Load(),
 	}
 	st.metrics.Views = len(views)
-	st.accums = make([]*viewAccum, len(views))
+	st.accums = newAccums(views)
 	st.alive = make([]bool, len(views))
-	for i, v := range views {
-		st.accums[i] = newViewAccum(v)
+	for i := range views {
 		st.alive[i] = true
 	}
 
@@ -512,7 +519,7 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 		if opts.Strategy == NoOpt || opts.Strategy == Sharing {
 			for i, v := range views {
 				if d, ok := c.Get(refKey(v)); ok {
-					d.(refView).thaw(st.accums[i].reference)
+					d.(refView).thaw(st.accums[i])
 					st.refSeeded[i] = true
 					st.metrics.RefViewsReused++
 				}
@@ -563,7 +570,7 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 			if st.refSeeded[i] || (st.partial != nil && st.partial[i]) {
 				continue
 			}
-			frozen := st.accums[i].reference.freeze()
+			frozen := st.accums[i].freezeReference()
 			c.Put(refKey(v), frozen, frozen.sizeBytes(), cost)
 		}
 		psp.End()
@@ -628,7 +635,7 @@ func (st *execState) runPhased(ctx context.Context, qb *queryBuilder, totalRows 
 
 		for i := range st.views {
 			if st.alive[i] {
-				ps.estimates[i] = st.accums[i].utility(st.opts.Distance)
+				ps.estimates[i] = st.accums[i].utility(st.opts.Distance, &st.scratch)
 			}
 		}
 		p.prune(ps)
@@ -671,7 +678,7 @@ func (st *execState) buildResult() *Result {
 	ranked := make([]scored, 0, len(st.views))
 	var pruned []scored
 	for i := range st.views {
-		u := st.accums[i].utility(st.opts.Distance)
+		u := st.accums[i].utility(st.opts.Distance, &st.scratch)
 		if st.alive[i] {
 			ranked = append(ranked, scored{i, u})
 		} else {
@@ -692,25 +699,14 @@ func (st *execState) buildResult() *Result {
 	res := &Result{Metrics: st.metrics}
 
 	emit := func(s scored) Recommendation {
-		acc := st.accums[s.idx]
-		tAgg := acc.target.finalize(acc.view.Agg)
-		rAgg := acc.reference.finalize(acc.view.Agg)
-		groups, tv, rv := distance.Align(tAgg, rAgg)
+		rec := st.accums[s.idx].recommendation(&st.scratch)
+		rec.Utility = s.utility
 		// Surviving views of a full run saw every partition and are
 		// exact; pruned, bandit-accepted and early-returned views are
 		// partial (st.partial is nil for single-pass strategies, which
 		// are always exact).
-		partial := st.partial != nil && st.partial[s.idx]
-		return Recommendation{
-			View:         acc.view,
-			Utility:      s.utility,
-			Groups:       groups,
-			Target:       distance.Normalize(tv),
-			Reference:    distance.Normalize(rv),
-			TargetAgg:    tAgg,
-			ReferenceAgg: rAgg,
-			Partial:      partial,
-		}
+		rec.Partial = st.partial != nil && st.partial[s.idx]
+		return rec
 	}
 
 	k := st.opts.K

@@ -73,3 +73,47 @@ func TestScanParallelismPreservesResults(t *testing.T) {
 			noopt.Metrics.VectorizedQueries, noopt.Metrics.ScanWorkers)
 	}
 }
+
+// TestMergeOnArrivalDeterministic forces many concurrent queries to feed
+// one dimension's group dictionary in the same phase — one measure per
+// query, separate target and reference queries, three dimensions per
+// GROUP BY — and requires every view's full state to be bit-identical to
+// a serial run: results merge in arrival order, but each cell is fed by
+// exactly one query per phase.
+func TestMergeOnArrivalDeterministic(t *testing.T) {
+	e := buildTraffic(t, sqldb.LayoutCol, 2000)
+	req := Request{Table: "traffic", TargetWhere: "plan = 'pro'",
+		Dimensions: trafficDims, Measures: trafficMeasures, Aggs: allAggs}
+	ctx := context.Background()
+	for _, strategy := range []Strategy{Sharing, Comb} {
+		run := func(par int) *Result {
+			res, err := e.Recommend(ctx, req, Options{
+				Strategy: strategy, Pruning: CIPruning, KeepAllViews: true,
+				Parallelism: par, ScanParallelism: 1, MaxAggregatesPerQuery: 1,
+				DisableCombineTargetRef: true, GroupBy: GroupByMaxN, GroupBySet: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		serial := run(1)
+		got := run(8)
+		if got.Metrics.QueriesExecuted != serial.Metrics.QueriesExecuted {
+			t.Fatalf("%v: %d queries in parallel, %d serially", strategy,
+				got.Metrics.QueriesExecuted, serial.Metrics.QueriesExecuted)
+		}
+		if a, b := digestRecs(got.AllViews), digestRecs(serial.AllViews); a != b {
+			for i := range serial.AllViews {
+				if err := sameDistributions(got.AllViews[i], serial.AllViews[i]); err != nil ||
+					got.AllViews[i].View != serial.AllViews[i].View ||
+					math.Float64bits(got.AllViews[i].Utility) != math.Float64bits(serial.AllViews[i].Utility) {
+					t.Errorf("%v rank %d: %s %v, serial %s %v (%v)", strategy, i, got.AllViews[i].View,
+						got.AllViews[i].Utility, serial.AllViews[i].View, serial.AllViews[i].Utility, err)
+					break
+				}
+			}
+			t.Fatalf("%v: parallel AllViews digest %016x, serial %016x", strategy, a, b)
+		}
+	}
+}

@@ -202,23 +202,26 @@ func execResultSizeBytes(res *execResult) int64 {
 }
 
 // refView is the cached form of one completed full-table reference
-// distribution: the accumulator's cells by value, so the shared entry
-// stays immutable while each run folds into private copies.
+// distribution: the accumulator's set cells by value under their
+// rendered group keys, so the shared entry stays immutable while each
+// run folds into private copies and numbers the groups its own way.
 type refView map[string]cell
 
-// freeze snapshots a completed reference accumulator for the cache.
-func (s sideAccum) freeze() refView {
-	r := make(refView, len(s))
-	for g, c := range s {
-		r[g] = *c
+// freezeReference snapshots a completed reference side for the cache.
+func (a *viewAccum) freezeReference() refView {
+	r := make(refView, len(a.reference))
+	for o, c := range a.reference {
+		if c.set {
+			r[a.groups.keys[o]] = c
+		}
 	}
 	return r
 }
 
 // thaw seeds a view accumulator's reference side from a cached view.
-func (r refView) thaw(into sideAccum) {
+func (r refView) thaw(into *viewAccum) {
 	for g, c := range r {
-		into[g] = &c
+		*into.reference.at(into.groups.lookup(g)) = c
 	}
 }
 

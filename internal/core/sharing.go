@@ -383,8 +383,11 @@ type execResult struct {
 }
 
 // runQueries executes the shared queries over table rows [lo, hi) on a
-// worker pool and merges every result into the view accumulators.
-// Results merge in deterministic (query-index) order.
+// worker pool. Each worker folds its query's result into the view
+// accumulators as soon as it arrives, under mergeMu. Arrival order does
+// not change any float: a view's dimension lies in exactly one group-by
+// set and each of its sides in exactly one query per phase, so every cell
+// is fed by one query and folds that query's rows in result order.
 //
 // With a cache attached, each query is memoized under its normalized
 // SQL + row range + dataset version: a hit skips the DBMS entirely and
@@ -409,8 +412,6 @@ func (s *execState) runQueries(ctx context.Context, queries []*sharedQuery, lo, 
 		par = 1
 	}
 
-	results := make([]*execResult, len(queries))
-	outcomes := make([]cache.Outcome, len(queries))
 	errs := make([]error, len(queries))
 	var wg sync.WaitGroup
 	work := make(chan int)
@@ -419,19 +420,7 @@ func (s *execState) runQueries(ctx context.Context, queries []*sharedQuery, lo, 
 		go func() {
 			defer wg.Done()
 			for qi := range work {
-				// A panicking backend must fail the query, not kill the
-				// process: these workers run outside the HTTP handler
-				// goroutine, so the server's recovery middleware cannot
-				// catch them. The worker also has to survive to keep
-				// draining the work channel, or the feeder would block.
-				func() {
-					defer func() {
-						if p := recover(); p != nil {
-							errs[qi] = fmt.Errorf("core: backend panicked: %v", p)
-						}
-					}()
-					s.runQuery(ctx, queries[qi].sql, qi, lo, hi, results, outcomes, errs)
-				}()
+				errs[qi] = s.execAndMerge(ctx, queries[qi], lo, hi)
 			}
 		}()
 	}
@@ -446,27 +435,45 @@ func (s *execState) runQueries(ctx context.Context, queries []*sharedQuery, lo, 
 			return fmt.Errorf("core: view query failed: %w (sql: %s)", err, queries[qi].sql)
 		}
 	}
-	for qi, res := range results {
-		if outcomes[qi] == cache.Computed {
-			// This invocation paid for the execution. ExecTotals.Add keeps
-			// the executed/vectorized/fallback counters in lockstep
-			// whatever path the backend took (fast path, runtime fallback,
-			// external store).
-			s.metrics.Add(res.stats)
-			if s.cache != nil {
-				s.metrics.CacheMisses++
-			}
-		} else {
-			s.metrics.CacheHits++
-		}
-		s.mergeResult(queries[qi], res.rows)
-	}
 	return nil
 }
 
-// runQuery executes (or cache-resolves) one shared query and stores its
-// result, outcome and error at index qi.
-func (s *execState) runQuery(ctx context.Context, sql string, qi, lo, hi int, results []*execResult, outcomes []cache.Outcome, errs []error) {
+// execAndMerge runs one shared query and folds its result and cost into
+// the invocation's state. A panic — a misbehaving backend, or rows that
+// do not match the query's shape — fails the query, not the process:
+// pool workers run outside the HTTP handler goroutine, so the server's
+// recovery middleware cannot catch them, and a worker has to survive to
+// keep draining the work channel or the feeder would block.
+func (s *execState) execAndMerge(ctx context.Context, q *sharedQuery, lo, hi int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("core: backend panicked: %v", p)
+		}
+	}()
+	res, outcome, err := s.runQuery(ctx, q.sql, lo, hi)
+	if err != nil {
+		return err
+	}
+	s.mergeMu.Lock()
+	defer s.mergeMu.Unlock()
+	if outcome == cache.Computed {
+		// This invocation paid for the execution. ExecTotals.Add keeps
+		// the executed/vectorized/fallback counters in lockstep whatever
+		// path the backend took (fast path, runtime fallback, external
+		// store).
+		s.metrics.Add(res.stats)
+		if s.cache != nil {
+			s.metrics.CacheMisses++
+		}
+	} else {
+		s.metrics.CacheHits++
+	}
+	s.mergeResult(q, res.rows)
+	return nil
+}
+
+// runQuery executes (or cache-resolves) one shared query.
+func (s *execState) runQuery(ctx context.Context, sql string, lo, hi int) (*execResult, cache.Outcome, error) {
 	scanWorkers := s.opts.ScanParallelism
 	if s.opts.Strategy == NoOpt {
 		scanWorkers = 1
@@ -499,11 +506,9 @@ func (s *execState) runQuery(ctx context.Context, sql string, qi, lo, hi int, re
 		v, err := exec(qctx)
 		qsp.End()
 		if err != nil {
-			errs[qi] = err
-			return
+			return nil, 0, err
 		}
-		results[qi], outcomes[qi] = v.(*execResult), cache.Computed
-		return
+		return v.(*execResult), cache.Computed, nil
 	}
 	key := cache.QueryKey(s.req.Table, s.version, sql, lo, hi, s.opts.AllowPartial)
 	v, outcome, err := s.cache.Do(qctx, key,
@@ -512,10 +517,9 @@ func (s *execState) runQuery(ctx context.Context, sql string, qi, lo, hi int, re
 	)
 	qsp.End()
 	if err != nil {
-		errs[qi] = err
-		return
+		return nil, 0, err
 	}
-	results[qi], outcomes[qi] = v.(*execResult), outcome
+	return v.(*execResult), outcome, nil
 }
 
 // logSlowQuery writes one paid execution over the slow threshold to the
@@ -554,9 +558,10 @@ func (s *execState) logSlowQuery(sql string, lo, hi int, d time.Duration, stats 
 
 // mergeResult folds one query result into the accumulators. A view's
 // consumers are adjacent (aggPlan emits them view by view) and all read
-// the same group, so per result row each group key is rendered once per
-// dimension column and each view's cells are looked up once — lazily, on
-// the first value that folds, because a lookup creates the cell.
+// the same group, so per result row each group-by column is looked up in
+// its dimension's dictionary once and each view's cells are resolved
+// once — lazily, on the first value that folds, because only a group
+// with a non-NULL value enters the dictionary or grows a side.
 func (s *execState) mergeResult(q *sharedQuery, res *backend.Rows) {
 	aggBase := q.numDims
 	flagPos := -1
@@ -564,8 +569,10 @@ func (s *execState) mergeResult(q *sharedQuery, res *backend.Rows) {
 		flagPos = q.numDims
 		aggBase = q.numDims + 1
 	}
-	groups := make([]string, q.numDims)
-	rendered := make([]bool, q.numDims)
+	if cap(s.rowOrds) < q.numDims {
+		s.rowOrds = make([]int32, q.numDims)
+	}
+	ords := s.rowOrds[:q.numDims] // per group-by column; -1 until looked up
 	for _, row := range res.Rows {
 		// toTarget/toRef: which side(s) this row's values fold into.
 		// Combined rows route by flag; the reference side takes every row
@@ -575,7 +582,9 @@ func (s *execState) mergeResult(q *sharedQuery, res *backend.Rows) {
 			toTarget = row[flagPos].Truthy()
 			toRef = s.req.Reference == RefAll || !toTarget
 		}
-		clear(rendered)
+		for i := range ords {
+			ords[i] = -1
+		}
 		view := -1
 		var target, ref *cell
 		for _, c := range q.consumers {
@@ -587,21 +596,17 @@ func (s *execState) mergeResult(q *sharedQuery, res *backend.Rows) {
 			if !ok {
 				continue
 			}
-			acc := s.accums[c.viewIdx]
-			if acc == nil {
-				continue // view pruned between build and merge (defensive)
-			}
 			if c.viewIdx != view {
+				acc := s.accums[c.viewIdx]
 				view, target, ref = c.viewIdx, nil, nil
-				if !rendered[c.dimPos] {
-					groups[c.dimPos], rendered[c.dimPos] = row[c.dimPos].String(), true
+				if ords[c.dimPos] < 0 {
+					ords[c.dimPos] = acc.groups.ordinal(row[c.dimPos])
 				}
-				group := groups[c.dimPos]
 				if toTarget {
-					target = acc.target.at(group)
+					target = acc.target.at(ords[c.dimPos])
 				}
 				if toRef {
-					ref = acc.reference.at(group)
+					ref = acc.reference.at(ords[c.dimPos])
 				}
 			}
 			if target != nil {
@@ -611,19 +616,5 @@ func (s *execState) mergeResult(q *sharedQuery, res *backend.Rows) {
 				fold(ref, c.role, f)
 			}
 		}
-	}
-}
-
-// fold applies one role update to a cell.
-func fold(c *cell, role accumRole, v float64) {
-	switch role {
-	case roleSum:
-		c.addSum(v)
-	case roleCount:
-		c.addCount(v)
-	case roleMin:
-		c.addMin(v)
-	case roleMax:
-		c.addMax(v)
 	}
 }

@@ -201,12 +201,21 @@ func MaxValue(f Func, groups int) float64 {
 }
 
 // Normalize scales a non-negative vector into a probability distribution
-// (entries sum to 1). Negative entries are clamped to zero (aggregates
-// such as SUM over negative measures are shifted by the caller if
-// relevant; SeeDB normalizes magnitudes). A zero vector normalizes to the
-// uniform distribution so that comparisons remain well-defined.
+// (entries sum to 1) and returns it as a new slice; v is not modified.
+// See NormalizeInPlace for the rules.
 func Normalize(v []float64) []float64 {
-	out := make([]float64, len(v))
+	out := append(make([]float64, 0, len(v)), v...)
+	NormalizeInPlace(out)
+	return out
+}
+
+// NormalizeInPlace scales v into a probability distribution (entries sum
+// to 1) in place. Negative and NaN entries are clamped to zero
+// (aggregates such as SUM over negative measures are shifted by the
+// caller if relevant; SeeDB normalizes magnitudes) and +Inf to the
+// largest float. A zero vector normalizes to the uniform distribution so
+// that comparisons remain well-defined.
+func NormalizeInPlace(v []float64) {
 	var sum, maxv float64
 	for i, x := range v {
 		if x < 0 || math.IsNaN(x) {
@@ -215,7 +224,7 @@ func Normalize(v []float64) []float64 {
 		if math.IsInf(x, 1) {
 			x = math.MaxFloat64
 		}
-		out[i] = x
+		v[i] = x
 		sum += x
 		if x > maxv {
 			maxv = x
@@ -224,25 +233,21 @@ func Normalize(v []float64) []float64 {
 	if math.IsInf(sum, 1) {
 		// Rescale by the maximum to avoid overflow, then re-sum.
 		sum = 0
-		for i := range out {
-			out[i] /= maxv
-			sum += out[i]
+		for i := range v {
+			v[i] /= maxv
+			sum += v[i]
 		}
 	}
 	if sum == 0 {
-		if len(out) == 0 {
-			return out
+		u := 1 / float64(len(v))
+		for i := range v {
+			v[i] = u
 		}
-		u := 1 / float64(len(out))
-		for i := range out {
-			out[i] = u
-		}
-		return out
+		return
 	}
-	for i := range out {
-		out[i] /= sum
+	for i := range v {
+		v[i] /= sum
 	}
-	return out
 }
 
 // Align places two group→value maps onto a shared group axis (the sorted

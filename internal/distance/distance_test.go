@@ -208,6 +208,20 @@ func TestNormalizeClampsNegatives(t *testing.T) {
 	}
 }
 
+func TestNormalizeLeavesInputAndInPlaceRewrites(t *testing.T) {
+	v := []float64{-5, 1, math.Inf(1), math.NaN(), 3}
+	out := Normalize(v)
+	if v[0] != -5 || !math.IsInf(v[2], 1) {
+		t.Errorf("Normalize modified its input: %v", v)
+	}
+	NormalizeInPlace(v)
+	for i := range v {
+		if math.Float64bits(v[i]) != math.Float64bits(out[i]) {
+			t.Fatalf("NormalizeInPlace %v, Normalize %v", v, out)
+		}
+	}
+}
+
 func TestAlign(t *testing.T) {
 	target := map[string]float64{"a": 1, "b": 2}
 	ref := map[string]float64{"b": 3, "c": 4}
