@@ -156,7 +156,8 @@ func TestDenseAccumMatchesMapReference(t *testing.T) {
 		}
 		tq := &sharedQuery{numDims: 1, side: sideTarget, consumers: consumers}
 		rq := &sharedQuery{numDims: 1, side: sideReference, consumers: consumers}
-		st := &execState{views: views, accums: newAccums(views)}
+		accums, _ := newAccums(views)
+		st := &execState{views: views, accums: accums}
 		refT, refR := make([]mapSide, len(views)), make([]mapSide, len(views))
 		for i := range views {
 			refT[i], refR[i] = mapSide{}, mapSide{}
@@ -200,7 +201,8 @@ func TestDenseAccumMatchesMapReference(t *testing.T) {
 					}
 					// The cached form carries the reference side into a
 					// request that numbers its groups afresh.
-					thawed := newAccums([]View{acc.view})[0]
+					fresh, _ := newAccums([]View{acc.view})
+					thawed := fresh[0]
 					acc.freezeReference().thaw(thawed)
 					refOnly := mapRecommendation(f, acc.view.Agg, mapSide{}, refR[i])
 					if u := thawed.utility(f, &st.scratch); math.Float64bits(u) != math.Float64bits(refOnly.Utility) {

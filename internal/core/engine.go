@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -492,11 +493,9 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 		tel:     e.tel.Load(),
 	}
 	st.metrics.Views = len(views)
-	st.accums = newAccums(views)
-	st.alive = make([]bool, len(views))
-	for i := range views {
-		st.alive[i] = true
-	}
+	var dims []string
+	st.accums, dims = newAccums(views)
+	st.alive = slices.Repeat([]bool{true}, len(views))
 
 	// Seed reference sides from cached reference views:
 	// under RefAll the reference distribution of a view is a pure
@@ -532,7 +531,6 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 	qb := &queryBuilder{table: req.Table, req: req, opts: opts, refDone: st.refSeeded}
 	if opts.GroupBy == GroupByBinPack && opts.Strategy != NoOpt {
 		_, ssp := telemetry.StartSpan(ctx, "stats")
-		dims := dimensionSet(views)
 		cards, err := e.gen.cardinalities(ctx, req.Table, dims, meta)
 		ssp.End()
 		if err != nil {
@@ -734,20 +732,6 @@ func (st *execState) buildResult() *Result {
 		}
 	}
 	return res
-}
-
-// dimensionSet returns the distinct dimensions across views, in
-// first-use order.
-func dimensionSet(views []View) []string {
-	var dims []string
-	seen := make(map[string]bool)
-	for _, v := range views {
-		if !seen[v.Dimension] {
-			seen[v.Dimension] = true
-			dims = append(dims, v.Dimension)
-		}
-	}
-	return dims
 }
 
 // ExactTopK computes ground-truth utilities for every view of a request

@@ -80,7 +80,8 @@ func phaseFixture(tb testing.TB) (phase func()) {
 		}
 		results[qi] = res
 	}
-	st := &execState{req: req, opts: opts, views: views, accums: newAccums(views)}
+	accums, _ := newAccums(views)
+	st := &execState{req: req, opts: opts, views: views, accums: accums}
 	return func() {
 		for qi, q := range queries {
 			st.mergeResult(q, results[qi])

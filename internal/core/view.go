@@ -224,19 +224,20 @@ type viewAccum struct {
 }
 
 // newAccums creates empty accumulators for the views, with one group
-// dictionary per dimension shared by all of the dimension's views.
-func newAccums(views []View) []*viewAccum {
+// dictionary per dimension shared by all of the dimension's views, and
+// returns the dimensions in first-use order.
+func newAccums(views []View) (accums []*viewAccum, dims []string) {
 	dicts := make(map[string]*groupDict)
-	accums := make([]*viewAccum, len(views))
-	for i, v := range views {
+	for _, v := range views {
 		d := dicts[v.Dimension]
 		if d == nil {
 			d = &groupDict{ords: map[string]int32{}, scalar: map[[2]uint64]int32{}}
 			dicts[v.Dimension] = d
+			dims = append(dims, v.Dimension)
 		}
-		accums[i] = &viewAccum{view: v, groups: d}
+		accums = append(accums, &viewAccum{view: v, groups: d})
 	}
-	return accums
+	return accums, dims
 }
 
 // scoreScratch holds the aligned vectors scoring builds, reused across
