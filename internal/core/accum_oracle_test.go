@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"seedb/internal/backend"
@@ -85,10 +86,22 @@ func (s mapSide) finalize(f AggFunc) map[string]float64 {
 
 // mapRecommendation is the reference scoring and emission: finalize both
 // sides into maps, Align them on the sorted union of rendered keys,
-// Normalize, Distance.
-func mapRecommendation(f distance.Func, agg AggFunc, target, reference mapSide) Recommendation {
+// Normalize, Distance. When no group is a string (vals maps rendered
+// keys back to values) the axis is re-sorted into Value.Compare order
+// first, the rule for numeric and BOOL dimensions.
+func mapRecommendation(f distance.Func, agg AggFunc, target, reference mapSide, vals map[string]sqldb.Value) Recommendation {
 	t, r := target.finalize(agg), reference.finalize(agg)
 	groups, tv, rv := distance.Align(t, r)
+	numeric := true
+	for _, v := range vals {
+		numeric = numeric && v.Kind != sqldb.KindString
+	}
+	if numeric {
+		sort.SliceStable(groups, func(i, j int) bool { return vals[groups[i]].Compare(vals[groups[j]]) < 0 })
+		for i, g := range groups {
+			tv[i], rv[i] = t[g], r[g]
+		}
+	}
 	rec := Recommendation{Groups: groups, Target: distance.Normalize(tv), Reference: distance.Normalize(rv),
 		TargetAgg: t, ReferenceAgg: r}
 	if len(t) > 0 || len(r) > 0 {
@@ -136,8 +149,9 @@ func oracleRows(rng *rand.Rand, pool []sqldb.Value, n int) *backend.Rows {
 // mergeResult) and the map reference, phase by phase, and requires
 // identical utility bits under every distance function and identical
 // emitted groups, distributions and raw aggregates — for all five
-// aggregates, with target-only, reference-only and empty sides and
-// COUNT-0 cells. The cached reference form must round-trip too.
+// aggregates, string, INT and BOOL dimensions, target-only,
+// reference-only and empty sides and COUNT-0 cells. The cached
+// reference form must round-trip too.
 func TestDenseAccumMatchesMapReference(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -158,6 +172,7 @@ func TestDenseAccumMatchesMapReference(t *testing.T) {
 		rq := &sharedQuery{numDims: 1, side: sideReference, consumers: consumers}
 		accums, _ := newAccums(views)
 		st := &execState{views: views, accums: accums}
+		vals := map[string]sqldb.Value{}
 		refT, refR := make([]mapSide, len(views)), make([]mapSide, len(views))
 		for i := range views {
 			refT[i], refR[i] = mapSide{}, mapSide{}
@@ -176,6 +191,7 @@ func TestDenseAccumMatchesMapReference(t *testing.T) {
 				res := oracleRows(rng, pool, rng.Intn(9))
 				st.mergeResult(side.q, res)
 				for _, row := range res.Rows {
+					vals[row[0].String()] = row[0]
 					for _, c := range consumers {
 						if v := row[1+c.col]; !v.IsNull() {
 							f, _ := v.AsFloat()
@@ -186,7 +202,7 @@ func TestDenseAccumMatchesMapReference(t *testing.T) {
 			}
 			for i, acc := range st.accums {
 				for _, f := range distance.Funcs() {
-					want := mapRecommendation(f, acc.view.Agg, refT[i], refR[i])
+					want := mapRecommendation(f, acc.view.Agg, refT[i], refR[i], vals)
 					got := acc.utility(f, &st.scratch)
 					if math.Float64bits(got) != math.Float64bits(want.Utility) {
 						t.Fatalf("seed %d phase %d %s %s: utility %v, reference %v",
@@ -204,7 +220,7 @@ func TestDenseAccumMatchesMapReference(t *testing.T) {
 					fresh, _ := newAccums([]View{acc.view})
 					thawed := fresh[0]
 					acc.freezeReference().thaw(thawed)
-					refOnly := mapRecommendation(f, acc.view.Agg, mapSide{}, refR[i])
+					refOnly := mapRecommendation(f, acc.view.Agg, mapSide{}, refR[i], vals)
 					if u := thawed.utility(f, &st.scratch); math.Float64bits(u) != math.Float64bits(refOnly.Utility) {
 						t.Fatalf("seed %d phase %d %s thawed: utility %v, reference %v",
 							seed, phase, acc.view, u, refOnly.Utility)
@@ -251,4 +267,33 @@ func sameDistributions(got, want Recommendation) error {
 		}
 	}
 	return nil
+}
+
+// TestNumericAxisOrdersByValue pins the axis rule on an INT dimension:
+// with groups 8, 9 and 10, byte order would place "10" first, so moving
+// all mass from 8 to 10 would cost one EMD step; in value order it
+// costs two.
+func TestNumericAxisOrdersByValue(t *testing.T) {
+	views := []View{{Dimension: "quantity", Measure: "m", Agg: AggCount}}
+	accums, _ := newAccums(views)
+	acc := accums[0]
+	for _, g := range []struct {
+		v    int64
+		t, r float64
+	}{{10, 0, 1}, {9, 0, 0}, {8, 1, 0}} {
+		o := acc.groups.ordinal(sqldb.Int(g.v))
+		fold(acc.target.at(o), roleCount, g.t)
+		fold(acc.reference.at(o), roleCount, g.r)
+	}
+	var sc scoreScratch
+	if got := acc.recommendation(&sc).Groups; fmt.Sprint(got) != "[8 9 10]" {
+		t.Errorf("groups %q, want value order [8 9 10]", got)
+	}
+	if u := acc.utility(distance.EMD, &sc); u != 2 {
+		t.Errorf("EMD in value order = %v, want 2", u)
+	}
+	t8, r10 := map[string]float64{"8": 1, "9": 0, "10": 0}, map[string]float64{"8": 0, "9": 0, "10": 1}
+	if u := distance.Deviation(distance.EMD, t8, r10); u != 1 {
+		t.Errorf("EMD in byte order = %v, want 1 (the axis this replaces)", u)
+	}
 }

@@ -25,6 +25,7 @@ import (
 	"strconv"
 
 	"seedb/internal/cache"
+	"seedb/internal/sqldb"
 )
 
 // requestCacheKey keys one whole Recommend invocation at one dataset
@@ -202,17 +203,23 @@ func execResultSizeBytes(res *execResult) int64 {
 }
 
 // refView is the cached form of one completed full-table reference
-// distribution: the accumulator's set cells by value under their
-// rendered group keys, so the shared entry stays immutable while each
-// run folds into private copies and numbers the groups its own way.
-type refView map[string]cell
+// distribution: the accumulator's set cells by value, each with the
+// value its group was first seen as, so the shared entry stays immutable
+// while each run folds into private copies and numbers the groups its
+// own way.
+type refView []refGroup
+
+type refGroup struct {
+	val sqldb.Value
+	c   cell
+}
 
 // freezeReference snapshots a completed reference side for the cache.
 func (a *viewAccum) freezeReference() refView {
-	r := make(refView, len(a.reference))
+	var r refView
 	for o, c := range a.reference {
 		if c.set {
-			r[a.groups.keys[o]] = c
+			r = append(r, refGroup{a.groups.vals[o], c})
 		}
 	}
 	return r
@@ -220,17 +227,17 @@ func (a *viewAccum) freezeReference() refView {
 
 // thaw seeds a view accumulator's reference side from a cached view.
 func (r refView) thaw(into *viewAccum) {
-	for g, c := range r {
-		*into.reference.at(into.groups.lookup(g)) = c
+	for _, g := range r {
+		*into.reference.at(into.groups.ordinal(g.val)) = g.c
 	}
 }
 
-// sizeBytes estimates a cached reference view's footprint: map overhead
-// plus a fixed-size cell and the key bytes per group.
+// sizeBytes estimates a cached reference view's footprint: a value, a
+// cell and any string bytes per group.
 func (r refView) sizeBytes() int64 {
 	n := int64(48)
-	for g := range r {
-		n += 64 + int64(len(g))
+	for _, g := range r {
+		n += 96 + int64(len(g.val.S))
 	}
 	return n
 }

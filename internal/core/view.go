@@ -144,21 +144,24 @@ func (c *cell) value(f AggFunc) (v float64, ok bool) {
 // groupDict numbers the groups of one dimension for one request: every
 // rendered group key gets a dense ordinal that indexes the cells of every
 // view on the dimension. Groups are identified by their rendered key,
-// the form Recommendation.Groups shows.
+// the form Recommendation.Groups shows; each also keeps the first value
+// seen under it, which orders the axis of a numeric or BOOL dimension.
 type groupDict struct {
 	ords map[string]int32 // rendered key → ordinal
 	// scalar memoizes non-string values by kind and payload bits, so a
 	// repeated value finds its ordinal without being rendered again.
 	scalar map[[2]uint64]int32
-	keys   []string // ordinal → rendered key
-	order  []int32  // ordinals in axis order; stale while shorter than keys
+	keys   []string      // ordinal → rendered key
+	vals   []sqldb.Value // ordinal → first value seen
+	strs   bool          // some group is a string: the axis is byte order
+	order  []int32       // ordinals in axis order; stale while shorter than keys
 }
 
 // ordinal returns the group ordinal of a dimension value, adding the
 // group on first sight.
 func (d *groupDict) ordinal(v sqldb.Value) int32 {
 	if v.Kind == sqldb.KindString {
-		return d.lookup(v.S)
+		return d.lookup(v.S, v)
 	}
 	k := [2]uint64{uint64(v.Kind), uint64(v.I)}
 	if v.Kind == sqldb.KindFloat {
@@ -166,31 +169,40 @@ func (d *groupDict) ordinal(v sqldb.Value) int32 {
 	}
 	o, ok := d.scalar[k]
 	if !ok {
-		o = d.lookup(v.String())
+		o = d.lookup(v.String(), v)
 		d.scalar[k] = o
 	}
 	return o
 }
 
-// lookup returns the ordinal of a rendered key, adding it if new.
-func (d *groupDict) lookup(key string) int32 {
+// lookup returns the ordinal of v's rendered key, adding it if new.
+func (d *groupDict) lookup(key string, v sqldb.Value) int32 {
 	o, ok := d.ords[key]
 	if !ok {
 		o = int32(len(d.keys))
 		d.ords[key] = o
-		d.keys = append(d.keys, key)
+		d.keys, d.vals = append(d.keys, key), append(d.vals, v)
+		d.strs = d.strs || v.Kind == sqldb.KindString
 	}
 	return o
 }
 
-// sorted returns the ordinals in axis order — rendered keys in byte
-// order — re-sorting only when a group was added since the last call.
+// sorted returns the ordinals in axis order, re-sorting only when a group
+// was added since the last call. A string dimension's axis is its
+// rendered keys in byte order (NULL sorts as "NULL"); a numeric or BOOL
+// dimension's is Value.Compare order, NULL first, so EMD's ground
+// distance puts 9 next to 10 rather than "10" next to "1".
 func (d *groupDict) sorted() []int32 {
 	if len(d.order) < len(d.keys) {
 		for o := len(d.order); o < len(d.keys); o++ {
 			d.order = append(d.order, int32(o))
 		}
-		slices.SortFunc(d.order, func(a, b int32) int { return strings.Compare(d.keys[a], d.keys[b]) })
+		slices.SortFunc(d.order, func(a, b int32) int {
+			if c := d.vals[a].Compare(d.vals[b]); c != 0 && !d.strs {
+				return c
+			}
+			return strings.Compare(d.keys[a], d.keys[b])
+		})
 	}
 	return d.order
 }
