@@ -99,8 +99,7 @@ func BenchmarkPhaseScore(b *testing.B) {
 	phase := phaseFixture(b)
 	phase()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		phase()
 	}
 }
@@ -125,8 +124,7 @@ func BenchmarkRecommendTraffic(b *testing.B) {
 	opts := Options{Strategy: Comb, Pruning: CIPruning, K: 5}
 	ctx := context.Background()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := e.Recommend(ctx, req, opts); err != nil {
 			b.Fatal(err)
 		}

@@ -216,7 +216,7 @@ type refGroup struct {
 
 // freezeReference snapshots a completed reference side for the cache.
 func (a *viewAccum) freezeReference() refView {
-	var r refView
+	r := make(refView, 0, len(a.reference))
 	for o, c := range a.reference {
 		if c.set {
 			r = append(r, refGroup{a.groups.vals[o], c})
