@@ -153,7 +153,7 @@ func scenarios() []scenario {
 		{"sharing/custom-ref", custom, core.Options{Strategy: core.Sharing, K: 4}},
 		{"sharing/multi-agg", multiAgg, core.Options{Strategy: core.Sharing, K: 6, MaxAggregatesPerQuery: 2}},
 		{"sharing/no-combine-targetref", id, core.Options{Strategy: core.Sharing, K: 4, DisableCombineTargetRef: true}},
-		{"sharing/no-combine-aggs", multiAgg, core.Options{Strategy: core.Sharing, K: 4, DisableCombineAggregates: true}},
+		{"sharing/no-combine-aggs", multiAgg, core.Options{Strategy: core.Sharing, K: 4, MaxAggregatesPerQuery: 1}},
 		{"sharing/binpack", id, core.Options{Strategy: core.Sharing, K: 4, GroupBy: core.GroupByBinPack, GroupBySet: true, MemoryBudget: 64}},
 		{"sharing/maxgb", id, core.Options{Strategy: core.Sharing, K: 4, GroupBy: core.GroupByMaxN, GroupBySet: true, MaxGroupBy: 2}},
 		{"sharing/derived-metadata", derived, core.Options{Strategy: core.Sharing, K: 4}},
@@ -277,8 +277,9 @@ func checkCounterInvariant(t *testing.T, m core.Metrics) {
 }
 
 // runCaching exercises the shared result cache through the backend
-// under test: whole-request reuse, reference-view reuse across different
-// target predicates, and versioned invalidation after the data changes.
+// under test: whole-request reuse, a second target predicate on the warm
+// cache matching its uncached result, and versioned invalidation after
+// the data changes.
 func (h Harness) runCaching(t *testing.T) {
 	db := BuildSource(t, 1200)
 	under := h.New(t, db)
@@ -306,16 +307,23 @@ func (h Harness) runCaching(t *testing.T) {
 		t.Error("cached result diverges from cold result")
 	}
 
-	// A different target predicate under RefAll reuses the materialized
-	// reference views: the second request issues target-only queries.
+	// A second target predicate on the warm cache must compute exactly
+	// what the same request computes with the cache off.
 	other := req
 	other.TargetWhere = "region = 'east'"
-	reused, err := eng.Recommend(ctx, other, opts)
+	cached, err := eng.Recommend(ctx, other, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused.Metrics.RefViewsReused == 0 {
-		t.Errorf("expected reference-view reuse, metrics: %+v", reused.Metrics)
+	offOpts := opts
+	offOpts.EnableCache = false
+	uncached, err := eng.Recommend(ctx, other, offOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cached.Recommendations, uncached.Recommendations) {
+		t.Errorf("second predicate: cache-on result diverges from cache-off\ngot:  %s\nwant: %s",
+			summarize(cached.Recommendations), summarize(uncached.Recommendations))
 	}
 
 	// Changing the data must invalidate: append rows to the source and

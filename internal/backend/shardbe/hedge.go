@@ -63,29 +63,14 @@ func (r *Router) hedgeDelay() time.Duration {
 	return max(time.Duration(snap.P95MS*float64(time.Millisecond)), hedgeMinDelay)
 }
 
-// hedgeTarget picks where a child's speculative duplicate runs: the
-// configured replica when one exists, the same child otherwise (a
-// duplicate against the same store still beats a transient stall —
-// scheduling hiccups, one slow connection — though not a uniformly slow
-// child).
-func (r *Router) hedgeTarget(child int) backend.Backend {
-	if r.hasReplica(child) {
-		return r.replicas[child][0]
-	}
-	return r.children[child]
-}
-
-// hasReplica reports whether a child has a configured hedge replica.
-func (r *Router) hasReplica(child int) bool {
-	return child < len(r.replicas) && len(r.replicas[child]) > 0
-}
-
 // execHedged runs one partial with hedging (when enabled): launch the
 // primary, arm a timer with the hedge delay, duplicate the partial on
-// expiry, keep the first success and cancel the other attempt. A
-// failure is returned as-is when no other attempt is in flight —
-// hedging is a tail-latency tool, not a retry policy (netbe owns
-// retries, with its own budget).
+// expiry, keep the first success and cancel the other attempt. The
+// duplicate re-queries the same child: that still beats a transient
+// stall (a scheduling hiccup, one slow connection), though not a
+// uniformly slow child. A failure is returned as-is when no other
+// attempt is in flight — hedging is a tail-latency tool, not a retry
+// policy (netbe owns retries, with its own budget).
 func (r *Router) execHedged(ctx context.Context, t childTask, childSQL string, childOpts backend.ExecOptions) childRun {
 	if !r.hedge.Enabled {
 		cctx, csp := telemetry.StartSpan(ctx, "shard.exec")
@@ -107,7 +92,7 @@ func (r *Router) execHedged(ctx context.Context, t childTask, childSQL string, c
 	// Buffered to both attempts, so a loser finishing after the winner
 	// never blocks on a channel nobody reads.
 	results := make(chan attempt, 2)
-	launch := func(be backend.Backend, hedged bool) {
+	launch := func(hedged bool) {
 		go func() {
 			cctx, csp := telemetry.StartSpan(actx, "shard.exec")
 			csp.SetAttr("shard", strconv.Itoa(t.child))
@@ -125,7 +110,7 @@ func (r *Router) execHedged(ctx context.Context, t childTask, childSQL string, c
 						err = fmt.Errorf("shardbe: child panicked: %v", p)
 					}
 				}()
-				return be.Exec(cctx, childSQL, childOpts)
+				return r.children[t.child].Exec(cctx, childSQL, childOpts)
 			}()
 			lat := time.Since(start)
 			stampChildSpan(csp, stats, err)
@@ -133,7 +118,7 @@ func (r *Router) execHedged(ctx context.Context, t childTask, childSQL string, c
 			results <- attempt{run: childRun{rows: rows, stats: stats, lat: lat, err: err}, hedged: hedged}
 		}()
 	}
-	launch(r.children[t.child], false)
+	launch(false)
 
 	timer := time.NewTimer(r.hedgeDelay())
 	defer timer.Stop()
@@ -143,14 +128,14 @@ func (r *Router) execHedged(ctx context.Context, t childTask, childSQL string, c
 	for {
 		select {
 		case <-timer.C:
-			// A duplicate against the straggler itself is pointless — and
-			// actively harmful — when that child's breaker has opened
-			// since the primary launched: hedging must never resurrect an
-			// open circuit. Replicas have no breaker and stay eligible.
-			if !hedgedIssued && (r.hasReplica(t.child) || r.breakerFor(t.child) == nil || r.breakerFor(t.child).Ready()) {
+			// A duplicate against the straggler is pointless — and
+			// actively harmful — when its breaker has opened since the
+			// primary launched: hedging must never resurrect an open
+			// circuit.
+			if !hedgedIssued && (r.breakerFor(t.child) == nil || r.breakerFor(t.child).Ready()) {
 				hedgedIssued = true
 				outstanding++
-				launch(r.hedgeTarget(t.child), true)
+				launch(true)
 			}
 		case a := <-results:
 			outstanding--

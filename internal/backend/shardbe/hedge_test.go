@@ -3,6 +3,7 @@ package shardbe
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,57 +11,75 @@ import (
 	"seedb/internal/backend/faultbe"
 )
 
-// hedgeFixture builds a 2-child router where child 1 is a faultbe
-// straggler, with a healthy replica of child 1's shard available for
-// hedged duplicates.
-func hedgeFixture(t *testing.T, opts Options) (*Router, *faultbe.Fault) {
+// salesChildren block-partitions a 90-row sales table across n embedded
+// children.
+func salesChildren(t *testing.T, n int) []backend.Backend {
 	t.Helper()
 	src := buildSource(t, 90)
-	dbs, bes := EmbeddedChildren(2)
+	dbs, bes := EmbeddedChildren(n)
 	tab, _ := src.Table("sales")
 	if err := ScatterTable(src, "sales", dbs, Blocks{Total: tab.NumRows()}); err != nil {
 		t.Fatal(err)
 	}
-	// The replica is a third embedded store mirroring child 1's shard
-	// exactly: re-scatter into a padded child list and keep the copy.
-	repDBs, repBes := EmbeddedChildren(2)
-	if err := ScatterTable(src, "sales", repDBs, Blocks{Total: tab.NumRows()}); err != nil {
-		t.Fatal(err)
+	return bes
+}
+
+// stallFirst wraps a child whose first Exec blocks until its context is
+// cancelled; later calls pass through. Under hedging the first call is
+// the primary and the second the duplicate re-issued to the same child,
+// so the duplicate always wins and the primary is always the cancelled
+// loser.
+type stallFirst struct {
+	backend.Backend
+	calls, aborted atomic.Int64
+}
+
+func (s *stallFirst) Exec(ctx context.Context, query string, opts backend.ExecOptions) (*backend.Rows, backend.ExecStats, error) {
+	if s.calls.Add(1) == 1 {
+		<-ctx.Done()
+		s.aborted.Add(1)
+		return nil, backend.ExecStats{}, ctx.Err()
 	}
-	slow := faultbe.Wrap(bes[1])
-	opts.Replicas = [][]backend.Backend{1: {repBes[1]}}
-	r, err := New([]backend.Backend{bes[0], slow}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, slow
+	return s.Backend.Exec(ctx, query, opts)
+}
+
+// hedgeFixture builds a 2-child router whose child 0 is a faultbe
+// wrapper.
+func hedgeFixture(t *testing.T, opts Options) (*Router, *faultbe.Fault) {
+	t.Helper()
+	return newFaultRouter(t, buildSource(t, 90), 2, opts)
 }
 
 const hedgeQuery = "SELECT region, COUNT(*), SUM(price), AVG(qty) FROM sales GROUP BY region"
 
-// TestHedgeWinnerCancelsStraggler makes child 1 stall far past the
-// hedge delay: the duplicate must win, the result must stay bit-exact,
-// and the straggling primary must be cancelled instead of dragging the
-// fan-out to its pace.
+// TestHedgeWinnerCancelsStraggler stalls child 1's first execution until
+// it is cancelled: the duplicate must win, the result must stay
+// bit-exact, and the straggling primary must be cancelled instead of
+// dragging the fan-out to its pace.
 func TestHedgeWinnerCancelsStraggler(t *testing.T) {
-	r, slow := hedgeFixture(t, Options{
-		Hedge: HedgeOptions{Enabled: true, Delay: 5 * time.Millisecond},
-	})
-	// The unhedged reference result, before the straggler is installed.
-	wantRows, _, err := r.Exec(context.Background(), hedgeQuery, backend.ExecOptions{})
+	bes := salesChildren(t, 2)
+	plain, err := New(bes, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows, _, err := plain.Exec(context.Background(), hedgeQuery, backend.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	slow.SetExecDelay(30 * time.Second)
-	start := time.Now()
-	rows, stats, err := r.Exec(context.Background(), hedgeQuery, backend.ExecOptions{})
-	elapsed := time.Since(start)
+	stall := &stallFirst{Backend: bes[1]}
+	r, err := New([]backend.Backend{bes[0], stall}, Options{
+		Hedge: HedgeOptions{Enabled: true, Delay: 5 * time.Millisecond},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("hedged fan-out took %v: the straggler was waited out", elapsed)
+	// Without a working hedge the primary waits out this deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rows, stats, err := r.Exec(ctx, hedgeQuery, backend.ExecOptions{})
+	if err != nil {
+		t.Fatalf("hedged fan-out: %v (the straggler was waited out)", err)
 	}
 	if !reflect.DeepEqual(rows, wantRows) {
 		t.Errorf("hedged result diverges from unhedged:\ngot  %+v\nwant %+v", rows.Rows, wantRows.Rows)
@@ -71,13 +90,16 @@ func TestHedgeWinnerCancelsStraggler(t *testing.T) {
 	if stats.ShardFanout != 2 {
 		t.Errorf("ShardFanout = %d, want 2 (one result per partial, hedged or not)", stats.ShardFanout)
 	}
-	// The cancelled loser aborts its injected sleep; give the goroutine
-	// a moment to observe the cancellation.
+	if got := stall.calls.Load(); got != 2 {
+		t.Errorf("child 1 executed %d times, want 2 (primary + duplicate)", got)
+	}
+	// The router waits a bounded grace for the cancelled loser; give a
+	// slow scheduler more.
 	deadline := time.Now().Add(5 * time.Second)
-	for slow.Aborted() == 0 && time.Now().Before(deadline) {
+	for stall.aborted.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if slow.Aborted() == 0 {
+	if stall.aborted.Load() == 0 {
 		t.Error("straggling primary was never cancelled")
 	}
 }
@@ -96,7 +118,7 @@ func TestHedgePrimaryWinsFastPath(t *testing.T) {
 		t.Errorf("healthy fan-out hedged: HedgedPartials = %d, HedgeWins = %d", stats.HedgedPartials, stats.HedgeWins)
 	}
 	if got := slow.Execs(); got != 1 {
-		t.Errorf("child 1 executed %d times, want 1", got)
+		t.Errorf("child 0 executed %d times, want 1", got)
 	}
 }
 

@@ -77,11 +77,6 @@ type Options struct {
 	// executions outliving the hedge delay get a speculative duplicate,
 	// first answer wins, loser is cancelled. See hedge.go.
 	Hedge HedgeOptions
-	// Replicas optionally lists, per child index, alternate backends
-	// holding the same shard's data; hedged duplicates run there instead
-	// of doubling load on the straggler itself. Missing or empty entries
-	// fall back to re-querying the same child.
-	Replicas [][]backend.Backend
 	// Breakers, when non-nil, arms one circuit breaker per child with
 	// these options: a child whose executions keep failing with
 	// unavailability is opened (fail-fast, no hammering) until a
@@ -106,7 +101,6 @@ type Router struct {
 	children []backend.Backend
 	tel      *telemetry.Collector
 	hedge    HedgeOptions
-	replicas [][]backend.Backend
 	// hedgeLat tracks winning child-execution latencies for the adaptive
 	// hedge delay (router-internal, independent of Options.Telemetry).
 	hedgeLat *telemetry.Histogram
@@ -136,15 +130,11 @@ func New(children []backend.Backend, opts Options) (*Router, error) {
 	if name == "" {
 		name = DefaultName
 	}
-	if len(opts.Replicas) > len(children) {
-		return nil, fmt.Errorf("shardbe: %d replica sets for %d children", len(opts.Replicas), len(children))
-	}
 	r := &Router{
 		name:         name,
 		children:     append([]backend.Backend(nil), children...),
 		tel:          opts.Telemetry,
 		hedge:        opts.Hedge,
-		replicas:     opts.Replicas,
 		hedgeLat:     &telemetry.Histogram{},
 		statsMemo:    make(map[string]statsEntry),
 		allowPartial: opts.AllowPartial,

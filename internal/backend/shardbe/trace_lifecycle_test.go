@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"seedb/internal/backend"
-	"seedb/internal/backend/faultbe"
 	"seedb/internal/resilience"
 	"seedb/internal/telemetry"
 )
@@ -30,24 +29,15 @@ func execSpans(n *telemetry.SpanNode) []*telemetry.SpanNode {
 // TestHedgeLoserSpanLifecycle pins the span contract for hedged
 // executions: the loser attempt — cancelled mid-flight by the winner —
 // still ends its span exactly once, marked status=cancelled, while the
-// winner's span carries resource counters. A fast replica makes the
-// outcome deterministic: the primary is stalled far longer than the
-// hedge delay, so the hedged attempt always wins and the primary is
-// always the cancelled loser.
+// winner's span carries resource counters. stallFirst makes the outcome
+// deterministic: the primary blocks until cancelled, so the hedged
+// duplicate always wins and the primary is always the cancelled loser.
 func TestHedgeLoserSpanLifecycle(t *testing.T) {
-	src := buildSource(t, 90)
-	dbs, bes := EmbeddedChildren(3)
-	tab, _ := src.Table("sales")
-	if err := ScatterTable(src, "sales", dbs, Blocks{Total: tab.NumRows()}); err != nil {
-		t.Fatal(err)
-	}
-	fault := faultbe.Wrap(bes[0])
-	fault.SetExecDelay(2 * time.Second)
-	replica := bes[0] // same partition, no delay
-	bes[0] = fault
+	bes := salesChildren(t, 3)
+	stall := &stallFirst{Backend: bes[0]}
+	bes[0] = stall
 	r, err := New(bes, Options{
-		Replicas: [][]backend.Backend{{replica}},
-		Hedge:    HedgeOptions{Enabled: true, Delay: 2 * time.Millisecond},
+		Hedge: HedgeOptions{Enabled: true, Delay: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +84,7 @@ func TestHedgeLoserSpanLifecycle(t *testing.T) {
 	if loser.Attrs["status"] != "cancelled" {
 		t.Errorf("loser span status = %q, want cancelled:\n%s", loser.Attrs["status"], node.Render())
 	}
-	if got := fault.Aborted(); got != 1 {
+	if got := stall.aborted.Load(); got != 1 {
 		t.Errorf("aborted primary execs = %d, want 1", got)
 	}
 }

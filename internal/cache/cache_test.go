@@ -343,7 +343,6 @@ func TestKeyNamespacesDisjoint(t *testing.T) {
 	keys := map[string]string{
 		"q": QueryKey("t", "1.0", "x", 0, 0, false),
 		"r": RequestKey("t", "1.0", "x", "0", "0"),
-		"v": RefViewKey("t", "1.0", "x", "0", "0"),
 		"s": StaleKey("t", "1.0", "x", "0", "0"),
 	}
 	seen := map[string]string{}
@@ -357,17 +356,6 @@ func TestKeyNamespacesDisjoint(t *testing.T) {
 		seen[k] = ns
 	}
 	for name, other := range map[string]string{
-		"v version":   RefViewKey("t", "2.0", "x", "0", "0"),
-		"v dimension": RefViewKey("t", "1.0", "y", "0", "0"),
-		"v measure":   RefViewKey("t", "1.0", "x", "1", "0"),
-		"v agg":       RefViewKey("t", "1.0", "x", "0", "1"),
-		"v table":     RefViewKey("u", "1.0", "x", "0", "0"),
-	} {
-		if other == keys["v"] {
-			t.Errorf("%s does not reach the key", name)
-		}
-	}
-	for name, other := range map[string]string{
 		"s scope": StaleKey("t", "other", "x", "0", "0"),
 		"s parts": StaleKey("t", "1.0", "x", "0", "1"),
 		"s table": StaleKey("u", "1.0", "x", "0", "0"),
@@ -376,7 +364,7 @@ func TestKeyNamespacesDisjoint(t *testing.T) {
 			t.Errorf("%s does not reach the key", name)
 		}
 	}
-	if RefViewKey("T", "1.0", "x", "0", "0") != keys["v"] || StaleKey("T", "1.0", "x", "0", "0") != keys["s"] {
+	if RequestKey("T", "1.0", "x", "0", "0") != keys["r"] || StaleKey("T", "1.0", "x", "0", "0") != keys["s"] {
 		t.Error("table names must key case-insensitively")
 	}
 }

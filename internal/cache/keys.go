@@ -5,14 +5,14 @@ import (
 	"strings"
 )
 
-// Key construction. A namespace is a one-letter key prefix; the four
+// Key construction. A namespace is a one-letter key prefix; the three
 // constructors below are the only place keys are built, which keeps the
-// namespaces (q query results, r request results, v reference views,
-// s stale-on-outage aliases) disjoint inside one shared budget. The
-// q, r and v keys embed the dataset version token produced by
-// sqldb.(*DB).TableVersion, which is what makes invalidation purely
-// versioned: when a table is reloaded or appended to, new requests carry
-// a new version and can never observe entries written under the old one.
+// namespaces (q query results, r request results, s stale-on-outage
+// aliases) disjoint inside one shared budget. The q and r keys embed
+// the dataset version token produced by sqldb.(*DB).TableVersion, which
+// is what makes invalidation purely versioned: when a table is reloaded
+// or appended to, new requests carry a new version and can never observe
+// entries written under the old one.
 // The s key is deliberately version-less: it exists for the moment the
 // current version is unreachable.
 
@@ -81,15 +81,6 @@ func QueryKey(table, version, sql string, lo, hi int, allowPartial bool) string 
 // option that can influence the result.
 func RequestKey(table, version string, parts ...string) string {
 	return "r" + sep + strings.ToLower(table) + sep + version + sep + strings.Join(parts, sep)
-}
-
-// RefViewKey keys one materialized full-table reference distribution.
-// Under the paper's default reference mode (D_R = D) the reference side
-// of a view is a pure function of the dataset, so it is shared by every
-// request at this version whatever its target predicate.
-func RefViewKey(table, version, dimension, measure, agg string) string {
-	return "v" + sep + strings.ToLower(table) + sep + version + sep +
-		dimension + sep + measure + sep + agg
 }
 
 // StaleKey keys the stale-on-outage alias for one raw request shape:

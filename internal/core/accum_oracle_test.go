@@ -150,8 +150,7 @@ func oracleRows(rng *rand.Rand, pool []sqldb.Value, n int) *backend.Rows {
 // identical utility bits under every distance function and identical
 // emitted groups, distributions and raw aggregates — for all five
 // aggregates, string, INT and BOOL dimensions, target-only,
-// reference-only and empty sides and COUNT-0 cells. The cached
-// reference form must round-trip too.
+// reference-only and empty sides and COUNT-0 cells.
 func TestDenseAccumMatchesMapReference(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -214,19 +213,6 @@ func TestDenseAccumMatchesMapReference(t *testing.T) {
 					rec := acc.recommendation(&st.scratch)
 					if err := sameDistributions(rec, want); err != nil {
 						t.Fatalf("seed %d phase %d %s: %v", seed, phase, acc.view, err)
-					}
-					// The cached form carries the reference side into a
-					// request that numbers its groups afresh.
-					fresh, _ := newAccums([]View{acc.view})
-					thawed := fresh[0]
-					acc.freezeReference().thaw(thawed)
-					refOnly := mapRecommendation(f, acc.view.Agg, mapSide{}, refR[i], vals)
-					if u := thawed.utility(f, &st.scratch); math.Float64bits(u) != math.Float64bits(refOnly.Utility) {
-						t.Fatalf("seed %d phase %d %s thawed: utility %v, reference %v",
-							seed, phase, acc.view, u, refOnly.Utility)
-					}
-					if err := sameDistributions(thawed.recommendation(&st.scratch), refOnly); err != nil {
-						t.Fatalf("seed %d phase %d %s thawed: %v", seed, phase, acc.view, err)
 					}
 				}
 			}

@@ -126,9 +126,6 @@ type Metrics struct {
 	// QueriesExecuted or RowsScanned.
 	CacheHits   int
 	CacheMisses int
-	// RefViewsReused counts candidate views whose full-table reference
-	// distribution came from a cached reference view.
-	RefViewsReused int
 	// ServedFromCache marks an invocation answered entirely by the
 	// result cache (a whole-request hit, or a concurrent duplicate that
 	// shared another request's execution).
@@ -199,9 +196,8 @@ type execState struct {
 	scratch scoreScratch
 
 	// Shared result-cache state (nil/empty when caching is off).
-	cache     *cache.Cache
-	version   string // dataset version token the whole run is keyed under
-	refSeeded []bool // per-view: reference side came from the ref-view store
+	cache   *cache.Cache
+	version string // dataset version token the whole run is keyed under
 
 	// tel observes per-query execution latency and feeds the slow-query
 	// log; nil when the engine has no collector.
@@ -220,7 +216,9 @@ type execState struct {
 // table's dataset version: repeat requests return without issuing any
 // SQL, and concurrent identical requests collapse into one execution
 // (singleflight). Cold requests still reuse cached shared-query results
-// and materialized reference views where they overlap earlier work.
+// where they overlap earlier work. The cache never changes which query
+// computes a view's reference side: it is always the query that computes
+// its target side (or that query's reference twin).
 func (e *Engine) Recommend(ctx context.Context, req Request, opts Options) (*Result, error) {
 	start := time.Now()
 	ctx, sp := telemetry.StartSpan(ctx, "recommend")
@@ -347,7 +345,7 @@ func stampDegradation(res *Result, requested, executed Strategy) {
 func (m *Metrics) resetInvocationCost() {
 	m.ExecTotals = ExecTotals{}
 	m.PhasesRun, m.ServedStale = 0, false
-	m.CacheHits, m.CacheMisses, m.RefViewsReused = 0, 0, 0
+	m.CacheHits, m.CacheMisses = 0, 0
 	m.ServedFromCache = false
 }
 
@@ -479,8 +477,7 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 }
 
 // runRecommend executes one cold recommendation. With a non-nil cache it
-// consults the shared-query memoization inside runQueries and the cached
-// reference views around the run.
+// consults the shared-query memoization inside runQueries.
 func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, views []View, meta *tableMeta, c *cache.Cache, version string) (*Result, error) {
 	start := time.Now()
 	st := &execState{
@@ -497,38 +494,7 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 	st.accums, dims = newAccums(views)
 	st.alive = slices.Repeat([]bool{true}, len(views))
 
-	// Seed reference sides from cached reference views:
-	// under RefAll the reference distribution of a view is a pure
-	// function of the dataset, so any earlier request (whatever its
-	// target predicate) may already have paid for it. Seeded views issue
-	// target-only queries below.
-	//
-	// Only single-pass strategies seed: their output is determined by
-	// the final (complete) accumulators, so a seeded run returns the
-	// same result as a cold one. Phased strategies prune on per-phase
-	// estimates — seeding would compare partial targets against full
-	// references and make prune decisions (and therefore cached results)
-	// depend on cache warmth. They still publish below.
-	refKey := func(v View) string {
-		return cache.RefViewKey(req.Table, version, v.Dimension, v.Measure, string(v.Agg))
-	}
-	if c != nil && req.Reference == RefAll {
-		_, rsp := telemetry.StartSpan(ctx, "ref_seed")
-		st.refSeeded = make([]bool, len(views))
-		if opts.Strategy == NoOpt || opts.Strategy == Sharing {
-			for i, v := range views {
-				if d, ok := c.Get(refKey(v)); ok {
-					d.(refView).thaw(st.accums[i])
-					st.refSeeded[i] = true
-					st.metrics.RefViewsReused++
-				}
-			}
-		}
-		rsp.SetAttr("seeded", strconv.Itoa(st.metrics.RefViewsReused))
-		rsp.End()
-	}
-
-	qb := &queryBuilder{table: req.Table, req: req, opts: opts, refDone: st.refSeeded}
+	qb := &queryBuilder{table: req.Table, req: req, opts: opts}
 	if opts.GroupBy == GroupByBinPack && opts.Strategy != NoOpt {
 		_, ssp := telemetry.StartSpan(ctx, "stats")
 		cards, err := e.gen.cardinalities(ctx, req.Table, dims, meta)
@@ -555,23 +521,6 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 	esp.End()
 	if err != nil {
 		return nil, err
-	}
-
-	// Materialize freshly completed reference distributions for later
-	// requests. Only views that saw every partition qualify (pruned,
-	// bandit-accepted and early-returned views hold partial reference
-	// state).
-	if st.refSeeded != nil {
-		_, psp := telemetry.StartSpan(ctx, "ref_publish")
-		cost := time.Since(start) / time.Duration(len(views))
-		for i, v := range views {
-			if st.refSeeded[i] || (st.partial != nil && st.partial[i]) {
-				continue
-			}
-			frozen := st.accums[i].freezeReference()
-			c.Put(refKey(v), frozen, frozen.sizeBytes(), cost)
-		}
-		psp.End()
 	}
 
 	_, csp := telemetry.StartSpan(ctx, "score")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"testing"
 
 	"seedb/internal/backend"
@@ -45,18 +44,29 @@ func buildCensus(t testing.TB, layout sqldb.Layout, rows int) (*Engine, Request)
 
 func TestViewSQLGeneration(t *testing.T) {
 	v := View{Dimension: "sex", Measure: "capital_gain", Agg: AggAvg}
-	target := v.TargetSQL("census", "marital = 'Unmarried'")
-	want := "SELECT sex, AVG(capital_gain) FROM census WHERE marital = 'Unmarried' GROUP BY sex"
-	if target != want {
-		t.Errorf("TargetSQL = %q, want %q", target, want)
-	}
-	ref := v.ReferenceSQL("census", "")
-	if ref != "SELECT sex, AVG(capital_gain) FROM census GROUP BY sex" {
-		t.Errorf("ReferenceSQL = %q", ref)
-	}
-	refW := v.ReferenceSQL("census", "marital = 'Married'")
-	if !strings.Contains(refW, "WHERE marital = 'Married'") {
-		t.Errorf("ReferenceSQL with where = %q", refW)
+	// NO_OPT issues each view as its own target and reference query (QT
+	// and QR in the paper); AVG travels as SUM and COUNT so partial
+	// results merge.
+	for _, tc := range []struct {
+		req        Request
+		target, rf string
+	}{
+		{Request{Table: "census", TargetWhere: "marital = 'Unmarried'"},
+			"SELECT sex, SUM(capital_gain), COUNT(capital_gain) FROM census WHERE marital = 'Unmarried' GROUP BY sex",
+			"SELECT sex, SUM(capital_gain), COUNT(capital_gain) FROM census GROUP BY sex"},
+		{Request{Table: "census", TargetWhere: "marital = 'Unmarried'", Reference: RefCustom, ReferenceWhere: "marital = 'Married'"},
+			"SELECT sex, SUM(capital_gain), COUNT(capital_gain) FROM census WHERE marital = 'Unmarried' GROUP BY sex",
+			"SELECT sex, SUM(capital_gain), COUNT(capital_gain) FROM census WHERE marital = 'Married' GROUP BY sex"},
+	} {
+		qb := &queryBuilder{table: "census", req: tc.req, opts: Options{Strategy: NoOpt}}
+		qs := qb.build([]View{v}, []bool{true})
+		if len(qs) != 2 || qs[0].sql != tc.target || qs[1].sql != tc.rf {
+			var got []string
+			for _, q := range qs {
+				got = append(got, q.sql)
+			}
+			t.Errorf("NO_OPT queries = %q, want [%q %q]", got, tc.target, tc.rf)
+		}
 	}
 	if v.String() != "AVG(capital_gain) BY sex" {
 		t.Errorf("String = %q", v.String())
@@ -235,7 +245,6 @@ func TestSharingOptionsPreserveResults(t *testing.T) {
 		{GroupBy: GroupBySingle, GroupBySet: true},
 		{MaxAggregatesPerQuery: 1},
 		{MaxAggregatesPerQuery: 2},
-		{DisableCombineAggregates: true},
 		{DisableCombineTargetRef: true},
 		{Parallelism: 1},
 		{Parallelism: 8},

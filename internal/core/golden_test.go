@@ -172,6 +172,7 @@ func TestRecommendGolden(t *testing.T) {
 		t.Skip("utility bits are pinned on amd64")
 	}
 	got := goldenMatrix(t)
+	checkCachedTwins(t, got)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -205,4 +206,29 @@ func TestRecommendGolden(t *testing.T) {
 		}
 	}
 	t.Errorf("%d golden lines differ; if intentional, regenerate with UPDATE_GOLDEN=1", diffs)
+}
+
+// checkCachedTwins requires every cache=true record of a golden matrix to
+// equal its cache=false twin, cost line aside: the cache may change what
+// a request costs, never what it returns.
+func checkCachedTwins(t *testing.T, golden string) {
+	t.Helper()
+	uncached := map[string]string{}
+	var cached [][2]string
+	for _, rec := range strings.Split(golden, "run ")[1:] {
+		head, body, _ := strings.Cut(rec, "\n")
+		if strings.HasPrefix(body, "  cost ") {
+			_, body, _ = strings.Cut(body, "\n")
+		}
+		if twin, ok := strings.CutSuffix(head, " cache=true"); ok {
+			cached = append(cached, [2]string{twin, body})
+		} else {
+			uncached[strings.TrimSuffix(head, " cache=false")] = body
+		}
+	}
+	for _, c := range cached {
+		if want, ok := uncached[c[0]]; !ok || c[1] != want {
+			t.Errorf("run %s: cache=true differs from cache=false\n  got  %q\n  want %q", c[0], c[1], want)
+		}
+	}
 }

@@ -153,7 +153,6 @@ func (m *Metrics) Merge(o Metrics) {
 	m.EarlyStopped = m.EarlyStopped || o.EarlyStopped
 	m.CacheHits += o.CacheHits
 	m.CacheMisses += o.CacheMisses
-	m.RefViewsReused += o.RefViewsReused
 	m.ServedFromCache = m.ServedFromCache || o.ServedFromCache
 	m.StrategyDegraded = m.StrategyDegraded || o.StrategyDegraded
 	if m.DegradedFrom == "" {

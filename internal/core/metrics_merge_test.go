@@ -23,7 +23,7 @@ func TestMetricsMergeCounters(t *testing.T) {
 			ScanWorkers:      8, RowsScanned: 50, MaxGroups: 3,
 		},
 		Views: 5, PhasesRun: 10,
-		PrunedViews: 2, EarlyStopped: true, CacheMisses: 2, RefViewsReused: 1,
+		PrunedViews: 2, EarlyStopped: true, CacheMisses: 2,
 		ServedFromCache: true, StrategyDegraded: true, DegradedFrom: "COMB",
 		Elapsed: time.Second,
 	}
@@ -54,7 +54,7 @@ func TestMetricsMergeCounters(t *testing.T) {
 	if a.Elapsed != 2*time.Second || a.PhasesRun != 11 || a.PrunedViews != 2 {
 		t.Fatalf("elapsed/phases/pruned wrong: %+v", a)
 	}
-	if a.CacheHits != 1 || a.CacheMisses != 2 || a.RefViewsReused != 1 {
+	if a.CacheHits != 1 || a.CacheMisses != 2 {
 		t.Fatalf("cache counters wrong: %+v", a)
 	}
 	// The source is untouched (maps are not aliased).

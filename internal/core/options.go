@@ -218,12 +218,9 @@ type Options struct {
 	// MaxGroupBy is the attribute cap for GroupByMaxN (default 3).
 	MaxGroupBy int
 	// MaxAggregatesPerQuery caps how many measures one shared query may
-	// aggregate (the paper's nagg experiment, Figure 7a). 0 = unlimited.
+	// aggregate (the paper's nagg experiment, Figure 7a). 0 = unlimited;
+	// 1 turns the multiple-aggregates optimization off.
 	MaxAggregatesPerQuery int
-	// CombineAggregates enables the multiple-aggregates optimization.
-	// Only honored by Sharing/Comb strategies; disabled implies one
-	// measure per query. Default true.
-	DisableCombineAggregates bool
 	// DisableCombineTargetRef disables rewriting target+reference into a
 	// single flag-grouped query; the engine then issues separate target
 	// and reference queries. Default false (combining on).
@@ -242,10 +239,11 @@ type Options struct {
 	// keeps only the top-k).
 	KeepAllViews bool
 	// EnableCache routes this request through the engine's shared result
-	// cache (internal/cache): whole-request memoization, shared-query
-	// memoization with singleflight collapsing, and materialized
-	// reference views. The cache is keyed by dataset version, so
-	// loads, inserts and drops invalidate stale entries automatically.
+	// cache (internal/cache): whole-request memoization and shared-query
+	// memoization with singleflight collapsing. It changes what a request
+	// costs, never which queries compute its result. The cache is keyed
+	// by dataset version, so loads, inserts and drops invalidate stale
+	// entries automatically.
 	// Default false (every request recomputes, the paper's behavior).
 	EnableCache bool
 	// SlowQueryThreshold overrides the engine telemetry collector's

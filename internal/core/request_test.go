@@ -103,19 +103,18 @@ func TestResolveDefaultsAndErrors(t *testing.T) {
 // field of Options and Request must be reachable from a
 // RecommendRequest.
 var engineOnlyOptions = map[string]string{
-	"Phases":                   "evaluation harness: phase-count ablation",
-	"Parallelism":              "deployment: concurrent view queries, GOMAXPROCS by default",
-	"GroupBy":                  "evaluation harness: Figure 8 group-by strategies",
-	"GroupBySet":               "evaluation harness: forces a zero-valued GroupBy",
-	"MemoryBudget":             "evaluation harness: Figure 8a budget sweep",
-	"MaxGroupBy":               "evaluation harness: MAX_GB baseline",
-	"MaxAggregatesPerQuery":    "evaluation harness: Figure 7a nagg sweep",
-	"DisableCombineAggregates": "evaluation harness: sharing ablation",
-	"DisableCombineTargetRef":  "evaluation harness: sharing ablation",
-	"Delta":                    "evaluation harness: CI failure-probability ablation",
-	"ConfidenceScale":          "evaluation harness: interval-width ablation",
-	"Seed":                     "evaluation harness: RANDOM baseline and tie-breaks",
-	"KeepAllViews":             "evaluation harness: per-view estimates for accuracy metrics",
+	"Phases":                  "evaluation harness: phase-count ablation",
+	"Parallelism":             "deployment: concurrent view queries, GOMAXPROCS by default",
+	"GroupBy":                 "evaluation harness: Figure 8 group-by strategies",
+	"GroupBySet":              "evaluation harness: forces a zero-valued GroupBy",
+	"MemoryBudget":            "evaluation harness: Figure 8a budget sweep",
+	"MaxGroupBy":              "evaluation harness: MAX_GB baseline",
+	"MaxAggregatesPerQuery":   "evaluation harness: Figure 7a nagg sweep",
+	"DisableCombineTargetRef": "evaluation harness: sharing ablation",
+	"Delta":                   "evaluation harness: CI failure-probability ablation",
+	"ConfidenceScale":         "evaluation harness: interval-width ablation",
+	"Seed":                    "evaluation harness: RANDOM baseline and tie-breaks",
+	"KeepAllViews":            "evaluation harness: per-view estimates for accuracy metrics",
 }
 
 // TestTextualRequestCoversEveryField is the "one schema" guard: every

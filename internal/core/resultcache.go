@@ -3,7 +3,7 @@ package core
 // This file is the engine side of the shared result cache
 // (internal/cache): what the engine stores under each key namespace,
 // how big it says those values are, and how it copies them in and out.
-// Three reuse layers compose, coarsest first:
+// Two reuse layers compose, coarsest first:
 //
 //  1. Whole-request memoization (r): a Recommend whose canonical request
 //     key (request + result-affecting options + dataset version) was
@@ -15,17 +15,16 @@ package core
 //     by normalized SQL + row range + dataset version, so requests that
 //     overlap partially (different K, different pruning, a re-issued
 //     phase) still skip the scans they share with earlier work.
-//  3. Reference views (v): under RefAll the reference side of every view
-//     depends only on the data, so completed reference distributions
-//     are materialized once and seeded into later requests, which then
-//     issue target-only queries.
+//
+// Neither layer changes which queries compute a view: its reference side
+// comes from the same query as its target side (or that query's reference
+// twin) whether the cache is on or off.
 
 import (
 	"fmt"
 	"strconv"
 
 	"seedb/internal/cache"
-	"seedb/internal/sqldb"
 )
 
 // requestCacheKey keys one whole Recommend invocation at one dataset
@@ -91,7 +90,6 @@ func renderRequestKey(req Request, opts Options, scope string, stale bool) strin
 		strconv.Itoa(opts.MemoryBudget),
 		strconv.Itoa(opts.MaxGroupBy),
 		strconv.Itoa(opts.MaxAggregatesPerQuery),
-		strconv.FormatBool(opts.DisableCombineAggregates),
 		strconv.FormatBool(opts.DisableCombineTargetRef),
 		fmt.Sprintf("%g", opts.Delta),
 		fmt.Sprintf("%g", opts.ConfidenceScale),
@@ -198,46 +196,6 @@ func execResultSizeBytes(res *execResult) int64 {
 		for _, v := range row {
 			n += 40 + int64(len(v.S))
 		}
-	}
-	return n
-}
-
-// refView is the cached form of one completed full-table reference
-// distribution: the accumulator's set cells by value, each with the
-// value its group was first seen as, so the shared entry stays immutable
-// while each run folds into private copies and numbers the groups its
-// own way.
-type refView []refGroup
-
-type refGroup struct {
-	val sqldb.Value
-	c   cell
-}
-
-// freezeReference snapshots a completed reference side for the cache.
-func (a *viewAccum) freezeReference() refView {
-	r := make(refView, 0, len(a.reference))
-	for o, c := range a.reference {
-		if c.set {
-			r = append(r, refGroup{a.groups.vals[o], c})
-		}
-	}
-	return r
-}
-
-// thaw seeds a view accumulator's reference side from a cached view.
-func (r refView) thaw(into *viewAccum) {
-	for _, g := range r {
-		*into.reference.at(into.groups.ordinal(g.val)) = g.c
-	}
-}
-
-// sizeBytes estimates a cached reference view's footprint: a value, a
-// cell and any string bytes per group.
-func (r refView) sizeBytes() int64 {
-	n := int64(48)
-	for _, g := range r {
-		n += 96 + int64(len(g.val.S))
 	}
 	return n
 }

@@ -129,14 +129,25 @@ func TestCacheHitParityAcrossCostKnobs(t *testing.T) {
 	}
 }
 
+// TestCacheMatchesUncachedAcrossStrategies also pins what a cold cached
+// request leaves behind in a fresh cache: one q entry per executed query,
+// the r entry and its s alias, and nothing else.
 func TestCacheMatchesUncachedAcrossStrategies(t *testing.T) {
 	ctx := context.Background()
-	for _, strat := range []Strategy{NoOpt, Sharing, Comb, CombEarly} {
+	for _, tc := range []struct {
+		name    string
+		strat   Strategy
+		pruning PruningScheme
+	}{
+		{"NO_OPT", NoOpt, NoPruning}, {"SHARING", Sharing, NoPruning},
+		{"COMB", Comb, NoPruning}, {"COMB+CI", Comb, CIPruning},
+		{"COMB_EARLY", CombEarly, NoPruning},
+	} {
 		for _, layout := range []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol} {
-			t.Run(strat.String()+"/"+layout.String(), func(t *testing.T) {
+			t.Run(tc.name+"/"+layout.String(), func(t *testing.T) {
 				engPlain, req := buildCensus(t, layout, 3000)
 				engCached, _ := buildCensus(t, layout, 3000)
-				opts := Options{K: 5, Strategy: strat}
+				opts := Options{K: 5, Strategy: tc.strat, Pruning: tc.pruning}
 
 				plain, err := engPlain.Recommend(ctx, req, opts)
 				if err != nil {
@@ -154,6 +165,9 @@ func TestCacheMatchesUncachedAcrossStrategies(t *testing.T) {
 					t.Fatalf("cold cached run executed %d queries, uncached %d",
 						cold.Metrics.QueriesExecuted, plain.Metrics.QueriesExecuted)
 				}
+				if got, want := engCached.Cache().Len(), cold.Metrics.QueriesExecuted+2; got != want {
+					t.Fatalf("cold cached run left %d cache entries, want %d (q per query, r, s)", got, want)
+				}
 
 				warm, err := engCached.Recommend(ctx, req, opts)
 				if err != nil {
@@ -164,71 +178,6 @@ func TestCacheMatchesUncachedAcrossStrategies(t *testing.T) {
 				}
 				sameRecommendations(t, plain.Recommendations, warm.Recommendations, 0)
 			})
-		}
-	}
-}
-
-func TestReferenceViewStoreReuseAcrossPredicates(t *testing.T) {
-	// Two requests with different target predicates share the full-table
-	// reference distributions (RefAll): the second request reuses every
-	// materialized view and only pays for its target side.
-	ctx := context.Background()
-	engCached, req := buildCensus(t, sqldb.LayoutCol, 4000)
-	engPlain, _ := buildCensus(t, sqldb.LayoutCol, 4000)
-	opts := Options{K: 5, Strategy: Sharing, EnableCache: true}
-
-	if _, err := engCached.Recommend(ctx, req, opts); err != nil {
-		t.Fatal(err)
-	}
-
-	req2 := req
-	req2.TargetWhere = "sex = 'Female'"
-	reused, err := engCached.Recommend(ctx, req2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reused.Metrics.RefViewsReused != reused.Metrics.Views {
-		t.Fatalf("reused %d of %d reference views", reused.Metrics.RefViewsReused, reused.Metrics.Views)
-	}
-	if reused.Metrics.ServedFromCache {
-		t.Fatal("different predicate must not be a whole-request hit")
-	}
-
-	optsPlain := opts
-	optsPlain.EnableCache = false
-	plain, err := engPlain.Recommend(ctx, req2, optsPlain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference sides were folded in a different (but equivalent) order,
-	// so allow float tolerance.
-	sameRecommendations(t, plain.Recommendations, reused.Recommendations, 1e-9)
-}
-
-func TestPhasedStrategiesDoNotSeedReferences(t *testing.T) {
-	// Comb/CombEarly prune on per-phase estimates; seeding full
-	// reference distributions would make prune decisions (and cached
-	// results) depend on cache warmth. They publish to the store but
-	// never read from it, so identical requests are deterministic.
-	ctx := context.Background()
-	eng, req := buildCensus(t, sqldb.LayoutCol, 3000)
-	opts := Options{K: 5, Strategy: Sharing, EnableCache: true}
-
-	// Warm the reference-view store with a full Sharing run.
-	if _, err := eng.Recommend(ctx, req, opts); err != nil {
-		t.Fatal(err)
-	}
-
-	req2 := req
-	req2.TargetWhere = "sex = 'Female'"
-	for _, strat := range []Strategy{Comb, CombEarly} {
-		opts2 := Options{K: 5, Strategy: strat, EnableCache: true}
-		res, err := eng.Recommend(ctx, req2, opts2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Metrics.RefViewsReused != 0 {
-			t.Errorf("%v reused %d reference views, want 0", strat, res.Metrics.RefViewsReused)
 		}
 	}
 }

@@ -114,11 +114,6 @@ type queryBuilder struct {
 	req      Request
 	opts     Options
 	distinct map[string]int // dimension → distinct count
-	// refDone marks views whose reference side was seeded from the
-	// cached reference views; they get target-only queries so
-	// the shared reference work is not redone (and not double-counted).
-	// nil means no view is seeded.
-	refDone []bool
 }
 
 // partitionViews builds the view groups for the configured group-by
@@ -227,9 +222,6 @@ func (qb *queryBuilder) buildGroup(views []View, vg viewGroup) []*sharedQuery {
 		viewIdxs []int
 	}
 	nagg := qb.opts.MaxAggregatesPerQuery
-	if qb.opts.DisableCombineAggregates {
-		nagg = 1
-	}
 	var chunks []chunkT
 	measureChunk := make(map[string]int) // measure → chunk index
 	for _, vi := range vg.viewIdxs {
@@ -262,62 +254,36 @@ func (qb *queryBuilder) buildGroup(views []View, vg viewGroup) []*sharedQuery {
 
 	var queries []*sharedQuery
 	for _, ch := range chunks {
-		// Views whose reference side is already materialized only need
-		// the target side; the rest need both.
-		needRef := ch.viewIdxs
-		var haveRef []int
-		if qb.refDone != nil {
-			needRef = nil
-			for _, vi := range ch.viewIdxs {
-				if qb.refDone[vi] {
-					haveRef = append(haveRef, vi)
-				} else {
-					needRef = append(needRef, vi)
-				}
-			}
-		}
-
-		if len(needRef) > 0 {
-			exprs, consumers := qb.aggPlan(views, needRef, dimPos)
-			if combined {
-				queries = append(queries, &sharedQuery{
-					sql:       qb.renderSQL(vg.dims, exprs, "", true),
-					numDims:   len(vg.dims),
-					side:      sideCombined,
-					consumers: consumers,
-				})
-			} else {
-				// Separate target and reference executions.
-				queries = append(queries, &sharedQuery{
-					sql:       qb.renderSQL(vg.dims, exprs, qb.req.TargetWhere, false),
-					numDims:   len(vg.dims),
-					side:      sideTarget,
-					consumers: consumers,
-				})
-				refWhere := ""
-				switch qb.req.Reference {
-				case RefComplement:
-					refWhere = fmt.Sprintf("NOT (%s)", qb.req.TargetWhere)
-				case RefCustom:
-					refWhere = qb.req.ReferenceWhere
-				}
-				queries = append(queries, &sharedQuery{
-					sql:       qb.renderSQL(vg.dims, exprs, refWhere, false),
-					numDims:   len(vg.dims),
-					side:      sideReference,
-					consumers: consumers,
-				})
-			}
-		}
-		if len(haveRef) > 0 {
-			exprs, consumers := qb.aggPlan(views, haveRef, dimPos)
+		exprs, consumers := qb.aggPlan(views, ch.viewIdxs, dimPos)
+		if combined {
 			queries = append(queries, &sharedQuery{
-				sql:       qb.renderSQL(vg.dims, exprs, qb.req.TargetWhere, false),
+				sql:       qb.renderSQL(vg.dims, exprs, "", true),
 				numDims:   len(vg.dims),
-				side:      sideTarget,
+				side:      sideCombined,
 				consumers: consumers,
 			})
+			continue
 		}
+		// Separate target and reference executions.
+		queries = append(queries, &sharedQuery{
+			sql:       qb.renderSQL(vg.dims, exprs, qb.req.TargetWhere, false),
+			numDims:   len(vg.dims),
+			side:      sideTarget,
+			consumers: consumers,
+		})
+		refWhere := ""
+		switch qb.req.Reference {
+		case RefComplement:
+			refWhere = fmt.Sprintf("NOT (%s)", qb.req.TargetWhere)
+		case RefCustom:
+			refWhere = qb.req.ReferenceWhere
+		}
+		queries = append(queries, &sharedQuery{
+			sql:       qb.renderSQL(vg.dims, exprs, refWhere, false),
+			numDims:   len(vg.dims),
+			side:      sideReference,
+			consumers: consumers,
+		})
 	}
 	return queries
 }

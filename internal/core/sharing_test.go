@@ -135,21 +135,6 @@ func TestNaggCapSplitsQueries(t *testing.T) {
 	}
 }
 
-func TestDisableCombineAggregates(t *testing.T) {
-	views := []View{
-		{Dimension: "a", Measure: "m1", Agg: AggAvg},
-		{Dimension: "a", Measure: "m2", Agg: AggAvg},
-	}
-	qb := &queryBuilder{
-		table: "t",
-		req:   Request{Table: "t", TargetWhere: "f = 'x'", Reference: RefAll},
-		opts:  Options{Strategy: Sharing, GroupBy: GroupBySingle, DisableCombineAggregates: true},
-	}
-	if got := len(qb.build(views, allAlive(2))); got != 2 {
-		t.Errorf("disabled aggregate combining: %d queries, want 2", got)
-	}
-}
-
 func TestAggExprDeduplication(t *testing.T) {
 	// AVG and SUM on the same measure share the SUM and COUNT columns.
 	views := []View{

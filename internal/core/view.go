@@ -11,9 +11,9 @@
 // version tokens and query results through that seam, and degrading per
 // the backend's declared capabilities (see EffectiveStrategy). Cross-
 // request reuse comes from the shared result cache (internal/cache),
-// consulted at three granularities: whole requests, individual shared
-// queries, and materialized reference views. docs/ARCHITECTURE.md walks
-// one Recommend invocation through all of it.
+// consulted at two granularities: whole requests and individual shared
+// queries. docs/ARCHITECTURE.md walks one Recommend invocation through
+// all of it.
 package core
 
 import (
@@ -66,26 +66,6 @@ func (v View) String() string {
 // Key returns a unique map key for the view.
 func (v View) Key() string {
 	return v.Dimension + "\x00" + v.Measure + "\x00" + string(v.Agg)
-}
-
-// TargetSQL returns the view query over the target subset (QT in the
-// paper).
-func (v View) TargetSQL(table, targetWhere string) string {
-	return fmt.Sprintf("SELECT %s, %s(%s) FROM %s WHERE %s GROUP BY %s",
-		v.Dimension, v.Agg, v.Measure, table, targetWhere, v.Dimension)
-}
-
-// ReferenceSQL returns the view query over the reference data (QR in the
-// paper). An empty refWhere means the whole table (D_R = D, the paper's
-// default).
-func (v View) ReferenceSQL(table, refWhere string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "SELECT %s, %s(%s) FROM %s", v.Dimension, v.Agg, v.Measure, table)
-	if refWhere != "" {
-		fmt.Fprintf(&b, " WHERE %s", refWhere)
-	}
-	fmt.Fprintf(&b, " GROUP BY %s", v.Dimension)
-	return b.String()
 }
 
 // cell is the mergeable accumulator for one group of one side of a view.

@@ -740,7 +740,6 @@ type RecommendResponse struct {
 	EarlyStopped    bool              `json:"early_stopped"`
 	CacheHits       int               `json:"cache_hits"`
 	CacheMisses     int               `json:"cache_misses"`
-	RefViewsReused  int               `json:"ref_views_reused"`
 	ServedFromCache bool              `json:"served_from_cache"`
 	Vectorized      int               `json:"vectorized_queries"`
 	Fallback        int               `json:"fallback_queries"`
@@ -846,7 +845,6 @@ func responseFrom(rb *registeredBackend, requested core.Strategy, res *core.Resu
 		EarlyStopped:     m.EarlyStopped,
 		CacheHits:        m.CacheHits,
 		CacheMisses:      m.CacheMisses,
-		RefViewsReused:   m.RefViewsReused,
 		ServedFromCache:  m.ServedFromCache,
 		Vectorized:       m.VectorizedQueries,
 		Fallback:         m.FallbackQueries,
