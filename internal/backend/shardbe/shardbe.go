@@ -16,20 +16,20 @@
 //   - Global row space. The router presents the concatenation of its
 //     children's row spaces, in child order: child 0's rows first, then
 //     child 1's, and so on. A phased-execution range [lo, hi) maps onto
-//     at most one contiguous local range per child. When tables are
-//     loaded with the contiguous block partitioner (ScatterTable with
-//     Blocks), the global order equals the original insertion order and
-//     every result — group first-seen order included — is bit-identical
-//     to an unsharded embedded execution on exactly-summable data (see
-//     the float caveat in sqldb/shardexec.go). Hash and round-robin
-//     partitioning keep results deterministic and aggregates correct but
-//     permute the global order, so phased pruning may make different
-//     (equally valid) decisions than an unsharded run.
+//     at most one contiguous local range per child. ScatterTable loads
+//     contiguous blocks, so the global order equals the original
+//     insertion order and every result — group first-seen order
+//     included — is bit-identical to an unsharded embedded execution on
+//     exactly-summable data (see the float caveat in
+//     sqldb/shardexec.go). Rows streamed in with AppendRow go
+//     round-robin, which keeps results deterministic and aggregates
+//     correct but permutes the global order, so phased pruning may make
+//     different (equally valid) decisions than an unsharded run.
 //
 //   - Capabilities are the intersection of the children's: the router
-//     can only honor a row-range or a parallel-scan hint if every child
-//     can. Degradation then happens in the engine exactly as for any
-//     other backend (core.EffectiveStrategy) and is recorded in Metrics.
+//     can only honor a row range if every child can. Degradation then
+//     happens in the engine exactly as for any other backend
+//     (core.EffectiveStrategy) and is recorded in Metrics.
 //
 //   - TableVersion is a version vector: the concatenation of every
 //     child's token. Any child-level load, append or drop changes the
@@ -59,16 +59,8 @@ import (
 	"seedb/internal/telemetry"
 )
 
-// DefaultName is the backend name the router registers version tokens
-// under when Options.Name is empty.
-const DefaultName = "shard"
-
 // Options configures a Router.
 type Options struct {
-	// Name overrides the backend name (default "shard"). Two routers over
-	// different child sets may share a result cache even under one name:
-	// the child version tokens embed process-unique store ids.
-	Name string
 	// Telemetry, when non-nil, observes every child execution's latency
 	// in the collector's shard-latency histogram — per-child partials,
 	// which is what turns "the straggler max" into a distribution.
@@ -97,7 +89,6 @@ type Options struct {
 // Router is the shard-routing backend. It is safe for concurrent use
 // when its children are.
 type Router struct {
-	name     string
 	children []backend.Backend
 	tel      *telemetry.Collector
 	hedge    HedgeOptions
@@ -126,12 +117,7 @@ func New(children []backend.Backend, opts Options) (*Router, error) {
 	if len(children) == 0 {
 		return nil, fmt.Errorf("shardbe: need at least one child backend")
 	}
-	name := opts.Name
-	if name == "" {
-		name = DefaultName
-	}
 	r := &Router{
-		name:         name,
 		children:     append([]backend.Backend(nil), children...),
 		tel:          opts.Telemetry,
 		hedge:        opts.Hedge,
@@ -186,22 +172,19 @@ func (r *Router) childDown(i int) bool {
 	return b != nil && !b.Ready()
 }
 
-// NumChildren returns the fan-out width.
-func (r *Router) NumChildren() int { return len(r.children) }
-
-// Name identifies the router.
-func (r *Router) Name() string { return r.name }
+// Name identifies the router. Routers over different child sets may
+// share a result cache under this one name: the child version tokens
+// embed process-unique store ids.
+func (r *Router) Name() string { return "shard" }
 
 // Capabilities is the intersection of the children's capabilities: a
 // shared optimization the router cannot guarantee on every shard is not
 // offered at all, and the engine degrades exactly as documented for any
 // single backend.
 func (r *Router) Capabilities() backend.Capabilities {
-	caps := backend.Capabilities{SupportsVectorized: true, SupportsPhasedExecution: true}
+	caps := backend.Capabilities{SupportsPhasedExecution: true}
 	for _, c := range r.children {
-		cc := c.Capabilities()
-		caps.SupportsVectorized = caps.SupportsVectorized && cc.SupportsVectorized
-		caps.SupportsPhasedExecution = caps.SupportsPhasedExecution && cc.SupportsPhasedExecution
+		caps.SupportsPhasedExecution = caps.SupportsPhasedExecution && c.Capabilities().SupportsPhasedExecution
 	}
 	return caps
 }

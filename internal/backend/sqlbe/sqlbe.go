@@ -3,9 +3,9 @@
 // external SQL store a database/sql driver can reach.
 //
 // Capability profile (see docs/BACKENDS.md for the full matrix): the
-// backend declares neither SupportsVectorized nor
-// SupportsPhasedExecution — generic SQL has no portable "scan rows
-// [lo, hi)" primitive — so the engine runs single-pass SHARING plans
+// backend does not declare SupportsPhasedExecution — generic SQL has no
+// portable "scan rows [lo, hi)" primitive — so the engine runs
+// single-pass SHARING plans
 // against it: combined aggregates, bin-packed GROUP BYs and the combined
 // target/reference rewrite all still apply, because they are plain SQL.
 //

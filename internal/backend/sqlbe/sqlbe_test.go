@@ -49,7 +49,7 @@ func TestIntrospection(t *testing.T) {
 		t.Errorf("Name = %q", be.Name())
 	}
 	caps := be.Capabilities()
-	if caps.SupportsVectorized || caps.SupportsPhasedExecution {
+	if caps.SupportsPhasedExecution {
 		t.Errorf("capabilities = %+v, want none", caps)
 	}
 

@@ -404,19 +404,14 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 		opts.Seed = 0
 	}
 	if opts.Strategy == NoOpt {
-		// The unoptimized baseline pins serial scans (see runQueries);
-		// canonicalize the inert intra-query knob the same way the
-		// pruning options are, so it can never make two equivalent
-		// NO_OPT requests look different anywhere downstream.
+		// The unoptimized baseline scans with one worker per query (and
+		// runs one query at a time, see runQueries). Pinning the knob
+		// here, before cache-key construction, keeps two equivalent
+		// NO_OPT requests identical everywhere downstream.
 		opts.ScanParallelism = 1
 	}
 	opts = opts.withDefaults(meta.info.Layout, len(views))
 	telemetry.SpanFromContext(ctx).SetAttr("strategy", opts.Strategy.String())
-	if !caps.SupportsVectorized {
-		// Scan parallelism is inert on backends without an engine-side
-		// vectorized executor; canonicalize it too.
-		opts.ScanParallelism = 1
-	}
 	if opts.K > len(views) {
 		opts.K = len(views)
 	}

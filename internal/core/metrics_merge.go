@@ -24,13 +24,13 @@ type ExecTotals struct {
 	// QueriesExecuted counts SQL queries executed against the DBMS.
 	QueriesExecuted int
 	// VectorizedQueries counts executed queries served by sqldb's
-	// parallel vectorized fast path; FallbackQueries counts the ones the
-	// serial row interpreter handled. Together they partition
+	// vectorized fast path; FallbackQueries counts the ones the row
+	// interpreter handled. Together they partition
 	// QueriesExecuted (cache hits are counted in neither).
 	VectorizedQueries int
 	FallbackQueries   int
 	// FallbackReasons breaks FallbackQueries down by the executor's
-	// reported reason ("serial execution", "non-column group key",
+	// reported reason ("row-store table", "non-column group key",
 	// "id-space overflow", ...); backends that report none are counted
 	// under "unreported". Nil when nothing fell back.
 	FallbackReasons map[string]int

@@ -9,7 +9,7 @@ func TestMetricsMergeCounters(t *testing.T) {
 	a := Metrics{
 		ExecTotals: ExecTotals{
 			QueriesExecuted: 4, VectorizedQueries: 3, FallbackQueries: 1,
-			FallbackReasons:  map[string]int{"serial execution": 1},
+			FallbackReasons:  map[string]int{"row-store table": 1},
 			SelectionKernels: 2, ResidualPredicates: 1,
 			ScanWorkers: 2, RowsScanned: 100, MaxGroups: 7,
 		},
@@ -18,7 +18,7 @@ func TestMetricsMergeCounters(t *testing.T) {
 	b := Metrics{
 		ExecTotals: ExecTotals{
 			QueriesExecuted: 6, VectorizedQueries: 2, FallbackQueries: 4,
-			FallbackReasons:  map[string]int{"serial execution": 3, "id-space overflow": 1},
+			FallbackReasons:  map[string]int{"row-store table": 3, "id-space overflow": 1},
 			SelectionKernels: 1,
 			ScanWorkers:      8, RowsScanned: 50, MaxGroups: 3,
 		},
@@ -42,7 +42,7 @@ func TestMetricsMergeCounters(t *testing.T) {
 	if sum != a.FallbackQueries {
 		t.Fatalf("reasons sum %d != fallback %d", sum, a.FallbackQueries)
 	}
-	if a.FallbackReasons["serial execution"] != 4 || a.FallbackReasons["id-space overflow"] != 1 {
+	if a.FallbackReasons["row-store table"] != 4 || a.FallbackReasons["id-space overflow"] != 1 {
 		t.Fatalf("FallbackReasons = %v", a.FallbackReasons)
 	}
 	if a.ScanWorkers != 8 || a.MaxGroups != 7 {
@@ -58,8 +58,8 @@ func TestMetricsMergeCounters(t *testing.T) {
 		t.Fatalf("cache counters wrong: %+v", a)
 	}
 	// The source is untouched (maps are not aliased).
-	a.FallbackReasons["serial execution"] = 99
-	if b.FallbackReasons["serial execution"] != 3 {
+	a.FallbackReasons["row-store table"] = 99
+	if b.FallbackReasons["row-store table"] != 3 {
 		t.Fatalf("merge aliased the source map: %v", b.FallbackReasons)
 	}
 }

@@ -199,7 +199,7 @@ type Options struct {
 	Parallelism int
 	// ScanParallelism sets the intra-query scan parallelism: the number
 	// of workers sqldb's vectorized executor may use per view query
-	// (default: GOMAXPROCS; 1 forces the serial row interpreter, for
+	// (default: GOMAXPROCS; 1 scans each query in row order, for
 	// byte-stable float aggregation across runs). Like Parallelism it
 	// changes cost, never which views win, so it is excluded from cache
 	// keys. It composes with Parallelism — up to Parallelism ×

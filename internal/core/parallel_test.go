@@ -8,10 +8,10 @@ import (
 	"seedb/internal/sqldb"
 )
 
-// TestScanParallelismPreservesResults asserts the intra-query parallel
-// executor changes cost, not output: every worker count returns the same
-// views with the same utilities (within float reassociation noise), and
-// the executor metrics reflect which path ran.
+// TestScanParallelismPreservesResults asserts the scan worker count
+// changes cost, not output or executor: every worker count runs the
+// vectorized path and returns the same views with the same utilities
+// (within float reassociation noise).
 func TestScanParallelismPreservesResults(t *testing.T) {
 	e, req := buildCensus(t, sqldb.LayoutCol, 3000)
 	ctx := context.Background()
@@ -32,9 +32,9 @@ func TestScanParallelismPreservesResults(t *testing.T) {
 
 	for _, strategy := range []Strategy{Sharing, Comb} {
 		base := run(strategy, 1)
-		if base.Metrics.VectorizedQueries != 0 || base.Metrics.ScanWorkers != 1 {
-			t.Errorf("%v scan=1: vectorized=%d workers=%d, want serial interpreter",
-				strategy, base.Metrics.VectorizedQueries, base.Metrics.ScanWorkers)
+		if base.Metrics.VectorizedQueries == 0 || base.Metrics.FallbackQueries != 0 || base.Metrics.ScanWorkers != 1 {
+			t.Errorf("%v scan=1: vectorized=%d fallback=%d workers=%d, want one vectorized worker",
+				strategy, base.Metrics.VectorizedQueries, base.Metrics.FallbackQueries, base.Metrics.ScanWorkers)
 		}
 		for _, scanPar := range []int{2, 4, 7} {
 			got := run(strategy, scanPar)
@@ -66,11 +66,11 @@ func TestScanParallelismPreservesResults(t *testing.T) {
 	}
 
 	// NO_OPT is the unoptimized baseline: it must ignore ScanParallelism
-	// and keep the serial interpreter.
+	// and scan each query with one worker of the same executor.
 	noopt := run(NoOpt, 8)
-	if noopt.Metrics.VectorizedQueries != 0 || noopt.Metrics.ScanWorkers != 1 {
-		t.Errorf("NO_OPT: vectorized=%d workers=%d, want serial baseline",
-			noopt.Metrics.VectorizedQueries, noopt.Metrics.ScanWorkers)
+	if noopt.Metrics.FallbackQueries != 0 || noopt.Metrics.ScanWorkers != 1 {
+		t.Errorf("NO_OPT: fallback=%d workers=%d, want one vectorized worker",
+			noopt.Metrics.FallbackQueries, noopt.Metrics.ScanWorkers)
 	}
 }
 

@@ -28,7 +28,7 @@ type RecommendRequest struct {
 	// false; omitted or true uses the cache.
 	Cache *bool `json:"cache"`
 	// ScanParallelism caps per-query scan workers (0 = GOMAXPROCS; 1
-	// forces the serial interpreter).
+	// scans each query in row order).
 	ScanParallelism int `json:"scan_parallelism"`
 	// Backend selects which registered backend executes the request
 	// (empty = the embedded default; see /healthz for the list). It

@@ -367,8 +367,8 @@ func (s *execState) runQueries(ctx context.Context, queries []*sharedQuery, lo, 
 	par := s.opts.Parallelism
 	if s.opts.Strategy == NoOpt {
 		// The basic framework is the paper's unoptimized baseline: it
-		// executes queries serially and scans with the serial interpreter
-		// (runQuery pins the per-query scan workers the same way).
+		// executes queries one at a time, each with one scan worker
+		// (recommendInner pins ScanParallelism).
 		par = 1
 	}
 	if par > len(queries) {
@@ -440,12 +440,8 @@ func (s *execState) execAndMerge(ctx context.Context, q *sharedQuery, lo, hi int
 
 // runQuery executes (or cache-resolves) one shared query.
 func (s *execState) runQuery(ctx context.Context, sql string, lo, hi int) (*execResult, cache.Outcome, error) {
-	scanWorkers := s.opts.ScanParallelism
-	if s.opts.Strategy == NoOpt {
-		scanWorkers = 1
-	}
 	execOpts := backend.ExecOptions{
-		Lo: lo, Hi: hi, Workers: scanWorkers,
+		Lo: lo, Hi: hi, Workers: s.opts.ScanParallelism,
 		AllowPartial: s.opts.AllowPartial,
 	}
 	qctx, qsp := telemetry.StartSpan(ctx, "query")

@@ -84,7 +84,7 @@ func TestRelativeLinksResolve(t *testing.T) {
 
 // TestArchitectureDocsLinkedFromREADME pins the documentation contract
 // of the backend seam: both guides exist, the README links them, and
-// each names the four layers and the capability flags it documents.
+// each names the four layers and the capability flag it documents.
 func TestArchitectureDocsLinkedFromREADME(t *testing.T) {
 	root := repoRoot(t)
 	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
@@ -102,7 +102,7 @@ func TestArchitectureDocsLinkedFromREADME(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"internal/core", "internal/cache", "internal/backend",
-		"internal/sqldb", "internal/server", "SupportsPhasedExecution", "SupportsVectorized"} {
+		"internal/sqldb", "internal/server", "SupportsPhasedExecution"} {
 		if !strings.Contains(string(arch), want) {
 			t.Errorf("ARCHITECTURE.md does not mention %s", want)
 		}
@@ -113,7 +113,7 @@ func TestArchitectureDocsLinkedFromREADME(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Capabilities", "TableVersion", "conformancetest",
-		"SupportsPhasedExecution", "SupportsVectorized", "RegisterBackend",
+		"SupportsPhasedExecution", "RegisterBackend",
 		// cross-process tracing wire contract
 		"Traceparent", "child.query", "remote=child"} {
 		if !strings.Contains(string(be), want) {

@@ -55,11 +55,11 @@ func TestHealthzListsBackends(t *testing.T) {
 	}
 	// Default first.
 	if b := out.Backends[0]; b.Name != DefaultBackendName || !b.Default ||
-		!b.SupportsVectorized || !b.SupportsPhasedExecution {
+		!b.SupportsPhasedExecution {
 		t.Errorf("default backend entry = %+v", b)
 	}
 	if b := out.Backends[1]; b.Name != "sql" || b.Default ||
-		b.SupportsVectorized || b.SupportsPhasedExecution {
+		b.SupportsPhasedExecution {
 		t.Errorf("sql backend entry = %+v", b)
 	}
 }

@@ -130,7 +130,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(shardDBs) > 0 {
-			if err := shardbe.AppendRow(shardDBs, req.Table, shardbe.RoundRobin{}, vals); err != nil {
+			if err := shardbe.AppendRow(shardDBs, req.Table, vals); err != nil {
 				writeError(w, http.StatusInternalServerError, fmt.Errorf("mirroring row %d to shards: %w", i, err))
 				return
 			}

@@ -362,7 +362,6 @@ func (s *Server) backendFor(name string) (*registeredBackend, error) {
 type backendInfo struct {
 	Name                    string `json:"name"`
 	Default                 bool   `json:"default"`
-	SupportsVectorized      bool   `json:"supports_vectorized"`
 	SupportsPhasedExecution bool   `json:"supports_phased_execution"`
 }
 
@@ -372,12 +371,10 @@ func (s *Server) backendSnapshot() []backendInfo {
 	defer s.mu.RUnlock()
 	out := make([]backendInfo, 0, len(s.backends))
 	for name, rb := range s.backends {
-		caps := rb.be.Capabilities()
 		out = append(out, backendInfo{
 			Name:                    name,
 			Default:                 name == DefaultBackendName,
-			SupportsVectorized:      caps.SupportsVectorized,
-			SupportsPhasedExecution: caps.SupportsPhasedExecution,
+			SupportsPhasedExecution: rb.be.Capabilities().SupportsPhasedExecution,
 		})
 	}
 	sort.Slice(out, func(a, b int) bool {

@@ -376,9 +376,9 @@ func TestEndToEndWorkflow(t *testing.T) {
 }
 
 // TestExecutorStats asserts per-request executor counters and their
-// process-wide accumulation on /healthz: a cold recommend with
-// scan_parallelism > 1 must run its grouped queries on the vectorized
-// fast path, and one with scan_parallelism = 1 must use the interpreter.
+// process-wide accumulation on /healthz: a cold recommend over a column
+// store runs its grouped queries on the vectorized fast path whatever
+// scan_parallelism says, and one over a row store uses the interpreter.
 func TestExecutorStats(t *testing.T) {
 	srv := newTestServer(t)
 	noCache := false
@@ -410,12 +410,28 @@ func TestExecutorStats(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/api/recommend", req, &serial); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if serial.Vectorized != 0 || serial.Fallback == 0 || serial.ScanWorkers != 1 {
-		t.Errorf("scan_parallelism=1: vectorized=%d fallback=%d workers=%d, want interpreter only",
-			serial.Vectorized, serial.Fallback, serial.ScanWorkers)
+	if serial.Vectorized == 0 || serial.Fallback != 0 || serial.ScanWorkers != 1 || serial.SelectionKernel == 0 {
+		t.Errorf("scan_parallelism=1: vectorized=%d fallback=%d workers=%d kernels=%d, want one vectorized worker",
+			serial.Vectorized, serial.Fallback, serial.ScanWorkers, serial.SelectionKernel)
 	}
-	if serial.FallbackReasons["serial execution"] != serial.Fallback {
-		t.Errorf("serial run reasons = %v, want all under 'serial execution'", serial.FallbackReasons)
+
+	if code := postJSON(t, srv.URL+"/api/datasets/load", loadRequest{Name: "housing", Layout: "row"}, nil); code != 200 {
+		t.Fatalf("load status %d", code)
+	}
+	var row RecommendResponse
+	rowReq := RecommendRequest{
+		Table: "housing", TargetWhere: "near_river = 'yes'", K: 3,
+		Strategy: "sharing", Cache: &noCache, ScanParallelism: 3,
+	}
+	if code := postJSON(t, srv.URL+"/api/recommend", rowReq, &row); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	if row.Vectorized != 0 || row.Fallback == 0 || row.ScanWorkers != 1 {
+		t.Errorf("row store: vectorized=%d fallback=%d workers=%d, want interpreter only",
+			row.Vectorized, row.Fallback, row.ScanWorkers)
+	}
+	if row.FallbackReasons["row-store table"] != row.Fallback {
+		t.Errorf("row store reasons = %v, want all under 'row-store table'", row.FallbackReasons)
 	}
 
 	var health map[string]any
@@ -426,23 +442,23 @@ func TestExecutorStats(t *testing.T) {
 	if !ok {
 		t.Fatalf("healthz has no executor counters: %v", health)
 	}
-	if got := exec["vectorized_queries"].(float64); int(got) != vec.Vectorized {
-		t.Errorf("healthz vectorized_queries = %v, want %d", got, vec.Vectorized)
+	if got, want := exec["vectorized_queries"].(float64), vec.Vectorized+serial.Vectorized; int(got) != want {
+		t.Errorf("healthz vectorized_queries = %v, want %d", got, want)
 	}
-	if got := exec["fallback_queries"].(float64); int(got) != serial.Fallback {
-		t.Errorf("healthz fallback_queries = %v, want %d", got, serial.Fallback)
+	if got := exec["fallback_queries"].(float64); int(got) != row.Fallback {
+		t.Errorf("healthz fallback_queries = %v, want %d", got, row.Fallback)
 	}
 	if got := exec["max_scan_workers"].(float64); int(got) != vec.ScanWorkers {
 		t.Errorf("healthz max_scan_workers = %v, want %d", got, vec.ScanWorkers)
 	}
-	if got := exec["selection_kernels"].(float64); int(got) != vec.SelectionKernel {
-		t.Errorf("healthz selection_kernels = %v, want %d", got, vec.SelectionKernel)
+	if got, want := exec["selection_kernels"].(float64), vec.SelectionKernel+serial.SelectionKernel; int(got) != want {
+		t.Errorf("healthz selection_kernels = %v, want %d", got, want)
 	}
 	reasons, ok := exec["fallback_reasons"].(map[string]any)
 	if !ok {
 		t.Fatalf("healthz has no fallback_reasons: %v", exec)
 	}
-	if got := reasons["serial execution"].(float64); int(got) != serial.Fallback {
-		t.Errorf("healthz fallback_reasons[serial execution] = %v, want %d", got, serial.Fallback)
+	if got := reasons["row-store table"].(float64); int(got) != row.Fallback {
+		t.Errorf("healthz fallback_reasons[row-store table] = %v, want %d", got, row.Fallback)
 	}
 }

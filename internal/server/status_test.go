@@ -131,7 +131,7 @@ func TestWireEndpoints(t *testing.T) {
 	if code := getJSONInto("/api/backend/caps", &hs); code != 200 {
 		t.Fatalf("caps status %d", code)
 	}
-	if hs.Proto != wire.ProtoVersion || hs.Backend != DefaultBackendName || !hs.SupportsVectorized {
+	if hs.Proto != wire.ProtoVersion || hs.Backend != DefaultBackendName || !hs.SupportsPhasedExecution {
 		t.Errorf("handshake = %+v", hs)
 	}
 

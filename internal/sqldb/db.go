@@ -166,18 +166,12 @@ func (db *DB) QueryStmt(stmt *SelectStmt, opts ExecOptions) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("sqldb: table %q does not exist", stmt.Table)
 	}
-	// A serial execution (Workers <= 1) never consults the vectorized
-	// fast-path analysis — aggregateRange short-circuits to the
-	// interpreter first — so skip compiling it (selection kernels
-	// included). This matters on fan-out hot paths where many serial
-	// child queries compile per request.
 	_, sp := telemetry.StartSpan(opts.Ctx, "sqldb.plan")
-	p, err := compileForSchemaOpt(stmt, t.Schema(), opts.Workers > 1)
+	p, err := compilePlan(stmt, t)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	p.table = t
 	return p.execute(opts)
 }
 
@@ -210,11 +204,10 @@ func (q *PreparedQuery) SQL() string { return q.stmt.String() }
 // Exec executes the prepared query with the given options.
 func (q *PreparedQuery) Exec(opts ExecOptions) (*Result, error) {
 	_, sp := telemetry.StartSpan(opts.Ctx, "sqldb.plan")
-	p, err := compileForSchemaOpt(q.stmt, q.table.Schema(), opts.Workers > 1)
+	p, err := compilePlan(q.stmt, q.table)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	p.table = q.table
 	return p.execute(opts)
 }

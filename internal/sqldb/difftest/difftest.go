@@ -1,9 +1,11 @@
 // Package difftest is a differential test harness for sqldb's two
 // aggregation executors: it generates random grouped-aggregate queries
 // (dimensions × measures × aggregate functions × WHERE/HAVING/ORDER BY ×
-// row sub-ranges) from a seed, executes each one under the Workers=1 row
-// interpreter and under a Workers=N parallel vectorized run, and asserts
-// row-for-row equality.
+// row sub-ranges) from a seed and executes each one three times: on the
+// column store at Workers=1 and at Workers=N, where eligible shapes take
+// the vectorized fast path, and on a ROW-layout twin of the same rows,
+// where the row interpreter always runs. Both column-store results must
+// equal the interpreter's row for row.
 //
 // Equality is exact to the bit (Kind, int64 payload, float64 bit
 // pattern, string bytes). Chunked summation reassociates floating-point
@@ -41,11 +43,13 @@ import (
 	"seedb/internal/telemetry"
 )
 
-// Harness owns the generated table and the query generator.
+// Harness owns the generated table and the query generator. DB holds the
+// table in the column layout; Ref holds the same rows in the row layout,
+// the interpreter reference.
 type Harness struct {
-	DB   *sqldb.DB
-	rng  *rand.Rand
-	rows int
+	DB, Ref *sqldb.DB
+	rng     *rand.Rand
+	rows    int
 	// groupPool is what Gen draws GROUP BY expressions from; intKeys names
 	// the pool's int columns, whose coding Run counts.
 	groupPool []string
@@ -60,8 +64,8 @@ type Harness struct {
 // baseGroupPool is the GROUP BY pool every harness table supports: plain
 // columns of every type vectorize — k0 and m2 (small-range ints, m2 with
 // NULLs) range-coded, m0 (float, with NULLs) through a runtime value
-// dictionary — while scalar expressions exercise the interpreter
-// fallback under Workers>1.
+// dictionary — while scalar expressions exercise the column store's
+// interpreter fallback.
 var baseGroupPool = []string{"d0", "d1", "d2", "b0", "d0", "d1", "b0", "k0", "m0", "m2", "LOWER(d0)"}
 
 // rangeCodedSpan is the widest value span (max − min) of an int group
@@ -76,14 +80,14 @@ var wideInts = []int64{math.MinInt64, math.MaxInt64, -1 << 40, -1, 0, 7, 1 << 33
 // dimension cardinalities of the generated table (d0, d1, d2).
 var dimCards = [3]int{3, 8, 40}
 
-// New builds a deterministic random ColStore table "t" with seeded
-// contents: three string dimensions (two with NULLs), a bool column, a
+// New builds a deterministic random table "t" with seeded contents, once
+// per layout: three string dimensions (two with NULLs), a bool column, a
 // low-cardinality int column, float and int measures with NULLs, a
 // string column used as a COUNT/MIN argument, and two int columns that
 // exist to be group keys: w0, wide (see wideInts, with NULLs), and e0,
 // whose values depend on the row's position (see Harness.edges).
 func New(seed int64, rows int) (*Harness, error) {
-	h := &Harness{DB: sqldb.NewDB(), rng: rand.New(rand.NewSource(seed)), rows: rows}
+	h := &Harness{DB: sqldb.NewDB(), Ref: sqldb.NewDB(), rng: rand.New(rand.NewSource(seed)), rows: rows}
 	h.groupPool = append(append([]string{}, baseGroupPool...), "w0", "e0")
 	h.intKeys = map[string]bool{"k0": true, "m2": true, "w0": true, "e0": true}
 	cuts := [5]int{0, rows / 8, rows / 4, rows / 2, rows}
@@ -109,6 +113,10 @@ func New(seed int64, rows int) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
+	ref, err := h.Ref.CreateTable("t", schema, sqldb.LayoutRow)
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < rows; i++ {
 		row := []sqldb.Value{
 			h.dimValue(0, 0.10),
@@ -127,6 +135,9 @@ func New(seed int64, rows int) (*Harness, error) {
 			row[9] = sqldb.Null()
 		}
 		if err := tab.AppendRow(row); err != nil {
+			return nil, err
+		}
+		if err := ref.AppendRow(row); err != nil {
 			return nil, err
 		}
 	}
@@ -345,7 +356,8 @@ func (h *Harness) genPredicate(n int) string {
 type Stats struct {
 	Queries    int
 	Vectorized int // queries the Workers=N run executed on the fast path
-	Fallback   int // queries that fell back to the interpreter
+	OneWorker  int // queries the Workers=1 run executed on the fast path
+	Fallback   int // queries the Workers=N run left to the interpreter
 	Kernels    int // selection kernels bound across all vectorized runs
 	Residuals  int // predicate conjuncts left on the closure path
 	// IntRange and IntDict count the int group keys the vectorized runs
@@ -353,9 +365,15 @@ type Stats struct {
 	IntRange, IntDict int
 }
 
-// exec runs q with the given worker count and reports, next to the
-// result, how the vectorized scan coded each of q.Groups — the scan
-// span's group_keys attribute; nil when the interpreter ran.
+// reference runs q on the row-layout twin: the row interpreter's answer.
+func (h *Harness) reference(q Query) (*sqldb.Result, error) {
+	return h.Ref.QueryOpts(q.SQL, sqldb.ExecOptions{Lo: q.Lo, Hi: q.Hi})
+}
+
+// exec runs q on the column store with the given worker count and
+// reports, next to the result, how the vectorized scan coded each of
+// q.Groups — the scan span's group_keys attribute; nil when the
+// interpreter ran.
 func (h *Harness) exec(q Query, workers int) (*sqldb.Result, []string, error) {
 	ctx, tr := telemetry.WithTrace(context.Background(), "difftest")
 	res, err := h.DB.QueryOpts(q.SQL, sqldb.ExecOptions{Ctx: ctx, Lo: q.Lo, Hi: q.Hi, Workers: workers})
@@ -369,17 +387,29 @@ func (h *Harness) exec(q Query, workers int) (*sqldb.Result, []string, error) {
 	return res, strings.Split(scan.Attrs["group_keys"], ","), nil
 }
 
-// Run generates and checks n queries, executing each under Workers=1 and
-// under the given worker count, and returns an error describing the
-// first divergence.
+// Run generates and checks n queries, executing each on the column
+// store at Workers=1 and at the given worker count and comparing both
+// with the row interpreter, and returns an error describing the first
+// divergence.
 func (h *Harness) Run(n, workers int) (Stats, error) {
 	var st Stats
 	for i := 0; i < n; i++ {
 		q := h.Gen()
 		st.Queries++
-		serial, err := h.DB.QueryOpts(q.SQL, sqldb.ExecOptions{Lo: q.Lo, Hi: q.Hi, Workers: 1})
+		ref, err := h.reference(q)
 		if err != nil {
-			return st, fmt.Errorf("query %d serial failed: %v (sql: %s)", i, err, q.SQL)
+			return st, fmt.Errorf("query %d interpreter failed: %v (sql: %s)", i, err, q.SQL)
+		}
+		one, _, err := h.exec(q, 1)
+		if err != nil {
+			return st, fmt.Errorf("query %d workers=1 failed: %v (sql: %s)", i, err, q.SQL)
+		}
+		if one.Stats.Vectorized {
+			st.OneWorker++
+		}
+		if err := equalResults(ref, one); err != nil {
+			return st, fmt.Errorf("query %d diverged (workers=1, range [%d,%d)): %v\nsql: %s",
+				i, q.Lo, q.Hi, err, q.SQL)
 		}
 		par, codings, err := h.exec(q, workers)
 		if err != nil {
@@ -401,7 +431,7 @@ func (h *Harness) Run(n, workers int) (Stats, error) {
 		} else {
 			st.Fallback++
 		}
-		if err := equalResults(serial, par); err != nil {
+		if err := equalResults(ref, par); err != nil {
 			return st, fmt.Errorf("query %d diverged (workers=%d, range [%d,%d)): %v\nsql: %s",
 				i, workers, q.Lo, q.Hi, err, q.SQL)
 		}

@@ -6,10 +6,11 @@ import (
 )
 
 // TestDifferential runs the generator under several seeds, checking every
-// query for exact agreement between the Workers=1 interpreter and the
-// parallel vectorized executor (and its fallback). The worker counts
-// exceed GOMAXPROCS on small machines on purpose: chunked execution and
-// merging must be correct regardless of physical parallelism.
+// query for exact agreement between the row interpreter and the column
+// store's executor (vectorized, or its fallback) at one worker and at
+// several. The worker counts exceed GOMAXPROCS on small machines on
+// purpose: chunked execution and merging must be correct regardless of
+// physical parallelism.
 func TestDifferential(t *testing.T) {
 	const queriesPerSeed = 600
 	seeds := []int64{1, 2, 3}
@@ -32,8 +33,9 @@ func TestDifferential(t *testing.T) {
 		}
 		// The generator must exercise both executors heavily; a collapse
 		// to one side would quietly gut the differential coverage.
-		if st.Vectorized < queriesPerSeed/4 {
-			t.Errorf("seed %d: only %d/%d queries vectorized", seed, st.Vectorized, st.Queries)
+		if st.Vectorized < queriesPerSeed/4 || st.OneWorker < queriesPerSeed/4 {
+			t.Errorf("seed %d: only %d (workers=%d) and %d (workers=1) of %d queries vectorized",
+				seed, st.Vectorized, workers, st.OneWorker, st.Queries)
 		}
 		if st.Fallback < queriesPerSeed/20 {
 			t.Errorf("seed %d: only %d/%d queries hit the interpreter fallback", seed, st.Fallback, st.Queries)
@@ -52,8 +54,8 @@ func TestDifferential(t *testing.T) {
 		if st.IntRange == 0 || st.IntDict == 0 {
 			t.Errorf("seed %d: int group keys coded %d× by range, %d× by dictionary; want both", seed, st.IntRange, st.IntDict)
 		}
-		t.Logf("seed %d workers %d: %d queries, %d vectorized (%d kernels, %d residuals; int keys %d range, %d dict), %d fallback",
-			seed, workers, st.Queries, st.Vectorized, st.Kernels, st.Residuals, st.IntRange, st.IntDict, st.Fallback)
+		t.Logf("seed %d workers %d: %d queries, %d vectorized (%d at workers=1; %d kernels, %d residuals; int keys %d range, %d dict), %d fallback",
+			seed, workers, st.Queries, st.Vectorized, st.OneWorker, st.Kernels, st.Residuals, st.IntRange, st.IntDict, st.Fallback)
 	}
 }
 
@@ -75,17 +77,17 @@ func TestDifferentialBlockEdges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if st.IntRange == 0 || st.IntDict == 0 || st.Residuals == 0 {
-			t.Errorf("workers=%d: under-exercised: int keys %d range / %d dict, %d residuals",
-				workers, st.IntRange, st.IntDict, st.Residuals)
+		if st.IntRange == 0 || st.IntDict == 0 || st.Residuals == 0 || st.OneWorker == 0 {
+			t.Errorf("workers=%d: under-exercised: int keys %d range / %d dict, %d residuals, %d vectorized at workers=1",
+				workers, st.IntRange, st.IntDict, st.Residuals, st.OneWorker)
 		}
 	}
 }
 
 // TestIntGroupKeyCodingEdges groups by e0 over each of the row ranges
 // that put it at an edge of the int group-key coding, and checks both
-// the coding the executor chose and — as everywhere — bit-exact
-// agreement with the interpreter.
+// the coding the executor chose at one and at three workers and — as
+// everywhere — bit-exact agreement with the interpreter.
 func TestIntGroupKeyCodingEdges(t *testing.T) {
 	h, err := New(9, 4000)
 	if err != nil {
@@ -110,19 +112,21 @@ func TestIntGroupKeyCodingEdges(t *testing.T) {
 	for i, e := range h.edges {
 		for _, tc := range cases {
 			q := Query{SQL: tc.sql, Lo: e[0], Hi: e[1], Groups: []string{"e0"}}
-			serial, _, err := h.exec(q, 1)
+			ref, err := h.reference(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, codings, err := h.exec(q, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(codings) == 0 || codings[0] != tc.want[i] {
-				t.Errorf("rows [%d,%d): e0 coded %v, want %s (sql: %s)", e[0], e[1], codings, tc.want[i], tc.sql)
-			}
-			if err := equalResults(serial, par); err != nil {
-				t.Errorf("rows [%d,%d): %v (sql: %s)", e[0], e[1], err, tc.sql)
+			for _, workers := range []int{1, 3} {
+				par, codings, err := h.exec(q, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(codings) == 0 || codings[0] != tc.want[i] {
+					t.Errorf("rows [%d,%d) workers=%d: e0 coded %v, want %s (sql: %s)", e[0], e[1], workers, codings, tc.want[i], tc.sql)
+				}
+				if err := equalResults(ref, par); err != nil {
+					t.Errorf("rows [%d,%d) workers=%d: %v (sql: %s)", e[0], e[1], workers, err, tc.sql)
+				}
 			}
 		}
 	}

@@ -1,8 +1,9 @@
 package difftest
 
-// Sharded differential sweep: every generated query executes once
-// against the unsharded harness table and once through a shard router
-// whose embedded children hold contiguous blocks of the same rows, and
+// Sharded differential sweep: every generated query executes once on
+// the row interpreter over the unsharded row-layout twin and once
+// through a shard router whose embedded column-store children hold
+// contiguous blocks of the same rows, and
 // the results must match bit for bit — row order, value kinds, float
 // payload bits, RowsScanned and Groups included. The harness's float
 // data is exactly summable (multiples of 0.25), so partial-sum
@@ -37,10 +38,10 @@ func (h *Harness) Sharded(shards int) (*shardbe.Router, error) {
 	return shardbe.New(bes, shardbe.Options{})
 }
 
-// RunSharded generates and checks n queries, executing each unsharded
-// (Workers=1, the byte-stable serial interpreter) and through a router
-// over the given shard count, with the given per-child scan worker
-// count. It returns an error describing the first divergence.
+// RunSharded generates and checks n queries, executing each on the row
+// interpreter over the unsharded twin and through a router over the
+// given shard count, once with one scan worker per child and once with
+// the given count. It returns an error describing the first divergence.
 func (h *Harness) RunSharded(n, shards, workers int) (Stats, error) {
 	var st Stats
 	router, err := h.Sharded(shards)
@@ -51,29 +52,36 @@ func (h *Harness) RunSharded(n, shards, workers int) (Stats, error) {
 	for i := 0; i < n; i++ {
 		q := h.Gen()
 		st.Queries++
-		serial, err := h.DB.QueryOpts(q.SQL, sqldb.ExecOptions{Lo: q.Lo, Hi: q.Hi, Workers: 1})
+		ref, err := h.reference(q)
 		if err != nil {
-			return st, fmt.Errorf("query %d unsharded failed: %v (sql: %s)", i, err, q.SQL)
+			return st, fmt.Errorf("query %d interpreter failed: %v (sql: %s)", i, err, q.SQL)
 		}
-		rows, stats, err := router.Exec(ctx, q.SQL, backend.ExecOptions{Lo: q.Lo, Hi: q.Hi, Workers: workers})
-		if err != nil {
-			return st, fmt.Errorf("query %d sharded (%d shards) failed: %v (sql: %s)", i, shards, err, q.SQL)
-		}
-		if stats.Vectorized {
-			st.Vectorized++
-			st.Kernels += stats.SelectionKernels
-			st.Residuals += stats.ResidualPredicates
-		} else {
-			st.Fallback++
-		}
-		// equalResults checks columns, every value bit, and the
-		// RowsScanned/Groups counters — the stats both executors must
-		// agree on; how each one ran (workers, kernels, fan-out) differs
-		// by design and is not compared.
-		sharded := &sqldb.Result{Columns: rows.Columns, Rows: rows.Rows, Stats: stats}
-		if err := equalResults(serial, sharded); err != nil {
-			return st, fmt.Errorf("query %d diverged (shards=%d, workers=%d, range [%d,%d)): %v\nsql: %s\nchild sql: %s",
-				i, shards, workers, q.Lo, q.Hi, err, q.SQL, childSQLOf(q.SQL, h))
+		for _, w := range []int{1, workers} {
+			rows, stats, err := router.Exec(ctx, q.SQL, backend.ExecOptions{Lo: q.Lo, Hi: q.Hi, Workers: w})
+			if err != nil {
+				return st, fmt.Errorf("query %d sharded (%d shards, workers=%d) failed: %v (sql: %s)", i, shards, w, err, q.SQL)
+			}
+			switch {
+			case w == 1:
+				if stats.Vectorized {
+					st.OneWorker++
+				}
+			case stats.Vectorized:
+				st.Vectorized++
+				st.Kernels += stats.SelectionKernels
+				st.Residuals += stats.ResidualPredicates
+			default:
+				st.Fallback++
+			}
+			// equalResults checks columns, every value bit, and the
+			// RowsScanned/Groups counters — the stats both executors must
+			// agree on; how each one ran (workers, kernels, fan-out) differs
+			// by design and is not compared.
+			sharded := &sqldb.Result{Columns: rows.Columns, Rows: rows.Rows, Stats: stats}
+			if err := equalResults(ref, sharded); err != nil {
+				return st, fmt.Errorf("query %d diverged (shards=%d, workers=%d, range [%d,%d)): %v\nsql: %s\nchild sql: %s",
+					i, shards, w, q.Lo, q.Hi, err, q.SQL, childSQLOf(q.SQL, h))
+			}
 		}
 	}
 	return st, nil

@@ -4,24 +4,18 @@ import "testing"
 
 // TestShardedDifferential sweeps the generated query grammar against
 // shard routers of 1, 2, 3 and 5 children over 3 seeds, asserting
-// bit-exact agreement with the unsharded interpreter. Odd shard counts
-// against the fixed row count make child block sizes uneven on purpose.
+// bit-exact agreement with the unsharded interpreter at one and at four
+// scan workers per child. Odd shard counts against the fixed row count
+// make child block sizes uneven on purpose.
 func TestShardedDifferential(t *testing.T) {
-	const queriesPerSeed = 250
+	const queriesPerSeed, workers = 250, 4
 	seeds := []int64{11, 12, 13}
 	shardSweep := []int{1, 2, 3, 5}
-	for si, seed := range seeds {
+	for _, seed := range seeds {
 		for _, shards := range shardSweep {
 			h, err := New(seed, 1500)
 			if err != nil {
 				t.Fatal(err)
-			}
-			// Alternate child-side scan parallelism: serial children one
-			// round, vectorized children (their own difftest-proven merge)
-			// the next — the shard merge must be exact over both.
-			workers := 1
-			if (si+shards)%2 == 0 {
-				workers = 4
 			}
 			st, err := h.RunSharded(queriesPerSeed, shards, workers)
 			if err != nil {
@@ -30,8 +24,11 @@ func TestShardedDifferential(t *testing.T) {
 			if st.Queries != queriesPerSeed {
 				t.Fatalf("seed %d shards %d: ran %d queries, want %d", seed, shards, st.Queries, queriesPerSeed)
 			}
-			t.Logf("seed %d shards %d workers %d: %d queries, %d vectorized, %d fallback",
-				seed, shards, workers, st.Queries, st.Vectorized, st.Fallback)
+			if st.OneWorker == 0 {
+				t.Errorf("seed %d shards %d: no query vectorized at one worker per child", seed, shards)
+			}
+			t.Logf("seed %d shards %d: %d queries, %d vectorized (%d at workers=1), %d fallback",
+				seed, shards, st.Queries, st.Vectorized, st.OneWorker, st.Fallback)
 		}
 	}
 }

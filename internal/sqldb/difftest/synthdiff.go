@@ -7,8 +7,9 @@ package difftest
 // every distribution feature the generator offers (Zipf and weighted
 // categoricals, a region→city-style hierarchy, a numerically correlated
 // measure pair, per-column NULL rates) flows through the full query
-// grammar and must be bit-exact across Workers=1 vs N and unsharded vs
-// sharded execution.
+// grammar, and the column store at Workers=1 and N, unsharded and
+// sharded, must be bit-exact against the row interpreter over a
+// row-layout twin generated from the same seed.
 //
 // The spec keeps the float columns on the exact-summation grid the
 // package doc describes (multiples of 0.25, bounded magnitude, enforced
@@ -63,13 +64,15 @@ func synthTableSpec() dataset.SynthSpec {
 }
 
 // NewSynth builds a harness whose table comes from the synthetic-spec
-// generator (seeded, streamed through BuildSynth) instead of the
-// handwritten loop. The query generator draws from an independent
-// stream, so data and queries vary independently with the seed.
+// generator (seeded, streamed through BuildSynth once per layout)
+// instead of the handwritten loop. The query generator draws from an
+// independent stream, so data and queries vary independently with the
+// seed.
 func NewSynth(seed int64, rows int) (*Harness, error) {
 	spec := synthTableSpec().WithRows(rows).WithSeed(seed)
 	h := &Harness{
 		DB:   sqldb.NewDB(),
+		Ref:  sqldb.NewDB(),
 		rng:  rand.New(rand.NewSource(seed ^ 0x5eedb)),
 		rows: rows,
 
@@ -77,6 +80,9 @@ func NewSynth(seed int64, rows int) (*Harness, error) {
 		intKeys:   map[string]bool{"k0": true, "m2": true},
 	}
 	if _, err := dataset.BuildSynth(h.DB, spec, sqldb.LayoutCol); err != nil {
+		return nil, err
+	}
+	if _, err := dataset.BuildSynth(h.Ref, spec, sqldb.LayoutRow); err != nil {
 		return nil, err
 	}
 	return h, nil

@@ -7,8 +7,9 @@ import (
 
 // TestSynthDifferential feeds synthetic-spec-generated data (Zipf,
 // weighted, hierarchy, correlated measures, NULLs) through the full
-// query grammar and requires bit-exact agreement between the Workers=1
-// interpreter and the parallel vectorized executor, across three seeds.
+// query grammar and requires bit-exact agreement between the row
+// interpreter and the column store at one worker and at several, across
+// three seeds.
 func TestSynthDifferential(t *testing.T) {
 	const queriesPerSeed = 300
 	seeds := []int64{11, 12, 13}
@@ -28,8 +29,9 @@ func TestSynthDifferential(t *testing.T) {
 		}
 		// The synthetic data must drive both executors, like the
 		// handwritten table does.
-		if st.Vectorized < queriesPerSeed/4 {
-			t.Errorf("seed %d: only %d/%d queries vectorized", seed, st.Vectorized, st.Queries)
+		if st.Vectorized < queriesPerSeed/4 || st.OneWorker < queriesPerSeed/4 {
+			t.Errorf("seed %d: only %d (workers=%d) and %d (workers=1) of %d queries vectorized",
+				seed, st.Vectorized, workers, st.OneWorker, st.Queries)
 		}
 		if st.Fallback < queriesPerSeed/20 {
 			t.Errorf("seed %d: only %d/%d queries hit the interpreter fallback", seed, st.Fallback, st.Queries)
@@ -38,14 +40,15 @@ func TestSynthDifferential(t *testing.T) {
 			t.Errorf("seed %d: predicate paths under-exercised (%d kernels, %d residuals)",
 				seed, st.Kernels, st.Residuals)
 		}
-		t.Logf("seed %d workers %d: %d queries, %d vectorized (%d kernels, %d residuals), %d fallback",
-			seed, workers, st.Queries, st.Vectorized, st.Kernels, st.Residuals, st.Fallback)
+		t.Logf("seed %d workers %d: %d queries, %d vectorized (%d at workers=1; %d kernels, %d residuals), %d fallback",
+			seed, workers, st.Queries, st.Vectorized, st.OneWorker, st.Kernels, st.Residuals, st.Fallback)
 	}
 }
 
-// TestSynthDifferentialSharded runs the same synthetic table unsharded
-// vs through shard routers with 2 and 3 embedded children, three seeds
-// each, requiring bit-exact results (RowsScanned and Groups included).
+// TestSynthDifferentialSharded runs the same synthetic table on the
+// unsharded interpreter vs through shard routers with 2 and 3 embedded
+// children at one and three scan workers, three seeds each, requiring
+// bit-exact results (RowsScanned and Groups included).
 func TestSynthDifferentialSharded(t *testing.T) {
 	const queriesPerCase = 150
 	for _, shards := range []int{2, 3} {
@@ -58,8 +61,11 @@ func TestSynthDifferentialSharded(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shards=%d seed %d: %v", shards, seed, err)
 			}
-			t.Logf("shards %d seed %d: %d queries, %d vectorized, %d fallback",
-				shards, seed, st.Queries, st.Vectorized, st.Fallback)
+			if st.OneWorker == 0 {
+				t.Errorf("shards=%d seed %d: no query vectorized at one worker per child", shards, seed)
+			}
+			t.Logf("shards %d seed %d: %d queries, %d vectorized (%d at workers=1), %d fallback",
+				shards, seed, st.Queries, st.Vectorized, st.OneWorker, st.Fallback)
 		}
 	}
 }

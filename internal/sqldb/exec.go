@@ -20,18 +20,18 @@ type ExecOptions struct {
 	// means "to the end of the table". SeeDB's phased execution framework
 	// uses this to process the i-th of n partitions.
 	Lo, Hi int
-	// Workers sets the intra-query scan parallelism. Values <= 1 select
-	// the serial row interpreter. Values > 1 enable the parallel
-	// vectorized fast path (see vexec.go) for grouped-aggregation queries
-	// over column-store tables; queries or tables the fast path cannot
-	// handle fall back to the serial interpreter. The effective count is
-	// capped at a small multiple of GOMAXPROCS (and at the scanned row
-	// count), so forwarding an untrusted value cannot spawn unbounded
-	// goroutines. The parallel merge is
-	// deterministic (first-seen group order is preserved), but SUM/AVG
-	// reassociate floating-point addition across chunks, so float
-	// aggregates may differ from the serial result in final ulps on data
-	// whose partial sums are inexact.
+	// Workers sets the intra-query scan parallelism of the vectorized
+	// fast path (see vexec.go), which runs every grouped-aggregation
+	// query over a column-store table; values <= 1 mean one worker.
+	// Row stores and query shapes the fast path cannot handle run on the
+	// row interpreter whatever the count. The effective count is capped
+	// at a small multiple of GOMAXPROCS (and at the scanned row count),
+	// so forwarding an untrusted value cannot spawn unbounded goroutines.
+	// One worker folds rows in scan order, exactly as the interpreter
+	// does. The parallel merge is deterministic (first-seen group order is
+	// preserved), but SUM/AVG reassociate floating-point addition across
+	// chunks, so float aggregates may differ from a one-worker run in
+	// final ulps on data whose partial sums are inexact.
 	Workers int
 }
 
@@ -53,25 +53,25 @@ type ExecStats struct {
 	// aggregation — the engine's memory-utilization proxy for the SeeDB
 	// memory budget B (Problem 4.1 in the paper).
 	Groups int `json:"groups"`
-	// Vectorized reports whether the parallel vectorized fast path
-	// executed the aggregation (false for the serial interpreter and for
-	// non-grouped queries).
+	// Vectorized reports whether the vectorized fast path executed the
+	// aggregation (false for the row interpreter and for non-grouped
+	// queries).
 	Vectorized bool `json:"vectorized"`
-	// FallbackReason says why Vectorized is false ("serial execution",
+	// FallbackReason says why Vectorized is false ("row-store table",
 	// "non-column group key", "distinct agg", "id-space overflow", ...).
 	// Empty when the fast path ran; backends that cannot introspect
 	// their executor leave it empty too, and the engine then reports the
 	// fallback as "unreported".
 	FallbackReason string `json:"fallback_reason,omitempty"`
 	// Workers is the number of scan workers actually used (1 for the
-	// serial interpreter; never more than the scanned row count).
+	// row interpreter; never more than the scanned row count).
 	Workers int `json:"workers"`
 	// SelectionKernels counts the compiled predicate kernels this
 	// execution bound (WHERE conjuncts plus CASE-flag conjuncts);
 	// ResidualPredicates counts the conjuncts that stayed on the per-row
 	// closure path (the hybrid residual filter). Both are zero for the
-	// serial interpreter and on backends without an engine-side
-	// vectorized executor.
+	// row interpreter and on backends without an engine-side vectorized
+	// executor.
 	SelectionKernels   int `json:"selection_kernels"`
 	ResidualPredicates int `json:"residual_predicates"`
 	// ShardFanout counts the child-backend executions a routing backend
@@ -151,13 +151,11 @@ type plan struct {
 	limit    int
 	offset   int
 
-	// vec is the vectorized fast-path analysis of a grouped plan, or nil
-	// when the query shape is not eligible (see vexec.go); vecReason
-	// names the disqualifying shape when vec is nil. noVec marks a
-	// merge-only plan that skipped the analysis altogether.
+	// vec is the vectorized fast-path analysis of a grouped plan bound to
+	// a column store, or nil when the table or the query shape is not
+	// eligible (see vexec.go); vecReason then names why.
 	vec       *vecInfo
 	vecReason string
-	noVec     bool
 }
 
 // orderKey is a compiled ORDER BY entry. If outCol >= 0 the key is an
@@ -183,16 +181,29 @@ func (g groupRow) Value(i int) Value {
 	return g.aggs[i-len(g.keys)]
 }
 
-// compileForSchemaOpt plans stmt against a schema alone. The resulting
-// plan can finalize group entries and post-process rows (the shard-merge
-// path in shardexec.go), but needs plan.table assigned before execute
-// can scan (the query entry points in db.go do that). analyzeVec enables
-// the vectorized fast-path analysis (selection-kernel compilation
-// included); serial executions and merge-only plans skip it — the
-// analysis is never consulted there, and it is a measurable per-query
-// cost on a fan-out router's hot path.
-func compileForSchemaOpt(stmt *SelectStmt, schema *Schema, analyzeVec bool) (*plan, error) {
-	p := &plan{limit: stmt.Limit, offset: stmt.Offset, distinct: stmt.Distinct, noVec: !analyzeVec}
+// compilePlan plans stmt for execution over t, deciding which executor
+// aggregates it: a grouped plan over a column store gets the vectorized
+// fast-path analysis (selection kernels included); row stores always
+// run the row interpreter.
+func compilePlan(stmt *SelectStmt, t Table) (*plan, error) {
+	p, err := compileForSchema(stmt, t.Schema())
+	if err != nil {
+		return nil, err
+	}
+	p.table = t
+	if _, col := t.(*ColStore); !col {
+		p.vecReason = fallbackRowStore
+	} else if p.grouped {
+		p.vec, p.vecReason = vectorizeGrouped(stmt, p, t.Schema())
+	}
+	return p, nil
+}
+
+// compileForSchema plans stmt against a schema alone. The resulting plan
+// can finalize group entries and post-process rows (the shard-merge path
+// in shardexec.go); compilePlan binds it to a table it can scan.
+func compileForSchema(stmt *SelectStmt, schema *Schema) (*plan, error) {
+	p := &plan{limit: stmt.Limit, offset: stmt.Offset, distinct: stmt.Distinct}
 
 	// Expand SELECT *.
 	items := make([]SelectItem, 0, len(stmt.Items))
@@ -347,9 +358,6 @@ func compileGroupedPlan(p *plan, stmt *SelectStmt, items []SelectItem, schema *S
 			return nil, kerr
 		}
 		p.orderBy = append(p.orderBy, key)
-	}
-	if !p.noVec {
-		p.vec, p.vecReason = vectorizeGrouped(stmt, p, schema)
 	}
 	return p, nil
 }
@@ -648,7 +656,7 @@ func (p *plan) executeSimple(opts ExecOptions, lo, hi int, res *Result) error {
 	return err
 }
 
-// executeGrouped runs hash aggregation: the scan/accumulate stage (serial
+// executeGrouped runs hash aggregation: the scan/accumulate stage (row
 // interpreter or parallel vectorized fast path) followed by the shared
 // finalize stage (HAVING, outputs, order keys).
 func (p *plan) executeGrouped(opts ExecOptions, lo, hi int, res *Result) error {
@@ -671,7 +679,7 @@ func (p *plan) executeGrouped(opts ExecOptions, lo, hi int, res *Result) error {
 
 // finalizeGroups runs the executor-independent finalize stage over
 // accumulated group entries: HAVING, output expressions and inline order
-// keys. It is shared by the scan executors (serial interpreter, parallel
+// keys. It is shared by the scan executors (row interpreter, parallel
 // vectorized fast path) and the shard merge, so finalize semantics cannot
 // drift between single-store and fanned-out execution.
 func (p *plan) finalizeGroups(entries []*groupEntry, res *Result) {
@@ -717,23 +725,15 @@ func (p *plan) finalizeGroups(entries []*groupEntry, res *Result) {
 }
 
 // aggregateRange produces the group entries for [lo, hi) in deterministic
-// first-seen order, dispatching to the parallel vectorized fast path when
-// the caller asked for intra-query parallelism and the plan and table
-// support it, and to the serial row interpreter otherwise. When the
-// interpreter runs, stats.FallbackReason records why.
+// first-seen order, on the vectorized fast path (with opts.Workers
+// workers) when compilePlan chose it, and on the row interpreter
+// otherwise. When the interpreter runs, stats.FallbackReason records why.
 func (p *plan) aggregateRange(opts ExecOptions, lo, hi int, stats *ExecStats) ([]*groupEntry, error) {
 	switch {
-	case opts.Workers <= 1:
-		stats.FallbackReason = fallbackSerialExec
 	case p.vec == nil:
 		stats.FallbackReason = p.vecReason
 	default:
-		t, ok := p.table.(*ColStore)
-		if !ok {
-			stats.FallbackReason = fallbackRowStore
-			break
-		}
-		run, ran, err := p.vec.run(p, t, opts, lo, hi)
+		run, ran, err := p.vec.run(p, p.table.(*ColStore), opts, lo, hi)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,7 @@ package sqldb
 
 // Predicate-compilation layer for the vectorized fast path.
 //
-// The serial interpreter evaluates WHERE predicates (and the CASE-flag
+// The row interpreter evaluates WHERE predicates (and the CASE-flag
 // predicate of SeeDB's combined target/reference rewrite) through a
 // per-row evalFn closure chain: every row pays interface dispatch, Value
 // boxing and three-valued-logic plumbing even when the predicate is a
@@ -877,7 +877,7 @@ func fillRange(b []bool, n int) {
 
 // groupKeyBits returns the identity bits of a numeric group-key cell:
 // the raw int64 bits for int columns and the IEEE-754 bits for float
-// columns. This matches the serial interpreter's appendKey encoding, so
+// columns. This matches the row interpreter's appendKey encoding, so
 // -0.0 vs +0.0 and distinct NaN payloads split groups identically on
 // both paths.
 func groupKeyBits(c *columnVector, typ ColumnType, r int) uint64 {

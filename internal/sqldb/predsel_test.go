@@ -59,9 +59,11 @@ func predselTable(t *testing.T, rows int) *DB {
 
 // TestSelectionKernelsMatchInterpreter runs one WHERE shape per grammar
 // production (and the NULL-semantics edges) under the kernels and under
-// the serial closure interpreter, asserting identical filtered groups.
+// the closure interpreter of a row-store twin, asserting identical
+// filtered groups.
 func TestSelectionKernelsMatchInterpreter(t *testing.T) {
 	db := predselTable(t, 3000)
+	twin := rowTwin(t, db)
 	preds := []string{
 		// Comparison leaves per column type, both literal positions.
 		"i > 3", "i <= -4", "3 < i", "f >= 2.5", "f != 0.25", "2.0 > f",
@@ -94,11 +96,8 @@ func TestSelectionKernelsMatchInterpreter(t *testing.T) {
 		// per-group COUNTs pin the filter semantics exactly: any row
 		// mis-selected by a kernel shifts a group's count.
 		sql := fmt.Sprintf("SELECT s, COUNT(*), COUNT(f), SUM(i), MIN(i) FROM t WHERE %s GROUP BY s", pred)
-		serial, err := db.QueryOpts(sql, ExecOptions{Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: serial: %v", pred, err)
-		}
-		for _, workers := range []int{2, 5} {
+		serial := interpret(t, twin, sql, ExecOptions{})
+		for _, workers := range []int{1, 2, 5} {
 			par, err := db.QueryOpts(sql, ExecOptions{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s: workers=%d: %v", pred, workers, err)

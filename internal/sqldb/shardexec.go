@@ -72,7 +72,7 @@ type ShardPlan struct {
 // accepts is supported; compile errors are the same errors the embedded
 // store would report.
 func NewShardPlan(stmt *SelectStmt, schema *Schema) (*ShardPlan, error) {
-	p, err := compileForSchemaOpt(stmt, schema, false)
+	p, err := compileForSchema(stmt, schema)
 	if err != nil {
 		return nil, err
 	}

@@ -18,8 +18,8 @@
 // Queries may additionally be executed against a half-open row range
 // ([lo, hi)) of the fact table, which is how SeeDB's phased execution
 // framework processes the i-th of n partitions, and with intra-query
-// scan parallelism (ExecOptions.Workers), which engages the parallel
-// vectorized fast path in vexec.go for eligible column-store queries:
+// scan parallelism (ExecOptions.Workers). Eligible column-store queries
+// run on the vectorized fast path in vexec.go at any worker count:
 // dictionary/bool/int/float group keys become small integer ids
 // (narrow-ranging ints by value range, floats and wide ints via runtime
 // value dictionaries), rows are processed a block at a time by typed

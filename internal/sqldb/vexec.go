@@ -48,8 +48,9 @@ package sqldb
 //   - At the end of its chunk a worker materializes groupEntry, aggState
 //     and key Values once, from three slabs, and the partials merge in
 //     chunk order, which reproduces exactly the first-seen group order of
-//     a sequential scan. Results are therefore identical to the serial
-//     interpreter, with one caveat family: SUM/AVG reassociate
+//     a sequential scan. Results are therefore identical to the row
+//     interpreter — bit for bit with one worker, whose single chunk folds
+//     rows in scan order — with one caveat family: SUM/AVG reassociate
 //     floating-point addition across chunks, so float aggregates can
 //     differ in final ulps when partial sums are inexact, and on data
 //     containing NaN the non-transitive Compare semantics (NaN "equals"
@@ -62,7 +63,7 @@ package sqldb
 //
 // Queries outside the shape (row stores, expression group keys or
 // aggregate arguments, DISTINCT aggregates, string MIN/MAX, group-id
-// spaces that overflow) fall back to the serial interpreter, and the
+// spaces that overflow) fall back to the row interpreter, and the
 // reason is reported in ExecStats.FallbackReason. HAVING, ORDER BY,
 // projection, DISTINCT, LIMIT and OFFSET need no analysis here: they
 // operate on the finalized groups, shared with the serial path.
@@ -101,7 +102,6 @@ const selBlockRows = 1024
 // Fast-path fallback reasons, reported via ExecStats.FallbackReason and
 // aggregated per reason by the engine's Metrics.
 const (
-	fallbackSerialExec    = "serial execution"
 	fallbackNonGrouped    = "non-grouped query"
 	fallbackRowStore      = "row-store table"
 	fallbackIDSpace       = "id-space overflow"
@@ -114,7 +114,7 @@ const (
 
 // errGroupIDSpace signals a mid-scan group-id-space overflow (a runtime
 // numeric dictionary outgrew its radix); the fast path declines and the
-// caller retries on the serial interpreter.
+// caller retries on the row interpreter.
 var errGroupIDSpace = errors.New("sqldb: group-id space overflow")
 
 // maxWorkersPerQuery caps effective scan workers at a small multiple of
@@ -532,7 +532,7 @@ func powFits(r uint64, n int, b uint64) bool {
 
 // run executes the fast path over [lo, hi) with opts.Workers workers.
 // ran reports whether the fast path was applicable at runtime; when
-// false the caller must use the serial interpreter.
+// false the caller must use the row interpreter.
 func (v *vecInfo) run(p *plan, t *ColStore, opts ExecOptions, lo, hi int) (res *vecRun, ran bool, err error) {
 	lo, hi = clampRange(lo, hi, t.rows)
 	lay, ok := v.layout(t, lo, hi)
@@ -581,7 +581,7 @@ func (v *vecInfo) run(p *plan, t *ColStore, opts ExecOptions, lo, hi int) (res *
 		}
 	}
 
-	// The same projection mask the serial scan would use, shared
+	// The same projection mask the row interpreter would use, shared
 	// read-only by every worker's residual/closure evaluations.
 	wanted := t.wantedMask(p.scanCols)
 
@@ -1102,7 +1102,7 @@ func (s *chunkScan) materialize(scanned int) *vecPartial {
 	return part
 }
 
-// decodeKeys fills keys with the group-key Values a serial scan would
+// decodeKeys fills keys with the group-key Values the row interpreter would
 // have produced for the row(s) behind a combined group id. dicts
 // supplies the worker-local numeric dictionaries (nil entries for the
 // other groups).
@@ -1139,7 +1139,7 @@ func (v *vecInfo) decodeKeys(keys []Value, t *ColStore, gid uint64, lay *vecLayo
 // sequential scan. Dictionary-coded numeric group keys are worker-local,
 // so the merge remaps them onto a global dictionary before comparing
 // ids; ok=false reports a (theoretical) global id-space overflow, which
-// sends the query to the serial interpreter.
+// sends the query to the row interpreter.
 func (v *vecInfo) merge(p *plan, parts []*vecPartial, lay *vecLayout) (entries []*groupEntry, scanned int, ok bool) {
 	if len(parts) == 1 {
 		return parts[0].entries, parts[0].scanned, true

@@ -52,6 +52,49 @@ func vexecTable(t *testing.T, rows int) *DB {
 	return db
 }
 
+// rowTwin copies table "t" of db into a fresh ROW-layout store. Row
+// stores always run the row interpreter, so the twin is the reference
+// every column-store execution must match.
+func rowTwin(t *testing.T, db *DB) *DB {
+	t.Helper()
+	src, ok := db.Table("t")
+	if !ok {
+		t.Fatal("no table t")
+	}
+	twin := NewDB()
+	tab, err := twin.CreateTable("t", src.Schema(), LayoutRow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := make([]int, src.Schema().NumColumns())
+	for i := range cols {
+		cols[i] = i
+	}
+	row := make([]Value, len(cols))
+	if err := src.ScanRange(0, src.NumRows(), cols, func(rv RowView) error {
+		for i := range row {
+			row[i] = rv.Value(i)
+		}
+		return tab.AppendRow(row)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return twin
+}
+
+// interpret runs sql on the row twin and checks the interpreter ran.
+func interpret(t *testing.T, twin *DB, sql string, opts ExecOptions) *Result {
+	t.Helper()
+	res, err := twin.QueryOpts(sql, opts)
+	if err != nil {
+		t.Fatalf("%s: interpreter: %v", sql, err)
+	}
+	if res.Stats.Vectorized || res.Stats.SelectionKernels != 0 {
+		t.Fatalf("%s: row twin must run the interpreter: %+v", sql, res.Stats)
+	}
+	return res
+}
+
 // mustEqualResults asserts byte-identical rows (appendKey encoding, so
 // NaN and -0.0 are distinguished) and equal columns.
 func mustEqualResults(t *testing.T, sql string, a, b *Result) {
@@ -77,8 +120,12 @@ func mustEqualResults(t *testing.T, sql string, a, b *Result) {
 	}
 }
 
+// TestVectorizedMatchesSerial runs every eligible shape on the column
+// store at one worker and at several, and requires each run to take the
+// fast path and match the row interpreter bit for bit.
 func TestVectorizedMatchesSerial(t *testing.T) {
 	db := vexecTable(t, 5000)
+	twin := rowTwin(t, db)
 	queries := []string{
 		"SELECT d1, COUNT(*), SUM(m1), AVG(m1), MIN(m2), MAX(m2) FROM t GROUP BY d1",
 		"SELECT d1, d2, AVG(m1) FROM t GROUP BY d1, d2",
@@ -106,14 +153,8 @@ func TestVectorizedMatchesSerial(t *testing.T) {
 		"SELECT d1, COUNT(*) FROM t WHERE m2 > 0 AND m2 % 3 = 0 GROUP BY d1",
 	}
 	for _, sql := range queries {
-		for _, workers := range []int{2, 3, 7} {
-			serial, err := db.QueryOpts(sql, ExecOptions{Workers: 1})
-			if err != nil {
-				t.Fatalf("%s: serial: %v", sql, err)
-			}
-			if serial.Stats.Vectorized {
-				t.Fatalf("%s: Workers=1 must use the interpreter", sql)
-			}
+		ref := interpret(t, twin, sql, ExecOptions{})
+		for _, workers := range []int{1, 2, 3, 7} {
 			par, err := db.QueryOpts(sql, ExecOptions{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s: workers=%d: %v", sql, workers, err)
@@ -124,13 +165,31 @@ func TestVectorizedMatchesSerial(t *testing.T) {
 			if par.Stats.Workers < 1 || par.Stats.Workers > workers {
 				t.Fatalf("%s: reported %d workers, asked for %d", sql, par.Stats.Workers, workers)
 			}
-			mustEqualResults(t, sql, serial, par)
-			if serial.Stats.RowsScanned != par.Stats.RowsScanned {
-				t.Fatalf("%s: rows scanned %d vs %d", sql, serial.Stats.RowsScanned, par.Stats.RowsScanned)
+			mustEqualResults(t, sql, ref, par)
+			if ref.Stats.RowsScanned != par.Stats.RowsScanned {
+				t.Fatalf("%s: rows scanned %d vs %d", sql, ref.Stats.RowsScanned, par.Stats.RowsScanned)
 			}
-			if serial.Stats.Groups != par.Stats.Groups {
-				t.Fatalf("%s: groups %d vs %d", sql, serial.Stats.Groups, par.Stats.Groups)
+			if ref.Stats.Groups != par.Stats.Groups {
+				t.Fatalf("%s: groups %d vs %d", sql, ref.Stats.Groups, par.Stats.Groups)
 			}
+		}
+	}
+}
+
+// TestSerialIsOneWorker pins that a worker count of 0 or 1 is one worker
+// on the same executor, not a different one: a grouped column-store
+// query with a WHERE clause takes the vectorized path and binds its
+// selection kernels.
+func TestSerialIsOneWorker(t *testing.T) {
+	db := vexecTable(t, 3000)
+	sql := "SELECT d1, COUNT(*), SUM(m1) FROM t WHERE m2 > 0 AND d2 != 'h2' GROUP BY d1"
+	for _, workers := range []int{0, 1} {
+		res, err := db.QueryOpts(sql, ExecOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := res.Stats; !s.Vectorized || s.SelectionKernels == 0 || s.Workers != 1 || s.FallbackReason != "" {
+			t.Errorf("workers=%d: want one vectorized worker with kernels, stats: %+v", workers, s)
 		}
 	}
 }
@@ -155,23 +214,24 @@ func TestVectorizedWorkerCap(t *testing.T) {
 
 func TestVectorizedSubRanges(t *testing.T) {
 	db := vexecTable(t, 3000)
+	twin := rowTwin(t, db)
 	sql := "SELECT d1, d2, SUM(m1), COUNT(*) FROM t GROUP BY d1, d2"
 	ranges := [][2]int{{0, 1}, {0, 100}, {17, 18}, {500, 2999}, {2999, 3000}, {1000, 1000}, {2000, 0}, {-5, 50}}
 	for _, r := range ranges {
-		serial, err := db.QueryOpts(sql, ExecOptions{Lo: r[0], Hi: r[1], Workers: 1})
-		if err != nil {
-			t.Fatal(err)
+		ref := interpret(t, twin, sql, ExecOptions{Lo: r[0], Hi: r[1]})
+		for _, workers := range []int{1, 4} {
+			par, err := db.QueryOpts(sql, ExecOptions{Lo: r[0], Hi: r[1], Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqualResults(t, fmt.Sprintf("%s [%d,%d) workers=%d", sql, r[0], r[1], workers), ref, par)
 		}
-		par, err := db.QueryOpts(sql, ExecOptions{Lo: r[0], Hi: r[1], Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualResults(t, fmt.Sprintf("%s [%d,%d)", sql, r[0], r[1]), serial, par)
 	}
 }
 
 // TestVectorizedFallbacks asserts the interpreter handles shapes the fast
-// path declines, with identical results either way.
+// path declines, at every worker count and with the same reason, and
+// that row stores always use it.
 func TestVectorizedFallbacks(t *testing.T) {
 	db := vexecTable(t, 2000)
 	fallbacks := []struct {
@@ -186,27 +246,24 @@ func TestVectorizedFallbacks(t *testing.T) {
 	}
 	for _, tc := range fallbacks {
 		sql := tc.sql
-		par, err := db.QueryOpts(sql, ExecOptions{Workers: 4})
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
+		var runs []*Result
+		for _, workers := range []int{1, 4} {
+			res, err := db.QueryOpts(sql, ExecOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			if res.Stats.Vectorized {
+				t.Fatalf("%s: workers=%d: expected interpreter fallback", sql, workers)
+			}
+			if res.Stats.Workers != 1 {
+				t.Fatalf("%s: fallback should report 1 worker, got %d", sql, res.Stats.Workers)
+			}
+			if res.Stats.FallbackReason != tc.reason {
+				t.Fatalf("%s: workers=%d: fallback reason %q, want %q", sql, workers, res.Stats.FallbackReason, tc.reason)
+			}
+			runs = append(runs, res)
 		}
-		if par.Stats.Vectorized {
-			t.Fatalf("%s: expected interpreter fallback", sql)
-		}
-		if par.Stats.Workers != 1 {
-			t.Fatalf("%s: fallback should report 1 worker, got %d", sql, par.Stats.Workers)
-		}
-		if par.Stats.FallbackReason != tc.reason {
-			t.Fatalf("%s: fallback reason %q, want %q", sql, par.Stats.FallbackReason, tc.reason)
-		}
-		serial, err := db.QueryOpts(sql, ExecOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.Stats.FallbackReason != fallbackSerialExec {
-			t.Fatalf("%s: serial reason %q, want %q", sql, serial.Stats.FallbackReason, fallbackSerialExec)
-		}
-		mustEqualResults(t, sql, serial, par)
+		mustEqualResults(t, sql, runs[0], runs[1])
 	}
 
 	// Row stores always use the interpreter.
@@ -222,63 +279,54 @@ func TestVectorizedFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := rdb.QueryOpts("SELECT d, SUM(m) FROM t GROUP BY d", ExecOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Vectorized {
-		t.Fatal("row store must not vectorize")
-	}
-	if res.Stats.FallbackReason != fallbackRowStore {
-		t.Fatalf("row store reason %q, want %q", res.Stats.FallbackReason, fallbackRowStore)
+	for _, workers := range []int{1, 4} {
+		res, err := rdb.QueryOpts("SELECT d, SUM(m) FROM t GROUP BY d", ExecOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Vectorized {
+			t.Fatal("row store must not vectorize")
+		}
+		if res.Stats.FallbackReason != fallbackRowStore {
+			t.Fatalf("workers=%d: row store reason %q, want %q", workers, res.Stats.FallbackReason, fallbackRowStore)
+		}
 	}
 }
 
 // TestSelectionKernelStats asserts the executor reports how the
-// predicate ran: compilable conjuncts as kernels, exotic conjuncts as
-// residuals, and neither under the serial interpreter — with identical
-// results on both paths.
+// predicate ran at every worker count: compilable conjuncts as kernels,
+// exotic conjuncts as residuals, and neither under the row interpreter —
+// with identical results on both paths.
 func TestSelectionKernelStats(t *testing.T) {
 	db := vexecTable(t, 4000)
-	sql := "SELECT d1, COUNT(*), SUM(m1) FROM t WHERE m2 > 0 AND d2 != 'h2' AND m2 % 3 = 0 GROUP BY d1"
-
-	kern, err := db.QueryOpts(sql, ExecOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !kern.Stats.Vectorized || kern.Stats.FallbackReason != "" {
-		t.Fatalf("expected vectorized run, stats: %+v", kern.Stats)
-	}
-	if kern.Stats.SelectionKernels != 2 || kern.Stats.ResidualPredicates != 1 {
-		t.Fatalf("kernels=%d residuals=%d, want 2 kernels + 1 residual (m2 %% 3 = 0)",
-			kern.Stats.SelectionKernels, kern.Stats.ResidualPredicates)
-	}
-
-	serial, err := db.QueryOpts(sql, ExecOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Stats.SelectionKernels != 0 {
-		t.Fatalf("serial interpreter must not report kernels: %+v", serial.Stats)
-	}
-	mustEqualResults(t, sql, serial, kern)
-
+	twin := rowTwin(t, db)
 	// The CASE-flag predicate of the combined target/reference rewrite
-	// also compiles to kernels.
-	flagSQL := "SELECT d1, CASE WHEN m1 > 50 AND b1 = TRUE THEN 1 ELSE 0 END, COUNT(*) FROM t" +
-		" GROUP BY d1, CASE WHEN m1 > 50 AND b1 = TRUE THEN 1 ELSE 0 END"
-	flag, err := db.QueryOpts(flagSQL, ExecOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	// compiles to kernels too.
+	cases := []struct {
+		sql                string
+		kernels, residuals int
+	}{
+		{"SELECT d1, COUNT(*), SUM(m1) FROM t WHERE m2 > 0 AND d2 != 'h2' AND m2 % 3 = 0 GROUP BY d1", 2, 1},
+		{"SELECT d1, CASE WHEN m1 > 50 AND b1 = TRUE THEN 1 ELSE 0 END, COUNT(*) FROM t" +
+			" GROUP BY d1, CASE WHEN m1 > 50 AND b1 = TRUE THEN 1 ELSE 0 END", 2, 0},
 	}
-	if !flag.Stats.Vectorized || flag.Stats.SelectionKernels != 2 {
-		t.Fatalf("flag predicate should compile to 2 kernels: %+v", flag.Stats)
+	for _, tc := range cases {
+		ref := interpret(t, twin, tc.sql, ExecOptions{Workers: 4})
+		for _, workers := range []int{1, 4} {
+			kern, err := db.QueryOpts(tc.sql, ExecOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !kern.Stats.Vectorized || kern.Stats.FallbackReason != "" {
+				t.Fatalf("workers=%d: expected vectorized run, stats: %+v", workers, kern.Stats)
+			}
+			if kern.Stats.SelectionKernels != tc.kernels || kern.Stats.ResidualPredicates != tc.residuals {
+				t.Fatalf("%s: workers=%d: kernels=%d residuals=%d, want %d + %d", tc.sql, workers,
+					kern.Stats.SelectionKernels, kern.Stats.ResidualPredicates, tc.kernels, tc.residuals)
+			}
+			mustEqualResults(t, tc.sql, ref, kern)
+		}
 	}
-	flagSerial, err := db.QueryOpts(flagSQL, ExecOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualResults(t, flagSQL, flagSerial, flag)
 }
 
 // TestTypedMinMaxMatchesInterpreterBeyond2p53 pins the typed MIN/MAX
@@ -306,11 +354,8 @@ func TestTypedMinMaxMatchesInterpreterBeyond2p53(t *testing.T) {
 		}
 	}
 	sql := "SELECT d, MIN(m), MAX(m) FROM t GROUP BY d"
-	serial, err := db.QueryOpts(sql, ExecOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 7} {
+	serial := interpret(t, rowTwin(t, db), sql, ExecOptions{})
+	for _, workers := range []int{1, 2, 4, 7} {
 		par, err := db.QueryOpts(sql, ExecOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -342,14 +387,11 @@ func TestNumericGroupKeyEdges(t *testing.T) {
 		}
 	}
 	sql := "SELECT f, COUNT(*), SUM(m) FROM t GROUP BY f"
-	serial, err := db.QueryOpts(sql, ExecOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := interpret(t, rowTwin(t, db), sql, ExecOptions{})
 	if len(serial.Rows) != 5 {
-		t.Fatalf("serial found %d groups, want 5 (NULL, ±0.0, ±1.5)", len(serial.Rows))
+		t.Fatalf("interpreter found %d groups, want 5 (NULL, ±0.0, ±1.5)", len(serial.Rows))
 	}
-	for _, workers := range []int{2, 3, 7} {
+	for _, workers := range []int{1, 2, 3, 7} {
 		par, err := db.QueryOpts(sql, ExecOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -387,24 +429,29 @@ func (c *countingCtx) Err() error {
 func TestVectorizedCancellation(t *testing.T) {
 	const rows, after = 100_000, 5
 	db := vexecTable(t, rows)
-	for _, workers := range []int{1, 4} {
+	cases := []struct {
+		name           string
+		db             *DB
+		workers, every int
+	}{
+		{"col", db, 1, selBlockRows},
+		{"col", db, 4, selBlockRows},
+		{"row", rowTwin(t, db), 1, checkEvery},
+	}
+	for _, tc := range cases {
 		// Un-cancelled, every chunk alone makes more checks than `after`,
 		// so the cancellation lands mid-scan whatever the scheduling.
-		every := checkEvery
-		if workers > 1 {
-			every = selBlockRows
-		}
-		if checks := rows / workers / every; checks <= after {
-			t.Fatalf("workers=%d: only %d checks per chunk, cancellation would not be mid-scan", workers, checks)
+		if checks := rows / tc.workers / tc.every; checks <= after {
+			t.Fatalf("%s workers=%d: only %d checks per chunk, cancellation would not be mid-scan", tc.name, tc.workers, checks)
 		}
 		ctx := &countingCtx{Context: context.Background(), after: after}
-		_, err := db.QueryOpts("SELECT d1, d2, b1, AVG(m1), SUM(m2) FROM t GROUP BY d1, d2, b1",
-			ExecOptions{Ctx: ctx, Workers: workers})
+		_, err := tc.db.QueryOpts("SELECT d1, d2, b1, AVG(m1), SUM(m2) FROM t GROUP BY d1, d2, b1",
+			ExecOptions{Ctx: ctx, Workers: tc.workers})
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
+			t.Fatalf("%s workers=%d: want context.Canceled, got %v", tc.name, tc.workers, err)
 		}
-		if calls := ctx.calls.Load(); calls <= after || calls > int64(after+workers) {
-			t.Fatalf("workers=%d: %d context checks, want in (%d, %d]", workers, calls, after, after+workers)
+		if calls := ctx.calls.Load(); calls <= after || calls > int64(after+tc.workers) {
+			t.Fatalf("%s workers=%d: %d context checks, want in (%d, %d]", tc.name, tc.workers, calls, after, after+tc.workers)
 		}
 	}
 }
@@ -431,18 +478,17 @@ func TestGroupIDSpaceOverflowRetriesOnInterpreter(t *testing.T) {
 		}
 	}
 	sql := "SELECT f1, f2, f3, f4, COUNT(*), SUM(m) FROM t GROUP BY f1, f2, f3, f4"
-	serial, err := db.QueryOpts(sql, ExecOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	ref := interpret(t, rowTwin(t, db), sql, ExecOptions{})
+	for _, workers := range []int{1, 2} {
+		par, err := db.QueryOpts(sql, ExecOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par.Stats.Vectorized || par.Stats.FallbackReason != fallbackIDSpace {
+			t.Fatalf("workers=%d: want interpreter retry for %q, stats: %+v", workers, fallbackIDSpace, par.Stats)
+		}
+		mustEqualResults(t, sql, ref, par)
 	}
-	par, err := db.QueryOpts(sql, ExecOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Stats.Vectorized || par.Stats.FallbackReason != fallbackIDSpace {
-		t.Fatalf("want interpreter retry for %q, stats: %+v", fallbackIDSpace, par.Stats)
-	}
-	mustEqualResults(t, sql, serial, par)
 }
 
 // TestIntRangeCard pins the range-coding decision for int group columns:

@@ -15,7 +15,7 @@ func TestPromWriterOutputValidates(t *testing.T) {
 	p := NewPromWriter(&b)
 	p.Scalar("counter", "seedb_queries_executed_total", "Queries executed.", 42)
 	p.Vec("counter", "seedb_fallback_queries_by_reason_total", "Fallbacks by reason.",
-		"reason", map[string]float64{"serial execution": 3, `weird "quoted"` + "\nreason": 1})
+		"reason", map[string]float64{"row-store table": 3, `weird "quoted"` + "\nreason": 1})
 	p.Scalar("gauge", "seedb_cache_bytes", "Cache occupancy.", 1234.5)
 	p.Histogram("seedb_request_duration_seconds", "Request latency.", h.Snapshot())
 	if p.Err() != nil {
@@ -31,7 +31,7 @@ func TestPromWriterOutputValidates(t *testing.T) {
 		`seedb_request_duration_seconds_bucket{le="+Inf"} 2`,
 		"seedb_request_duration_seconds_count 2",
 		"seedb_queries_executed_total 42",
-		`reason="serial execution"`,
+		`reason="row-store table"`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)

@@ -166,10 +166,9 @@ var (
 // in-memory database) plus the recommendation engine. It is safe for
 // concurrent use once loading has finished.
 type Client struct {
-	db        *sqldb.DB   // nil for sharded clients and external backends
-	shardDBs  []*sqldb.DB // sharded clients: the embedded child stores
-	shardPart shardbe.Partitioner
-	engine    *core.Engine
+	db       *sqldb.DB   // nil for sharded clients and external backends
+	shardDBs []*sqldb.DB // sharded clients: the embedded child stores
+	engine   *core.Engine
 }
 
 // New creates a client with an empty embedded in-memory database.
@@ -196,11 +195,7 @@ func NewSharded(n int) *Client {
 	if err != nil {
 		panic(err) // unreachable: n >= 2 children
 	}
-	return &Client{
-		shardDBs:  dbs,
-		shardPart: shardbe.RoundRobin{},
-		engine:    core.NewEngine(router),
-	}
+	return &Client{shardDBs: dbs, engine: core.NewEngine(router)}
 }
 
 // Shards reports the client's shard fan-out width (0 for unsharded
@@ -343,7 +338,7 @@ func (c *Client) AppendRows(table string, rows [][]Value) error {
 		return nil
 	case c.shardDBs != nil:
 		for _, row := range rows {
-			if err := shardbe.AppendRow(c.shardDBs, table, c.shardPart, row); err != nil {
+			if err := shardbe.AppendRow(c.shardDBs, table, row); err != nil {
 				return err
 			}
 		}
