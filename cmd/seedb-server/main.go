@@ -106,11 +106,11 @@ func run() error {
 	)
 	flag.Parse()
 
-	db := sqldb.NewDB()
-	layout := sqldb.LayoutCol
-	if strings.EqualFold(*layoutStr, "row") {
-		layout = sqldb.LayoutRow
+	layout, err := sqldb.ParseLayout(*layoutStr)
+	if err != nil {
+		return err
 	}
+	db := sqldb.NewDB()
 	if *preload != "" {
 		for _, name := range strings.Split(*preload, ",") {
 			name = strings.TrimSpace(name)

@@ -5,10 +5,22 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 )
+
+// TestUnknownLayoutFails: -layout takes row or col, and anything else
+// stops the server before it loads data instead of silently loading COL.
+func TestUnknownLayoutFails(t *testing.T) {
+	args := os.Args
+	t.Cleanup(func() { os.Args = args })
+	os.Args = []string{"seedb-server", "-layout", "bogus", "-dataset", "census"}
+	if err := run(); err == nil || !strings.Contains(err.Error(), "unknown layout") {
+		t.Fatalf("run with -layout bogus = %v, want an unknown layout error", err)
+	}
+}
 
 // TestServeWithDrain pins the drain contract: after SIGTERM the
 // listener stops accepting new connections while the in-flight request

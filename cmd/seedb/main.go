@@ -73,14 +73,9 @@ func run() error {
 	)
 	flag.Parse()
 
-	layout := seedb.ColumnLayout
-	switch strings.ToLower(*layoutStr) {
-	case "row":
-		layout = seedb.RowLayout
-	case "col", "column":
-		layout = seedb.ColumnLayout
-	default:
-		return fmt.Errorf("unknown layout %q (want row or col)", *layoutStr)
+	layout, err := sqldb.ParseLayout(*layoutStr)
+	if err != nil {
+		return err
 	}
 
 	client := seedb.New()

@@ -132,25 +132,23 @@ type ExecOptions struct {
 	// Workers is the intra-query scan parallelism hint. Backends without
 	// an engine-side parallel scan ignore it.
 	Workers int `json:"workers,omitempty"`
-	// AllowPartial opts this execution into degraded results on routing
-	// backends (internal/backend/shardbe): child shards that are
-	// unavailable (hard failure or open circuit breaker) are skipped and
-	// the merge proceeds over the survivors, with the omission reported
-	// in ExecStats.ShardsDegraded/DegradedShards. Leaf backends ignore
-	// it — a single store is either available or not.
-	AllowPartial bool `json:"allow_partial,omitempty"`
 }
 
 // partialKey carries the per-request degraded-results opt-in through
 // the context. Introspection calls (TableInfo, TableStats) have no
 // options parameter, and interface wrappers (locking guards, fault
 // injectors) defeat optional-interface assertions — the context is the
-// one channel that reaches a routing backend through both.
+// one channel that reaches a routing backend through both, so it is the
+// only one: Exec reads it too.
 type partialKey struct{}
 
-// WithAllowPartial marks ctx as opted into degraded results, so routing
-// backends tolerate unavailable children on the introspection paths the
-// same way ExecOptions.AllowPartial covers Exec.
+// WithAllowPartial marks ctx as opted into degraded results. Routing
+// backends (internal/backend/shardbe) then skip child shards that are
+// unavailable (hard failure or open circuit breaker) on every call —
+// Exec, TableInfo, TableStats — and merge over the survivors, reporting
+// the omission in ExecStats.ShardsDegraded/DegradedShards. Leaf backends
+// ignore it: a single store is either available or not. The netbe wire
+// carries it as the allow_partial field of a query request.
 func WithAllowPartial(ctx context.Context) context.Context {
 	return context.WithValue(ctx, partialKey{}, true)
 }

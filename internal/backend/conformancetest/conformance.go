@@ -154,8 +154,8 @@ func scenarios() []scenario {
 		{"sharing/multi-agg", multiAgg, core.Options{Strategy: core.Sharing, K: 6, MaxAggregatesPerQuery: 2}},
 		{"sharing/no-combine-targetref", id, core.Options{Strategy: core.Sharing, K: 4, DisableCombineTargetRef: true}},
 		{"sharing/no-combine-aggs", multiAgg, core.Options{Strategy: core.Sharing, K: 4, MaxAggregatesPerQuery: 1}},
-		{"sharing/binpack", id, core.Options{Strategy: core.Sharing, K: 4, GroupBy: core.GroupByBinPack, GroupBySet: true, MemoryBudget: 64}},
-		{"sharing/maxgb", id, core.Options{Strategy: core.Sharing, K: 4, GroupBy: core.GroupByMaxN, GroupBySet: true, MaxGroupBy: 2}},
+		{"sharing/binpack", id, core.Options{Strategy: core.Sharing, K: 4, GroupBy: core.GroupByBinPack, MemoryBudget: 64}},
+		{"sharing/maxgb", id, core.Options{Strategy: core.Sharing, K: 4, GroupBy: core.GroupByMaxN, MaxGroupBy: 2}},
 		{"sharing/derived-metadata", derived, core.Options{Strategy: core.Sharing, K: 4}},
 		{"comb/ci", id, core.Options{Strategy: core.Comb, Pruning: core.CIPruning, K: 3, Phases: 6}},
 		{"comb/mab", id, core.Options{Strategy: core.Comb, Pruning: core.MABPruning, K: 3}},
@@ -227,8 +227,8 @@ func (h Harness) runScenarios(t *testing.T) {
 			// (row stores bin-pack, column stores stay single-attribute),
 			// and different groupings reassociate float accumulation. The
 			// layout-default behavior itself is covered by engine tests.
-			if !opts.GroupBySet {
-				opts.GroupBy, opts.GroupBySet = core.GroupBySingle, true
+			if opts.GroupBy == core.GroupByAuto {
+				opts.GroupBy = core.GroupBySingle
 			}
 
 			// The reference executes the strategy the engine will actually

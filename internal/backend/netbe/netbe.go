@@ -222,9 +222,11 @@ func (c *Client) TableVersion(ctx context.Context, table string) (string, bool) 
 // Exec runs one query on the remote server over the typed wire protocol
 // and returns the decoded rows and stats. Retries this call performed
 // are reported in ExecStats.NetRetries, which the metrics pipeline sums
-// into /healthz and /metrics.
+// into /healthz and /metrics. A degraded-results opt-in on ctx travels
+// as the request's allow_partial field.
 func (c *Client) Exec(ctx context.Context, query string, opts backend.ExecOptions) (*backend.Rows, backend.ExecStats, error) {
-	reqBody, err := json.Marshal(wire.QueryRequest{SQL: query, Backend: c.opts.Backend, Wire: true, ExecOptions: opts})
+	reqBody, err := json.Marshal(wire.QueryRequest{SQL: query, Backend: c.opts.Backend, Wire: true, ExecOptions: opts,
+		AllowPartial: backend.AllowPartialFrom(ctx)})
 	if err != nil {
 		return nil, backend.ExecStats{}, err
 	}

@@ -136,12 +136,16 @@ type Handshake struct {
 // QueryRequest is the typed POST /api/query payload a netbe client
 // sends: Wire true selects the typed response (string cells otherwise,
 // for human clients), and the execution options travel alongside under
-// their own JSON tags.
+// their own JSON tags. AllowPartial is the wire form of the
+// backend.WithAllowPartial context marker, which cannot cross a process
+// boundary on its own: the client sets it from the calling context and
+// the server turns it back into the marker.
 type QueryRequest struct {
 	SQL     string `json:"sql"`
 	Backend string `json:"backend,omitempty"`
 	Wire    bool   `json:"wire,omitempty"`
 	backend.ExecOptions
+	AllowPartial bool `json:"allow_partial,omitempty"`
 }
 
 // QueryResponse is the typed /api/query response (Wire true). Trace is

@@ -30,7 +30,7 @@ func TestGoldenBytes(t *testing.T) {
 		want string
 	}{
 		{"request, every field", QueryRequest{SQL: "SELECT 1", Backend: "shard", Wire: true,
-			ExecOptions: backend.ExecOptions{Lo: 10, Hi: 20, Workers: 4, AllowPartial: true}},
+			ExecOptions: backend.ExecOptions{Lo: 10, Hi: 20, Workers: 4}, AllowPartial: true},
 			`{"sql":"SELECT 1","backend":"shard","wire":true,"lo":10,"hi":20,"workers":4,"allow_partial":true}`},
 		{"request, zero options", QueryRequest{SQL: "SELECT 1"},
 			`{"sql":"SELECT 1"}`},

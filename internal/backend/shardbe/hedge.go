@@ -9,17 +9,16 @@
 // partial, takes whichever answer arrives first, and cancels the loser.
 // Exactly one result per partial ever reaches the merge, so hedged and
 // unhedged executions are bit-identical; hedging spends duplicate work
-// to buy tail latency, never correctness.
+// to buy tail latency, never correctness. Both attempts are ordinary
+// Router.attempt calls: hedging only decides whether a second one races
+// the first.
 package shardbe
 
 import (
 	"context"
-	"fmt"
-	"strconv"
 	"time"
 
 	"seedb/internal/backend"
-	"seedb/internal/telemetry"
 )
 
 // HedgeOptions configures straggler hedging.
@@ -63,60 +62,31 @@ func (r *Router) hedgeDelay() time.Duration {
 	return max(time.Duration(snap.P95MS*float64(time.Millisecond)), hedgeMinDelay)
 }
 
-// execHedged runs one partial with hedging (when enabled): launch the
-// primary, arm a timer with the hedge delay, duplicate the partial on
-// expiry, keep the first success and cancel the other attempt. The
-// duplicate re-queries the same child: that still beats a transient
-// stall (a scheduling hiccup, one slow connection), though not a
-// uniformly slow child. A failure is returned as-is when no other
-// attempt is in flight — hedging is a tail-latency tool, not a retry
-// policy (netbe owns retries, with its own budget).
-func (r *Router) execHedged(ctx context.Context, t childTask, childSQL string, childOpts backend.ExecOptions) childRun {
+// execChild runs one partial. With hedging off that is a single
+// attempt. With hedging on, the primary attempt runs under a timer armed
+// with the hedge delay; on expiry a duplicate re-queries the same
+// child, the first success wins and the other attempt is cancelled. The
+// duplicate still beats a transient stall (a scheduling hiccup, one
+// slow connection), though not a uniformly slow child. A failure is
+// returned as-is when no other attempt is in flight — hedging is a
+// tail-latency tool, not a retry policy (netbe owns retries, with its
+// own budget).
+func (r *Router) execChild(ctx context.Context, t childTask, sql string, opts backend.ExecOptions) childRun {
 	if !r.hedge.Enabled {
-		cctx, csp := telemetry.StartSpan(ctx, "shard.exec")
-		csp.SetAttr("shard", strconv.Itoa(t.child))
-		start := time.Now()
-		rows, stats, err := r.children[t.child].Exec(cctx, childSQL, childOpts)
-		lat := time.Since(start)
-		stampChildSpan(csp, stats, err)
-		csp.End()
-		return childRun{rows: rows, stats: stats, lat: lat, err: err}
+		return r.attempt(ctx, t, sql, opts, false)
 	}
-
-	type attempt struct {
+	type result struct {
 		run    childRun
 		hedged bool
 	}
 	actx, acancel := context.WithCancel(ctx)
 	defer acancel()
 	// Buffered to both attempts, so a loser finishing after the winner
-	// never blocks on a channel nobody reads.
-	results := make(chan attempt, 2)
+	// never blocks on a channel nobody reads. attempt contains a child
+	// panic, so every launched attempt sends exactly one result.
+	results := make(chan result, 2)
 	launch := func(hedged bool) {
-		go func() {
-			cctx, csp := telemetry.StartSpan(actx, "shard.exec")
-			csp.SetAttr("shard", strconv.Itoa(t.child))
-			if hedged {
-				csp.SetAttr("hedged", "true")
-			}
-			start := time.Now()
-			rows, stats, err := func() (rows *backend.Rows, stats backend.ExecStats, err error) {
-				// A panicking child must report as a failed attempt, not
-				// hang the select below forever (and take the process
-				// down) — the router's callers rely on every launched
-				// attempt producing exactly one result.
-				defer func() {
-					if p := recover(); p != nil {
-						err = fmt.Errorf("shardbe: child panicked: %v", p)
-					}
-				}()
-				return r.children[t.child].Exec(cctx, childSQL, childOpts)
-			}()
-			lat := time.Since(start)
-			stampChildSpan(csp, stats, err)
-			csp.End()
-			results <- attempt{run: childRun{rows: rows, stats: stats, lat: lat, err: err}, hedged: hedged}
-		}()
+		go func() { results <- result{r.attempt(actx, t, sql, opts, hedged), hedged} }()
 	}
 	launch(false)
 
@@ -132,7 +102,7 @@ func (r *Router) execHedged(ctx context.Context, t childTask, childSQL string, c
 			// actively harmful — when its breaker has opened since the
 			// primary launched: hedging must never resurrect an open
 			// circuit.
-			if !hedgedIssued && (r.breakerFor(t.child) == nil || r.breakerFor(t.child).Ready()) {
+			if !r.childDown(t.child) {
 				hedgedIssued = true
 				outstanding++
 				launch(true)
@@ -173,25 +143,4 @@ func (r *Router) execHedged(ctx context.Context, t childTask, childSQL string, c
 			}
 		}
 	}
-}
-
-// stampChildSpan records one child attempt's outcome on its span:
-// resource counters on success (ExecStats.StampSpan, the same stamper
-// the engine's query spans use), a status marker on failure. Hedge
-// losers cancelled by the winner land here with a context error, so the
-// stitched tree shows them as cancelled — ended exactly once, never
-// dangling open.
-func stampChildSpan(sp *telemetry.Span, stats backend.ExecStats, err error) {
-	if sp == nil {
-		return
-	}
-	if err != nil {
-		if isCtxErr(err) {
-			sp.SetAttr("status", "cancelled")
-		} else {
-			sp.SetAttr("status", "error")
-		}
-		return
-	}
-	stats.StampSpan(sp)
 }

@@ -56,9 +56,9 @@ func newFaultRouter(t *testing.T, src *sqldb.DB, n int, opts Options) (*Router, 
 func TestPartialMergeOracle(t *testing.T) {
 	const rows = 90
 	src := buildSource(t, rows)
-	r, fault := newFaultRouter(t, src, 3, Options{AllowPartial: true})
+	r, fault := newFaultRouter(t, src, 3, Options{})
 	fault.SetDown(backend.ErrUnavailable)
-	ctx := context.Background()
+	ctx := backend.WithAllowPartial(context.Background())
 
 	// Blocks partitioning is contiguous: child 0 owns rows [0, 30), so
 	// the surviving partitions are exactly rows [30, 90).
@@ -95,19 +95,23 @@ func TestPartialMergeOracle(t *testing.T) {
 }
 
 // TestPerRequestAllowPartial verifies the per-request opt-in reaches the
-// fan-out even when the router itself is strict.
+// fan-out through the context alone, and that it is per request: the
+// same router answers the next call without it strictly.
 func TestPerRequestAllowPartial(t *testing.T) {
 	src := buildSource(t, 90)
 	r, fault := newFaultRouter(t, src, 3, Options{})
 	fault.SetDown(backend.ErrUnavailable)
 
-	_, stats, err := r.Exec(context.Background(),
-		"SELECT COUNT(*) FROM sales", backend.ExecOptions{AllowPartial: true})
+	_, stats, err := r.Exec(backend.WithAllowPartial(context.Background()),
+		"SELECT COUNT(*) FROM sales", backend.ExecOptions{})
 	if err != nil {
 		t.Fatalf("per-request allow-partial exec: %v", err)
 	}
 	if stats.ShardsDegraded != 1 {
 		t.Errorf("ShardsDegraded = %d, want 1", stats.ShardsDegraded)
+	}
+	if _, _, err := r.Exec(context.Background(), "SELECT COUNT(*) FROM sales", backend.ExecOptions{}); !errors.Is(err, backend.ErrUnavailable) {
+		t.Errorf("strict exec after a partial one = %v, want ErrUnavailable", err)
 	}
 }
 
@@ -143,11 +147,11 @@ func TestAllShardsDownIsOutage(t *testing.T) {
 		faults[i].SetDown(backend.ErrUnavailable)
 		bes[i] = faults[i]
 	}
-	r, err := New(bes, Options{AllowPartial: true})
+	r, err := New(bes, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = r.Exec(context.Background(), "SELECT COUNT(*) FROM sales", backend.ExecOptions{})
+	_, _, err = r.Exec(backend.WithAllowPartial(context.Background()), "SELECT COUNT(*) FROM sales", backend.ExecOptions{})
 	if !errors.Is(err, backend.ErrUnavailable) {
 		t.Errorf("all-down exec should be ErrUnavailable, got %v", err)
 	}
@@ -159,11 +163,11 @@ func TestAllShardsDownIsOutage(t *testing.T) {
 // not an outage.
 func TestRangeOnDownShardIsEmptyDegraded(t *testing.T) {
 	src := buildSource(t, 90)
-	r, fault := newFaultRouter(t, src, 3, Options{AllowPartial: true})
+	r, fault := newFaultRouter(t, src, 3, Options{})
 	fault.SetDown(backend.ErrUnavailable)
 
 	// Rows [5, 25) live entirely inside child 0's [0, 30) block.
-	rows, stats, err := r.Exec(context.Background(),
+	rows, stats, err := r.Exec(backend.WithAllowPartial(context.Background()),
 		"SELECT region, COUNT(*) FROM sales GROUP BY region", backend.ExecOptions{Lo: 5, Hi: 25})
 	if err != nil {
 		t.Fatalf("range-on-down-shard exec: %v", err)
@@ -185,7 +189,6 @@ func TestBreakerTripsEvictsAndRecovers(t *testing.T) {
 	clk := &testClock{t: time.Unix(1000, 0)}
 	src := buildSource(t, 90)
 	r, fault := newFaultRouter(t, src, 3, Options{
-		AllowPartial: true,
 		Breakers: &resilience.BreakerOptions{
 			FailureThreshold: threshold,
 			Cooldown:         time.Second,
@@ -193,7 +196,7 @@ func TestBreakerTripsEvictsAndRecovers(t *testing.T) {
 		},
 	})
 	fault.SetDown(backend.ErrUnavailable)
-	ctx := context.Background()
+	ctx := backend.WithAllowPartial(context.Background())
 	const sql = "SELECT COUNT(*) FROM sales"
 
 	for i := 0; i < threshold; i++ {
@@ -252,7 +255,6 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	clk := &testClock{t: time.Unix(1000, 0)}
 	src := buildSource(t, 90)
 	r, fault := newFaultRouter(t, src, 3, Options{
-		AllowPartial: true,
 		Breakers: &resilience.BreakerOptions{
 			FailureThreshold: 2,
 			Cooldown:         time.Second,
@@ -260,7 +262,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 		},
 	})
 	fault.SetDown(backend.ErrUnavailable)
-	ctx := context.Background()
+	ctx := backend.WithAllowPartial(context.Background())
 	const sql = "SELECT COUNT(*) FROM sales"
 
 	for i := 0; i < 2; i++ {
@@ -288,7 +290,6 @@ func TestBreakerFlapRecovery(t *testing.T) {
 	clk := &testClock{t: time.Unix(1000, 0)}
 	src := buildSource(t, 90)
 	r, fault := newFaultRouter(t, src, 3, Options{
-		AllowPartial: true,
 		Breakers: &resilience.BreakerOptions{
 			FailureThreshold: 100, // consecutive-streak trip effectively off
 			ErrorRate:        0.5,
@@ -300,7 +301,7 @@ func TestBreakerFlapRecovery(t *testing.T) {
 	})
 	// fail 1, pass 1, repeat: a 50% error rate with max streak 1.
 	fault.SetFlap(1, 1, backend.ErrUnavailable)
-	ctx := context.Background()
+	ctx := backend.WithAllowPartial(context.Background())
 	const sql = "SELECT COUNT(*) FROM sales"
 
 	tripped := false

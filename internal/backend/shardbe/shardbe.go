@@ -41,6 +41,13 @@
 //     distinct value sets (collected with one GROUP BY query per column
 //     per child, memoized per version vector). Summing per-child
 //     distinct counts would overcount values present on several shards.
+//
+//   - Complete-or-error, unless the call opts into degraded results
+//     through its context (backend.WithAllowPartial — the one channel
+//     that reaches Exec and the option-less introspection calls alike).
+//     Then an unavailable child (hard failure or open breaker) is
+//     skipped, the merge proceeds over the surviving shards, and the
+//     omission is stamped into ExecStats.ShardsDegraded/DegradedShards.
 package shardbe
 
 import (
@@ -74,16 +81,6 @@ type Options struct {
 	// unavailability is opened (fail-fast, no hammering) until a
 	// half-open probe succeeds. Nil disables breakers (the default).
 	Breakers *resilience.BreakerOptions
-	// AllowPartial opts the whole router into degraded results: when a
-	// child is unavailable (hard failure or open breaker), the merge
-	// proceeds over the surviving shards instead of failing the query,
-	// and the omission is stamped into ExecStats.ShardsDegraded/
-	// DegradedShards. Per-request opt-in ORs on top: via
-	// ExecOptions.AllowPartial for Exec, and via the
-	// backend.WithAllowPartial context marker for the introspection
-	// paths (TableInfo, TableStats) whose signatures carry no options.
-	// Off by default: complete-or-error.
-	AllowPartial bool
 }
 
 // Router is the shard-routing backend. It is safe for concurrent use
@@ -97,9 +94,6 @@ type Router struct {
 	hedgeLat *telemetry.Histogram
 	// breakers holds one circuit breaker per child, nil when disabled.
 	breakers []*resilience.Breaker
-	// allowPartial is the router-level degraded-results opt-in;
-	// ExecOptions.AllowPartial ORs on top per request.
-	allowPartial bool
 
 	mu        sync.Mutex
 	statsMemo map[string]statsEntry // table (lowercased) → memoized stats
@@ -118,12 +112,11 @@ func New(children []backend.Backend, opts Options) (*Router, error) {
 		return nil, fmt.Errorf("shardbe: need at least one child backend")
 	}
 	r := &Router{
-		children:     append([]backend.Backend(nil), children...),
-		tel:          opts.Telemetry,
-		hedge:        opts.Hedge,
-		hedgeLat:     &telemetry.Histogram{},
-		statsMemo:    make(map[string]statsEntry),
-		allowPartial: opts.AllowPartial,
+		children:  append([]backend.Backend(nil), children...),
+		tel:       opts.Telemetry,
+		hedge:     opts.Hedge,
+		hedgeLat:  &telemetry.Histogram{},
+		statsMemo: make(map[string]statsEntry),
 	}
 	if opts.Breakers != nil {
 		r.breakers = make([]*resilience.Breaker, len(children))
@@ -156,12 +149,11 @@ func (r *Router) breakerFor(i int) *resilience.Breaker {
 	return r.breakers[i]
 }
 
-// partialMode reports whether a call runs with degraded-results
-// tolerance: the router-level opt-in, or the per-request opt-in carried
-// by the context (the only channel that reaches introspection calls,
-// whose signatures have no options).
-func (r *Router) partialMode(ctx context.Context) bool {
-	return r.allowPartial || backend.AllowPartialFrom(ctx)
+// tolerable reports whether a child failure may be skipped instead of
+// failing the call: the call opted into degraded results, the failure is
+// shaped like an outage, and the request itself is still live.
+func tolerable(ctx context.Context, err error) bool {
+	return errors.Is(err, backend.ErrUnavailable) && backend.AllowPartialFrom(ctx) && ctx.Err() == nil
 }
 
 // childDown reports whether child i should be treated as unavailable
@@ -193,61 +185,47 @@ func (r *Router) Capabilities() backend.Capabilities {
 // on the schema. A table absent from every child is ErrNoTable; a table
 // present on only some children is a partitioning inconsistency, which
 // is an error distinct from "no such table".
-func (r *Router) childInfos(ctx context.Context, table string) ([]backend.TableInfo, error) {
-	infos, _, err := r.childInfosPartial(ctx, table, r.partialMode(ctx))
-	return infos, err
-}
-
-// childInfosPartial is childInfos with degraded-results awareness: in
-// partial mode a child that is unavailable — open breaker, or a
-// TableInfo failure shaped like an outage — is marked down instead of
-// failing the call. A down child reports zero rows, so the router's
-// global row space becomes exactly the concatenation of the surviving
-// shards (which is what makes a degraded result equal an unsharded run
-// over the survivors' rows). At least one child must survive; an
-// all-down table is ErrUnavailable, never a silent empty result.
-func (r *Router) childInfosPartial(ctx context.Context, table string, partial bool) ([]backend.TableInfo, []bool, error) {
+//
+// Under the degraded-results opt-in a child that is unavailable — open
+// breaker, or a TableInfo failure shaped like an outage — is marked down
+// instead of failing the call. A down child reports zero rows, so the
+// router's global row space becomes exactly the concatenation of the
+// surviving shards (which is what makes a degraded result equal an
+// unsharded run over the survivors' rows). At least one child must
+// survive; an all-down table is ErrUnavailable, never a silent empty
+// result.
+func (r *Router) childInfos(ctx context.Context, table string) ([]backend.TableInfo, []bool, error) {
 	infos := make([]backend.TableInfo, len(r.children))
-	var down []bool
+	down := make([]bool, len(r.children))
 	missing, alive := 0, 0
 	for i, c := range r.children {
 		if r.childDown(i) {
-			if !partial {
+			if !backend.AllowPartialFrom(ctx) {
 				return nil, nil, fmt.Errorf("shardbe: shard %d: %w: circuit open", i, backend.ErrUnavailable)
-			}
-			if down == nil {
-				down = make([]bool, len(r.children))
 			}
 			down[i] = true
 			continue
 		}
 		ti, err := c.TableInfo(ctx, table)
-		if errors.Is(err, backend.ErrNoTable) {
+		switch {
+		case errors.Is(err, backend.ErrNoTable):
 			missing++
-			continue
-		}
-		if err != nil {
-			if partial && errors.Is(err, backend.ErrUnavailable) && ctx.Err() == nil {
-				if b := r.breakerFor(i); b != nil {
-					// Introspection outages feed the breaker too, so a
-					// dead child opens even when no Exec reaches it.
-					if b.Allow() {
-						b.RecordFailure()
-					}
-				}
-				if down == nil {
-					down = make([]bool, len(r.children))
-				}
-				down[i] = true
-				continue
+		case tolerable(ctx, err):
+			// Introspection outages feed the breaker too, so a dead
+			// child opens even when no Exec reaches it.
+			if b := r.breakerFor(i); b != nil && b.Allow() {
+				b.RecordFailure()
 			}
+			down[i] = true
+		case err != nil:
 			return nil, nil, fmt.Errorf("shardbe: shard %d: %w", i, err)
+		default:
+			infos[i] = ti
+			alive++
 		}
-		infos[i] = ti
-		alive++
 	}
 	if alive == 0 {
-		if missing > 0 && down == nil {
+		if missing == len(r.children) {
 			return nil, nil, fmt.Errorf("%w: %q", backend.ErrNoTable, table)
 		}
 		return nil, nil, fmt.Errorf("shardbe: table %q: %w: all %d shards down", table, backend.ErrUnavailable, len(r.children))
@@ -258,7 +236,7 @@ func (r *Router) childInfosPartial(ctx context.Context, table string, partial bo
 	// Schema agreement is checked among the survivors only.
 	first := -1
 	for i := range infos {
-		if down != nil && down[i] {
+		if down[i] {
 			continue
 		}
 		if first < 0 {
@@ -271,11 +249,9 @@ func (r *Router) childInfosPartial(ctx context.Context, table string, partial bo
 	}
 	// A down child carries the shared schema (zero rows) so downstream
 	// consumers can index infos uniformly.
-	if down != nil {
-		for i := range infos {
-			if down[i] {
-				infos[i] = backend.TableInfo{Name: infos[first].Name, Columns: infos[first].Columns, Layout: infos[first].Layout}
-			}
+	for i := range infos {
+		if down[i] {
+			infos[i] = backend.TableInfo{Name: infos[first].Name, Columns: infos[first].Columns, Layout: infos[first].Layout}
 		}
 	}
 	return infos, down, nil
@@ -298,7 +274,7 @@ func sameColumns(a, b []backend.Column) error {
 // row counts, and the shared layout (the conservative row layout when
 // shards disagree).
 func (r *Router) TableInfo(ctx context.Context, table string) (backend.TableInfo, error) {
-	infos, err := r.childInfos(ctx, table)
+	infos, _, err := r.childInfos(ctx, table)
 	if err != nil {
 		return backend.TableInfo{}, err
 	}
@@ -333,7 +309,7 @@ func (r *Router) TableVersion(ctx context.Context, table string) (string, bool) 
 // several shards count once. The union is collected with one GROUP BY
 // query per column per child and memoized under the version vector.
 func (r *Router) TableStats(ctx context.Context, table string) (*backend.TableStats, error) {
-	infos, err := r.childInfos(ctx, table)
+	infos, _, err := r.childInfos(ctx, table)
 	if err != nil {
 		return nil, err
 	}
@@ -376,10 +352,10 @@ func (r *Router) TableStats(ctx context.Context, table string) (*backend.TableSt
 
 // distinctCount unions one column's distinct non-NULL values across
 // shards, keyed by the embedded engine's injective value encoding so the
-// count is exact (bit-level float identity included). In router-level
-// partial mode, unavailable shards are skipped (the stats then describe
-// the survivors, matching what a degraded Exec will scan) and the
-// second return reports the omission.
+// count is exact (bit-level float identity included). Under the
+// degraded-results opt-in, unavailable shards are skipped (the stats
+// then describe the survivors, matching what a degraded Exec will scan)
+// and the second return reports the omission.
 func (r *Router) distinctCount(ctx context.Context, table, column string) (int, bool, error) {
 	col := &sqldb.ColumnExpr{Name: column}
 	stmt := &sqldb.SelectStmt{
@@ -391,19 +367,18 @@ func (r *Router) distinctCount(ctx context.Context, table, column string) (int, 
 	sql := stmt.String()
 	seen := make(map[string]struct{})
 	var keyBuf []byte
-	partial := r.partialMode(ctx)
 	degraded := false
-	for i, c := range r.children {
-		if partial && r.childDown(i) {
+	for i := range r.children {
+		if backend.AllowPartialFrom(ctx) && r.childDown(i) {
 			degraded = true
 			continue
 		}
-		rows, _, err := c.Exec(ctx, sql, backend.ExecOptions{})
+		rows, _, err := r.childExec(ctx, i, sql, backend.ExecOptions{})
+		if tolerable(ctx, err) {
+			degraded = true
+			continue
+		}
 		if err != nil {
-			if partial && errors.Is(err, backend.ErrUnavailable) && ctx.Err() == nil {
-				degraded = true
-				continue
-			}
 			return 0, false, fmt.Errorf("shardbe: distinct scan on shard %d: %w", i, err)
 		}
 		for _, row := range rows.Rows {
@@ -444,41 +419,87 @@ type childRun struct {
 // results. The query is decomposed by sqldb.NewShardPlan: aggregates
 // travel as mergeable partial states (AVG as SUM+COUNT, COUNT(DISTINCT)
 // as value sets), and HAVING/ORDER BY/DISTINCT/LIMIT apply after the
-// merge. Fan-out is concurrent with bounded parallelism; the first child
-// error cancels the remaining executions.
+// merge. Every planned child runs concurrently; the first child error
+// cancels the remaining executions.
 func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOptions) (*backend.Rows, backend.ExecStats, error) {
-	partial := r.partialMode(ctx) || opts.AllowPartial
-	_, psp := telemetry.StartSpan(ctx, "shard.plan")
-	stmt, err := sqldb.Parse(query)
+	sp, infos, down, err := r.plan(ctx, query)
 	if err != nil {
-		psp.End()
 		return nil, backend.ExecStats{}, err
 	}
-	infos, down, err := r.childInfosPartial(ctx, stmt.Table, partial)
-	if err != nil {
-		psp.End()
+	// Children skipped at planning time — open breaker or introspection
+	// outage — never become tasks, but a traced tree must still account
+	// for every shard.
+	for i, d := range down {
+		if d {
+			skipSpan(ctx, i, r.childDown(i))
+		}
+	}
+	tasks := childTasks(infos, opts.Lo, opts.Hi)
+	runs := r.fanout(ctx, tasks, sp.ChildSQL(), opts.Workers)
+	if err := firstFailure(tasks, runs); err != nil {
 		return nil, backend.ExecStats{}, err
+	}
+	stats := foldStats(tasks, runs, down)
+	if stats.ShardFanout == 0 && len(stats.DegradedShards) == len(r.children) {
+		// Every child in the router is gone: that is an outage, not a
+		// degraded result. A row range that only touches down children
+		// while healthy children survive elsewhere stays degraded — the
+		// partial contract is "the result over surviving partitions",
+		// and the surviving partitions hold no rows in that range.
+		return nil, backend.ExecStats{}, fmt.Errorf("shardbe: %w: all %d shards unavailable", backend.ErrUnavailable, len(r.children))
+	}
+
+	// A degraded partial merges as zero rows: the global result is then
+	// exactly what an unsharded store holding only the surviving
+	// partitions' rows would produce.
+	parts := make([]sqldb.ShardPart, len(tasks))
+	for ti, run := range runs {
+		if !run.degraded {
+			parts[ti] = sqldb.ShardPart{Rows: run.rows.Rows, Groups: run.stats.Groups}
+		}
+	}
+	_, msp := telemetry.StartSpan(ctx, "shard.merge")
+	merged, err := sp.Merge(parts)
+	msp.End()
+	if err != nil {
+		return nil, backend.ExecStats{}, err
+	}
+	stats.Groups = merged.Stats.Groups
+	return &backend.Rows{Columns: merged.Columns, Rows: merged.Rows}, stats, nil
+}
+
+// plan parses the query, introspects the children (marking the down
+// ones) and decomposes the query into the statement every child runs
+// and the merge that combines their partials.
+func (r *Router) plan(ctx context.Context, query string) (*sqldb.ShardPlan, []backend.TableInfo, []bool, error) {
+	_, psp := telemetry.StartSpan(ctx, "shard.plan")
+	defer psp.End()
+	stmt, err := sqldb.Parse(query)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	infos, down, err := r.childInfos(ctx, stmt.Table)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	schema, err := sqldb.NewSchema(infos[0].Columns...)
 	if err != nil {
-		psp.End()
-		return nil, backend.ExecStats{}, err
+		return nil, nil, nil, err
 	}
 	sp, err := sqldb.NewShardPlan(stmt, schema)
-	psp.End()
-	if err != nil {
-		return nil, backend.ExecStats{}, err
-	}
+	return sp, infos, down, err
+}
 
-	// Map the global row range onto per-child contiguous local ranges:
-	// the global space is the concatenation of child row spaces in child
-	// order. A full-table request passes the "whole table" form through,
-	// so children without row-range support still serve unranged queries.
+// childTasks maps the global row range [lo, hi) (hi <= 0: to the end)
+// onto per-child contiguous local ranges: the global space is the
+// concatenation of child row spaces in child order. A full-table
+// request passes the "whole table" form through, so children without
+// row-range support still serve unranged queries.
+func childTasks(infos []backend.TableInfo, lo, hi int) []childTask {
 	total := 0
 	for _, ti := range infos {
 		total += ti.Rows
 	}
-	lo, hi := opts.Lo, opts.Hi
 	if hi <= 0 {
 		hi = total
 	}
@@ -501,226 +522,236 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 		}
 		tasks = append(tasks, t)
 	}
+	return tasks
+}
 
-	// Children skipped at planning time — open breaker or introspection
-	// outage — never become tasks, but a traced tree must still account
-	// for every shard: emit a closed, status-marked span per skipped
-	// child so the stitched tree shows the hole instead of silently
-	// missing a partition.
-	if down != nil {
-		for i := range r.children {
-			if !down[i] {
-				continue
-			}
-			_, ssp := telemetry.StartSpan(ctx, "shard.exec")
-			ssp.SetAttr("shard", strconv.Itoa(i))
-			ssp.SetAttr("status", "skipped")
-			if r.childDown(i) {
-				ssp.SetAttr("circuit", "open")
-			}
-			ssp.End()
-		}
-	}
-
-	childSQL := sp.ChildSQL()
+// fanout runs every task concurrently — one goroutine per planned
+// child; child-side scan parallelism multiplies on top — and waits for
+// all of them. The first failure cancels the rest.
+func (r *Router) fanout(ctx context.Context, tasks []childTask, sql string, workers int) []childRun {
 	runs := make([]childRun, len(tasks))
-
-	if len(tasks) > 0 {
-		fanCtx, fsp := telemetry.StartSpan(ctx, "shard.fanout")
-		fsp.SetAttr("children", strconv.Itoa(len(tasks)))
-		cancel := context.CancelFunc(func() {})
-		if fanCtx == nil {
-			fanCtx = context.Background()
-		}
-		fanCtx, cancel = context.WithCancel(fanCtx)
-		defer cancel()
-
-		// One goroutine per planned child: the fan-out is as wide as the
-		// task list. Child-side scan parallelism multiplies on top.
-		var wg sync.WaitGroup
-		for ti := range tasks {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				t := tasks[ti]
-				br := r.breakerFor(t.child)
-				if br != nil && !br.Allow() {
-					// Open circuit: fail fast without touching the child.
-					// The skip still leaves a closed, status-marked span,
-					// so a traced tree shows the hole instead of silently
-					// missing a shard.
-					_, ssp := telemetry.StartSpan(fanCtx, "shard.exec")
-					ssp.SetAttr("shard", strconv.Itoa(t.child))
-					ssp.SetAttr("status", "skipped")
-					ssp.SetAttr("circuit", "open")
-					ssp.End()
-					if partial {
-						runs[ti] = childRun{degraded: true}
-					} else {
-						runs[ti] = childRun{err: fmt.Errorf("%w: circuit open", backend.ErrUnavailable)}
-						cancel()
-					}
-					return
-				}
-				run := r.execHedged(fanCtx, t, childSQL, backend.ExecOptions{
-					Lo: t.lo, Hi: t.hi,
-					Workers: opts.Workers,
-				})
-				if br != nil {
-					// A child is "failing" only when it looks down —
-					// unreachable or timing out while the request itself
-					// is still live. The caller's own cancellation, and
-					// child-side errors like a parse rejection, say
-					// nothing bad about child health.
-					switch {
-					case run.err == nil:
-						br.RecordSuccess()
-					case (errors.Is(run.err, backend.ErrUnavailable) || errors.Is(run.err, context.DeadlineExceeded)) && ctx.Err() == nil:
-						br.RecordFailure()
-					case !isCtxErr(run.err):
-						// The child answered, just not usefully (parse
-						// rejection, unknown column): it is alive.
-						br.RecordSuccess()
-					default:
-						// Cancellation with the parent request dead or
-						// dying: no health signal either way.
-						br.RecordCancel()
-					}
-				}
-				if run.err != nil && partial && errors.Is(run.err, backend.ErrUnavailable) && ctx.Err() == nil {
-					// Degraded-results mode tolerates an unavailable
-					// child: skip its part, keep the fan-out running.
-					run = childRun{degraded: true}
-				}
-				runs[ti] = run
-				if run.err != nil {
-					cancel() // first failure aborts the straggling shards
-				} else if !run.degraded {
-					// Only real executions belong in the latency
-					// distribution.
-					r.tel.ObserveShard(run.lat)
-				}
-			}()
-		}
-		wg.Wait()
-		fsp.End()
+	if len(tasks) == 0 {
+		return runs
 	}
+	fanCtx, fsp := telemetry.StartSpan(ctx, "shard.fanout")
+	fsp.SetAttr("children", strconv.Itoa(len(tasks)))
+	defer fsp.End()
+	fanCtx, cancel := context.WithCancel(fanCtx)
+	defer cancel()
 
-	// Report the root cause, not a casualty: after a first failure
-	// cancels the fan-out, innocent shards abort with ctx errors — prefer
-	// the error that is not a cancellation when one exists.
-	var firstErr error
-	firstChild := -1
-	for ti := range tasks {
-		if err := runs[ti].err; err != nil {
-			if firstErr == nil || (isCtxErr(firstErr) && !isCtxErr(err)) {
-				firstErr, firstChild = err, tasks[ti].child
+	var wg sync.WaitGroup
+	for ti, t := range tasks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run := r.runChild(ctx, fanCtx, t, sql, backend.ExecOptions{Lo: t.lo, Hi: t.hi, Workers: workers})
+			runs[ti] = run
+			if run.err != nil {
+				cancel() // first failure aborts the straggling shards
+			} else if !run.degraded {
+				// Only real executions belong in the latency
+				// distribution.
+				r.tel.ObserveShard(run.lat)
 			}
-		}
+		}()
 	}
-	if firstErr != nil {
-		return nil, backend.ExecStats{}, fmt.Errorf("shardbe: shard %d: %w", firstChild, firstErr)
-	}
+	wg.Wait()
+	return runs
+}
 
-	// Collect the degraded shard set: children skipped before fan-out
-	// (down at introspection time) plus partials dropped mid-fan-out.
-	var degradedShards []int
-	for i := range r.children {
-		if down != nil && down[i] {
-			degradedShards = append(degradedShards, i)
-		}
+// runChild runs one task of a fan-out. An open circuit fails fast
+// without touching the child; otherwise execChild runs it and the
+// outcome feeds the child's breaker. A failure the call tolerates
+// becomes a degraded partial instead of failing the fan-out.
+func (r *Router) runChild(ctx, fanCtx context.Context, t childTask, sql string, opts backend.ExecOptions) childRun {
+	var run childRun
+	if br := r.breakerFor(t.child); br != nil && !br.Allow() {
+		skipSpan(fanCtx, t.child, true)
+		run.err = fmt.Errorf("%w: circuit open", backend.ErrUnavailable)
+	} else {
+		run = r.execChild(fanCtx, t, sql, opts)
+		recordHealth(ctx, br, run.err)
 	}
-	survivors := 0
-	for ti := range tasks {
-		if runs[ti].degraded {
-			degradedShards = append(degradedShards, tasks[ti].child)
+	if tolerable(ctx, run.err) {
+		return childRun{degraded: true}
+	}
+	return run
+}
+
+// recordHealth feeds one execution's outcome to the child's breaker
+// (nil when breakers are off). A child is "failing" only when it looks
+// down — unreachable or timing out while the request itself is still
+// live. The caller's own cancellation, and child-side errors like a
+// parse rejection, say nothing bad about child health.
+func recordHealth(ctx context.Context, br *resilience.Breaker, err error) {
+	switch {
+	case br == nil:
+	case err == nil:
+		br.RecordSuccess()
+	case (errors.Is(err, backend.ErrUnavailable) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil:
+		br.RecordFailure()
+	case !isCtxErr(err):
+		// The child answered, just not usefully (parse rejection,
+		// unknown column): it is alive.
+		br.RecordSuccess()
+	default:
+		// Cancellation with the parent request dead or dying: no health
+		// signal either way.
+		br.RecordCancel()
+	}
+}
+
+// attempt is the one way a fan-out executes a child: a partial's
+// primary and its hedged duplicate alike. It opens the attempt's
+// shard.exec span, runs the child with a panic contained as a failed
+// attempt, stamps the outcome on the span and times the call.
+func (r *Router) attempt(ctx context.Context, t childTask, sql string, opts backend.ExecOptions, hedged bool) childRun {
+	cctx, sp := telemetry.StartSpan(ctx, "shard.exec")
+	sp.SetAttr("shard", strconv.Itoa(t.child))
+	if hedged {
+		sp.SetAttr("hedged", "true")
+	}
+	start := time.Now()
+	rows, stats, err := r.childExec(cctx, t.child, sql, opts)
+	run := childRun{rows: rows, stats: stats, lat: time.Since(start), err: err}
+	stampChildSpan(sp, stats, err)
+	sp.End()
+	return run
+}
+
+// childExec runs child i's Exec and turns a panic into an error. It is
+// the only call of a child's Exec. The fan-out goroutines are beyond
+// any recover of the caller's, and the distinct-value scans behind
+// TableStats run on a caller that need not have one, so a panicking
+// child would otherwise take the process down.
+func (r *Router) childExec(ctx context.Context, i int, sql string, opts backend.ExecOptions) (rows *backend.Rows, stats backend.ExecStats, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			rows, stats, err = nil, backend.ExecStats{}, fmt.Errorf("child panicked: %v", p)
+		}
+	}()
+	return r.children[i].Exec(ctx, sql, opts)
+}
+
+// stampChildSpan records one child attempt's outcome on its span:
+// resource counters on success (ExecStats.StampSpan, the same stamper
+// the engine's query spans use), a status marker on failure. Hedge
+// losers cancelled by the winner land here with a context error, so the
+// stitched tree shows them as cancelled — ended exactly once, never
+// dangling open.
+func stampChildSpan(sp *telemetry.Span, stats backend.ExecStats, err error) {
+	if sp == nil {
+		return
+	}
+	if err != nil {
+		if isCtxErr(err) {
+			sp.SetAttr("status", "cancelled")
 		} else {
-			survivors++
+			sp.SetAttr("status", "error")
 		}
+		return
 	}
-	sort.Ints(degradedShards)
-	if partial && survivors == 0 && len(degradedShards) >= len(r.children) {
-		// Every child in the router is gone: that is an outage, not a
-		// degraded result. A row range that only touches down children
-		// while healthy children survive elsewhere stays degraded — the
-		// partial contract is "the result over surviving partitions",
-		// and the surviving partitions hold no rows in that range.
-		return nil, backend.ExecStats{}, fmt.Errorf("shardbe: %w: all %d shards unavailable", backend.ErrUnavailable, len(r.children))
-	}
+	stats.StampSpan(sp)
+}
 
-	// ShardFanout counts child executions. Nested robustness counters —
-	// a netbe child's retries, a nested router's hedges — sum through,
-	// so the top-level ExecStats sees the whole tree.
-	var stats backend.ExecStats
-	stats.ShardsDegraded = len(degradedShards)
-	stats.DegradedShards = degradedShards
-	for ti := range tasks {
-		run := &runs[ti]
-		if run.degraded {
-			continue // no execution, no part: only the degraded stamp above
+// skipSpan leaves a closed, status-marked shard.exec span for a child
+// the fan-out did not touch, so a traced tree shows the hole instead of
+// silently missing a partition.
+func skipSpan(ctx context.Context, child int, circuitOpen bool) {
+	_, sp := telemetry.StartSpan(ctx, "shard.exec")
+	sp.SetAttr("shard", strconv.Itoa(child))
+	sp.SetAttr("status", "skipped")
+	if circuitOpen {
+		sp.SetAttr("circuit", "open")
+	}
+	sp.End()
+}
+
+// firstFailure reports a failed fan-out's root cause, not a casualty:
+// after a first failure cancels the fan-out, innocent shards abort with
+// context errors, so an error that is not a cancellation wins when one
+// exists.
+func firstFailure(tasks []childTask, runs []childRun) error {
+	var first error
+	child := -1
+	for ti, run := range runs {
+		if run.err != nil && (first == nil || (isCtxErr(first) && !isCtxErr(run.err))) {
+			first, child = run.err, tasks[ti].child
 		}
-		stats.ShardFanout++
+	}
+	if first == nil {
+		return nil
+	}
+	return fmt.Errorf("shardbe: shard %d: %w", child, first)
+}
+
+// foldStats folds a fan-out's partials into the router's ExecStats,
+// deciding every field (TestFoldDecidesEveryStat holds it to that):
+//
+//   - summed through from the children, so the top level sees the whole
+//     tree: RowsScanned, SelectionKernels, ResidualPredicates, and the
+//     nested robustness counters HedgedPartials, HedgeWins, NetRetries
+//     and ShardsDegraded (a netbe child's retries, a nested router's
+//     hedges and skipped shards);
+//   - Workers is the widest child's. Vectorized holds only when every
+//     scanned child ran the fast path; otherwise the first other child's
+//     FallbackReason stands in for the whole query (a per-shard
+//     breakdown would not fit one ExecStats);
+//   - owned by the router: ShardFanout counts its own child executions,
+//     ShardStragglerMax is the slowest of them as the router timed it
+//     (a nested straggler included), DegradedShards lists its children
+//     whose part is missing or incomplete, and Groups comes from the
+//     merge (Exec sets it).
+//
+// A degraded partial executed nothing; it only counts as a skipped shard.
+func foldStats(tasks []childTask, runs []childRun, down []bool) backend.ExecStats {
+	st := backend.ExecStats{Vectorized: true}
+	for i, d := range down {
+		if d {
+			st.ShardsDegraded++
+			st.DegradedShards = append(st.DegradedShards, i)
+		}
+	}
+	for ti, run := range runs {
+		if run.degraded {
+			st.ShardsDegraded++
+			st.DegradedShards = append(st.DegradedShards, tasks[ti].child)
+			continue
+		}
+		c := run.stats
+		if c.ShardsDegraded > 0 {
+			// A nested router answered over its survivors only.
+			st.DegradedShards = append(st.DegradedShards, tasks[ti].child)
+		}
+		st.ShardsDegraded += c.ShardsDegraded
+		st.ShardFanout++
 		if run.hedged {
-			stats.HedgedPartials++
+			st.HedgedPartials++
 		}
 		if run.hedgeWon {
-			stats.HedgeWins++
+			st.HedgeWins++
 		}
-		stats.RowsScanned += run.stats.RowsScanned
-		stats.SelectionKernels += run.stats.SelectionKernels
-		stats.ResidualPredicates += run.stats.ResidualPredicates
-		stats.HedgedPartials += run.stats.HedgedPartials
-		stats.HedgeWins += run.stats.HedgeWins
-		stats.NetRetries += run.stats.NetRetries
-		if run.stats.Workers > stats.Workers {
-			stats.Workers = run.stats.Workers
-		}
-		if run.lat > stats.ShardStragglerMax {
-			stats.ShardStragglerMax = run.lat
-		}
-	}
-
-	// A degraded partial merges as zero rows: the global result is then
-	// exactly what an unsharded store holding only the surviving
-	// partitions' rows would produce.
-	parts := make([]sqldb.ShardPart, len(tasks))
-	for ti := range tasks {
-		if runs[ti].degraded {
-			continue
-		}
-		parts[ti] = sqldb.ShardPart{Rows: runs[ti].rows.Rows, Groups: runs[ti].stats.Groups}
-	}
-	_, msp := telemetry.StartSpan(ctx, "shard.merge")
-	merged, err := sp.Merge(parts)
-	msp.End()
-	if err != nil {
-		return nil, backend.ExecStats{}, err
-	}
-	stats.Groups = merged.Stats.Groups
-	if stats.Workers < 1 {
-		stats.Workers = 1
-	}
-
-	// The fan-out counts as vectorized only when every scanned shard ran
-	// the fast path; otherwise the first shard's reason stands in for the
-	// whole query (a per-shard breakdown would not fit one ExecStats).
-	// Degraded partials scanned nothing and have no say.
-	stats.Vectorized = survivors > 0
-	for ti := range tasks {
-		if runs[ti].degraded {
-			continue
-		}
-		if !runs[ti].stats.Vectorized {
-			stats.Vectorized = false
-			stats.FallbackReason = runs[ti].stats.FallbackReason
-			break
+		st.RowsScanned += c.RowsScanned
+		st.SelectionKernels += c.SelectionKernels
+		st.ResidualPredicates += c.ResidualPredicates
+		st.HedgedPartials += c.HedgedPartials
+		st.HedgeWins += c.HedgeWins
+		st.NetRetries += c.NetRetries
+		st.Workers = max(st.Workers, c.Workers)
+		st.ShardStragglerMax = max(st.ShardStragglerMax, run.lat)
+		if st.Vectorized && !c.Vectorized {
+			st.Vectorized, st.FallbackReason = false, c.FallbackReason
 		}
 	}
-	if !stats.Vectorized && stats.FallbackReason == "" {
-		stats.FallbackReason = "empty shard fan-out"
+	sort.Ints(st.DegradedShards)
+	st.Workers = max(st.Workers, 1)
+	if st.ShardFanout == 0 {
+		st.Vectorized = false
 	}
-
-	return &backend.Rows{Columns: merged.Columns, Rows: merged.Rows}, stats, nil
+	if !st.Vectorized && st.FallbackReason == "" {
+		st.FallbackReason = "empty shard fan-out"
+	}
+	return st
 }
 
 // isCtxErr reports a context cancellation/deadline error.
@@ -730,11 +761,5 @@ func isCtxErr(err error) bool {
 
 // clamp bounds v to [lo, hi].
 func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	return min(max(v, lo), hi)
 }

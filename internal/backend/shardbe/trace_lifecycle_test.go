@@ -96,11 +96,10 @@ func TestHedgeLoserSpanLifecycle(t *testing.T) {
 func TestOpenCircuitSkipSpan(t *testing.T) {
 	src := buildSource(t, 90)
 	r, fault := newFaultRouter(t, src, 3, Options{
-		AllowPartial: true,
-		Breakers:     &resilience.BreakerOptions{FailureThreshold: 1},
+		Breakers: &resilience.BreakerOptions{FailureThreshold: 1},
 	})
 	fault.SetDown(backend.ErrUnavailable)
-	ctx := context.Background()
+	ctx := backend.WithAllowPartial(context.Background())
 	const sql = "SELECT region, COUNT(*) FROM sales GROUP BY region"
 
 	// First exec: child 0 fails, its span is marked error, breaker trips.
@@ -170,10 +169,10 @@ func TestOpenCircuitSkipSpan(t *testing.T) {
 // open, and exactly one span per planned partial.
 func TestDegradedFanoutSpanLifecycle(t *testing.T) {
 	src := buildSource(t, 90)
-	r, fault := newFaultRouter(t, src, 3, Options{AllowPartial: true})
+	r, fault := newFaultRouter(t, src, 3, Options{})
 	fault.SetDown(backend.ErrUnavailable)
 
-	ctx, tr := telemetry.WithTrace(context.Background(), "test")
+	ctx, tr := telemetry.WithTrace(backend.WithAllowPartial(context.Background()), "test")
 	_, stats, err := r.Exec(ctx, "SELECT region, COUNT(*) FROM sales GROUP BY region", backend.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -233,7 +233,6 @@ func Figure7(ctx context.Context, cfg Config) ([]*Table, error) {
 			opts := core.Options{
 				Strategy:              core.Sharing,
 				GroupBy:               core.GroupBySingle,
-				GroupBySet:            true,
 				MaxAggregatesPerQuery: nagg,
 				K:                     10,
 				Parallelism:           cfg.Parallelism,
@@ -263,7 +262,6 @@ func Figure7(ctx context.Context, cfg Config) ([]*Table, error) {
 			opts := core.Options{
 				Strategy:                core.Sharing,
 				GroupBy:                 core.GroupBySingle,
-				GroupBySet:              true,
 				DisableCombineTargetRef: true, // more, smaller queries: parallelism matters
 				Parallelism:             par,
 				K:                       10,
@@ -313,7 +311,6 @@ func Figure8(ctx context.Context, cfg Config) ([]*Table, error) {
 				opts := core.Options{
 					Strategy:    core.Sharing,
 					GroupBy:     core.GroupByMaxN,
-					GroupBySet:  true,
 					MaxGroupBy:  ngb,
 					K:           10,
 					Parallelism: cfg.Parallelism,
@@ -364,7 +361,7 @@ func Figure8(ctx context.Context, cfg Config) ([]*Table, error) {
 		var grp [2]int
 		for li := range dbs {
 			opts := core.Options{
-				Strategy: core.Sharing, GroupBy: core.GroupByMaxN, GroupBySet: true,
+				Strategy: core.Sharing, GroupBy: core.GroupByMaxN,
 				MaxGroupBy: ngb, K: 10, Parallelism: cfg.Parallelism,
 			}
 			d, res, err := timeRecommend(ctx, newEngine(dbs[li]), req, opts)
@@ -384,7 +381,7 @@ func Figure8(ctx context.Context, cfg Config) ([]*Table, error) {
 			budget = core.DefaultColMemoryBudget
 		}
 		opts := core.Options{
-			Strategy: core.Sharing, GroupBy: core.GroupByBinPack, GroupBySet: true,
+			Strategy: core.Sharing, GroupBy: core.GroupByBinPack,
 			MemoryBudget: budget, K: 10, Parallelism: cfg.Parallelism,
 		}
 		d, res, err := timeRecommend(ctx, newEngine(dbs[li]), req, opts)

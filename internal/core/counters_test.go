@@ -74,7 +74,7 @@ func TestCountersRuntimeFallbackEdge(t *testing.T) {
 		Strategy: Sharing, K: 3, ScanParallelism: 4,
 		// Row stores default to bin-packed group-bys; pin single so the
 		// query count is layout-independent.
-		GroupBy: GroupBySingle, GroupBySet: true,
+		GroupBy: GroupBySingle,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestCountersFallbackReasons(t *testing.T) {
 	e, req := buildCensus(t, sqldb.LayoutRow, 1000)
 	res, err := e.Recommend(context.Background(), req, Options{
 		Strategy: Sharing, K: 2, ScanParallelism: 4,
-		GroupBy: GroupBySingle, GroupBySet: true,
+		GroupBy: GroupBySingle,
 	})
 	if err != nil {
 		t.Fatal(err)

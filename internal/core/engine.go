@@ -282,8 +282,8 @@ func (e *Engine) Recommend(ctx context.Context, req Request, opts Options) (*Res
 // shape, at whatever dataset version it was computed.
 func (e *Engine) recommend(ctx context.Context, req Request, opts Options) (*Result, error) {
 	if opts.AllowPartial {
-		// The introspection legs (TableInfo, TableStats) have no options
-		// parameter; the context carries the opt-in to routing backends.
+		// The context is the one channel that carries the opt-in to
+		// routing backends, for Exec and introspection alike.
 		ctx = backend.WithAllowPartial(ctx)
 	}
 	start := time.Now()

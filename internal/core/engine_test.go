@@ -239,10 +239,10 @@ func TestSharingOptionsPreserveResults(t *testing.T) {
 	}
 	base := run(Options{})
 	variants := []Options{
-		{GroupBy: GroupByBinPack, GroupBySet: true, MemoryBudget: 500},
-		{GroupBy: GroupByBinPack, GroupBySet: true, MemoryBudget: 1000000},
-		{GroupBy: GroupByMaxN, GroupBySet: true, MaxGroupBy: 4},
-		{GroupBy: GroupBySingle, GroupBySet: true},
+		{GroupBy: GroupByBinPack, MemoryBudget: 500},
+		{GroupBy: GroupByBinPack, MemoryBudget: 1000000},
+		{GroupBy: GroupByMaxN, MaxGroupBy: 4},
+		{GroupBy: GroupBySingle},
 		{MaxAggregatesPerQuery: 1},
 		{MaxAggregatesPerQuery: 2},
 		{DisableCombineTargetRef: true},
@@ -289,13 +289,13 @@ func TestBinPackingReducesQueriesOnRowStore(t *testing.T) {
 	e, req := buildCensus(t, sqldb.LayoutRow, 2000)
 	ctx := context.Background()
 	single, err := e.Recommend(ctx, req, Options{
-		Strategy: Sharing, GroupBy: GroupBySingle, GroupBySet: true, K: 5,
+		Strategy: Sharing, GroupBy: GroupBySingle, K: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	packed, err := e.Recommend(ctx, req, Options{
-		Strategy: Sharing, GroupBy: GroupByBinPack, GroupBySet: true, MemoryBudget: 10000, K: 5,
+		Strategy: Sharing, GroupBy: GroupByBinPack, MemoryBudget: 10000, K: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -140,10 +140,13 @@ type GroupByStrategy int
 
 // Group-by combination strategies.
 const (
+	// GroupByAuto picks the layout default: GroupByBinPack for row
+	// stores, GroupBySingle for column stores (withDefaults resolves it).
+	GroupByAuto GroupByStrategy = iota
 	// GroupBySingle issues one single-attribute GROUP BY per dimension
 	// (no combining) — the paper's choice for column stores, whose small
 	// memory budget biases optimal groupings toward single attributes.
-	GroupBySingle GroupByStrategy = iota
+	GroupBySingle
 	// GroupByBinPack packs dimensions with first-fit so each query's
 	// worst-case distinct-group count stays under MemoryBudget (the
 	// paper's BP).
@@ -157,6 +160,8 @@ const (
 // String returns a short name for the strategy.
 func (g GroupByStrategy) String() string {
 	switch g {
+	case GroupByAuto:
+		return "AUTO"
 	case GroupBySingle:
 		return "SINGLE"
 	case GroupByBinPack:
@@ -206,12 +211,10 @@ type Options struct {
 	// ScanParallelism goroutines scan concurrently — which pays off when
 	// sharing collapses a request into fewer queries than cores.
 	ScanParallelism int
-	// GroupBy selects the group-by combining strategy. Defaults to
-	// GroupByBinPack for row stores and GroupBySingle for column stores.
+	// GroupBy selects the group-by combining strategy. The zero value,
+	// GroupByAuto, picks GroupByBinPack for row stores and GroupBySingle
+	// for column stores.
 	GroupBy GroupByStrategy
-	// GroupBySet forces GroupBy to be honored even when it is the zero
-	// value (GroupBySingle); otherwise layout defaults apply.
-	GroupBySet bool
 	// MemoryBudget is the maximum estimated distinct groups per query
 	// for GroupByBinPack. 0 picks the layout default.
 	MemoryBudget int
@@ -282,7 +285,7 @@ func (o Options) withDefaults(layout backend.Layout, numViews int) Options {
 	if o.ScanParallelism <= 0 {
 		o.ScanParallelism = runtime.GOMAXPROCS(0)
 	}
-	if !o.GroupBySet {
+	if o.GroupBy == GroupByAuto {
 		if layout == backend.LayoutRow {
 			o.GroupBy = GroupByBinPack
 		} else {

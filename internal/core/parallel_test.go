@@ -90,7 +90,7 @@ func TestMergeOnArrivalDeterministic(t *testing.T) {
 			res, err := e.Recommend(ctx, req, Options{
 				Strategy: strategy, Pruning: CIPruning, KeepAllViews: true,
 				Parallelism: par, ScanParallelism: 1, MaxAggregatesPerQuery: 1,
-				DisableCombineTargetRef: true, GroupBy: GroupByMaxN, GroupBySet: true,
+				DisableCombineTargetRef: true, GroupBy: GroupByMaxN,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -96,8 +96,8 @@ func TestStrategiesEquivalentOnRandomInputs(t *testing.T) {
 		base := utilitiesOf(t, dbRow, req, Options{Strategy: NoOpt})
 		configs := []Options{
 			{Strategy: Sharing},
-			{Strategy: Sharing, GroupBy: GroupByBinPack, GroupBySet: true, MemoryBudget: 50},
-			{Strategy: Sharing, GroupBy: GroupByMaxN, GroupBySet: true, MaxGroupBy: 2},
+			{Strategy: Sharing, GroupBy: GroupByBinPack, MemoryBudget: 50},
+			{Strategy: Sharing, GroupBy: GroupByMaxN, MaxGroupBy: 2},
 			{Strategy: Sharing, MaxAggregatesPerQuery: 1},
 			{Strategy: Sharing, DisableCombineTargetRef: true},
 			{Strategy: Comb, Pruning: NoPruning, Phases: 7},
@@ -159,7 +159,7 @@ func TestOptionDefaults(t *testing.T) {
 		t.Errorf("MAB phases floor = %d, want 10", o.Phases)
 	}
 	// Explicit settings survive.
-	o = Options{GroupBy: GroupBySingle, GroupBySet: true, Phases: 3, Parallelism: 2}.withDefaults(sqldb.LayoutRow, 10)
+	o = Options{GroupBy: GroupBySingle, Phases: 3, Parallelism: 2}.withDefaults(sqldb.LayoutRow, 10)
 	if o.GroupBy != GroupBySingle || o.Phases != 3 || o.Parallelism != 2 {
 		t.Errorf("explicit options overridden: %+v", o)
 	}

@@ -106,7 +106,6 @@ var engineOnlyOptions = map[string]string{
 	"Phases":                  "evaluation harness: phase-count ablation",
 	"Parallelism":             "deployment: concurrent view queries, GOMAXPROCS by default",
 	"GroupBy":                 "evaluation harness: Figure 8 group-by strategies",
-	"GroupBySet":              "evaluation harness: forces a zero-valued GroupBy",
 	"MemoryBudget":            "evaluation harness: Figure 8a budget sweep",
 	"MaxGroupBy":              "evaluation harness: MAX_GB baseline",
 	"MaxAggregatesPerQuery":   "evaluation harness: Figure 7a nagg sweep",

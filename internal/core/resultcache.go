@@ -47,7 +47,6 @@ func staleCacheKey(backendName string, req Request, opts Options) string {
 var keyExemptOptions = map[string]string{
 	"Parallelism":        "cost only: concurrent view queries",
 	"ScanParallelism":    "cost only: scan workers (see renderRequestKey on float reassociation)",
-	"GroupBySet":         "resolved into GroupBy by withDefaults",
 	"EnableCache":        "selects whether the key is used at all",
 	"SlowQueryThreshold": "observation only",
 	"ServeStaleOnError":  "selects the error path, never a computed result",

@@ -440,10 +440,9 @@ func (s *execState) execAndMerge(ctx context.Context, q *sharedQuery, lo, hi int
 
 // runQuery executes (or cache-resolves) one shared query.
 func (s *execState) runQuery(ctx context.Context, sql string, lo, hi int) (*execResult, cache.Outcome, error) {
-	execOpts := backend.ExecOptions{
-		Lo: lo, Hi: hi, Workers: s.opts.ScanParallelism,
-		AllowPartial: s.opts.AllowPartial,
-	}
+	// The degraded-results opt-in reaches routing backends through ctx
+	// (backend.WithAllowPartial, set once per request by recommend).
+	execOpts := backend.ExecOptions{Lo: lo, Hi: hi, Workers: s.opts.ScanParallelism}
 	qctx, qsp := telemetry.StartSpan(ctx, "query")
 	qsp.SetAttr("sql", sql)
 	// exec is the paid execution path: singleflight runs it in

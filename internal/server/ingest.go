@@ -13,6 +13,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/http"
@@ -172,7 +173,7 @@ func (s *Server) handleLoadSynth(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	layout, err := parseLayout(req.Layout)
+	layout, err := sqldb.ParseLayout(cmp.Or(req.Layout, "col"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 
 	"seedb/internal/backend"
 	"seedb/internal/backend/faultbe"
+	"seedb/internal/backend/netbe"
 	"seedb/internal/backend/shardbe"
 	"seedb/internal/dataset"
 	"seedb/internal/resilience"
@@ -175,6 +177,31 @@ func TestRecommendDegradedVsStrict(t *testing.T) {
 	}
 	if len(health.Resilience.Breakers) != 3 {
 		t.Errorf("healthz breakers = %d entries, want 3", len(health.Resilience.Breakers))
+	}
+}
+
+// TestWireAllowPartial: the degraded-results opt-in crosses the netbe
+// wire. A client whose context carries it sends allow_partial, and the
+// server's /api/query turns the field back into the context marker its
+// shard router reads; a client without it gets the strict outage.
+func TestWireAllowPartial(t *testing.T) {
+	_, srv, faults := newChaosServer(t, shardbe.Options{})
+	faults[0].SetDown(backend.ErrUnavailable)
+	ctx := context.Background()
+	c, err := netbe.New(ctx, srv.URL, netbe.Options{Backend: ShardBackendName, MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT sex, COUNT(*) FROM census GROUP BY sex"
+	_, stats, err := c.Exec(backend.WithAllowPartial(ctx), sql, backend.ExecOptions{})
+	if err != nil {
+		t.Fatalf("allow-partial exec over the wire: %v", err)
+	}
+	if stats.ShardsDegraded != 1 || len(stats.DegradedShards) != 1 || stats.DegradedShards[0] != 0 {
+		t.Errorf("degraded stats = %d %v, want 1 [0]", stats.ShardsDegraded, stats.DegradedShards)
+	}
+	if _, _, err := c.Exec(ctx, sql, backend.ExecOptions{}); !errors.Is(err, backend.ErrUnavailable) {
+		t.Errorf("strict exec over the wire = %v, want ErrUnavailable", err)
 	}
 }
 

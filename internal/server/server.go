@@ -52,13 +52,13 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -543,7 +543,7 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 	if req.Rows > 0 {
 		spec = spec.WithRows(req.Rows)
 	}
-	layout, err := parseLayout(req.Layout)
+	layout, err := sqldb.ParseLayout(cmp.Or(req.Layout, "col"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -629,6 +629,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.deadline(r.Context())
 	defer cancel()
+	if req.AllowPartial {
+		ctx = backend.WithAllowPartial(ctx)
+	}
 	// A Traceparent header means a remote caller (netbe) is tracing:
 	// open a child-side trace under the caller's span, so the executor
 	// spans of this process travel home in the wire response.
@@ -875,16 +878,4 @@ func responseFrom(rb *registeredBackend, requested core.Strategy, res *core.Resu
 		})
 	}
 	return resp
-}
-
-// parseLayout resolves a layout name.
-func parseLayout(s string) (sqldb.Layout, error) {
-	switch strings.ToLower(s) {
-	case "", "col", "column":
-		return sqldb.LayoutCol, nil
-	case "row":
-		return sqldb.LayoutRow, nil
-	default:
-		return 0, fmt.Errorf("unknown layout %q (want row or col)", s)
-	}
 }

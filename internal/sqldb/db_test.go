@@ -259,6 +259,21 @@ func TestSchemaLookupAndString(t *testing.T) {
 	}
 }
 
+// TestParseLayout pins the one layout parser: row or col (alias column)
+// in any case; anything else — rows, the empty string — is an error.
+func TestParseLayout(t *testing.T) {
+	for in, want := range map[string]Layout{"row": LayoutRow, "ROW": LayoutRow, "col": LayoutCol, "Column": LayoutCol} {
+		if got, err := ParseLayout(in); err != nil || got != want {
+			t.Errorf("ParseLayout(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"rows", "bogus", ""} {
+		if _, err := ParseLayout(in); err == nil || !strings.Contains(err.Error(), "unknown layout") {
+			t.Errorf("ParseLayout(%q) error = %v, want unknown layout", in, err)
+		}
+	}
+}
+
 func TestTableVersion(t *testing.T) {
 	db := NewDB()
 	if _, ok := db.TableVersion("t"); ok {

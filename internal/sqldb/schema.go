@@ -100,17 +100,27 @@ func (l Layout) MarshalText() ([]byte, error) {
 	}
 }
 
+// ParseLayout resolves a layout name: "row", or "col" (alias "column"),
+// in any case. It is the one layout parser — the wire form, server
+// requests and both command-line -layout flags all go through it.
+func ParseLayout(s string) (Layout, error) {
+	switch strings.ToLower(s) {
+	case "row":
+		return LayoutRow, nil
+	case "col", "column":
+		return LayoutCol, nil
+	default:
+		return 0, fmt.Errorf("unknown layout %q (want row or col)", s)
+	}
+}
+
 // UnmarshalText inverts MarshalText.
 func (l *Layout) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "row":
-		*l = LayoutRow
-	case "col":
-		*l = LayoutCol
-	default:
-		return fmt.Errorf("sqldb: unknown layout %q (want row or col)", text)
+	v, err := ParseLayout(string(text))
+	if err == nil {
+		*l = v
 	}
-	return nil
+	return err
 }
 
 // String returns the paper's name for the layout.
