@@ -12,8 +12,10 @@
 //   - schema introspection (TableInfo, TableStats), which feeds the view
 //     generator's dimension/measure classification and the bin-packing
 //     group-by optimizer;
-//   - dataset versioning (TableVersion), which keys the shared result
-//     cache so stale entries become unreachable when data changes;
+//   - dataset versioning (TableInfo.Version), which keys the shared
+//     result cache so stale entries become unreachable when data
+//     changes, and — with the row count read alongside it — pins the
+//     table state one request reads;
 //   - query execution (Exec), which runs one generated SQL aggregation
 //     query and returns materialized rows plus execution stats.
 //
@@ -34,6 +36,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 
 	"seedb/internal/sqldb"
 )
@@ -106,6 +109,20 @@ type TableInfo struct {
 	// group-by memory budget (Figure 8a of the paper). "row" or "col" on
 	// the wire.
 	Layout Layout `json:"layout"`
+	// Version is an opaque token for the table's contents, read together
+	// with Rows: on a backend with SupportsPhasedExecution, scanning
+	// [0, Rows) reads exactly the contents Version names, so one request
+	// that bounds every Exec by Rows reads one table state, and the pair
+	// keys its cached results. Any data change yields a token never seen
+	// before. Empty means the backend cannot version the table, and
+	// results over it are not cached.
+	Version string `json:"version,omitempty"`
+}
+
+// VersionOf is a TableVersion answer from a TableInfo call's results:
+// the Version, and whether the call succeeded with one.
+func VersionOf(ti TableInfo, err error) (string, bool) {
+	return ti.Version, err == nil && ti.Version != ""
 }
 
 // Lookup returns the named column (case-insensitive) and whether it
@@ -124,9 +141,11 @@ func (ti TableInfo) Lookup(name string) (Column, bool) {
 // here travels to remote children without a second declaration.
 type ExecOptions struct {
 	// Lo and Hi restrict the scan to base-table rows in [Lo, Hi).
-	// Hi <= 0 means "to the end of the table". Only meaningful on
-	// backends with SupportsPhasedExecution; others must reject a
-	// sub-range rather than silently scan everything.
+	// Hi <= 0 means "to the end of the table", whatever that is when the
+	// scan starts; the engine never sends it to a backend with
+	// SupportsPhasedExecution, where every Exec of a request carries the
+	// row count its TableInfo read. Backends without that capability
+	// must reject a sub-range rather than silently scan everything.
 	Lo int `json:"lo,omitempty"`
 	Hi int `json:"hi,omitempty"`
 	// Workers is the intra-query scan parallelism hint. Backends without
@@ -158,6 +177,38 @@ func WithAllowPartial(ctx context.Context) context.Context {
 func AllowPartialFrom(ctx context.Context) bool {
 	b, _ := ctx.Value(partialKey{}).(bool)
 	return b
+}
+
+// pinKey carries a request's pin through the context.
+type pinKey struct{}
+
+// WithPin opens a pin on ctx for one request (core opens one per
+// Recommend). A backend that reads table state it must hold fixed for
+// the whole request — the shard router's per-child row counts — keeps it
+// through Pinned, so every later call on ctx reuses that one read. Like
+// the partial opt-in it travels in the context because the context
+// passes through every wrapper.
+func WithPin(ctx context.Context) context.Context {
+	return context.WithValue(ctx, pinKey{}, new(sync.Map))
+}
+
+// Pinned returns the value ctx's pin holds under key, calling read to
+// fill it on first use; concurrent first uses all return the one value
+// that was stored. Without a pin on ctx it just calls read. A failed
+// read pins nothing.
+func Pinned[T any](ctx context.Context, key any, read func() (T, error)) (T, error) {
+	pin, _ := ctx.Value(pinKey{}).(*sync.Map)
+	if pin != nil {
+		if v, ok := pin.Load(key); ok {
+			return v.(T), nil
+		}
+	}
+	v, err := read()
+	if err != nil || pin == nil {
+		return v, err
+	}
+	stored, _ := pin.LoadOrStore(key, v)
+	return stored.(T), nil
 }
 
 // Rows is a fully materialized query result: named columns over rows of
@@ -193,21 +244,20 @@ type Backend interface {
 	// Capabilities reports which optional engine optimizations this
 	// backend supports.
 	Capabilities() Capabilities
-	// TableInfo returns the schema-level description of a table. A
-	// missing table is reported as ErrNoTable (possibly wrapped); any
-	// other error means the store could not be introspected — callers
-	// must not conflate the two (an outage is not a bad table name).
-	// Introspection against a slow external store must honor ctx
-	// cancellation, like Exec.
+	// TableInfo returns the schema-level description of a table, its
+	// row count and its version token, read together. A missing table
+	// is reported as ErrNoTable (possibly wrapped); any other error
+	// means the store could not be introspected — callers must not
+	// conflate the two (an outage is not a bad table name).
+	// Introspection must honor ctx cancellation, like Exec: a cancelled
+	// ctx is an error.
 	TableInfo(ctx context.Context, table string) (TableInfo, error)
-	// TableVersion returns an opaque token identifying the table's
-	// current contents, and whether the table exists. Any data change
-	// must yield a token never seen before; the shared result cache
-	// embeds it in every key, which is what makes invalidation purely
-	// versioned. Backends that cannot observe external writes return an
-	// instance-scoped token and document the staleness window. A
-	// cancelled ctx reports the table as absent (the engine then treats
-	// the request as uncacheable or fails on a later ctx check).
+	// TableVersion returns TableInfo's Version, and whether there is
+	// one. Any data change must yield a token never seen before; the
+	// shared result cache embeds it in every key, which is what makes
+	// invalidation purely versioned. Backends that cannot observe
+	// external writes return an instance-scoped token and document the
+	// staleness window. A cancelled ctx reports the table as absent.
 	TableVersion(ctx context.Context, table string) (string, bool)
 	// TableStats returns per-column statistics for the view generator
 	// and the bin-packing optimizer, honoring ctx cancellation.

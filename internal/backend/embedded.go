@@ -34,34 +34,31 @@ func (b *Embedded) Capabilities() Capabilities {
 	return Capabilities{SupportsPhasedExecution: true}
 }
 
-// TableInfo describes a table from the live catalog. The lookup is an
-// in-memory map read, so ctx only gates entry (a cancelled context
-// fails fast instead of returning metadata the caller will discard).
+// TableInfo describes a table from the live catalog: its row count and
+// version token come from one read (sqldb's TableState), so the token
+// names exactly the first Rows rows. The lookup is an in-memory map
+// read, so ctx only gates entry (a cancelled context fails fast instead
+// of returning metadata the caller will discard).
 func (b *Embedded) TableInfo(ctx context.Context, table string) (TableInfo, error) {
 	if err := ctxErr(ctx); err != nil {
 		return TableInfo{}, err
 	}
-	t, ok := b.db.Table(table)
+	t, version, rows, ok := b.db.TableState(table)
 	if !ok {
 		return TableInfo{}, fmt.Errorf("%w: %q", ErrNoTable, table)
 	}
 	return TableInfo{
 		Name:    t.Name(),
 		Columns: t.Schema().Columns(),
-		Rows:    t.NumRows(),
+		Rows:    rows,
 		Layout:  t.Layout(),
+		Version: version,
 	}, nil
 }
 
-// TableVersion delegates to the store's versioned catalog (process-unique
-// DB id + catalog epoch + row generation), so every load, append and
-// drop-and-reload yields a fresh token. A cancelled ctx reports the
-// table as absent.
+// TableVersion is TableInfo's Version.
 func (b *Embedded) TableVersion(ctx context.Context, table string) (string, bool) {
-	if ctxErr(ctx) != nil {
-		return "", false
-	}
-	return b.db.TableVersion(table)
+	return VersionOf(b.TableInfo(ctx, table))
 }
 
 // TableStats returns the store's exact statistics, an immutable snapshot

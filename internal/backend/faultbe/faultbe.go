@@ -22,8 +22,11 @@ import (
 )
 
 // Fault is a fault-injecting backend wrapper. Safe for concurrent use.
+// Everything but Exec — Name (so version tokens and cache keys are
+// indistinguishable from the unwrapped store), Capabilities and the
+// introspection calls — is the embedded inner backend's own.
 type Fault struct {
-	inner backend.Backend
+	backend.Backend
 
 	mu       sync.Mutex
 	delay    time.Duration
@@ -45,7 +48,7 @@ type Fault struct {
 
 // Wrap decorates inner with fault injection (no faults configured yet).
 func Wrap(inner backend.Backend) *Fault {
-	return &Fault{inner: inner}
+	return &Fault{Backend: inner}
 }
 
 // SetExecDelay makes every subsequent Exec sleep d before delegating
@@ -75,7 +78,7 @@ func (f *Fault) SetFlap(failN, okN int, err error) {
 }
 
 // SetDown makes every subsequent Exec fail with err until SetDown(nil)
-// restores the child. TableInfo/TableVersion still delegate — this
+// restores the child. Introspection still reaches the child — this
 // models a store whose query path is dead while cheap introspection
 // (often cached or served by a proxy) survives, the harder degraded
 // case for the shard router.
@@ -97,28 +100,6 @@ func (f *Fault) FailedExecs() int64 { return f.failed.Load() }
 // Aborted counts Exec calls whose injected delay was cut short by ctx
 // cancellation — hedging's cancelled losers land here.
 func (f *Fault) Aborted() int64 { return f.aborted.Load() }
-
-// Name delegates to the inner backend, so version tokens and cache keys
-// are indistinguishable from the unwrapped store.
-func (f *Fault) Name() string { return f.inner.Name() }
-
-// Capabilities delegates to the inner backend.
-func (f *Fault) Capabilities() backend.Capabilities { return f.inner.Capabilities() }
-
-// TableInfo delegates to the inner backend.
-func (f *Fault) TableInfo(ctx context.Context, table string) (backend.TableInfo, error) {
-	return f.inner.TableInfo(ctx, table)
-}
-
-// TableVersion delegates to the inner backend.
-func (f *Fault) TableVersion(ctx context.Context, table string) (string, bool) {
-	return f.inner.TableVersion(ctx, table)
-}
-
-// TableStats delegates to the inner backend.
-func (f *Fault) TableStats(ctx context.Context, table string) (*backend.TableStats, error) {
-	return f.inner.TableStats(ctx, table)
-}
 
 // Exec applies the scripted faults, then delegates.
 func (f *Fault) Exec(ctx context.Context, query string, opts backend.ExecOptions) (*backend.Rows, backend.ExecStats, error) {
@@ -157,5 +138,5 @@ func (f *Fault) Exec(ctx context.Context, query string, opts backend.ExecOptions
 		case <-t.C:
 		}
 	}
-	return f.inner.Exec(ctx, query, opts)
+	return f.Backend.Exec(ctx, query, opts)
 }

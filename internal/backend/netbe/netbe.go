@@ -10,9 +10,8 @@
 // lives in internal/server):
 //
 //	GET  /api/backend/caps     handshake: protocol version + capability flags
-//	GET  /api/backend/info     TableInfo (404 ⇒ backend.ErrNoTable)
+//	GET  /api/backend/info     TableInfo with its version token (404 ⇒ backend.ErrNoTable)
 //	GET  /api/backend/stats    TableStats
-//	GET  /api/backend/version  TableVersion token
 //	POST /api/query            Exec with {"wire":true}: typed values + ExecStats
 //
 // Tracing: when the caller's context carries a span, every call is
@@ -185,13 +184,19 @@ func (c *Client) Stats() Stats {
 	return Stats{Calls: calls, Attempts: tries, Retries: tries - calls}
 }
 
-// TableInfo fetches the remote table description. A remote 404 surfaces
-// as backend.ErrNoTable; outages (after the retry budget) wrap
-// backend.ErrUnavailable.
+// TableInfo fetches the remote table description. Its version token is
+// prefixed with the base URL and remote backend name: remote tokens are
+// only unique within one server process, and the cache must never
+// conflate two servers that happen to hand out the same tokens. A remote
+// 404 surfaces as backend.ErrNoTable; outages (after the retry budget)
+// wrap backend.ErrUnavailable.
 func (c *Client) TableInfo(ctx context.Context, table string) (backend.TableInfo, error) {
 	var ti backend.TableInfo
 	if _, err := c.getJSON(ctx, c.endpoint("/api/backend/info", table), &ti); err != nil {
 		return backend.TableInfo{}, fmt.Errorf("netbe: table info %s: %w", table, err)
+	}
+	if ti.Version != "" {
+		ti.Version = c.base + "#" + c.opts.Backend + "#" + ti.Version
 	}
 	return ti, nil
 }
@@ -205,18 +210,10 @@ func (c *Client) TableStats(ctx context.Context, table string) (*backend.TableSt
 	return &ts, nil
 }
 
-// TableVersion fetches the remote version token, prefixed with the base
-// URL and remote backend name: remote tokens are only unique within one
-// server process, and the cache must never conflate two servers that
-// happen to hand out the same generation counters. Any failure —
-// cancelled ctx included — reports the table absent, per the Backend
-// contract; the engine then treats the request as uncacheable.
+// TableVersion is TableInfo's Version. Any failure — cancelled ctx
+// included — reports the table absent, per the Backend contract.
 func (c *Client) TableVersion(ctx context.Context, table string) (string, bool) {
-	var w wire.TableVersion
-	if _, err := c.getJSON(ctx, c.endpoint("/api/backend/version", table), &w); err != nil || !w.OK {
-		return "", false
-	}
-	return c.base + "#" + c.opts.Backend + "#" + w.Version, true
+	return backend.VersionOf(c.TableInfo(ctx, table))
 }
 
 // Exec runs one query on the remote server over the typed wire protocol

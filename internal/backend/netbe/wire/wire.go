@@ -7,8 +7,8 @@
 // cannot drift silently. The introspection payloads (/api/backend/info
 // and /stats) and the execution options and stats are the backend
 // package's own structs under their own JSON tags; this package adds
-// only what exists on the wire alone — typed values, the handshake, the
-// version token and the query envelope.
+// only what exists on the wire alone — typed values, the handshake and
+// the query envelope.
 //
 // Values round-trip bit-exactly: integers travel as JSON numbers
 // (decoded straight into int64, no float detour), and floats travel as
@@ -29,8 +29,9 @@ import (
 
 // ProtoVersion identifies the wire protocol generation. The handshake
 // endpoint reports it; a client refusing to speak to a newer server
-// fails loudly instead of mis-decoding.
-const ProtoVersion = 1
+// fails loudly instead of mis-decoding. Version 2 carries the table's
+// version token in the info payload and drops the version endpoint.
+const ProtoVersion = 2
 
 // Value is one engine scalar on the wire. Exactly one of the payload
 // fields is meaningful, selected by K.
@@ -115,13 +116,6 @@ func DecodeRows(rows [][]Value) ([][]sqldb.Value, error) {
 		out[r] = vr
 	}
 	return out, nil
-}
-
-// TableVersion is GET /api/backend/version's payload. OK false means
-// the table does not exist (or the store could not say).
-type TableVersion struct {
-	Version string `json:"version"`
-	OK      bool   `json:"ok"`
 }
 
 // Handshake is GET /api/backend/caps's payload: the remote backend's

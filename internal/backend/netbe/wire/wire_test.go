@@ -10,11 +10,12 @@ import (
 	"seedb/internal/sqldb"
 )
 
-// TestGoldenBytes pins proto v1: the literals below were captured from
+// TestGoldenBytes pins proto v2: the literals below were captured from
 // the encoder as it stood when this package declared its own mirror of
 // every payload (QueryRequest's five execution options, ExecStats,
 // Column, TableInfo, ColumnStats, TableStats, the handshake's capability
-// flags) and converted field by field. The wire now carries the backend
+// flags) and converted field by field; v2 changed only the handshake's
+// proto number and added TableInfo's optional version token. The wire now carries the backend
 // and sqldb structs under their own JSON tags, so a tag that drifts
 // there — a rename, a reordering, a lost omitempty — fails here rather
 // than against a child running the previous build.
@@ -39,15 +40,17 @@ func TestGoldenBytes(t *testing.T) {
 		{"response, zero stats", QueryResponse{Columns: []string{"a"}, Rows: [][]Value{}},
 			`{"columns":["a"],"vrows":[],"stats":{"rows_scanned":0,"groups":0,"vectorized":false,"workers":0,"selection_kernels":0,"residual_predicates":0,"shard_fanout":0,"shard_straggler_ns":0,"hedged_partials":0,"hedge_wins":0,"net_retries":0}}`},
 		{"caps", Handshake{Proto: ProtoVersion, Backend: "sqldb", Capabilities: backend.Capabilities{SupportsPhasedExecution: true}},
-			`{"proto":1,"backend":"sqldb","supports_phased_execution":true}`},
+			`{"proto":2,"backend":"sqldb","supports_phased_execution":true}`},
 		{"caps, degraded store", Handshake{Proto: ProtoVersion, Backend: "sql"},
-			`{"proto":1,"backend":"sql","supports_phased_execution":false}`},
+			`{"proto":2,"backend":"sql","supports_phased_execution":false}`},
 		{"info", backend.TableInfo{Name: "sales", Rows: 42, Layout: backend.LayoutCol, Columns: []backend.Column{
 			{Name: "region", Type: backend.TypeString}, {Name: "qty", Type: backend.TypeInt},
 			{Name: "price", Type: backend.TypeFloat}, {Name: "promo", Type: backend.TypeBool}}},
 			`{"name":"sales","columns":[{"name":"region","type":2},{"name":"qty","type":0},{"name":"price","type":1},{"name":"promo","type":3}],"rows":42,"layout":"col"}`},
 		{"info, row layout", backend.TableInfo{Name: "t", Columns: []backend.Column{{Name: "a", Type: backend.TypeInt}}},
 			`{"name":"t","columns":[{"name":"a","type":0}],"rows":0,"layout":"row"}`},
+		{"info, versioned", backend.TableInfo{Name: "t", Rows: 7, Version: "1.2.7"},
+			`{"name":"t","columns":null,"rows":7,"layout":"row","version":"1.2.7"}`},
 		{"stats", backend.TableStats{Rows: 42, Columns: []backend.ColumnStats{
 			{Name: "region", Type: backend.TypeString, Distinct: 4}, {Name: "price", Type: backend.TypeFloat, Distinct: 40}}},
 			`{"rows":42,"columns":[{"name":"region","type":2,"distinct":4},{"name":"price","type":1,"distinct":40}]}`},

@@ -31,10 +31,19 @@
 //     happens in the engine exactly as for any other backend
 //     (core.EffectiveStrategy) and is recorded in Metrics.
 //
-//   - TableVersion is a version vector: the concatenation of every
-//     child's token. Any child-level load, append or drop changes the
-//     vector, so the shared result cache invalidates without the router
+//   - TableInfo's Version is a version vector: the concatenation of
+//     every child's token, taken from the child infos the same call
+//     reads. Any child-level load, append or drop changes the vector,
+//     so the shared result cache invalidates without the router
 //     tracking writes itself.
+//
+//   - One request, one table state. Under a pin (backend.WithPin, which
+//     the engine opens once per Recommend) the per-child row counts the
+//     request's TableInfo read are kept, and every later call on that
+//     context — each Exec's range mapping, TableStats — reuses them
+//     instead of asking the children again. Each child then scans at
+//     most its pinned count, so appends that land mid-request stay
+//     invisible to it.
 //
 //   - TableStats merges child statistics exactly: row counts add, and
 //     per-column distinct counts are the size of the union of per-child
@@ -54,6 +63,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -181,6 +191,29 @@ func (r *Router) Capabilities() backend.Capabilities {
 	return caps
 }
 
+// childState is what one read of the children found: every child's
+// TableInfo (a down child's carries the shared schema and zero rows, so
+// consumers can index infos uniformly) and which children are down.
+type childState struct {
+	infos []backend.TableInfo
+	down  []bool
+}
+
+// pinKey names one router's child state for one table in a request's
+// pin; a nested router pins its own under its own key.
+type pinKey struct {
+	r     *Router
+	table string
+}
+
+// state returns the children's state for table: the read the request's
+// pin holds when ctx carries one, else a fresh read.
+func (r *Router) state(ctx context.Context, table string) (childState, error) {
+	return backend.Pinned(ctx, pinKey{r, strings.ToLower(table)}, func() (childState, error) {
+		return r.childInfos(ctx, table)
+	})
+}
+
 // childInfos fetches every child's TableInfo and checks the shards agree
 // on the schema. A table absent from every child is ErrNoTable; a table
 // present on only some children is a partitioning inconsistency, which
@@ -194,14 +227,14 @@ func (r *Router) Capabilities() backend.Capabilities {
 // unsharded run over the survivors' rows). At least one child must
 // survive; an all-down table is ErrUnavailable, never a silent empty
 // result.
-func (r *Router) childInfos(ctx context.Context, table string) ([]backend.TableInfo, []bool, error) {
+func (r *Router) childInfos(ctx context.Context, table string) (childState, error) {
 	infos := make([]backend.TableInfo, len(r.children))
 	down := make([]bool, len(r.children))
 	missing, alive := 0, 0
 	for i, c := range r.children {
 		if r.childDown(i) {
 			if !backend.AllowPartialFrom(ctx) {
-				return nil, nil, fmt.Errorf("shardbe: shard %d: %w: circuit open", i, backend.ErrUnavailable)
+				return childState{}, fmt.Errorf("shardbe: shard %d: %w: circuit open", i, backend.ErrUnavailable)
 			}
 			down[i] = true
 			continue
@@ -218,7 +251,7 @@ func (r *Router) childInfos(ctx context.Context, table string) ([]backend.TableI
 			}
 			down[i] = true
 		case err != nil:
-			return nil, nil, fmt.Errorf("shardbe: shard %d: %w", i, err)
+			return childState{}, fmt.Errorf("shardbe: shard %d: %w", i, err)
 		default:
 			infos[i] = ti
 			alive++
@@ -226,12 +259,12 @@ func (r *Router) childInfos(ctx context.Context, table string) ([]backend.TableI
 	}
 	if alive == 0 {
 		if missing == len(r.children) {
-			return nil, nil, fmt.Errorf("%w: %q", backend.ErrNoTable, table)
+			return childState{}, fmt.Errorf("%w: %q", backend.ErrNoTable, table)
 		}
-		return nil, nil, fmt.Errorf("shardbe: table %q: %w: all %d shards down", table, backend.ErrUnavailable, len(r.children))
+		return childState{}, fmt.Errorf("shardbe: table %q: %w: all %d shards down", table, backend.ErrUnavailable, len(r.children))
 	}
 	if missing > 0 {
-		return nil, nil, fmt.Errorf("shardbe: table %q exists on only %d of %d reachable shards", table, alive, alive+missing)
+		return childState{}, fmt.Errorf("shardbe: table %q exists on only %d of %d reachable shards", table, alive, alive+missing)
 	}
 	// Schema agreement is checked among the survivors only.
 	first := -1
@@ -244,17 +277,15 @@ func (r *Router) childInfos(ctx context.Context, table string) ([]backend.TableI
 			continue
 		}
 		if err := sameColumns(infos[first].Columns, infos[i].Columns); err != nil {
-			return nil, nil, fmt.Errorf("shardbe: table %q: shard %d schema disagrees with shard %d: %w", table, i, first, err)
+			return childState{}, fmt.Errorf("shardbe: table %q: shard %d schema disagrees with shard %d: %w", table, i, first, err)
 		}
 	}
-	// A down child carries the shared schema (zero rows) so downstream
-	// consumers can index infos uniformly.
 	for i := range infos {
 		if down[i] {
 			infos[i] = backend.TableInfo{Name: infos[first].Name, Columns: infos[first].Columns, Layout: infos[first].Layout}
 		}
 	}
-	return infos, down, nil
+	return childState{infos, down}, nil
 }
 
 // sameColumns checks two shards declare identical columns.
@@ -271,51 +302,56 @@ func sameColumns(a, b []backend.Column) error {
 }
 
 // TableInfo merges the children's descriptions: identical schema, summed
-// row counts, and the shared layout (the conservative row layout when
-// shards disagree).
+// row counts, the shared layout (the conservative row layout when shards
+// disagree), and the version vector of the child tokens.
 func (r *Router) TableInfo(ctx context.Context, table string) (backend.TableInfo, error) {
-	infos, _, err := r.childInfos(ctx, table)
+	st, err := r.state(ctx, table)
 	if err != nil {
 		return backend.TableInfo{}, err
 	}
-	out := infos[0]
-	for _, ti := range infos[1:] {
+	out := st.infos[0]
+	for _, ti := range st.infos[1:] {
 		out.Rows += ti.Rows
 		if ti.Layout != out.Layout {
 			out.Layout = backend.LayoutRow
 		}
 	}
+	out.Version = versionVector(st.infos)
 	return out, nil
 }
 
-// TableVersion returns the child version vector, joined in child order.
-// Any shard-level data change yields a fresh vector, which is what keys
-// result-cache invalidation. The table must exist on every child.
-func (r *Router) TableVersion(ctx context.Context, table string) (string, bool) {
-	parts := make([]string, 0, len(r.children)+1)
-	parts = append(parts, fmt.Sprintf("n%d", len(r.children)))
-	for _, c := range r.children {
-		v, ok := c.TableVersion(ctx, table)
-		if !ok {
-			return "", false
+// versionVector joins the child tokens in child order behind the child
+// count. A child without a token — a down one included — leaves the
+// table unversioned.
+func versionVector(infos []backend.TableInfo) string {
+	parts := []string{fmt.Sprintf("n%d", len(infos))}
+	for _, ti := range infos {
+		if ti.Version == "" {
+			return ""
 		}
-		parts = append(parts, v)
+		parts = append(parts, ti.Version)
 	}
-	return strings.Join(parts, "|"), true
+	return strings.Join(parts, "|")
+}
+
+// TableVersion is TableInfo's Version.
+func (r *Router) TableVersion(ctx context.Context, table string) (string, bool) {
+	return backend.VersionOf(r.TableInfo(ctx, table))
 }
 
 // TableStats merges per-shard statistics: rows add, distinct counts come
 // from the union of per-child distinct value sets so values living on
 // several shards count once. The union is collected with one GROUP BY
-// query per column per child and memoized under the version vector.
+// query per column per child, over the child state TableInfo reads, and
+// memoized under its version vector.
 func (r *Router) TableStats(ctx context.Context, table string) (*backend.TableStats, error) {
-	infos, _, err := r.childInfos(ctx, table)
+	st, err := r.state(ctx, table)
 	if err != nil {
 		return nil, err
 	}
-	version, versioned := r.TableVersion(ctx, table)
+	version := versionVector(st.infos)
 	key := strings.ToLower(table)
-	if versioned {
+	if version != "" {
 		r.mu.Lock()
 		if e, ok := r.statsMemo[key]; ok && e.version == version {
 			r.mu.Unlock()
@@ -325,13 +361,13 @@ func (r *Router) TableStats(ctx context.Context, table string) (*backend.TableSt
 	}
 
 	rows := 0
-	for _, ti := range infos {
+	for _, ti := range st.infos {
 		rows += ti.Rows
 	}
-	out := &backend.TableStats{Rows: rows, Columns: make([]backend.ColumnStats, len(infos[0].Columns))}
+	out := &backend.TableStats{Rows: rows, Columns: make([]backend.ColumnStats, len(st.infos[0].Columns))}
 	statsDegraded := false
-	for ci, col := range infos[0].Columns {
-		distinct, degraded, err := r.distinctCount(ctx, table, col.Name)
+	for ci, col := range st.infos[0].Columns {
+		distinct, degraded, err := r.distinctCount(ctx, table, col.Name, st)
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +378,7 @@ func (r *Router) TableStats(ctx context.Context, table string) (*backend.TableSt
 	// Stats computed while a shard was down describe the survivors, not
 	// the table: never memoize them, or they would outlive the outage
 	// (the version vector need not change when a child recovers).
-	if versioned && !statsDegraded {
+	if version != "" && !statsDegraded {
 		r.mu.Lock()
 		r.statsMemo[key] = statsEntry{version: version, stats: out}
 		r.mu.Unlock()
@@ -352,11 +388,12 @@ func (r *Router) TableStats(ctx context.Context, table string) (*backend.TableSt
 
 // distinctCount unions one column's distinct non-NULL values across
 // shards, keyed by the embedded engine's injective value encoding so the
-// count is exact (bit-level float identity included). Under the
-// degraded-results opt-in, unavailable shards are skipped (the stats
-// then describe the survivors, matching what a degraded Exec will scan)
-// and the second return reports the omission.
-func (r *Router) distinctCount(ctx context.Context, table, column string) (int, bool, error) {
+// count is exact (bit-level float identity included). Each child scans
+// the rows st pins, as Exec would. Under the degraded-results opt-in,
+// unavailable shards are skipped (the stats then describe the
+// survivors, matching what a degraded Exec will scan) and the second
+// return reports the omission.
+func (r *Router) distinctCount(ctx context.Context, table, column string, st childState) (int, bool, error) {
 	col := &sqldb.ColumnExpr{Name: column}
 	stmt := &sqldb.SelectStmt{
 		Items:   []sqldb.SelectItem{{Expr: col}},
@@ -367,13 +404,14 @@ func (r *Router) distinctCount(ctx context.Context, table, column string) (int, 
 	sql := stmt.String()
 	seen := make(map[string]struct{})
 	var keyBuf []byte
-	degraded := false
-	for i := range r.children {
+	degraded := slices.Contains(st.down, true)
+	for _, t := range r.childTasks(st.infos, 0, 0) {
+		i := t.child
 		if backend.AllowPartialFrom(ctx) && r.childDown(i) {
 			degraded = true
 			continue
 		}
-		rows, _, err := r.childExec(ctx, i, sql, backend.ExecOptions{})
+		rows, _, err := r.childExec(ctx, i, sql, backend.ExecOptions{Lo: t.lo, Hi: t.hi})
 		if tolerable(ctx, err) {
 			degraded = true
 			continue
@@ -395,7 +433,7 @@ func (r *Router) distinctCount(ctx context.Context, table, column string) (int, 
 // childTask is one planned child execution.
 type childTask struct {
 	child  int
-	lo, hi int // local range; 0,0 means "full child table"
+	lo, hi int // local range; 0,0 means "full child table" (unranged children only)
 }
 
 // childRun is one partial's outcome: the winning attempt's result plus
@@ -422,24 +460,24 @@ type childRun struct {
 // merge. Every planned child runs concurrently; the first child error
 // cancels the remaining executions.
 func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOptions) (*backend.Rows, backend.ExecStats, error) {
-	sp, infos, down, err := r.plan(ctx, query)
+	sp, st, err := r.plan(ctx, query)
 	if err != nil {
 		return nil, backend.ExecStats{}, err
 	}
 	// Children skipped at planning time — open breaker or introspection
 	// outage — never become tasks, but a traced tree must still account
 	// for every shard.
-	for i, d := range down {
+	for i, d := range st.down {
 		if d {
 			skipSpan(ctx, i, r.childDown(i))
 		}
 	}
-	tasks := childTasks(infos, opts.Lo, opts.Hi)
+	tasks := r.childTasks(st.infos, opts.Lo, opts.Hi)
 	runs := r.fanout(ctx, tasks, sp.ChildSQL(), opts.Workers)
 	if err := firstFailure(tasks, runs); err != nil {
 		return nil, backend.ExecStats{}, err
 	}
-	stats := foldStats(tasks, runs, down)
+	stats := foldStats(tasks, runs, st.down)
 	if stats.ShardFanout == 0 && len(stats.DegradedShards) == len(r.children) {
 		// Every child in the router is gone: that is an outage, not a
 		// degraded result. A row range that only touches down children
@@ -468,34 +506,37 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 	return &backend.Rows{Columns: merged.Columns, Rows: merged.Rows}, stats, nil
 }
 
-// plan parses the query, introspects the children (marking the down
-// ones) and decomposes the query into the statement every child runs
-// and the merge that combines their partials.
-func (r *Router) plan(ctx context.Context, query string) (*sqldb.ShardPlan, []backend.TableInfo, []bool, error) {
+// plan parses the query, takes the children's state (the request's
+// pinned one, or a fresh read marking the down children) and decomposes
+// the query into the statement every child runs and the merge that
+// combines their partials.
+func (r *Router) plan(ctx context.Context, query string) (*sqldb.ShardPlan, childState, error) {
 	_, psp := telemetry.StartSpan(ctx, "shard.plan")
 	defer psp.End()
 	stmt, err := sqldb.Parse(query)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, childState{}, err
 	}
-	infos, down, err := r.childInfos(ctx, stmt.Table)
+	st, err := r.state(ctx, stmt.Table)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, childState{}, err
 	}
-	schema, err := sqldb.NewSchema(infos[0].Columns...)
+	schema, err := sqldb.NewSchema(st.infos[0].Columns...)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, childState{}, err
 	}
 	sp, err := sqldb.NewShardPlan(stmt, schema)
-	return sp, infos, down, err
+	return sp, st, err
 }
 
 // childTasks maps the global row range [lo, hi) (hi <= 0: to the end)
 // onto per-child contiguous local ranges: the global space is the
-// concatenation of child row spaces in child order. A full-table
-// request passes the "whole table" form through, so children without
-// row-range support still serve unranged queries.
-func childTasks(infos []backend.TableInfo, lo, hi int) []childTask {
+// concatenation of the children's row counts in infos, in child order.
+// Every child's range ends at or before its count, so a child never
+// scans rows appended after infos was read. Only when some child lacks
+// row-range support does a full-table request pass the "whole table"
+// form through instead, so those children still serve it.
+func (r *Router) childTasks(infos []backend.TableInfo, lo, hi int) []childTask {
 	total := 0
 	for _, ti := range infos {
 		total += ti.Rows
@@ -505,7 +546,7 @@ func childTasks(infos []backend.TableInfo, lo, hi int) []childTask {
 	}
 	lo = clamp(lo, 0, total)
 	hi = clamp(hi, lo, total)
-	full := lo == 0 && hi == total
+	whole := lo == 0 && hi == total && !r.Capabilities().SupportsPhasedExecution
 
 	var tasks []childTask
 	off := 0
@@ -517,7 +558,7 @@ func childTasks(infos []backend.TableInfo, lo, hi int) []childTask {
 			continue // this shard holds no rows of the requested range
 		}
 		t := childTask{child: i, lo: cLo, hi: cHi}
-		if full {
+		if whole {
 			t.lo, t.hi = 0, 0
 		}
 		tasks = append(tasks, t)

@@ -15,7 +15,7 @@
 // distinct counts come from one COUNT(DISTINCT ...) query.
 //
 // Dataset versioning: an external store cannot push invalidations, so
-// TableVersion returns an instance-scoped generation token — cached
+// TableInfo's Version is an instance-scoped generation token — cached
 // results stay valid until BumpVersion is called (or a custom
 // Options.Version function supplies real versions, e.g. from an
 // updated_at watermark). Deployments whose data changes outside SeeDB
@@ -114,37 +114,31 @@ func (b *Backend) Capabilities() backend.Capabilities {
 // by changing on their own).
 func (b *Backend) BumpVersion() { b.gen.Add(1) }
 
-// TableVersion returns the configured version function's token, or the
-// instance-scoped generation token. A cancelled ctx reports the table
-// absent (the existence probe cannot run).
+// TableVersion is TableInfo's Version. A configured version function
+// answers on its own, without probing the store; a cancelled ctx still
+// reports the table absent.
 func (b *Backend) TableVersion(ctx context.Context, table string) (string, bool) {
-	if ctx != nil && ctx.Err() != nil {
-		// The contract: a cancelled ctx reports the table absent, even
-		// when a custom version function could answer without the store.
-		return "", false
+	if b.opts.Version != nil && (ctx == nil || ctx.Err() == nil) {
+		v := b.version(table)
+		return v, v != ""
 	}
-	if b.opts.Version != nil {
-		return b.opts.Version(table)
-	}
-	if _, err := b.TableInfo(ctx, table); err != nil {
-		return "", false
-	}
-	return fmt.Sprintf("%d.%d", b.id, b.gen.Load()), true
+	return backend.VersionOf(b.TableInfo(ctx, table))
 }
 
-// metaVersion is the version token the introspection memo is keyed
-// under: the custom version function's token when configured (so fresh
-// watermarks re-introspect), else the instance generation.
-func (b *Backend) metaVersion(table string) string {
+// version is the table's dataset-version token, which also keys the
+// introspection memo: the configured version function's token (so fresh
+// watermarks re-introspect), else the instance-scoped generation token.
+// "" means the version source does not know the table; nothing is
+// memoized or cached then.
+func (b *Backend) version(table string) string {
 	if b.opts.Version != nil {
 		v, ok := b.opts.Version(table)
 		if !ok {
-			// The version source does not know the table; never memoize.
 			return ""
 		}
-		return "v\x00" + v
+		return v
 	}
-	return fmt.Sprintf("g\x00%d", b.gen.Load())
+	return fmt.Sprintf("%d.%d", b.id, b.gen.Load())
 }
 
 // lookupMeta returns the memo entry for table if it is current.
@@ -177,7 +171,14 @@ func (b *Backend) storeMeta(table string, tm *tableMeta) {
 // queries run under ctx, so introspecting a slow external store is
 // cancellable, not just Exec.
 func (b *Backend) TableInfo(ctx context.Context, table string) (backend.TableInfo, error) {
-	version := b.metaVersion(table)
+	if ctx != nil && ctx.Err() != nil {
+		// Even a memoized answer is refused: the contract is that a
+		// cancelled ctx fails introspection.
+		return backend.TableInfo{}, ctx.Err()
+	}
+	// The token is read before the probe it describes: a write in between
+	// lands under this older token, which no later request asks for.
+	version := b.version(table)
 	if tm, ok := b.lookupMeta(table, version); ok {
 		return tm.info, nil
 	}
@@ -185,6 +186,7 @@ func (b *Backend) TableInfo(ctx context.Context, table string) (backend.TableInf
 	if err != nil {
 		return backend.TableInfo{}, fmt.Errorf("sqlbe: introspecting %s: %w", table, err)
 	}
+	ti.Version = version
 	b.storeMeta(table, &tableMeta{version: version, info: ti})
 	return ti, nil
 }
@@ -279,7 +281,7 @@ func (b *Backend) introspect(ctx context.Context, table string) (backend.TableIn
 // scans the whole table on most stores, so cancellation matters here
 // most of all).
 func (b *Backend) TableStats(ctx context.Context, table string) (*backend.TableStats, error) {
-	version := b.metaVersion(table)
+	version := b.version(table)
 	if tm, ok := b.lookupMeta(table, version); ok && tm.stats != nil {
 		return tm.stats, nil
 	}

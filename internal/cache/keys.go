@@ -9,8 +9,9 @@ import (
 // constructors below are the only place keys are built, which keeps the
 // namespaces (q query results, r request results, s stale-on-outage
 // aliases) disjoint inside one shared budget. The q and r keys embed
-// the dataset version token produced by sqldb.(*DB).TableVersion, which
-// is what makes invalidation purely versioned: when a table is reloaded
+// the dataset version token a backend's TableInfo reports (the embedded
+// store's comes from sqldb.(*DB).TableState), which is what makes
+// invalidation purely versioned: when a table is reloaded
 // or appended to, new requests carry a new version and can never observe
 // entries written under the old one.
 // The s key is deliberately version-less: it exists for the moment the

@@ -88,19 +88,6 @@ func (e *Engine) ensureCache() *cache.Cache {
 	return e.cache
 }
 
-// versionToken returns the dataset version token cache keys embed for
-// table. It is namespaced by the backend's name, so two backends holding
-// coincidentally same-named tables can share one cache without ever
-// sharing entries. ok is false when the backend cannot version the
-// table; such requests are uncacheable.
-func (e *Engine) versionToken(ctx context.Context, table string) (string, bool) {
-	v, ok := e.be.TableVersion(ctx, table)
-	if !ok {
-		return "", false
-	}
-	return e.be.Name() + "|" + v, true
-}
-
 // Metrics reports what one Recommend invocation cost. The counters
 // derived from backend executions live in the embedded ExecTotals (its
 // fields are promoted, so res.Metrics.QueriesExecuted reads as before);
@@ -364,24 +351,27 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 	if req.Reference == RefCustom && req.ReferenceWhere == "" {
 		return nil, fmt.Errorf("core: RefCustom requires ReferenceWhere")
 	}
-	// The version token is read before anything it must describe (row
-	// count, scans): data that moves in between then lands under the
-	// older token, which no later request asks for, instead of an old
-	// scan being cached under the newer one. Without a token, cached
-	// entries could never be invalidated — the request is treated as
-	// uncacheable rather than risk serving stale results forever. The
-	// token is only fetched for caching requests (it may cost a store
-	// round-trip on external backends with watermark version functions).
-	version, versioned := "", false
-	if opts.EnableCache {
-		version, versioned = e.versionToken(ctx, req.Table)
-	}
+	// One TableInfo read pins the request: its Version is the cache
+	// token and its Rows bound every Exec on a backend that can bound
+	// its scans, so the whole request reads the table state the token
+	// names. The pin on ctx keeps whatever per-request state a routing
+	// backend read alongside (its per-child row counts) for every later
+	// call. Without a token, cached entries could never be invalidated —
+	// the request is treated as uncacheable rather than risk serving
+	// stale results forever.
+	unpinned := ctx
+	ctx = backend.WithPin(ctx)
 	_, tsp := telemetry.StartSpan(ctx, "table_info")
 	meta, err := e.gen.fetchMeta(ctx, req.Table)
 	tsp.End()
 	if err != nil {
 		return nil, err
 	}
+	// The token is namespaced by the backend's name, so two backends
+	// holding coincidentally same-named tables can share one cache
+	// without ever sharing entries.
+	version := e.be.Name() + "|" + meta.info.Version
+	versioned := opts.EnableCache && meta.info.Version != ""
 	_, vsp := telemetry.StartSpan(ctx, "view_enum")
 	views, err := e.gen.views(ctx, req, meta)
 	vsp.SetAttr("views", strconv.Itoa(len(views)))
@@ -435,10 +425,16 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 	v, outcome, err := c.Do(ctx, key,
 		func(v any) int64 {
 			n := resultSizeBytes(v.(*Result))
-			if now, _ := e.versionToken(ctx, req.Table); now != version {
-				// The data moved under the computation: the result mixes
-				// generations and matches no version's key.
-				n = -1
+			if !caps.SupportsPhasedExecution {
+				// A backend that cannot bound its scans read whatever
+				// the table held at each Exec. If the token moved, so
+				// did the data under the computation, and the result
+				// matches no version's key. The re-read goes past the
+				// request's pin.
+				now, err := e.be.TableInfo(unpinned, req.Table)
+				if err != nil || e.be.Name()+"|"+now.Version != version {
+					n = -1
+				}
 			}
 			admitted = n >= 0
 			return n
@@ -507,7 +503,15 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 	var err error
 	switch opts.Strategy {
 	case NoOpt, Sharing:
-		err = st.runSinglePass(ectx, qb)
+		// Every Exec scans at most the pinned rows, so an empty pinned
+		// table has nothing to scan. A backend that cannot bound its
+		// scans gets Hi 0, "to the end", instead.
+		switch {
+		case !e.be.Capabilities().SupportsPhasedExecution:
+			err = st.runSinglePass(ectx, qb, 0)
+		case meta.info.Rows > 0:
+			err = st.runSinglePass(ectx, qb, meta.info.Rows)
+		}
 	case Comb, CombEarly:
 		err = st.runPhased(ectx, qb, meta.info.Rows)
 	default:
@@ -525,11 +529,12 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 	return res, nil
 }
 
-// runSinglePass executes NO_OPT or SHARING: one full pass over the data.
-func (st *execState) runSinglePass(ctx context.Context, qb *queryBuilder) error {
+// runSinglePass executes NO_OPT or SHARING: one full pass over rows
+// [0, hi), or over the whole table when hi is 0.
+func (st *execState) runSinglePass(ctx context.Context, qb *queryBuilder, hi int) error {
 	queries := qb.build(st.views, st.alive)
 	st.metrics.PhasesRun = 1
-	return st.runQueries(ctx, queries, 0, 0)
+	return st.runQueries(ctx, queries, 0, hi)
 }
 
 // runPhased executes COMB / COMB_EARLY: the phased execution framework of

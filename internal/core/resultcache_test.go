@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"seedb/internal/backend"
@@ -302,38 +303,33 @@ func TestCacheKeyCoversEveryField(t *testing.T) {
 }
 
 // ingestBetween is a backend whose table gains a row between the
-// engine's two introspection reads (row count and version token, in
-// whichever order the engine makes them) — a Recommend overlapping an
-// ingest, made deterministic.
+// engine's one introspection read (TableInfo) and its first Exec — a
+// Recommend overlapping an ingest, made deterministic.
 type ingestBetween struct {
 	backend.Backend
-	first  string // kind of the first introspection call seen
-	fired  bool
-	ingest func()
-}
-
-func (b *ingestBetween) between(kind string) {
-	if b.first == "" {
-		b.first = kind
-	}
-	if kind != b.first && !b.fired {
-		b.fired = true
-		b.ingest()
-	}
+	sawInfo bool // set before any Exec goroutine starts
+	once    sync.Once
+	fired   bool
+	ingest  func()
 }
 
 func (b *ingestBetween) TableInfo(ctx context.Context, table string) (backend.TableInfo, error) {
-	b.between("info")
+	b.sawInfo = true
 	return b.Backend.TableInfo(ctx, table)
 }
 
-func (b *ingestBetween) TableVersion(ctx context.Context, table string) (string, bool) {
-	b.between("version")
-	return b.Backend.TableVersion(ctx, table)
+func (b *ingestBetween) Exec(ctx context.Context, query string, opts backend.ExecOptions) (*backend.Rows, backend.ExecStats, error) {
+	if b.sawInfo {
+		b.once.Do(func() {
+			b.fired = true
+			b.ingest()
+		})
+	}
+	return b.Backend.Exec(ctx, query, opts)
 }
 
 // TestRecommendOverlappingIngestIsNotCachedUnderNewVersion: a request
-// whose row count and version token straddle an append must not leave a
+// whose introspection and scans straddle an append must not leave a
 // scan of the old rows cached under the new version — the next request
 // at that version has to see the appended row.
 func TestRecommendOverlappingIngestIsNotCachedUnderNewVersion(t *testing.T) {
@@ -367,7 +363,7 @@ func TestRecommendOverlappingIngestIsNotCachedUnderNewVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !be.fired {
-		t.Fatal("fixture never appended: the engine made only one kind of introspection call")
+		t.Fatal("fixture never appended: no Exec followed the engine's TableInfo")
 	}
 	sawFresh := func(res *Result) bool {
 		for _, g := range res.Recommendations[0].Groups {

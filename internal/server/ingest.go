@@ -1,64 +1,26 @@
-// Ingest and synthetic-load endpoints, plus the reader/writer guard
-// that makes them safe to run concurrently with query traffic.
+// Ingest and synthetic-load endpoints.
 //
-// The embedded store's Table contract says writes are not synchronized
-// with reads, and every query the server executes flows through a
-// registered backend.Backend (PR 3's seam). That makes the seam the one
-// chokepoint where a server-level reader/writer lock covers all
-// execution paths at once: RegisterBackend wraps each backend so Exec
-// and introspection hold the read side, and the mutating handlers
-// (/api/ingest, /api/datasets/load, /api/datasets/synth) hold the write
-// side. Readers proceed concurrently with each other exactly as before;
-// a write drains in-flight queries, applies, and releases.
+// Appends run alongside query traffic without a reader lock: the
+// embedded store publishes appended rows only once they are complete
+// (sqldb.Table), and every Recommend pins the row count its one
+// TableInfo read, bounding every scan it makes by it (core, and the
+// shard router's per-child counts). So a request reads one table state
+// however many ingests land during it. The mutating handlers
+// (/api/ingest, /api/datasets/load, /api/datasets/synth) and
+// EnableSharding serialize among themselves on the server's writer
+// mutex, dataMu: appends to one table must not interleave, and a batch
+// reaches the primary store and the shard children in the same order.
 package server
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"net/http"
-	"sync"
 
-	"seedb/internal/backend"
 	"seedb/internal/backend/shardbe"
 	"seedb/internal/dataset"
 	"seedb/internal/sqldb"
 )
-
-// guardedBackend wraps a backend so every read-side operation holds the
-// server's data lock, serializing queries against ingest writes without
-// reducing query-query concurrency.
-type guardedBackend struct {
-	inner backend.Backend
-	mu    *sync.RWMutex
-}
-
-func (g guardedBackend) Name() string                       { return g.inner.Name() }
-func (g guardedBackend) Capabilities() backend.Capabilities { return g.inner.Capabilities() }
-
-func (g guardedBackend) TableInfo(ctx context.Context, table string) (backend.TableInfo, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.inner.TableInfo(ctx, table)
-}
-
-func (g guardedBackend) TableVersion(ctx context.Context, table string) (string, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.inner.TableVersion(ctx, table)
-}
-
-func (g guardedBackend) TableStats(ctx context.Context, table string) (*backend.TableStats, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.inner.TableStats(ctx, table)
-}
-
-func (g guardedBackend) Exec(ctx context.Context, query string, opts backend.ExecOptions) (*backend.Rows, backend.ExecStats, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.inner.Exec(ctx, query, opts)
-}
 
 // ingestRequest is the POST /api/ingest payload: rows as string cells
 // in schema column order, "" meaning NULL — the CSV cell format, so one
@@ -78,9 +40,9 @@ type ingestResponse struct {
 // handleIngest implements POST /api/ingest: append rows to a loaded
 // table while the server keeps answering queries. Appends invalidate
 // cached results for the table via the existing version tokens (every
-// append bumps Table.Generation). When embedded sharding is enabled the
-// rows are also routed into the shard children, keeping {"backend":
-// "shard"} answers consistent with the primary store.
+// append changes the row count they embed). When embedded sharding is
+// enabled the rows are also routed into the shard children, keeping
+// {"backend": "shard"} answers consistent with the primary store.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	req, ok := decode[ingestRequest](w, r)
 	if !ok {
@@ -97,8 +59,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	schema := t.Schema()
 
-	// Decode every cell before taking the write lock, so malformed
-	// requests cost readers nothing.
+	// Decode every cell before taking the writer mutex, so malformed
+	// requests cost other writers nothing.
 	parsed := make([][]sqldb.Value, len(req.Rows))
 	for i, cells := range req.Rows {
 		if len(cells) != schema.NumColumns() {
@@ -119,10 +81,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		parsed[i] = vals
 	}
 
-	s.mu.RLock()
-	shardDBs := s.shardDBs
-	s.mu.RUnlock()
-
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
 	for i, vals := range parsed {
@@ -130,8 +88,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, fmt.Errorf("appending row %d: %w", i, err))
 			return
 		}
-		if len(shardDBs) > 0 {
-			if err := shardbe.AppendRow(shardDBs, req.Table, vals); err != nil {
+		if len(s.shardDBs) > 0 {
+			if err := shardbe.AppendRow(s.shardDBs, req.Table, vals); err != nil {
 				writeError(w, http.StatusInternalServerError, fmt.Errorf("mirroring row %d to shards: %w", i, err))
 				return
 			}

@@ -6,13 +6,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"seedb/internal/backend"
+	"seedb/internal/backend/shardbe"
 	"seedb/internal/dataset"
 	"seedb/internal/sqldb"
 )
@@ -254,24 +259,68 @@ func TestLoadSynthEndpoint(t *testing.T) {
 	}
 }
 
-// TestConcurrentIngestAndQueries is the in-process version of the load
-// harness's soak invariant: appends racing full query traffic (raw
-// queries + recommendations, embedded and sharded) must never produce a
-// non-2xx response or a torn read. Run under -race in CI.
+// countingChild counts TableInfo calls reaching one shard child.
+type countingChild struct {
+	backend.Backend
+	infos *atomic.Int64
+}
+
+func (c countingChild) TableInfo(ctx context.Context, table string) (backend.TableInfo, error) {
+	c.infos.Add(1)
+	return c.Backend.TableInfo(ctx, table)
+}
+
+// stormAnswer is one recommend response of the storm: which backend
+// served it, the row count it derived, and its views.
+type stormAnswer struct {
+	shard bool
+	n     int
+	recs  []RecommendedView
+}
+
+// TestConcurrentIngestAndQueries races ingest writers against readers
+// on the embedded backend and a two-shard router, and checks answers,
+// not only status codes: every recommend must equal a cache-off run over
+// a table holding exactly the rows it read. Ingested rows carry the
+// value "fresh" in every dimension, so each COUNT view's reference
+// distribution gives the row count n its response read; the reference
+// is the embedded engine over the first n rows. Shard readers run
+// without pruning (COUNT aggregates merge exactly, so row order cannot
+// move their answer); embedded readers keep the default CI pruning,
+// whose phases see the rows in the reference's order.
 func TestConcurrentIngestAndQueries(t *testing.T) {
+	const initial = 800
 	db := sqldb.NewDB()
-	if _, err := dataset.Build(db, dataset.Census().WithRows(800), sqldb.LayoutCol); err != nil {
+	if _, err := dataset.Build(db, dataset.Census().WithRows(initial), sqldb.LayoutCol); err != nil {
 		t.Fatal(err)
 	}
 	s := New(db)
-	if err := s.EnableSharding(2); err != nil {
+	var childInfos [2]atomic.Int64
+	if err := s.EnableShardingOpts(2, shardbe.Options{}, func(i int, be backend.Backend) backend.Backend {
+		return countingChild{Backend: be, infos: &childInfos[i]}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
 	tab, _ := db.Table("census")
-	blank := make([]string, tab.Schema().NumColumns())
+	schema := tab.Schema()
+	fresh := make([]string, schema.NumColumns())
+	for i := range fresh {
+		fresh[i] = "1"
+		if schema.Column(i).Type == sqldb.TypeString {
+			fresh[i] = "fresh"
+		}
+	}
+	request := func(shard bool) RecommendRequest {
+		req := RecommendRequest{Table: "census", TargetWhere: "marital = 'Unmarried'", K: 3,
+			Measures: []string{"hours_per_week"}, Aggregates: []string{"COUNT"}}
+		if shard {
+			req.Pruning, req.Backend = "none", ShardBackendName
+		}
+		return req
+	}
 
 	const (
 		writers       = 2
@@ -281,25 +330,37 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	errs := make(chan error, (writers+readers)*opsPerWorker)
+	answers := make(chan stormAnswer, readers*opsPerWorker)
+	var shardRecommends, shardQueries atomic.Int64
 
 	// Goroutine-safe POST (postJSON may t.Fatal, which is only legal on
 	// the test goroutine).
-	post := func(path string, v any) {
+	post := func(path string, v, out any) bool {
 		body, err := json.Marshal(v)
 		if err != nil {
 			errs <- err
-			return
+			return false
 		}
 		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			errs <- err
-			return
+			return false
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			errs <- fmt.Errorf("%s: status %d", path, resp.StatusCode)
+			return false
 		}
+		if out == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(out)
+		}
+		if err != nil {
+			errs <- err
+			return false
+		}
+		return true
 	}
 
 	for w := 0; w < writers; w++ {
@@ -308,10 +369,10 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 			defer wg.Done()
 			batch := make([][]string, rowsPerIngest)
 			for i := range batch {
-				batch[i] = blank
+				batch[i] = fresh
 			}
 			for i := 0; i < opsPerWorker; i++ {
-				post("/api/ingest", ingestRequest{Table: "census", Rows: batch})
+				post("/api/ingest", ingestRequest{Table: "census", Rows: batch}, nil)
 			}
 		}()
 	}
@@ -319,34 +380,46 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 		wg.Add(1)
 		go func(rdr int) {
 			defer wg.Done()
+			shard := rdr%2 == 1
 			backendName := ""
-			if rdr%2 == 1 {
+			if shard {
 				backendName = ShardBackendName
 			}
 			for i := 0; i < opsPerWorker; i++ {
 				if i%3 == 0 {
+					if shard {
+						shardQueries.Add(1)
+					}
 					post("/api/query", map[string]any{
 						"sql": "SELECT sex, COUNT(*) FROM census GROUP BY sex", "backend": backendName,
-					})
-				} else {
-					post("/api/recommend", RecommendRequest{
-						Table:       "census",
-						TargetWhere: "marital = 'Unmarried'",
-						K:           2,
-						Backend:     backendName,
-					})
+					}, nil)
+					continue
 				}
+				if shard {
+					shardRecommends.Add(1)
+				}
+				var resp RecommendResponse
+				if !post("/api/recommend", request(shard), &resp) {
+					continue
+				}
+				n, err := freshRowCount(resp, initial)
+				if err != nil {
+					errs <- err
+					continue
+				}
+				answers <- stormAnswer{shard: shard, n: n, recs: resp.Recommendations}
 			}
 		}(rdr)
 	}
 	wg.Wait()
 	close(errs)
+	close(answers)
 	for err := range errs {
 		t.Error(err)
 	}
 
 	// Post-race invariants: primary and shards agree on the row count.
-	want := 800 + writers*opsPerWorker*rowsPerIngest
+	want := initial + writers*opsPerWorker*rowsPerIngest
 	if got := tab.NumRows(); got != want {
 		t.Fatalf("primary holds %d rows, want %d", got, want)
 	}
@@ -357,6 +430,14 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 	}
 	if total != want {
 		t.Fatalf("shards hold %d rows, want %d", total, want)
+	}
+
+	// One child TableInfo per request through the router — the
+	// Recommend's pin — never one per query it runs.
+	for i := range childInfos {
+		if got, want := childInfos[i].Load(), shardRecommends.Load()+shardQueries.Load(); got != want {
+			t.Errorf("shard %d answered %d TableInfo calls for %d recommends and %d raw queries", i, got, shardRecommends.Load(), shardQueries.Load())
+		}
 	}
 
 	// And the executor invariant the telemetry PR pinned still holds:
@@ -375,4 +456,69 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 	if health.Executor.QueriesExecuted == 0 {
 		t.Fatal("no queries recorded")
 	}
+
+	// Every answer against the reference at its n: a cache-off run on a
+	// table grown to exactly n rows.
+	var got []stormAnswer
+	for a := range answers {
+		got = append(got, a)
+	}
+	sort.Slice(got, func(i, j int) bool { return got[i].n < got[j].n })
+	refDB := sqldb.NewDB()
+	if _, err := dataset.Build(refDB, dataset.Census().WithRows(initial), sqldb.LayoutCol); err != nil {
+		t.Fatal(err)
+	}
+	refTab, _ := refDB.Table("census")
+	freshRow := make([]sqldb.Value, len(fresh))
+	for i, cell := range fresh {
+		v, err := dataset.ParseField(cell, schema.Column(i).Type)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshRow[i] = v
+	}
+	ref := httptest.NewServer(New(refDB))
+	defer ref.Close()
+	noCache := false
+	for _, a := range got {
+		if a.n < initial || a.n > want {
+			t.Fatalf("a response read %d rows, outside [%d, %d]", a.n, initial, want)
+		}
+		for refTab.NumRows() < a.n {
+			if err := refTab.AppendRow(freshRow); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req := request(a.shard)
+		req.Backend, req.Cache = "", &noCache
+		var wantResp RecommendResponse
+		if code := postJSON(t, ref.URL+"/api/recommend", req, &wantResp); code != http.StatusOK {
+			t.Fatalf("reference recommend at n=%d: status %d", a.n, code)
+		}
+		if !reflect.DeepEqual(a.recs, wantResp.Recommendations) {
+			t.Fatalf("shard=%t answer at n=%d differs from the reference over its %d rows:\n got %+v\nwant %+v",
+				a.shard, a.n, a.n, a.recs, wantResp.Recommendations)
+		}
+	}
+	if len(got) == 0 {
+		t.Fatal("no recommend answers to check")
+	}
+}
+
+// freshRowCount derives the row count a storm response read from its
+// first view: ingested rows are the only ones in group "fresh", so its
+// reference share is (n − initial)/n.
+func freshRowCount(resp RecommendResponse, initial int) (int, error) {
+	if len(resp.Recommendations) == 0 {
+		return 0, fmt.Errorf("recommend returned no views")
+	}
+	v := resp.Recommendations[0]
+	if v.Aggregate != "COUNT" {
+		return 0, fmt.Errorf("top view %s(%s) BY %s is not a COUNT view", v.Aggregate, v.Measure, v.Dimension)
+	}
+	i := slices.Index(v.Groups, "fresh")
+	if i < 0 {
+		return initial, nil
+	}
+	return int(math.Round(float64(initial) / (1 - v.Reference[i]))), nil
 }

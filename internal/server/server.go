@@ -21,11 +21,10 @@
 //	GET  /api/cache             result-cache statistics
 //	POST /api/cache/clear       drop every cached entry
 //	GET  /api/backend/caps      netbe handshake: wire protocol + capabilities
-//	GET  /api/backend/info      ?table= → schema description (404 = no table)
+//	GET  /api/backend/info      ?table= → schema, row count, version token (404 = no table)
 //	GET  /api/backend/stats     ?table= → per-column statistics
-//	GET  /api/backend/version   ?table= → dataset version token
 //
-// The four /api/backend/* endpoints plus the typed /api/query mode form
+// The three /api/backend/* endpoints plus the typed /api/query mode form
 // the netbe wire protocol (internal/backend/netbe/wire): they make a
 // remote seedb-server usable as a backend.Backend from another process.
 // Error statuses are classified (see statusForError) so remote clients
@@ -110,18 +109,15 @@ type Server struct {
 
 	mu       sync.RWMutex
 	backends map[string]*registeredBackend
-	// shardDBs holds the shard children when EnableSharding registered a
-	// router; dataset loads then re-scatter into them.
-	shardDBs []*sqldb.DB
 
-	// dataMu is the server-wide reader/writer lock over table data: the
-	// embedded store's writes are not synchronized with reads, so every
-	// registered backend is wrapped (guardedBackend) to hold the read
-	// side around execution and introspection, while the mutating
-	// endpoints (/api/ingest and the dataset loaders) hold the write
-	// side. Query-query concurrency is untouched; a write drains
-	// in-flight queries, applies, and releases.
-	dataMu sync.RWMutex
+	// dataMu serializes the writers of table data: /api/ingest, the
+	// dataset loaders and EnableSharding's scatter. Readers take no
+	// lock — a Recommend pins the row count its TableInfo read and scans
+	// only those rows (see ingest.go). It also guards shardDBs, which
+	// only writers read: the shard children EnableSharding registered a
+	// router over, which ingests and dataset loads mirror into.
+	dataMu   sync.Mutex
+	shardDBs []*sqldb.DB
 
 	// Admission gates (SetAdmission; nil = admit everything). Queries
 	// and mutating ingest/load traffic hold separate budgets so neither
@@ -138,13 +134,10 @@ type Server struct {
 	staleServes      atomic.Int64
 }
 
-// registeredBackend is one named backend with its engine. raw is the
-// backend as registered, before the data-lock wrapper — the handle the
-// server probes for optional interfaces like breakerReporter.
+// registeredBackend is one named backend with its engine.
 type registeredBackend struct {
 	name   string
 	be     backend.Backend
-	raw    backend.Backend
 	engine *core.Engine
 }
 
@@ -190,7 +183,6 @@ func NewWithCacheBudget(db *sqldb.DB, cacheBudgetBytes int64) *Server {
 	s.mux.HandleFunc("GET /api/backend/caps", s.handleBackendCaps)
 	s.mux.HandleFunc("GET /api/backend/info", s.handleBackendInfo)
 	s.mux.HandleFunc("GET /api/backend/stats", s.handleBackendStats)
-	s.mux.HandleFunc("GET /api/backend/version", s.handleBackendVersion)
 	s.handler = s.recoverPanics(s.admit(s.mux))
 	return s
 }
@@ -237,15 +229,10 @@ func (s *Server) EnablePprof() {
 // RegisterBackend adds a named backend; recommendation requests select
 // it with {"backend": name}. The engine it gets shares the server's
 // process-wide result cache. Registering a duplicate name is an error.
-// The backend is wrapped so its execution and introspection hold the
-// server's data read-lock, making it safe to serve queries concurrently
-// with /api/ingest writes.
 func (s *Server) RegisterBackend(name string, be backend.Backend) error {
 	if name == "" {
 		return fmt.Errorf("server: backend name must be non-empty")
 	}
-	raw := be
-	be = guardedBackend{inner: be, mu: &s.dataMu}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.backends[name]; dup {
@@ -254,7 +241,7 @@ func (s *Server) RegisterBackend(name string, be backend.Backend) error {
 	eng := core.NewEngine(be)
 	eng.SetCache(s.cache)
 	eng.SetTelemetry(s.tel)
-	s.backends[name] = &registeredBackend{name: name, be: be, raw: raw, engine: eng}
+	s.backends[name] = &registeredBackend{name: name, be: be, engine: eng}
 	return nil
 }
 
@@ -315,11 +302,9 @@ func (s *Server) EnableShardingOpts(n int, opts shardbe.Options, wrap func(int, 
 	if err := s.RegisterBackend(ShardBackendName, router); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.shardDBs = dbs
-	s.mu.Unlock()
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
+	s.shardDBs = dbs
 	for _, name := range s.db.TableNames() {
 		if err := s.scatterShards(name); err != nil {
 			return err
@@ -329,19 +314,16 @@ func (s *Server) EnableShardingOpts(n int, opts shardbe.Options, wrap func(int, 
 }
 
 // scatterShards mirrors one embedded table across the shard children
-// (a no-op when sharding is off).
+// (a no-op when sharding is off). The caller holds dataMu.
 func (s *Server) scatterShards(table string) error {
-	s.mu.RLock()
-	dbs := s.shardDBs
-	s.mu.RUnlock()
-	if len(dbs) == 0 {
+	if len(s.shardDBs) == 0 {
 		return nil
 	}
 	t, ok := s.db.Table(table)
 	if !ok {
 		return nil
 	}
-	return shardbe.ScatterTable(s.db, table, dbs, shardbe.Blocks{Total: t.NumRows()})
+	return shardbe.ScatterTable(s.db, table, s.shardDBs, shardbe.Blocks{Total: t.NumRows()})
 }
 
 // backendFor resolves a request's backend name ("" = the default).
@@ -430,7 +412,7 @@ func (s *Server) breakerSnapshot() []breakerHealth {
 	}
 	var reps []namedReporter
 	for name, rb := range s.backends {
-		if rep, ok := rb.raw.(breakerReporter); ok {
+		if rep, ok := rb.be.(breakerReporter); ok {
 			reps = append(reps, namedReporter{name, rep})
 		}
 	}
@@ -556,9 +538,10 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 
 // install runs build — which creates the named table in the embedded
 // store — and mirrors the table across the shard children, so
-// {"backend": "shard"} requests see every loaded table. Both happen
-// under the data write lock: the scatter drops and recreates child
-// tables, which in-flight queries must never observe mid-way.
+// {"backend": "shard"} requests see every loaded table. Both hold the
+// writer mutex, so no ingest interleaves with them. Readers take no
+// lock: a request that starts mid-load reads the rows loaded so far
+// (docs/ARCHITECTURE.md, "One request, one table state").
 func (s *Server) install(w http.ResponseWriter, table string, rows int, build func() error) {
 	s.dataMu.Lock()
 	err := build()
@@ -583,9 +566,6 @@ type tableInfo struct {
 
 // handleTables implements GET /api/tables.
 func (s *Server) handleTables(w http.ResponseWriter, _ *http.Request) {
-	// Row counts race with ingest appends without the read lock.
-	s.dataMu.RLock()
-	defer s.dataMu.RUnlock()
 	out := []tableInfo{}
 	for _, name := range s.db.TableNames() {
 		t, ok := s.db.Table(name)

@@ -110,7 +110,7 @@ func TestRecommendTimeoutClassification(t *testing.T) {
 	}
 }
 
-// TestWireEndpoints exercises the four /api/backend/* endpoints'
+// TestWireEndpoints exercises the three /api/backend/* endpoints'
 // happy paths and parameter validation.
 func TestWireEndpoints(t *testing.T) {
 	srv, _, _ := newStatusServer(t)
@@ -151,12 +151,18 @@ func TestWireEndpoints(t *testing.T) {
 		t.Errorf("stats = %+v", ts)
 	}
 
-	var tv wire.TableVersion
-	if code := getJSONInto("/api/backend/version?table=census", &tv); code != 200 {
-		t.Fatalf("version status %d", code)
+	// The version token rides on the info payload; protocol 2 has no
+	// version endpoint.
+	if ti.Version == "" {
+		t.Errorf("info carries no version token: %+v", ti)
 	}
-	if !tv.OK || tv.Version == "" {
-		t.Errorf("version = %+v", tv)
+	resp, err := http.Get(srv.URL + "/api/backend/version?table=census")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("retired version endpoint = %d, want 404", resp.StatusCode)
 	}
 
 	// Parameter validation: missing table 400, unknown backend 400.

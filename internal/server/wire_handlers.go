@@ -1,10 +1,10 @@
 // Backend introspection endpoints and error classification for the
-// netbe wire protocol (internal/backend/netbe/wire). With these four
+// netbe wire protocol (internal/backend/netbe/wire). With these three
 // GET endpoints plus the typed /api/query path, a remote seedb-server
 // is a complete backend.Backend: a netbe client in another process —
 // typically a child of a shardbe router — introspects schemas, keys its
-// caches off version tokens, and executes queries exactly as an
-// in-process backend would.
+// caches off the version token the info payload carries, and executes
+// queries exactly as an in-process backend would.
 package server
 
 import (
@@ -80,8 +80,8 @@ func (s *Server) handleBackendCaps(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBackendInfo implements GET /api/backend/info?table=t: the
-// table's schema description. A missing table is 404 (ErrNoTable on the
-// client), an introspection outage 502.
+// table's schema description, row count and version token. A missing
+// table is 404 (ErrNoTable on the client), an introspection outage 502.
 func (s *Server) handleBackendInfo(w http.ResponseWriter, r *http.Request) {
 	rb, ok := s.wireBackend(w, r)
 	if !ok {
@@ -116,21 +116,4 @@ func (s *Server) handleBackendStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ts)
-}
-
-// handleBackendVersion implements GET /api/backend/version?table=t: the
-// table's current version token. The payload's OK field carries the
-// existence bit; the call itself only fails on bad parameters, matching
-// TableVersion's (token, ok) shape rather than an error contract.
-func (s *Server) handleBackendVersion(w http.ResponseWriter, r *http.Request) {
-	rb, ok := s.wireBackend(w, r)
-	if !ok {
-		return
-	}
-	table, ok := wireTable(w, r)
-	if !ok {
-		return
-	}
-	v, vok := rb.be.TableVersion(r.Context(), table)
-	writeJSON(w, http.StatusOK, wire.TableVersion{Version: v, OK: vok})
 }

@@ -11,15 +11,30 @@ import (
 // vectors a query references, so narrow aggregation queries (the common
 // SeeDB case: one dimension + one measure out of dozens of attributes) run
 // several times faster than on the row store — the paper observes ~5X.
+//
+// AppendRow is safe alongside concurrent scans, and no lock is held for
+// the length of a scan. A scan reads the published row count once, then
+// the column headers (snapshot), and never reads at or past that count.
+// AppendRow only writes past every published count — into spare capacity,
+// or into a fresh array when a vector grows, leaving the old one to the
+// scans that hold it — and then publishes: the headers when an array
+// moved, a dictionary's length when it grew, and the row count last.
+// Writers are not synchronized with each other; callers serialize them.
 type ColStore struct {
 	name   string
 	schema *Schema
-	rows   int
-	cols   []columnVector
-	gen    atomic.Uint64
-	// scratch holds coerced values during AppendRow so a mid-row
-	// coercion failure leaves every column vector untouched.
+	// Writer side, touched only by AppendRow and Reserve: the vectors at
+	// their true lengths, each string column's dictionary lookup, and the
+	// coerced values of the row being appended (so a mid-row coercion
+	// failure leaves every vector untouched).
+	cols    []columnVector
+	index   []map[string]int32
 	scratch []Value
+	// Reader side: the writer's headers as of the last move, each string
+	// column's published dictionary length, and the published row count.
+	vecs    atomic.Pointer[[]columnVector]
+	dictLen []atomic.Int32
+	rows    atomic.Int64
 }
 
 // columnVector is one typed column. Exactly one of the payload slices is
@@ -31,20 +46,28 @@ type columnVector struct {
 	flts  []float64 // TypeFloat
 	dict  []string  // TypeString: dictionary
 	codes []int32   // TypeString: per-row dictionary codes
-	index map[string]int32
-	nulls []bool // nil when the column has no NULLs so far
+	nulls []bool    // nil when the column has no NULLs so far
+}
+
+// colSnap is what one scan reads of a ColStore: the row count it saw and
+// every column vector cut to that count, dictionaries included.
+type colSnap struct {
+	rows int
+	cols []columnVector
 }
 
 // NewColStore creates an empty column-oriented table.
 func NewColStore(name string, schema *Schema) *ColStore {
-	t := &ColStore{name: name, schema: schema}
-	t.cols = make([]columnVector, schema.NumColumns())
+	n := schema.NumColumns()
+	t := &ColStore{name: name, schema: schema, cols: make([]columnVector, n),
+		index: make([]map[string]int32, n), dictLen: make([]atomic.Int32, n)}
 	for i := range t.cols {
 		t.cols[i].typ = schema.Column(i).Type
 		if t.cols[i].typ == TypeString {
-			t.cols[i].index = make(map[string]int32)
+			t.index[i] = make(map[string]int32)
 		}
 	}
+	t.publishVecs()
 	return t
 }
 
@@ -57,11 +80,8 @@ func (t *ColStore) Schema() *Schema { return t.schema }
 // Layout returns LayoutCol.
 func (t *ColStore) Layout() Layout { return LayoutCol }
 
-// NumRows returns the number of stored rows.
-func (t *ColStore) NumRows() int { return t.rows }
-
-// Generation returns the table's content generation (bumped per append).
-func (t *ColStore) Generation() uint64 { return t.gen.Load() }
+// NumRows returns the number of published rows.
+func (t *ColStore) NumRows() int { return int(t.rows.Load()) }
 
 // AppendRow appends one tuple, decomposing it into the column vectors.
 // The row is coerced up front so a failure leaves the table unchanged
@@ -82,36 +102,80 @@ func (t *ColStore) AppendRow(vals []Value) error {
 		}
 		coerced[i] = v
 	}
+	n := t.NumRows()
+	moved := false
 	for i, v := range coerced {
 		c := &t.cols[i]
 		isNull := v.Kind == KindNull
 		if isNull {
 			if c.nulls == nil {
-				c.nulls = make([]bool, t.rows, t.rows+1)
+				c.nulls, moved = make([]bool, n, n+1), true
 			}
 			v = zeroValue(c.typ)
 		}
 		if c.nulls != nil {
-			c.nulls = append(c.nulls, isNull)
+			c.nulls = push(c.nulls, isNull, &moved)
 		}
 		switch c.typ {
 		case TypeInt, TypeBool:
-			c.ints = append(c.ints, v.I)
+			c.ints = push(c.ints, v.I, &moved)
 		case TypeFloat:
-			c.flts = append(c.flts, v.F)
+			c.flts = push(c.flts, v.F, &moved)
 		case TypeString:
-			code, ok := c.index[v.S]
+			code, ok := t.index[i][v.S]
 			if !ok {
 				code = int32(len(c.dict))
-				c.dict = append(c.dict, v.S)
-				c.index[v.S] = code
+				c.dict = push(c.dict, v.S, &moved)
+				t.index[i][v.S] = code
+				t.dictLen[i].Store(code + 1)
 			}
-			c.codes = append(c.codes, code)
+			c.codes = push(c.codes, code, &moved)
 		}
 	}
-	t.rows++
-	t.gen.Add(1)
+	if moved {
+		t.publishVecs()
+	}
+	t.rows.Store(int64(n + 1))
 	return nil
+}
+
+// push appends v to s, setting *moved when the append needs a new array.
+func push[T any](s []T, v T, moved *bool) []T {
+	if len(s) == cap(s) {
+		*moved = true
+	}
+	return append(s, v)
+}
+
+// publishVecs publishes a copy of the writer's vector headers.
+func (t *ColStore) publishVecs() {
+	vecs := append([]columnVector(nil), t.cols...)
+	t.vecs.Store(&vecs)
+}
+
+// snapshot reads the table for one scan: the row count first, then the
+// headers, published before it, so their arrays hold that many rows.
+// A dictionary length may be stored before its array's headers are
+// published; the entries that array holds are then the ones the rows
+// scanned can name, hence the cap.
+func (t *ColStore) snapshot() *colSnap {
+	n := t.NumRows()
+	s := &colSnap{rows: n, cols: append([]columnVector(nil), *t.vecs.Load()...)}
+	for i := range s.cols {
+		c := &s.cols[i]
+		c.ints, c.flts, c.codes, c.nulls = upTo(c.ints, n), upTo(c.flts, n), upTo(c.codes, n), upTo(c.nulls, n)
+		c.dict = c.dict[:min(int(t.dictLen[i].Load()), cap(c.dict))]
+	}
+	return s
+}
+
+// upTo cuts s to its first n elements, which may lie past len(s) but
+// not past cap(s). A nil vector stays nil.
+func upTo[T any](s []T, n int) []T {
+	if s == nil {
+		return nil
+	}
+	return s[:n]
 }
 
 // Reserve pre-allocates capacity for n additional rows in every column.
@@ -120,32 +184,30 @@ func (t *ColStore) Reserve(n int) {
 		c := &t.cols[i]
 		switch c.typ {
 		case TypeInt, TypeBool:
-			if cap(c.ints)-len(c.ints) < n {
-				g := make([]int64, len(c.ints), len(c.ints)+n)
-				copy(g, c.ints)
-				c.ints = g
-			}
+			c.ints = reserve(c.ints, n)
 		case TypeFloat:
-			if cap(c.flts)-len(c.flts) < n {
-				g := make([]float64, len(c.flts), len(c.flts)+n)
-				copy(g, c.flts)
-				c.flts = g
-			}
+			c.flts = reserve(c.flts, n)
 		case TypeString:
-			if cap(c.codes)-len(c.codes) < n {
-				g := make([]int32, len(c.codes), len(c.codes)+n)
-				copy(g, c.codes)
-				c.codes = g
-			}
+			c.codes = reserve(c.codes, n)
 		}
 	}
+	t.publishVecs()
+}
+
+// reserve returns s with room for n more elements, moved to a new array
+// when its own lacks it.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
 }
 
 // colRowView adapts the columnar layout to the RowView interface for one
 // row index. Only the columns listed in the scan's projection are legal to
 // access; others return NULL (they were never materialized).
 type colRowView struct {
-	t      *ColStore
+	t      *colSnap
 	row    int
 	wanted []bool // nil means all columns allowed
 }
@@ -177,7 +239,7 @@ func (r colRowView) Value(col int) Value {
 // allowed) when cols is nil, else true exactly at the listed indices.
 // Both ScanRange and the vectorized executor derive their RowView access
 // rules from this one place.
-func (t *ColStore) wantedMask(cols []int) []bool {
+func (t *colSnap) wantedMask(cols []int) []bool {
 	if cols == nil {
 		return nil
 	}
@@ -193,10 +255,11 @@ func (t *ColStore) wantedMask(cols []int) []bool {
 // ScanRange implements Table. Only the vectors for the requested columns
 // are touched; passing nil cols grants access to every column.
 func (t *ColStore) ScanRange(lo, hi int, cols []int, fn func(row RowView) error) error {
-	lo, hi = clampRange(lo, hi, t.rows)
+	s := t.snapshot()
+	lo, hi = clampRange(lo, hi, s.rows)
 	// One view per scan, passed by pointer: a struct converted to RowView
 	// per row would allocate per row.
-	view := &colRowView{t: t, wanted: t.wantedMask(cols)}
+	view := &colRowView{t: s, wanted: s.wantedMask(cols)}
 	for i := lo; i < hi; i++ {
 		view.row = i
 		if err := fn(view); err != nil {

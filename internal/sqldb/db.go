@@ -12,16 +12,16 @@ import (
 )
 
 // DB is an embedded in-memory database: a named collection of tables plus
-// a query interface. A DB is safe for concurrent queries. Tables are
-// append-only between drops; appends are not synchronized with reads,
-// so a writer (the server's ingest path) excludes readers itself. Each
-// table incarnation keeps incremental statistics (StatsContext) that
-// cost O(appended rows) per new version and are dropped with it.
+// a query interface. A DB is safe for concurrent queries, and appends may
+// run alongside them (see Table); appends to one table are serialized by
+// the caller. Each table incarnation keeps incremental statistics
+// (StatsContext) that cost O(appended rows) per new version and are
+// dropped with it.
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]Table
 	// epochs counts catalog events (create/register/drop) per table name.
-	// Together with the table's row generation it forms the dataset
+	// Together with the table's row count it forms the dataset
 	// version token that drives cache invalidation: dropping and
 	// reloading a table bumps the epoch, so entries cached under the old
 	// incarnation can never be served again.
@@ -102,23 +102,32 @@ func (db *DB) DropTable(name string) error {
 }
 
 // TableVersion returns an opaque version token for the named table's
-// current contents, and whether the table exists. The token combines
-// the DB's process-unique instance id, the catalog epoch (bumped
-// whenever a table of this name is created, registered or dropped) and
-// the table's row generation (bumped on every append), so any load,
-// insert or drop-and-reload yields a token never seen before — and
-// same-named tables in different DB instances never share one. Cache
-// keys embed this token; stale entries become unreachable the moment
-// the data changes.
+// current contents, and whether the table exists; see TableState.
 func (db *DB) TableVersion(name string) (string, bool) {
+	_, version, _, ok := db.TableState(name)
+	return version, ok
+}
+
+// TableState reads the named table, its version token and its row
+// count together, and reports whether the table exists. The token is
+// "id.epoch.rows": the DB's process-unique instance id, the catalog
+// epoch (bumped whenever a table of this name is created, registered or
+// dropped) and the row count it was read with. Tables are append-only
+// between drops, so any load, insert or drop-and-reload yields a token
+// never seen before — and same-named tables in different DB instances
+// never share one. A reader that scans only the first rows rows sees
+// exactly the contents the token names. Cache keys embed it; stale
+// entries become unreachable the moment the data changes.
+func (db *DB) TableState(name string) (t Table, version string, rows int, ok bool) {
 	key := strings.ToLower(name)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[key]
+	t, ok = db.tables[key]
 	if !ok {
-		return "", false
+		return nil, "", 0, false
 	}
-	return fmt.Sprintf("%d.%d.%d", db.id, db.epochs[key], t.Generation()), true
+	rows = t.NumRows()
+	return t, fmt.Sprintf("%d.%d.%d", db.id, db.epochs[key], rows), rows, true
 }
 
 // Table returns the named table.

@@ -733,7 +733,7 @@ func (p *plan) aggregateRange(opts ExecOptions, lo, hi int, stats *ExecStats) ([
 	case p.vec == nil:
 		stats.FallbackReason = p.vecReason
 	default:
-		run, ran, err := p.vec.run(p, p.table.(*ColStore), opts, lo, hi)
+		run, ran, err := p.vec.run(p, p.table.(*ColStore).snapshot(), opts, lo, hi)
 		if err != nil {
 			return nil, err
 		}

@@ -504,7 +504,7 @@ type boundSel struct {
 
 // bind resolves the program's leaves against t's live column vectors and
 // dictionaries.
-func (p *selProg) bind(t *ColStore) *boundSel {
+func (p *selProg) bind(t *colSnap) *boundSel {
 	if p == nil {
 		return nil
 	}
@@ -532,7 +532,7 @@ func (b *boundSel) apply(lo, hi int, sel, scratch []bool) {
 }
 
 // bindLeaf builds the concrete kernel for one leaf.
-func bindLeaf(t *ColStore, leaf selLeaf) orLeaf {
+func bindLeaf(t *colSnap, leaf selLeaf) orLeaf {
 	switch leaf.kind {
 	case leafConst:
 		return &kernConst{val: leaf.constVal}

@@ -23,23 +23,32 @@ import (
 //	TEXT       kind byte + 4-byte length + inline string bytes
 //	NULL       kind byte
 //
-// String fields decode through a per-column intern table so scans do not
-// allocate, but they still pay the per-field hash — the analogue of a
-// row store's per-attribute copy out of the page.
+// String fields decode through a per-scan intern table so scans do not
+// allocate per row, but they still pay the per-field hash — the analogue
+// of a row store's per-attribute copy out of the page.
+//
+// Appends are safe alongside concurrent scans, as in ColStore: a scan
+// reads the published row count once, then the heap headers, and never
+// reads a tuple at or past that count; AppendRow writes past it and
+// publishes the headers when an array moved, then the row count.
 type RowStore struct {
-	name    string
-	schema  *Schema
-	width   int
-	data    []byte // serialized tuples, back to back
-	offsets []int  // offsets[i] = start of row i in data; sentinel at end
-	dicts   []rowDict
-	gen     atomic.Uint64
+	name   string
+	schema *Schema
+	width  int
+	// Writer side: serialized tuples back to back, and offsets[i] = start
+	// of row i in data, with a sentinel at the end.
+	data    []byte
+	offsets []int
+	// Reader side: the writer's headers as of the last move, and the
+	// published row count.
+	heap atomic.Pointer[rowHeap]
+	rows atomic.Int64
 }
 
-// rowDict is a per-column string intern table: decode looks inline bytes
-// up here instead of allocating a fresh string per field per row.
-type rowDict struct {
-	index map[string]string
+// rowHeap is one published pair of RowStore headers.
+type rowHeap struct {
+	data    []byte
+	offsets []int
 }
 
 // tuple field tags (distinct from ValueKind so encodings stay stable).
@@ -59,12 +68,7 @@ func NewRowStore(name string, schema *Schema) *RowStore {
 		width:   schema.NumColumns(),
 		offsets: []int{0},
 	}
-	t.dicts = make([]rowDict, schema.NumColumns())
-	for i := 0; i < schema.NumColumns(); i++ {
-		if schema.Column(i).Type == TypeString {
-			t.dicts[i].index = make(map[string]string)
-		}
-	}
+	t.publishHeap()
 	return t
 }
 
@@ -77,11 +81,13 @@ func (t *RowStore) Schema() *Schema { return t.schema }
 // Layout returns LayoutRow.
 func (t *RowStore) Layout() Layout { return LayoutRow }
 
-// NumRows returns the number of stored rows.
-func (t *RowStore) NumRows() int { return len(t.offsets) - 1 }
+// NumRows returns the number of published rows.
+func (t *RowStore) NumRows() int { return int(t.rows.Load()) }
 
-// Generation returns the table's content generation (bumped per append).
-func (t *RowStore) Generation() uint64 { return t.gen.Load() }
+// publishHeap publishes the writer's current headers.
+func (t *RowStore) publishHeap() {
+	t.heap.Store(&rowHeap{data: t.data, offsets: t.offsets})
+}
 
 // AppendRow serializes one tuple onto the heap.
 func (t *RowStore) AppendRow(vals []Value) error {
@@ -111,34 +117,28 @@ func (t *RowStore) AppendRow(vals []Value) error {
 			}
 			t.data = append(t.data, tagBool, b)
 		case KindString:
-			d := &t.dicts[i]
-			if _, ok := d.index[v.S]; !ok {
-				d.index[v.S] = v.S
-			}
 			t.data = append(t.data, tagStr)
 			t.data = binary.LittleEndian.AppendUint32(t.data, uint32(len(v.S)))
 			t.data = append(t.data, v.S...)
 		}
 	}
 	t.offsets = append(t.offsets, len(t.data))
-	t.gen.Add(1)
+	// An array only moves to a larger capacity, so a capacity that
+	// differs from the published one (a rolled-back row may have grown
+	// data too) means the headers are stale.
+	if h := t.heap.Load(); cap(t.data) != cap(h.data) || cap(t.offsets) != cap(h.offsets) {
+		t.publishHeap()
+	}
+	t.rows.Add(1)
 	return nil
 }
 
 // Reserve pre-allocates capacity for approximately n additional rows.
 func (t *RowStore) Reserve(n int) {
 	// Estimate 9 bytes per field (the INT/FLOAT encoding).
-	need := len(t.data) + n*t.width*9
-	if cap(t.data) < need {
-		grown := make([]byte, len(t.data), need)
-		copy(grown, t.data)
-		t.data = grown
-	}
-	if cap(t.offsets) < len(t.offsets)+n {
-		grown := make([]int, len(t.offsets), len(t.offsets)+n+1)
-		copy(grown, t.offsets)
-		t.offsets = grown
-	}
+	t.data = reserve(t.data, n*t.width*9)
+	t.offsets = reserve(t.offsets, n+1)
+	t.publishHeap()
 }
 
 // rowSlice is the RowView over one deserialized tuple.
@@ -151,11 +151,17 @@ func (r rowSlice) Value(col int) Value { return r[col] }
 // deserializes the whole tuple on every scan. The scratch tuple is reused
 // across rows, so the RowView is only valid inside the callback.
 func (t *RowStore) ScanRange(lo, hi int, cols []int, fn func(row RowView) error) error {
-	lo, hi = clampRange(lo, hi, t.NumRows())
+	n := t.NumRows()
+	// Headers loaded after n hold every published row.
+	h := t.heap.Load()
+	offsets := h.offsets[:n+1]
+	data := h.data[:offsets[n]]
+	lo, hi = clampRange(lo, hi, n)
 	scratch := make([]Value, t.width)
 	view := RowView(rowSlice(scratch)) // once: converting per row allocates per row
+	intern := make(map[string]string)
 	for i := lo; i < hi; i++ {
-		if err := t.decode(t.data[t.offsets[i]:t.offsets[i+1]], scratch); err != nil {
+		if err := t.decode(data[offsets[i]:offsets[i+1]], scratch, intern); err != nil {
 			return err
 		}
 		if err := fn(view); err != nil {
@@ -165,8 +171,9 @@ func (t *RowStore) ScanRange(lo, hi int, cols []int, fn func(row RowView) error)
 	return nil
 }
 
-// decode deserializes one tuple into out.
-func (t *RowStore) decode(buf []byte, out []Value) error {
+// decode deserializes one tuple into out, interning strings in intern
+// (the scan's own table: readers never touch writer state).
+func (t *RowStore) decode(buf []byte, out []Value, intern map[string]string) error {
 	pos := 0
 	for i := 0; i < t.width; i++ {
 		if pos >= len(buf) {
@@ -193,9 +200,10 @@ func (t *RowStore) decode(buf []byte, out []Value) error {
 				return fmt.Errorf("sqldb: table %s: truncated string field", t.name)
 			}
 			// Interned lookup: string(b) map keys do not allocate.
-			s, ok := t.dicts[i].index[string(buf[pos:pos+n])]
+			s, ok := intern[string(buf[pos:pos+n])]
 			if !ok {
 				s = string(buf[pos : pos+n])
+				intern[s] = s
 			}
 			out[i] = Value{Kind: KindString, S: s}
 			pos += n

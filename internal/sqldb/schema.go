@@ -142,25 +142,24 @@ type RowView interface {
 	Value(col int) Value
 }
 
-// Table is a stored relation. Implementations must support concurrent
-// readers once loading has finished; writes are not synchronized with
-// reads.
+// Table is a stored relation. Implementations must let AppendRow run
+// alongside concurrent readers: a reader sees a prefix of the rows, fixed
+// when it reads the row count, and never a half-appended row. Writers
+// are not synchronized with each other; callers serialize them.
 type Table interface {
 	// Name returns the table name.
 	Name() string
 	// Schema returns the table schema.
 	Schema() *Schema
-	// NumRows returns the current row count.
+	// NumRows returns the published row count. Tables are append-only
+	// between drops, so together with the catalog epoch it versions the
+	// table's contents (see DB.TableVersion).
 	NumRows() int
 	// Layout reports the physical layout (ROW or COL).
 	Layout() Layout
 	// AppendRow appends one row; vals must have one value per column,
 	// coercible to the column types.
 	AppendRow(vals []Value) error
-	// Generation returns a counter that increases with every successful
-	// AppendRow. Together with the catalog epoch (see DB.TableVersion) it
-	// versions the table's contents for cache invalidation.
-	Generation() uint64
 	// ScanRange invokes fn for every row index in [lo, hi), clamped to
 	// the table size. cols lists the column indices the consumer will
 	// read; a column store uses it to touch only those vectors, while a

@@ -287,7 +287,7 @@ type vecLayout struct {
 // are range-coded while the id space stays dense; the remaining numeric
 // columns share the leftover id-space budget as their runtime-dictionary
 // radix. ok=false reports an id space beyond maxGroupIDSpace.
-func (v *vecInfo) layout(t *ColStore, lo, hi int) (lay *vecLayout, ok bool) {
+func (v *vecInfo) layout(t *colSnap, lo, hi int) (lay *vecLayout, ok bool) {
 	n := len(v.groups)
 	lay = &vecLayout{
 		cards: make([]uint64, n), strides: make([]uint64, n),
@@ -533,7 +533,7 @@ func powFits(r uint64, n int, b uint64) bool {
 // run executes the fast path over [lo, hi) with opts.Workers workers.
 // ran reports whether the fast path was applicable at runtime; when
 // false the caller must use the row interpreter.
-func (v *vecInfo) run(p *plan, t *ColStore, opts ExecOptions, lo, hi int) (res *vecRun, ran bool, err error) {
+func (v *vecInfo) run(p *plan, t *colSnap, opts ExecOptions, lo, hi int) (res *vecRun, ran bool, err error) {
 	lo, hi = clampRange(lo, hi, t.rows)
 	lay, ok := v.layout(t, lo, hi)
 	if !ok {
@@ -634,7 +634,7 @@ var identRows = func() (ident [selBlockRows]int32) {
 type chunkScan struct {
 	v      *vecInfo
 	p      *plan
-	t      *ColStore
+	t      *colSnap
 	lay    *vecLayout
 	filter *boundSel   // bound WHERE kernels, nil → closure or no filter
 	flags  []*boundSel // bound flag kernels per group column, nil → closure
@@ -656,7 +656,7 @@ type chunkScan struct {
 }
 
 // newChunkScan sets up one worker's scan state.
-func newChunkScan(v *vecInfo, p *plan, t *ColStore, lay *vecLayout, wanted []bool, filter *boundSel, flags []*boundSel) *chunkScan {
+func newChunkScan(v *vecInfo, p *plan, t *colSnap, lay *vecLayout, wanted []bool, filter *boundSel, flags []*boundSel) *chunkScan {
 	s := &chunkScan{
 		v: v, p: p, t: t, lay: lay, filter: filter, flags: flags,
 		view:  colRowView{t: t, wanted: wanted},
@@ -1106,7 +1106,7 @@ func (s *chunkScan) materialize(scanned int) *vecPartial {
 // have produced for the row(s) behind a combined group id. dicts
 // supplies the worker-local numeric dictionaries (nil entries for the
 // other groups).
-func (v *vecInfo) decodeKeys(keys []Value, t *ColStore, gid uint64, lay *vecLayout, dicts []*numDict) {
+func (v *vecInfo) decodeKeys(keys []Value, t *colSnap, gid uint64, lay *vecLayout, dicts []*numDict) {
 	for i := range v.groups {
 		g := &v.groups[i]
 		id := (gid / lay.strides[i]) % lay.cards[i]

@@ -164,7 +164,10 @@ var (
 
 // Client is a SeeDB session: a backend (by default an embedded
 // in-memory database) plus the recommendation engine. It is safe for
-// concurrent use once loading has finished.
+// concurrent use once loading has finished; AppendRows may also run
+// alongside recommendations (each reads the rows present when it
+// starts), but concurrent AppendRows calls must be serialized by the
+// caller.
 type Client struct {
 	db       *sqldb.DB   // nil for sharded clients and external backends
 	shardDBs []*sqldb.DB // sharded clients: the embedded child stores
