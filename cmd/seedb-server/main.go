@@ -12,7 +12,7 @@
 //
 //	seedb-server -listen :8081 -dataset census -partition 0/2   # child 0
 //	seedb-server -listen :8082 -dataset census -partition 1/2   # child 1
-//	seedb-server -listen :8080 -children http://localhost:8081,http://localhost:8082 -hedge
+//	seedb-server -listen :8080 -children http://localhost:8081,http://localhost:8082
 //
 // Observability: GET /metrics serves Prometheus text-format counters and
 // latency histograms; -slowlog writes JSON-lines slow-query entries (to
@@ -37,6 +37,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -73,11 +74,6 @@ func run() error {
 			"comma-separated base URLs of child seedb-servers: registers the \"shard\"\n"+
 				"backend as a router fanning out to them over the netbe wire protocol\n"+
 				"(mutually exclusive with -shards)")
-		hedge = flag.Bool("hedge", false,
-			"hedge straggling child executions behind -children: after the hedge delay,\n"+
-				"issue a speculative duplicate and keep the first answer")
-		hedgeDelay = flag.Duration("hedge-delay", 0,
-			"fixed hedge delay for -hedge (0 = adaptive: p95 of observed child latencies)")
 		partition = flag.String("partition", "",
 			"keep only the i-th of n contiguous blocks of each preloaded dataset (\"i/n\",\n"+
 				"0-based) — run one child server per partition behind a -children router")
@@ -174,7 +170,6 @@ func run() error {
 		}
 		router, err := shardbe.New(bes, shardbe.Options{
 			Telemetry: srv.Telemetry(),
-			Hedge:     shardbe.HedgeOptions{Enabled: *hedge, Delay: *hedgeDelay},
 			Breakers:  breakerOptions(*breakers),
 		})
 		if err != nil {
@@ -183,8 +178,7 @@ func run() error {
 		if err := srv.RegisterBackend(server.ShardBackendName, router); err != nil {
 			return err
 		}
-		fmt.Printf("registered shard router %q over %d remote children (hedging %v)\n",
-			server.ShardBackendName, len(urls), *hedge)
+		fmt.Printf("registered shard router %q over %d remote children\n", server.ShardBackendName, len(urls))
 	}
 	if *shards > 0 {
 		// Partition every loaded table across N embedded children behind
@@ -275,8 +269,12 @@ func serveWithDrain(hs *http.Server, ln net.Listener, drainTimeout time.Duration
 // partitioner the in-process router uses means a -children router over
 // the fleet presents the original global row order.
 func keepPartition(src *sqldb.DB, spec string) (*sqldb.DB, error) {
-	var idx, n int
-	if _, err := fmt.Sscanf(spec, "%d/%d", &idx, &n); err != nil || n < 1 || idx < 0 || idx >= n {
+	// Exactly two base-10 integers around one slash: trailing input
+	// ("1/2/3", "0/2x") is a typo that would serve the wrong block.
+	is, ns, _ := strings.Cut(spec, "/")
+	idx, ierr := strconv.Atoi(is)
+	n, nerr := strconv.Atoi(ns)
+	if ierr != nil || nerr != nil || n < 1 || idx < 0 || idx >= n {
 		return nil, fmt.Errorf("bad -partition %q (want \"i/n\" with 0 <= i < n)", spec)
 	}
 	parts := make([]*sqldb.DB, n)

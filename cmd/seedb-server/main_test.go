@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"seedb/internal/sqldb"
 )
 
 // TestUnknownLayoutFails: -layout takes row or col, and anything else
@@ -19,6 +21,21 @@ func TestUnknownLayoutFails(t *testing.T) {
 	os.Args = []string{"seedb-server", "-layout", "bogus", "-dataset", "census"}
 	if err := run(); err == nil || !strings.Contains(err.Error(), "unknown layout") {
 		t.Fatalf("run with -layout bogus = %v, want an unknown layout error", err)
+	}
+}
+
+// TestMalformedPartitionFails: -partition takes exactly "i/n", two
+// base-10 integers around one slash with 0 <= i < n. Trailing input is
+// a typo in a fleet's command line, and accepting it as a prefix would
+// serve the wrong block with no error.
+func TestMalformedPartitionFails(t *testing.T) {
+	for _, spec := range []string{"1/2/3", "0/2x", "0x/2", "1", "/2", "0/", " 0/2", "2/2", "-1/2", "0/0"} {
+		if _, err := keepPartition(sqldb.NewDB(), spec); err == nil || !strings.Contains(err.Error(), "bad -partition") {
+			t.Errorf("-partition %q = %v, want a bad -partition error", spec, err)
+		}
+	}
+	if _, err := keepPartition(sqldb.NewDB(), "1/2"); err != nil {
+		t.Errorf("-partition 1/2 = %v", err)
 	}
 }
 

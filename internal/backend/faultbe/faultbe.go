@@ -1,15 +1,15 @@
 // Package faultbe wraps a backend.Backend with injectable faults —
-// added latency and scripted errors — for tests and benchmarks that
-// need a misbehaving child on demand: the shard router's hedging tests
-// make one child a straggler, the netbe robustness tests script
-// outages, and the shard benchmark's hedged-vs-unhedged curve injects a
-// deterministic straggler per fan-out.
+// added latency and scripted errors — for tests and tools that need a
+// misbehaving child on demand: the shard router's and the server's
+// resilience tests script outages and flapping children to drive the
+// circuit breakers and degraded results, the server's status tests
+// stall a child past a request deadline, and seedb-loadgen's chaos mode
+// takes a shard down mid-run.
 //
 // The wrapper is deliberately boring: it never changes results, only
 // when (latency) and whether (errors) they arrive. Latency honors ctx
-// cancellation — a hedged loser or a timed-out call aborts its sleep
-// immediately, which is exactly the behavior cancellation tests need to
-// observe (the Aborted counter counts those).
+// cancellation — a timed-out or cancelled call aborts its sleep
+// immediately.
 package faultbe
 
 import (
@@ -41,9 +41,8 @@ type Fault struct {
 	// Down mode: every Exec fails with downErr until cleared.
 	downErr error
 
-	execs   atomic.Int64
-	failed  atomic.Int64
-	aborted atomic.Int64
+	execs  atomic.Int64
+	failed atomic.Int64
 }
 
 // Wrap decorates inner with fault injection (no faults configured yet).
@@ -97,10 +96,6 @@ func (f *Fault) Execs() int64 { return f.execs.Load() }
 // many calls the child actually rejected.
 func (f *Fault) FailedExecs() int64 { return f.failed.Load() }
 
-// Aborted counts Exec calls whose injected delay was cut short by ctx
-// cancellation — hedging's cancelled losers land here.
-func (f *Fault) Aborted() int64 { return f.aborted.Load() }
-
 // Exec applies the scripted faults, then delegates.
 func (f *Fault) Exec(ctx context.Context, query string, opts backend.ExecOptions) (*backend.Rows, backend.ExecStats, error) {
 	f.execs.Add(1)
@@ -133,7 +128,6 @@ func (f *Fault) Exec(ctx context.Context, query string, opts backend.ExecOptions
 		defer t.Stop()
 		select {
 		case <-ctx.Done():
-			f.aborted.Add(1)
 			return nil, backend.ExecStats{}, ctx.Err()
 		case <-t.C:
 		}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func TestGoldenBytes(t *testing.T) {
 	stats := backend.ExecStats{
 		RowsScanned: 1, Groups: 2, Vectorized: true, FallbackReason: "row-store table", Workers: 3,
 		SelectionKernels: 4, ResidualPredicates: 5, ShardFanout: 6, ShardStragglerMax: 7 * time.Microsecond,
-		HedgedPartials: 8, HedgeWins: 9, NetRetries: 10, ShardsDegraded: 2, DegradedShards: []int{1, 3},
+		NetRetries: 10, ShardsDegraded: 2, DegradedShards: []int{1, 3},
 	}
 	for _, tc := range []struct {
 		name string
@@ -36,9 +37,9 @@ func TestGoldenBytes(t *testing.T) {
 		{"request, zero options", QueryRequest{SQL: "SELECT 1"},
 			`{"sql":"SELECT 1"}`},
 		{"response, every stat", QueryResponse{Columns: []string{"a"}, Rows: EncodeRows([][]sqldb.Value{{sqldb.Int(1)}}), Stats: stats},
-			`{"columns":["a"],"vrows":[[{"k":"i","i":1}]],"stats":{"rows_scanned":1,"groups":2,"vectorized":true,"fallback_reason":"row-store table","workers":3,"selection_kernels":4,"residual_predicates":5,"shard_fanout":6,"shard_straggler_ns":7000,"hedged_partials":8,"hedge_wins":9,"net_retries":10,"shards_degraded":2,"degraded_shards":[1,3]}}`},
+			`{"columns":["a"],"vrows":[[{"k":"i","i":1}]],"stats":{"rows_scanned":1,"groups":2,"vectorized":true,"fallback_reason":"row-store table","workers":3,"selection_kernels":4,"residual_predicates":5,"shard_fanout":6,"shard_straggler_ns":7000,"net_retries":10,"shards_degraded":2,"degraded_shards":[1,3]}}`},
 		{"response, zero stats", QueryResponse{Columns: []string{"a"}, Rows: [][]Value{}},
-			`{"columns":["a"],"vrows":[],"stats":{"rows_scanned":0,"groups":0,"vectorized":false,"workers":0,"selection_kernels":0,"residual_predicates":0,"shard_fanout":0,"shard_straggler_ns":0,"hedged_partials":0,"hedge_wins":0,"net_retries":0}}`},
+			`{"columns":["a"],"vrows":[],"stats":{"rows_scanned":0,"groups":0,"vectorized":false,"workers":0,"selection_kernels":0,"residual_predicates":0,"shard_fanout":0,"shard_straggler_ns":0,"net_retries":0}}`},
 		{"caps", Handshake{Proto: ProtoVersion, Backend: "sqldb", Capabilities: backend.Capabilities{SupportsPhasedExecution: true}},
 			`{"proto":2,"backend":"sqldb","supports_phased_execution":true}`},
 		{"caps, degraded store", Handshake{Proto: ProtoVersion, Backend: "sql"},
@@ -87,5 +88,40 @@ func TestGoldenBytes(t *testing.T) {
 	}
 	if want := (QueryRequest{SQL: "SELECT 1", Wire: true, ExecOptions: backend.ExecOptions{Workers: 4}}); !reflect.DeepEqual(old, want) {
 		t.Errorf("request carrying the retired field = %+v, want %+v", old, want)
+	}
+
+	// A child one build behind still sends the two retired straggler
+	// counters in its stats (testdata holds the response that build's
+	// encoder produced for this fixture). Decoding ignores unknown keys,
+	// so the router reads every remaining field and protocol 2 stands.
+	for sv, i := reflect.ValueOf(stats), 0; i < sv.NumField(); i++ {
+		if sv.Field(i).IsZero() {
+			t.Fatalf("ExecStats.%s is zero in the fixture; the decode below would not check it", sv.Type().Field(i).Name)
+		}
+	}
+	raw, err := os.ReadFile("testdata/response_prev_build.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev QueryResponse
+	if err := json.Unmarshal(raw, &prev); err != nil {
+		t.Fatalf("stats carrying the retired counters: %v", err)
+	}
+	if !reflect.DeepEqual(prev.Stats, stats) {
+		t.Errorf("stats carrying the retired counters = %+v, want %+v", prev.Stats, stats)
+	}
+	// And the old response really does carry keys this build no longer
+	// sends: exactly the two retired counters.
+	var sent struct{ Stats map[string]json.RawMessage }
+	var kept map[string]json.RawMessage
+	enc, _ := json.Marshal(stats)
+	if json.Unmarshal(raw, &sent) != nil || json.Unmarshal(enc, &kept) != nil {
+		t.Fatal("re-decoding the stats objects failed")
+	}
+	for k := range kept {
+		delete(sent.Stats, k)
+	}
+	if len(sent.Stats) != 2 {
+		t.Errorf("old response's extra stats keys = %v, want the two retired counters", sent.Stats)
 	}
 }

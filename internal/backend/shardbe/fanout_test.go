@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"seedb/internal/backend"
 	"seedb/internal/backend/faultbe"
@@ -22,8 +21,7 @@ func (panicky) Exec(context.Context, string, backend.ExecOptions) (*backend.Rows
 
 // TestChildPanicIsAnError: a child whose Exec panics fails the call with
 // an error naming the panic on every path that executes a child — the
-// fan-out with hedging off and on, and TableStats' distinct scans — and
-// an engine recommending over the router gets that error back. Neither
+// fan-out and TableStats' distinct scans — and an engine recommending over the router gets that error back. Neither
 // path runs under a recover of the caller's, so an uncontained panic
 // would take the process down.
 func TestChildPanicIsAnError(t *testing.T) {
@@ -31,20 +29,13 @@ func TestChildPanicIsAnError(t *testing.T) {
 	bes[1] = panicky{bes[1]}
 	ctx := context.Background()
 	const want = "child panicked: child bug"
-	for _, hedge := range []HedgeOptions{{}, {Enabled: true, Delay: time.Hour}} {
-		r, err := New(bes, Options{Hedge: hedge})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, err = r.Exec(ctx, "SELECT region, COUNT(*) FROM sales GROUP BY region", backend.ExecOptions{})
-		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "shard 1") {
-			t.Errorf("hedging %v: Exec error = %v, want shard 1's %q", hedge.Enabled, err, want)
-		}
-	}
-
 	r, err := New(bes, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	_, _, err = r.Exec(ctx, "SELECT region, COUNT(*) FROM sales GROUP BY region", backend.ExecOptions{})
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "shard 1") {
+		t.Errorf("Exec error = %v, want shard 1's %q", err, want)
 	}
 	if _, err := r.TableStats(ctx, "sales"); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("TableStats error = %v, want %q", err, want)

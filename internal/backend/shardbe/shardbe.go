@@ -82,10 +82,6 @@ type Options struct {
 	// in the collector's shard-latency histogram — per-child partials,
 	// which is what turns "the straggler max" into a distribution.
 	Telemetry *telemetry.Collector
-	// Hedge configures straggler hedging (off by default): child
-	// executions outliving the hedge delay get a speculative duplicate,
-	// first answer wins, loser is cancelled. See hedge.go.
-	Hedge HedgeOptions
 	// Breakers, when non-nil, arms one circuit breaker per child with
 	// these options: a child whose executions keep failing with
 	// unavailability is opened (fail-fast, no hammering) until a
@@ -98,10 +94,6 @@ type Options struct {
 type Router struct {
 	children []backend.Backend
 	tel      *telemetry.Collector
-	hedge    HedgeOptions
-	// hedgeLat tracks winning child-execution latencies for the adaptive
-	// hedge delay (router-internal, independent of Options.Telemetry).
-	hedgeLat *telemetry.Histogram
 	// breakers holds one circuit breaker per child, nil when disabled.
 	breakers []*resilience.Breaker
 
@@ -124,8 +116,6 @@ func New(children []backend.Backend, opts Options) (*Router, error) {
 	r := &Router{
 		children:  append([]backend.Backend(nil), children...),
 		tel:       opts.Telemetry,
-		hedge:     opts.Hedge,
-		hedgeLat:  &telemetry.Histogram{},
 		statsMemo: make(map[string]statsEntry),
 	}
 	if opts.Breakers != nil {
@@ -436,17 +426,13 @@ type childTask struct {
 	lo, hi int // local range; 0,0 means "full child table" (unranged children only)
 }
 
-// childRun is one partial's outcome: the winning attempt's result plus
-// how it was obtained (hedged, hedge won).
+// childRun is one partial's outcome: the child's result, its error and
+// the call's latency as the router timed it.
 type childRun struct {
 	rows  *backend.Rows
 	stats backend.ExecStats
 	lat   time.Duration
 	err   error
-	// hedged marks that a speculative duplicate was issued for this
-	// partial; hedgeWon that the duplicate answered first.
-	hedged   bool
-	hedgeWon bool
 	// degraded marks a partial skipped in degraded-results mode: the
 	// child was unavailable, the merge proceeds without it, and the
 	// omission is stamped into the fan-out's ExecStats.
@@ -601,7 +587,7 @@ func (r *Router) fanout(ctx context.Context, tasks []childTask, sql string, work
 }
 
 // runChild runs one task of a fan-out. An open circuit fails fast
-// without touching the child; otherwise execChild runs it and the
+// without touching the child; otherwise attempt runs it once and the
 // outcome feeds the child's breaker. A failure the call tolerates
 // becomes a degraded partial instead of failing the fan-out.
 func (r *Router) runChild(ctx, fanCtx context.Context, t childTask, sql string, opts backend.ExecOptions) childRun {
@@ -610,7 +596,7 @@ func (r *Router) runChild(ctx, fanCtx context.Context, t childTask, sql string, 
 		skipSpan(fanCtx, t.child, true)
 		run.err = fmt.Errorf("%w: circuit open", backend.ErrUnavailable)
 	} else {
-		run = r.execChild(fanCtx, t, sql, opts)
+		run = r.attempt(fanCtx, t, sql, opts)
 		recordHealth(ctx, br, run.err)
 	}
 	if tolerable(ctx, run.err) {
@@ -642,16 +628,13 @@ func recordHealth(ctx context.Context, br *resilience.Breaker, err error) {
 	}
 }
 
-// attempt is the one way a fan-out executes a child: a partial's
-// primary and its hedged duplicate alike. It opens the attempt's
-// shard.exec span, runs the child with a panic contained as a failed
-// attempt, stamps the outcome on the span and times the call.
-func (r *Router) attempt(ctx context.Context, t childTask, sql string, opts backend.ExecOptions, hedged bool) childRun {
+// attempt is the one way a fan-out executes a child, once per
+// partial. It opens the partial's shard.exec span, runs the child with a
+// panic contained as a failed attempt, stamps the outcome on the span
+// and times the call.
+func (r *Router) attempt(ctx context.Context, t childTask, sql string, opts backend.ExecOptions) childRun {
 	cctx, sp := telemetry.StartSpan(ctx, "shard.exec")
 	sp.SetAttr("shard", strconv.Itoa(t.child))
-	if hedged {
-		sp.SetAttr("hedged", "true")
-	}
 	start := time.Now()
 	rows, stats, err := r.childExec(cctx, t.child, sql, opts)
 	run := childRun{rows: rows, stats: stats, lat: time.Since(start), err: err}
@@ -676,8 +659,8 @@ func (r *Router) childExec(ctx context.Context, i int, sql string, opts backend.
 
 // stampChildSpan records one child attempt's outcome on its span:
 // resource counters on success (ExecStats.StampSpan, the same stamper
-// the engine's query spans use), a status marker on failure. Hedge
-// losers cancelled by the winner land here with a context error, so the
+// the engine's query spans use), a status marker on failure. Siblings
+// cancelled by a first failure land here with a context error, so the
 // stitched tree shows them as cancelled — ended exactly once, never
 // dangling open.
 func stampChildSpan(sp *telemetry.Span, stats backend.ExecStats, err error) {
@@ -731,9 +714,8 @@ func firstFailure(tasks []childTask, runs []childRun) error {
 //
 //   - summed through from the children, so the top level sees the whole
 //     tree: RowsScanned, SelectionKernels, ResidualPredicates, and the
-//     nested robustness counters HedgedPartials, HedgeWins, NetRetries
-//     and ShardsDegraded (a netbe child's retries, a nested router's
-//     hedges and skipped shards);
+//     nested robustness counters NetRetries and ShardsDegraded (a netbe
+//     child's retries, a nested router's skipped shards);
 //   - Workers is the widest child's. Vectorized holds only when every
 //     scanned child ran the fast path; otherwise the first other child's
 //     FallbackReason stands in for the whole query (a per-shard
@@ -766,17 +748,9 @@ func foldStats(tasks []childTask, runs []childRun, down []bool) backend.ExecStat
 		}
 		st.ShardsDegraded += c.ShardsDegraded
 		st.ShardFanout++
-		if run.hedged {
-			st.HedgedPartials++
-		}
-		if run.hedgeWon {
-			st.HedgeWins++
-		}
 		st.RowsScanned += c.RowsScanned
 		st.SelectionKernels += c.SelectionKernels
 		st.ResidualPredicates += c.ResidualPredicates
-		st.HedgedPartials += c.HedgedPartials
-		st.HedgeWins += c.HedgeWins
 		st.NetRetries += c.NetRetries
 		st.Workers = max(st.Workers, c.Workers)
 		st.ShardStragglerMax = max(st.ShardStragglerMax, run.lat)

@@ -41,6 +41,19 @@ func buildSource(t *testing.T, rows int) *sqldb.DB {
 	return db
 }
 
+// salesChildren block-partitions a 90-row sales table across n embedded
+// children.
+func salesChildren(t *testing.T, n int) []backend.Backend {
+	t.Helper()
+	src := buildSource(t, 90)
+	dbs, bes := EmbeddedChildren(n)
+	tab, _ := src.Table("sales")
+	if err := ScatterTable(src, "sales", dbs, Blocks{Total: tab.NumRows()}); err != nil {
+		t.Fatal(err)
+	}
+	return bes
+}
+
 // newRouter scatters the source across n embedded children contiguously.
 func newRouter(t *testing.T, src *sqldb.DB, n int) (*Router, []*sqldb.DB) {
 	t.Helper()

@@ -2,6 +2,7 @@ package shardbe
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,12 +16,7 @@ import (
 // execution, each tagged with its shard index, and that every child's
 // latency lands in the collector's shard histogram.
 func TestTracePropagatesThroughFanout(t *testing.T) {
-	src := buildSource(t, 90)
-	dbs, bes := EmbeddedChildren(3)
-	tab, _ := src.Table("sales")
-	if err := ScatterTable(src, "sales", dbs, Blocks{Total: tab.NumRows()}); err != nil {
-		t.Fatal(err)
-	}
+	bes := salesChildren(t, 3)
 	tel := telemetry.NewCollector()
 	r, err := New(bes, Options{Telemetry: tel})
 	if err != nil {
@@ -82,14 +78,11 @@ func (s slowBackend) Exec(ctx context.Context, q string, opts backend.ExecOption
 
 // TestCancellationClosesOpenSpans checks that when one shard fails and
 // cancellation aborts the stragglers, every span still closes by the
-// time Exec returns — no leaked open shard.exec spans.
+// time Exec returns — no leaked open shard.exec spans — and says what
+// happened to its partial: status=error on the failing shard,
+// status=cancelled on both stragglers, and no resource counters on any.
 func TestCancellationClosesOpenSpans(t *testing.T) {
-	src := buildSource(t, 60)
-	dbs, bes := EmbeddedChildren(3)
-	tab, _ := src.Table("sales")
-	if err := ScatterTable(src, "sales", dbs, Blocks{Total: tab.NumRows()}); err != nil {
-		t.Fatal(err)
-	}
+	bes := salesChildren(t, 3)
 	bes[0] = failingBackend{bes[0]}
 	bes[1] = slowBackend{bes[1]}
 	bes[2] = slowBackend{bes[2]}
@@ -110,5 +103,16 @@ func TestCancellationClosesOpenSpans(t *testing.T) {
 	// Failed and cancelled children do not pollute the latency histogram.
 	if got := tel.ShardLatency.Count(); got != 0 {
 		t.Errorf("shard histogram count = %d after all-error fan-out", got)
+	}
+	node := tr.Finish()
+	status := map[string]string{}
+	for _, sp := range execSpans(node) {
+		status[sp.Attrs["shard"]] = sp.Attrs["status"]
+		if sp.Attrs["rows_scanned"] != "" {
+			t.Errorf("shard %s span carries rows_scanned without a result:\n%s", sp.Attrs["shard"], node.Render())
+		}
+	}
+	if want := map[string]string{"0": "error", "1": "cancelled", "2": "cancelled"}; !reflect.DeepEqual(status, want) {
+		t.Errorf("shard.exec statuses = %v, want %v:\n%s", status, want, node.Render())
 	}
 }

@@ -3,7 +3,6 @@ package shardbe
 import (
 	"context"
 	"testing"
-	"time"
 
 	"seedb/internal/backend"
 	"seedb/internal/resilience"
@@ -24,69 +23,6 @@ func execSpans(n *telemetry.SpanNode) []*telemetry.SpanNode {
 	}
 	walk(n)
 	return out
-}
-
-// TestHedgeLoserSpanLifecycle pins the span contract for hedged
-// executions: the loser attempt — cancelled mid-flight by the winner —
-// still ends its span exactly once, marked status=cancelled, while the
-// winner's span carries resource counters. stallFirst makes the outcome
-// deterministic: the primary blocks until cancelled, so the hedged
-// duplicate always wins and the primary is always the cancelled loser.
-func TestHedgeLoserSpanLifecycle(t *testing.T) {
-	bes := salesChildren(t, 3)
-	stall := &stallFirst{Backend: bes[0]}
-	bes[0] = stall
-	r, err := New(bes, Options{
-		Hedge: HedgeOptions{Enabled: true, Delay: 2 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, tr := telemetry.WithTrace(context.Background(), "test")
-	_, stats, err := r.Exec(ctx, "SELECT region, COUNT(*) FROM sales GROUP BY region", backend.ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.HedgedPartials != 1 || stats.HedgeWins != 1 {
-		t.Fatalf("hedged=%d wins=%d, want 1/1", stats.HedgedPartials, stats.HedgeWins)
-	}
-
-	if open := tr.Open(); len(open) != 0 {
-		t.Fatalf("open spans after hedged fan-out: %v", open)
-	}
-	node := tr.Finish()
-	var winner, loser *telemetry.SpanNode
-	others := 0
-	for _, sp := range execSpans(node) {
-		if sp.Attrs["shard"] != "0" {
-			others++
-			if sp.Attrs["rows_scanned"] == "" {
-				t.Errorf("healthy shard %s span missing rows_scanned:\n%s", sp.Attrs["shard"], node.Render())
-			}
-			continue
-		}
-		if sp.Attrs["hedged"] == "true" {
-			winner = sp
-		} else {
-			loser = sp
-		}
-	}
-	if others != 2 {
-		t.Fatalf("%d non-hedged shard.exec spans, want 2:\n%s", others, node.Render())
-	}
-	if winner == nil || loser == nil {
-		t.Fatalf("missing primary or hedged shard-0 span:\n%s", node.Render())
-	}
-	if winner.Attrs["status"] != "" || winner.Attrs["rows_scanned"] == "" {
-		t.Errorf("winner span attrs = %v, want rows_scanned and no status", winner.Attrs)
-	}
-	if loser.Attrs["status"] != "cancelled" {
-		t.Errorf("loser span status = %q, want cancelled:\n%s", loser.Attrs["status"], node.Render())
-	}
-	if got := stall.aborted.Load(); got != 1 {
-		t.Errorf("aborted primary execs = %d, want 1", got)
-	}
 }
 
 // TestOpenCircuitSkipSpan pins the degraded-path span contract: a child

@@ -238,9 +238,6 @@ func (e *Engine) Recommend(ctx context.Context, req Request, opts Options) (*Res
 		if m.NetRetries > 0 {
 			sp.SetAttr("net_retries", strconv.Itoa(m.NetRetries))
 		}
-		if m.HedgedPartials > 0 {
-			sp.SetAttr("hedged_partials", strconv.Itoa(m.HedgedPartials))
-		}
 	}
 	if sl := tel.Slow(); sl != nil {
 		thr := opts.SlowQueryThreshold

@@ -51,12 +51,6 @@ type ExecTotals struct {
 	// ShardStragglerMax is the slowest child execution observed across
 	// all fanned-out queries — the shard merge's critical path.
 	ShardStragglerMax time.Duration
-	// HedgedPartials counts speculative duplicate child executions the
-	// shard router issued against stragglers; HedgeWins counts the
-	// duplicates that answered first. Wins never double-count in any
-	// merge — exactly one result per partial is folded.
-	HedgedPartials int
-	HedgeWins      int
 	// NetRetries counts transparent retries network child backends
 	// performed after retryable transport or 5xx failures.
 	NetRetries int
@@ -86,8 +80,6 @@ func (t *ExecTotals) Add(stats backend.ExecStats) {
 		ScanWorkers:        stats.Workers,
 		ShardFanout:        stats.ShardFanout,
 		ShardStragglerMax:  stats.ShardStragglerMax,
-		HedgedPartials:     stats.HedgedPartials,
-		HedgeWins:          stats.HedgeWins,
 		NetRetries:         stats.NetRetries,
 		ShardsDegraded:     stats.ShardsDegraded,
 		DegradedShards:     stats.DegradedShards,
@@ -130,8 +122,6 @@ func (t *ExecTotals) Merge(o ExecTotals) {
 	t.ShardQueries += o.ShardQueries
 	t.ShardFanout += o.ShardFanout
 	t.ShardStragglerMax = max(t.ShardStragglerMax, o.ShardStragglerMax)
-	t.HedgedPartials += o.HedgedPartials
-	t.HedgeWins += o.HedgeWins
 	t.NetRetries += o.NetRetries
 	t.ShardsDegraded += o.ShardsDegraded
 	t.DegradedShards = unionSorted(t.DegradedShards, o.DegradedShards)

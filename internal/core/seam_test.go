@@ -54,8 +54,8 @@ func TestExecTotalsCoverEveryStat(t *testing.T) {
 	var all ExecTotals
 	all.Add(backend.ExecStats{})
 	all.Add(backend.ExecStats{RowsScanned: 1, Groups: 1, Vectorized: true, Workers: 1, SelectionKernels: 1,
-		ResidualPredicates: 1, ShardFanout: 1, ShardStragglerMax: 1, HedgedPartials: 1, HedgeWins: 1,
-		NetRetries: 1, ShardsDegraded: 1, DegradedShards: []int{0}})
+		ResidualPredicates: 1, ShardFanout: 1, ShardStragglerMax: 1, NetRetries: 1,
+		ShardsDegraded: 1, DegradedShards: []int{0}})
 	av := reflect.ValueOf(all)
 	for i := 0; i < av.NumField(); i++ {
 		if av.Field(i).IsZero() {

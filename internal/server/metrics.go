@@ -136,8 +136,6 @@ var metricFamilies = []metricFamily{
 	// count /metrics has no family for.
 	{healthz: "shard_straggler_max_ms", value: func(s *scrape) float64 { return float64(s.m.ShardStragglerMax) / 1e6 }},
 	{healthz: "shards_degraded", value: func(s *scrape) float64 { return float64(s.m.ShardsDegraded) }},
-	{name: "seedb_hedged_partials_total", kind: "counter", help: "Speculative duplicate shard executions issued against stragglers.", healthz: "hedged_partials", value: func(s *scrape) float64 { return float64(s.m.HedgedPartials) }},
-	{name: "seedb_hedge_wins_total", kind: "counter", help: "Hedged duplicates that answered before their primary.", healthz: "hedge_wins", value: func(s *scrape) float64 { return float64(s.m.HedgeWins) }},
 	{name: "seedb_net_retries_total", kind: "counter", help: "Transparent retries performed by network child backends.", healthz: "net_retries", value: func(s *scrape) float64 { return float64(s.m.NetRetries) }},
 	{name: "seedb_scan_workers_max", kind: "gauge", help: "Widest per-query scan worker pool observed.", healthz: "max_scan_workers", value: func(s *scrape) float64 { return float64(s.m.ScanWorkers) }},
 

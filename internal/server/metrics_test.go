@@ -39,10 +39,6 @@ const goldenFamilies = `# HELP seedb_requests_total Recommendation requests serv
 # TYPE seedb_shard_fanout_total counter
 # HELP seedb_shard_straggler_seconds_max Slowest single shard child execution observed.
 # TYPE seedb_shard_straggler_seconds_max gauge
-# HELP seedb_hedged_partials_total Speculative duplicate shard executions issued against stragglers.
-# TYPE seedb_hedged_partials_total counter
-# HELP seedb_hedge_wins_total Hedged duplicates that answered before their primary.
-# TYPE seedb_hedge_wins_total counter
 # HELP seedb_net_retries_total Transparent retries performed by network child backends.
 # TYPE seedb_net_retries_total counter
 # HELP seedb_scan_workers_max Widest per-query scan worker pool observed.
@@ -94,7 +90,7 @@ const goldenFamilies = `# HELP seedb_requests_total Recommendation requests serv
 // goldenExecutorKeys is the key set of the /healthz "executor" block
 // from the same capture (benchmarks/harness/check.go and the load
 // driver read executor.queries_executed).
-const goldenExecutorKeys = "fallback_queries,fallback_reasons,hedge_wins,hedged_partials,max_scan_workers,net_retries,queries_executed,requests,residual_predicates,selection_kernels,shard_fanout,shard_queries,shard_straggler_max_ms,shards_degraded,strategy_degraded_requests,vectorized_queries"
+const goldenExecutorKeys = "fallback_queries,fallback_reasons,max_scan_workers,net_retries,queries_executed,requests,residual_predicates,selection_kernels,shard_fanout,shard_queries,shard_straggler_max_ms,shards_degraded,strategy_degraded_requests,vectorized_queries"
 
 func TestMetricFamiliesMatchGolden(t *testing.T) {
 	s := New(sqldb.NewDB())
@@ -133,7 +129,7 @@ func TestMetricFamiliesMatchGolden(t *testing.T) {
 		t.Errorf("/healthz executor keys:\n got %s\nwant %s", got, goldenExecutorKeys)
 	}
 	// A fresh server's block is all zeros, rendered as JSON integers.
-	if want := `"executor":{"fallback_queries":0,"fallback_reasons":{},"hedge_wins":0,`; !strings.Contains(rec.Body.String(), want) {
+	if want := `"executor":{"fallback_queries":0,"fallback_reasons":{},"max_scan_workers":0,`; !strings.Contains(rec.Body.String(), want) {
 		t.Errorf("/healthz executor block does not start %s:\n%s", want, rec.Body.String())
 	}
 }

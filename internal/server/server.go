@@ -279,10 +279,10 @@ func (s *Server) EnableSharding(n int) error {
 }
 
 // EnableShardingOpts is EnableSharding with explicit router options
-// (circuit breakers, degraded-results mode, hedging, ...) and an
-// optional per-child wrapper: wrap(i, child) replaces child i in the
-// router, letting callers interpose fault injection or instrumentation
-// between the router and an embedded shard. The options' Telemetry is
+// (circuit breakers) and an optional per-child wrapper: wrap(i, child)
+// replaces child i in the router, letting callers interpose fault
+// injection or instrumentation between the router and an embedded
+// shard. The options' Telemetry is
 // always the server's collector.
 func (s *Server) EnableShardingOpts(n int, opts shardbe.Options, wrap func(int, backend.Backend) backend.Backend) error {
 	if n < 1 {

@@ -255,7 +255,7 @@ func TestHealthzCarriesRobustnessCounters(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"hedged_partials", "hedge_wins", "net_retries"} {
+	for _, key := range []string{"net_retries"} {
 		if _, ok := h.Executor[key]; !ok {
 			t.Errorf("healthz executor payload missing %q", key)
 		}

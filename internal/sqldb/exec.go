@@ -81,13 +81,6 @@ type ExecStats struct {
 	// start until the last shard answers.
 	ShardFanout       int           `json:"shard_fanout"`
 	ShardStragglerMax time.Duration `json:"shard_straggler_ns"`
-	// HedgedPartials counts speculative duplicate child executions a
-	// routing backend issued against stragglers; HedgeWins counts the
-	// duplicates that answered first (the primary was then cancelled).
-	// Exactly one result per partial ever reaches the merge, hedged or
-	// not.
-	HedgedPartials int `json:"hedged_partials"`
-	HedgeWins      int `json:"hedge_wins"`
 	// NetRetries counts transparent retries a network child backend
 	// (internal/backend/netbe) performed inside this execution after
 	// retryable transport or 5xx failures. Zero means every round trip
