@@ -20,8 +20,6 @@ type Options struct {
 	// TargetLabel and ReferenceLabel title the two columns (defaults
 	// "target" and "reference").
 	TargetLabel, ReferenceLabel string
-	// ASCII uses '#' bars instead of Unicode blocks.
-	ASCII bool
 }
 
 // withDefaults fills zero fields.
@@ -94,8 +92,8 @@ func Render(title string, groups []string, target, reference []float64, opts Opt
 			g = g[:labelW-1] + "…"
 		}
 		fmt.Fprintf(&b, "  %-*s  %s %.3f  %s %.3f\n", labelW, g,
-			bar(target[i]/maxVal, opts.BarWidth, opts.ASCII), target[i],
-			bar(reference[i]/maxVal, opts.BarWidth, opts.ASCII), reference[i])
+			bar(target[i]/maxVal, opts.BarWidth), target[i],
+			bar(reference[i]/maxVal, opts.BarWidth), reference[i])
 	}
 	if shown < len(groups) {
 		fmt.Fprintf(&b, "  (+%d more groups)\n", len(groups)-shown)
@@ -104,7 +102,7 @@ func Render(title string, groups []string, target, reference []float64, opts Opt
 }
 
 // bar draws a single horizontal bar of the given fill fraction.
-func bar(frac float64, width int, ascii bool) string {
+func bar(frac float64, width int) string {
 	if frac < 0 {
 		frac = 0
 	}
@@ -112,11 +110,7 @@ func bar(frac float64, width int, ascii bool) string {
 		frac = 1
 	}
 	full := int(frac*float64(width) + 0.5)
-	fill, rest := "█", "░"
-	if ascii {
-		fill, rest = "#", "."
-	}
-	return strings.Repeat(fill, full) + strings.Repeat(rest, width-full)
+	return strings.Repeat("█", full) + strings.Repeat("░", width-full)
 }
 
 // Sparkline renders a compact one-line distribution (for tables and

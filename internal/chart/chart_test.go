@@ -25,21 +25,11 @@ func TestRenderBasic(t *testing.T) {
 	}
 }
 
-func TestRenderASCIIMode(t *testing.T) {
-	out := Render("t", []string{"a"}, []float64{1}, []float64{0.5}, Options{ASCII: true})
-	if !strings.Contains(out, "#") {
-		t.Error("ASCII mode should use # bars")
-	}
-	if strings.Contains(out, "█") {
-		t.Error("ASCII mode must not use Unicode blocks")
-	}
-}
-
 func TestRenderBarProportions(t *testing.T) {
-	out := Render("t", []string{"big", "sml"}, []float64{1.0, 0.25}, []float64{0, 0}, Options{ASCII: true, BarWidth: 8})
+	out := Render("t", []string{"big", "sml"}, []float64{1.0, 0.25}, []float64{0, 0}, Options{BarWidth: 8})
 	lines := strings.Split(out, "\n")
-	bigBar := strings.Count(lines[2], "#")
-	smallBar := strings.Count(lines[3], "#")
+	bigBar := strings.Count(lines[2], "█")
+	smallBar := strings.Count(lines[3], "█")
 	if bigBar != 8 {
 		t.Errorf("max bar = %d cells, want 8", bigBar)
 	}
@@ -104,10 +94,10 @@ func TestSparkline(t *testing.T) {
 }
 
 func TestBarClamping(t *testing.T) {
-	if got := bar(-1, 4, true); got != "...." {
+	if got := bar(-1, 4); got != "░░░░" {
 		t.Errorf("negative frac bar = %q", got)
 	}
-	if got := bar(2, 4, true); got != "####" {
+	if got := bar(2, 4); got != "████" {
 		t.Errorf("overflow frac bar = %q", got)
 	}
 }

@@ -161,6 +161,10 @@ type Result struct {
 	AllViews []Recommendation
 	// Metrics reports execution cost.
 	Metrics Metrics
+	// encoded is the whole-request cache entry's slot for its one
+	// encoding of Recommendations (see EncodedRecommendations). Every
+	// copy of the entry shares it; nil on a result never cached.
+	encoded *encodedRecs
 }
 
 // execState carries one invocation's working state.
@@ -437,7 +441,12 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 			return n
 		},
 		func(cctx context.Context) (any, error) {
-			return e.runRecommend(cctx, req, opts, views, meta, c, version)
+			res, err := e.runRecommend(cctx, req, opts, views, meta, c, version)
+			if err != nil {
+				return nil, err
+			}
+			res.encoded = &encodedRecs{recs: res.Recommendations}
+			return res, nil
 		},
 	)
 	if err != nil {

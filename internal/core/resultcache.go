@@ -23,6 +23,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"seedb/internal/cache"
 )
@@ -112,8 +113,35 @@ func appendList(parts []string, list []string) []string {
 	return append(parts, list...)
 }
 
+// encodedRecs is an r entry's one encoding of its recommendations:
+// recs is the cached value's own slice, which nothing mutates, and
+// once fills b from it for the first caller that asks.
+type encodedRecs struct {
+	once sync.Once
+	recs []Recommendation
+	b    []byte
+	err  error
+}
+
+// EncodedRecommendations returns encode(Recommendations). A result
+// served through the whole-request cache shares one slot with every
+// copy of its entry — the computing caller, its singleflight waiters,
+// later hits and stale replays — so encode runs once per entry, over
+// the recommendations as computed, and every call returns the same
+// bytes, which callers must not modify. A result that was never cached
+// is encoded on every call. Every caller must pass an equivalent encode.
+func (r *Result) EncodedRecommendations(encode func([]Recommendation) ([]byte, error)) ([]byte, error) {
+	s := r.encoded
+	if s == nil {
+		return encode(r.Recommendations)
+	}
+	s.once.Do(func() { s.b, s.err = encode(s.recs) })
+	return s.b, s.err
+}
+
 // cloneResult deep-copies a Result so cached values stay immutable while
-// callers are free to mutate what Recommend returns.
+// callers are free to mutate what Recommend returns. The encoding slot
+// is the one thing shared, by pointer: it is the entry's, not the copy's.
 func cloneResult(r *Result) *Result {
 	cp := *r
 	cp.Recommendations = cloneRecommendations(r.Recommendations)
@@ -151,10 +179,11 @@ func cloneAggMap(m map[string]float64) map[string]float64 {
 	return out
 }
 
-// resultSizeBytes estimates a Result's cache footprint. Degraded
-// results (partial shard coverage) report a negative size — the cache's
-// do-not-admit signal — because a cached partial answer would keep
-// serving incomplete data long after the missing shard recovered.
+// resultSizeBytes estimates a Result's cache footprint, the bytes its
+// encoding slot will hold included. Degraded results (partial shard
+// coverage) report a negative size — the cache's do-not-admit signal —
+// because a cached partial answer would keep serving incomplete data
+// long after the missing shard recovered.
 func resultSizeBytes(r *Result) int64 {
 	if r.Metrics.ShardsDegraded > 0 {
 		return -1
@@ -162,6 +191,26 @@ func resultSizeBytes(r *Result) int64 {
 	n := int64(128)
 	n += recommendationsSizeBytes(r.Recommendations)
 	n += recommendationsSizeBytes(r.AllViews)
+	n += encodedSizeBound(r.Recommendations)
+	return n
+}
+
+// encodedSizeBound bounds the bytes EncodedRecommendations will hold
+// for recs, which fill after admission: a JSON array of one object per
+// recommendation with its rank, the view's three names, utility and
+// partial flag, and the group, target and reference arrays. A JSON
+// string escapes each input byte to at most six bytes (\u00XX), a
+// float64 or int formats to at most 32, and keys, quotes and
+// separators take at most 160 per object and 8 per group.
+func encodedSizeBound(recs []Recommendation) int64 {
+	n := int64(2)
+	for _, rec := range recs {
+		v := rec.View
+		n += 160 + 2*32 + 6*int64(len(v.Dimension)+len(v.Measure)+len(v.Agg))
+		for _, g := range rec.Groups {
+			n += 8 + 6*int64(len(g)) + 2*32
+		}
+	}
 	return n
 }
 

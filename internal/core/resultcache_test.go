@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"reflect"
 	"sync"
@@ -389,5 +390,100 @@ func TestRecommendOverlappingIngestIsNotCachedUnderNewVersion(t *testing.T) {
 	if !warm.Metrics.ServedFromCache || !sawFresh(warm) {
 		t.Fatalf("stable-version repeat: served_from_cache=%t groups %v",
 			warm.Metrics.ServedFromCache, warm.Recommendations[0].Groups)
+	}
+}
+
+// TestEncodedRecommendationsOncePerEntry pins the encoding slot: every
+// copy of one r entry — the computing caller and later hits — shares
+// one encoding of the recommendations as computed, so a caller's
+// mutation cannot reach it, while an uncached result encodes per call.
+func TestEncodedRecommendationsOncePerEntry(t *testing.T) {
+	eng, req := buildCensus(t, sqldb.LayoutCol, 2000)
+	ctx := context.Background()
+	calls := 0
+	encode := func(recs []Recommendation) ([]byte, error) {
+		calls++
+		return []byte(recs[0].Groups[0]), nil
+	}
+	opts := Options{K: 3, EnableCache: true}
+	cold, err := eng.Recommend(ctx, req, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cold.Recommendations[0].Groups[0]
+	cold.Recommendations[0].Groups[0] = "corrupted"
+	for i := 0; i < 3; i++ {
+		res := cold
+		if i > 0 {
+			if res, err = eng.Recommend(ctx, req, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, err := res.EncodedRecommendations(encode)
+		if err != nil || string(b) != want {
+			t.Fatalf("call %d: encoded %q, %v; want %q", i, b, err, want)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("cached entry encoded %d times, want 1", calls)
+	}
+
+	opts.EnableCache = false
+	res, err := eng.Recommend(ctx, req, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := res.EncodedRecommendations(encode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls != 3 {
+		t.Fatalf("uncached result encoded %d times over two calls, want 2", calls-1)
+	}
+}
+
+// TestEncodedSizeBoundCoversTheEncoding holds encodedSizeBound above
+// the JSON encoding of the wire's recommendation object (server's
+// RecommendedView) for the costliest inputs: names and groups that
+// escape byte by byte, and floats and ranks at their longest.
+func TestEncodedSizeBoundCoversTheEncoding(t *testing.T) {
+	type wireView struct {
+		Rank      int       `json:"rank"`
+		Dimension string    `json:"dimension"`
+		Measure   string    `json:"measure"`
+		Aggregate string    `json:"aggregate"`
+		Utility   float64   `json:"utility"`
+		Partial   bool      `json:"partial"`
+		Groups    []string  `json:"groups"`
+		Target    []float64 `json:"target"`
+		Reference []float64 `json:"reference"`
+	}
+	hostile := "<\x01\xff&>"
+	long := -0.0000012345678901234567
+	rec := Recommendation{
+		View:      View{Dimension: hostile, Measure: hostile, Agg: AggFunc(hostile)},
+		Utility:   long,
+		Partial:   true,
+		Groups:    []string{hostile, "", "a"},
+		Target:    []float64{long, -1.2345678901234567e-308, 1.2345678901234567e20},
+		Reference: []float64{long, long, long},
+	}
+	for _, recs := range [][]Recommendation{nil, {rec}, {rec, rec, rec}} {
+		views := []wireView{}
+		for i, r := range recs {
+			views = append(views, wireView{
+				Rank: math.MinInt64 + i, Dimension: r.View.Dimension, Measure: r.View.Measure,
+				Aggregate: string(r.View.Agg), Utility: r.Utility, Partial: r.Partial,
+				Groups: r.Groups, Target: r.Target, Reference: r.Reference,
+			})
+		}
+		b, err := json.Marshal(views)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound := encodedSizeBound(recs); int64(len(b)) > bound {
+			t.Errorf("%d views encode to %d bytes, bound %d", len(recs), len(b), bound)
+		}
 	}
 }

@@ -5,6 +5,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -124,11 +125,28 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// writeJSON writes v with the given status.
+// writeJSON writes v with the given status. v is encoded before
+// anything is sent, so a value that cannot be encoded (a NaN float, say)
+// answers 500 with the error payload, never a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody sends a complete JSON body in one Write. It sets no
+// Content-Length: net/http computes one for a small body, and a large
+// one goes out chunked, its last chunk after the handler returns, so a
+// client never reads a whole response before its handler has finished
+// (the benchmark's traced run checks that server spans nest in client
+// spans).
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
 }
 
 // writeError writes a JSON error.

@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -63,6 +65,31 @@ func TestDecodeIsBoundedAndStrict(t *testing.T) {
 			if tc.code >= 400 && tc.code != ep.code && !strings.Contains(body, "bad request body") {
 				t.Errorf("%s, %s: error %q does not name the body", ep.path, tc.name, body)
 			}
+		}
+	}
+}
+
+// TestWriteJSONEncodesBeforeSending: a value encoding/json refuses (a
+// NaN float) answers 500 with the JSON error payload, on the plain
+// writer and on /api/recommend's splice alike — never the status it
+// was meant to carry over an empty body.
+func TestWriteJSONEncodesBeforeSending(t *testing.T) {
+	for name, write := range map[string]func(http.ResponseWriter){
+		"writeJSON": func(w http.ResponseWriter) {
+			writeJSON(w, http.StatusOK, struct{ X float64 }{math.NaN()})
+		},
+		"writeRecommend": func(w http.ResponseWriter) {
+			writeRecommend(w, []byte("[]"), RecommendResponse{ElapsedMS: math.NaN()})
+		},
+	} {
+		rec := httptest.NewRecorder()
+		write(rec)
+		var e errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Errorf("%s: body %q is not an error payload (%v)", name, rec.Body.Bytes(), err)
+		}
+		if rec.Code != http.StatusInternalServerError || rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: status %d, content type %q; want 500 JSON", name, rec.Code, rec.Header().Get("Content-Type"))
 		}
 	}
 }

@@ -52,6 +52,7 @@ package server
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -66,7 +67,6 @@ import (
 	"seedb/internal/backend/netbe/wire"
 	"seedb/internal/backend/shardbe"
 	"seedb/internal/cache"
-	"seedb/internal/chart"
 	"seedb/internal/core"
 	"seedb/internal/dataset"
 	"seedb/internal/resilience"
@@ -707,7 +707,6 @@ type RecommendedView struct {
 	Groups    []string  `json:"groups"`
 	Target    []float64 `json:"target"`
 	Reference []float64 `json:"reference"`
-	Chart     string    `json:"chart"`
 }
 
 // RecommendResponse is the recommendation result.
@@ -807,17 +806,66 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		}
 		s.traces.Add(tr.ID(), node)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	recs, err := res.EncodedRecommendations(encodeViews)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding recommendations: %w", err))
+		return
+	}
+	writeRecommend(w, recs, resp)
 }
 
-// responseFrom shapes an engine result for the wire. requested is the
+// recsKey opens every /api/recommend body.
+const recsKey = `{"recommendations":`
+
+// writeRecommend writes resp with recs, an encoded RecommendedView
+// array, as its recommendations. resp is encoded without them and recs
+// is spliced in place of the null, so the body is byte for byte what
+// writeJSON would send for the whole response, without re-encoding
+// recs (an r entry encodes them once, see
+// core.Result.EncodedRecommendations).
+func writeRecommend(w http.ResponseWriter, recs []byte, resp RecommendResponse) {
+	meta, err := json.Marshal(resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
+	// Recommendations is RecommendResponse's first field.
+	rest := meta[len(recsKey+"null"):]
+	body := make([]byte, 0, len(recsKey)+len(recs)+len(rest)+1)
+	body = append(body, recsKey...)
+	body = append(body, recs...)
+	body = append(body, rest...)
+	writeBody(w, http.StatusOK, append(body, '\n'))
+}
+
+// encodeViews encodes a result's recommendations as the response's
+// RecommendedView array.
+func encodeViews(recs []core.Recommendation) ([]byte, error) {
+	views := make([]RecommendedView, len(recs))
+	for i, rec := range recs {
+		views[i] = RecommendedView{
+			Rank:      i + 1,
+			Dimension: rec.View.Dimension,
+			Measure:   rec.View.Measure,
+			Aggregate: string(rec.View.Agg),
+			Utility:   rec.Utility,
+			Partial:   rec.Partial,
+			Groups:    rec.Groups,
+			Target:    rec.Target,
+			Reference: rec.Reference,
+		}
+	}
+	return json.Marshal(views)
+}
+
+// responseFrom shapes an engine result's metrics for the wire, leaving
+// out the recommendations (see writeRecommend). requested is the
 // strategy the client asked for; the response names the one that ran.
 func responseFrom(rb *registeredBackend, requested core.Strategy, res *core.Result) RecommendResponse {
 	m := res.Metrics
 	resp := RecommendResponse{
 		Backend:          rb.name,
 		Strategy:         core.EffectiveStrategy(requested, rb.be.Capabilities()).String(),
-		Recommendations:  make([]RecommendedView, 0, len(res.Recommendations)),
 		Views:            m.Views,
 		QueriesExecuted:  m.QueriesExecuted,
 		RowsScanned:      m.RowsScanned,
@@ -841,21 +889,6 @@ func responseFrom(rb *registeredBackend, requested core.Strategy, res *core.Resu
 		DegradedShards:   m.DegradedShards,
 		Stale:            m.ServedStale,
 		ElapsedMS:        float64(m.Elapsed.Microseconds()) / 1000,
-	}
-	for i, rec := range res.Recommendations {
-		title := fmt.Sprintf("%s    [utility %.4f]", rec.View.String(), rec.Utility)
-		resp.Recommendations = append(resp.Recommendations, RecommendedView{
-			Rank:      i + 1,
-			Dimension: rec.View.Dimension,
-			Measure:   rec.View.Measure,
-			Aggregate: string(rec.View.Agg),
-			Utility:   rec.Utility,
-			Partial:   rec.Partial,
-			Groups:    rec.Groups,
-			Target:    rec.Target,
-			Reference: rec.Reference,
-			Chart:     chart.Render(title, rec.Groups, rec.Target, rec.Reference, chart.Options{ASCII: true}),
-		})
 	}
 	return resp
 }

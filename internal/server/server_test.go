@@ -3,7 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -172,8 +172,14 @@ func TestRecommendEndpoint(t *testing.T) {
 	if len(r0.Target) != len(r0.Groups) || len(r0.Reference) != len(r0.Groups) {
 		t.Error("distribution lengths mismatch")
 	}
-	if !strings.Contains(r0.Chart, "#") {
-		t.Errorf("chart missing bars:\n%s", r0.Chart)
+	// The target distribution is what a client renders: a probability
+	// vector over the groups.
+	var tsum float64
+	for _, p := range r0.Target {
+		tsum += p
+	}
+	if math.Abs(tsum-1) > 1e-9 {
+		t.Errorf("rec 0 target sums to %v over groups %q", tsum, r0.Groups)
 	}
 	if out.Views != 40 || out.QueriesExecuted == 0 || out.RowsScanned == 0 {
 		t.Errorf("metrics = %+v", out)
@@ -372,7 +378,9 @@ func TestEndToEndWorkflow(t *testing.T) {
 	if code != 200 || len(rec.Recommendations) != 2 {
 		t.Fatalf("recommend = %d %+v", code, rec)
 	}
-	fmt.Println(rec.Recommendations[0].Chart)
+	if r := rec.Recommendations[0]; len(r.Groups) == 0 || len(r.Target) != len(r.Groups) {
+		t.Fatalf("top recommendation has %d groups, %d target values", len(r.Groups), len(r.Target))
+	}
 }
 
 // TestExecutorStats asserts per-request executor counters and their
