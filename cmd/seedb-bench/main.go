@@ -1,15 +1,14 @@
-// Command seedb-bench drives the experiment harness that regenerates
-// every table and figure of the SeeDB paper's evaluation. It prints the
-// same rows/series the paper reports, annotated with the paper's expected
-// shapes; -o FILE also writes them to a file.
+// Command seedb-bench prints the reproduction scorecard: every claim of
+// the SeeDB paper's evaluation, checked against this repository, with
+// the wall times behind each measurement. docs/REPRODUCTION.md is the
+// same scorecard at -quick scale without the wall times.
 //
 // Examples:
 //
-//	seedb-bench -all                 # full suite at default (laptop) scale
-//	seedb-bench -all -o FILE         # ... and keep the tables
-//	seedb-bench -all -quick          # CI-friendly reduced scale
-//	seedb-bench -exp fig5            # one experiment
-//	seedb-bench -all -paperscale     # Table 1 dataset sizes (hours)
+//	seedb-bench                      # every experiment at default (laptop) scale
+//	seedb-bench -quick               # the scale docs/REPRODUCTION.md is rendered at
+//	seedb-bench -exp fig5,fig13      # some experiments
+//	seedb-bench -paperscale -o FILE  # Table 1 dataset sizes (hours); keep the output
 //	seedb-bench -list                # list experiment ids
 package main
 
@@ -19,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"seedb/internal/bench"
@@ -33,14 +33,13 @@ func main() {
 
 func run() error {
 	var (
-		all        = flag.Bool("all", false, "run every experiment")
-		expID      = flag.String("exp", "", "run one experiment by id (see -list)")
+		expIDs     = flag.String("exp", "", "comma-separated experiment ids (see -list); default all")
 		list       = flag.Bool("list", false, "list experiments")
 		quick      = flag.Bool("quick", false, "reduced datasets and sweeps")
 		paperScale = flag.Bool("paperscale", false, "use Table 1 dataset sizes (very slow)")
-		runs       = flag.Int("runs", 0, "repetitions for quality experiments (default 5; paper uses 20)")
+		runs       = flag.Int("runs", 0, "data orders per pruning-quality point (default 5, quick 2; paper uses 20)")
 		seed       = flag.Int64("seed", 1, "base random seed")
-		outPath    = flag.String("o", "", "also write output to this file")
+		outPath    = flag.String("o", "", "also write the scorecard to this file")
 		timeout    = flag.Duration("timeout", 4*time.Hour, "overall timeout")
 	)
 	flag.Parse()
@@ -52,20 +51,16 @@ func run() error {
 		return nil
 	}
 
-	cfg := bench.Config{Quick: *quick, PaperScale: *paperScale, Runs: *runs, Seed: *seed}
-	var experiments []bench.Experiment
-	switch {
-	case *all:
-		experiments = bench.All()
-	case *expID != "":
-		e, err := bench.ByID(*expID)
-		if err != nil {
-			return err
+	experiments := bench.All()
+	if *expIDs != "" {
+		experiments = nil
+		for _, id := range strings.Split(*expIDs, ",") {
+			e, err := bench.ByID(strings.TrimSpace(id))
+			if err != nil {
+				return err
+			}
+			experiments = append(experiments, e)
 		}
-		experiments = []bench.Experiment{e}
-	default:
-		flag.Usage()
-		return fmt.Errorf("need -all, -exp or -list")
 	}
 
 	var out io.Writer = os.Stdout
@@ -80,20 +75,10 @@ func run() error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-
-	start := time.Now()
-	for _, e := range experiments {
-		fmt.Fprintf(out, "### %s — %s\n", e.ID, e.Name)
-		expStart := time.Now()
-		tables, err := e.Run(ctx, cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		for _, t := range tables {
-			fmt.Fprintln(out, t.String())
-		}
-		fmt.Fprintf(out, "(%s in %v)\n\n", e.ID, time.Since(expStart).Round(time.Millisecond))
+	cfg := bench.Config{Quick: *quick, PaperScale: *paperScale, Runs: *runs, Seed: *seed}
+	rows, err := bench.Run(ctx, cfg, experiments)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(out, "total: %v\n", time.Since(start).Round(time.Millisecond))
-	return nil
+	return bench.Render(out, cfg, rows, true)
 }

@@ -1,15 +1,17 @@
-// Package bench contains the experiment harness that regenerates every
-// table and figure of the SeeDB paper's evaluation (Sections 5 and 6).
-// Each experiment is a function from a Config to a formatted Table whose
-// rows mirror what the paper reports; bench_test.go exposes each as a
-// testing.B benchmark and cmd/seedb-bench drives them from the command
-// line.
+// Package bench reproduces the SeeDB paper's evaluation (Sections 5 and
+// 6) as a scorecard. Each experiment measures what one figure or table
+// is about in host-independent terms — SQL queries executed, base-table
+// rows scanned, the largest distinct-group count of one query, accuracy,
+// utility distance, AUROC — and turns every claim the paper makes about
+// it into one Row: the claim, where the paper makes it, a predicate over
+// the measurements, the measured value and the verdict. Wall time is
+// measured alongside and only reported.
 //
-// Absolute numbers depend on the host and on the embedded substrate; the
-// experiments are designed so the paper's *shapes* reproduce: who wins,
-// by roughly what factor, and where crossovers fall. Each table carries
-// the paper's expectation as a note; "seedb-bench -all -o FILE" keeps a
-// run's tables.
+// Every run pins core.Options.ScanParallelism to 1, so float sums add in
+// row order and the rows are byte-identical on any host and core count.
+// docs/REPRODUCTION.md is Render's output at quick scale without wall
+// times; go test ./internal/bench fails when the two differ, and
+// cmd/seedb-bench prints the same rows at any scale, with wall times.
 package bench
 
 import (
@@ -26,32 +28,25 @@ import (
 	"seedb/internal/sqldb"
 )
 
-// newEngine wires an engine over the embedded store through the backend
-// seam; the experiments always run against the in-process substrate.
-func newEngine(db *sqldb.DB) *core.Engine {
-	return core.NewEngine(backend.NewEmbedded(db))
-}
-
 // Config scales the experiments.
 type Config struct {
-	// Quick shrinks datasets and sweeps for CI-friendly runtimes.
+	// Quick shrinks datasets and sweeps; docs/REPRODUCTION.md is rendered
+	// at this scale.
 	Quick bool
 	// PaperScale uses the full Table 1 row counts (hours of runtime).
 	PaperScale bool
-	// Runs is the number of repetitions for quality experiments (the
-	// paper uses 20; default 5, quick 3).
+	// Runs is the number of data orders the pruning-quality figures
+	// average over (the paper uses 20; default 5, quick 2).
 	Runs int
-	// Seed drives run-to-run data shuffling.
+	// Seed drives run-to-run data shuffling and the RANDOM baseline.
 	Seed int64
-	// Parallelism for parallel-query execution (0 = GOMAXPROCS).
-	Parallelism int
 }
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.Runs <= 0 {
 		if c.Quick {
-			c.Runs = 3
+			c.Runs = 2
 		} else {
 			c.Runs = 5
 		}
@@ -62,6 +57,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// pick returns the sweep for the configured scale.
+func (c Config) pick(quick, normal, paper []int) []int {
+	switch {
+	case c.PaperScale:
+		return paper
+	case c.Quick:
+		return quick
+	}
+	return normal
+}
+
 // rowsFor picks the generated row count for a dataset under the config.
 func (c Config) rowsFor(spec dataset.Spec) int {
 	if c.PaperScale {
@@ -69,8 +75,8 @@ func (c Config) rowsFor(spec dataset.Spec) int {
 	}
 	rows := spec.Rows
 	if c.Quick {
-		// Quick mode: cap dataset sizes so the full suite runs in
-		// minutes on a laptop (air10 stays 5x air, as in Table 1).
+		// Quick mode caps dataset sizes so the whole scorecard runs in
+		// seconds (air10 stays 5x air, as in Table 1).
 		caps := map[string]int{
 			"syn": 20_000, "syn10": 20_000, "syn100": 20_000,
 			"bank": 12_000, "diab": 16_000, "air": 2_000, "air10": 10_000,
@@ -83,64 +89,29 @@ func (c Config) rowsFor(spec dataset.Spec) int {
 	return rows
 }
 
-// Table is a formatted experiment result.
-type Table struct {
-	ID     string // e.g. "figure5a"
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
+// Row is one paper claim checked against this reproduction.
+type Row struct {
+	// ID names the row stably: "<experiment>.<claim>".
+	ID string
+	// Source is where the paper makes the claim.
+	Source string
+	// Claim is the paper's claim; Predicate is what is checked, stated
+	// over the measurements.
+	Claim, Predicate string
+	// Measured is the value the predicate was evaluated on.
+	Measured string
+	// Pass is the verdict.
+	Pass bool
+	// Wall lists the wall times behind the measurement: reported, never
+	// asserted, and left out of docs/REPRODUCTION.md.
+	Wall string
 }
 
-// AddRow appends one formatted row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
-
-// String renders the table as aligned text.
-func (t *Table) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	return b.String()
-}
-
-// Experiment is a named, runnable experiment.
+// Experiment measures one figure or table and returns its rows.
 type Experiment struct {
 	ID   string
 	Name string
-	Run  func(ctx context.Context, cfg Config) ([]*Table, error)
+	Run  func(ctx context.Context, cfg Config) ([]Row, error)
 }
 
 // All returns every experiment, in paper order.
@@ -149,16 +120,16 @@ func All() []Experiment {
 		{"table1", "Dataset inventory (Table 1)", Table1},
 		{"fig5", "Performance gains from all optimizations (Figure 5)", Figure5},
 		{"fig6", "Baseline NO_OPT scaling (Figure 6)", Figure6},
-		{"fig7", "Multiple aggregates and parallelism (Figure 7)", Figure7},
-		{"fig8", "Group-by memory and bin packing (Figure 8)", Figure8},
+		{"fig7", "Multiple aggregates per query (Figure 7a)", Figure7},
+		{"fig8", "Bin packing vs MAX_GB (Figure 8b)", Figure8},
 		{"fig9", "All sharing optimizations (Figure 9)", Figure9},
 		{"fig10", "Distribution of view utilities (Figure 10)", Figure10},
 		{"fig11", "BANK pruning quality (Figure 11)", Figure11},
 		{"fig12", "DIAB pruning quality (Figure 12)", Figure12},
-		{"fig13", "Pruning latency reduction (Figure 13)", Figure13},
-		{"fig15", "Deviation metric vs expert ground truth (Figure 15)", Figure15},
-		{"table2", "SEEDB vs MANUAL bookmarking (Table 2)", Table2},
-		{"ablations", "Design-choice ablations (beyond the paper)", Ablations},
+		{"fig13", "Pruning work reduction (Figure 13)", Figure13},
+		{"fig15", "Deviation ranking vs planted interestingness (Figure 15)", Figure15},
+		{"distance", "Alternative distance functions (technical report)", DistanceAgreement},
+		{"early", "COMB_EARLY approximation (Figure 5)", EarlyReturn},
 	}
 }
 
@@ -172,24 +143,37 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q", id)
 }
 
+// Run runs the experiments in order and concatenates their rows.
+func Run(ctx context.Context, cfg Config, exps []Experiment) ([]Row, error) {
+	var rows []Row
+	for _, e := range exps {
+		rs, err := e.Run(ctx, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", e.ID, err)
+		}
+		rows = append(rows, rs...)
+	}
+	return rows, nil
+}
+
 // buildShuffled generates a dataset with rows inserted in a shuffled
 // order (the paper randomizes data order between quality-experiment
-// runs) and returns a single-table DB.
-func buildShuffled(spec dataset.Spec, layout sqldb.Layout, shuffleSeed int64) (*sqldb.DB, error) {
+// runs) and returns a single-table DB; seed 0 keeps generation order.
+func buildShuffled(spec dataset.Spec, layout sqldb.Layout, seed int64) (*sqldb.DB, error) {
+	if seed == 0 {
+		db, _, err := dataset.BuildDB(spec, layout)
+		return db, err
+	}
 	var rows [][]sqldb.Value
 	err := spec.Generate(func(vals []sqldb.Value) error {
-		row := make([]sqldb.Value, len(vals))
-		copy(row, vals)
-		rows = append(rows, row)
+		rows = append(rows, append([]sqldb.Value(nil), vals...))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if shuffleSeed != 0 {
-		rng := rand.New(rand.NewSource(shuffleSeed))
-		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-	}
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 	db := sqldb.NewDB()
 	t, err := db.CreateTable(spec.Name, spec.Schema(), layout)
 	if err != nil {
@@ -203,10 +187,14 @@ func buildShuffled(spec dataset.Spec, layout sqldb.Layout, shuffleSeed int64) (*
 	return db, nil
 }
 
-// build generates a dataset in insertion order.
-func build(spec dataset.Spec, layout sqldb.Layout) (*sqldb.DB, error) {
-	db, _, err := dataset.BuildDB(spec, layout)
-	return db, err
+// engineFor generates a dataset in insertion order and wires an engine
+// over it through the backend seam.
+func engineFor(spec dataset.Spec, layout sqldb.Layout) (*core.Engine, error) {
+	db, err := buildShuffled(spec, layout, 0)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewEngine(backend.NewEmbedded(db)), nil
 }
 
 // requestFor builds the standard request for a dataset spec: target
@@ -224,42 +212,46 @@ func requestFor(spec dataset.Spec) core.Request {
 	}
 }
 
-// timeRecommend runs one Recommend call and returns elapsed time plus the
-// result.
-func timeRecommend(ctx context.Context, eng *core.Engine, req core.Request, opts core.Options) (time.Duration, *core.Result, error) {
+// cost is what one Recommend did: SQL queries executed, base-table rows
+// visited, the largest distinct-group count of one query, and the wall
+// time, which is only reported.
+type cost struct {
+	queries   int
+	rows      int64
+	maxGroups int
+	wall      time.Duration
+}
+
+// recommend runs one request with every scan on one worker, so float
+// sums add in row order and utilities are identical on every host.
+func recommend(ctx context.Context, eng *core.Engine, req core.Request, opts core.Options) (*core.Result, cost, error) {
+	opts.ScanParallelism = 1
 	start := time.Now()
 	res, err := eng.Recommend(ctx, req, opts)
-	return time.Since(start), res, err
-}
-
-// ms formats a duration as milliseconds with sensible precision.
-func ms(d time.Duration) string {
-	v := float64(d.Microseconds()) / 1000
-	switch {
-	case v >= 1000:
-		return fmt.Sprintf("%.1fs", v/1000)
-	case v >= 100:
-		return fmt.Sprintf("%.0fms", v)
-	default:
-		return fmt.Sprintf("%.2fms", v)
+	if err != nil {
+		return nil, cost{}, err
 	}
+	m := res.Metrics
+	return res, cost{m.QueriesExecuted, m.RowsScanned, m.MaxGroups, time.Since(start)}, nil
 }
 
-// speedup formats a ratio as "N.Nx".
-func speedup(base, other time.Duration) string {
-	if other <= 0 {
-		return "-"
+// oracle scores every view exactly (SHARING, no pruning) under dist and
+// returns them ranked: the ground truth the quality metrics compare to.
+func oracle(ctx context.Context, eng *core.Engine, req core.Request, dist distance.Func) (*core.Result, error) {
+	res, _, err := recommend(ctx, eng, req, core.Options{
+		Strategy: core.Sharing, Distance: dist, KeepAllViews: true,
+	})
+	return res, err
+}
+
+// list formats every element with f and joins them with ", ".
+func list[T any](xs []T, f func(T) string) string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = f(x)
 	}
-	return fmt.Sprintf("%.1fx", float64(base)/float64(other))
+	return strings.Join(out, ", ")
 }
 
-// f3 formats a float with 3 decimals.
-func f3(x float64) string { return fmt.Sprintf("%.3f", x) }
-
-// f4 formats a float with 4 decimals.
-func f4(x float64) string { return fmt.Sprintf("%.4f", x) }
-
-// oracleFor computes exact utilities for a request.
-func oracleFor(ctx context.Context, db *sqldb.DB, req core.Request, k int) (*core.Result, error) {
-	return newEngine(db).ExactTopK(ctx, req, distance.EMD, k)
-}
+// round trims a wall time for the report's wall column.
+func round(d time.Duration) time.Duration { return d.Round(100 * time.Microsecond) }

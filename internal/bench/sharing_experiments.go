@@ -3,7 +3,8 @@ package bench
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"sort"
+	"strings"
 	"time"
 
 	"seedb/internal/core"
@@ -11,49 +12,54 @@ import (
 	"seedb/internal/sqldb"
 )
 
-// Table1 regenerates the dataset inventory of Table 1.
-func Table1(ctx context.Context, cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	t := &Table{
-		ID:     "table1",
-		Title:  "Datasets used for testing",
-		Header: []string{"Name", "Description", "Size(paper)", "Size(here)", "|A|", "|M|", "Views", "MB(paper)"},
+// layouts are the two stores of the paper's sharing experiments: ROW
+// stands in for PostgreSQL, COL for Vertica.
+var layouts = []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol}
+
+// synCols returns SYN cut to its first dims dimensions and measures
+// measures, so requestFor's view space is exactly dims×measures views.
+// The ROW layout decodes every column of each row it visits: columns no
+// view reads would cost wall time and change no counter.
+func synCols(dims, measures int) dataset.Spec {
+	s := dataset.SYN()
+	s.Dims, s.Measures = s.Dims[:dims], s.Measures[:measures]
+	return s
+}
+
+// Table1 checks the dataset inventory of Table 1.
+func Table1(ctx context.Context, cfg Config) ([]Row, error) {
+	paper := map[string]int{
+		"bank": 77, "diab": 88, "air": 108, "air10": 108,
+		"census": 40, "housing": 40, "movies": 64, "syn": 1000,
 	}
-	for _, name := range dataset.Names() {
+	names := make([]string, 0, len(paper))
+	for name := range paper {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	pass := true
+	var parts []string
+	for _, name := range names {
 		spec, err := dataset.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(
-			spec.Name,
-			spec.Description,
-			fmt.Sprintf("%d", spec.PaperRows),
-			fmt.Sprintf("%d", cfg.rowsFor(spec)),
-			fmt.Sprintf("%d", len(spec.ViewDims())),
-			fmt.Sprintf("%d", len(spec.Measures)),
-			fmt.Sprintf("%d", spec.NumViews()),
-			fmt.Sprintf("%.1f", spec.PaperSizeMB),
-		)
+		pass = pass && spec.NumViews() == paper[name]
+		parts = append(parts, fmt.Sprintf("%s %d", name, spec.NumViews()))
 	}
-	t.Notes = append(t.Notes,
-		"real datasets are synthetic equivalents with matching shape and planted deviation structure (DESIGN.md §3)",
-		"Size(here) is the default generated row count; -paperscale restores Table 1 sizes")
-	return []*Table{t}, nil
+	return []Row{{
+		ID: "table1.views", Source: "Table 1",
+		Claim:     "the evaluation datasets span 40 to 1000 candidate views",
+		Predicate: "|A|·|M| equals Table 1's view count for each of the 8 datasets",
+		Measured:  strings.Join(parts, ", "), Pass: pass,
+	}}, nil
 }
 
-// workCells renders a run's host-independent cost — SQL queries
-// executed and base-table rows visited — as two table cells.
-func workCells(res *core.Result) []string {
-	return []string{fmt.Sprintf("%d", res.Metrics.QueriesExecuted), fmt.Sprintf("%d", res.Metrics.RowsScanned)}
-}
-
-// Figure5 regenerates Figures 5a and 5b: for each real dataset and each
-// store, the latency of NO_OPT, SHARING, COMB and COMB_EARLY (CI
-// pruning, k=10).
-func Figure5(ctx context.Context, cfg Config) ([]*Table, error) {
+// Figure5 measures Figures 5a and 5b: NO_OPT, SHARING, COMB and
+// COMB_EARLY (CI pruning, k=10) on each real dataset and each store.
+func Figure5(ctx context.Context, cfg Config) ([]Row, error) {
 	cfg = cfg.withDefaults()
 	datasets := []string{"bank", "diab", "air", "air10"}
-	layouts := []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol}
 	strategies := []struct {
 		name string
 		opts core.Options
@@ -63,18 +69,15 @@ func Figure5(ctx context.Context, cfg Config) ([]*Table, error) {
 		{"COMB", core.Options{Strategy: core.Comb, Pruning: core.CIPruning, K: 10}},
 		{"COMB_EARLY", core.Options{Strategy: core.CombEarly, Pruning: core.CIPruning, K: 10}},
 	}
+	const noOpt, sharing, comb, early = 0, 1, 2, 3
 
-	var out []*Table
-	for li, layout := range layouts {
-		t := &Table{
-			ID:     fmt.Sprintf("figure5%c", 'a'+li),
-			Title:  fmt.Sprintf("Performance gains from all optimizations (%s store)", layout),
-			Header: []string{"dataset", "rows", "views", "NO_OPT", "SHARING", "COMB", "COMB_EARLY"},
-		}
-		for _, s := range strategies {
-			t.Header = append(t.Header, s.name+"-queries", s.name+"-scanned")
-		}
-		t.Header = append(t.Header, "sharing-gain", "total-gain")
+	// run is one (store, dataset) point: one cost per strategy.
+	type run struct {
+		name  string
+		costs [4]cost
+	}
+	var runs []run
+	for _, layout := range layouts {
 		for _, name := range datasets {
 			spec, err := dataset.ByName(name)
 			if err != nil {
@@ -89,356 +92,297 @@ func Figure5(ctx context.Context, cfg Config) ([]*Table, error) {
 				rows /= 4
 			}
 			spec = spec.WithRows(rows)
-			db, err := build(spec, layout)
+			eng, err := engineFor(spec, layout)
 			if err != nil {
 				return nil, err
 			}
-			eng := newEngine(db)
-			req := requestFor(spec)
-			lat := make([]time.Duration, len(strategies))
-			var work []string
+			r := run{name: fmt.Sprintf("%v %s", layout, name)}
 			for si, s := range strategies {
-				opts := s.opts
-				opts.Parallelism = cfg.Parallelism
-				d, res, err := timeRecommend(ctx, eng, req, opts)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%v/%s: %w", name, layout, s.name, err)
+				if _, r.costs[si], err = recommend(ctx, eng, requestFor(spec), s.opts); err != nil {
+					return nil, fmt.Errorf("%s/%s: %w", r.name, s.name, err)
 				}
-				lat[si] = d
-				work = append(work, workCells(res)...)
 			}
-			row := append([]string{name, fmt.Sprintf("%d", spec.Rows), fmt.Sprintf("%d", spec.NumViews()),
-				ms(lat[0]), ms(lat[1]), ms(lat[2]), ms(lat[3])}, work...)
-			t.AddRow(append(row, speedup(lat[0], lat[1]), speedup(lat[0], lat[3]))...)
+			runs = append(runs, r)
 		}
-		t.Notes = append(t.Notes,
-			"paper: ROW 50x(COMB)-300x(COMB_EARLY), COL 10x-30x; gains grow with dataset size",
-			"-queries / -scanned: SQL queries executed and base-table rows visited, the host-independent cost behind each latency")
-		out = append(out, t)
+	}
+
+	// compare checks pred(a, b) on every run and formats a as a
+	// percentage of b per run.
+	compare := func(a, b int, counter func(cost) int64, pred func(x, y int64) bool) (string, bool, string) {
+		pass := true
+		var wa, wb time.Duration
+		measured := list(runs, func(r run) string {
+			x, y := counter(r.costs[a]), counter(r.costs[b])
+			pass = pass && pred(x, y)
+			wa, wb = wa+r.costs[a].wall, wb+r.costs[b].wall
+			return fmt.Sprintf("%s %.3g%%", r.name, 100*float64(x)/float64(y))
+		})
+		return measured, pass, fmt.Sprintf("%s %v, %s %v", strategies[a].name, round(wa), strategies[b].name, round(wb))
+	}
+	queries := func(c cost) int64 { return int64(c.queries) }
+	scanned := func(c cost) int64 { return c.rows }
+	less := func(x, y int64) bool { return x < y }
+	atMost := func(x, y int64) bool { return x <= y }
+
+	var out []Row
+	for _, c := range []struct {
+		id, claim, predicate, ratio string
+		a, b                        int
+		counter                     func(cost) int64
+		pred                        func(x, y int64) bool
+	}{
+		{"fig5.sharing-queries", "sharing (combined aggregates, group-bys and target/reference) cuts the queries NO_OPT issues",
+			"SHARING executes fewer queries than NO_OPT", "SHARING's queries as % of NO_OPT's", sharing, noOpt, queries, less},
+		{"fig5.sharing-rows", "sharing cuts the rows NO_OPT scans",
+			"SHARING scans fewer rows than NO_OPT", "SHARING's rows as % of NO_OPT's", sharing, noOpt, scanned, less},
+		{"fig5.comb-rows", "pruning on top of sharing (COMB) cuts the work further",
+			"COMB scans no more rows than SHARING", "COMB's rows as % of SHARING's", comb, sharing, scanned, atMost},
+		{"fig5.early-rows", "early return (COMB_EARLY) cuts it further still",
+			"COMB_EARLY scans no more rows than COMB", "COMB_EARLY's rows as % of COMB's", early, comb, scanned, atMost},
+	} {
+		measured, pass, w := compare(c.a, c.b, c.counter, c.pred)
+		out = append(out, Row{
+			ID: c.id, Source: "Fig. 5", Claim: c.claim,
+			Predicate: c.predicate + " on every dataset (bank, diab, air, air10) and store (ROW, COL), k=10",
+			Measured:  c.ratio + ": " + measured, Pass: pass, Wall: w,
+		})
 	}
 	return out, nil
 }
 
-// Figure6 regenerates Figures 6a and 6b: basic-framework latency as a
-// function of the number of rows and of the number of views.
-func Figure6(ctx context.Context, cfg Config) ([]*Table, error) {
+// Figure6 measures Figures 6a and 6b: the basic framework (NO_OPT) as
+// the table grows and as the view space grows, on both stores.
+func Figure6(ctx context.Context, cfg Config) ([]Row, error) {
 	cfg = cfg.withDefaults()
-	base := dataset.SYN()
-
-	rowSweep := []int{100_000, 250_000, 500_000, 1_000_000}
-	if !cfg.PaperScale {
-		rowSweep = []int{10_000, 25_000, 50_000, 100_000}
-		if cfg.Quick {
-			rowSweep = []int{500, 1_000, 2_000}
-		}
+	// point is NO_OPT over synCols(dims, measures) at rows rows, on ROW
+	// and on COL.
+	type point struct {
+		rows, dims, measures int
+		costs                [2]cost
 	}
-	// Fixed moderate view count for the row sweep: 10 dims × 5 measures.
-	dimsA, measA := base.DimNames()[:10], base.MeasureNames()[:5]
-
-	tA := &Table{
-		ID:     "figure6a",
-		Title:  "NO_OPT latency vs number of rows (SYN, 50 views)",
-		Header: []string{"rows", "ROW", "COL", "ROW-queries", "ROW-scanned", "COL-queries", "COL-scanned", "COL-speedup"},
-	}
+	var byRows, byViews []point
+	rowSweep := cfg.pick([]int{200, 400, 800}, []int{10_000, 25_000, 50_000, 100_000},
+		[]int{100_000, 250_000, 500_000, 1_000_000})
 	for _, rows := range rowSweep {
-		spec := base.WithRows(rows)
-		var lat [2]time.Duration
-		var work []string
-		for li, layout := range []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol} {
-			db, err := build(spec, layout)
-			if err != nil {
-				return nil, err
-			}
-			req := requestFor(spec)
-			req.Dimensions, req.Measures = dimsA, measA
-			d, res, err := timeRecommend(ctx, newEngine(db), req, core.Options{Strategy: core.NoOpt, K: 10})
-			if err != nil {
-				return nil, err
-			}
-			lat[li] = d
-			work = append(work, workCells(res)...)
-		}
-		row := append([]string{fmt.Sprintf("%d", rows), ms(lat[0]), ms(lat[1])}, work...)
-		tA.AddRow(append(row, speedup(lat[0], lat[1]))...)
+		byRows = append(byRows, point{rows: rows, dims: 10, measures: 5})
 	}
-	tA.Notes = append(tA.Notes, "paper: latency linear in rows; COL ≈5x faster than ROW")
-
-	// View sweep at fixed size.
 	viewRows := rowSweep[len(rowSweep)/2]
-	viewSweep := []struct{ d, m int }{{10, 5}, {20, 5}, {15, 10}, {20, 10}, {25, 10}} // 50..250 views
+	views := [][2]int{{10, 5}, {20, 5}, {15, 10}, {20, 10}, {25, 10}} // 50..250 views
 	if cfg.Quick {
-		viewSweep = viewSweep[:3]
+		views = views[:3]
 	}
-	tB := &Table{
-		ID:     "figure6b",
-		Title:  fmt.Sprintf("NO_OPT latency vs number of views (SYN, %d rows)", viewRows),
-		Header: []string{"views", "ROW", "COL", "ROW-queries", "ROW-scanned", "COL-queries", "COL-scanned"},
+	for _, v := range views {
+		byViews = append(byViews, point{rows: viewRows, dims: v[0], measures: v[1]})
 	}
-	spec := base.WithRows(viewRows)
-	dbRow, err := build(spec, sqldb.LayoutRow)
-	if err != nil {
-		return nil, err
-	}
-	dbCol, err := build(spec, sqldb.LayoutCol)
-	if err != nil {
-		return nil, err
-	}
-	for _, vs := range viewSweep {
-		req := requestFor(spec)
-		req.Dimensions = base.DimNames()[:vs.d]
-		req.Measures = base.MeasureNames()[:vs.m]
-		dRow, resRow, err := timeRecommend(ctx, newEngine(dbRow), req, core.Options{Strategy: core.NoOpt, K: 10})
-		if err != nil {
-			return nil, err
-		}
-		dCol, resCol, err := timeRecommend(ctx, newEngine(dbCol), req, core.Options{Strategy: core.NoOpt, K: 10})
-		if err != nil {
-			return nil, err
-		}
-		row := []string{fmt.Sprintf("%d", vs.d*vs.m), ms(dRow), ms(dCol)}
-		tB.AddRow(append(append(row, workCells(resRow)...), workCells(resCol)...)...)
-	}
-	tB.Notes = append(tB.Notes, "paper: latency linear in views")
-	return []*Table{tA, tB}, nil
-}
-
-// Figure7 regenerates Figure 7a (latency vs aggregates per query) and
-// Figure 7b (latency vs parallel query count).
-func Figure7(ctx context.Context, cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	spec := dataset.SYN()
-	spec = spec.WithRows(cfg.rowsFor(spec))
-
-	naggSweep := []int{1, 2, 5, 10, 20}
-	if cfg.Quick {
-		naggSweep = []int{1, 2, 5, 10}
-	}
-	tA := &Table{
-		ID:     "figure7a",
-		Title:  "Latency vs number of aggregates per query (SYN, SHARING, single group-by)",
-		Header: []string{"nagg", "ROW", "COL"},
-	}
-	var dbs [2]*sqldb.DB
-	for li, layout := range []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol} {
-		db, err := build(spec, layout)
-		if err != nil {
-			return nil, err
-		}
-		dbs[li] = db
-	}
-	req := requestFor(spec)
-	for _, nagg := range naggSweep {
-		var lat [2]time.Duration
-		for li := range dbs {
-			opts := core.Options{
-				Strategy:              core.Sharing,
-				GroupBy:               core.GroupBySingle,
-				MaxAggregatesPerQuery: nagg,
-				K:                     10,
-				Parallelism:           cfg.Parallelism,
-			}
-			d, _, err := timeRecommend(ctx, newEngine(dbs[li]), req, opts)
-			if err != nil {
-				return nil, err
-			}
-			lat[li] = d
-		}
-		tA.AddRow(fmt.Sprintf("%d", nagg), ms(lat[0]), ms(lat[1]))
-	}
-	tA.Notes = append(tA.Notes, "paper: latency falls with nagg, sub-linearly; ~4x ROW / ~3x COL from nagg=1 to 20")
-
-	parSweep := []int{1, 2, 4, 8, 16, 32}
-	if cfg.Quick {
-		parSweep = []int{1, 2, 4, 8}
-	}
-	tB := &Table{
-		ID:     "figure7b",
-		Title:  fmt.Sprintf("Latency vs parallel queries (SYN, COL store, %d cores)", runtime.GOMAXPROCS(0)),
-		Header: []string{"parallelism", "COL", "ROW"},
-	}
-	for _, par := range parSweep {
-		var lat [2]time.Duration
-		for li := range dbs {
-			opts := core.Options{
-				Strategy:                core.Sharing,
-				GroupBy:                 core.GroupBySingle,
-				DisableCombineTargetRef: true, // more, smaller queries: parallelism matters
-				Parallelism:             par,
-				K:                       10,
-			}
-			d, _, err := timeRecommend(ctx, newEngine(dbs[li]), req, opts)
-			if err != nil {
-				return nil, err
-			}
-			lat[li] = d
-		}
-		tB.AddRow(fmt.Sprintf("%d", par), ms(lat[1]), ms(lat[0]))
-	}
-	tB.Notes = append(tB.Notes, "paper: gains up to ≈ number of cores, degradation beyond")
-	return []*Table{tA, tB}, nil
-}
-
-// Figure8 regenerates Figure 8a (group-by width vs latency under the
-// memory budget) and Figure 8b (bin packing vs the MAX_GB baseline).
-func Figure8(ctx context.Context, cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-
-	tA := &Table{
-		ID:     "figure8a",
-		Title:  "Latency vs number of group-by attributes per query (SYN*)",
-		Header: []string{"ngb", "SYN*-10 ROW", "SYN*-10 COL", "SYN*-100 ROW", "SYN*-100 COL", "maxgroups-10", "maxgroups-100"},
-	}
-	ngbSweep := []int{1, 2, 3, 4, 5, 6}
-	if cfg.Quick {
-		ngbSweep = []int{1, 2, 3, 4, 5}
-	}
-	type cell struct {
-		lat    time.Duration
-		groups int
-	}
-	results := make(map[string]cell)
-	for _, distinct := range []int{10, 100} {
-		spec := dataset.SYNStar(distinct)
-		spec = spec.WithRows(cfg.rowsFor(spec))
-		for _, layout := range []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol} {
-			db, err := build(spec, layout)
-			if err != nil {
-				return nil, err
-			}
-			eng := newEngine(db)
-			req := requestFor(spec)
-			for _, ngb := range ngbSweep {
-				opts := core.Options{
-					Strategy:    core.Sharing,
-					GroupBy:     core.GroupByMaxN,
-					MaxGroupBy:  ngb,
-					K:           10,
-					Parallelism: cfg.Parallelism,
-				}
-				d, res, err := timeRecommend(ctx, eng, req, opts)
+	all := [][]point{byRows, byViews}
+	var walls [2]time.Duration
+	sameOnStores := true
+	for _, pts := range all {
+		for i := range pts {
+			p := &pts[i]
+			spec := synCols(p.dims, p.measures).WithRows(p.rows)
+			for li, layout := range layouts {
+				eng, err := engineFor(spec, layout)
 				if err != nil {
 					return nil, err
 				}
-				results[fmt.Sprintf("%d/%v/%d", distinct, layout, ngb)] = cell{d, res.Metrics.MaxGroups}
+				if _, p.costs[li], err = recommend(ctx, eng, requestFor(spec), core.Options{Strategy: core.NoOpt, K: 10}); err != nil {
+					return nil, err
+				}
+				walls[li] += p.costs[li].wall
 			}
+			sameOnStores = sameOnStores && p.costs[0].queries == p.costs[1].queries && p.costs[0].rows == p.costs[1].rows
 		}
 	}
-	for _, ngb := range ngbSweep {
-		r10 := results[fmt.Sprintf("10/ROW/%d", ngb)]
-		c10 := results[fmt.Sprintf("10/COL/%d", ngb)]
-		r100 := results[fmt.Sprintf("100/ROW/%d", ngb)]
-		c100 := results[fmt.Sprintf("100/COL/%d", ngb)]
-		tA.AddRow(fmt.Sprintf("%d", ngb),
-			ms(r10.lat), ms(c10.lat), ms(r100.lat), ms(c100.lat),
-			fmt.Sprintf("%d", r10.groups), fmt.Sprintf("%d", r100.groups))
-	}
-	tA.Notes = append(tA.Notes,
-		"paper: latency dips then rises once distinct groups exceed the memory budget (ROW ~1e4, COL ~1e2)")
 
-	// Figure 8b: MAX_GB sweep vs BP on SYN.
-	spec := dataset.SYN()
-	spec = spec.WithRows(cfg.rowsFor(spec))
-	tB := &Table{
-		ID:     "figure8b",
-		Title:  "MAX_GB vs bin-packed grouping (SYN)",
-		Header: []string{"method", "ROW", "COL", "ROW-maxgroups", "COL-maxgroups"},
+	// proportional checks, on the ROW store, that counter(p)/x(p) is the
+	// same at every point.
+	proportional := func(pts []point, x func(point) int, counter func(cost) int64) bool {
+		for _, p := range pts {
+			if counter(p.costs[0])*int64(x(pts[0])) != counter(pts[0].costs[0])*int64(x(p)) {
+				return false
+			}
+		}
+		return true
 	}
-	var dbs [2]*sqldb.DB
-	for li, layout := range []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol} {
-		db, err := build(spec, layout)
+	rows := func(p point) int { return p.rows }
+	viewCount := func(p point) int { return p.dims * p.measures }
+	one := func(point) int { return 1 }
+	queries := func(c cost) int64 { return int64(c.queries) }
+	scanned := func(c cost) int64 { return c.rows }
+	format := func(pts []point, x func(point) int, unit string) string {
+		return list(pts, func(p point) string {
+			return fmt.Sprintf("%d queries / %d rows at %d %s", p.costs[0].queries, p.costs[0].rows, x(p), unit)
+		})
+	}
+	return []Row{
+		{
+			ID: "fig6a.rows", Source: "Fig. 6a",
+			Claim:     "NO_OPT's latency grows linearly with table rows",
+			Predicate: "NO_OPT's queries stay constant and its rows scanned are proportional to table rows (SYN, 50 views)",
+			Measured:  format(byRows, rows, "rows"),
+			Pass:      proportional(byRows, one, queries) && proportional(byRows, rows, scanned),
+		},
+		{
+			ID: "fig6b.views", Source: "Fig. 6b",
+			Claim:     "NO_OPT's latency grows linearly with the number of views",
+			Predicate: fmt.Sprintf("NO_OPT's queries and rows scanned are proportional to views (SYN, %d rows)", viewRows),
+			Measured:  format(byViews, viewCount, "views"),
+			Pass:      proportional(byViews, viewCount, queries) && proportional(byViews, viewCount, scanned),
+		},
+		{
+			ID: "fig6.stores", Source: "Fig. 6",
+			Claim:     "COL runs NO_OPT about 5x faster than ROW: the gap is the store's, not the plan's",
+			Predicate: "NO_OPT executes the same queries and scans the same rows on ROW and COL at every point of both sweeps",
+			Measured:  fmt.Sprintf("identical at all %d points: %v", len(byRows)+len(byViews), sameOnStores),
+			Pass:      sameOnStores,
+			Wall:      fmt.Sprintf("ROW %v, COL %v (both sweeps)", round(walls[0]), round(walls[1])),
+		},
+	}, nil
+}
+
+// Figure7 measures Figure 7a: SHARING with one group-by attribute per
+// query and at most nagg aggregates per query.
+func Figure7(ctx context.Context, cfg Config) ([]Row, error) {
+	cfg = cfg.withDefaults()
+	dims, measures := 10, 20
+	spec := synCols(dims, measures)
+	spec = spec.WithRows(cfg.rowsFor(spec))
+	if cfg.Quick {
+		// One full scan per query makes the counts exact at any size.
+		spec = spec.WithRows(spec.Rows / 10)
+	}
+	eng, err := engineFor(spec, sqldb.LayoutCol)
+	if err != nil {
+		return nil, err
+	}
+	req := requestFor(spec)
+
+	pass := true
+	var parts []string
+	var d time.Duration
+	for _, nagg := range cfg.pick([]int{1, 2, 5, 10}, []int{1, 2, 5, 10, 20}, []int{1, 2, 5, 10, 20}) {
+		_, c, err := recommend(ctx, eng, req, core.Options{
+			Strategy: core.Sharing, GroupBy: core.GroupBySingle, MaxAggregatesPerQuery: nagg, K: 10,
+		})
 		if err != nil {
 			return nil, err
 		}
-		dbs[li] = db
+		want := dims * ((measures + nagg - 1) / nagg)
+		pass = pass && c.queries == want && c.rows == int64(want*spec.Rows)
+		d += c.wall
+		parts = append(parts, fmt.Sprintf("%d queries at nagg %d", c.queries, nagg))
+	}
+	return []Row{{
+		ID: "fig7a.queries", Source: "Fig. 7a",
+		Claim: "combining aggregates cuts latency: about 4x (ROW) and 3x (COL) from 1 to 20 aggregates per query",
+		Predicate: fmt.Sprintf("SHARING executes |A|·⌈|M|/nagg⌉ queries of one full scan each (SYN, %d×%d views, %d rows, COL)",
+			dims, measures, spec.Rows),
+		Measured: strings.Join(parts, ", "), Pass: pass, Wall: fmt.Sprintf("COL %v", round(d)),
+	}}, nil
+}
+
+// Figure8 measures Figure 8b: grouping by a fixed number of attributes
+// per query (MAX_GB) against bin packing under each store's memory
+// budget (BP).
+func Figure8(ctx context.Context, cfg Config) ([]Row, error) {
+	cfg = cfg.withDefaults()
+	spec := synCols(50, 5)
+	spec = spec.WithRows(cfg.rowsFor(spec))
+	if cfg.Quick {
+		// A twentieth of the quick cap keeps the ROW interpreter's share
+		// of the scorecard to a second.
+		spec = spec.WithRows(spec.Rows / 20)
 	}
 	req := requestFor(spec)
-	maxGBs := []int{1, 2, 3, 5}
-	if cfg.Quick {
-		maxGBs = []int{1, 2, 3}
-	}
-	for _, ngb := range maxGBs {
-		var lat [2]time.Duration
-		var grp [2]int
-		for li := range dbs {
-			opts := core.Options{
-				Strategy: core.Sharing, GroupBy: core.GroupByMaxN,
-				MaxGroupBy: ngb, K: 10, Parallelism: cfg.Parallelism,
-			}
-			d, res, err := timeRecommend(ctx, newEngine(dbs[li]), req, opts)
-			if err != nil {
-				return nil, err
-			}
-			lat[li], grp[li] = d, res.Metrics.MaxGroups
+	maxGBs := cfg.pick([]int{1, 2, 3}, []int{1, 2, 3, 5}, []int{1, 2, 3, 5})
+
+	pass := true
+	var parts []string
+	var walls [2]time.Duration
+	for li, layout := range layouts {
+		eng, err := engineFor(spec, layout)
+		if err != nil {
+			return nil, err
 		}
-		tB.AddRow(fmt.Sprintf("MAX_GB(%d)", ngb), ms(lat[0]), ms(lat[1]),
-			fmt.Sprintf("%d", grp[0]), fmt.Sprintf("%d", grp[1]))
-	}
-	var lat [2]time.Duration
-	var grp [2]int
-	for li, layout := range []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol} {
 		budget := core.DefaultRowMemoryBudget
 		if layout == sqldb.LayoutCol {
 			budget = core.DefaultColMemoryBudget
 		}
-		opts := core.Options{
-			Strategy: core.Sharing, GroupBy: core.GroupByBinPack,
-			MemoryBudget: budget, K: 10, Parallelism: cfg.Parallelism,
-		}
-		d, res, err := timeRecommend(ctx, newEngine(dbs[li]), req, opts)
+		_, bp, err := recommend(ctx, eng, req, core.Options{
+			Strategy: core.Sharing, GroupBy: core.GroupByBinPack, MemoryBudget: budget, K: 10,
+		})
 		if err != nil {
 			return nil, err
 		}
-		lat[li], grp[li] = d, res.Metrics.MaxGroups
+		gb := make([]cost, len(maxGBs))
+		for i, n := range maxGBs {
+			if _, gb[i], err = recommend(ctx, eng, req, core.Options{
+				Strategy: core.Sharing, GroupBy: core.GroupByMaxN, MaxGroupBy: n, K: 10,
+			}); err != nil {
+				return nil, err
+			}
+		}
+		// A query fits when it stays within the budget or groups by one
+		// attribute (MAX_GB(1)), which no plan can split further.
+		limit := max(budget, gb[0].maxGroups)
+		pass = pass && bp.maxGroups <= limit
+		walls[li] = bp.wall
+		desc := fmt.Sprintf("%v (budget %d): BP %d queries / %d groups", layout, budget, bp.queries, bp.maxGroups)
+		for i, c := range gb {
+			pass = pass && (c.maxGroups > limit || c.rows >= bp.rows)
+			walls[li] += c.wall
+			desc += fmt.Sprintf(", MAX_GB(%d) %d / %d", maxGBs[i], c.queries, c.maxGroups)
+		}
+		parts = append(parts, desc)
 	}
-	tB.AddRow("BP", ms(lat[0]), ms(lat[1]), fmt.Sprintf("%d", grp[0]), fmt.Sprintf("%d", grp[1]))
-	tB.Notes = append(tB.Notes,
-		"paper: BP respects the budget and beats MAX_GB (~2.5x on ROW); COL gains little (small budget → single-attribute groups)")
-	return []*Table{tA, tB}, nil
+	return []Row{{
+		ID: "fig8b.binpack", Source: "Fig. 8b",
+		Claim: "bin packing respects the memory budget and beats MAX_GB (about 2.5x on ROW)",
+		Predicate: fmt.Sprintf("on each store BP's largest query fits (within the budget, or one attribute), and no MAX_GB(n) "+
+			"that also fits scans fewer rows (SYN, %d views, %d rows)", len(req.Dimensions)*len(req.Measures), spec.Rows),
+		Measured: strings.Join(parts, "; "), Pass: pass, Wall: fmt.Sprintf("ROW %v, COL %v", round(walls[0]), round(walls[1])),
+	}}, nil
 }
 
-// Figure9 regenerates Figures 9a and 9b: all sharing optimizations
-// together vs the basic framework, as dataset size grows.
-func Figure9(ctx context.Context, cfg Config) ([]*Table, error) {
+// Figure9 measures Figures 9a and 9b: all sharing optimizations against
+// the basic framework as the table grows.
+func Figure9(ctx context.Context, cfg Config) ([]Row, error) {
 	cfg = cfg.withDefaults()
-	base := dataset.SYN()
-	rowSweep := []int{250_000, 500_000, 1_000_000}
-	if !cfg.PaperScale {
-		rowSweep = []int{10_000, 25_000, 50_000}
-		if cfg.Quick {
-			rowSweep = []int{5_000, 10_000, 20_000}
-		}
-	}
-	// Moderate view space so NO_OPT stays tractable.
-	dims, meas := base.DimNames()[:10], base.MeasureNames()[:10]
+	sizes := cfg.pick([]int{200, 400, 800}, []int{10_000, 25_000, 50_000}, []int{250_000, 500_000, 1_000_000})
+	paper := map[sqldb.Layout]float64{sqldb.LayoutRow: 40, sqldb.LayoutCol: 6}
 
-	var out []*Table
-	for li, layout := range []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol} {
-		t := &Table{
-			ID:     fmt.Sprintf("figure9%c", 'a'+li),
-			Title:  fmt.Sprintf("All sharing optimizations (%s store, SYN, 100 views)", layout),
-			Header: []string{"rows", "NO_OPT", "SHARING", "speedup"},
-		}
-		for _, rows := range rowSweep {
-			spec := base.WithRows(rows)
-			db, err := build(spec, layout)
+	pass := true
+	var parts []string
+	var walls [2]time.Duration
+	for li, layout := range layouts {
+		var ratios []string
+		for _, rows := range sizes {
+			spec := synCols(10, 10).WithRows(rows)
+			eng, err := engineFor(spec, layout)
 			if err != nil {
 				return nil, err
 			}
-			eng := newEngine(db)
 			req := requestFor(spec)
-			req.Dimensions, req.Measures = dims, meas
-			dNo, _, err := timeRecommend(ctx, eng, req, core.Options{Strategy: core.NoOpt, K: 10})
+			_, no, err := recommend(ctx, eng, req, core.Options{Strategy: core.NoOpt, K: 10})
 			if err != nil {
 				return nil, err
 			}
-			dSh, _, err := timeRecommend(ctx, eng, req, core.Options{Strategy: core.Sharing, K: 10, Parallelism: cfg.Parallelism})
+			_, sh, err := recommend(ctx, eng, req, core.Options{Strategy: core.Sharing, K: 10})
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(fmt.Sprintf("%d", rows), ms(dNo), ms(dSh), speedup(dNo, dSh))
+			walls[li] += no.wall + sh.wall
+			ratio := float64(no.rows) / float64(sh.rows)
+			pass = pass && ratio >= paper[layout]
+			ratios = append(ratios, fmt.Sprintf("%.1fx at %d rows", ratio, rows))
 		}
-		t.Notes = append(t.Notes, "paper: up to 40x on ROW, 6x on COL; sharing pays off most on large row-store tables")
-		out = append(out, t)
+		parts = append(parts, fmt.Sprintf("%v %s", layout, strings.Join(ratios, ", ")))
 	}
-	return out, nil
+	return []Row{{
+		ID: "fig9.sharing", Source: "Fig. 9",
+		Claim:     "all sharing optimizations together speed NO_OPT up by up to 40x on ROW and 6x on COL",
+		Predicate: "NO_OPT's rows scanned ÷ SHARING's is at least 40 on ROW and 6 on COL at every table size (SYN, 100 views)",
+		Measured:  strings.Join(parts, "; "), Pass: pass, Wall: fmt.Sprintf("ROW %v, COL %v", round(walls[0]), round(walls[1])),
+	}}, nil
 }

@@ -1,8 +1,8 @@
 // Package chart renders SeeDB's target-vs-reference bar charts as text.
 // The paper's frontend is a web application; Go charting libraries are
 // limited, so this repository renders the same side-by-side bar charts in
-// the terminal (see DESIGN.md §3). The recommendation engine, not the
-// rendering, is the system's contribution.
+// the terminal (see the deviations in docs/REPRODUCTION.md). The
+// recommendation engine, not the rendering, is the system's contribution.
 package chart
 
 import (

@@ -85,8 +85,9 @@ func utilitiesOf(t *testing.T, db *sqldb.DB, req Request, opts Options) map[stri
 	return out
 }
 
-// TestStrategiesEquivalentOnRandomInputs is the DESIGN.md §6 property:
-// on arbitrary schemas, data, reference modes and aggregate sets, every
+// TestStrategiesEquivalentOnRandomInputs checks the property
+// docs/ARCHITECTURE.md states under "How the optimizations compose": on
+// arbitrary schemas, data, reference modes and aggregate sets, every
 // optimization level produces identical utilities for every view, on
 // both physical layouts.
 func TestStrategiesEquivalentOnRandomInputs(t *testing.T) {

@@ -101,19 +101,21 @@ func TestResolveDefaultsAndErrors(t *testing.T) {
 // cannot set, with what it is for; Resolve leaves each at its zero
 // value, which withDefaults turns into the engine default. Every other
 // field of Options and Request must be reachable from a
-// RecommendRequest.
+// RecommendRequest. A knob kept for the reproduction scorecard
+// (internal/bench, docs/REPRODUCTION.md) names the rows that set it; a
+// knob no row sets says so.
 var engineOnlyOptions = map[string]string{
-	"Phases":                  "evaluation harness: phase-count ablation",
-	"Parallelism":             "deployment: concurrent view queries, GOMAXPROCS by default",
-	"GroupBy":                 "evaluation harness: Figure 8 group-by strategies",
-	"MemoryBudget":            "evaluation harness: Figure 8a budget sweep",
-	"MaxGroupBy":              "evaluation harness: MAX_GB baseline",
-	"MaxAggregatesPerQuery":   "evaluation harness: Figure 7a nagg sweep",
-	"DisableCombineTargetRef": "evaluation harness: sharing ablation",
-	"Delta":                   "evaluation harness: CI failure-probability ablation",
-	"ConfidenceScale":         "evaluation harness: interval-width ablation",
-	"Seed":                    "evaluation harness: RANDOM baseline and tie-breaks",
-	"KeepAllViews":            "evaluation harness: per-view estimates for accuracy metrics",
+	"Phases":                  "no scorecard row (every row keeps the automatic count); core and conformance tests pin phase counts",
+	"Parallelism":             "deployment: concurrent view queries, GOMAXPROCS by default; no scorecard row",
+	"GroupBy":                 "scorecard rows fig7a.queries (GroupBySingle) and fig8b.binpack (GroupByBinPack, GroupByMaxN)",
+	"MemoryBudget":            "scorecard row fig8b.binpack: BP under each store's budget",
+	"MaxGroupBy":              "scorecard row fig8b.binpack: the MAX_GB baseline",
+	"MaxAggregatesPerQuery":   "scorecard row fig7a.queries: the nagg sweep",
+	"DisableCombineTargetRef": "no scorecard row; core and conformance tests cover the separate target/reference plan",
+	"Delta":                   "no scorecard row; random_test checks its default",
+	"ConfidenceScale":         "no scorecard row; engine_test and conformancetest narrow the interval to force pruning on small tables",
+	"Seed":                    "scorecard rows fig11.* and fig12.*: the RANDOM baseline",
+	"KeepAllViews":            "scorecard rows fig10a.bank-gaps, fig10b.diab-cluster, fig11.*, fig12.*, fig15.*, distance.top10 and early.quality: the exact oracle ranking",
 }
 
 // TestTextualRequestCoversEveryField is the "one schema" guard: every

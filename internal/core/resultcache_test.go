@@ -184,6 +184,40 @@ func TestCacheMatchesUncachedAcrossStrategies(t *testing.T) {
 	}
 }
 
+// TestQueryCacheServesADrillDown pins the q namespace's one measured
+// use: the same predicate asked again at a smaller k misses r (k is in
+// its key), but every query the two runs share — phase 0 at least, over
+// the same rows — is served from q. The drill-down must run fewer
+// queries than the same request on a cold cache and return the same
+// views and utilities.
+func TestQueryCacheServesADrillDown(t *testing.T) {
+	ctx := context.Background()
+	opts := func(k int) Options {
+		return Options{Strategy: Comb, Pruning: CIPruning, K: k, EnableCache: true, ScanParallelism: 1}
+	}
+	eng, req := buildCensus(t, sqldb.LayoutCol, 4000)
+	if _, err := eng.Recommend(ctx, req, opts(5)); err != nil {
+		t.Fatal(err)
+	}
+	drill, err := eng.Recommend(ctx, req, opts(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldEng, _ := buildCensus(t, sqldb.LayoutCol, 4000)
+	cold, err := coldEng.Recommend(ctx, req, opts(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drill.Metrics.ServedFromCache || drill.Metrics.CacheHits == 0 {
+		t.Fatalf("drill-down must miss r and hit q: %+v", drill.Metrics)
+	}
+	if drill.Metrics.QueriesExecuted >= cold.Metrics.QueriesExecuted {
+		t.Errorf("drill-down executed %d queries, the same request on a cold cache %d",
+			drill.Metrics.QueriesExecuted, cold.Metrics.QueriesExecuted)
+	}
+	sameRecommendations(t, cold.Recommendations, drill.Recommendations, 0)
+}
+
 func TestCacheInvalidationOnAppend(t *testing.T) {
 	eng, req := buildCensus(t, sqldb.LayoutCol, 2000)
 	ctx := context.Background()

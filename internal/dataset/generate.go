@@ -124,8 +124,8 @@ func (s Spec) Generate(emit func(vals []sqldb.Value) error) error {
 // IntendedUtility returns the planted intended utility for the view
 // (dimName, measureName), resolving the same balanced effect assignment
 // the generator uses. It returns 0 for unknown columns, selector-excluded
-// dimensions, and views without a planted effect. The user-study harness
-// uses this as the ground-truth interestingness signal.
+// dimensions, and views without a planted effect. The reproduction
+// scorecard's Figure 15 row uses it as ground-truth interestingness.
 func (s Spec) IntendedUtility(dimName, measureName string) float64 {
 	mIdx := -1
 	for j, m := range s.Measures {

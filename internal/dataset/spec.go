@@ -3,12 +3,12 @@
 //
 // The real datasets (BANK, DIAB, AIR, AIR10, CENSUS, HOUSING, MOVIES) are
 // UCI / US-DOT data that this repository substitutes with synthetic
-// equivalents (see DESIGN.md §3). Each generator reproduces the dataset's
-// published shape — row count, dimension/measure counts, realistic
-// cardinalities — and, crucially for the pruning experiments, plants a
-// *deviation profile*: a per-view effect size controlling how strongly
-// each (dimension, measure) view deviates between the target subset and
-// the reference data. The profiles are shaped to match the utility
+// equivalents (see the deviations in docs/REPRODUCTION.md). Each
+// generator reproduces the dataset's published shape — row count,
+// dimension/measure counts, realistic cardinalities — and, crucially for
+// the pruning experiments, plants a *deviation profile*: a per-view
+// effect size controlling how strongly each (dimension, measure) view
+// deviates between the target subset and the reference data. The profiles are shaped to match the utility
 // distributions the paper describes (Figure 10): BANK has two
 // well-separated top views followed by a cluster; DIAB has ten tightly
 // clustered top views.

@@ -1,7 +1,8 @@
 // Package docscheck keeps the repository's documentation from rotting:
 // it verifies that every relative markdown link in README.md and docs/
-// points at a file that exists, that the architecture docs stay linked
-// from the README, and that the two tables documenting declared-once
+// points at a file that exists, that every markdown file a Go source
+// names exists, that the architecture docs stay linked from the README,
+// and that the two tables documenting declared-once
 // schemas — the README's /api/recommend fields and OBSERVABILITY.md's
 // metric families — list exactly what the code declares. CI runs it as
 // a dedicated step.
@@ -82,6 +83,51 @@ func TestRelativeLinksResolve(t *testing.T) {
 	}
 }
 
+// mdPathRE matches a markdown file name or path in Go source.
+var mdPathRE = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b`)
+
+// TestGoFilesCiteExistingDocs fails on any markdown file a root-module
+// Go file names (in code or comments) that does not exist, resolved
+// against the file's directory, the repository root or docs/.
+func TestGoFilesCiteExistingDocs(t *testing.T) {
+	root := repoRoot(t)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// benchmarks/ is its own module; dot directories hold no source.
+			if path != root && (d.Name() == "benchmarks" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, name := range mdPathRE.FindAllString(string(src), -1) {
+			found := false
+			for _, dir := range []string{filepath.Dir(path), root, filepath.Join(root, "docs")} {
+				if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+					found = true
+				}
+			}
+			if !found {
+				rel, _ := filepath.Rel(root, path)
+				t.Errorf("%s names %s, which does not exist", rel, name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestArchitectureDocsLinkedFromREADME pins the documentation contract
 // of the backend seam: both guides exist, the README links them, and
 // each names the four layers and the capability flag it documents.
@@ -126,15 +172,16 @@ func TestArchitectureDocsLinkedFromREADME(t *testing.T) {
 // docs/BENCHMARKS.md is the seedb-loadgen report guide (workload model,
 // accounting invariant, gates); performance numbers live under
 // benchmarks/ and nowhere else: the root holds BENCHMARK.json and no
-// BENCH_*.json snapshot, and the paper-reproduction harness prints
-// tables rather than growing a machine-readable format of its own.
+// BENCH_*.json snapshot, and the paper-reproduction harness renders its
+// scorecard as markdown (docs/REPRODUCTION.md, linked from the README)
+// rather than growing a machine-readable format of its own.
 func TestBenchmarksDocPinned(t *testing.T) {
 	root := repoRoot(t)
 	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, link := range []string{"(docs/BENCHMARKS.md)", "(benchmarks/README.md)"} {
+	for _, link := range []string{"(docs/BENCHMARKS.md)", "(benchmarks/README.md)", "(docs/REPRODUCTION.md)"} {
 		if !strings.Contains(string(readme), link) {
 			t.Errorf("README.md does not link %s", link)
 		}
