@@ -187,8 +187,13 @@ type pinKey struct{}
 // the whole request — the shard router's per-child row counts — keeps it
 // through Pinned, so every later call on ctx reuses that one read. Like
 // the partial opt-in it travels in the context because the context
-// passes through every wrapper.
+// passes through every wrapper. A ctx that already carries a pin is
+// returned as it is, so a backend call that opens its own pin (the
+// router's TableStats) joins the request's when it runs inside one.
 func WithPin(ctx context.Context) context.Context {
+	if _, ok := ctx.Value(pinKey{}).(*sync.Map); ok {
+		return ctx
+	}
 	return context.WithValue(ctx, pinKey{}, new(sync.Map))
 }
 

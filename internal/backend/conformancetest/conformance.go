@@ -30,9 +30,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"seedb/internal/backend"
+	"seedb/internal/cache"
 	"seedb/internal/core"
 	"seedb/internal/sqldb"
 )
@@ -171,6 +173,61 @@ func (h Harness) Run(t *testing.T) {
 	t.Run("Scenarios", h.runScenarios)
 	t.Run("CacheReuseAndInvalidation", h.runCaching)
 	t.Run("IntrospectionCancellation", h.runIntrospectionCancellation)
+	t.Run("StatisticsRememberedPerVersion", h.runStatsReuse)
+}
+
+// statsCounter counts the TableStats calls reaching a backend.
+type statsCounter struct {
+	backend.Backend
+	calls atomic.Int64
+}
+
+func (c *statsCounter) TableStats(ctx context.Context, table string) (*backend.TableStats, error) {
+	c.calls.Add(1)
+	return c.Backend.TableStats(ctx, table)
+}
+
+// runStatsReuse checks the engine, not the backend, remembers table
+// statistics: with a cache installed, a request that derives its views
+// from statistics asks the backend for them once per version, whatever
+// its own cache flag — a warm request at the same version asks zero
+// times and answers the same, and a new version asks again.
+func (h Harness) runStatsReuse(t *testing.T) {
+	db := BuildSource(t, 600)
+	under := &statsCounter{Backend: h.New(t, db)}
+	eng := core.NewEngine(under)
+	eng.SetCache(cache.New(0))
+	ctx := context.Background()
+	req := request()
+	req.Dimensions, req.Measures = nil, nil
+	opts := core.Options{Strategy: core.Sharing, K: 3, ScanParallelism: 1}
+
+	run := func(step string, wantCalls int64) *core.Result {
+		t.Helper()
+		under.calls.Store(0)
+		res, err := eng.Recommend(ctx, req, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if got := under.calls.Load(); got != wantCalls {
+			t.Errorf("%s: %d TableStats calls, want %d", step, got, wantCalls)
+		}
+		return res
+	}
+	cold := run("cold", 1)
+	warm := run("warm, same version", 0)
+	if !reflect.DeepEqual(cold.Recommendations, warm.Recommendations) {
+		t.Error("warm result diverges from cold result")
+	}
+	tab, ok := db.Table(SourceTable)
+	if !ok {
+		t.Fatal("source table missing")
+	}
+	appendSourceRows(t, tab, 100, 7)
+	if h.Invalidate != nil {
+		h.Invalidate(under.Backend)
+	}
+	run("new version", 1)
 }
 
 // runIntrospectionCancellation checks the introspection half of the

@@ -1,8 +1,7 @@
 // Package faultbe wraps a backend.Backend with injectable faults —
 // added latency and scripted errors — for tests and tools that need a
 // misbehaving child on demand: the shard router's and the server's
-// resilience tests script outages and flapping children to drive the
-// circuit breakers and degraded results, the server's status tests
+// resilience tests script outages to drive the circuit breakers and degraded results, the server's status tests
 // stall a child past a request deadline, and seedb-loadgen's chaos mode
 // takes a shard down mid-run.
 //
@@ -33,11 +32,6 @@ type Fault struct {
 	failures int
 	failErr  error
 
-	// Flap mode: fail flapFail calls, let flapOK through, repeat.
-	flapFail, flapOK int
-	flapErr          error
-	flapPos          int
-
 	// Down mode: every Exec fails with downErr until cleared.
 	downErr error
 
@@ -66,16 +60,6 @@ func (f *Fault) FailNextExecs(n int, err error) {
 	f.mu.Unlock()
 }
 
-// SetFlap scripts a repeating fail/recover cycle: the next failN Exec
-// calls fail with err, the okN after that delegate normally, then the
-// cycle restarts. failN <= 0 clears flap mode. Breaker tests use this
-// to drive deterministic open→half-open→open→...→closed sequences.
-func (f *Fault) SetFlap(failN, okN int, err error) {
-	f.mu.Lock()
-	f.flapFail, f.flapOK, f.flapErr, f.flapPos = failN, okN, err, 0
-	f.mu.Unlock()
-}
-
 // SetDown makes every subsequent Exec fail with err until SetDown(nil)
 // restores the child. Introspection still reaches the child — this
 // models a store whose query path is dead while cheap introspection
@@ -92,7 +76,7 @@ func (f *Fault) SetDown(err error) {
 func (f *Fault) Execs() int64 { return f.execs.Load() }
 
 // FailedExecs counts Exec calls that failed with an injected error
-// (scripted, flap, or down), letting breaker tests assert exactly how
+// (scripted or down), letting breaker tests assert exactly how
 // many calls the child actually rejected.
 func (f *Fault) FailedExecs() int64 { return f.failed.Load() }
 
@@ -108,15 +92,6 @@ func (f *Fault) Exec(ctx context.Context, query string, opts backend.ExecOptions
 	case f.failures > 0:
 		f.failures--
 		err = f.failErr
-	case f.flapFail > 0:
-		cycle := f.flapFail + f.flapOK
-		if f.flapPos < f.flapFail {
-			err = f.flapErr
-		}
-		f.flapPos++
-		if f.flapPos >= cycle {
-			f.flapPos = 0
-		}
 	}
 	f.mu.Unlock()
 	if err != nil {

@@ -87,20 +87,38 @@ func ScatterTable(src *sqldb.DB, table string, children []*sqldb.DB, part Blocks
 	})
 }
 
-// AppendRow routes one new row into the child databases round-robin by
+// AppendRows routes new rows into the child databases round-robin by
 // the table's global sequence number, continued from the current total
-// row count (so repeated appends stay deterministic). The table must
-// already exist on every child (CreateTable or ScatterTable first).
-func AppendRow(children []*sqldb.DB, table string, row []sqldb.Value) error {
-	tabs := make([]sqldb.Table, len(children))
+// row count (so repeated appends stay deterministic). Each child's table
+// is looked up once, and the table must exist on every child (CreateTable
+// or ScatterTable first) before any row is written.
+func AppendRows(children []*sqldb.DB, table string, rows [][]sqldb.Value) error {
+	tabs, err := ChildTables(children, table)
+	if err != nil {
+		return err
+	}
 	seq := 0
+	for _, t := range tabs {
+		seq += t.NumRows()
+	}
+	for i, row := range rows {
+		if err := tabs[(seq+i)%len(tabs)].AppendRow(row); err != nil {
+			return fmt.Errorf("shardbe: row %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// ChildTables looks table up on every child, failing when any child
+// lacks it.
+func ChildTables(children []*sqldb.DB, table string) ([]sqldb.Table, error) {
+	tabs := make([]sqldb.Table, len(children))
 	for i, db := range children {
 		t, ok := db.Table(table)
 		if !ok {
-			return fmt.Errorf("shardbe: table %q does not exist on shard %d", table, i)
+			return nil, fmt.Errorf("shardbe: table %q does not exist on shard %d", table, i)
 		}
 		tabs[i] = t
-		seq += t.NumRows()
 	}
-	return tabs[seq%len(children)].AppendRow(row)
+	return tabs, nil
 }

@@ -282,42 +282,3 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 		t.Errorf("transitions = %+v, want one open->half_open and one half_open->open", tr)
 	}
 }
-
-// TestBreakerFlapRecovery exercises the sliding-window rate trip with a
-// flapping child: alternating failures trip the rate breaker even
-// though consecutive-failure streaks stay short.
-func TestBreakerFlapRecovery(t *testing.T) {
-	clk := &testClock{t: time.Unix(1000, 0)}
-	src := buildSource(t, 90)
-	r, fault := newFaultRouter(t, src, 3, Options{
-		Breakers: &resilience.BreakerOptions{
-			FailureThreshold: 100, // consecutive-streak trip effectively off
-			ErrorRate:        0.5,
-			WindowSize:       8,
-			MinSamples:       4,
-			Cooldown:         time.Second,
-			Now:              clk.now,
-		},
-	})
-	// fail 1, pass 1, repeat: a 50% error rate with max streak 1.
-	fault.SetFlap(1, 1, backend.ErrUnavailable)
-	ctx := backend.WithAllowPartial(context.Background())
-	const sql = "SELECT COUNT(*) FROM sales"
-
-	tripped := false
-	for i := 0; i < 12; i++ {
-		if _, _, err := r.Exec(ctx, sql, backend.ExecOptions{}); err != nil {
-			t.Fatalf("exec %d: %v", i, err)
-		}
-		if r.BreakerStats()[0].State == resilience.Open {
-			tripped = true
-			break
-		}
-	}
-	if !tripped {
-		t.Fatal("flapping child never tripped the error-rate breaker")
-	}
-	if fault.FailedExecs() == 0 {
-		t.Fatal("fault injection never fired")
-	}
-}

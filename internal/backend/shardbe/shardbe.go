@@ -45,11 +45,13 @@
 //     most its pinned count, so appends that land mid-request stay
 //     invisible to it.
 //
-//   - TableStats merges child statistics exactly: row counts add, and
-//     per-column distinct counts are the size of the union of per-child
-//     distinct value sets (collected with one GROUP BY query per column
-//     per child, memoized per version vector). Summing per-child
-//     distinct counts would overcount values present on several shards.
+//   - TableStats merges child statistics exactly: per-column distinct
+//     counts come from one COUNT(DISTINCT c) query per column through
+//     Exec, whose merge unions the per-child value sets (summing
+//     per-child distinct counts would overcount values present on
+//     several shards), and Rows adds the children whose partials merged.
+//     The router computes statistics on every call and remembers
+//     nothing; the engine keeps them in its shared cache.
 //
 //   - Complete-or-error, unless the call opts into degraded results
 //     through its context (backend.WithAllowPartial — the one channel
@@ -96,16 +98,6 @@ type Router struct {
 	tel      *telemetry.Collector
 	// breakers holds one circuit breaker per child, nil when disabled.
 	breakers []*resilience.Breaker
-
-	mu        sync.Mutex
-	statsMemo map[string]statsEntry // table (lowercased) → memoized stats
-}
-
-// statsEntry memoizes one table's merged statistics under the version
-// vector they were computed at.
-type statsEntry struct {
-	version string
-	stats   *backend.TableStats
 }
 
 // New creates a router over the given children (at least one).
@@ -114,9 +106,8 @@ func New(children []backend.Backend, opts Options) (*Router, error) {
 		return nil, fmt.Errorf("shardbe: need at least one child backend")
 	}
 	r := &Router{
-		children:  append([]backend.Backend(nil), children...),
-		tel:       opts.Telemetry,
-		statsMemo: make(map[string]statsEntry),
+		children: append([]backend.Backend(nil), children...),
+		tel:      opts.Telemetry,
 	}
 	if opts.Breakers != nil {
 		r.breakers = make([]*resilience.Breaker, len(children))
@@ -329,95 +320,46 @@ func (r *Router) TableVersion(ctx context.Context, table string) (string, bool) 
 	return backend.VersionOf(r.TableInfo(ctx, table))
 }
 
-// TableStats merges per-shard statistics: rows add, distinct counts come
-// from the union of per-child distinct value sets so values living on
-// several shards count once. The union is collected with one GROUP BY
-// query per column per child, over the child state TableInfo reads, and
-// memoized under its version vector.
+// TableStats merges per-shard statistics: one COUNT(DISTINCT c) query
+// per column runs through Exec, whose merge unions the children's value
+// sets, so values living on several shards count once. Every scan runs
+// over the child state TableInfo reads (the request's pin, or one this
+// call opens) and through the fan-out's breakers, spans and panic
+// containment. Rows sums the children whose partials merged into every
+// column: under the degraded-results opt-in a skipped child's rows are
+// missing, which is how a caller tells the statistics describe only the
+// survivors. Nothing is remembered here; the engine keeps statistics in
+// its shared cache.
 func (r *Router) TableStats(ctx context.Context, table string) (*backend.TableStats, error) {
+	ctx = backend.WithPin(ctx)
 	st, err := r.state(ctx, table)
 	if err != nil {
 		return nil, err
 	}
-	version := versionVector(st.infos)
-	key := strings.ToLower(table)
-	if version != "" {
-		r.mu.Lock()
-		if e, ok := r.statsMemo[key]; ok && e.version == version {
-			r.mu.Unlock()
-			return e.stats, nil
+	cols := st.infos[0].Columns
+	out := &backend.TableStats{Columns: make([]backend.ColumnStats, len(cols))}
+	missing := slices.Clone(st.down)
+	for ci, col := range cols {
+		stmt := &sqldb.SelectStmt{
+			Items: []sqldb.SelectItem{{Expr: &sqldb.FuncExpr{Name: "COUNT", Distinct: true, Args: []sqldb.Expr{&sqldb.ColumnExpr{Name: col.Name}}}}},
+			Table: table,
+			Limit: -1,
 		}
-		r.mu.Unlock()
-	}
-
-	rows := 0
-	for _, ti := range st.infos {
-		rows += ti.Rows
-	}
-	out := &backend.TableStats{Rows: rows, Columns: make([]backend.ColumnStats, len(st.infos[0].Columns))}
-	statsDegraded := false
-	for ci, col := range st.infos[0].Columns {
-		distinct, degraded, err := r.distinctCount(ctx, table, col.Name, st)
+		rows, stats, err := r.Exec(ctx, stmt.String(), backend.ExecOptions{})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shardbe: distinct count of %s: %w", col.Name, err)
 		}
-		statsDegraded = statsDegraded || degraded
-		out.Columns[ci] = backend.ColumnStats{Name: col.Name, Type: col.Type, Distinct: distinct}
+		for _, i := range stats.DegradedShards {
+			missing[i] = true
+		}
+		out.Columns[ci] = backend.ColumnStats{Name: col.Name, Type: col.Type, Distinct: int(rows.Rows[0][0].I)}
 	}
-
-	// Stats computed while a shard was down describe the survivors, not
-	// the table: never memoize them, or they would outlive the outage
-	// (the version vector need not change when a child recovers).
-	if version != "" && !statsDegraded {
-		r.mu.Lock()
-		r.statsMemo[key] = statsEntry{version: version, stats: out}
-		r.mu.Unlock()
+	for i, ti := range st.infos {
+		if !missing[i] {
+			out.Rows += ti.Rows
+		}
 	}
 	return out, nil
-}
-
-// distinctCount unions one column's distinct non-NULL values across
-// shards, keyed by the embedded engine's injective value encoding so the
-// count is exact (bit-level float identity included). Each child scans
-// the rows st pins, as Exec would. Under the degraded-results opt-in,
-// unavailable shards are skipped (the stats then describe the
-// survivors, matching what a degraded Exec will scan) and the second
-// return reports the omission.
-func (r *Router) distinctCount(ctx context.Context, table, column string, st childState) (int, bool, error) {
-	col := &sqldb.ColumnExpr{Name: column}
-	stmt := &sqldb.SelectStmt{
-		Items:   []sqldb.SelectItem{{Expr: col}},
-		Table:   table,
-		GroupBy: []sqldb.Expr{col},
-		Limit:   -1,
-	}
-	sql := stmt.String()
-	seen := make(map[string]struct{})
-	var keyBuf []byte
-	degraded := slices.Contains(st.down, true)
-	for _, t := range r.childTasks(st.infos, 0, 0) {
-		i := t.child
-		if backend.AllowPartialFrom(ctx) && r.childDown(i) {
-			degraded = true
-			continue
-		}
-		rows, _, err := r.childExec(ctx, i, sql, backend.ExecOptions{Lo: t.lo, Hi: t.hi})
-		if tolerable(ctx, err) {
-			degraded = true
-			continue
-		}
-		if err != nil {
-			return 0, false, fmt.Errorf("shardbe: distinct scan on shard %d: %w", i, err)
-		}
-		for _, row := range rows.Rows {
-			if len(row) != 1 || row[0].IsNull() {
-				continue
-			}
-			keyBuf = row[0].AppendKey(keyBuf[:0])
-			seen[string(keyBuf)] = struct{}{}
-		}
-	}
-	return len(seen), degraded, nil
 }
 
 // childTask is one planned child execution.
@@ -628,33 +570,25 @@ func recordHealth(ctx context.Context, br *resilience.Breaker, err error) {
 	}
 }
 
-// attempt is the one way a fan-out executes a child, once per
+// attempt is the one way the router executes a child, once per
 // partial. It opens the partial's shard.exec span, runs the child with a
-// panic contained as a failed attempt, stamps the outcome on the span
-// and times the call.
-func (r *Router) attempt(ctx context.Context, t childTask, sql string, opts backend.ExecOptions) childRun {
+// panic contained as a failed attempt (the fan-out goroutines are beyond
+// any recover of the caller's, so a panicking child would otherwise take
+// the process down), stamps the outcome on the span and times the call.
+func (r *Router) attempt(ctx context.Context, t childTask, sql string, opts backend.ExecOptions) (run childRun) {
 	cctx, sp := telemetry.StartSpan(ctx, "shard.exec")
 	sp.SetAttr("shard", strconv.Itoa(t.child))
 	start := time.Now()
-	rows, stats, err := r.childExec(cctx, t.child, sql, opts)
-	run := childRun{rows: rows, stats: stats, lat: time.Since(start), err: err}
-	stampChildSpan(sp, stats, err)
-	sp.End()
-	return run
-}
-
-// childExec runs child i's Exec and turns a panic into an error. It is
-// the only call of a child's Exec. The fan-out goroutines are beyond
-// any recover of the caller's, and the distinct-value scans behind
-// TableStats run on a caller that need not have one, so a panicking
-// child would otherwise take the process down.
-func (r *Router) childExec(ctx context.Context, i int, sql string, opts backend.ExecOptions) (rows *backend.Rows, stats backend.ExecStats, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			rows, stats, err = nil, backend.ExecStats{}, fmt.Errorf("child panicked: %v", p)
+			run = childRun{err: fmt.Errorf("child panicked: %v", p)}
 		}
+		run.lat = time.Since(start)
+		stampChildSpan(sp, run.stats, run.err)
+		sp.End()
 	}()
-	return r.children[i].Exec(ctx, sql, opts)
+	run.rows, run.stats, run.err = r.children[t.child].Exec(cctx, sql, opts)
+	return run
 }
 
 // stampChildSpan records one child attempt's outcome on its span:

@@ -214,6 +214,13 @@ func TestEmptyTable(t *testing.T) {
 	if stats.ShardFanout != 0 || stats.Groups != 0 {
 		t.Errorf("empty-table stats = %+v", stats)
 	}
+	ts, err := r.TableStats(context.Background(), "sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := ts.Column("region"); ts.Rows != 0 || !ok || c.Distinct != 0 {
+		t.Errorf("empty-table TableStats = %+v", ts)
+	}
 }
 
 func TestPartialPresenceIsAnError(t *testing.T) {
@@ -259,7 +266,8 @@ func TestPartitioners(t *testing.T) {
 }
 
 // TestAppendRowRouting checks streaming appends go round-robin,
-// continuing the global sequence deterministically.
+// continuing the global sequence deterministically across batches, and
+// that a table missing on one child fails a batch before any row lands.
 func TestAppendRowRouting(t *testing.T) {
 	dbs, _ := EmbeddedChildren(3)
 	schema := sqldb.MustSchema(sqldb.Column{Name: "v", Type: sqldb.TypeInt})
@@ -268,8 +276,18 @@ func TestAppendRowRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 10; i++ {
-		if err := AppendRow(dbs, "t", []sqldb.Value{sqldb.Int(int64(i))}); err != nil {
+	if _, err := dbs[0].CreateTable("partial", schema, sqldb.LayoutCol); err != nil {
+		t.Fatal(err)
+	}
+	batch := func(lo, hi int) [][]sqldb.Value {
+		var rows [][]sqldb.Value
+		for i := lo; i < hi; i++ {
+			rows = append(rows, []sqldb.Value{sqldb.Int(int64(i))})
+		}
+		return rows
+	}
+	for _, b := range [][2]int{{0, 4}, {4, 10}} {
+		if err := AppendRows(dbs, "t", batch(b[0], b[1])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,6 +298,12 @@ func TestAppendRowRouting(t *testing.T) {
 	}
 	if counts[0] != 4 || counts[1] != 3 || counts[2] != 3 {
 		t.Errorf("round-robin append counts = %v", counts)
+	}
+	if err := AppendRows(dbs, "partial", batch(0, 3)); err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Errorf("append to a table missing on shard 1: err = %v", err)
+	}
+	if tab, _ := dbs[0].Table("partial"); tab.NumRows() != 0 {
+		t.Errorf("shard 0 kept %d rows of a failed batch", tab.NumRows())
 	}
 }
 

@@ -46,9 +46,6 @@ type Options struct {
 	// engine's default group-by memory budget. The zero value is
 	// LayoutRow, the conservative choice for general-purpose stores.
 	Layout backend.Layout
-	// SampleRows bounds the rows sampled to infer column types when the
-	// driver reports no usable metadata (default 128).
-	SampleRows int
 	// Version, when non-nil, supplies the dataset-version token for a
 	// table (return ok=false for "unknown table"). Use it to plug in a
 	// real change watermark; when nil, versions are instance-scoped and
@@ -71,12 +68,17 @@ type Backend struct {
 // it was computed at. A version change (BumpVersion, or a new token
 // from Options.Version) replaces the entry, so the memo holds at most
 // one generation per table and never serves metadata from a superseded
-// one.
+// one. It is the backend's only memo: TableInfo is the call that
+// produces the version, while statistics are computed per call and
+// remembered by the engine's cache under that version.
 type tableMeta struct {
 	version string
 	info    backend.TableInfo
-	stats   *backend.TableStats // nil until TableStats computes them
 }
+
+// sampleRows bounds the rows sampled to infer column types when the
+// driver reports no usable metadata.
+const sampleRows = 128
 
 // ids hands out process-unique instance ids for version tokens.
 var ids atomic.Uint64
@@ -85,9 +87,6 @@ var ids atomic.Uint64
 func New(db *sql.DB, opts Options) *Backend {
 	if opts.Name == "" {
 		opts.Name = "sql"
-	}
-	if opts.SampleRows <= 0 {
-		opts.SampleRows = 128
 	}
 	return &Backend{
 		db:   db,
@@ -213,7 +212,7 @@ func (b *Backend) introspect(ctx context.Context, table string) (backend.TableIn
 	if err := checkIdent("table", table); err != nil {
 		return backend.TableInfo{}, err
 	}
-	rows, err := b.db.QueryContext(ctx, fmt.Sprintf("SELECT * FROM %s LIMIT %d", table, b.opts.SampleRows))
+	rows, err := b.db.QueryContext(ctx, fmt.Sprintf("SELECT * FROM %s LIMIT %d", table, sampleRows))
 	if err != nil {
 		return backend.TableInfo{}, err
 	}
@@ -277,14 +276,10 @@ func (b *Backend) introspect(ctx context.Context, table string) (backend.TableIn
 }
 
 // TableStats computes per-column distinct counts with one
-// COUNT(DISTINCT ...) query over the table, run under ctx (the query
-// scans the whole table on most stores, so cancellation matters here
-// most of all).
+// COUNT(DISTINCT ...) query over the table on every call, run under ctx
+// (the query scans the whole table on most stores, so cancellation
+// matters here most of all). Rows is the memoized TableInfo's count.
 func (b *Backend) TableStats(ctx context.Context, table string) (*backend.TableStats, error) {
-	version := b.version(table)
-	if tm, ok := b.lookupMeta(table, version); ok && tm.stats != nil {
-		return tm.stats, nil
-	}
 	ti, err := b.TableInfo(ctx, table)
 	if err != nil {
 		return nil, err
@@ -310,7 +305,6 @@ func (b *Backend) TableStats(ctx context.Context, table string) (*backend.TableS
 	for i, c := range ti.Columns {
 		ts.Columns[i] = backend.ColumnStats{Name: c.Name, Type: c.Type, Distinct: counts[i]}
 	}
-	b.storeMeta(table, &tableMeta{version: version, info: ti, stats: ts})
 	return ts, nil
 }
 

@@ -234,32 +234,8 @@ func TestVersioning(t *testing.T) {
 	}
 }
 
-func TestStatsMemoInvalidatesOnBump(t *testing.T) {
-	be, db := newBackend(t)
-	ti, _ := be.TableInfo(context.Background(), "sales")
-	if ti.Rows != 4 {
-		t.Fatalf("rows = %d", ti.Rows)
-	}
-	tab, _ := db.Table("sales")
-	if err := tab.AppendRow([]sqldb.Value{sqldb.Str("north"), sqldb.Bool(false), sqldb.Int(9), sqldb.Float(9)}); err != nil {
-		t.Fatal(err)
-	}
-	// Memoized introspection still reports the old count until the
-	// operator signals a change...
-	ti, _ = be.TableInfo(context.Background(), "sales")
-	if ti.Rows != 4 {
-		t.Errorf("memoized rows = %d, want 4", ti.Rows)
-	}
-	// ...after which it re-introspects.
-	be.BumpVersion()
-	ti, _ = be.TableInfo(context.Background(), "sales")
-	if ti.Rows != 5 {
-		t.Errorf("post-bump rows = %d, want 5", ti.Rows)
-	}
-}
-
 // TestCustomVersionRefreshesIntrospection: with Options.Version, a new
-// watermark must invalidate the memoized schema/stats too — not only
+// watermark must invalidate the memoized introspection too — not only
 // the result cache.
 func TestCustomVersionRefreshesIntrospection(t *testing.T) {
 	db := sqldb.NewDB()
@@ -291,11 +267,11 @@ func TestCustomVersionRefreshesIntrospection(t *testing.T) {
 	if err := tab.AppendRow([]sqldb.Value{sqldb.Str("b"), sqldb.Float(2)}); err != nil {
 		t.Fatal(err)
 	}
-	// Same watermark → memo still serves the old counts.
+	// Same watermark → memo still serves the old count.
 	if ti, _ := be.TableInfo(context.Background(), "t"); ti.Rows != 1 {
 		t.Errorf("same-watermark rows = %d, want memoized 1", ti.Rows)
 	}
-	// New watermark → full re-introspection, stats included.
+	// New watermark → full re-introspection.
 	watermark = "w2"
 	if ti, _ := be.TableInfo(context.Background(), "t"); ti.Rows != 2 {
 		t.Errorf("new-watermark rows = %d, want 2", ti.Rows)

@@ -84,12 +84,12 @@ func FirstFitDecreasing(items []Item, capacity float64) []Bin {
 // counts within each group is at most B (except unavoidable singletons
 // whose own cardinality exceeds B). Distinct counts below 1 are treated
 // as 1.
-func PackAttributes(distinctCounts []int, budget int) [][]int {
+func PackAttributes(cardinalities []int, budget int) [][]int {
 	if budget < 1 {
 		budget = 1
 	}
-	items := make([]Item, len(distinctCounts))
-	for i, d := range distinctCounts {
+	items := make([]Item, len(cardinalities))
+	for i, d := range cardinalities {
 		if d < 1 {
 			d = 1
 		}

@@ -344,6 +344,7 @@ func TestKeyNamespacesDisjoint(t *testing.T) {
 		"q": QueryKey("t", "1.0", "x", 0, 0, false),
 		"r": RequestKey("t", "1.0", "x", "0", "0"),
 		"s": StaleKey("t", "1.0", "x", "0", "0"),
+		"t": StatsKey("t", "1.0", false),
 	}
 	seen := map[string]string{}
 	for ns, k := range keys {
@@ -364,7 +365,17 @@ func TestKeyNamespacesDisjoint(t *testing.T) {
 			t.Errorf("%s does not reach the key", name)
 		}
 	}
-	if RequestKey("T", "1.0", "x", "0", "0") != keys["r"] || StaleKey("T", "1.0", "x", "0", "0") != keys["s"] {
+	for name, other := range map[string]string{
+		"t table":         StatsKey("u", "1.0", false),
+		"t version":       StatsKey("t", "1.1", false),
+		"t allow_partial": StatsKey("t", "1.0", true),
+	} {
+		if other == keys["t"] {
+			t.Errorf("%s does not reach the key", name)
+		}
+	}
+	if RequestKey("T", "1.0", "x", "0", "0") != keys["r"] || StaleKey("T", "1.0", "x", "0", "0") != keys["s"] ||
+		StatsKey("T", "1.0", false) != keys["t"] {
 		t.Error("table names must key case-insensitively")
 	}
 }

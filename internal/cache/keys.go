@@ -5,15 +5,15 @@ import (
 	"strings"
 )
 
-// Key construction. A namespace is a one-letter key prefix; the three
+// Key construction. A namespace is a one-letter key prefix; the four
 // constructors below are the only place keys are built, which keeps the
-// namespaces (q query results, r request results, s stale-on-outage
-// aliases) disjoint inside one shared budget. The q and r keys embed
-// the dataset version token a backend's TableInfo reports (the embedded
-// store's comes from sqldb.(*DB).TableState), which is what makes
-// invalidation purely versioned: when a table is reloaded
-// or appended to, new requests carry a new version and can never observe
-// entries written under the old one.
+// namespaces (q query results, r request results, t table statistics,
+// s stale-on-outage aliases) disjoint inside one shared budget. The q,
+// r and t keys embed the dataset version token a backend's TableInfo
+// reports (the embedded store's comes from sqldb.(*DB).TableState),
+// which is what makes invalidation purely versioned: when a table is
+// reloaded or appended to, new requests carry a new version and can
+// never observe entries written under the old one.
 // The s key is deliberately version-less: it exists for the moment the
 // current version is unreachable.
 
@@ -82,6 +82,14 @@ func QueryKey(table, version, sql string, lo, hi int, allowPartial bool) string 
 // option that can influence the result.
 func RequestKey(table, version string, parts ...string) string {
 	return "r" + sep + strings.ToLower(table) + sep + version + sep + strings.Join(parts, sep)
+}
+
+// StatsKey keys one table's statistics at one version. Like QueryKey it
+// carries the degraded-results opt-in, so a complete-or-error request
+// never shares a flight whose statistics may describe only the
+// surviving shards.
+func StatsKey(table, version string, allowPartial bool) string {
+	return "t" + sep + strings.ToLower(table) + sep + version + sep + strconv.FormatBool(allowPartial)
 }
 
 // StaleKey keys the stale-on-outage alias for one raw request shape:

@@ -50,9 +50,10 @@ func (e *Engine) Generator() *ViewGenerator { return e.gen }
 
 // SetCache installs a shared result cache; its byte budget is fixed
 // when the cache is constructed. One cache may back many engines (and
-// the HTTP server installs one process-wide cache); it is only consulted
-// by requests with Options.EnableCache set. An engine with nothing
-// installed creates a default-budget cache on its first such request.
+// the HTTP server installs one process-wide cache); it holds results
+// only for requests with Options.EnableCache set, and table statistics
+// for every request at a versioned table. An engine with nothing
+// installed creates a default-budget cache on its first cached request.
 func (e *Engine) SetCache(c *cache.Cache) {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
@@ -108,9 +109,9 @@ type Metrics struct {
 	// everything.
 	EarlyStopped bool
 	// CacheHits and CacheMisses count result-cache lookups (whole-request
-	// and per-query) made on behalf of this invocation. A query served
-	// from the cache counts as a hit and does not appear in
-	// QueriesExecuted or RowsScanned.
+	// and per-query) made on behalf of this invocation; table-statistics
+	// lookups are not counted. A query served from the cache counts as a
+	// hit and does not appear in QueriesExecuted or RowsScanned.
 	CacheHits   int
 	CacheMisses int
 	// ServedFromCache marks an invocation answered entirely by the
@@ -373,8 +374,17 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 	// without ever sharing entries.
 	version := e.be.Name() + "|" + meta.info.Version
 	versioned := opts.EnableCache && meta.info.Version != ""
-	_, vsp := telemetry.StartSpan(ctx, "view_enum")
-	views, err := e.gen.views(ctx, req, meta)
+	// Statistics at a version go through the cache whenever the engine
+	// has one, whatever the request's cache flag.
+	c := e.Cache()
+	if versioned {
+		c = e.ensureCache()
+	}
+	if c != nil && meta.info.Version != "" {
+		meta.cache, meta.statsKey = c, cache.StatsKey(req.Table, version, opts.AllowPartial)
+	}
+	vctx, vsp := telemetry.StartSpan(ctx, "view_enum")
+	views, err := e.gen.views(vctx, req, meta)
 	vsp.SetAttr("views", strconv.Itoa(len(views)))
 	vsp.End()
 	if err != nil {
@@ -417,7 +427,6 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 		return res, nil
 	}
 
-	c := e.ensureCache()
 	key := requestCacheKey(req, opts, version)
 	// admitted records that the leader's result is consistent with its
 	// key. The size callback runs on the computing caller's goroutine,
@@ -426,6 +435,12 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 	v, outcome, err := c.Do(ctx, key,
 		func(v any) int64 {
 			n := resultSizeBytes(v.(*Result))
+			if meta.stats != nil && meta.stats.Rows != meta.info.Rows {
+				// Statistics over other rows than the pinned ones (a
+				// skipped shard, a store read past the pin) chose this
+				// result's views: like them, it serves its own request.
+				n = -1
+			}
 			if !caps.SupportsPhasedExecution {
 				// A backend that cannot bound its scans read whatever
 				// the table held at each Exec. If the token moved, so
@@ -493,8 +508,8 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 
 	qb := &queryBuilder{table: req.Table, req: req, opts: opts}
 	if opts.GroupBy == GroupByBinPack && opts.Strategy != NoOpt {
-		_, ssp := telemetry.StartSpan(ctx, "stats")
-		cards, err := e.gen.cardinalities(ctx, req.Table, dims, meta)
+		sctx, ssp := telemetry.StartSpan(ctx, "stats")
+		cards, err := e.gen.cardinalities(sctx, req.Table, dims, meta)
 		ssp.End()
 		if err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"seedb/internal/backend"
+	"seedb/internal/cache"
 )
 
 // maxDimensionCardinality is the default ceiling on distinct values for a
@@ -35,6 +36,10 @@ func NewViewGenerator(be backend.Backend) *ViewGenerator {
 type tableMeta struct {
 	info  backend.TableInfo
 	stats *backend.TableStats // nil until a step needed them
+	// cache, when non-nil, remembers the statistics at info's version
+	// under statsKey, across requests (the engine sets both).
+	cache    *cache.Cache
+	statsKey string
 }
 
 // fetchMeta reads the table's description, telling a missing table
@@ -50,15 +55,27 @@ func (g *ViewGenerator) fetchMeta(ctx context.Context, table string) (*tableMeta
 	return &tableMeta{info: ti}, nil
 }
 
-// statsFor returns the table's statistics, fetching them on first use.
+// statsFor returns the table's statistics, fetching them on first use:
+// through the metadata's cache when it has one, so concurrent requests
+// at one version compute them once and later ones find them there.
 func (g *ViewGenerator) statsFor(ctx context.Context, table string, m *tableMeta) (*backend.TableStats, error) {
-	if m.stats == nil {
-		stats, err := g.be.TableStats(ctx, table)
-		if err != nil {
-			return nil, err
-		}
-		m.stats = stats
+	if m.stats != nil {
+		return m.stats, nil
 	}
+	fetch := func(ctx context.Context) (any, error) { return g.be.TableStats(ctx, table) }
+	var v any
+	var err error
+	if m.cache == nil {
+		v, err = fetch(ctx)
+	} else {
+		v, _, err = m.cache.Do(ctx, m.statsKey, func(v any) int64 {
+			return statsSizeBytes(v.(*backend.TableStats), m.info.Rows)
+		}, fetch)
+	}
+	if err != nil {
+		return nil, err
+	}
+	m.stats = v.(*backend.TableStats)
 	return m.stats, nil
 }
 

@@ -16,6 +16,11 @@ package core
 //     overlap partially (different K, different pruning, a re-issued
 //     phase) still skip the scans they share with earlier work.
 //
+// Beside them, table statistics (t) are kept per table version for any
+// request whose engine has a cache, whatever its cache flag: statistics
+// at a version are an input every request may share, never one request's
+// result. Backends compute statistics and remember none.
+//
 // Neither layer changes which queries compute a view: its reference side
 // comes from the same query as its target side (or that query's reference
 // twin) whether the cache is on or off.
@@ -25,6 +30,7 @@ import (
 	"strconv"
 	"sync"
 
+	"seedb/internal/backend"
 	"seedb/internal/cache"
 )
 
@@ -224,6 +230,22 @@ func recommendationsSizeBytes(recs []Recommendation) int64 {
 			// maps; the float payloads are fixed-width.
 			n += 3*int64(len(g)) + 96
 		}
+	}
+	return n
+}
+
+// statsSizeBytes estimates table statistics' cache footprint. Only
+// statistics over exactly the pinned rows are admitted: a router scan
+// that skipped a child, or an embedded store that grew after the pin,
+// describes other rows than the version names, so it serves its own
+// request and is not stored.
+func statsSizeBytes(s *backend.TableStats, pinnedRows int) int64 {
+	if s.Rows != pinnedRows {
+		return -1
+	}
+	n := int64(64)
+	for _, c := range s.Columns {
+		n += int64(len(c.Name)) + 48
 	}
 	return n
 }

@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"seedb/internal/backend"
+	"seedb/internal/backend/sqlbe"
+	"seedb/internal/cache"
 	"seedb/internal/sqldb"
+	"seedb/internal/sqldriver"
 )
 
 // TestExecTotalsCoverEveryStat replaces the hand-maintained fold lists:
@@ -83,7 +86,8 @@ func (c *countingBackend) TableStats(ctx context.Context, table string) (*backen
 
 // TestRecommendFetchesMetadataOnce: one TableInfo and at most one
 // TableStats per Recommend, cold and warm — view enumeration and the
-// bin-packer reuse what the engine already fetched.
+// bin-packer reuse what the engine already fetched, and a warm request
+// finds the statistics in the cache.
 func TestRecommendFetchesMetadataOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -115,8 +119,10 @@ func TestRecommendFetchesMetadataOnce(t *testing.T) {
 				t.Fatalf("%s, %s: served_from_cache = %t", tc.name, run, res.Metrics.ServedFromCache)
 			}
 			want := tc.wantStats
-			if run == "warm" && !tc.derive {
-				want = 0 // a whole-request hit never reaches the bin-packer
+			if run == "warm" {
+				// The t entry answers view derivation; a whole-request
+				// hit never reaches the bin-packer.
+				want = 0
 			}
 			if got := be.infos.Load(); got != 1 {
 				t.Errorf("%s, %s: %d TableInfo calls, want 1", tc.name, run, got)
@@ -125,5 +131,73 @@ func TestRecommendFetchesMetadataOnce(t *testing.T) {
 				t.Errorf("%s, %s: %d TableStats calls, want %d", tc.name, run, got, want)
 			}
 		}
+	}
+}
+
+// TestStatsMemoInvalidatesOnBump: over the database/sql backend, whose
+// version advances only on BumpVersion, the engine keeps serving the
+// statistics it holds for a version after the store changes underneath,
+// and reads fresh ones once the operator signals the change.
+func TestStatsMemoInvalidatesOnBump(t *testing.T) {
+	db := sqldb.NewDB()
+	tab, err := db.CreateTable("sales", sqldb.MustSchema(
+		sqldb.Column{Name: "region", Type: sqldb.TypeString},
+		sqldb.Column{Name: "qty", Type: sqldb.TypeInt},
+		sqldb.Column{Name: "price", Type: sqldb.TypeFloat},
+	), sqldb.LayoutCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRow := func(region string, qty int64) {
+		if err := tab.AppendRow([]sqldb.Value{sqldb.Str(region), sqldb.Int(qty), sqldb.Float(float64(qty) + 0.5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, region := range []string{"east", "west", "east", "west"} {
+		appendRow(region, int64(i+1))
+	}
+	sqlBE := sqlbe.New(sqldriver.Open(db), sqlbe.Options{})
+	be := &countingBackend{Backend: sqlBE}
+	eng := NewEngine(be)
+	eng.SetCache(cache.New(0))
+	req := Request{Table: "sales", TargetWhere: "qty > 1"}
+
+	// recommend runs one uncached request and returns the statistics the
+	// engine holds for the version it read, and how many TableStats
+	// calls reached the backend.
+	recommend := func() (*backend.TableStats, int64) {
+		t.Helper()
+		be.stats.Store(0)
+		if _, err := eng.Recommend(context.Background(), req, Options{Strategy: Sharing, K: 1}); err != nil {
+			t.Fatal(err)
+		}
+		ti, err := sqlBE.TableInfo(context.Background(), "sales")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := eng.Cache().Get(cache.StatsKey("sales", sqlBE.Name()+"|"+ti.Version, false))
+		if !ok {
+			t.Fatal("no statistics held for the current version")
+		}
+		return v.(*backend.TableStats), be.stats.Load()
+	}
+	regions := func(ts *backend.TableStats) int {
+		c, _ := ts.Column("region")
+		return c.Distinct
+	}
+
+	if ts, calls := recommend(); ts.Rows != 4 || regions(ts) != 2 || calls != 1 {
+		t.Fatalf("first request: rows %d, regions %d, %d stats calls", ts.Rows, regions(ts), calls)
+	}
+	appendRow("north", 9)
+	// The held statistics still describe the old version until the
+	// operator signals a change...
+	if ts, calls := recommend(); ts.Rows != 4 || regions(ts) != 2 || calls != 0 {
+		t.Errorf("same version: rows %d, regions %d, %d stats calls; want 4, 2, 0", ts.Rows, regions(ts), calls)
+	}
+	// ...after which the engine reads fresh ones.
+	sqlBE.BumpVersion()
+	if ts, calls := recommend(); ts.Rows != 5 || regions(ts) != 3 || calls != 1 {
+		t.Errorf("after bump: rows %d, regions %d, %d stats calls; want 5, 3, 1", ts.Rows, regions(ts), calls)
 	}
 }

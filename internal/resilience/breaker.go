@@ -46,16 +46,6 @@ type BreakerOptions struct {
 	// FailureThreshold trips the breaker after this many consecutive
 	// failures. Defaults to 5.
 	FailureThreshold int
-	// ErrorRate additionally trips the breaker when the failure
-	// fraction over the sliding window reaches this value (0 disables
-	// rate tripping).
-	ErrorRate float64
-	// WindowSize is the sliding outcome window used for ErrorRate.
-	// Defaults to 20.
-	WindowSize int
-	// MinSamples is the minimum number of windowed outcomes before
-	// ErrorRate can trip. Defaults to 10.
-	MinSamples int
 	// Cooldown is how long the breaker stays open before allowing a
 	// half-open probe. Defaults to 1s.
 	Cooldown time.Duration
@@ -66,12 +56,6 @@ type BreakerOptions struct {
 func (o BreakerOptions) withDefaults() BreakerOptions {
 	if o.FailureThreshold <= 0 {
 		o.FailureThreshold = 5
-	}
-	if o.WindowSize <= 0 {
-		o.WindowSize = 20
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 10
 	}
 	if o.Cooldown <= 0 {
 		o.Cooldown = time.Second
@@ -105,14 +89,11 @@ type BreakerStats struct {
 type Breaker struct {
 	opts BreakerOptions
 
-	mu        sync.Mutex
-	state     State
-	consec    int    // consecutive failures while closed
-	window    []bool // ring of recent outcomes, true = failure
-	windowPos int
-	windowLen int
-	openedAt  time.Time
-	probing   bool // a half-open probe is in flight
+	mu       sync.Mutex
+	state    State
+	consec   int // consecutive failures while closed
+	openedAt time.Time
+	probing  bool // a half-open probe is in flight
 
 	successes int64
 	failures  int64
@@ -122,8 +103,7 @@ type Breaker struct {
 
 // NewBreaker builds a breaker in the Closed state.
 func NewBreaker(opts BreakerOptions) *Breaker {
-	o := opts.withDefaults()
-	return &Breaker{opts: o, window: make([]bool, o.WindowSize)}
+	return &Breaker{opts: opts.withDefaults()}
 }
 
 // Allow reports whether a request may proceed, consuming the half-open
@@ -183,15 +163,12 @@ func (b *Breaker) RecordSuccess() {
 	switch b.state {
 	case Closed:
 		b.consec = 0
-		b.push(false)
 	case HalfOpen:
-		// The probe came back healthy: close and reset all failure
-		// history so one stale window can't immediately re-trip.
+		// The probe came back healthy: close with a clean failure count.
 		b.state = Closed
 		b.trans.HalfOpenToClosed++
 		b.probing = false
 		b.consec = 0
-		b.windowLen, b.windowPos = 0, 0
 	case Open:
 		// A straggler from before the trip; its success is stale news.
 	}
@@ -205,8 +182,7 @@ func (b *Breaker) RecordFailure() {
 	switch b.state {
 	case Closed:
 		b.consec++
-		b.push(true)
-		if b.consec >= b.opts.FailureThreshold || b.rateTripped() {
+		if b.consec >= b.opts.FailureThreshold {
 			b.state = Open
 			b.trans.ClosedToOpen++
 			b.openedAt = b.opts.Now()
@@ -233,30 +209,6 @@ func (b *Breaker) RecordCancel() {
 	if b.state == HalfOpen {
 		b.probing = false
 	}
-}
-
-// push records one outcome in the sliding window (caller holds mu).
-func (b *Breaker) push(failed bool) {
-	b.window[b.windowPos] = failed
-	b.windowPos = (b.windowPos + 1) % len(b.window)
-	if b.windowLen < len(b.window) {
-		b.windowLen++
-	}
-}
-
-// rateTripped reports whether the windowed error rate crossed the
-// configured threshold (caller holds mu).
-func (b *Breaker) rateTripped() bool {
-	if b.opts.ErrorRate <= 0 || b.windowLen < b.opts.MinSamples {
-		return false
-	}
-	fails := 0
-	for i := 0; i < b.windowLen; i++ {
-		if b.window[i] {
-			fails++
-		}
-	}
-	return float64(fails) >= b.opts.ErrorRate*float64(b.windowLen)
 }
 
 // State returns the current state.

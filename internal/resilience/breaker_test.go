@@ -115,44 +115,6 @@ func TestBreakerFullCycle(t *testing.T) {
 	}
 }
 
-func TestBreakerErrorRateTrip(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := NewBreaker(BreakerOptions{
-		FailureThreshold: 1000, // out of reach: only the rate can trip
-		ErrorRate:        0.5,
-		WindowSize:       10,
-		MinSamples:       10,
-		Cooldown:         time.Second,
-		Now:              clk.now,
-	})
-	// Alternate success/failure: at a 50% threshold with 10 samples the
-	// breaker must trip once the window fills (the tenth outcome, a
-	// failure, is what runs the rate check).
-	for i := 0; i < 10 && b.State() == Closed; i++ {
-		b.Allow()
-		if i%2 == 1 {
-			b.RecordFailure()
-		} else {
-			b.RecordSuccess()
-		}
-	}
-	if b.State() != Open {
-		t.Fatalf("state after 50%% failures over full window = %v, want Open", b.State())
-	}
-	// Recovery resets the window: a single post-recovery failure must
-	// not re-trip off stale samples.
-	clk.advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("probe refused")
-	}
-	b.RecordSuccess()
-	b.Allow()
-	b.RecordFailure()
-	if b.State() != Closed {
-		t.Fatalf("stale window re-tripped breaker: state = %v", b.State())
-	}
-}
-
 func TestBreakerReadyHasNoSideEffects(t *testing.T) {
 	b, clk := newTestBreaker(1, time.Second)
 	b.Allow()

@@ -83,17 +83,31 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
-	for i, vals := range parsed {
-		if err := t.AppendRow(vals); err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("appending row %d: %w", i, err))
+	// A table missing on a shard child fails the batch before any row
+	// lands, on the primary or on a child.
+	if len(s.shardDBs) > 0 {
+		if _, err := shardbe.ChildTables(s.shardDBs, req.Table); err != nil {
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("mirroring to shards: %w", err))
 			return
 		}
-		if len(s.shardDBs) > 0 {
-			if err := shardbe.AppendRow(s.shardDBs, req.Table, vals); err != nil {
-				writeError(w, http.StatusInternalServerError, fmt.Errorf("mirroring row %d to shards: %w", i, err))
-				return
-			}
+	}
+	// The children mirror exactly the rows the primary took.
+	n := 0
+	var appendErr error
+	for ; n < len(parsed); n++ {
+		if appendErr = t.AppendRow(parsed[n]); appendErr != nil {
+			break
 		}
+	}
+	if len(s.shardDBs) > 0 {
+		if err := shardbe.AppendRows(s.shardDBs, req.Table, parsed[:n]); err != nil {
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("mirroring to shards: %w", err))
+			return
+		}
+	}
+	if appendErr != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("appending row %d: %w", n, appendErr))
+		return
 	}
 	writeJSON(w, http.StatusOK, ingestResponse{
 		Table:     req.Table,

@@ -215,6 +215,47 @@ func TestIngestMirrorsToShards(t *testing.T) {
 	}
 }
 
+// TestIngestMissingOnAChildLandsNothing: a batch for a table one shard
+// child lacks fails before any row lands, on the primary or a child.
+func TestIngestMissingOnAChildLandsNothing(t *testing.T) {
+	db := sqldb.NewDB()
+	tab, err := dataset.Build(db, dataset.Census().WithRows(600), sqldb.LayoutCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db)
+	if err := s.EnableSharding(3); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	if err := s.shardDBs[2].DropTable("census"); err != nil {
+		t.Fatal(err)
+	}
+	childRows := func() []int {
+		var n []int
+		for _, sdb := range s.shardDBs[:2] {
+			st, _ := sdb.Table("census")
+			n = append(n, st.NumRows())
+		}
+		return n
+	}
+	before := childRows()
+
+	row := make([]string, tab.Schema().NumColumns())
+	if status := postJSON(t, srv.URL+"/api/ingest", ingestRequest{
+		Table: "census", Rows: [][]string{row, row},
+	}, nil); status != http.StatusInternalServerError {
+		t.Fatalf("ingest status %d, want 500", status)
+	}
+	if tab.NumRows() != 600 {
+		t.Errorf("primary holds %d rows after a failed batch, want 600", tab.NumRows())
+	}
+	if after := childRows(); !slices.Equal(after, before) {
+		t.Errorf("children hold %v rows after a failed batch, want %v", after, before)
+	}
+}
+
 func TestLoadSynthEndpoint(t *testing.T) {
 	s := New(sqldb.NewDB())
 	srv := httptest.NewServer(s)

@@ -340,12 +340,7 @@ func (c *Client) AppendRows(table string, rows [][]Value) error {
 		}
 		return nil
 	case c.shardDBs != nil:
-		for _, row := range rows {
-			if err := shardbe.AppendRow(c.shardDBs, table, row); err != nil {
-				return err
-			}
-		}
-		return nil
+		return shardbe.AppendRows(c.shardDBs, table, rows)
 	default:
 		return errNoEmbeddedDB("AppendRows")
 	}
