@@ -1,8 +1,15 @@
 // Package conformancetest is the shared conformance harness for Backend
-// implementations: it runs the engine's full behavior matrix — sharing
-// rewrites, pruning schemes, phased execution, reference modes, cache
-// reuse and invalidation — against a backend under test and requires the
-// results to match an embedded-reference run bit for bit.
+// implementations and the recommendation-level oracle: it generates
+// whole Recommend cases — a quantized synthetic table in one physical
+// row order, a target predicate under a reference mode, views, a
+// distance and an engine configuration (cases.go) — runs each against a
+// backend under test, and requires the ranked top-k and the full
+// ranking to match an embedded-reference run bit for bit. Cache reuse
+// and invalidation, introspection cancellation and statistics reuse are
+// checked alongside. The package's own tests hold every non-pruning
+// configuration on the embedded engine to the unoptimized plan, pin the
+// pruners' accuracy per row order, and check degraded router results
+// against the surviving rows.
 //
 // Capability degradations are honored exactly as the engine applies
 // them (core.EffectiveStrategy): a backend without row-range scans is
@@ -12,9 +19,9 @@
 // distributions, how many queries were executed — must agree exactly.
 //
 // To check a new backend, give the harness a constructor that builds
-// the backend over the harness's canonical source data (an embedded
-// sqldb database the reference engine also reads) and call Run from a
-// test in your package:
+// the backend over a case's source data (an embedded sqldb database the
+// reference engine also reads) and call Run from a test in your
+// package:
 //
 //	func TestConformance(t *testing.T) {
 //		conformancetest.Harness{
@@ -28,7 +35,6 @@ package conformancetest
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -41,7 +47,7 @@ import (
 
 // Harness drives the conformance suite for one Backend implementation.
 type Harness struct {
-	// New constructs the backend under test over the canonical source
+	// New constructs the backend under test over a case's source
 	// database. The backend must serve the same data db holds (wrap db
 	// directly, or mirror its contents into the external store).
 	New func(tb testing.TB, db *sqldb.DB) backend.Backend
@@ -50,121 +56,6 @@ type Harness struct {
 	// sqlbe's instance-scoped generations need a BumpVersion). Nil when
 	// versioning tracks the source automatically.
 	Invalidate func(be backend.Backend)
-}
-
-// SourceTable is the name of the canonical conformance table.
-const SourceTable = "conf"
-
-// BuildSource creates the canonical conformance dataset: a column-store
-// table mixing string/bool/int dimensions with int/float measures,
-// including NULLs, so every merge and classification path is exercised.
-//
-// Float measures are multiples of 0.25 with bounded magnitude, so every
-// partial sum is exactly representable and any association order yields
-// identical bits (the same discipline as sqldb/difftest). That is what
-// lets the harness hold partition-merging backends — the shard router
-// combines per-shard SUM/AVG partials — to bit-identical results instead
-// of a tolerance.
-func BuildSource(tb testing.TB, rows int) *sqldb.DB {
-	tb.Helper()
-	db := sqldb.NewDB()
-	schema := sqldb.MustSchema(
-		sqldb.Column{Name: "region", Type: sqldb.TypeString},
-		sqldb.Column{Name: "segment", Type: sqldb.TypeString},
-		sqldb.Column{Name: "active", Type: sqldb.TypeBool},
-		sqldb.Column{Name: "code", Type: sqldb.TypeInt},
-		sqldb.Column{Name: "qty", Type: sqldb.TypeInt},
-		sqldb.Column{Name: "price", Type: sqldb.TypeFloat},
-		sqldb.Column{Name: "score", Type: sqldb.TypeFloat},
-	)
-	tab, err := db.CreateTable(SourceTable, schema, sqldb.LayoutCol)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	appendSourceRows(tb, tab, rows, 1)
-	return db
-}
-
-// appendSourceRows appends deterministic pseudo-random rows.
-func appendSourceRows(tb testing.TB, tab sqldb.Table, rows int, seed int64) {
-	tb.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	regions := []string{"east", "west", "north", "south"}
-	segments := []string{"retail", "wholesale", "online"}
-	for i := 0; i < rows; i++ {
-		// Exactly-summable floats (multiples of 0.25): see BuildSource.
-		price := sqldb.Float(float64(rng.Intn(400))*0.25 + 1)
-		if rng.Intn(20) == 0 {
-			price = sqldb.Null()
-		}
-		row := []sqldb.Value{
-			sqldb.Str(regions[rng.Intn(len(regions))]),
-			sqldb.Str(segments[rng.Intn(len(segments))]),
-			sqldb.Bool(rng.Intn(3) > 0),
-			sqldb.Int(int64(rng.Intn(8))),
-			sqldb.Int(int64(rng.Intn(100000))),
-			price,
-			sqldb.Float(float64(rng.Intn(241)-120) * 0.25),
-		}
-		if err := tab.AppendRow(row); err != nil {
-			tb.Fatal(err)
-		}
-	}
-}
-
-// request is the canonical analyst query over the conformance table.
-func request() core.Request {
-	return core.Request{
-		Table:       SourceTable,
-		TargetWhere: "segment = 'online'",
-		Dimensions:  []string{"region", "segment", "active", "code"},
-		Measures:    []string{"qty", "price", "score"},
-	}
-}
-
-// scenario is one engine configuration of the behavior matrix.
-type scenario struct {
-	name string
-	req  func(core.Request) core.Request
-	opts core.Options
-}
-
-// scenarios spans strategies × pruning × reference modes × group-by
-// strategies × sharing ablations, mirroring the engine's own test
-// matrix (sharing, pruning, phased execution).
-func scenarios() []scenario {
-	id := func(r core.Request) core.Request { return r }
-	complement := func(r core.Request) core.Request { r.Reference = core.RefComplement; return r }
-	custom := func(r core.Request) core.Request {
-		r.Reference = core.RefCustom
-		r.ReferenceWhere = "region = 'west' OR region = 'north'"
-		return r
-	}
-	multiAgg := func(r core.Request) core.Request {
-		r.Aggs = []core.AggFunc{core.AggAvg, core.AggSum, core.AggCount, core.AggMin, core.AggMax}
-		return r
-	}
-	derived := func(r core.Request) core.Request {
-		r.Dimensions, r.Measures = nil, nil
-		return r
-	}
-	return []scenario{
-		{"noopt", id, core.Options{Strategy: core.NoOpt, K: 4}},
-		{"sharing", id, core.Options{Strategy: core.Sharing, K: 4}},
-		{"sharing/complement", complement, core.Options{Strategy: core.Sharing, K: 4}},
-		{"sharing/custom-ref", custom, core.Options{Strategy: core.Sharing, K: 4}},
-		{"sharing/multi-agg", multiAgg, core.Options{Strategy: core.Sharing, K: 6, MaxAggregatesPerQuery: 2}},
-		{"sharing/no-combine-targetref", id, core.Options{Strategy: core.Sharing, K: 4, DisableCombineTargetRef: true}},
-		{"sharing/no-combine-aggs", multiAgg, core.Options{Strategy: core.Sharing, K: 4, MaxAggregatesPerQuery: 1}},
-		{"sharing/binpack", id, core.Options{Strategy: core.Sharing, K: 4, GroupBy: core.GroupByBinPack, MemoryBudget: 64}},
-		{"sharing/maxgb", id, core.Options{Strategy: core.Sharing, K: 4, GroupBy: core.GroupByMaxN, MaxGroupBy: 2}},
-		{"sharing/derived-metadata", derived, core.Options{Strategy: core.Sharing, K: 4}},
-		{"comb/ci", id, core.Options{Strategy: core.Comb, Pruning: core.CIPruning, K: 3, Phases: 6}},
-		{"comb/mab", id, core.Options{Strategy: core.Comb, Pruning: core.MABPruning, K: 3}},
-		{"comb/nopruning", id, core.Options{Strategy: core.Comb, Pruning: core.NoPruning, K: 3, Phases: 5}},
-		{"comb/random", id, core.Options{Strategy: core.Comb, Pruning: core.RandomPruning, K: 3, Seed: 7}},
-		{"combearly/ci", id, core.Options{Strategy: core.CombEarly, Pruning: core.CIPruning, K: 3, Phases: 8, ConfidenceScale: 0.4}},
-	}
 }
 
 // Run executes the full conformance suite against the backend under
@@ -193,37 +84,24 @@ func (c *statsCounter) TableStats(ctx context.Context, table string) (*backend.T
 // its own cache flag — a warm request at the same version asks zero
 // times and answers the same, and a new version asks again.
 func (h Harness) runStatsReuse(t *testing.T) {
-	db := BuildSource(t, 600)
+	c := genCase(0)
+	c.Req.Dimensions, c.Req.Measures = nil, nil
+	db := c.source(t)
 	under := &statsCounter{Backend: h.New(t, db)}
 	eng := core.NewEngine(under)
 	eng.SetCache(cache.New(0))
-	ctx := context.Background()
-	req := request()
-	req.Dimensions, req.Measures = nil, nil
-	opts := core.Options{Strategy: core.Sharing, K: 3, ScanParallelism: 1}
-
 	run := func(step string, wantCalls int64) *core.Result {
 		t.Helper()
 		under.calls.Store(0)
-		res, err := eng.Recommend(ctx, req, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
+		res := recommend(t, c, eng, core.Options{Strategy: core.Sharing, K: 3})
 		if got := under.calls.Load(); got != wantCalls {
 			t.Errorf("%s: %d TableStats calls, want %d", step, got, wantCalls)
 		}
 		return res
 	}
 	cold := run("cold", 1)
-	warm := run("warm, same version", 0)
-	if !reflect.DeepEqual(cold.Recommendations, warm.Recommendations) {
-		t.Error("warm result diverges from cold result")
-	}
-	tab, ok := db.Table(SourceTable)
-	if !ok {
-		t.Fatal("source table missing")
-	}
-	appendSourceRows(t, tab, 100, 7)
+	sameResult(t, c, "warm, same version", run("warm, same version", 0), cold)
+	c.appendTail(t, db, 100)
 	if h.Invalidate != nil {
 		h.Invalidate(under.Backend)
 	}
@@ -236,7 +114,7 @@ func (h Harness) runStatsReuse(t *testing.T) {
 // TableStats promptly and report no version token, rather than issuing
 // store round-trips whose results the caller will discard.
 func (h Harness) runIntrospectionCancellation(t *testing.T) {
-	db := BuildSource(t, 300)
+	db := genCase(0).source(t)
 	under := h.New(t, db)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -261,75 +139,74 @@ func (h Harness) runIntrospectionCancellation(t *testing.T) {
 	}
 }
 
-// runScenarios compares every scenario's complete output against the
-// embedded reference, and checks the executor-counter invariants.
+// runScenarios runs every generated case on the backend under test and
+// on the embedded reference, grouped by the case's configuration, and
+// requires the complete output and the executor counters to agree.
 func (h Harness) runScenarios(t *testing.T) {
-	db := BuildSource(t, 2400)
-	under := h.New(t, db)
-	ref := core.NewEngine(backend.NewEmbedded(db))
-	caps := under.Capabilities()
-	ctx := context.Background()
-
-	for _, sc := range scenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			req := sc.req(request())
-			opts := sc.opts
-			// ScanParallelism 1 keeps float aggregation byte-stable, so
-			// results must match exactly (the parallel merge reassociates
-			// float addition and is checked separately by sqldb/difftest).
-			opts.ScanParallelism = 1
-			opts.KeepAllViews = true
-			// Pin the group-by strategy unless the scenario chose one: the
-			// engine's default depends on the backend's reported layout
-			// (row stores bin-pack, column stores stay single-attribute),
-			// and different groupings reassociate float accumulation. The
-			// layout-default behavior itself is covered by engine tests.
-			if opts.GroupBy == core.GroupByAuto {
-				opts.GroupBy = core.GroupBySingle
+	for _, cfg := range configs {
+		t.Run(cfg.name, func(t *testing.T) {
+			for i := range numCases {
+				if c := genCase(i); c.Config == cfg.name {
+					t.Run(fmt.Sprintf("seed%02d", c.Seed), func(t *testing.T) { h.checkCase(t, c) })
+				}
 			}
-
-			// The reference executes the strategy the engine will actually
-			// run on the backend under test (documented degradation).
-			refOpts := opts
-			refOpts.Strategy = core.EffectiveStrategy(opts.Strategy, caps)
-			want, err := ref.Recommend(ctx, req, refOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := core.NewEngine(under).Recommend(ctx, req, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if !reflect.DeepEqual(got.Recommendations, want.Recommendations) {
-				t.Errorf("recommendations diverge from embedded reference\ngot:  %s\nwant: %s",
-					summarize(got.Recommendations), summarize(want.Recommendations))
-			}
-			if !reflect.DeepEqual(got.AllViews, want.AllViews) {
-				t.Errorf("full view ranking diverges from embedded reference")
-			}
-
-			// Executor counters must agree between backends: the same
-			// effective plan issues the same number of queries, and on
-			// every backend the executed count must partition into
-			// vectorized + fallback.
-			if got.Metrics.QueriesExecuted != want.Metrics.QueriesExecuted {
-				t.Errorf("QueriesExecuted = %d, reference executed %d",
-					got.Metrics.QueriesExecuted, want.Metrics.QueriesExecuted)
-			}
-			checkCounterInvariant(t, got.Metrics)
-			checkCounterInvariant(t, want.Metrics)
 		})
 	}
 }
 
-// checkCounterInvariant asserts QueriesExecuted == VectorizedQueries +
-// FallbackQueries (cache hits count in neither).
-func checkCounterInvariant(t *testing.T, m core.Metrics) {
+// checkCase builds c's table, the backend under test over it, and (for
+// a drift case) appends the tail once the backend serves. The reference
+// runs the strategy the engine actually runs on the backend (documented
+// degradation).
+func (h Harness) checkCase(t *testing.T, c Case) {
+	db := c.source(t)
+	under := h.New(t, db)
+	if c.Tail > 0 {
+		c.appendTail(t, db, c.Tail)
+		if h.Invalidate != nil {
+			h.Invalidate(under)
+		}
+	}
+	opts := c.Opts
+	opts.KeepAllViews = true
+	// Pin the group-by strategy unless the case chose one: the default
+	// follows the layout the backend reports, which changes how many
+	// queries run (never what they return).
+	if opts.GroupBy == core.GroupByAuto {
+		opts.GroupBy = core.GroupBySingle
+	}
+	refOpts := opts
+	refOpts.Strategy = core.EffectiveStrategy(opts.Strategy, under.Capabilities())
+	want := recommend(t, c, core.NewEngine(backend.NewEmbedded(db)), refOpts)
+	got := recommend(t, c, core.NewEngine(under), opts)
+	sameResult(t, c, "backend", got, want)
+	// The same effective plan issues the same number of queries, and on
+	// every backend the executed count partitions into vectorized +
+	// fallback (cache hits count in neither).
+	g, w := got.Metrics.ExecTotals, want.Metrics.ExecTotals
+	if g.QueriesExecuted != w.QueriesExecuted || g.QueriesExecuted != g.VectorizedQueries+g.FallbackQueries ||
+		w.QueriesExecuted != w.VectorizedQueries+w.FallbackQueries {
+		t.Errorf("executor counters: got %+v, reference %+v", g, w)
+	}
+}
+
+// recommend runs c's request on eng, failing with c's reproduction.
+func recommend(t testing.TB, c Case, eng *core.Engine, opts core.Options) *core.Result {
 	t.Helper()
-	if m.QueriesExecuted != m.VectorizedQueries+m.FallbackQueries {
-		t.Errorf("counter invariant violated: QueriesExecuted=%d, Vectorized=%d + Fallback=%d",
-			m.QueriesExecuted, m.VectorizedQueries, m.FallbackQueries)
+	res, err := eng.Recommend(context.Background(), c.Req, opts)
+	if err != nil {
+		t.Fatalf("%v\nreproduce: %v", err, c)
+	}
+	return res
+}
+
+// sameResult requires got's ranked top-k and full ranking to equal
+// want's bit for bit, reporting the first divergence and c's
+// reproduction.
+func sameResult(t testing.TB, c Case, what string, got, want *core.Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Recommendations, want.Recommendations) || !reflect.DeepEqual(got.AllViews, want.AllViews) {
+		t.Errorf("%s diverges: %s\nreproduce: %v", what, firstDiff(got.AllViews, want.AllViews), c)
 	}
 }
 
@@ -338,78 +215,48 @@ func checkCounterInvariant(t *testing.T, m core.Metrics) {
 // cache matching its uncached result, and versioned invalidation after
 // the data changes.
 func (h Harness) runCaching(t *testing.T) {
-	db := BuildSource(t, 1200)
+	c := genCase(0)
+	db := c.source(t)
 	under := h.New(t, db)
 	eng := core.NewEngine(under)
-	ctx := context.Background()
-	req := request()
-	opts := core.Options{Strategy: core.Sharing, K: 3, EnableCache: true, ScanParallelism: 1}
+	opts := core.Options{Strategy: core.Sharing, K: 3, EnableCache: true}
 
-	cold, err := eng.Recommend(ctx, req, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := recommend(t, c, eng, opts)
 	if cold.Metrics.QueriesExecuted == 0 || cold.Metrics.ServedFromCache {
 		t.Fatalf("cold run metrics: %+v", cold.Metrics)
 	}
-
-	warm, err := eng.Recommend(ctx, req, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := recommend(t, c, eng, opts)
 	if !warm.Metrics.ServedFromCache || warm.Metrics.QueriesExecuted != 0 {
 		t.Errorf("repeat request not served from cache: %+v", warm.Metrics)
 	}
-	if !reflect.DeepEqual(cold.Recommendations, warm.Recommendations) {
-		t.Error("cached result diverges from cold result")
-	}
+	sameResult(t, c, "cached result", warm, cold)
 
 	// A second target predicate on the warm cache must compute exactly
 	// what the same request computes with the cache off.
-	other := req
-	other.TargetWhere = "region = 'east'"
-	cached, err := eng.Recommend(ctx, other, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offOpts := opts
-	offOpts.EnableCache = false
-	uncached, err := eng.Recommend(ctx, other, offOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cached.Recommendations, uncached.Recommendations) {
-		t.Errorf("second predicate: cache-on result diverges from cache-off\ngot:  %s\nwant: %s",
-			summarize(cached.Recommendations), summarize(uncached.Recommendations))
-	}
+	other := c
+	other.Req.TargetWhere = "code < 2"
+	cached := recommend(t, other, eng, opts)
+	opts.EnableCache = false
+	sameResult(t, other, "second predicate, cache on against cache off", cached, recommend(t, other, eng, opts))
 
 	// Changing the data must invalidate: append rows to the source and
 	// tell the backend (when its versioning cannot see source writes).
-	tab, ok := db.Table(SourceTable)
-	if !ok {
-		t.Fatal("source table missing")
-	}
-	appendSourceRows(t, tab, 300, 99)
+	c.appendTail(t, db, 300)
 	if h.Invalidate != nil {
 		h.Invalidate(under)
 	}
-	fresh, err := eng.Recommend(ctx, req, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Metrics.ServedFromCache || fresh.Metrics.QueriesExecuted == 0 {
+	opts.EnableCache = true
+	if fresh := recommend(t, c, eng, opts); fresh.Metrics.ServedFromCache || fresh.Metrics.QueriesExecuted == 0 {
 		t.Errorf("post-invalidation request served stale: %+v", fresh.Metrics)
 	}
 }
 
-// summarize renders a recommendation list compactly for failure output.
-func summarize(recs []core.Recommendation) string {
-	out := ""
-	for i, r := range recs {
-		if i > 0 {
-			out += ", "
+// firstDiff names the first rank at which two rankings differ.
+func firstDiff(got, want []core.Recommendation) string {
+	for i := range min(len(got), len(want)) {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			return fmt.Sprintf("rank %d is\n%+v, want\n%+v", i, got[i], want[i])
 		}
-		out += fmt.Sprintf("%s:%.6f", r.View, r.Utility)
 	}
-	return out
+	return fmt.Sprintf("%d views, want %d", len(got), len(want))
 }

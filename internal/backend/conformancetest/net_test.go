@@ -7,14 +7,13 @@ import (
 
 	"seedb/internal/backend"
 	"seedb/internal/backend/netbe"
-	"seedb/internal/backend/shardbe"
 	"seedb/internal/server"
 	"seedb/internal/sqldb"
 )
 
 // startRemote stands up a seedb-server over db and connects a netbe
 // client to it.
-func startRemote(tb testing.TB, db *sqldb.DB) *netbe.Client {
+func startRemote(tb testing.TB, db *sqldb.DB) backend.Backend {
 	tb.Helper()
 	srv := httptest.NewServer(server.New(db))
 	tb.Cleanup(srv.Close)
@@ -37,11 +36,8 @@ func startRemote(tb testing.TB, db *sqldb.DB) *netbe.Client {
 // directly, and the embedded store's version tokens observe the
 // harness's appends, so the version endpoint stays truthful on its own.
 func TestNetBackendConformance(t *testing.T) {
-	Harness{
-		New: func(tb testing.TB, db *sqldb.DB) backend.Backend {
-			return startRemote(tb, db)
-		},
-	}.Run(t)
+	t.Parallel()
+	Harness{New: startRemote}.Run(t)
 }
 
 // TestShardedNetBackendConformance is the scale-out deployment the
@@ -51,41 +47,6 @@ func TestNetBackendConformance(t *testing.T) {
 // The whole stack — partition, remote wire hops, partial-aggregate
 // merge — must stay bit-identical to one unsharded in-process run.
 func TestShardedNetBackendConformance(t *testing.T) {
-	const shards = 2
-	var cur struct {
-		src *sqldb.DB
-		dbs []*sqldb.DB
-	}
-	mirror := func(tb testing.TB) {
-		tb.Helper()
-		tab, ok := cur.src.Table(SourceTable)
-		if !ok {
-			tb.Fatalf("source table %q missing", SourceTable)
-		}
-		if err := shardbe.ScatterTable(cur.src, SourceTable, cur.dbs, shardbe.Blocks{Total: tab.NumRows()}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	Harness{
-		New: func(tb testing.TB, db *sqldb.DB) backend.Backend {
-			cur.src = db
-			cur.dbs = make([]*sqldb.DB, shards)
-			children := make([]backend.Backend, shards)
-			for i := range cur.dbs {
-				cur.dbs[i] = sqldb.NewDB()
-			}
-			// Scatter before the servers see traffic, then connect one
-			// netbe client per child server.
-			mirror(tb)
-			for i, cdb := range cur.dbs {
-				children[i] = startRemote(tb, cdb)
-			}
-			r, err := shardbe.New(children, shardbe.Options{})
-			if err != nil {
-				tb.Fatal(err)
-			}
-			return r
-		},
-		Invalidate: func(backend.Backend) { mirror(t) },
-	}.Run(t)
+	t.Parallel()
+	shardedHarness(2, startRemote).Run(t)
 }

@@ -1,6 +1,7 @@
 package conformancetest
 
 import (
+	"fmt"
 	"testing"
 
 	"seedb/internal/backend"
@@ -9,57 +10,54 @@ import (
 )
 
 // TestShardRouterConformance holds the shard router (2 and 4 embedded
-// children) bit-identical to the unsharded embedded reference across the
-// whole behavior matrix: strategies × pruning × reference modes ×
-// group-by strategies, plus cache reuse and versioned invalidation.
-//
-// Children are loaded with the contiguous block partitioner, so the
-// router's shard-major global row space equals the source insertion
-// order: phased execution then scans exactly the row subsets the
-// reference scans, and the merge's shard-order group appending
-// reproduces the reference's first-seen group order. The embedded
-// children keep every capability, so no strategy degrades — COMB and
-// COMB_EARLY run phased on both sides.
+// children) bit-identical to the unsharded embedded reference on every
+// generated case, plus cache reuse and versioned invalidation. The
+// embedded children keep every capability, so no strategy degrades —
+// COMB and COMB_EARLY run phased on both sides.
 func TestShardRouterConformance(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		t.Run(shardName(shards), func(t *testing.T) {
-			// The caching sub-suite appends to the SOURCE database and then
-			// calls Invalidate; re-scattering refreshes the children (and
-			// bumps their versions, which is what invalidates the router's
-			// version vector). Sub-suites run sequentially, so tracking the
-			// most recent mirror is sound.
-			var cur struct {
-				src *sqldb.DB
-				dbs []*sqldb.DB
-			}
-			mirror := func(tb testing.TB) {
-				tb.Helper()
-				tab, ok := cur.src.Table(SourceTable)
-				if !ok {
-					tb.Fatalf("source table %q missing", SourceTable)
-				}
-				if err := shardbe.ScatterTable(cur.src, SourceTable, cur.dbs, shardbe.Blocks{Total: tab.NumRows()}); err != nil {
-					tb.Fatal(err)
-				}
-			}
-			Harness{
-				New: func(tb testing.TB, db *sqldb.DB) backend.Backend {
-					dbs, bes := shardbe.EmbeddedChildren(shards)
-					cur.src, cur.dbs = db, dbs
-					mirror(tb)
-					r, err := shardbe.New(bes, shardbe.Options{})
-					if err != nil {
-						tb.Fatal(err)
-					}
-					return r
-				},
-				Invalidate: func(backend.Backend) { mirror(t) },
-			}.Run(t)
-		})
+	t.Parallel()
+	for _, n := range []int{2, 4} {
+		t.Run(fmt.Sprintf("%dchildren", n), shardedHarness(n, embedded).Run)
 	}
 }
 
-// shardName renders a sub-test name for a shard count.
-func shardName(n int) string {
-	return map[int]string{2: "2children", 4: "4children"}[n]
+// shardedHarness is the harness for a router over n children, each built
+// by child over a database holding one contiguous block of the source
+// table. Blocks keep the router's shard-major global row space equal to
+// the source's order: phased execution then scans exactly the row
+// subsets the reference scans.
+//
+// A drift case, and the caching and statistics sub-suites, append to the
+// source and then call Invalidate; re-scattering refreshes the children
+// and bumps their versions, which is what invalidates the router's
+// version vector. Sub-suites and cases run sequentially, so tracking the
+// most recent source is sound.
+func shardedHarness(n int, child func(testing.TB, *sqldb.DB) backend.Backend) Harness {
+	var (
+		tb  testing.TB
+		src *sqldb.DB
+		dbs []*sqldb.DB
+	)
+	mirror := func() {
+		tab, _ := src.Table(SourceTable)
+		if err := shardbe.ScatterTable(src, SourceTable, dbs, shardbe.Blocks{Total: tab.NumRows()}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return Harness{
+		New: func(t testing.TB, db *sqldb.DB) backend.Backend {
+			tb, src, dbs = t, db, make([]*sqldb.DB, n)
+			children := make([]backend.Backend, n)
+			for i := range dbs {
+				dbs[i] = sqldb.NewDB()
+			}
+			// Scatter before the children see traffic.
+			mirror()
+			for i, cdb := range dbs {
+				children[i] = child(t, cdb)
+			}
+			return route(t, children...)
+		},
+		Invalidate: func(backend.Backend) { mirror() },
+	}
 }

@@ -247,17 +247,11 @@ func (b *Backend) introspect(ctx context.Context, table string) (backend.TableIn
 			return backend.TableInfo{}, err
 		}
 		for i, v := range dest {
-			if resolved[i] || v == nil {
-				continue
-			}
-			ct, ok := typeFromValue(v)
-			if !ok {
-				continue
-			}
+			ct, ok := typeFromValue(v) // not ok for NULL
 			switch {
+			case resolved[i] || !ok:
 			case !sampled[i]:
-				cols[i].Type = ct
-				sampled[i] = true
+				cols[i].Type, sampled[i] = ct, true
 			case cols[i].Type == backend.TypeInt && ct == backend.TypeFloat:
 				// A column mixing int and float values is a float column.
 				cols[i].Type = backend.TypeFloat
@@ -266,6 +260,16 @@ func (b *Backend) introspect(ctx context.Context, table string) (backend.TableIn
 	}
 	if err := rows.Err(); err != nil {
 		return backend.TableInfo{}, err
+	}
+	// A column whose sampled values were all NULL (a table loaded NULLs
+	// first) takes the type of its first non-NULL value; an all-NULL
+	// column, or a failed probe, keeps the string default.
+	for i, n := range names {
+		var v any
+		probe := fmt.Sprintf("SELECT %s FROM %s WHERE %s IS NOT NULL LIMIT 1", n, table, n)
+		if !resolved[i] && !sampled[i] && b.db.QueryRowContext(ctx, probe).Scan(&v) == nil {
+			cols[i].Type, _ = typeFromValue(v)
+		}
 	}
 
 	var count int

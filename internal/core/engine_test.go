@@ -186,80 +186,6 @@ func TestRecommendFindsPlantedTopView(t *testing.T) {
 	}
 }
 
-func TestAllStrategiesAgreeWithoutPruning(t *testing.T) {
-	// NO_OPT, SHARING and COMB (with NO_PRU) must produce identical
-	// utilities — the optimizations are semantics-preserving.
-	e, req := buildCensus(t, sqldb.LayoutCol, 4000)
-	ctx := context.Background()
-	utilities := func(strategy Strategy) map[string]float64 {
-		res, err := e.Recommend(ctx, req, Options{
-			Strategy: strategy, Pruning: NoPruning, K: 40, KeepAllViews: true,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", strategy, err)
-		}
-		m := make(map[string]float64)
-		for _, r := range res.AllViews {
-			m[r.View.Key()] = r.Utility
-		}
-		return m
-	}
-	base := utilities(NoOpt)
-	for _, s := range []Strategy{Sharing, Comb} {
-		got := utilities(s)
-		if len(got) != len(base) {
-			t.Fatalf("%v: %d views vs %d", s, len(got), len(base))
-		}
-		for k, u := range base {
-			if math.Abs(got[k]-u) > 1e-9 {
-				t.Errorf("%v: utility mismatch for %s: %g vs %g", s, k, got[k], u)
-			}
-		}
-	}
-}
-
-func TestSharingOptionsPreserveResults(t *testing.T) {
-	// Every sharing knob (group-by strategy, nagg cap, combined
-	// target/ref) must leave utilities unchanged.
-	e, req := buildCensus(t, sqldb.LayoutCol, 3000)
-	ctx := context.Background()
-	run := func(opts Options) map[string]float64 {
-		opts.Strategy = Sharing
-		opts.K = 40
-		opts.KeepAllViews = true
-		res, err := e.Recommend(ctx, req, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := make(map[string]float64)
-		for _, r := range res.AllViews {
-			m[r.View.Key()] = r.Utility
-		}
-		return m
-	}
-	base := run(Options{})
-	variants := []Options{
-		{GroupBy: GroupByBinPack, MemoryBudget: 500},
-		{GroupBy: GroupByBinPack, MemoryBudget: 1000000},
-		{GroupBy: GroupByMaxN, MaxGroupBy: 4},
-		{GroupBy: GroupBySingle},
-		{MaxAggregatesPerQuery: 1},
-		{MaxAggregatesPerQuery: 2},
-		{DisableCombineTargetRef: true},
-		{Parallelism: 1},
-		{Parallelism: 8},
-	}
-	for i, opt := range variants {
-		got := run(opt)
-		for k, u := range base {
-			if math.Abs(got[k]-u) > 1e-9 {
-				t.Errorf("variant %d (%+v): utility mismatch for %s: %g vs %g", i, opt, k, got[k], u)
-				break
-			}
-		}
-	}
-}
-
 func TestSharingReducesQueryCount(t *testing.T) {
 	e, req := buildCensus(t, sqldb.LayoutCol, 2000)
 	ctx := context.Background()

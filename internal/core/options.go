@@ -224,10 +224,6 @@ type Options struct {
 	// aggregate (the paper's nagg experiment, Figure 7a). 0 = unlimited;
 	// 1 turns the multiple-aggregates optimization off.
 	MaxAggregatesPerQuery int
-	// DisableCombineTargetRef disables rewriting target+reference into a
-	// single flag-grouped query; the engine then issues separate target
-	// and reference queries. Default false (combining on).
-	DisableCombineTargetRef bool
 	// Delta is the CI pruning failure probability δ (default 0.05).
 	Delta float64
 	// ConfidenceScale multiplies the Hoeffding–Serfling half-width; 1.0

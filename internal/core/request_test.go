@@ -105,17 +105,16 @@ func TestResolveDefaultsAndErrors(t *testing.T) {
 // (internal/bench, docs/REPRODUCTION.md) names the rows that set it; a
 // knob no row sets says so.
 var engineOnlyOptions = map[string]string{
-	"Phases":                  "no scorecard row (every row keeps the automatic count); core and conformance tests pin phase counts",
-	"Parallelism":             "deployment: concurrent view queries, GOMAXPROCS by default; no scorecard row",
-	"GroupBy":                 "scorecard rows fig7a.queries (GroupBySingle) and fig8b.binpack (GroupByBinPack, GroupByMaxN)",
-	"MemoryBudget":            "scorecard row fig8b.binpack: BP under each store's budget",
-	"MaxGroupBy":              "scorecard row fig8b.binpack: the MAX_GB baseline",
-	"MaxAggregatesPerQuery":   "scorecard row fig7a.queries: the nagg sweep",
-	"DisableCombineTargetRef": "no scorecard row; core and conformance tests cover the separate target/reference plan",
-	"Delta":                   "no scorecard row; random_test checks its default",
-	"ConfidenceScale":         "no scorecard row; engine_test and conformancetest narrow the interval to force pruning on small tables",
-	"Seed":                    "scorecard rows fig11.* and fig12.*: the RANDOM baseline",
-	"KeepAllViews":            "scorecard rows fig10a.bank-gaps, fig10b.diab-cluster, fig11.*, fig12.*, fig15.*, distance.top10 and early.quality: the exact oracle ranking",
+	"Phases":                "no scorecard row (every row keeps the automatic count); core and conformance tests pin phase counts",
+	"Parallelism":           "deployment: concurrent view queries, GOMAXPROCS by default; no scorecard row",
+	"GroupBy":               "scorecard rows fig7a.queries (GroupBySingle) and fig8b.binpack (GroupByBinPack, GroupByMaxN)",
+	"MemoryBudget":          "scorecard row fig8b.binpack: BP under each store's budget",
+	"MaxGroupBy":            "scorecard row fig8b.binpack: the MAX_GB baseline",
+	"MaxAggregatesPerQuery": "scorecard row fig7a.queries: the nagg sweep",
+	"Delta":                 "no scorecard row; random_test checks its default",
+	"ConfidenceScale":       "no scorecard row; engine_test and conformancetest narrow the interval to force pruning on small tables",
+	"Seed":                  "scorecard rows fig11.* and fig12.*: the RANDOM baseline",
+	"KeepAllViews":          "scorecard rows fig10a.bank-gaps, fig10b.diab-cluster, fig11.*, fig12.*, fig15.*, distance.top10 and early.quality: the exact oracle ranking",
 }
 
 // TestTextualRequestCoversEveryField is the "one schema" guard: every

@@ -96,7 +96,6 @@ func renderRequestKey(req Request, opts Options, scope string, stale bool) strin
 		strconv.Itoa(opts.MemoryBudget),
 		strconv.Itoa(opts.MaxGroupBy),
 		strconv.Itoa(opts.MaxAggregatesPerQuery),
-		strconv.FormatBool(opts.DisableCombineTargetRef),
 		fmt.Sprintf("%g", opts.Delta),
 		fmt.Sprintf("%g", opts.ConfidenceScale),
 		strconv.FormatInt(opts.Seed, 10),

@@ -147,10 +147,12 @@ func TestCacheHitParityAcrossCostKnobs(t *testing.T) {
 	}
 }
 
-// TestCacheMatchesUncachedAcrossStrategies also pins what a cold cached
-// request leaves behind in a fresh cache: one q entry per executed query,
-// the r entry and its s alias, the t entry when statistics were read,
-// and nothing else.
+// TestCacheMatchesUncachedAcrossStrategies pins what a cold cached
+// request costs and leaves behind in a fresh cache: the uncached run's
+// queries, one q entry per executed query, the r entry and its s alias,
+// the t entry when statistics were read, and nothing else; the warm
+// repeat runs none. That cold and warm answers equal the uncached one is
+// the conformancetest oracle's job.
 func TestCacheMatchesUncachedAcrossStrategies(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -178,8 +180,7 @@ func TestCacheMatchesUncachedAcrossStrategies(t *testing.T) {
 					t.Fatal(err)
 				}
 				// A cold cached run sees an empty cache, so it issues the
-				// exact same queries and must produce identical output.
-				sameRecommendations(t, plain.Recommendations, cold.Recommendations, 0)
+				// exact same queries.
 				if cold.Metrics.QueriesExecuted != plain.Metrics.QueriesExecuted {
 					t.Fatalf("cold cached run executed %d queries, uncached %d",
 						cold.Metrics.QueriesExecuted, plain.Metrics.QueriesExecuted)
@@ -201,7 +202,6 @@ func TestCacheMatchesUncachedAcrossStrategies(t *testing.T) {
 				if warm.Metrics.QueriesExecuted != 0 || !warm.Metrics.ServedFromCache {
 					t.Fatalf("warm metrics: %+v", warm.Metrics)
 				}
-				sameRecommendations(t, plain.Recommendations, warm.Recommendations, 0)
 			})
 		}
 	}

@@ -156,7 +156,7 @@ func (qb *queryBuilder) partitionViews(views []View, alive []bool) []viewGroup {
 			}
 		}
 		budget := qb.opts.MemoryBudget
-		if !qb.opts.DisableCombineTargetRef && qb.req.Reference != RefCustom {
+		if qb.req.Reference != RefCustom {
 			// The flag column doubles the worst-case group count.
 			budget /= 2
 			if budget < 1 {
@@ -249,8 +249,7 @@ func (qb *queryBuilder) buildGroup(views []View, vg viewGroup) []*sharedQuery {
 
 	// NO_OPT is the unoptimized baseline: it never combines target and
 	// reference into one query (2 × f × a × m queries, Section 3).
-	combined := qb.opts.Strategy != NoOpt &&
-		!qb.opts.DisableCombineTargetRef && qb.req.Reference != RefCustom
+	combined := qb.opts.Strategy != NoOpt && qb.req.Reference != RefCustom
 
 	var queries []*sharedQuery
 	for _, ch := range chunks {
@@ -274,7 +273,9 @@ func (qb *queryBuilder) buildGroup(views []View, vg viewGroup) []*sharedQuery {
 		refWhere := ""
 		switch qb.req.Reference {
 		case RefComplement:
-			refWhere = fmt.Sprintf("NOT (%s)", qb.req.TargetWhere)
+			// The rows the combined query's flag puts on the reference
+			// side: a row whose predicate is NULL is not a target row.
+			refWhere = fmt.Sprintf("CASE WHEN %s THEN 1 ELSE 0 END = 0", qb.req.TargetWhere)
 		case RefCustom:
 			refWhere = qb.req.ReferenceWhere
 		}

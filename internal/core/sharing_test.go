@@ -54,11 +54,14 @@ func TestSharedQuerySQLShapeCombined(t *testing.T) {
 	}
 }
 
+// TestSharedQuerySQLShapeSeparate pins NO_OPT's separate target and
+// complement queries: the complement takes exactly the rows the combined
+// query's flag puts on the reference side, NULL-predicate rows included.
 func TestSharedQuerySQLShapeSeparate(t *testing.T) {
 	qb := &queryBuilder{
 		table: "t",
 		req:   Request{Table: "t", TargetWhere: "f = 'x'", Reference: RefComplement},
-		opts:  Options{Strategy: Sharing, GroupBy: GroupBySingle, DisableCombineTargetRef: true},
+		opts:  Options{Strategy: NoOpt},
 	}
 	queries := qb.build(testViews()[:1], allAlive(1))
 	if len(queries) != 2 {
@@ -67,7 +70,7 @@ func TestSharedQuerySQLShapeSeparate(t *testing.T) {
 	if queries[0].side != sideTarget || !strings.Contains(queries[0].sql, "WHERE f = 'x'") {
 		t.Errorf("target query wrong: %s", queries[0].sql)
 	}
-	if queries[1].side != sideReference || !strings.Contains(queries[1].sql, "WHERE NOT (f = 'x')") {
+	if queries[1].side != sideReference || !strings.Contains(queries[1].sql, "WHERE CASE WHEN f = 'x' THEN 1 ELSE 0 END = 0") {
 		t.Errorf("complement reference query wrong: %s", queries[1].sql)
 	}
 }
@@ -195,9 +198,10 @@ func TestBinPackBudgetHalvedForFlag(t *testing.T) {
 	if len(queries) != 2 {
 		t.Errorf("flag-halved budget should split dims: got %d queries", len(queries))
 	}
-	// Without combining, the full budget applies and they fit together
-	// (3·2 = 6 ≤ 8) → one dim-group → 2 queries (target + reference).
-	qb.opts.DisableCombineTargetRef = true
+	// A custom reference cannot combine, so the full budget applies and
+	// they fit together (3·2 = 6 ≤ 8) → one dim-group → 2 queries
+	// (target + reference).
+	qb.req.Reference, qb.req.ReferenceWhere = RefCustom, "g = 'y'"
 	queries = qb.build(views, allAlive(2))
 	if len(queries) != 2 {
 		t.Fatalf("separate t/r with shared dims: got %d queries, want 2", len(queries))
