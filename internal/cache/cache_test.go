@@ -303,39 +303,6 @@ func TestVersionedKeysIsolate(t *testing.T) {
 	}
 }
 
-func TestNormalizeSQL(t *testing.T) {
-	a := NormalizeSQL("  SELECT a,\n\tb FROM t  ;")
-	b := NormalizeSQL("SELECT a, b FROM t")
-	if a != b {
-		t.Fatalf("normalize: %q != %q", a, b)
-	}
-	// Whitespace inside string literals is significant: different
-	// predicate values must never normalize to the same key.
-	c := NormalizeSQL("SELECT a FROM t WHERE city = 'New  York'")
-	d := NormalizeSQL("SELECT a FROM t WHERE city = 'New York'")
-	if c == d {
-		t.Fatal("distinct string literals collapsed to one key")
-	}
-	if NormalizeSQL("SELECT  a FROM t WHERE city = 'New  York'") != c {
-		t.Fatal("whitespace outside literals should still collapse")
-	}
-	// Doubled-quote escapes keep literal content intact.
-	e := NormalizeSQL("SELECT a FROM t WHERE note = 'it''s  here'")
-	if !contains(e, "'it''s  here'") {
-		t.Fatalf("escaped literal mangled: %q", e)
-	}
-}
-
-// contains avoids importing strings just for tests.
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 // TestKeyNamespacesDisjoint feeds every key constructor the same
 // components: the namespace prefix alone must keep them apart, and
 // within a namespace any one differing component must change the key.

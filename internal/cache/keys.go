@@ -21,51 +21,8 @@ import (
 // identifiers.
 const sep = "\x00"
 
-// NormalizeSQL canonicalizes generated SQL for use as a cache key:
-// surrounding whitespace and a trailing semicolon are dropped and runs
-// of whitespace outside string literals collapse to single spaces, so
-// formatting differences do not defeat memoization. Whitespace inside
-// single-quoted literals is preserved — 'New  York' and 'New York' are
-// different values and must never share a key. It deliberately does not
-// reorder clauses — SeeDB generates SQL deterministically, and semantic
-// normalization of arbitrary SQL is not worth the risk of conflating
-// distinct queries.
-func NormalizeSQL(sql string) string {
-	sql = strings.TrimSpace(sql)
-	sql = strings.TrimSuffix(sql, ";")
-	var b strings.Builder
-	b.Grow(len(sql))
-	inStr := false
-	pendingSpace := false
-	for i := 0; i < len(sql); i++ {
-		ch := sql[i]
-		if inStr {
-			b.WriteByte(ch)
-			if ch == '\'' {
-				// Closes the literal; a doubled '' simply re-enters on
-				// the next iteration, preserving its content verbatim.
-				inStr = false
-			}
-			continue
-		}
-		switch ch {
-		case ' ', '\t', '\n', '\r':
-			pendingSpace = true
-		default:
-			if pendingSpace && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			pendingSpace = false
-			if ch == '\'' {
-				inStr = true
-			}
-			b.WriteByte(ch)
-		}
-	}
-	return b.String()
-}
-
-// QueryKey keys one shared view query execution: normalized SQL plus the
+// QueryKey keys one shared view query execution: the SQL verbatim (one
+// deterministic renderer produces it, so one query has one text) plus the
 // table version, the scanned row range (phased execution runs the same
 // SQL over different partitions), and the degraded-results opt-in. The
 // last matters for singleflight, not storage: a complete-or-error
@@ -74,7 +31,7 @@ func NormalizeSQL(sql string) string {
 func QueryKey(table, version, sql string, lo, hi int, allowPartial bool) string {
 	return "q" + sep + strings.ToLower(table) + sep + version + sep +
 		strconv.Itoa(lo) + sep + strconv.Itoa(hi) + sep +
-		strconv.FormatBool(allowPartial) + sep + NormalizeSQL(sql)
+		strconv.FormatBool(allowPartial) + sep + sql
 }
 
 // RequestKey keys one whole Recommend invocation. parts is the

@@ -245,11 +245,7 @@ func (e *Engine) Recommend(ctx context.Context, req Request, opts Options) (*Res
 		}
 	}
 	if sl := tel.Slow(); sl != nil {
-		thr := opts.SlowQueryThreshold
-		if thr <= 0 {
-			thr = sl.Threshold()
-		}
-		if elapsed >= thr {
+		if thr := sl.Threshold(); elapsed >= thr {
 			sl.Log(telemetry.SlowEntry{
 				Kind:        "request",
 				Table:       req.Table,

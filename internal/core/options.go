@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"time"
 
 	"seedb/internal/backend"
 	"seedb/internal/distance"
@@ -245,14 +244,6 @@ type Options struct {
 	// entries automatically.
 	// Default false (every request recomputes, the paper's behavior).
 	EnableCache bool
-	// SlowQueryThreshold overrides the engine telemetry collector's
-	// slow-log threshold for this request: queries (and the request
-	// itself) taking at least this long are written to the collector's
-	// slow-query log. 0 uses the log's own threshold. Inert without a
-	// collector carrying a slow log (Engine.SetTelemetry). Like
-	// Parallelism it describes observation cost, never output, so it is
-	// excluded from cache keys.
-	SlowQueryThreshold time.Duration
 	// AllowPartial opts the request into degraded results on routing
 	// backends: when a shard child is unavailable, its partition is
 	// skipped and the recommendation is computed over the surviving

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"strings"
-	"time"
 
 	"seedb/internal/distance"
 )
@@ -39,10 +38,6 @@ type RecommendRequest struct {
 	// allocates per span, so clients ask for it explicitly. Like Backend
 	// it is the server's to act on.
 	Trace bool `json:"trace"`
-	// SlowQueryMS overrides the server's slow-query log threshold for
-	// this request, in milliseconds (0 = server default; ignored when no
-	// slow log is configured).
-	SlowQueryMS float64 `json:"slow_query_ms"`
 	// AllowPartial opts this request into degraded results: when the
 	// selected backend is a shard router with circuit breakers, queries
 	// proceed over the surviving shards instead of failing while a child
@@ -88,14 +83,13 @@ func (r RecommendRequest) Resolve() (Request, Options, error) {
 		req.Aggs = append(req.Aggs, AggFunc(strings.ToUpper(a)))
 	}
 	return req, Options{
-		K:                  r.K,
-		Strategy:           strategy,
-		Pruning:            pruning,
-		Distance:           dist,
-		EnableCache:        r.Cache == nil || *r.Cache,
-		ScanParallelism:    r.ScanParallelism,
-		SlowQueryThreshold: time.Duration(r.SlowQueryMS * float64(time.Millisecond)),
-		AllowPartial:       r.AllowPartial,
-		ServeStaleOnError:  r.ServeStale,
+		K:                 r.K,
+		Strategy:          strategy,
+		Pruning:           pruning,
+		Distance:          dist,
+		EnableCache:       r.Cache == nil || *r.Cache,
+		ScanParallelism:   r.ScanParallelism,
+		AllowPartial:      r.AllowPartial,
+		ServeStaleOnError: r.ServeStale,
 	}, nil
 }

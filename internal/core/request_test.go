@@ -3,7 +3,6 @@ package core
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"seedb/internal/distance"
 )
@@ -71,14 +70,13 @@ func TestResolveDefaultsAndErrors(t *testing.T) {
 	off := false
 	req, opts, err = RecommendRequest{
 		Reference: "Custom", ReferenceWhere: "b = 2", Strategy: "EARLY", Pruning: "none", Distance: "js",
-		Aggregates: []string{"avg", "Sum"}, Cache: &off, SlowQueryMS: 1.5,
+		Aggregates: []string{"avg", "Sum"}, Cache: &off,
 	}.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if req.Reference != RefCustom || req.ReferenceWhere != "b = 2" || opts.Strategy != CombEarly ||
 		opts.Pruning != NoPruning || opts.Distance != distance.JS || opts.EnableCache ||
-		opts.SlowQueryThreshold != 1500*time.Microsecond ||
 		!reflect.DeepEqual(req.Aggs, []AggFunc{AggAvg, AggSum}) {
 		t.Errorf("resolved %+v %+v", req, opts)
 	}
@@ -129,7 +127,7 @@ func TestTextualRequestCoversEveryField(t *testing.T) {
 	probes := map[string]any{
 		"Table": "x", "TargetWhere": "x", "ReferenceWhere": "x",
 		"Reference": "complement", "Strategy": "noopt", "Pruning": "mab", "Distance": "KL",
-		"K": 7, "ScanParallelism": 7, "SlowQueryMS": 2.5,
+		"K": 7, "ScanParallelism": 7,
 		"Dimensions": []string{"x"}, "Measures": []string{"x"}, "Aggregates": []string{"sum"},
 		"Cache": &off, "AllowPartial": true, "ServeStale": true,
 		"Backend": "x", "Trace": true,

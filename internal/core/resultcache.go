@@ -12,7 +12,7 @@ package core
 //     The version-less stale alias (s) points at the newest such entry
 //     for outage replay.
 //  2. Shared-query memoization (q): each generated view query is keyed
-//     by normalized SQL + row range + dataset version, so requests that
+//     by its SQL + row range + dataset version, so requests that
 //     overlap partially (different K, different pruning, a re-issued
 //     phase) still skip the scans they share with earlier work.
 //
@@ -52,11 +52,10 @@ func staleCacheKey(backendName string, req Request, opts Options) string {
 // Options and Request must be rendered into the key
 // (TestCacheKeyCoversEveryField enforces the split).
 var keyExemptOptions = map[string]string{
-	"Parallelism":        "cost only: concurrent view queries",
-	"ScanParallelism":    "cost only: scan workers (see renderRequestKey on float reassociation)",
-	"EnableCache":        "selects whether the key is used at all",
-	"SlowQueryThreshold": "observation only",
-	"ServeStaleOnError":  "selects the error path, never a computed result",
+	"Parallelism":       "cost only: concurrent view queries",
+	"ScanParallelism":   "cost only: scan workers (see renderRequestKey on float reassociation)",
+	"EnableCache":       "selects whether the key is used at all",
+	"ServeStaleOnError": "selects the error path, never a computed result",
 }
 
 // renderRequestKey canonicalizes everything that can influence a

@@ -356,8 +356,8 @@ type execResult struct {
 // set and each of its sides in exactly one query per phase, so every cell
 // is fed by one query and folds that query's rows in result order.
 //
-// With a cache attached, each query is memoized under its normalized
-// SQL + row range + dataset version: a hit skips the DBMS entirely and
+// With a cache attached, each query is memoized under its SQL + row
+// range + dataset version: a hit skips the DBMS entirely and
 // concurrent identical queries (within or across requests) collapse to
 // one execution. Cached results are shared and treated as immutable —
 // merging only reads them.
@@ -485,8 +485,7 @@ func (s *execState) runQuery(ctx context.Context, sql string, lo, hi int) (*exec
 }
 
 // logSlowQuery writes one paid execution over the slow threshold to the
-// collector's slow-query log. The request's SlowQueryThreshold wins over
-// the log's own; sp contributes the query's span subtree when the
+// collector's slow-query log; sp contributes the query's span subtree when the
 // request is traced (the span is still open here, so its duration reads
 // as elapsed-so-far).
 func (s *execState) logSlowQuery(sql string, lo, hi int, d time.Duration, stats backend.ExecStats, sp *telemetry.Span) {
@@ -494,10 +493,7 @@ func (s *execState) logSlowQuery(sql string, lo, hi int, d time.Duration, stats 
 	if sl == nil {
 		return
 	}
-	thr := s.opts.SlowQueryThreshold
-	if thr <= 0 {
-		thr = sl.Threshold()
-	}
+	thr := sl.Threshold()
 	if d < thr {
 		return
 	}

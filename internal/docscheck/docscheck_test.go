@@ -246,7 +246,7 @@ func TestObservabilityDocPinned(t *testing.T) {
 		// span taxonomy
 		"recommend", "cache.do", "sqldb.scan", "shard.fanout", "shard.exec",
 		// slow-log schema + knobs
-		"elapsed_ms", "threshold_ms", "SlowQueryThreshold",
+		"elapsed_ms", "threshold_ms", "-slow-query",
 		"-slowlog", "-pprof", "trace",
 		// distributed tracing: identity, propagation, sampling, retention
 		"Traceparent", "WithRemoteTrace", "child.query", "AttachRemote",

@@ -311,22 +311,3 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Errorf("slow-log kinds = %v, want every query and exactly one request", kinds)
 	}
 }
-
-// TestRequestSlowThresholdOverride checks the per-request slow_query_ms
-// knob: a huge threshold suppresses entries entirely even though the
-// server default would flag everything.
-func TestRequestSlowThresholdOverride(t *testing.T) {
-	s, srv := newTelemetryServer(t, 1000)
-	var buf syncBuffer
-	s.SetSlowQueryLog(&buf, time.Nanosecond)
-
-	noCache := false
-	req := RecommendRequest{Table: "census", TargetWhere: "sex = 'F'", Cache: &noCache, SlowQueryMS: 1e9}
-	var resp RecommendResponse
-	if code := postJSON(t, srv.URL+"/api/recommend", req, &resp); code != 200 {
-		t.Fatalf("recommend = %d", code)
-	}
-	if got := buf.String(); got != "" {
-		t.Errorf("slow log not empty with per-request 1e9ms threshold:\n%s", got)
-	}
-}

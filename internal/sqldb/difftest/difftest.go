@@ -63,8 +63,8 @@ type Harness struct {
 
 // baseGroupPool is the GROUP BY pool every harness table supports: plain
 // columns of every type vectorize — k0 and m2 (small-range ints, m2 with
-// NULLs) range-coded, m0 (float, with NULLs) through a runtime value
-// dictionary — while scalar expressions exercise the column store's
+// NULLs) range-coded, m0 (float, with NULLs) by the dictionary pre-pass
+// — while scalar expressions exercise the column store's
 // interpreter fallback.
 var baseGroupPool = []string{"d0", "d1", "d2", "b0", "d0", "d1", "b0", "k0", "m0", "m2", "LOWER(d0)"}
 

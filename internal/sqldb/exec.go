@@ -731,6 +731,8 @@ func (p *plan) aggregateRange(opts ExecOptions, lo, hi int, stats *ExecStats) ([
 			return nil, err
 		}
 		if !ran {
+			// The one decline made against the live table, before
+			// the scan: the exact group-id space is too large.
 			stats.FallbackReason = fallbackIDSpace
 			break
 		}

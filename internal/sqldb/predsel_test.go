@@ -153,41 +153,3 @@ func TestCompileSelectionSplit(t *testing.T) {
 		}
 	}
 }
-
-// TestNumDictOverflow pins the runtime-dictionary bound: a dictionary at
-// its radix refuses new codes (the executor then falls back serially).
-func TestNumDictOverflow(t *testing.T) {
-	d := newNumDict(4) // codes 1..3 available (0 = NULL)
-	for i := uint64(0); i < 3; i++ {
-		if _, ok := d.idFor(i); !ok {
-			t.Fatalf("value %d should fit in radix 4", i)
-		}
-	}
-	if _, ok := d.idFor(99); ok {
-		t.Fatal("4th distinct value must overflow radix 4")
-	}
-	if id, ok := d.idFor(1); !ok || id != 2 {
-		t.Fatalf("existing value must still resolve after overflow: id=%d ok=%v", id, ok)
-	}
-}
-
-// TestNthRootFloor sanity-checks the numeric-radix budget split.
-func TestNthRootFloor(t *testing.T) {
-	cases := []struct {
-		b    uint64
-		n    int
-		want uint64
-	}{
-		{maxGroupIDSpace, 1, maxGroupIDSpace},
-		{1 << 40, 2, 1 << 20},
-		{1 << 40, 3, 10321},
-		{100, 2, 10},
-		{99, 2, 9},
-		{1, 3, 1},
-	}
-	for _, tc := range cases {
-		if got := nthRootFloor(tc.b, tc.n); got != tc.want {
-			t.Errorf("nthRootFloor(%d, %d) = %d, want %d", tc.b, tc.n, got, tc.want)
-		}
-	}
-}

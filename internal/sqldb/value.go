@@ -20,9 +20,9 @@
 // framework processes the i-th of n partitions, and with intra-query
 // scan parallelism (ExecOptions.Workers). Eligible column-store queries
 // run on the vectorized fast path in vexec.go at any worker count:
-// dictionary/bool/int/float group keys become small integer ids
-// (narrow-ranging ints by value range, floats and wide ints via runtime
-// value dictionaries), rows are processed a block at a time by typed
+// dictionary/bool/int/float group keys become small integer ids before
+// the scan (narrow-ranging ints by value range, floats and wide ints by
+// a dictionary pre-pass, like a string column's), rows are processed a block at a time by typed
 // loops over struct-of-arrays accumulators, and WHERE / CASE-flag
 // predicates of common shape compile into selection-vector kernels
 // (predsel.go) with per-row closures only for residual conjuncts.

@@ -37,14 +37,15 @@ package sqldb
 //          per-group float sum associates exactly as a row-at-a-time scan
 //          of the chunk would. MIN/MAX compare typed column values; no
 //          Value is built per row.
-//   - Int GROUP BY columns whose value span over [lo, hi) keeps the whole
-//     id space within denseGroupIDCap are range-coded: id = v − min + 1,
-//     with the bounds taken by a stateless pre-pass over the range. Like
-//     dictionary strings they are static, dense and need no remapping at
-//     the merge. Float columns and wider ints get a per-worker runtime
-//     value dictionary (numDict, bounded by the query's share of
-//     maxGroupIDSpace) whose worker-local codes the merge remaps onto a
-//     global dictionary.
+//   - Every group id is global before any worker starts. Int GROUP BY
+//     columns whose value span over [lo, hi) keeps the whole id space
+//     within denseGroupIDCap are range-coded: id = v − min + 1, with the
+//     bounds taken by a stateless pre-pass over the range. Float columns
+//     and wider ints are dictionary-coded by one pre-pass over the range
+//     (numCodes): a per-row code vector plus the values in first-seen
+//     order, exactly what a string column already has. The layout then
+//     knows every cardinality exactly, and the one runtime decline — an
+//     id space beyond maxGroupIDSpace — is decided before the scan.
 //   - At the end of its chunk a worker materializes groupEntry, aggState
 //     and key Values once, from three slabs, and the partials merge in
 //     chunk order, which reproduces exactly the first-seen group order of
@@ -58,8 +59,8 @@ package sqldb
 //     across chunk splits. Selection kernels reproduce the interpreter's
 //     NaN comparison semantics exactly (see cmpFloat), so row selection
 //     never diverges.
-//   - Context cancellation is checked once per block inside each worker,
-//     so large scans stay cancellable.
+//   - Context cancellation is checked once per block inside each worker
+//     and in the dictionary pre-pass, so large scans stay cancellable.
 //
 // Queries outside the shape (row stores, expression group keys or
 // aggregate arguments, DISTINCT aggregates, string MIN/MAX, group-id
@@ -70,7 +71,6 @@ package sqldb
 
 import (
 	"context"
-	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -86,13 +86,8 @@ import (
 const denseGroupIDCap = 1 << 16
 
 // maxGroupIDSpace bounds the total mixed-radix group-id space; beyond it
-// the fast path declines (runtime fallback to the interpreter).
+// the fast path declines before the scan (fallback to the interpreter).
 const maxGroupIDSpace = 1 << 40
-
-// maxNumDictRadix caps the per-column radix reserved for a runtime
-// numeric group-key dictionary: a dimension with more distinct values
-// than this is effectively continuous and belongs to the interpreter.
-const maxNumDictRadix = 1 << 20
 
 // selBlockRows is the block size of the scan: every stage runs over
 // blocks of this many rows, so the per-worker selection bitmaps and
@@ -112,11 +107,6 @@ const (
 	fallbackNonNumericAgg = "non-numeric agg argument"
 )
 
-// errGroupIDSpace signals a mid-scan group-id-space overflow (a runtime
-// numeric dictionary outgrew its radix); the fast path declines and the
-// caller retries on the row interpreter.
-var errGroupIDSpace = errors.New("sqldb: group-id space overflow")
-
 // maxWorkersPerQuery caps effective scan workers at a small multiple of
 // GOMAXPROCS: more workers than cores only adds partial tables to merge,
 // and the cap keeps an absurd ExecOptions.Workers (e.g. forwarded from
@@ -134,9 +124,8 @@ const (
 	// 2 = true.
 	vecGroupBool
 	// vecGroupNum is an int or float column; ids are 0 = NULL, else
-	// either v − min + 1 (a range-coded int) or a runtime
-	// value-dictionary code + 1 (per worker, remapped at merge). Which
-	// one is decided per execution, see vecLayout.
+	// either v − min + 1 (a range-coded int) or the pre-pass dictionary
+	// code + 1. Which one is decided per execution, see vecLayout.
 	vecGroupNum
 	// vecGroupFlag is CASE WHEN pred THEN a ELSE b END over integer
 	// literals (SeeDB's combined target/reference flag); ids are
@@ -273,77 +262,117 @@ func vectorizeGrouped(stmt *SelectStmt, p *plan, schema *Schema) (*vecInfo, stri
 type vecLayout struct {
 	cards, strides []uint64
 	idSpace        uint64
-	// ranged marks the int group columns coded by value range, and base
-	// holds the value their id 1 stands for (id = v − base + 1).
-	ranged []bool
-	base   []int64
-	// dictGroups indexes the numeric group columns on runtime value
-	// dictionaries — the only ids that are worker-local.
-	dictGroups []int
+	// base holds, for a range-coded int column, the value its id 1
+	// stands for (id = v − base + 1).
+	base []int64
+	// codes and dicts hold, for a dictionary-coded numeric column, the
+	// pre-pass coding (numCodes) of the scanned rows from lo on. codes
+	// is nil for every other column.
+	codes [][]int32
+	dicts [][]uint64
+	lo    int
 }
 
 // layout lays out the group id for a scan of [lo, hi). Static
 // cardinalities come from the live table (dictionary sizes); int columns
 // are range-coded while the id space stays dense; the remaining numeric
-// columns share the leftover id-space budget as their runtime-dictionary
-// radix. ok=false reports an id space beyond maxGroupIDSpace.
-func (v *vecInfo) layout(t *colSnap, lo, hi int) (lay *vecLayout, ok bool) {
+// columns are dictionary-coded by a pre-pass, which makes their
+// cardinalities exact too. ok=false reports an id space beyond
+// maxGroupIDSpace; err is the context's, should it end the pre-pass.
+func (v *vecInfo) layout(ctx context.Context, t *colSnap, lo, hi int) (lay *vecLayout, ok bool, err error) {
 	n := len(v.groups)
 	lay = &vecLayout{
-		cards: make([]uint64, n), strides: make([]uint64, n),
-		ranged: make([]bool, n), base: make([]int64, n),
+		cards: make([]uint64, n), strides: make([]uint64, n), base: make([]int64, n),
+		codes: make([][]int32, n), dicts: make([][]uint64, n), lo: lo,
 	}
 	space := uint64(1)
 	for i, g := range v.groups {
-		var card uint64
 		switch g.kind {
 		case vecGroupDict:
-			card = uint64(len(t.cols[g.col].dict)) + 1 // +1 for NULL
+			lay.cards[i] = uint64(len(t.cols[g.col].dict)) + 1 // +1 for NULL
 		case vecGroupBool:
-			card = 3
+			lay.cards[i] = 3
 		case vecGroupFlag:
-			card = 2
+			lay.cards[i] = 2
 		case vecGroupNum:
 			continue // assigned below
 		}
-		lay.cards[i] = card
-		if space > maxGroupIDSpace/card {
-			return nil, false
+		if space > maxGroupIDSpace/lay.cards[i] {
+			return nil, false, nil
 		}
-		space *= card
+		space *= lay.cards[i]
 	}
 	for _, i := range v.numGroups {
 		g := &v.groups[i]
+		c := &t.cols[g.col]
 		if g.typ == TypeInt {
-			if base, card, fits := intRangeCard(&t.cols[g.col], lo, hi, denseGroupIDCap/space); fits {
-				lay.ranged[i], lay.base[i], lay.cards[i] = true, base, card
+			if base, card, fits := intRangeCard(c, lo, hi, denseGroupIDCap/space); fits {
+				lay.base[i], lay.cards[i] = base, card
 				space *= card
 				continue
 			}
 		}
-		lay.dictGroups = append(lay.dictGroups, i)
-	}
-	if n := len(lay.dictGroups); n > 0 {
-		radix := nthRootFloor(maxGroupIDSpace/space, n)
-		if radix > maxNumDictRadix {
-			radix = maxNumDictRadix
+		if lay.codes[i], lay.dicts[i], err = numCodes(ctx, c, g.typ, lo, hi); err != nil {
+			return nil, false, err
 		}
-		if radix < 2 {
-			return nil, false
-		}
-		for _, i := range lay.dictGroups {
-			lay.cards[i] = radix
-		}
+		lay.cards[i] = uint64(len(lay.dicts[i])) + 1
 	}
 	lay.idSpace = 1
 	for i, card := range lay.cards {
 		lay.strides[i] = lay.idSpace
 		if lay.idSpace > maxGroupIDSpace/card {
-			return nil, false
+			return nil, false, nil
 		}
 		lay.idSpace *= card
 	}
-	return lay, true
+	return lay, true, nil
+}
+
+// numCodes dictionary-codes numeric column c over rows [lo, hi) by value
+// identity (groupKeyBits, the interpreter's appendKey identity):
+// codes[r−lo] is row r's code, and dict lists the values' bits in
+// first-seen order, so code k stands for dict[k]. NULL rows keep code 0;
+// their id comes from the NULL markers. The context is checked once per
+// block.
+func numCodes(ctx context.Context, c *columnVector, typ ColumnType, lo, hi int) (codes []int32, dict []uint64, err error) {
+	codes = make([]int32, hi-lo)
+	ids := make(map[uint64]int32)
+	// memo is a direct-mapped cache in front of ids: a column of a few
+	// hundred distinct values resolves nearly every row without the map.
+	var memo [256]struct {
+		bits uint64
+		code int32
+	}
+	for i := range memo {
+		memo[i].code = -1
+	}
+	for bLo := lo; bLo < hi; bLo += selBlockRows {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+		}
+		bHi := min(bLo+selBlockRows, hi)
+		nulls := nullsIn(c, bLo, bHi)
+		for r := bLo; r < bHi; r++ {
+			if nulls != nil && nulls[r-bLo] {
+				continue
+			}
+			bits := groupKeyBits(c, typ, r)
+			m := &memo[bits*0x9e3779b97f4a7c15>>56]
+			if m.code < 0 || m.bits != bits {
+				code, seen := ids[bits]
+				if !seen {
+					code = int32(len(dict))
+					ids[bits] = code
+					dict = append(dict, bits)
+				}
+				m.bits, m.code = bits, code
+			}
+			codes[r-lo] = m.code
+		}
+	}
+	return codes, dict, nil
 }
 
 // intRangeCard takes the bounds of int column c over rows [lo, hi) and
@@ -393,7 +422,7 @@ func (lay *vecLayout) describe(v *vecInfo) string {
 			names[i] = "bool"
 		case g.kind == vecGroupFlag:
 			names[i] = "flag"
-		case lay.ranged[i]:
+		case lay.codes[i] == nil:
 			names[i] = "range"
 		default:
 			names[i] = "numdict"
@@ -402,51 +431,11 @@ func (lay *vecLayout) describe(v *vecInfo) string {
 	return strings.Join(names, ",")
 }
 
-// numDict is one worker's runtime value dictionary for a numeric group
-// column: value identity bits → 1-based code (0 is reserved for NULL),
-// bounded by the column's radix in the mixed-radix id space.
-type numDict struct {
-	ids   map[uint64]uint32
-	order []uint64 // bits in first-seen order; code = index+1
-	radix uint64   // codes must stay < radix
-
-	lastBits uint64 // one-entry cache: runs of equal values skip the map
-	lastID   uint32
-	hasLast  bool
-}
-
-// newNumDict creates an empty dictionary with the given radix.
-func newNumDict(radix uint64) *numDict {
-	return &numDict{ids: make(map[uint64]uint32), radix: radix}
-}
-
-// idFor returns the code for the value bits, allocating the next code on
-// first sight. ok=false reports radix overflow.
-func (d *numDict) idFor(bits uint64) (uint32, bool) {
-	if d.hasLast && d.lastBits == bits {
-		return d.lastID, true
-	}
-	id, ok := d.ids[bits]
-	if !ok {
-		next := uint64(len(d.order)) + 1
-		if next >= d.radix {
-			return 0, false
-		}
-		id = uint32(next)
-		d.ids[bits] = id
-		d.order = append(d.order, bits)
-	}
-	d.lastBits, d.lastID, d.hasLast = bits, id, true
-	return id, true
-}
-
 // vecPartial is one worker's accumulated chunk state: entries in the
-// chunk's first-seen order, with the group id of each entry alongside,
-// plus the worker-local numeric dictionaries the merge remaps from.
+// chunk's first-seen order, with the group id of each entry alongside.
 type vecPartial struct {
 	entries []*groupEntry
 	gids    []uint64
-	dicts   []*numDict // indexed like vecInfo.groups; nil for non-dictionary groups
 	scanned int
 }
 
@@ -500,44 +489,15 @@ type vecRun struct {
 	residuals int // predicate conjuncts left on the closure path
 }
 
-// nthRootFloor returns the largest r with r^n <= b (n >= 1).
-func nthRootFloor(b uint64, n int) uint64 {
-	if n == 1 {
-		return b
-	}
-	r := uint64(math.Pow(float64(b), 1/float64(n)))
-	for r > 0 && !powFits(r, n, b) {
-		r--
-	}
-	for powFits(r+1, n, b) {
-		r++
-	}
-	return r
-}
-
-// powFits reports r^n <= b without overflowing.
-func powFits(r uint64, n int, b uint64) bool {
-	if r == 0 {
-		return true
-	}
-	p := uint64(1)
-	for i := 0; i < n; i++ {
-		if p > b/r {
-			return false
-		}
-		p *= r
-	}
-	return p <= b
-}
-
 // run executes the fast path over [lo, hi) with opts.Workers workers.
-// ran reports whether the fast path was applicable at runtime; when
-// false the caller must use the row interpreter.
+// ran reports whether the fast path was applicable at runtime, which is
+// decided before any worker starts; when false the caller must use the
+// row interpreter.
 func (v *vecInfo) run(p *plan, t *colSnap, opts ExecOptions, lo, hi int) (res *vecRun, ran bool, err error) {
 	lo, hi = clampRange(lo, hi, t.rows)
-	lay, ok := v.layout(t, lo, hi)
+	lay, ok, err := v.layout(opts.Ctx, t, lo, hi)
 	if !ok {
-		return nil, false, nil
+		return nil, false, err
 	}
 
 	workers := opts.Workers
@@ -600,19 +560,12 @@ func (v *vecInfo) run(p *plan, t *colSnap, opts ExecOptions, lo, hi int) (res *v
 	}
 	wg.Wait()
 	for _, e := range errs {
-		if errors.Is(e, errGroupIDSpace) {
-			return nil, false, nil
-		}
 		if e != nil {
-			return nil, false, e
+			return nil, true, e
 		}
 	}
 
-	entries, scanned, ok := v.merge(p, parts, lay)
-	if !ok {
-		return nil, false, nil
-	}
-	res.entries, res.scanned = entries, scanned
+	res.entries, res.scanned = v.merge(p, parts, lay.idSpace)
 	if sp := telemetry.SpanFromContext(opts.Ctx); sp != nil {
 		sp.SetAttr("group_keys", lay.describe(v))
 	}
@@ -651,7 +604,6 @@ type chunkScan struct {
 	gids               [selBlockRows]uint64
 
 	index *gidIndex
-	dicts []*numDict // indexed like vecInfo.groups; nil unless dictionary-coded
 	acc   groupAcc
 }
 
@@ -661,12 +613,6 @@ func newChunkScan(v *vecInfo, p *plan, t *colSnap, lay *vecLayout, wanted []bool
 		v: v, p: p, t: t, lay: lay, filter: filter, flags: flags,
 		view:  colRowView{t: t, wanted: wanted},
 		index: newGIDIndex(lay.idSpace),
-	}
-	if len(lay.dictGroups) > 0 {
-		s.dicts = make([]*numDict, len(v.groups))
-		for _, i := range lay.dictGroups {
-			s.dicts[i] = newNumDict(lay.cards[i])
-		}
 	}
 	s.rowView = &s.view
 	s.acc.init(p.aggs, lay.idSpace)
@@ -688,9 +634,7 @@ func (s *chunkScan) scan(ctx context.Context, lo, hi int) (*vecPartial, error) {
 			continue
 		}
 		gids := s.gids[:len(rows)]
-		if err := s.groupIDs(blockLo, blockHi, rows, gids); err != nil {
-			return nil, err
-		}
+		s.groupIDs(blockLo, blockHi, rows, gids)
 		s.accumulate(blockLo, blockHi, rows, s.resolveSlots(gids))
 	}
 	return s.materialize(hi - lo), nil
@@ -761,7 +705,7 @@ func nullsIn(c *columnVector, lo, hi int) []bool {
 
 // groupIDs is stage 2: gids[j] becomes the combined group id of selected
 // row rows[j], one pass per GROUP BY column.
-func (s *chunkScan) groupIDs(lo, hi int, rows []int32, gids []uint64) error {
+func (s *chunkScan) groupIDs(lo, hi int, rows []int32, gids []uint64) {
 	clear(gids)
 	for i := range s.v.groups {
 		g := &s.v.groups[i]
@@ -786,29 +730,18 @@ func (s *chunkScan) groupIDs(lo, hi int, rows []int32, gids []uint64) error {
 			// Stored 0/1, so false and true are the range code over base 0.
 			c := &s.t.cols[g.col]
 			addCodeIDs(gids, rows, c.ints[lo:hi], nullsIn(c, lo, hi), 0, stride)
-		case s.lay.ranged[i]:
+		case s.lay.codes[i] != nil:
+			c, codes := &s.t.cols[g.col], s.lay.codes[i][lo-s.lay.lo:hi-s.lay.lo]
+			addCodeIDs(gids, rows, codes, nullsIn(c, lo, hi), 0, stride)
+		default: // range-coded int
 			c := &s.t.cols[g.col]
 			addCodeIDs(gids, rows, c.ints[lo:hi], nullsIn(c, lo, hi), s.lay.base[i], stride)
-		default:
-			c, dict := &s.t.cols[g.col], s.dicts[i]
-			nulls := nullsIn(c, lo, hi)
-			for j, r := range rows {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				code, ok := dict.idFor(groupKeyBits(c, g.typ, lo+int(r)))
-				if !ok {
-					return errGroupIDSpace
-				}
-				gids[j] += uint64(code) * stride
-			}
 		}
 	}
-	return nil
 }
 
 // addCodeIDs adds one column's share of the group id for codes that are
-// already small integers — dictionary codes, bools, range-coded ints:
+// small integers — dictionary codes, bools, range-coded ints:
 // id = code − base + 1, and 0 for NULL.
 func addCodeIDs[T int32 | int64](gids []uint64, rows []int32, codes []T, nulls []bool, base T, stride uint64) {
 	rows = rows[:len(gids)]
@@ -1061,12 +994,12 @@ func (s *chunkScan) materialize(scanned int) *vecPartial {
 	entries := make([]groupEntry, n)
 	states := make([]aggState, n*nAggs)
 	keys := make([]Value, n*nKeys)
-	part := &vecPartial{entries: make([]*groupEntry, n), gids: s.acc.gids, dicts: s.dicts, scanned: scanned}
+	part := &vecPartial{entries: make([]*groupEntry, n), gids: s.acc.gids, scanned: scanned}
 	for g, gid := range s.acc.gids {
 		e := &entries[g]
 		e.keys = keys[g*nKeys : (g+1)*nKeys : (g+1)*nKeys]
 		e.states = states[g*nAggs : (g+1)*nAggs : (g+1)*nAggs]
-		s.v.decodeKeys(e.keys, s.t, gid, s.lay, s.dicts)
+		s.v.decodeKeys(e.keys, s.t, gid, s.lay)
 		part.entries[g] = e
 	}
 	for ai := range s.p.aggs {
@@ -1103,10 +1036,8 @@ func (s *chunkScan) materialize(scanned int) *vecPartial {
 }
 
 // decodeKeys fills keys with the group-key Values the row interpreter would
-// have produced for the row(s) behind a combined group id. dicts
-// supplies the worker-local numeric dictionaries (nil entries for the
-// other groups).
-func (v *vecInfo) decodeKeys(keys []Value, t *colSnap, gid uint64, lay *vecLayout, dicts []*numDict) {
+// have produced for the row(s) behind a combined group id.
+func (v *vecInfo) decodeKeys(keys []Value, t *colSnap, gid uint64, lay *vecLayout) {
 	for i := range v.groups {
 		g := &v.groups[i]
 		id := (gid / lay.strides[i]) % lay.cards[i]
@@ -1123,109 +1054,27 @@ func (v *vecInfo) decodeKeys(keys []Value, t *colSnap, gid uint64, lay *vecLayou
 			keys[i] = Str(t.cols[g.col].dict[id-1])
 		case g.kind == vecGroupBool:
 			keys[i] = Bool(id == 2)
-		case lay.ranged[i]:
+		case lay.codes[i] == nil:
 			keys[i] = Int(lay.base[i] + int64(id-1))
 		case g.typ == TypeFloat:
-			keys[i] = Float(math.Float64frombits(dicts[i].order[id-1]))
+			keys[i] = Float(math.Float64frombits(lay.dicts[i][id-1]))
 		default:
-			keys[i] = Int(int64(dicts[i].order[id-1]))
+			keys[i] = Int(int64(lay.dicts[i][id-1]))
 		}
 	}
 }
 
-// merge folds worker partials together in chunk order. Because chunks
-// are contiguous and ordered, appending each chunk's unseen groups in
-// its own first-seen order reproduces the first-seen order of a
-// sequential scan. Dictionary-coded numeric group keys are worker-local,
-// so the merge remaps them onto a global dictionary before comparing
-// ids; ok=false reports a (theoretical) global id-space overflow, which
-// sends the query to the row interpreter.
-func (v *vecInfo) merge(p *plan, parts []*vecPartial, lay *vecLayout) (entries []*groupEntry, scanned int, ok bool) {
+// merge folds worker partials together in chunk order. Group ids are
+// global, and because chunks are contiguous and ordered, appending each
+// chunk's unseen groups in its own first-seen order reproduces the
+// first-seen order of a sequential scan.
+func (v *vecInfo) merge(p *plan, parts []*vecPartial, idSpace uint64) (out []*groupEntry, scanned int) {
 	if len(parts) == 1 {
-		return parts[0].entries, parts[0].scanned, true
+		return parts[0].entries, parts[0].scanned
 	}
-	if len(lay.dictGroups) == 0 {
-		return v.mergeStatic(p, parts, lay.idSpace), totalScanned(parts), true
-	}
-
-	// Pass 1: build global numeric dictionaries (walking partials in
-	// chunk order keeps the assignment deterministic) and per-partial
-	// code remap tables.
-	globalIDs := make([]map[uint64]uint32, len(v.groups))
-	for _, i := range lay.dictGroups {
-		globalIDs[i] = make(map[uint64]uint32)
-	}
-	remaps := make([][][]uint32, len(parts)) // [part][group] local code+null → global
-	for pi, part := range parts {
-		remaps[pi] = make([][]uint32, len(v.groups))
-		for _, i := range lay.dictGroups {
-			local := part.dicts[i]
-			rm := make([]uint32, len(local.order)+1)
-			for j, bits := range local.order {
-				gIDs := globalIDs[i]
-				gid, seen := gIDs[bits]
-				if !seen {
-					gid = uint32(len(gIDs)) + 1
-					gIDs[bits] = gid
-				}
-				rm[j+1] = gid
-			}
-			remaps[pi][i] = rm
-		}
-	}
-
-	// Global mixed-radix layout with the exact merged cardinalities.
-	gCards := append([]uint64(nil), lay.cards...)
-	for _, i := range lay.dictGroups {
-		gCards[i] = uint64(len(globalIDs[i])) + 1
-	}
-	gStrides := make([]uint64, len(v.groups))
-	gSpace := uint64(1)
-	for i, card := range gCards {
-		gStrides[i] = gSpace
-		if gSpace > maxGroupIDSpace/card {
-			return nil, 0, false
-		}
-		gSpace *= card
-	}
-
-	// Pass 2: the usual chunk-order merge, on remapped global ids.
-	index := newGIDIndex(gSpace)
-	var out []*groupEntry
-	for pi, part := range parts {
-		scanned += part.scanned
-		for j, e := range part.entries {
-			gid := part.gids[j]
-			ggid := uint64(0)
-			for i := range v.groups {
-				id := (gid / lay.strides[i]) % lay.cards[i]
-				if rm := remaps[pi][i]; rm != nil {
-					id = uint64(rm[id])
-				}
-				ggid += id * gStrides[i]
-			}
-			slot := index.get(ggid)
-			if slot < 0 {
-				slot = int32(len(out))
-				out = append(out, e)
-				index.put(ggid, slot)
-				continue
-			}
-			dst := out[slot].states
-			for ai := range p.aggs {
-				dst[ai].merge(&p.aggs[ai], &e.states[ai])
-			}
-		}
-	}
-	return out, scanned, true
-}
-
-// mergeStatic merges partials whose group ids are already globally
-// comparable (no runtime dictionaries involved).
-func (v *vecInfo) mergeStatic(p *plan, parts []*vecPartial, idSpace uint64) []*groupEntry {
 	index := newGIDIndex(idSpace)
-	var out []*groupEntry
 	for _, part := range parts {
+		scanned += part.scanned
 		for j, e := range part.entries {
 			gid := part.gids[j]
 			slot := index.get(gid)
@@ -1241,14 +1090,5 @@ func (v *vecInfo) mergeStatic(p *plan, parts []*vecPartial, idSpace uint64) []*g
 			}
 		}
 	}
-	return out
-}
-
-// totalScanned sums the partials' visited-row counts.
-func totalScanned(parts []*vecPartial) int {
-	n := 0
-	for _, p := range parts {
-		n += p.scanned
-	}
-	return n
+	return out, scanned
 }

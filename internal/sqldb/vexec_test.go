@@ -456,11 +456,11 @@ func TestVectorizedCancellation(t *testing.T) {
 	}
 }
 
-// TestGroupIDSpaceOverflowRetriesOnInterpreter drives a runtime value
-// dictionary past its radix mid-scan: four float group columns share the
-// id space, leaving each 2^10 codes, and the first holds 1500 distinct
-// values. The fast path must give up (errGroupIDSpace) and the query
-// must still answer, from the interpreter, with the reason reported.
+// TestGroupIDSpaceOverflowRetriesOnInterpreter gives four float group
+// columns 1500 distinct values each: their exact id space, 1501^4, is
+// beyond maxGroupIDSpace. The fast path must decline before the scan and
+// the query must still answer, from the interpreter, with the reason
+// reported.
 func TestGroupIDSpaceOverflowRetriesOnInterpreter(t *testing.T) {
 	db := NewDB()
 	tab, err := db.CreateTable("t", MustSchema(
@@ -472,7 +472,7 @@ func TestGroupIDSpaceOverflowRetriesOnInterpreter(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3000; i++ {
-		row := []Value{Float(float64(i % 1500)), Float(float64(i % 2)), Float(float64(i % 3)), Float(0.5), Int(int64(i))}
+		row := []Value{Float(float64(i % 1500)), Float(float64(i*7%1500) + 0.5), Float(float64(i*11%1500) - 0.25), Float(float64(i*13%1500) * 2), Int(int64(i))}
 		if err := tab.AppendRow(row); err != nil {
 			t.Fatal(err)
 		}

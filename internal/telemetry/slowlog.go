@@ -23,8 +23,7 @@ type SlowLog struct {
 }
 
 // NewSlowLog creates a slow log writing JSON lines to w. threshold <= 0
-// selects DefaultSlowThreshold; per-request thresholds
-// (core.Options.SlowQueryThreshold) override it per invocation.
+// selects DefaultSlowThreshold.
 func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 	if threshold <= 0 {
 		threshold = DefaultSlowThreshold
