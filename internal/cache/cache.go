@@ -14,9 +14,9 @@
 //     the same key execute the underlying work exactly once and share
 //     the result.
 //   - Typed key constructors (keys.go), one per namespace: whole-request
-//     results, shared view-query results, table statistics at a version
-//     (the engine's only memo of them: backends compute statistics and
-//     remember none) and the version-less stale-on-outage aliases.
+//     results, table statistics at a version (the engine's only memo of
+//     them: backends compute statistics and remember none) and the
+//     version-less stale-on-outage aliases.
 //
 // Values stored in the cache are shared between goroutines and MUST be
 // treated as immutable by all readers; callers that need to mutate a

@@ -295,8 +295,8 @@ func TestDoSurvivesPanickingCompute(t *testing.T) {
 
 func TestVersionedKeysIsolate(t *testing.T) {
 	c := New(1 << 20)
-	k1 := QueryKey("t", "1.0", "SELECT a FROM t", 0, 0, false)
-	k2 := QueryKey("t", "2.0", "SELECT a FROM t", 0, 0, false)
+	k1 := RequestKey("t", "1.0", "x = 1", "5")
+	k2 := RequestKey("t", "2.0", "x = 1", "5")
 	c.Put(k1, "old", 10, 0)
 	if _, ok := c.Get(k2); ok {
 		t.Fatal("new version observed old entry")
@@ -308,7 +308,6 @@ func TestVersionedKeysIsolate(t *testing.T) {
 // within a namespace any one differing component must change the key.
 func TestKeyNamespacesDisjoint(t *testing.T) {
 	keys := map[string]string{
-		"q": QueryKey("t", "1.0", "x", 0, 0, false),
 		"r": RequestKey("t", "1.0", "x", "0", "0"),
 		"s": StaleKey("t", "1.0", "x", "0", "0"),
 		"t": StatsKey("t", "1.0", false),

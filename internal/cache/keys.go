@@ -5,34 +5,21 @@ import (
 	"strings"
 )
 
-// Key construction. A namespace is a one-letter key prefix; the four
+// Key construction. A namespace is a one-letter key prefix; the three
 // constructors below are the only place keys are built, which keeps the
-// namespaces (q query results, r request results, t table statistics,
-// s stale-on-outage aliases) disjoint inside one shared budget. The q,
-// r and t keys embed the dataset version token a backend's TableInfo
-// reports (the embedded store's comes from sqldb.(*DB).TableState),
-// which is what makes invalidation purely versioned: when a table is
-// reloaded or appended to, new requests carry a new version and can
-// never observe entries written under the old one.
+// namespaces (r request results, t table statistics, s stale-on-outage
+// aliases) disjoint inside one shared budget. The r and t keys embed the
+// dataset version token a backend's TableInfo reports (the embedded
+// store's comes from sqldb.(*DB).TableState), which is what makes
+// invalidation purely versioned: when a table is reloaded or appended
+// to, new requests carry a new version and can never observe entries
+// written under the old one.
 // The s key is deliberately version-less: it exists for the moment the
 // current version is unreachable.
 
 // sep separates key components; it cannot appear in SQL text or
 // identifiers.
 const sep = "\x00"
-
-// QueryKey keys one shared view query execution: the SQL verbatim (one
-// deterministic renderer produces it, so one query has one text) plus the
-// table version, the scanned row range (phased execution runs the same
-// SQL over different partitions), and the degraded-results opt-in. The
-// last matters for singleflight, not storage: a complete-or-error
-// request must never share a flight whose computation may legally
-// return partial shard coverage.
-func QueryKey(table, version, sql string, lo, hi int, allowPartial bool) string {
-	return "q" + sep + strings.ToLower(table) + sep + version + sep +
-		strconv.Itoa(lo) + sep + strconv.Itoa(hi) + sep +
-		strconv.FormatBool(allowPartial) + sep + sql
-}
 
 // RequestKey keys one whole Recommend invocation. parts is the
 // canonical, order-sensitive rendering of the request and of every
@@ -41,10 +28,9 @@ func RequestKey(table, version string, parts ...string) string {
 	return "r" + sep + strings.ToLower(table) + sep + version + sep + strings.Join(parts, sep)
 }
 
-// StatsKey keys one table's statistics at one version. Like QueryKey it
-// carries the degraded-results opt-in, so a complete-or-error request
-// never shares a flight whose statistics may describe only the
-// surviving shards.
+// StatsKey keys one table's statistics at one version. It carries the
+// degraded-results opt-in, so a complete-or-error request never shares
+// a flight whose statistics may describe only the surviving shards.
 func StatsKey(table, version string, allowPartial bool) string {
 	return "t" + sep + strings.ToLower(table) + sep + version + sep + strconv.FormatBool(allowPartial)
 }

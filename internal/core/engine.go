@@ -108,10 +108,11 @@ type Metrics struct {
 	// EarlyStopped reports whether COMB_EARLY returned before scanning
 	// everything.
 	EarlyStopped bool
-	// CacheHits and CacheMisses count result-cache lookups (whole-request
-	// and per-query) made on behalf of this invocation; table-statistics
-	// lookups are not counted. A query served from the cache counts as a
-	// hit and does not appear in QueriesExecuted or RowsScanned.
+	// CacheHits and CacheMisses count this invocation's whole-request
+	// cache lookup: a hit, or a concurrent duplicate that shared another
+	// request's execution, counts one hit; a computed entry counts one
+	// miss; an uncached request counts neither. Table-statistics lookups
+	// are not counted.
 	CacheHits   int
 	CacheMisses int
 	// ServedFromCache marks an invocation answered entirely by the
@@ -187,10 +188,6 @@ type execState struct {
 	rowOrds []int32
 	scratch scoreScratch
 
-	// Shared result-cache state (nil/empty when caching is off).
-	cache   *cache.Cache
-	version string // dataset version token the whole run is keyed under
-
 	// tel observes per-query execution latency and feeds the slow-query
 	// log; nil when the engine has no collector.
 	tel *telemetry.Collector
@@ -207,10 +204,10 @@ type execState struct {
 // engine's shared cache under the request's canonical key and the
 // table's dataset version: repeat requests return without issuing any
 // SQL, and concurrent identical requests collapse into one execution
-// (singleflight). Cold requests still reuse cached shared-query results
-// where they overlap earlier work. The cache never changes which query
-// computes a view's reference side: it is always the query that computes
-// its target side (or that query's reference twin).
+// (singleflight). A cold request runs every shared query against the
+// backend. The cache never changes which query computes a view's
+// reference side: it is always the query that computes its target side
+// (or that query's reference twin).
 func (e *Engine) Recommend(ctx context.Context, req Request, opts Options) (*Result, error) {
 	start := time.Now()
 	ctx, sp := telemetry.StartSpan(ctx, "recommend")
@@ -414,7 +411,7 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 	}
 
 	if !versioned {
-		res, err := e.runRecommend(ctx, req, opts, views, meta, nil, "")
+		res, err := e.runRecommend(ctx, req, opts, views, meta)
 		if err != nil {
 			return nil, err
 		}
@@ -452,7 +449,7 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 			return n
 		},
 		func(cctx context.Context) (any, error) {
-			res, err := e.runRecommend(cctx, req, opts, views, meta, c, version)
+			res, err := e.runRecommend(cctx, req, opts, views, meta)
 			if err != nil {
 				return nil, err
 			}
@@ -472,30 +469,31 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 		res.Metrics.resetInvocationCost()
 		res.Metrics.CacheHits = 1
 		res.Metrics.ServedFromCache = true
-	} else if admitted {
-		// Point this request shape's outage fallback at the entry just
-		// filled. Written by every complete computation, whether or not
-		// it asked for stale serving, so the alias keeps up with the
-		// data even when the opted-in requests themselves only hit.
-		c.Put(staleCacheKey(e.be.Name(), req, rawOpts), key, int64(2*len(key)), 0)
+	} else {
+		res.Metrics.CacheMisses = 1
+		if admitted {
+			// Point this request shape's outage fallback at the entry
+			// just filled. Written by every complete computation, whether
+			// or not it asked for stale serving, so the alias keeps up
+			// with the data even when the opted-in requests themselves
+			// only hit.
+			c.Put(staleCacheKey(e.be.Name(), req, rawOpts), key, int64(2*len(key)), 0)
+		}
 	}
 	stampDegradation(res, requested, opts.Strategy)
 	res.Metrics.Elapsed = time.Since(start)
 	return res, nil
 }
 
-// runRecommend executes one cold recommendation. With a non-nil cache it
-// consults the shared-query memoization inside runQueries.
-func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, views []View, meta *tableMeta, c *cache.Cache, version string) (*Result, error) {
+// runRecommend executes one cold recommendation.
+func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, views []View, meta *tableMeta) (*Result, error) {
 	start := time.Now()
 	st := &execState{
-		be:      e.be,
-		req:     req,
-		opts:    opts,
-		views:   views,
-		cache:   c,
-		version: version,
-		tel:     e.tel.Load(),
+		be:    e.be,
+		req:   req,
+		opts:  opts,
+		views: views,
+		tel:   e.tel.Load(),
 	}
 	st.metrics.Views = len(views)
 	var dims []string

@@ -237,11 +237,10 @@ type Options struct {
 	// keeps only the top-k).
 	KeepAllViews bool
 	// EnableCache routes this request through the engine's shared result
-	// cache (internal/cache): whole-request memoization and shared-query
-	// memoization with singleflight collapsing. It changes what a request
-	// costs, never which queries compute its result. The cache is keyed
-	// by dataset version, so loads, inserts and drops invalidate stale
-	// entries automatically.
+	// cache (internal/cache): whole-request memoization with singleflight
+	// collapsing. It changes what a request costs, never which queries
+	// compute its result. The cache is keyed by dataset version, so
+	// loads, inserts and drops invalidate stale entries automatically.
 	// Default false (every request recomputes, the paper's behavior).
 	EnableCache bool
 	// AllowPartial opts the request into degraded results on routing

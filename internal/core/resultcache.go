@@ -3,27 +3,21 @@ package core
 // This file is the engine side of the shared result cache
 // (internal/cache): what the engine stores under each key namespace,
 // how big it says those values are, and how it copies them in and out.
-// Two reuse layers compose, coarsest first:
+// There is one reuse layer, whole-request memoization (r): a Recommend
+// whose canonical request key (request + result-affecting options +
+// dataset version) was already answered returns the cached Result
+// without touching the DBMS, and concurrent identical requests collapse
+// to one execution. The version-less stale alias (s) points at the
+// newest such entry for outage replay.
 //
-//  1. Whole-request memoization (r): a Recommend whose canonical request
-//     key (request + result-affecting options + dataset version) was
-//     already answered returns the cached Result without touching the
-//     DBMS, and concurrent identical requests collapse to one execution.
-//     The version-less stale alias (s) points at the newest such entry
-//     for outage replay.
-//  2. Shared-query memoization (q): each generated view query is keyed
-//     by its SQL + row range + dataset version, so requests that
-//     overlap partially (different K, different pruning, a re-issued
-//     phase) still skip the scans they share with earlier work.
-//
-// Beside them, table statistics (t) are kept per table version for any
+// Beside it, table statistics (t) are kept per table version for any
 // request whose engine has a cache, whatever its cache flag: statistics
 // at a version are an input every request may share, never one request's
 // result. Backends compute statistics and remember none.
 //
-// Neither layer changes which queries compute a view: its reference side
-// comes from the same query as its target side (or that query's reference
-// twin) whether the cache is on or off.
+// The cache never changes which queries compute a view: its reference
+// side comes from the same query as its target side (or that query's
+// reference twin) whether the cache is on or off.
 
 import (
 	"fmt"
@@ -244,26 +238,6 @@ func statsSizeBytes(s *backend.TableStats, pinnedRows int) int64 {
 	n := int64(64)
 	for _, c := range s.Columns {
 		n += int64(len(c.Name)) + 48
-	}
-	return n
-}
-
-// execResultSizeBytes estimates a materialized query result's cache
-// footprint. Like resultSizeBytes, degraded shard results are marked
-// do-not-admit with a negative size.
-func execResultSizeBytes(res *execResult) int64 {
-	if res.stats.ShardsDegraded > 0 {
-		return -1
-	}
-	n := int64(96)
-	for _, c := range res.rows.Columns {
-		n += int64(len(c)) + 16
-	}
-	for _, row := range res.rows.Rows {
-		n += 24
-		for _, v := range row {
-			n += 40 + int64(len(v.S))
-		}
 	}
 	return n
 }

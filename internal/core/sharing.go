@@ -10,7 +10,6 @@ import (
 
 	"seedb/internal/backend"
 	"seedb/internal/binpack"
-	"seedb/internal/cache"
 	"seedb/internal/telemetry"
 )
 
@@ -341,26 +340,12 @@ func (qb *queryBuilder) renderSQL(dims, exprs []string, where string, flag bool)
 	return b.String()
 }
 
-// execResult pairs one query's materialized rows with the stats of the
-// execution that produced them; the pair is what the shared-query cache
-// stores, so warm hits replay the rows without re-counting the cost.
-type execResult struct {
-	rows  *backend.Rows
-	stats backend.ExecStats
-}
-
 // runQueries executes the shared queries over table rows [lo, hi) on a
 // worker pool. Each worker folds its query's result into the view
 // accumulators as soon as it arrives, under mergeMu. Arrival order does
 // not change any float: a view's dimension lies in exactly one group-by
 // set and each of its sides in exactly one query per phase, so every cell
 // is fed by one query and folds that query's rows in result order.
-//
-// With a cache attached, each query is memoized under its SQL + row
-// range + dataset version: a hit skips the DBMS entirely and
-// concurrent identical queries (within or across requests) collapse to
-// one execution. Cached results are shared and treated as immutable —
-// merging only reads them.
 func (s *execState) runQueries(ctx context.Context, queries []*sharedQuery, lo, hi int) error {
 	if len(queries) == 0 {
 		return nil
@@ -417,71 +402,40 @@ func (s *execState) execAndMerge(ctx context.Context, q *sharedQuery, lo, hi int
 			err = fmt.Errorf("core: backend panicked: %v", p)
 		}
 	}()
-	res, outcome, err := s.runQuery(ctx, q.sql, lo, hi)
+	rows, stats, err := s.runQuery(ctx, q.sql, lo, hi)
 	if err != nil {
 		return err
 	}
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()
-	if outcome == cache.Computed {
-		// This invocation paid for the execution. ExecTotals.Add keeps
-		// the executed/vectorized/fallback counters in lockstep whatever
-		// path the backend took (fast path, runtime fallback, external
-		// store).
-		s.metrics.Add(res.stats)
-		if s.cache != nil {
-			s.metrics.CacheMisses++
-		}
-	} else {
-		s.metrics.CacheHits++
-	}
-	s.mergeResult(q, res.rows)
+	// ExecTotals.Add keeps the executed/vectorized/fallback counters in
+	// lockstep whatever path the backend took (fast path, runtime
+	// fallback, external store).
+	s.metrics.Add(stats)
+	s.mergeResult(q, rows)
 	return nil
 }
 
-// runQuery executes (or cache-resolves) one shared query.
-func (s *execState) runQuery(ctx context.Context, sql string, lo, hi int) (*execResult, cache.Outcome, error) {
+// runQuery executes one shared query under its query span.
+func (s *execState) runQuery(ctx context.Context, sql string, lo, hi int) (*backend.Rows, backend.ExecStats, error) {
 	// The degraded-results opt-in reaches routing backends through ctx
 	// (backend.WithAllowPartial, set once per request by recommend).
 	execOpts := backend.ExecOptions{Lo: lo, Hi: hi, Workers: s.opts.ScanParallelism}
 	qctx, qsp := telemetry.StartSpan(ctx, "query")
+	defer qsp.End()
 	qsp.SetAttr("sql", sql)
-	// exec is the paid execution path: singleflight runs it in
-	// exactly one caller per flight, so observing here keeps the
-	// query-latency histogram count equal to QueriesExecuted.
-	exec := func(cctx context.Context) (any, error) {
-		t0 := time.Now()
-		rows, stats, err := s.be.Exec(cctx, sql, execOpts)
-		d := time.Since(t0)
-		if err != nil {
-			return nil, err
-		}
-		// Cost attribution on the paid path: the query span carries the
-		// execution's resource counters, so a trace shows where the rows
-		// went, not just where the time went.
-		stats.StampSpan(qsp)
-		s.tel.ObserveQuery(d)
-		s.logSlowQuery(sql, lo, hi, d, stats, qsp)
-		return &execResult{rows: rows, stats: stats}, nil
-	}
-	if s.cache == nil {
-		v, err := exec(qctx)
-		qsp.End()
-		if err != nil {
-			return nil, 0, err
-		}
-		return v.(*execResult), cache.Computed, nil
-	}
-	key := cache.QueryKey(s.req.Table, s.version, sql, lo, hi, s.opts.AllowPartial)
-	v, outcome, err := s.cache.Do(qctx, key,
-		func(v any) int64 { return execResultSizeBytes(v.(*execResult)) },
-		exec,
-	)
-	qsp.End()
+	t0 := time.Now()
+	rows, stats, err := s.be.Exec(qctx, sql, execOpts)
+	d := time.Since(t0)
 	if err != nil {
-		return nil, 0, err
+		return nil, stats, err
 	}
-	return v.(*execResult), outcome, nil
+	// The query span carries the execution's resource counters, so a
+	// trace shows where the rows went, not just where the time went.
+	stats.StampSpan(qsp)
+	s.tel.ObserveQuery(d)
+	s.logSlowQuery(sql, lo, hi, d, stats, qsp)
+	return rows, stats, nil
 }
 
 // logSlowQuery writes one paid execution over the slow threshold to the

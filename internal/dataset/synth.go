@@ -335,10 +335,19 @@ type RowGen struct {
 	parents []int        // resolved parent column indices (-1 = none)
 	fanouts []int
 	cumw    [][]float64 // weighted: cumulative normalized weights
+	// names holds each categorical column's cell values by index, each
+	// formatted by ValueName the first time it is drawn (a zero Value
+	// is not yet filled). Nil for columns wider than maxNameTable,
+	// which format every cell.
+	names   [][]sqldb.Value
 	row     []sqldb.Value
 	st      rowState
 	emitted int
 }
+
+// maxNameTable caps a categorical column's name table, so a generator's
+// memory stays independent of the cardinalities a spec declares.
+const maxNameTable = 1 << 16
 
 // NewRowGen validates the spec and prepares a generator. A zero seed
 // falls back to the spec's Seed.
@@ -358,6 +367,7 @@ func NewRowGen(spec SynthSpec, seed int64) (*RowGen, error) {
 		parents: make([]int, n),
 		fanouts: make([]int, n),
 		cumw:    make([][]float64, n),
+		names:   make([][]sqldb.Value, n),
 		row:     make([]sqldb.Value, n),
 		st: rowState{
 			catIdx: make([]int, n),
@@ -376,6 +386,9 @@ func NewRowGen(spec SynthSpec, seed int64) (*RowGen, error) {
 		}
 		if c.categorical() {
 			g.cards[i] = spec.cardinalityAt(i)
+			if g.cards[i] <= maxNameTable {
+				g.names[i] = make([]sqldb.Value, g.cards[i])
+			}
 		}
 		// The discrete space Zipf ranks span: child slots for hierarchy
 		// levels, the value space for flat categoricals, the [Min, Max]
@@ -417,6 +430,18 @@ func NewRowGen(spec SynthSpec, seed int64) (*RowGen, error) {
 
 // Emitted returns how many rows Next has produced.
 func (g *RowGen) Emitted() int { return g.emitted }
+
+// name returns the cell value of index idx of categorical column i.
+func (g *RowGen) name(i, idx int) sqldb.Value {
+	names := g.names[i]
+	if names == nil {
+		return sqldb.Str(g.spec.ValueName(g.spec.Columns[i].Name, idx))
+	}
+	if names[idx].IsNull() {
+		names[idx] = sqldb.Str(g.spec.ValueName(g.spec.Columns[i].Name, idx))
+	}
+	return names[idx]
+}
 
 // drawIndex samples a value index in [0, space) under the column's
 // distribution.
@@ -542,7 +567,7 @@ func (g *RowGen) Next() []sqldb.Value {
 				g.st.isNull[i] = true
 				g.row[i] = sqldb.Null()
 			} else {
-				g.row[i] = sqldb.Str(g.spec.ValueName(c.Name, idx))
+				g.row[i] = g.name(i, idx)
 			}
 		case c.Type == "bool":
 			pTrue := 0.5
