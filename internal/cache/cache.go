@@ -275,15 +275,6 @@ func (c *Cache) Do(ctx context.Context, key string, size func(v any) int64, comp
 	return v, Computed, nil
 }
 
-// Remove deletes key if present.
-func (c *Cache) Remove(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.removeLocked(el)
-	}
-}
-
 // Clear drops every entry (counters are preserved).
 func (c *Cache) Clear() {
 	c.mu.Lock()

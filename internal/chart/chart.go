@@ -112,33 +112,3 @@ func bar(frac float64, width int) string {
 	full := int(frac*float64(width) + 0.5)
 	return strings.Repeat("█", full) + strings.Repeat("░", width-full)
 }
-
-// Sparkline renders a compact one-line distribution (for tables and
-// logs): one block character per group, height by probability mass.
-func Sparkline(dist []float64) string {
-	if len(dist) == 0 {
-		return ""
-	}
-	levels := []rune("▁▂▃▄▅▆▇█")
-	maxVal := 0.0
-	for _, v := range dist {
-		if v > maxVal {
-			maxVal = v
-		}
-	}
-	if maxVal == 0 {
-		maxVal = 1
-	}
-	var b strings.Builder
-	for _, v := range dist {
-		idx := int(v / maxVal * float64(len(levels)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(levels) {
-			idx = len(levels) - 1
-		}
-		b.WriteRune(levels[idx])
-	}
-	return b.String()
-}

@@ -76,23 +76,6 @@ func TestRenderLongLabelsTruncated(t *testing.T) {
 	}
 }
 
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{0, 0.5, 1})
-	if len([]rune(s)) != 3 {
-		t.Errorf("sparkline length = %d runes", len([]rune(s)))
-	}
-	runes := []rune(s)
-	if runes[0] >= runes[2] {
-		t.Error("sparkline should rise with values")
-	}
-	if Sparkline(nil) != "" {
-		t.Error("empty sparkline should be empty")
-	}
-	if len([]rune(Sparkline([]float64{0, 0}))) != 2 {
-		t.Error("all-zero sparkline should still render")
-	}
-}
-
 func TestBarClamping(t *testing.T) {
 	if got := bar(-1, 4); got != "░░░░" {
 		t.Errorf("negative frac bar = %q", got)

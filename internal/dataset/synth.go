@@ -339,10 +339,9 @@ type RowGen struct {
 	// formatted by ValueName the first time it is drawn (a zero Value
 	// is not yet filled). Nil for columns wider than maxNameTable,
 	// which format every cell.
-	names   [][]sqldb.Value
-	row     []sqldb.Value
-	st      rowState
-	emitted int
+	names [][]sqldb.Value
+	row   []sqldb.Value
+	st    rowState
 }
 
 // maxNameTable caps a categorical column's name table, so a generator's
@@ -427,9 +426,6 @@ func NewRowGen(spec SynthSpec, seed int64) (*RowGen, error) {
 	}
 	return g, nil
 }
-
-// Emitted returns how many rows Next has produced.
-func (g *RowGen) Emitted() int { return g.emitted }
 
 // name returns the cell value of index idx of categorical column i.
 func (g *RowGen) name(i, idx int) sqldb.Value {
@@ -594,7 +590,6 @@ func (g *RowGen) Next() []sqldb.Value {
 			}
 		}
 	}
-	g.emitted++
 	return g.row
 }
 

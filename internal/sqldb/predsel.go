@@ -23,9 +23,15 @@ package sqldb
 //     codes as integers against a per-dictionary-entry match table built
 //     once per execution — string ordering, equality, IN and BETWEEN all
 //     become one []bool lookup per row.
-//   - Kernels AND into a caller-owned selection bitmap, one pass per
-//     conjunct; disjunctions OR their leaves into a scratch bitmap first.
-//     The executor reuses both bitmaps per worker across blocks.
+//   - Every kernel has one method: it ANDs "conjunct is TRUE" into a
+//     caller-owned selection bitmap, one pass per conjunct. A disjunction
+//     ANDs each leaf into a scratch bitmap of the rows no earlier leaf
+//     satisfied and ORs what the leaf kept into its result, so a leaf
+//     only keeps rows the disjunction still needs. The executor reuses
+//     the bitmaps per worker across blocks.
+//   - A program with no kernel at all (every conjunct residual) is still a
+//     program: the executor binds it like any other, and its residual
+//     closures run per conjunct on the rows the empty kernel set kept.
 //
 // Compilation is two-phase: compileSelection analyzes the expression
 // against the schema at plan time, and bind resolves column vectors and
@@ -144,7 +150,7 @@ type selProg struct {
 // It never rejects a predicate outright — uncompilable conjuncts become
 // residual closures — but surfaces compile errors from the residual
 // closures (which cannot happen for predicates the planner already
-// compiled whole; the error path is defensive).
+// compiled whole; the executor declines the fast path on one).
 func compileSelection(pred Expr, schema *Schema) (*selProg, error) {
 	c := &selCompiler{schema: schema}
 	if err := c.addConjunct(pred, false); err != nil {
@@ -154,20 +160,10 @@ func compileSelection(pred Expr, schema *Schema) (*selProg, error) {
 }
 
 // kernelCount returns how many conjuncts compiled to kernels.
-func (p *selProg) kernelCount() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.conjuncts)
-}
+func (p *selProg) kernelCount() int { return len(p.conjuncts) }
 
 // residualCount returns how many conjuncts stayed on the closure path.
-func (p *selProg) residualCount() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.residual)
-}
+func (p *selProg) residualCount() int { return len(p.residual) }
 
 // selCompiler accumulates conjuncts during recursive predicate analysis.
 type selCompiler struct {
@@ -481,18 +477,12 @@ func (c *selCompiler) compileLeaf(e Expr, neg bool) (selLeaf, bool) {
 	return selLeaf{}, false
 }
 
-// selKernel is one bound conjunct: and() folds "conjunct is TRUE" into
-// sel[r-lo] for rows [lo, hi), skipping rows already deselected. scratch
-// must be at least hi-lo long; only disjunction kernels use it.
+// selKernel is one bound conjunct or disjunct leaf: and() folds "it is
+// TRUE" into sel[r-lo] for rows [lo, hi). It only ever deselects rows,
+// which kernOr relies on. scratch must be at least 2(hi-lo) long; only
+// disjunction kernels use it.
 type selKernel interface {
 	and(lo, hi int, sel, scratch []bool)
-}
-
-// orLeaf is a bound leaf inside a disjunction: or() folds "leaf is TRUE"
-// into sel for rows not yet selected.
-type orLeaf interface {
-	selKernel
-	or(lo, hi int, sel []bool)
 }
 
 // boundSel is a selection program bound to one table for one execution.
@@ -505,16 +495,13 @@ type boundSel struct {
 // bind resolves the program's leaves against t's live column vectors and
 // dictionaries.
 func (p *selProg) bind(t *colSnap) *boundSel {
-	if p == nil {
-		return nil
-	}
 	b := &boundSel{residual: p.residual}
 	for _, disj := range p.conjuncts {
 		if len(disj) == 1 {
 			b.kernels = append(b.kernels, bindLeaf(t, disj[0]))
 			continue
 		}
-		or := &kernOr{leaves: make([]orLeaf, len(disj))}
+		or := &kernOr{leaves: make([]selKernel, len(disj))}
 		for i, leaf := range disj {
 			or.leaves[i] = bindLeaf(t, leaf)
 		}
@@ -532,7 +519,7 @@ func (b *boundSel) apply(lo, hi int, sel, scratch []bool) {
 }
 
 // bindLeaf builds the concrete kernel for one leaf.
-func bindLeaf(t *colSnap, leaf selLeaf) orLeaf {
+func bindLeaf(t *colSnap, leaf selLeaf) selKernel {
 	switch leaf.kind {
 	case leafConst:
 		return &kernConst{val: leaf.constVal}
@@ -564,22 +551,11 @@ func (k *kernConst) and(lo, hi int, sel, _ []bool) {
 	clearRange(sel, hi-lo)
 }
 
-func (k *kernConst) or(lo, hi int, sel []bool) {
-	if !k.val {
-		return
-	}
-	for i := 0; i < hi-lo; i++ {
-		sel[i] = true
-	}
-}
-
 // kernNull tests IS [NOT] NULL.
 type kernNull struct {
 	c        *columnVector
 	wantNull bool
 }
-
-func (k *kernNull) isNull(r int) bool { return k.c.nulls != nil && k.c.nulls[r] }
 
 func (k *kernNull) and(lo, hi int, sel, _ []bool) {
 	if k.c.nulls == nil {
@@ -597,26 +573,11 @@ func (k *kernNull) and(lo, hi int, sel, _ []bool) {
 	}
 }
 
-func (k *kernNull) or(lo, hi int, sel []bool) {
-	for r := lo; r < hi; r++ {
-		if !sel[r-lo] {
-			sel[r-lo] = k.isNull(r) == k.wantNull
-		}
-	}
-}
-
 // kernDict evaluates any dict-string comparison through a per-code match
 // table: one nil-check and one []bool index per row.
 type kernDict struct {
 	c     *columnVector
 	match []bool
-}
-
-func (k *kernDict) trueAt(r int) bool {
-	if k.c.nulls != nil && k.c.nulls[r] {
-		return false
-	}
-	return k.match[k.c.codes[r]]
 }
 
 func (k *kernDict) and(lo, hi int, sel, _ []bool) {
@@ -636,14 +597,6 @@ func (k *kernDict) and(lo, hi int, sel, _ []bool) {
 	}
 }
 
-func (k *kernDict) or(lo, hi int, sel []bool) {
-	for r := lo; r < hi; r++ {
-		if !sel[r-lo] {
-			sel[r-lo] = k.trueAt(r)
-		}
-	}
-}
-
 // numAt reads the numeric value of column c at row r as float64, the
 // same coercion the interpreter's Value.AsFloat applies.
 func numAt(c *columnVector, flt bool, r int) float64 {
@@ -659,13 +612,6 @@ type kernNumCmp struct {
 	flt bool
 	op  cmpOp
 	val float64
-}
-
-func (k *kernNumCmp) trueAt(r int) bool {
-	if k.c.nulls != nil && k.c.nulls[r] {
-		return false
-	}
-	return cmpFloat(k.op, numAt(k.c, k.flt, r), k.val)
 }
 
 func (k *kernNumCmp) and(lo, hi int, sel, _ []bool) {
@@ -740,14 +686,6 @@ func andCmp[T int64 | float64](op cmpOp, xs []T, val float64, sel []bool) {
 	}
 }
 
-func (k *kernNumCmp) or(lo, hi int, sel []bool) {
-	for r := lo; r < hi; r++ {
-		if !sel[r-lo] {
-			sel[r-lo] = k.trueAt(r)
-		}
-	}
-}
-
 // kernNumIn is col [NOT] IN (literals) over a numeric column. SeeDB IN
 // lists are short, so a linear scan beats hashing.
 type kernNumIn struct {
@@ -775,14 +713,6 @@ func (k *kernNumIn) trueAt(r int) bool {
 func (k *kernNumIn) and(lo, hi int, sel, _ []bool) {
 	for r := lo; r < hi; r++ {
 		if sel[r-lo] {
-			sel[r-lo] = k.trueAt(r)
-		}
-	}
-}
-
-func (k *kernNumIn) or(lo, hi int, sel []bool) {
-	for r := lo; r < hi; r++ {
-		if !sel[r-lo] {
 			sel[r-lo] = k.trueAt(r)
 		}
 	}
@@ -826,29 +756,29 @@ func (k *kernNumBetween) and(lo, hi int, sel, _ []bool) {
 	}
 }
 
-func (k *kernNumBetween) or(lo, hi int, sel []bool) {
-	for r := lo; r < hi; r++ {
-		if !sel[r-lo] {
-			sel[r-lo] = k.trueAt(r)
-		}
-	}
-}
-
-// kernOr is a disjunction conjunct: leaves OR into the scratch bitmap,
-// which then ANDs into the selection.
-type kernOr struct{ leaves []orLeaf }
+// kernOr is a disjunction conjunct. The second half of scratch holds the
+// selected rows no earlier leaf satisfied; each leaf ANDs into it, and
+// what the leaf kept ORs into the first half, the rows some leaf
+// satisfied, which finally replaces sel. A leaf only clears rows, so what
+// it kept is disjoint from the rows already hit and both lie within sel:
+// the OR and the "sel but not hit" update are each one XOR, no branch.
+type kernOr struct{ leaves []selKernel }
 
 func (k *kernOr) and(lo, hi int, sel, scratch []bool) {
 	n := hi - lo
-	clearRange(scratch, n)
+	sel = sel[:n]
+	hit, pending := scratch[:n], scratch[n:2*n]
+	clear(hit)
+	copy(pending, sel)
 	for _, l := range k.leaves {
-		l.or(lo, hi, scratch[:n])
-	}
-	for i := 0; i < n; i++ {
-		if sel[i] {
-			sel[i] = scratch[i]
+		l.and(lo, hi, pending, nil)
+		for i, kept := range pending {
+			h := hit[i] != kept
+			hit[i] = h
+			pending[i] = sel[i] != h
 		}
 	}
+	copy(sel, hit)
 }
 
 // clearRange sets the first n entries of b to false (the clear builtin

@@ -16,16 +16,18 @@ package sqldb
 //     every block goes through four stages of tight, type-specialized
 //     loops — there is no per-row dispatch on group kind, aggregate kind,
 //     argument type or null-ness anywhere:
-//       1. Selection. The compilable WHERE conjuncts run as selection
-//          kernels over the block (predsel.go); conjuncts outside the
-//          kernel grammar evaluate through their original closures on the
-//          rows the kernels kept (the hybrid residual filter — a query
-//          never falls back whole because one conjunct is exotic). The
-//          survivors become a vector of block-relative row indices.
+//       1. Selection. The WHERE clause runs as one bound selection
+//          program (predsel.go): its compilable conjuncts as kernels over
+//          the block, the conjuncts outside the kernel grammar through
+//          their own closures on the rows the kernels kept (the hybrid
+//          residual filter — a query never falls back whole because one
+//          conjunct is exotic, and a predicate with no compilable
+//          conjunct is a program of residuals alone). The survivors
+//          become a vector of block-relative row indices.
 //       2. Group ids. One loop per GROUP BY column adds id·stride into a
 //          vector of combined group ids — the mixed-radix combination of
 //          per-column dictionary codes (strings), tri-state bool codes,
-//          the CASE flag (its predicate again kernels + residuals), and
+//          the CASE flag (its predicate again a bound program), and
 //          int/float codes (below).
 //       3. Slots. Group ids resolve to accumulator slots through a flat
 //          table when the id space is small and an integer map otherwise
@@ -63,11 +65,12 @@ package sqldb
 //     and in the dictionary pre-pass, so large scans stay cancellable.
 //
 // Queries outside the shape (row stores, expression group keys or
-// aggregate arguments, DISTINCT aggregates, string MIN/MAX, group-id
-// spaces that overflow) fall back to the row interpreter, and the
-// reason is reported in ExecStats.FallbackReason. HAVING, ORDER BY,
-// projection, DISTINCT, LIMIT and OFFSET need no analysis here: they
-// operate on the finalized groups, shared with the serial path.
+// aggregate arguments, DISTINCT aggregates, string MIN/MAX, predicates
+// that do not compile, group-id spaces that overflow) fall back to the
+// row interpreter, and the reason is reported in
+// ExecStats.FallbackReason. HAVING, ORDER BY, projection, DISTINCT,
+// LIMIT and OFFSET need no analysis here: they operate on the finalized
+// groups, shared with the serial path.
 
 import (
 	"context"
@@ -102,6 +105,7 @@ const (
 	fallbackIDSpace       = "id-space overflow"
 	fallbackNonColumnKey  = "non-column group key"
 	fallbackCaseShape     = "non-flag CASE group key"
+	fallbackWhereShape    = "non-compilable WHERE"
 	fallbackDistinctAgg   = "distinct agg"
 	fallbackExprAgg       = "expression agg argument"
 	fallbackNonNumericAgg = "non-numeric agg argument"
@@ -138,8 +142,7 @@ type vecGroup struct {
 	kind         vecGroupKind
 	col          int        // table column (dict/bool/num)
 	typ          ColumnType // column type (num)
-	pred         evalFn     // flag predicate closure (flag only)
-	flagSel      *selProg   // compiled flag predicate, nil → closure only
+	flagSel      *selProg   // compiled flag predicate (flag only)
 	thenV, elseV int64      // flag arm values (flag only)
 }
 
@@ -148,7 +151,7 @@ type vecGroup struct {
 type vecInfo struct {
 	groups []vecGroup
 	// filterSel is the compiled WHERE predicate (nil when the query has
-	// no WHERE clause or its compilation failed defensively).
+	// no WHERE clause).
 	filterSel *selProg
 	// numGroups indexes the vecGroupNum entries of groups.
 	numGroups []int
@@ -194,16 +197,12 @@ func vectorizeGrouped(stmt *SelectStmt, p *plan, schema *Schema) (*vecInfo, stri
 				// ids would split what the interpreter treats as one group.
 				return nil, fallbackCaseShape
 			}
-			pred, err := compileScalar(e.Whens[0].Cond, schema)
+			flagSel, err := compileSelection(e.Whens[0].Cond, schema)
 			if err != nil {
 				return nil, fallbackCaseShape
 			}
-			flagSel, err := compileSelection(e.Whens[0].Cond, schema)
-			if err != nil {
-				flagSel = nil // defensive: closure path still works
-			}
 			v.groups = append(v.groups, vecGroup{
-				kind: vecGroupFlag, pred: pred, flagSel: flagSel,
+				kind: vecGroupFlag, flagSel: flagSel,
 				thenV: thenLit.Val.I, elseV: elseLit.Val.I,
 			})
 		default:
@@ -248,9 +247,9 @@ func vectorizeGrouped(stmt *SelectStmt, p *plan, schema *Schema) (*vecInfo, stri
 		}
 	}
 	if stmt.Where != nil {
-		sel, err := compileSelection(stmt.Where, schema)
-		if err == nil {
-			v.filterSel = sel
+		var err error
+		if v.filterSel, err = compileSelection(stmt.Where, schema); err != nil {
+			return nil, fallbackWhereShape
 		}
 	}
 	return v, ""
@@ -486,7 +485,7 @@ type vecRun struct {
 	scanned   int
 	workers   int
 	kernels   int // selection kernels bound for this execution
-	residuals int // predicate conjuncts left on the closure path
+	residuals int // predicate conjuncts evaluated through closures
 }
 
 // run executes the fast path over [lo, hi) with opts.Workers workers.
@@ -515,34 +514,24 @@ func (v *vecInfo) run(p *plan, t *colSnap, opts ExecOptions, lo, hi int) (res *v
 	// programs (dictionary match tables included) are shared read-only by
 	// every worker.
 	res = &vecRun{workers: workers}
-	var boundFilter *boundSel
-	boundFlags := make([]*boundSel, len(v.groups))
-	// An all-residual program would just re-run the whole predicate
-	// through closures with bitmap bookkeeping on top; bind only when
-	// at least one conjunct actually compiled. Residual conjuncts are
-	// counted either way — they run on the closure path regardless of
-	// whether that is per-conjunct (bound) or whole-predicate.
-	if p.filter != nil && v.filterSel != nil {
-		res.residuals += v.filterSel.residualCount()
-		if v.filterSel.kernelCount() > 0 {
-			boundFilter = v.filterSel.bind(t)
-			res.kernels += v.filterSel.kernelCount()
-		}
+	bind := func(prog *selProg) *boundSel {
+		res.kernels += prog.kernelCount()
+		res.residuals += prog.residualCount()
+		return prog.bind(t)
 	}
-	for i := range v.groups {
-		g := &v.groups[i]
-		if g.kind != vecGroupFlag || g.flagSel == nil {
-			continue
-		}
-		res.residuals += g.flagSel.residualCount()
-		if g.flagSel.kernelCount() > 0 {
-			boundFlags[i] = g.flagSel.bind(t)
-			res.kernels += g.flagSel.kernelCount()
+	var boundFilter *boundSel
+	if v.filterSel != nil {
+		boundFilter = bind(v.filterSel)
+	}
+	boundFlags := make([]*boundSel, len(v.groups))
+	for i, g := range v.groups {
+		if g.kind == vecGroupFlag {
+			boundFlags[i] = bind(g.flagSel)
 		}
 	}
 
 	// The same projection mask the row interpreter would use, shared
-	// read-only by every worker's residual/closure evaluations.
+	// read-only by every worker's residual evaluations.
 	wanted := t.wantedMask(p.scanCols)
 
 	parts := make([]*vecPartial, workers)
@@ -589,19 +578,21 @@ type chunkScan struct {
 	p      *plan
 	t      *colSnap
 	lay    *vecLayout
-	filter *boundSel   // bound WHERE kernels, nil → closure or no filter
-	flags  []*boundSel // bound flag kernels per group column, nil → closure
-	// view is the row the residual and closure evaluations see; rowView
-	// is &view boxed once, so handing it to an evalFn does not allocate.
+	filter *boundSel   // bound WHERE program, nil → no WHERE clause
+	flags  []*boundSel // bound flag program per flag group column
+	// view is the row the residual evaluations see; rowView is &view
+	// boxed once, so handing it to an evalFn does not allocate.
 	view    colRowView
 	rowView RowView
 
-	// Block vectors, reused across blocks. sel, scratch and flag are
-	// bitmaps over the block's rows; rows lists the selected rows as
-	// block-relative indices; gids and slots run parallel to rows.
-	sel, scratch, flag [selBlockRows]bool
-	rows, slots        [selBlockRows]int32
-	gids               [selBlockRows]uint64
+	// Block vectors, reused across blocks. sel and flag are bitmaps over
+	// the block's rows, scratch two more for the disjunction kernels;
+	// rows lists the selected rows as block-relative indices; gids and
+	// slots run parallel to rows.
+	sel, flag   [selBlockRows]bool
+	scratch     [2 * selBlockRows]bool
+	rows, slots [selBlockRows]int32
+	gids        [selBlockRows]uint64
 
 	index *gidIndex
 	acc   groupAcc
@@ -641,37 +632,26 @@ func (s *chunkScan) scan(ctx context.Context, lo, hi int) (*vecPartial, error) {
 }
 
 // selectRows is stage 1: it returns the block-relative indices of the
-// rows of [lo, hi) that pass the WHERE clause, ascending. When kernels
-// ran, s.sel holds their verdict (before residuals) for the flag kernels
-// to seed from.
+// rows of [lo, hi) that pass the WHERE clause, ascending. With a WHERE
+// clause, s.sel holds the kernels' verdict (before residuals) for the
+// flag kernels to seed from.
 func (s *chunkScan) selectRows(lo, hi int) []int32 {
 	n := hi - lo
-	switch {
-	case s.filter != nil:
-		sel := s.sel[:n]
-		fillRange(sel, n)
-		s.filter.apply(lo, hi, sel, s.scratch[:n])
-		rows := s.rows[:n]
-		k := 0
-		for i, keep := range sel {
-			rows[k] = int32(i)
-			if keep {
-				k++
-			}
-		}
-		return s.keepTruthy(rows[:k], lo, s.filter.residual)
-	case s.p.filter != nil:
-		rows := s.rows[:0]
-		for i := 0; i < n; i++ {
-			s.view.row = lo + i
-			if s.p.filter(s.rowView).Truthy() {
-				rows = append(rows, int32(i))
-			}
-		}
-		return rows
-	default:
+	if s.filter == nil {
 		return identRows[:n]
 	}
+	sel := s.sel[:n]
+	fillRange(sel, n)
+	s.filter.apply(lo, hi, sel, s.scratch[:])
+	rows := s.rows[:n]
+	k := 0
+	for i, keep := range sel {
+		rows[k] = int32(i)
+		if keep {
+			k++
+		}
+	}
+	return s.keepTruthy(rows[:k], lo, s.filter.residual)
 }
 
 // keepTruthy filters rows, in place, down to those on which every
@@ -764,14 +744,6 @@ func (s *chunkScan) flagBits(i, lo, hi int, rows []int32) []bool {
 	n := hi - lo
 	flag := s.flag[:n]
 	bf := s.flags[i]
-	if bf == nil {
-		pred := s.v.groups[i].pred
-		for _, r := range rows {
-			s.view.row = lo + int(r)
-			flag[r] = pred(s.rowView).Truthy()
-		}
-		return flag
-	}
 	// Seed from the filter's verdict so the flag kernels skip rows the
 	// filter kernels already rejected.
 	if s.filter != nil {
@@ -779,7 +751,7 @@ func (s *chunkScan) flagBits(i, lo, hi int, rows []int32) []bool {
 	} else {
 		fillRange(flag, n)
 	}
-	bf.apply(lo, hi, flag, s.scratch[:n])
+	bf.apply(lo, hi, flag, s.scratch[:])
 	if len(bf.residual) > 0 {
 		for _, r := range rows {
 			if !flag[r] {

@@ -3,8 +3,9 @@ package sqldb_test
 // Layer microbenchmark for the vectorized grouped scan (vexec.go), the
 // layer under the benchmark's sqldb.exec_ms: one SeeDB-shaped query —
 // one dimension, optionally the combined target/reference flag, eight
-// SUM/COUNT aggregates — per group-key coding, over the load harness's
-// own table. An external test package because dataset imports sqldb.
+// SUM/COUNT aggregates — per group-key coding, and per WHERE shape on
+// the dictionary dimension, over the load harness's own table. An
+// external test package because dataset imports sqldb.
 //
 //	go test ./internal/sqldb -run '^$' -bench GroupedScan -benchmem
 
@@ -22,6 +23,15 @@ const (
 		"SUM(revenue), COUNT(revenue), SUM(score), COUNT(score)"
 	benchFlag = "CASE WHEN price > 22.50 AND sessions < 100 THEN 1 ELSE 0 END"
 )
+
+// benchWheres are the WHERE shapes of the where/* sub-benchmarks: a
+// conjunction of kernels (the load harness's own range predicate), a
+// disjunction of three leaves, and residual conjuncts alone.
+var benchWheres = []struct{ name, pred string }{
+	{"kernels", "price > 22.50 AND sessions < 100"},
+	{"disjunction", "quantity IN (1, 7, 49) OR price BETWEEN 20 AND 22 OR score IS NULL"},
+	{"residual", "quantity * 2 > 40 AND ABS(price) > 20"},
+}
 
 // benchTable is dataset.TrafficSpec plus one derived column: account =
 // 1e6·quantity, an int dimension with quantity's ~50 values spread over
@@ -57,20 +67,27 @@ func BenchmarkGroupedScan(b *testing.B) {
 				keys, name = d.col+", "+benchFlag, d.name+"/flag"
 			}
 			sql := fmt.Sprintf("SELECT %s, %s FROM traffic GROUP BY %s", keys, benchAggs, keys)
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := db.QueryOpts(sql, sqldb.ExecOptions{Workers: 2})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.Stats.Vectorized {
-						b.Fatalf("not vectorized: %s", res.Stats.FallbackReason)
-					}
-					benchSink = res
-				}
-				b.ReportMetric(float64(benchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-			})
+			b.Run(name, func(b *testing.B) { benchQuery(b, db, sql) })
 		}
 	}
+	for _, w := range benchWheres {
+		sql := fmt.Sprintf("SELECT city, %s FROM traffic WHERE %s GROUP BY city", benchAggs, w.pred)
+		b.Run("where/"+w.name, func(b *testing.B) { benchQuery(b, db, sql) })
+	}
+}
+
+// benchQuery runs sql b.N times on the fast path with two workers.
+func benchQuery(b *testing.B, db *sqldb.DB, sql string) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := db.QueryOpts(sql, sqldb.ExecOptions{Workers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Stats.Vectorized {
+			b.Fatalf("not vectorized: %s", res.Stats.FallbackReason)
+		}
+		benchSink = res
+	}
+	b.ReportMetric(float64(benchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

@@ -23,8 +23,18 @@ var (
 		1e300, 0.1, 0.5, 2.5, math.MaxFloat64, -math.MaxFloat64}
 )
 
-// fuzzFlags are the CASE flag predicates FuzzGroupedScan draws from.
-var fuzzFlags = []string{"m > 0", "f < 1 AND m <> 2.5", "i >= 255 OR w IS NULL"}
+// fuzzFlags are the CASE flag predicates FuzzGroupedScan draws from:
+// kernels alone, a residual alone, and a kernel next to a residual.
+var fuzzFlags = []string{"m > 0", "f < 1 AND m <> 2.5", "i >= 255 OR w IS NULL",
+	"m * 2 > 1", "i >= 255 AND ABS(m) > 1"}
+
+// fuzzWheres are the WHERE clauses FuzzGroupedScan draws from, "" for
+// none: a kernel conjunction, a disjunction of three leaves, a negated
+// disjunction (two kernels by De Morgan), residual-only shapes and a
+// kernel next to a residual.
+var fuzzWheres = []string{"", "m > 0 AND i < 255",
+	"i IN (0, 7, 255) OR f BETWEEN -1 AND 1 OR w IS NULL", "NOT (i = 0 OR m IS NULL)",
+	"i + w > 3", "ABS(m) > 1", "m > 0 AND ABS(f) < 2"}
 
 // fuzzKeyValue picks a palette entry, or NULL.
 func fuzzKeyValue(palette []any, b byte) Value {
@@ -79,13 +89,20 @@ func fuzzGroupTable(t *testing.T, body []byte, reps int) *DB {
 // FuzzGroupedScan is a differential check of the vectorized grouped scan
 // against the row interpreter over hostile numeric group keys. The first
 // five bytes shape the query: the GROUP BY keys (one or two of i, w, f),
-// a CASE flag or none, 1–4 workers and the scanned range [lo, hi); the
-// rest is the table (fuzzGroupTable). Every input must take the fast
-// path and equal the ROW-layout twin bit for bit.
+// a CASE flag or none, a WHERE clause or none, 1–4 workers and the
+// scanned range [lo, hi); the rest is the table (fuzzGroupTable). Every
+// input must take the fast path and equal the ROW-layout twin bit for
+// bit.
 func FuzzGroupedScan(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6})
 	f.Add([]byte{0x44, 3, 200, 15, 0x27, 0x0d, 16, 130, 0xd1, 3, 255, 0x3e, 200, 128})
 	f.Add([]byte{0x0e, 0, 0, 3, 0x1a, 0x2d, 2, 100, 0xe3, 1, 0, 0x9c, 4, 132, 0x11, 5, 140})
+	// Seed k draws WHERE k and flag k mod 6, so plain go test runs every
+	// shape of both palettes.
+	for k := range len(fuzzWheres) {
+		f.Add([]byte{byte(k), 0, 255, byte(k%6)<<4 | 15, byte(k)<<4 | byte(k%4)<<2,
+			0x0d, 16, 130, 0xd1, 3, 255, 0x3e, 200, 128, 0x9c, 4, 132, 0x11, 5, 140, 0x27, 1, 0})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
 			return
@@ -99,11 +116,15 @@ func FuzzGroupedScan(f *testing.F) {
 		if h[0]&4 != 0 {
 			group = append(group, keys[(h[0]>>3)%3])
 		}
-		if fl := int(h[4] % 4); fl > 0 {
+		if fl := (int(h[4]%4) + int(h[3]>>4)) % (len(fuzzFlags) + 1); fl > 0 {
 			group = append(group, "CASE WHEN "+fuzzFlags[fl-1]+" THEN 1 ELSE 0 END")
 		}
 		g := strings.Join(group, ", ")
-		sql := "SELECT " + g + ", COUNT(*), SUM(m), COUNT(m), MIN(m), MAX(m), AVG(m) FROM t GROUP BY " + g
+		sql := "SELECT " + g + ", COUNT(*), SUM(m), COUNT(m), MIN(m), MAX(m), AVG(m) FROM t"
+		if w := fuzzWheres[int(h[4]>>4)%len(fuzzWheres)]; w != "" {
+			sql += " WHERE " + w
+		}
+		sql += " GROUP BY " + g
 		lo := int(h[1]) * n / 256
 		hi := lo + int(h[2])*(n-lo+1)/256
 		opts := ExecOptions{Lo: lo, Hi: hi}

@@ -1,8 +1,7 @@
 // Package stats provides the statistical machinery behind SeeDB's
 // confidence-interval pruning: the Hoeffding–Serfling inequality for
 // sampling without replacement (Theorem 4.1 in the paper), which
-// core/pruning.go calls once per view per phase, plus the Welford
-// mean/variance tracker the evaluation harness reports with.
+// core/pruning.go calls once per view per phase.
 package stats
 
 import (
@@ -37,36 +36,3 @@ func HoeffdingSerfling(m, N int, delta float64) float64 {
 	num := shrink * (2*loglog + math.Log(math.Pi*math.Pi/(3*delta)))
 	return math.Sqrt(num / (2 * float64(m)))
 }
-
-// Welford tracks mean and variance of a stream (used for reporting
-// run-to-run variation in the benchmark harness).
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the observation count.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the sample variance (0 for fewer than two observations).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Var()) }

@@ -98,55 +98,3 @@ func TestEpsilonMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestWelford(t *testing.T) {
-	var w Welford
-	if w.Var() != 0 || w.Stddev() != 0 {
-		t.Error("empty Welford should report zero variance")
-	}
-	data := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range data {
-		w.Add(x)
-	}
-	if w.N() != len(data) {
-		t.Errorf("N = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Errorf("mean = %g, want 5", w.Mean())
-	}
-	// Sample variance of the data set is 32/7.
-	if math.Abs(w.Var()-32.0/7.0) > 1e-9 {
-		t.Errorf("var = %g, want %g", w.Var(), 32.0/7.0)
-	}
-}
-
-func TestWelfordMatchesNaive(t *testing.T) {
-	f := func(xs []float64) bool {
-		var clean []float64
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) < 2 {
-			return true
-		}
-		var w Welford
-		var sum float64
-		for _, x := range clean {
-			w.Add(x)
-			sum += x
-		}
-		mean := sum / float64(len(clean))
-		var ss float64
-		for _, x := range clean {
-			ss += (x - mean) * (x - mean)
-		}
-		naiveVar := ss / float64(len(clean)-1)
-		scale := math.Max(1, math.Abs(naiveVar))
-		return math.Abs(w.Var()-naiveVar)/scale < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
