@@ -141,7 +141,10 @@ func (h Harness) runIntrospectionCancellation(t *testing.T) {
 
 // runScenarios runs every generated case on the backend under test and
 // on the embedded reference, grouped by the case's configuration, and
-// requires the complete output and the executor counters to agree.
+// requires the complete output and the executor counters to agree. The
+// "union" group runs again every case that leaves the group-by strategy
+// to the engine and shares scans, under GroupByUnion: one UNION ALL
+// statement per phase, whatever layout the backend reports.
 func (h Harness) runScenarios(t *testing.T) {
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -152,6 +155,16 @@ func (h Harness) runScenarios(t *testing.T) {
 			}
 		})
 	}
+	t.Run("union", func(t *testing.T) {
+		for i := range numCases {
+			c := genCase(i)
+			if c.Opts.GroupBy != core.GroupByAuto || c.Opts.Strategy == core.NoOpt {
+				continue
+			}
+			c.Opts.GroupBy = core.GroupByUnion
+			t.Run(fmt.Sprintf("%s/seed%02d", c.Config, c.Seed), func(t *testing.T) { h.checkCase(t, c) })
+		}
+	})
 }
 
 // checkCase builds c's table, the backend under test over it, and (for

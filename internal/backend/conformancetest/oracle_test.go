@@ -32,6 +32,8 @@ func TestConfigurationsMatchUnoptimized(t *testing.T) {
 		{"MAX_GB 2, Parallelism 8", core.Options{Strategy: core.Sharing, GroupBy: core.GroupByMaxN, MaxGroupBy: 2, Parallelism: 8}},
 		{"nagg 1", core.Options{Strategy: core.Sharing, MaxAggregatesPerQuery: 1}},
 		{"nagg 2", core.Options{Strategy: core.Comb, MaxAggregatesPerQuery: 2}},
+		{"UNION, SHARING", core.Options{Strategy: core.Sharing, GroupBy: core.GroupByUnion}},
+		{"UNION, COMB/NO_PRU nagg 2, ScanParallelism 3", core.Options{Strategy: core.Comb, GroupBy: core.GroupByUnion, MaxAggregatesPerQuery: 2, ScanParallelism: 3}},
 		{"cache cold", core.Options{Strategy: core.Comb, EnableCache: true}},
 		{"cache warm", core.Options{Strategy: core.Comb, EnableCache: true}},
 	}

@@ -363,3 +363,17 @@ func TestHandshakeRejectsNonServer(t *testing.T) {
 		t.Error("invalid base URL accepted")
 	}
 }
+
+// TestHandshakeRejectsOlderProtocol: a protocol-2 server cannot parse
+// the UNION ALL statements this client's router sends, so the client
+// refuses it at connect time.
+func TestHandshakeRejectsOlderProtocol(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write([]byte(`{"proto":2,"backend":"sqldb","supports_phased_execution":true}`))
+	}))
+	defer srv.Close()
+	_, err := netbe.New(context.Background(), srv.URL, netbe.Options{})
+	if err == nil || !strings.Contains(err.Error(), "protocol 2") {
+		t.Errorf("handshake with a protocol-2 server: err %v, want a protocol mismatch", err)
+	}
+}

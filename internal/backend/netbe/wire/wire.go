@@ -31,7 +31,10 @@ import (
 // endpoint reports it; a client refusing to speak to a newer server
 // fails loudly instead of mis-decoding. Version 2 carries the table's
 // version token in the info payload and drops the version endpoint.
-const ProtoVersion = 2
+// Version 3 is the first whose query endpoint accepts UNION ALL
+// statements, which a router now sends: a mixed fleet fails at the
+// handshake instead of on every Recommend.
+const ProtoVersion = 3
 
 // Value is one engine scalar on the wire. Exactly one of the payload
 // fields is meaningful, selected by K.

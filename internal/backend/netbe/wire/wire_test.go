@@ -41,9 +41,9 @@ func TestGoldenBytes(t *testing.T) {
 		{"response, zero stats", QueryResponse{Columns: []string{"a"}, Rows: [][]Value{}},
 			`{"columns":["a"],"vrows":[],"stats":{"rows_scanned":0,"groups":0,"vectorized":false,"workers":0,"selection_kernels":0,"residual_predicates":0,"shard_fanout":0,"shard_straggler_ns":0,"net_retries":0}}`},
 		{"caps", Handshake{Proto: ProtoVersion, Backend: "sqldb", Capabilities: backend.Capabilities{SupportsPhasedExecution: true}},
-			`{"proto":2,"backend":"sqldb","supports_phased_execution":true}`},
+			`{"proto":3,"backend":"sqldb","supports_phased_execution":true}`},
 		{"caps, degraded store", Handshake{Proto: ProtoVersion, Backend: "sql"},
-			`{"proto":2,"backend":"sql","supports_phased_execution":false}`},
+			`{"proto":3,"backend":"sql","supports_phased_execution":false}`},
 		{"info", backend.TableInfo{Name: "sales", Rows: 42, Layout: backend.LayoutCol, Columns: []backend.Column{
 			{Name: "region", Type: backend.TypeString}, {Name: "qty", Type: backend.TypeInt},
 			{Name: "price", Type: backend.TypeFloat}, {Name: "promo", Type: backend.TypeBool}}},

@@ -163,12 +163,12 @@ func TestDenseAccumMatchesMapReference(t *testing.T) {
 			idxs[i] = i
 		}
 		qb := &queryBuilder{}
-		exprs, consumers := qb.aggPlan(views, idxs, map[string]int{"d": 0})
+		exprs, consumers := qb.aggPlan(views, idxs, map[string]int{"d": 0}, 1)
 		if fmt.Sprint(exprs) != "[SUM(m) COUNT(m) MIN(m) MAX(m)]" {
 			t.Fatalf("aggPlan columns %v; oracleRows lays out SUM, COUNT, MIN, MAX", exprs)
 		}
-		tq := &sharedQuery{numDims: 1, side: sideTarget, consumers: consumers}
-		rq := &sharedQuery{numDims: 1, side: sideReference, consumers: consumers}
+		tq := &sharedQuery{branches: []queryBranch{{side: sideTarget, dimCols: []int{0}, consumers: consumers}}}
+		rq := &sharedQuery{branches: []queryBranch{{side: sideReference, dimCols: []int{0}, consumers: consumers}}}
 		accums, _ := newAccums(views)
 		st := &execState{views: views, accums: accums}
 		vals := map[string]sqldb.Value{}
@@ -192,7 +192,7 @@ func TestDenseAccumMatchesMapReference(t *testing.T) {
 				for _, row := range res.Rows {
 					vals[row[0].String()] = row[0]
 					for _, c := range consumers {
-						if v := row[1+c.col]; !v.IsNull() {
+						if v := row[c.col]; !v.IsNull() {
 							f, _ := v.AsFloat()
 							side.ref[c.viewIdx].at(row[0].String()).fold(c.role, f)
 						}

@@ -500,7 +500,10 @@ func (e *Engine) runRecommend(ctx context.Context, req Request, opts Options, vi
 	st.accums, dims = newAccums(views)
 	st.alive = slices.Repeat([]bool{true}, len(views))
 
-	qb := &queryBuilder{table: req.Table, req: req, opts: opts}
+	qb := &queryBuilder{table: req.Table, req: req, opts: opts, types: make(map[string]backend.ColumnType, len(meta.info.Columns))}
+	for _, c := range meta.info.Columns {
+		qb.types[c.Name] = c.Type
+	}
 	if opts.GroupBy == GroupByBinPack && opts.Strategy != NoOpt {
 		sctx, ssp := telemetry.StartSpan(ctx, "stats")
 		cards, err := e.gen.cardinalities(sctx, req.Table, dims, meta)

@@ -65,11 +65,16 @@ var goldenPredicates = []string{"plan = 'pro'", "region = 'emea' AND quantity > 
 // points again with the cache on — and renders one record per run: the
 // uncached run's cost counters, the top-k with utility bits and Partial,
 // and a digest of every view's full Recommendation. Cached runs leave the
-// counters out: which entries a cache admits depends on timing.
-func goldenMatrix(t *testing.T) string {
+// counters out: which entries a cache admits depends on timing. Column
+// stores run under colGroupBy; row stores under their default.
+func goldenMatrix(t *testing.T, layouts []sqldb.Layout, colGroupBy GroupByStrategy) string {
 	ctx := context.Background()
 	var b strings.Builder
-	for _, layout := range []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol} {
+	for _, layout := range layouts {
+		groupBy := GroupByAuto
+		if layout == sqldb.LayoutCol {
+			groupBy = colGroupBy
+		}
 		e := buildTraffic(t, layout, 2000)
 		for _, cached := range []bool{false, true} {
 			for pi, pred := range goldenPredicates {
@@ -86,7 +91,7 @@ func goldenMatrix(t *testing.T) string {
 							res, err := e.Recommend(ctx, req, Options{
 								Strategy: gc.strategy, Pruning: gc.pruning, Distance: dist,
 								K: 5, KeepAllViews: true, Parallelism: 3, ScanParallelism: 2,
-								EnableCache: cached,
+								EnableCache: cached, GroupBy: groupBy,
 							})
 							if err != nil {
 								t.Fatal(err)
@@ -167,12 +172,17 @@ func digestRecs(recs []Recommendation) uint64 {
 // float exactly or regenerate the file on purpose. Bits are pinned on
 // amd64, where the compiler never fuses a multiply and an add into one
 // rounding; other architectures may legitimately differ in final ulps.
+//
+// The file's column-store records pin GroupBySingle, one query per
+// dimension. The column-store default, GroupByUnion, must reproduce
+// every one of them but the query count (see checkUnionTwins).
 func TestRecommendGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("utility bits are pinned on amd64")
 	}
-	got := goldenMatrix(t)
+	got := goldenMatrix(t, []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol}, GroupBySingle)
 	checkCachedTwins(t, got)
+	checkUnionTwins(t, got, goldenMatrix(t, []sqldb.Layout{sqldb.LayoutCol}, GroupByAuto))
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -206,6 +216,45 @@ func TestRecommendGolden(t *testing.T) {
 		}
 	}
 	t.Errorf("%d golden lines differ; if intentional, regenerate with UPDATE_GOLDEN=1", diffs)
+}
+
+// checkUnionTwins requires every record of the column-store default
+// plan (union) to equal its GroupBySingle twin in golden — ranked views,
+// utility bits, digests, rows scanned and views pruned — and to run no
+// more queries: one statement per phase replaces one per dimension, and
+// each view's cells fold the same rows in the same order.
+func checkUnionTwins(t *testing.T, golden, union string) {
+	t.Helper()
+	single := map[string]string{}
+	for _, rec := range strings.Split(golden, "run ")[1:] {
+		head, body, _ := strings.Cut(rec, "\n")
+		single[head] = body
+	}
+	recs := strings.Split(union, "run ")[1:]
+	if len(recs) == 0 {
+		t.Fatal("union matrix rendered no records")
+	}
+	for _, rec := range recs {
+		head, body, _ := strings.Cut(rec, "\n")
+		want, ok := single[head]
+		if !ok {
+			t.Errorf("run %s: no GroupBySingle twin", head)
+			continue
+		}
+		var gq, wq int
+		var gRest, wRest string
+		if strings.HasPrefix(body, "  cost ") {
+			fmt.Sscanf(body, "  cost queries=%d", &gq)
+			fmt.Sscanf(want, "  cost queries=%d", &wq)
+			_, gRest, _ = strings.Cut(body, " rows=")
+			_, wRest, _ = strings.Cut(want, " rows=")
+		} else {
+			gRest, wRest = body, want
+		}
+		if gRest != wRest || gq > wq {
+			t.Errorf("run %s: union plan differs from GroupBySingle\n  got  %q\n  want %q", head, body, want)
+		}
+	}
 }
 
 // checkCachedTwins requires every cache=true record of a golden matrix to

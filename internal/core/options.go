@@ -140,7 +140,7 @@ type GroupByStrategy int
 // Group-by combination strategies.
 const (
 	// GroupByAuto picks the layout default: GroupByBinPack for row
-	// stores, GroupBySingle for column stores (withDefaults resolves it).
+	// stores, GroupByUnion for column stores (withDefaults resolves it).
 	GroupByAuto GroupByStrategy = iota
 	// GroupBySingle issues one single-attribute GROUP BY per dimension
 	// (no combining) — the paper's choice for column stores, whose small
@@ -154,6 +154,14 @@ const (
 	// MaxGroupBy regardless of cardinality (the paper's MAX_GB
 	// baseline).
 	GroupByMaxN
+	// GroupByUnion runs a phase as one statement (or one per
+	// MaxAggregatesPerQuery chunk): a UNION ALL with one single-attribute
+	// GROUP BY branch per dimension, each branch carrying only its
+	// dimension's aggregates. A column store scans the table once for
+	// all branches and evaluates the WHERE and the flag once per block;
+	// bin-packing exists because a stock DBMS has no multi-group-by
+	// operator. NO_OPT ignores it and keeps its one query per view side.
+	GroupByUnion
 )
 
 // String returns a short name for the strategy.
@@ -167,6 +175,8 @@ func (g GroupByStrategy) String() string {
 		return "BP"
 	case GroupByMaxN:
 		return "MAX_GB"
+	case GroupByUnion:
+		return "UNION"
 	default:
 		return fmt.Sprintf("GroupByStrategy(%d)", int(g))
 	}
@@ -199,7 +209,10 @@ type Options struct {
 	// phases for one bandit action per view for MAB.
 	Phases int
 	// Parallelism caps concurrently executing view queries (default:
-	// GOMAXPROCS, matching the paper's "number of cores" guidance).
+	// GOMAXPROCS, matching the paper's "number of cores" guidance). On a
+	// column store a phase is one statement (GroupByUnion), so it matters
+	// only for ROW-layout plans, NO_OPT and the explicit GroupBySingle,
+	// GroupByBinPack and GroupByMaxN ablations.
 	Parallelism int
 	// ScanParallelism sets the intra-query scan parallelism: the number
 	// of workers sqldb's vectorized executor may use per view query
@@ -211,7 +224,7 @@ type Options struct {
 	// sharing collapses a request into fewer queries than cores.
 	ScanParallelism int
 	// GroupBy selects the group-by combining strategy. The zero value,
-	// GroupByAuto, picks GroupByBinPack for row stores and GroupBySingle
+	// GroupByAuto, picks GroupByBinPack for row stores and GroupByUnion
 	// for column stores.
 	GroupBy GroupByStrategy
 	// MemoryBudget is the maximum estimated distinct groups per query
@@ -275,7 +288,7 @@ func (o Options) withDefaults(layout backend.Layout, numViews int) Options {
 		if layout == backend.LayoutRow {
 			o.GroupBy = GroupByBinPack
 		} else {
-			o.GroupBy = GroupBySingle
+			o.GroupBy = GroupByUnion
 		}
 	}
 	if o.MemoryBudget <= 0 {

@@ -17,7 +17,7 @@ func TestOptionDefaults(t *testing.T) {
 		t.Errorf("row defaults wrong: %+v", o)
 	}
 	o = Options{}.withDefaults(sqldb.LayoutCol, 100)
-	if o.GroupBy != GroupBySingle || o.MemoryBudget != DefaultColMemoryBudget {
+	if o.GroupBy != GroupByUnion || o.MemoryBudget != DefaultColMemoryBudget {
 		t.Errorf("col defaults wrong: %+v", o)
 	}
 	// MAB auto-phases: one bandit action per non-top view.

@@ -3,13 +3,16 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"seedb/internal/backend"
 	"seedb/internal/binpack"
+	"seedb/internal/sqldb"
 	"seedb/internal/telemetry"
 )
 
@@ -65,10 +68,10 @@ type roleExpr struct {
 }
 
 // consumer routes one aggregate output column of a shared query into one
-// view's accumulator.
+// view's accumulator. Columns are positions in the query's result row.
 type consumer struct {
 	viewIdx int       // index into the engine's view list
-	dimPos  int       // which group-by column holds this view's dimension
+	dimCol  int       // which column holds this view's dimension value
 	col     int       // which aggregate output column to read
 	role    accumRole // how to fold it
 }
@@ -88,12 +91,50 @@ const (
 	sideReference
 )
 
-// sharedQuery is one executable SQL query serving one or more views.
+// sharedQuery is one executable SQL statement serving one or more views:
+// one SELECT, or (GroupByUnion) SELECTs joined by UNION ALL whose rows
+// lead with their branch index.
 type sharedQuery struct {
-	sql       string
-	numDims   int
+	sql      string
+	union    bool
+	width    int // result row width
+	branches []queryBranch
+}
+
+// queryBranch is one SELECT of a shared query: which accumulator side(s)
+// its rows feed, and the consumers of its columns.
+type queryBranch struct {
 	side      querySide
+	flagCol   int   // the target flag's column (sideCombined only)
+	dimCols   []int // the columns consumers read dimension values from
 	consumers []consumer
+}
+
+// branchOf returns the branch a result row of q belongs to, from a row
+// check accepted. In a UNION ALL statement the leading branch index is
+// the only thing that tells another branch's placeholder NULL apart
+// from a real NULL group.
+func (q *sharedQuery) branchOf(row []sqldb.Value) *queryBranch {
+	if !q.union {
+		return &q.branches[0]
+	}
+	return &q.branches[row[0].I]
+}
+
+// check validates a result against q's shape before any row folds: the
+// row width and, in a UNION ALL statement, an integer branch index in
+// range. An external store's rows come from outside the program, and a
+// bad index would fold one branch's values into another's views.
+func (q *sharedQuery) check(rows [][]sqldb.Value) error {
+	for _, row := range rows {
+		if len(row) != q.width {
+			return fmt.Errorf("core: result row has %d columns, want %d", len(row), q.width)
+		}
+		if q.union && (row[0].Kind != sqldb.KindInt || row[0].I < 0 || row[0].I >= int64(len(q.branches))) {
+			return fmt.Errorf("core: result row has branch index %v, want an integer in 0..%d", row[0], len(q.branches)-1)
+		}
+	}
+	return nil
 }
 
 // flagColumn is the alias of the injected target/reference flag.
@@ -113,6 +154,9 @@ type queryBuilder struct {
 	req      Request
 	opts     Options
 	distinct map[string]int // dimension → distinct count
+	// types holds the table's column types (GroupByUnion's key columns:
+	// dimensions of one type share one).
+	types map[string]backend.ColumnType
 }
 
 // partitionViews builds the view groups for the configured group-by
@@ -178,7 +222,7 @@ func (qb *queryBuilder) partitionViews(views []View, alive []bool) []viewGroup {
 			}
 			dimGroups = append(dimGroups, dims[i:end])
 		}
-	default: // GroupBySingle
+	default: // GroupBySingle, and GroupByUnion's one dimension per branch
 		for _, d := range dims {
 			dimGroups = append(dimGroups, []string{d})
 		}
@@ -198,99 +242,191 @@ func (qb *queryBuilder) partitionViews(views []View, alive []bool) []viewGroup {
 
 // build compiles the alive views into concrete shared queries.
 func (qb *queryBuilder) build(views []View, alive []bool) []*sharedQuery {
+	if qb.opts.GroupBy == GroupByUnion && qb.opts.Strategy != NoOpt {
+		return qb.buildUnion(views, alive)
+	}
 	var queries []*sharedQuery
 	for _, vg := range qb.partitionViews(views, alive) {
-		queries = append(queries, qb.buildGroup(views, vg)...)
+		dimCols := make([]int, len(vg.dims))
+		dimCol := make(map[string]int, len(vg.dims))
+		for i, d := range vg.dims {
+			dimCols[i], dimCol[d] = i, i
+		}
+		sides := qb.sides()
+		aggBase := len(vg.dims)
+		if sides[0].flag {
+			aggBase++
+		}
+		for _, idxs := range qb.chunkViews(views, vg.viewIdxs) {
+			exprs, consumers := qb.aggPlan(views, idxs, dimCol, aggBase)
+			for _, sd := range sides {
+				queries = append(queries, &sharedQuery{
+					sql:      qb.selectSQL("", vg.dims, vg.dims, exprs, len(exprs), sd),
+					width:    aggBase + len(exprs),
+					branches: []queryBranch{{side: sd.side, flagCol: len(vg.dims), dimCols: dimCols, consumers: consumers}},
+				})
+			}
+		}
 	}
 	return queries
 }
 
-// buildGroup emits the queries for one view group, applying the
-// multiple-aggregates combining (with the nagg cap) and the combined
-// target/reference rewrite.
-func (qb *queryBuilder) buildGroup(views []View, vg viewGroup) []*sharedQuery {
-	dimPos := make(map[string]int, len(vg.dims))
-	for i, d := range vg.dims {
-		dimPos[d] = i
+// buildUnion compiles the alive views into UNION ALL statements, one per
+// MaxAggregatesPerQuery chunk (one in all when it is unlimited). The
+// c-th statement has a branch for the c-th measure chunk of every
+// dimension that has one, or two — target and reference — when the
+// sides are not combined. Its columns are the branch index, one key
+// column per dimension type, a typed NULL (typedNull) in the branches
+// of other types' dimensions, then the flag, and each branch's own
+// aggregates, padded with numeric typed NULLs to the widest branch. A
+// typed SQL store resolves a UNION ALL column's type from its branches
+// pairwise, so every column has one type in every branch and no
+// branch holds an untyped NULL.
+func (qb *queryBuilder) buildUnion(views []View, alive []bool) []*sharedQuery {
+	groups := qb.partitionViews(views, alive)
+	chunks := make([][][]int, len(groups))
+	statements := 0
+	for gi, vg := range groups {
+		chunks[gi] = qb.chunkViews(views, vg.viewIdxs)
+		statements = max(statements, len(chunks[gi]))
 	}
+	sides := qb.sides()
+	var queries []*sharedQuery
+	for c := 0; c < statements; c++ {
+		var dims []string
+		var idxs [][]int
+		for gi, vg := range groups {
+			if c < len(chunks[gi]) {
+				dims = append(dims, vg.dims[0])
+				idxs = append(idxs, chunks[gi][c])
+			}
+		}
+		keyCol, keyTypes := qb.keyColumns(dims)
+		numKeys := len(keyTypes)
+		flagCol := 1 + numKeys
+		aggBase := flagCol
+		if sides[0].flag {
+			aggBase++
+		}
+		exprs := make([][]string, len(dims))
+		consumers := make([][]consumer, len(dims))
+		width := 0
+		for k, d := range dims {
+			exprs[k], consumers[k] = qb.aggPlan(views, idxs[k], map[string]int{d: 1 + keyCol[k]}, aggBase)
+			width = max(width, len(exprs[k]))
+		}
+		q := &sharedQuery{union: true, width: aggBase + width}
+		var sqls []string
+		for k, d := range dims {
+			keys := make([]string, numKeys)
+			for i, t := range keyTypes {
+				keys[i] = typedNull(t)
+			}
+			keys[keyCol[k]] = d
+			for _, sd := range sides {
+				lead := strconv.Itoa(len(q.branches))
+				sqls = append(sqls, qb.selectSQL(lead, keys, []string{d}, exprs[k], width, sd))
+				q.branches = append(q.branches, queryBranch{side: sd.side, flagCol: flagCol, dimCols: []int{1 + keyCol[k]}, consumers: consumers[k]})
+			}
+		}
+		q.sql = strings.Join(sqls, " UNION ALL ")
+		queries = append(queries, q)
+	}
+	return queries
+}
 
-	// Chunk the group's views by measure so one query aggregates at
-	// most nagg measures ("Combine Multiple Aggregates", Figure 7a).
-	type chunkT struct {
-		measures []string
-		viewIdxs []int
+// keyColumns assigns each dimension of a UNION ALL statement its key
+// column: one per column type, in first-use order.
+func (qb *queryBuilder) keyColumns(dims []string) (keyCol []int, keyTypes []backend.ColumnType) {
+	keyCol = make([]int, len(dims))
+	for k, d := range dims {
+		col := slices.Index(keyTypes, qb.types[d])
+		if col < 0 {
+			col = len(keyTypes)
+			keyTypes = append(keyTypes, qb.types[d])
+		}
+		keyCol[k] = col
 	}
+	return keyCol, keyTypes
+}
+
+// typedNull renders a NULL of the given column type: a CASE whose only
+// arm is a literal of that type and never taken. A bare NULL has no
+// type, and a typed store resolving a UNION ALL would type a column
+// whose first branches hold one as text.
+func typedNull(t backend.ColumnType) string {
+	lit := "0"
+	switch t {
+	case backend.TypeFloat:
+		lit = "0.0"
+	case backend.TypeString:
+		lit = "''"
+	case backend.TypeBool:
+		lit = "FALSE"
+	}
+	return "CASE WHEN FALSE THEN " + lit + " END"
+}
+
+// chunkViews splits a view group's views by measure so one query
+// aggregates at most nagg measures ("Combine Multiple Aggregates",
+// Figure 7a), keeping the views' order within each chunk.
+func (qb *queryBuilder) chunkViews(views []View, viewIdxs []int) [][]int {
 	nagg := qb.opts.MaxAggregatesPerQuery
-	var chunks []chunkT
+	var chunks [][]int
+	var measures []int                   // per chunk, how many measures it holds
 	measureChunk := make(map[string]int) // measure → chunk index
-	for _, vi := range vg.viewIdxs {
+	for _, vi := range viewIdxs {
 		m := views[vi].Measure
 		ci, ok := measureChunk[m]
 		if !ok {
 			// Place the measure in the last chunk with room, else open
 			// a new chunk.
-			ci = -1
-			if len(chunks) > 0 {
-				last := len(chunks) - 1
-				if nagg <= 0 || len(chunks[last].measures) < nagg {
-					ci = last
-				}
-			}
-			if ci < 0 {
-				chunks = append(chunks, chunkT{})
+			ci = len(chunks) - 1
+			if ci < 0 || (nagg > 0 && measures[ci] >= nagg) {
+				chunks, measures = append(chunks, nil), append(measures, 0)
 				ci = len(chunks) - 1
 			}
-			chunks[ci].measures = append(chunks[ci].measures, m)
+			measures[ci]++
 			measureChunk[m] = ci
 		}
-		chunks[ci].viewIdxs = append(chunks[ci].viewIdxs, vi)
+		chunks[ci] = append(chunks[ci], vi)
 	}
+	return chunks
+}
 
-	// NO_OPT is the unoptimized baseline: it never combines target and
-	// reference into one query (2 × f × a × m queries, Section 3).
-	combined := qb.opts.Strategy != NoOpt && qb.req.Reference != RefCustom
+// sideSpec is one execution of a view group's scan: the side its rows
+// feed, its WHERE (possibly empty) and whether it carries the flag.
+type sideSpec struct {
+	side  querySide
+	where string
+	flag  bool
+}
 
-	var queries []*sharedQuery
-	for _, ch := range chunks {
-		exprs, consumers := qb.aggPlan(views, ch.viewIdxs, dimPos)
-		if combined {
-			queries = append(queries, &sharedQuery{
-				sql:       qb.renderSQL(vg.dims, exprs, "", true),
-				numDims:   len(vg.dims),
-				side:      sideCombined,
-				consumers: consumers,
-			})
-			continue
-		}
-		// Separate target and reference executions.
-		queries = append(queries, &sharedQuery{
-			sql:       qb.renderSQL(vg.dims, exprs, qb.req.TargetWhere, false),
-			numDims:   len(vg.dims),
-			side:      sideTarget,
-			consumers: consumers,
-		})
-		refWhere := ""
-		switch qb.req.Reference {
-		case RefComplement:
-			// The rows the combined query's flag puts on the reference
-			// side: a row whose predicate is NULL is not a target row.
-			refWhere = fmt.Sprintf("CASE WHEN %s THEN 1 ELSE 0 END = 0", qb.req.TargetWhere)
-		case RefCustom:
-			refWhere = qb.req.ReferenceWhere
-		}
-		queries = append(queries, &sharedQuery{
-			sql:       qb.renderSQL(vg.dims, exprs, refWhere, false),
-			numDims:   len(vg.dims),
-			side:      sideReference,
-			consumers: consumers,
-		})
+// sides returns how a view group's scan splits into executions: one
+// combined target/reference scan with the flag (the paper's rewrite),
+// or — under NO_OPT, which never combines (2 × f × a × m queries,
+// Section 3), and for a custom reference — a target scan and a
+// reference scan.
+func (qb *queryBuilder) sides() []sideSpec {
+	if qb.opts.Strategy != NoOpt && qb.req.Reference != RefCustom {
+		return []sideSpec{{side: sideCombined, flag: true}}
 	}
-	return queries
+	refWhere := ""
+	switch qb.req.Reference {
+	case RefComplement:
+		// The rows the combined query's flag puts on the reference
+		// side: a row whose predicate is NULL is not a target row.
+		refWhere = fmt.Sprintf("CASE WHEN %s THEN 1 ELSE 0 END = 0", qb.req.TargetWhere)
+	case RefCustom:
+		refWhere = qb.req.ReferenceWhere
+	}
+	return []sideSpec{{side: sideTarget, where: qb.req.TargetWhere}, {side: sideReference, where: refWhere}}
 }
 
 // aggPlan deduplicates the aggregate expressions the given views need
-// and routes each output column to its consumers.
-func (qb *queryBuilder) aggPlan(views []View, viewIdxs []int, dimPos map[string]int) ([]string, []consumer) {
+// and routes each output column to its consumers: the expressions are
+// result columns aggBase on, and dimCol places each view's dimension.
+func (qb *queryBuilder) aggPlan(views []View, viewIdxs []int, dimCol map[string]int, aggBase int) ([]string, []consumer) {
 	var exprs []string
 	exprCol := make(map[string]int)
 	var consumers []consumer
@@ -305,8 +441,8 @@ func (qb *queryBuilder) aggPlan(views []View, viewIdxs []int, dimPos map[string]
 			}
 			consumers = append(consumers, consumer{
 				viewIdx: vi,
-				dimPos:  dimPos[v.Dimension],
-				col:     col,
+				dimCol:  dimCol[v.Dimension],
+				col:     aggBase + col,
 				role:    re.role,
 			})
 		}
@@ -314,27 +450,38 @@ func (qb *queryBuilder) aggPlan(views []View, viewIdxs []int, dimPos map[string]
 	return exprs, consumers
 }
 
-// renderSQL assembles one view query. With flag=true the target predicate
-// becomes a CASE group column (the paper's combined target/reference
-// rewrite); otherwise where (possibly empty) filters the scan.
-func (qb *queryBuilder) renderSQL(dims, exprs []string, where string, flag bool) string {
+// selectSQL renders one view query: lead (a UNION ALL branch index, ""
+// for none), the key columns, with sd.flag the target predicate as a
+// CASE group column (the paper's combined target/reference rewrite),
+// the aggregates padded with numeric typed NULLs to width columns (every
+// aggregate SeeDB asks for is numeric), then sd.where
+// (possibly empty) filtering the scan and the GROUP BY.
+func (qb *queryBuilder) selectSQL(lead string, keys, groupBy, exprs []string, width int, sd sideSpec) string {
 	var b strings.Builder
 	b.WriteString("SELECT ")
-	b.WriteString(strings.Join(dims, ", "))
-	if flag {
+	if lead != "" {
+		b.WriteString(lead)
+		b.WriteString(", ")
+	}
+	b.WriteString(strings.Join(keys, ", "))
+	if sd.flag {
 		fmt.Fprintf(&b, ", CASE WHEN %s THEN 1 ELSE 0 END AS %s", qb.req.TargetWhere, flagColumn)
 	}
 	for _, e := range exprs {
 		b.WriteString(", ")
 		b.WriteString(e)
 	}
+	for range width - len(exprs) {
+		b.WriteString(", ")
+		b.WriteString(typedNull(backend.TypeInt))
+	}
 	fmt.Fprintf(&b, " FROM %s", qb.table)
-	if where != "" {
-		fmt.Fprintf(&b, " WHERE %s", where)
+	if sd.where != "" {
+		fmt.Fprintf(&b, " WHERE %s", sd.where)
 	}
 	b.WriteString(" GROUP BY ")
-	b.WriteString(strings.Join(dims, ", "))
-	if flag {
+	b.WriteString(strings.Join(groupBy, ", "))
+	if sd.flag {
 		fmt.Fprintf(&b, ", CASE WHEN %s THEN 1 ELSE 0 END", qb.req.TargetWhere)
 	}
 	return b.String()
@@ -406,6 +553,9 @@ func (s *execState) execAndMerge(ctx context.Context, q *sharedQuery, lo, hi int
 	if err != nil {
 		return err
 	}
+	if err := q.check(rows.Rows); err != nil {
+		return err
+	}
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()
 	// ExecTotals.Add keeps the executed/vectorized/fallback counters in
@@ -468,39 +618,35 @@ func (s *execState) logSlowQuery(sql string, lo, hi int, d time.Duration, stats 
 	})
 }
 
-// mergeResult folds one query result into the accumulators. A view's
-// consumers are adjacent (aggPlan emits them view by view) and all read
-// the same group, so per result row each group-by column is looked up in
-// its dimension's dictionary once and each view's cells are resolved
-// once — lazily, on the first value that folds, because only a group
-// with a non-NULL value enters the dictionary or grows a side.
+// mergeResult folds one query result into the accumulators. Each row
+// folds through its branch's consumers. A view's consumers are adjacent
+// (aggPlan emits them view by view) and all read the same group, so per
+// result row each dimension column is looked up in its dimension's
+// dictionary once and each view's cells are resolved once — lazily, on
+// the first value that folds, because only a group with a non-NULL value
+// enters the dictionary or grows a side.
 func (s *execState) mergeResult(q *sharedQuery, res *backend.Rows) {
-	aggBase := q.numDims
-	flagPos := -1
-	if q.side == sideCombined {
-		flagPos = q.numDims
-		aggBase = q.numDims + 1
-	}
-	if cap(s.rowOrds) < q.numDims {
-		s.rowOrds = make([]int32, q.numDims)
-	}
-	ords := s.rowOrds[:q.numDims] // per group-by column; -1 until looked up
 	for _, row := range res.Rows {
+		br := q.branchOf(row)
 		// toTarget/toRef: which side(s) this row's values fold into.
 		// Combined rows route by flag; the reference side takes every row
 		// under RefAll (D_R = D) and only non-target rows otherwise.
-		toTarget, toRef := q.side == sideTarget, q.side == sideReference
-		if q.side == sideCombined {
-			toTarget = row[flagPos].Truthy()
+		toTarget, toRef := br.side == sideTarget, br.side == sideReference
+		if br.side == sideCombined {
+			toTarget = row[br.flagCol].Truthy()
 			toRef = s.req.Reference == RefAll || !toTarget
 		}
-		for i := range ords {
-			ords[i] = -1
+		if cap(s.rowOrds) < len(row) {
+			s.rowOrds = make([]int32, len(row))
+		}
+		ords := s.rowOrds[:len(row)] // per dimension column; -1 until looked up
+		for _, c := range br.dimCols {
+			ords[c] = -1
 		}
 		view := -1
 		var target, ref *cell
-		for _, c := range q.consumers {
-			v := row[aggBase+c.col]
+		for _, c := range br.consumers {
+			v := row[c.col]
 			if v.IsNull() {
 				continue
 			}
@@ -511,14 +657,14 @@ func (s *execState) mergeResult(q *sharedQuery, res *backend.Rows) {
 			if c.viewIdx != view {
 				acc := s.accums[c.viewIdx]
 				view, target, ref = c.viewIdx, nil, nil
-				if ords[c.dimPos] < 0 {
-					ords[c.dimPos] = acc.groups.ordinal(row[c.dimPos])
+				if ords[c.dimCol] < 0 {
+					ords[c.dimCol] = acc.groups.ordinal(row[c.dimCol])
 				}
 				if toTarget {
-					target = acc.target.at(ords[c.dimPos])
+					target = acc.target.at(ords[c.dimCol])
 				}
 				if toRef {
-					ref = acc.reference.at(ords[c.dimPos])
+					ref = acc.reference.at(ords[c.dimCol])
 				}
 			}
 			if target != nil {

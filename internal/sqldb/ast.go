@@ -219,12 +219,35 @@ type SelectStmt struct {
 	OrderBy  []OrderItem // may be empty
 	Limit    int         // -1 when absent
 	Offset   int         // 0 when absent
+	// UnionAll lists the SELECTs joined to this one by UNION ALL, in
+	// order. The statement's result is this SELECT's rows followed by
+	// each branch's. Every branch has the same column count; branches
+	// have no UnionAll of their own, and no SELECT of a compound has
+	// ORDER BY, LIMIT or OFFSET.
+	UnionAll []*SelectStmt
+}
+
+// Branches returns the SELECTs of the statement in order: s itself
+// (whose UnionAll the executors ignore when they plan it as a branch)
+// followed by its UNION ALL branches.
+func (s *SelectStmt) Branches() []*SelectStmt {
+	return append([]*SelectStmt{s}, s.UnionAll...)
 }
 
 // String renders the statement back to SQL (canonical form, used in tests
 // for parse/print round-trips).
 func (s *SelectStmt) String() string {
 	var b strings.Builder
+	s.writeSelect(&b)
+	for _, u := range s.UnionAll {
+		b.WriteString(" UNION ALL ")
+		u.writeSelect(&b)
+	}
+	return b.String()
+}
+
+// writeSelect renders one SELECT, without its UNION ALL branches.
+func (s *SelectStmt) writeSelect(b *strings.Builder) {
 	b.WriteString("SELECT ")
 	if s.Distinct {
 		b.WriteString("DISTINCT ")
@@ -271,10 +294,9 @@ func (s *SelectStmt) String() string {
 		}
 	}
 	if s.Limit >= 0 {
-		fmt.Fprintf(&b, " LIMIT %d", s.Limit)
+		fmt.Fprintf(b, " LIMIT %d", s.Limit)
 	}
 	if s.Offset > 0 {
-		fmt.Fprintf(&b, " OFFSET %d", s.Offset)
+		fmt.Fprintf(b, " OFFSET %d", s.Offset)
 	}
-	return b.String()
 }

@@ -171,17 +171,7 @@ func (db *DB) QueryOpts(sql string, opts ExecOptions) (*Result, error) {
 
 // QueryStmt executes a pre-parsed statement.
 func (db *DB) QueryStmt(stmt *SelectStmt, opts ExecOptions) (*Result, error) {
-	t, ok := db.Table(stmt.Table)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: table %q does not exist", stmt.Table)
-	}
-	_, sp := telemetry.StartSpan(opts.Ctx, "sqldb.plan")
-	p, err := compilePlan(stmt, t)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return p.execute(opts)
+	return db.prepare(stmt).Exec(opts)
 }
 
 // Prepare compiles sql against the current catalog for repeated execution
@@ -191,20 +181,40 @@ func (db *DB) Prepare(sql string) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, ok := db.Table(stmt.Table)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: table %q does not exist", stmt.Table)
+	q := db.prepare(stmt)
+	if _, err := q.lookup(stmt.Table); err != nil {
+		return nil, err
 	}
-	return &PreparedQuery{db: db, stmt: stmt, table: t}, nil
+	return q, nil
+}
+
+// prepare resolves every table stmt names against the current catalog;
+// a missing table is reported when the query executes.
+func (db *DB) prepare(stmt *SelectStmt) *PreparedQuery {
+	q := &PreparedQuery{stmt: stmt, tables: map[string]Table{}}
+	for _, b := range stmt.Branches() {
+		if t, ok := db.Table(b.Table); ok {
+			q.tables[strings.ToLower(b.Table)] = t
+		}
+	}
+	return q
 }
 
 // PreparedQuery is a parsed, table-resolved statement. Plans are compiled
 // per execution (plans hold per-run aggregation state-free closures, so a
 // fresh compile keeps executions independent and concurrency-safe).
 type PreparedQuery struct {
-	db    *DB
-	stmt  *SelectStmt
-	table Table
+	stmt   *SelectStmt
+	tables map[string]Table // lower-cased name → table, as resolved at Prepare
+}
+
+// lookup resolves a table name among the tables resolved at Prepare.
+func (q *PreparedQuery) lookup(name string) (Table, error) {
+	t, ok := q.tables[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("sqldb: table %q does not exist", name)
+	}
+	return t, nil
 }
 
 // SQL returns the canonical SQL text of the prepared statement.
@@ -213,7 +223,7 @@ func (q *PreparedQuery) SQL() string { return q.stmt.String() }
 // Exec executes the prepared query with the given options.
 func (q *PreparedQuery) Exec(opts ExecOptions) (*Result, error) {
 	_, sp := telemetry.StartSpan(opts.Ctx, "sqldb.plan")
-	p, err := compilePlan(q.stmt, q.table)
+	p, err := compileStatement(q.stmt, q.lookup)
 	sp.End()
 	if err != nil {
 		return nil, err

@@ -216,10 +216,24 @@ type Query struct {
 	Groups []string
 }
 
+// aggPool is the aggregates generated queries draw from, fast-path
+// shapes first and interpreter-only ones last.
+var aggPool = []string{
+	"COUNT(*)", "COUNT(m0)", "COUNT(s0)", "COUNT(b0)",
+	"SUM(m0)", "SUM(m1)", "SUM(m2)",
+	"AVG(m0)", "AVG(m1)", "AVG(m2)",
+	"MIN(m0)", "MIN(m2)", "MAX(m1)", "MAX(m2)", "MIN(b0)",
+	// Interpreter-only shapes:
+	"COUNT(DISTINCT d1)", "MIN(s0)", "SUM(m0 + m1)", "AVG(ABS(m2))",
+}
+
 // Gen generates one random grouped-aggregate query with an optional row
-// sub-range.
+// sub-range: one SELECT, or (one time in five) a UNION ALL of several.
 func (h *Harness) Gen() Query {
 	rng := h.rng
+	if rng.Intn(5) == 0 {
+		return h.genUnion()
+	}
 
 	// GROUP BY: 0-3 distinct grouping expressions.
 	nGroups := rng.Intn(4)
@@ -239,14 +253,6 @@ func (h *Harness) Gen() Query {
 
 	// Aggregates: 1-4, drawn with repetition allowed (duplicates are
 	// legal SQL and exercise shared slots).
-	aggPool := []string{
-		"COUNT(*)", "COUNT(m0)", "COUNT(s0)", "COUNT(b0)",
-		"SUM(m0)", "SUM(m1)", "SUM(m2)",
-		"AVG(m0)", "AVG(m1)", "AVG(m2)",
-		"MIN(m0)", "MIN(m2)", "MAX(m1)", "MAX(m2)", "MIN(b0)",
-		// Interpreter-only shapes:
-		"COUNT(DISTINCT d1)", "MIN(s0)", "SUM(m0 + m1)", "AVG(ABS(m2))",
-	}
 	nAggs := 1 + rng.Intn(4)
 	var aggs []string
 	for i := 0; i < nAggs; i++ {
@@ -293,6 +299,77 @@ func (h *Harness) Gen() Query {
 	}
 
 	q := Query{SQL: b.String(), Hi: 0, Groups: groups}
+	h.genRange(&q)
+	return q
+}
+
+// genUnion generates 2-4 grouped SELECTs joined by UNION ALL, in the
+// shape of the engine's phase statement and around it: each row leads
+// with its branch index, each branch has its own keys and aggregates
+// (NULL-padded to the widest branch), and branches share the WHERE and
+// the flag or bring their own, so the shared scan meets every mix of
+// shared and distinct predicates.
+func (h *Harness) genUnion() Query {
+	rng := h.rng
+	where := h.genPredicate(1 + rng.Intn(2))
+	flag := fmt.Sprintf("CASE WHEN %s THEN 1 ELSE 0 END", h.genPredicate(1))
+	type branch struct{ items, groups []string }
+	branches := make([]branch, 2+rng.Intn(3))
+	wheres := make([]string, len(branches))
+	width := 0
+	for i := range branches {
+		br := &branches[i]
+		if rng.Intn(4) != 0 {
+			br.groups = append(br.groups, pick(rng, h.groupPool))
+		}
+		switch rng.Intn(4) {
+		case 0, 1:
+			br.groups = append(br.groups, flag)
+		case 2:
+			br.groups = append(br.groups, fmt.Sprintf("CASE WHEN %s THEN 1 ELSE 0 END", h.genPredicate(1)))
+		}
+		br.items = append([]string{fmt.Sprint(i)}, br.groups...)
+		for range 1 + rng.Intn(3) {
+			// Mostly fast-path aggregates, so most compounds share a scan.
+			pool := aggPool[:15]
+			if rng.Intn(8) == 0 {
+				pool = aggPool
+			}
+			br.items = append(br.items, pick(rng, pool))
+		}
+		width = max(width, len(br.items))
+		switch rng.Intn(3) {
+		case 0:
+			wheres[i] = where
+		case 1:
+			wheres[i] = h.genPredicate(1)
+		}
+	}
+	var parts []string
+	for i, br := range branches {
+		for len(br.items) < width {
+			br.items = append(br.items, "NULL")
+		}
+		sql := "SELECT " + strings.Join(br.items, ", ") + " FROM t"
+		if wheres[i] != "" {
+			sql += " WHERE " + wheres[i]
+		}
+		if len(br.groups) > 0 {
+			sql += " GROUP BY " + strings.Join(br.groups, ", ")
+		}
+		if rng.Intn(6) == 0 {
+			sql += " HAVING COUNT(*) > 2"
+		}
+		parts = append(parts, sql)
+	}
+	q := Query{SQL: strings.Join(parts, " UNION ALL ")}
+	h.genRange(&q)
+	return q
+}
+
+// genRange gives q a row range: the whole table, or one of the edges.
+func (h *Harness) genRange(q *Query) {
+	rng := h.rng
 	switch rng.Intn(10) {
 	case 0, 1, 2: // random sub-range
 		q.Lo = rng.Intn(h.rows)
@@ -309,7 +386,6 @@ func (h *Harness) Gen() Query {
 			q.Lo, q.Hi = e[0], e[1]
 		}
 	}
-	return q
 }
 
 // genPredicate builds a random WHERE-style predicate of n clauses. The
@@ -363,6 +439,20 @@ type Stats struct {
 	// IntRange and IntDict count the int group keys the vectorized runs
 	// range-coded and dictionary-coded.
 	IntRange, IntDict int
+	// Unions counts the UNION ALL statements generated, and Shared those
+	// of them the Workers=N run executed as one shared vectorized scan.
+	Unions, Shared int
+}
+
+// countUnion records a generated compound and whether it ran shared.
+func (st *Stats) countUnion(q Query, res sqldb.ExecStats) {
+	if !strings.Contains(q.SQL, " UNION ALL ") {
+		return
+	}
+	st.Unions++
+	if res.Vectorized {
+		st.Shared++
+	}
 }
 
 // reference runs q on the row-layout twin: the row interpreter's answer.
@@ -415,6 +505,7 @@ func (h *Harness) Run(n, workers int) (Stats, error) {
 		if err != nil {
 			return st, fmt.Errorf("query %d workers=%d failed: %v (sql: %s)", i, workers, err, q.SQL)
 		}
+		st.countUnion(q, par.Stats)
 		if par.Stats.Vectorized {
 			st.Vectorized++
 			st.Kernels += par.Stats.SelectionKernels

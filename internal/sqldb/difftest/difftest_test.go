@@ -54,8 +54,13 @@ func TestDifferential(t *testing.T) {
 		if st.IntRange == 0 || st.IntDict == 0 {
 			t.Errorf("seed %d: int group keys coded %d× by range, %d× by dictionary; want both", seed, st.IntRange, st.IntDict)
 		}
-		t.Logf("seed %d workers %d: %d queries, %d vectorized (%d at workers=1; %d kernels, %d residuals; int keys %d range, %d dict), %d fallback",
-			seed, workers, st.Queries, st.Vectorized, st.OneWorker, st.Kernels, st.Residuals, st.IntRange, st.IntDict, st.Fallback)
+		// UNION ALL statements must run as one shared scan, and not all
+		// of them: a branch outside the fast path runs them one by one.
+		if st.Shared == 0 || st.Shared == st.Unions {
+			t.Errorf("seed %d: %d of %d UNION ALL statements ran one shared scan; want some, not all", seed, st.Shared, st.Unions)
+		}
+		t.Logf("seed %d workers %d: %d queries, %d vectorized (%d at workers=1; %d kernels, %d residuals; int keys %d range, %d dict), %d fallback; %d/%d unions shared",
+			seed, workers, st.Queries, st.Vectorized, st.OneWorker, st.Kernels, st.Residuals, st.IntRange, st.IntDict, st.Fallback, st.Shared, st.Unions)
 	}
 }
 

@@ -61,6 +61,9 @@ func (h *Harness) RunSharded(n, shards, workers int) (Stats, error) {
 			if err != nil {
 				return st, fmt.Errorf("query %d sharded (%d shards, workers=%d) failed: %v (sql: %s)", i, shards, w, err, q.SQL)
 			}
+			if w != 1 {
+				st.countUnion(q, stats)
+			}
 			switch {
 			case w == 1:
 				if stats.Vectorized {

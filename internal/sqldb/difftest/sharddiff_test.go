@@ -27,8 +27,11 @@ func TestShardedDifferential(t *testing.T) {
 			if st.OneWorker == 0 {
 				t.Errorf("seed %d shards %d: no query vectorized at one worker per child", seed, shards)
 			}
-			t.Logf("seed %d shards %d: %d queries, %d vectorized (%d at workers=1), %d fallback",
-				seed, shards, st.Queries, st.Vectorized, st.OneWorker, st.Fallback)
+			if st.Shared == 0 {
+				t.Errorf("seed %d shards %d: none of %d UNION ALL statements ran one shared scan per child", seed, shards, st.Unions)
+			}
+			t.Logf("seed %d shards %d: %d queries, %d vectorized (%d at workers=1), %d fallback; %d/%d unions shared",
+				seed, shards, st.Queries, st.Vectorized, st.OneWorker, st.Fallback, st.Shared, st.Unions)
 		}
 	}
 }

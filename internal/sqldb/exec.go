@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -47,7 +48,12 @@ type ExecOptions struct {
 // in docs/BACKENDS.md).
 type ExecStats struct {
 	// RowsScanned is the number of base-table rows visited (0 when the
-	// store does not expose scan counts).
+	// store does not expose scan counts), counted per UNION ALL branch:
+	// N branches over R rows report N·R even when one shared scan read
+	// the rows once — what the same branches report as separate
+	// statements. Row visits then keep measuring the work sharing and
+	// pruning save; a physical count would read the same for a pruned
+	// phase as for an unpruned one.
 	RowsScanned int `json:"rows_scanned"`
 	// Groups is the peak number of distinct groups materialized by hash
 	// aggregation — the engine's memory-utilization proxy for the SeeDB
@@ -137,7 +143,10 @@ type plan struct {
 	aggs      []aggSpec
 	having    evalFn   // over groupRow; nil when absent
 	outputs   []evalFn // over groupRow (grouped) or base row (simple)
-	colNames  []string
+	// direct (grouped only) says, per output, where finalize copies its
+	// value from; the output's evalFn is nil unless it is outEval.
+	direct   []outSource
+	colNames []string
 
 	orderBy  []orderKey
 	distinct bool
@@ -157,6 +166,56 @@ type orderKey struct {
 	outCol int
 	eval   evalFn
 	desc   bool
+}
+
+// outSource is where a grouped output's value comes from: a group key
+// or a finalized aggregate (by index), a constant, or — outEval — its
+// evalFn. A select list of keys, aggregates and constants (SeeDB's whole
+// query shape, a UNION ALL's typed NULL placeholders included) then
+// finalizes with no call per cell.
+type outSource struct {
+	kind outKind
+	idx  int
+	val  Value
+}
+
+// outKind classifies an outSource.
+type outKind uint8
+
+const (
+	outEval outKind = iota
+	outKey
+	outAgg
+	outConst
+)
+
+// directSource classifies a rewritten grouped output expression: a
+// $key or $agg column of the virtual schema, a constant — it reads no
+// column, and every function is deterministic — whose value the caller
+// evaluates, or an expression finalize evaluates per group.
+func directSource(e Expr, numKeys int) outSource {
+	if n, ok := e.(*ColumnExpr); ok {
+		if k, ok := strings.CutPrefix(n.Name, "$key"); ok {
+			if i, err := strconv.Atoi(k); err == nil && i < numKeys {
+				return outSource{kind: outKey, idx: i}
+			}
+		}
+		if a, ok := strings.CutPrefix(n.Name, "$agg"); ok {
+			if i, err := strconv.Atoi(a); err == nil {
+				return outSource{kind: outAgg, idx: i}
+			}
+		}
+	}
+	constant := true
+	walkExpr(e, func(n Expr) {
+		if _, ok := n.(*ColumnExpr); ok {
+			constant = false
+		}
+	})
+	if constant {
+		return outSource{kind: outConst}
+	}
+	return outSource{}
 }
 
 // groupRow is the finalize-phase RowView: group-key values followed by
@@ -190,6 +249,108 @@ func compilePlan(stmt *SelectStmt, t Table) (*plan, error) {
 		p.vec, p.vecReason = vectorizeGrouped(stmt, p, t.Schema())
 	}
 	return p, nil
+}
+
+// stmtPlan is a compiled statement: one plan per SELECT of a UNION ALL,
+// or one plan for a plain SELECT. shared says one vectorized scan can
+// feed every branch: each is a fast-path grouped plan over the same
+// column store. A plain SELECT is the one-branch case.
+type stmtPlan struct {
+	branches []*plan
+	shared   bool
+}
+
+// compileStatement plans every SELECT of stmt over the table lookup
+// resolves for it.
+func compileStatement(stmt *SelectStmt, lookup func(name string) (Table, error)) (*stmtPlan, error) {
+	sp := &stmtPlan{shared: true}
+	for i, b := range stmt.Branches() {
+		t, err := lookup(b.Table)
+		if err != nil {
+			return nil, err
+		}
+		p, err := compilePlan(b, t)
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && len(p.colNames) != len(sp.branches[0].colNames) {
+			return nil, fmt.Errorf("sqldb: UNION ALL branch %d has %d columns, want %d", i, len(p.colNames), len(sp.branches[0].colNames))
+		}
+		sp.branches = append(sp.branches, p)
+		sp.shared = sp.shared && p.vec != nil && p.table == sp.branches[0].table
+	}
+	return sp, nil
+}
+
+// execute runs the statement: as one shared scan when it can. A
+// compound the shared scan cannot run has its branches run one after
+// another as statements of their own; a lone SELECT runs on the row
+// interpreter. Either way the rows are the branches' rows in branch
+// order, and the stats add up the branches': RowsScanned counts each
+// branch's row visits.
+func (sp *stmtPlan) execute(opts ExecOptions) (*Result, error) {
+	if sp.shared {
+		if res, ran, err := sp.executeShared(opts); err != nil || ran {
+			return res, err
+		}
+	}
+	if len(sp.branches) == 1 {
+		return sp.branches[0].execute(opts)
+	}
+	res := &Result{Columns: sp.branches[0].colNames}
+	res.Stats.Vectorized = true
+	for _, p := range sp.branches {
+		r, err := (&stmtPlan{branches: []*plan{p}, shared: p.vec != nil}).execute(opts)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, r.Rows...)
+		st := &res.Stats
+		st.RowsScanned += r.Stats.RowsScanned
+		st.Groups += r.Stats.Groups
+		st.Vectorized = st.Vectorized && r.Stats.Vectorized
+		st.FallbackReason = cmp.Or(st.FallbackReason, r.Stats.FallbackReason)
+		st.Workers = max(st.Workers, r.Stats.Workers)
+		st.SelectionKernels += r.Stats.SelectionKernels
+		st.ResidualPredicates += r.Stats.ResidualPredicates
+	}
+	return res, nil
+}
+
+// executeShared runs every branch from one vectorized scan, then
+// finalizes each branch's groups with its own plan. ran=false means a
+// branch's group-id space is too large for the fast path.
+func (sp *stmtPlan) executeShared(opts ExecOptions) (res *Result, ran bool, err error) {
+	first := sp.branches[0]
+	lo, hi := opts.Lo, opts.Hi
+	if hi <= 0 {
+		hi = first.table.NumRows()
+	}
+	var ssp *telemetry.Span
+	opts.Ctx, ssp = telemetry.StartSpan(opts.Ctx, "sqldb.scan")
+	run, ran, err := runVec(sp.branches, first.table.(*ColStore).snapshot(), opts, lo, hi)
+	if err != nil || !ran {
+		ssp.End()
+		return nil, ran, err
+	}
+	res = &Result{Columns: first.colNames}
+	run.stamp(&res.Stats)
+	ssp.SetAttr("group_keys", run.keys)
+	ssp.SetAttr("rows", strconv.Itoa(res.Stats.RowsScanned))
+	ssp.SetAttr("workers", strconv.Itoa(res.Stats.Workers))
+	ssp.End()
+	// Each branch finalizes and post-processes its own rows, which
+	// concatenate in branch order.
+	_, fsp := telemetry.StartSpan(opts.Ctx, "sqldb.finalize")
+	res.Rows = make([][]Value, 0, res.Stats.Groups)
+	for b, p := range sp.branches {
+		br := &Result{}
+		p.finalizeGroups(run.entries[b], br)
+		p.postProcess(br)
+		res.Rows = append(res.Rows, br.Rows...)
+	}
+	fsp.End()
+	return res, true, nil
 }
 
 // compileForSchema plans stmt against a schema alone. The resulting plan
@@ -331,12 +492,26 @@ func compileGroupedPlan(p *plan, stmt *SelectStmt, items []SelectItem, schema *S
 		return compileScalar(re, virtual())
 	}
 
+	// An output finalize copies (a key or an aggregate) keeps no evalFn;
+	// a constant is evaluated here, once.
 	for _, it := range items {
-		out, cerr := compileFinal(it.Expr)
-		if cerr != nil {
-			return nil, cerr
+		re, rerr := rw.rewrite(it.Expr)
+		if rerr != nil {
+			return nil, rerr
+		}
+		var out evalFn
+		d := directSource(re, len(stmt.GroupBy))
+		if d.kind == outEval || d.kind == outConst {
+			var cerr error
+			if out, cerr = compileScalar(re, virtual()); cerr != nil {
+				return nil, cerr
+			}
+		}
+		if d.kind == outConst {
+			d.val, out = out(nil), nil
 		}
 		p.outputs = append(p.outputs, out)
+		p.direct = append(p.direct, d)
 	}
 	if stmt.Having != nil {
 		h, herr := compileFinal(stmt.Having)
@@ -649,15 +824,20 @@ func (p *plan) executeSimple(opts ExecOptions, lo, hi int, res *Result) error {
 	return err
 }
 
-// executeGrouped runs hash aggregation: the scan/accumulate stage (row
-// interpreter or parallel vectorized fast path) followed by the shared
-// finalize stage (HAVING, outputs, order keys).
+// executeGrouped runs hash aggregation on the row interpreter — the
+// scan/accumulate stage, then the shared finalize stage (HAVING,
+// outputs, order keys) — and records in the stats why the vectorized
+// scan (stmtPlan.executeShared) did not run.
 func (p *plan) executeGrouped(opts ExecOptions, lo, hi int, res *Result) error {
-	// The scan runs under its own span's context so the executor can
-	// annotate it (the fast path records how it coded the group keys).
+	res.Stats.FallbackReason = p.vecReason
+	if p.vec != nil {
+		// The one decline made against the live table, before the
+		// scan: the exact group-id space is too large.
+		res.Stats.FallbackReason = fallbackIDSpace
+	}
 	var ssp *telemetry.Span
 	opts.Ctx, ssp = telemetry.StartSpan(opts.Ctx, "sqldb.scan")
-	entries, err := p.aggregateRange(opts, lo, hi, &res.Stats)
+	entries, err := p.aggregateSerial(opts, lo, hi, &res.Stats)
 	ssp.SetAttr("rows", strconv.Itoa(res.Stats.RowsScanned))
 	ssp.SetAttr("workers", strconv.Itoa(res.Stats.Workers))
 	ssp.End()
@@ -704,7 +884,16 @@ func (p *plan) finalizeGroups(entries []*groupEntry, res *Result) {
 		out := slab[:width:width]
 		slab = slab[width:]
 		for i, f := range p.outputs {
-			out[i] = f(row)
+			switch d := &p.direct[i]; d.kind {
+			case outKey:
+				out[i] = g.keys[d.idx]
+			case outAgg:
+				out[i] = gr.aggs[d.idx]
+			case outConst:
+				out[i] = d.val
+			default:
+				out[i] = f(row)
+			}
 		}
 		k := len(p.outputs)
 		for _, key := range p.orderBy {
@@ -715,36 +904,6 @@ func (p *plan) finalizeGroups(entries []*groupEntry, res *Result) {
 		}
 		res.Rows = append(res.Rows, out)
 	}
-}
-
-// aggregateRange produces the group entries for [lo, hi) in deterministic
-// first-seen order, on the vectorized fast path (with opts.Workers
-// workers) when compilePlan chose it, and on the row interpreter
-// otherwise. When the interpreter runs, stats.FallbackReason records why.
-func (p *plan) aggregateRange(opts ExecOptions, lo, hi int, stats *ExecStats) ([]*groupEntry, error) {
-	switch {
-	case p.vec == nil:
-		stats.FallbackReason = p.vecReason
-	default:
-		run, ran, err := p.vec.run(p, p.table.(*ColStore).snapshot(), opts, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		if !ran {
-			// The one decline made against the live table, before
-			// the scan: the exact group-id space is too large.
-			stats.FallbackReason = fallbackIDSpace
-			break
-		}
-		stats.RowsScanned = run.scanned
-		stats.Groups = len(run.entries)
-		stats.Vectorized = true
-		stats.Workers = run.workers
-		stats.SelectionKernels = run.kernels
-		stats.ResidualPredicates = run.residuals
-		return run.entries, nil
-	}
-	return p.aggregateSerial(opts, lo, hi, stats)
 }
 
 // aggregateSerial is the row-at-a-time hash aggregation interpreter.

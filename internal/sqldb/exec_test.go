@@ -197,6 +197,31 @@ func TestGroupByCaseExpression(t *testing.T) {
 	})
 }
 
+// TestGroupedConstantOutputs: a grouped output that reads no column —
+// a literal, a typed NULL placeholder, an expression over literals — is
+// evaluated once and copied into every group's row, next to outputs
+// that read keys and aggregates.
+func TestGroupedConstantOutputs(t *testing.T) {
+	bothLayouts(t, func(t *testing.T, db *DB) {
+		rows := queryRows(t, db, `SELECT 7, sex, CASE WHEN FALSE THEN '' END, 1 + 2 * 3, UPPER('x') || sex, COUNT(*) - 1
+			FROM census GROUP BY sex ORDER BY sex`)
+		want := [][]Value{
+			{Int(7), Str("F"), Null(), Int(7), Str("XF"), Int(2)},
+			{Int(7), Str("M"), Null(), Int(7), Str("XM"), Int(2)},
+		}
+		if len(rows) != len(want) {
+			t.Fatalf("got %v, want %v", rows, want)
+		}
+		for i := range want {
+			for j := range want[i] {
+				if rows[i][j].Kind != want[i][j].Kind || rows[i][j].Compare(want[i][j]) != 0 {
+					t.Errorf("row %d col %d: %v, want %v", i, j, rows[i][j], want[i][j])
+				}
+			}
+		}
+	})
+}
+
 func TestCountDistinct(t *testing.T) {
 	bothLayouts(t, func(t *testing.T, db *DB) {
 		rows := queryRows(t, db, "SELECT COUNT(DISTINCT region), COUNT(DISTINCT sex) FROM census")

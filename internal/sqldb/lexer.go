@@ -32,6 +32,7 @@ var keywords = map[string]bool{
 	"WHEN": true, "THEN": true, "ELSE": true, "END": true, "ASC": true,
 	"DESC": true, "TRUE": true, "FALSE": true, "DISTINCT": true,
 	"BETWEEN": true, "LIKE": true, "HAVING": true, "OFFSET": true,
+	"UNION": true, "ALL": true,
 }
 
 // lexer scans a SQL string into tokens.

@@ -13,14 +13,15 @@ import (
 // deployment's problem, 502) with errors.Is.
 var ErrParse = errors.New("sqldb: invalid SQL")
 
-// Parse parses a single SELECT statement in the engine's SQL dialect.
+// Parse parses one statement in the engine's SQL dialect: a SELECT, or
+// SELECTs joined by UNION ALL.
 func Parse(sql string) (*SelectStmt, error) {
 	toks, err := lex(sql)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{src: sql, toks: toks}
-	stmt, err := p.parseSelect()
+	stmt, err := p.parseCompound()
 	if err != nil {
 		return nil, err
 	}
@@ -87,6 +88,64 @@ func (p *parser) expectSymbol(sym string) error {
 		return p.errorf("expected %q, found %q", sym, p.peek().text)
 	}
 	return nil
+}
+
+// parseCompound parses SELECTs joined by UNION ALL. ORDER BY, LIMIT and
+// OFFSET would read as applying to the whole compound, which the dialect
+// does not support, so a compound rejects them in every branch. Branches
+// must agree on their column count; one that selects * is checked when
+// the statement is planned, against the table's schema.
+func (p *parser) parseCompound() (*SelectStmt, error) {
+	stmt, err := p.parseSelect()
+	if err != nil {
+		return nil, err
+	}
+	last := stmt
+	for p.peek().kind == tokKeyword && p.peek().text == "UNION" {
+		if bad := unionTail(last); bad != "" {
+			return nil, p.errorf("%s before UNION ALL", bad)
+		}
+		p.next()
+		if err := p.expectKeyword("ALL"); err != nil {
+			return nil, err
+		}
+		if last, err = p.parseSelect(); err != nil {
+			return nil, err
+		}
+		if w, bw := itemCount(stmt), itemCount(last); w >= 0 && bw >= 0 && w != bw {
+			return nil, p.errorf("UNION ALL branch %d has %d columns, want %d", len(stmt.UnionAll)+1, bw, w)
+		}
+		stmt.UnionAll = append(stmt.UnionAll, last)
+	}
+	if bad := unionTail(last); last != stmt && bad != "" {
+		return nil, p.errorf("%s after UNION ALL is not supported", bad)
+	}
+	return stmt, nil
+}
+
+// unionTail names the first of ORDER BY, LIMIT or OFFSET that s
+// carries, or "".
+func unionTail(s *SelectStmt) string {
+	switch {
+	case len(s.OrderBy) > 0:
+		return "ORDER BY"
+	case s.Limit >= 0:
+		return "LIMIT"
+	case s.Offset > 0:
+		return "OFFSET"
+	}
+	return ""
+}
+
+// itemCount is the number of columns s selects, or -1 when it selects *
+// (the count then depends on the schema).
+func itemCount(s *SelectStmt) int {
+	for _, it := range s.Items {
+		if c, ok := it.Expr.(*ColumnExpr); ok && c.Name == "*" {
+			return -1
+		}
+	}
+	return len(s.Items)
 }
 
 func (p *parser) parseSelect() (*SelectStmt, error) {

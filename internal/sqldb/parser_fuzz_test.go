@@ -23,6 +23,16 @@ func FuzzParse(f *testing.F) {
 		"SELECT d00, d01, d02, SUM(m00), COUNT(m00), SUM(m01), COUNT(m01), MIN(m02), MAX(m03) FROM syn WHERE NOT (d01 = 'target') GROUP BY d00, d01, d02",
 		"SELECT housing, AVG(balance) FROM bank WHERE housing = 'yes' GROUP BY housing",
 		"SELECT carrier, COUNT(*) FROM air GROUP BY carrier ORDER BY COUNT(*) DESC LIMIT 10 OFFSET 2",
+		// The column-store phase statement: UNION ALL branches led by
+		// their index, NULL key placeholders and NULL padding.
+		"SELECT 0, city, NULL, CASE WHEN price > 22.5 THEN 1 ELSE 0 END AS __seedb_flag, SUM(price), COUNT(price) FROM traffic GROUP BY city, CASE WHEN price > 22.5 THEN 1 ELSE 0 END UNION ALL SELECT 1, NULL, plan, CASE WHEN price > 22.5 THEN 1 ELSE 0 END AS __seedb_flag, MIN(score), NULL FROM traffic GROUP BY plan, CASE WHEN price > 22.5 THEN 1 ELSE 0 END",
+		"SELECT 0, a, SUM(m) FROM t WHERE f = 'x' GROUP BY a UNION ALL SELECT 1, a, SUM(m) FROM t WHERE g = 'y' GROUP BY a UNION ALL SELECT * FROM t",
+		// Compounds the grammar rejects: mismatched widths, ORDER BY or
+		// LIMIT after (or before) a union, UNION without ALL.
+		"SELECT a, b FROM t UNION ALL SELECT a FROM t",
+		"SELECT a FROM t UNION ALL SELECT a FROM t ORDER BY a",
+		"SELECT a FROM t LIMIT 1 UNION ALL SELECT a FROM t",
+		"SELECT a FROM t UNION SELECT a FROM t",
 		// Edge cases.
 		"SELECT * FROM t",
 		"SELECT DISTINCT a, b FROM t WHERE a IN (1, 2, 3) AND b NOT BETWEEN -1.5 AND 2e3",

@@ -798,11 +798,19 @@ func clearWhere(sel, mask []bool) {
 	}
 }
 
-// fillRange sets the first n entries of b to true.
-func fillRange(b []bool, n int) {
-	for i := 0; i < n; i++ {
-		b[i] = true
+// allTrue is the selection bitmap of a block nothing filtered. Shared
+// and read-only.
+var allTrue = func() (all [selBlockRows]bool) {
+	for i := range all {
+		all[i] = true
 	}
+	return all
+}()
+
+// fillRange sets the first n (at most selBlockRows) entries of b to
+// true, by copying them from allTrue.
+func fillRange(b []bool, n int) {
+	copy(b[:n], allTrue[:n])
 }
 
 // groupKeyBits returns the identity bits of a numeric group-key cell:

@@ -40,7 +40,11 @@ package sqldb
 // when a COUNT(DISTINCT) forced sub-grouping. Neither shape occurs in
 // SeeDB-generated queries.
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // shardSlot describes how one aggregate slot of the original plan is
 // carried through a child's partial result row.
@@ -56,29 +60,94 @@ type shardSlot struct {
 	cntCol, sumCol, valCol int
 }
 
-// ShardPlan is one SELECT decomposed for partitioned execution: the
+// ShardPlan is one statement decomposed for partitioned execution: the
 // partial statement each shard runs, plus the merge that reassembles the
 // original query's result from the shards' partial rows.
+//
+// A UNION ALL statement decomposes branch by branch. The child runs the
+// UNION ALL of the branch partials, so a child scans its rows once for
+// every branch. Each partial row leads with its branch index and is
+// padded with typed numeric NULLs to the widest partial; the merge
+// routes rows by that index, merges each branch as its own SELECT, and
+// concatenates the branches in order. A partial keeps its branch's
+// aggregate-free items in place, so when the original's columns have one
+// type in every branch — as a typed SQL store requires — the child's do
+// too: the partial aggregates after them are numeric.
 type ShardPlan struct {
 	p          *plan
+	child      *SelectStmt // the partial statement, one SELECT
 	childSQL   string
-	numKeys    int // leading child columns that are original group keys
-	childWidth int // expected child result row width
+	keyCols    []int // the child columns holding the original group keys
+	childWidth int   // expected child result row width
 	slots      []shardSlot
+	// presenceCol (a compound's global-aggregation branch only; -1
+	// otherwise) is the partial COUNT(*) that tells whether the child
+	// matched any row: the branch's share of a compound's Groups
+	// count cannot say so.
+	presenceCol int
+	// branches holds a compound's per-branch plans, nil for a SELECT.
+	branches []*ShardPlan
 }
 
 // NewShardPlan compiles stmt against the partitioned table's schema and
 // returns the decomposed plan. Every statement the single-store engine
-// accepts is supported; compile errors are the same errors the embedded
-// store would report.
+// accepts over that one table is supported; compile errors are the same
+// errors the embedded store would report.
 func NewShardPlan(stmt *SelectStmt, schema *Schema) (*ShardPlan, error) {
+	if len(stmt.UnionAll) == 0 {
+		sp, err := newBranchShardPlan(stmt, schema, false)
+		if err != nil {
+			return nil, err
+		}
+		sp.childSQL = sp.child.String()
+		return sp, nil
+	}
+	sp := &ShardPlan{presenceCol: -1}
+	width := 0
+	for i, b := range stmt.Branches() {
+		if !strings.EqualFold(b.Table, stmt.Table) {
+			return nil, fmt.Errorf("sqldb: shard plan: every UNION ALL branch must read table %q, branch %d reads %q", stmt.Table, i, b.Table)
+		}
+		bp, err := newBranchShardPlan(b, schema, true)
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && len(bp.p.colNames) != len(sp.branches[0].p.colNames) {
+			return nil, fmt.Errorf("sqldb: UNION ALL branch %d has %d columns, want %d", i, len(bp.p.colNames), len(sp.branches[0].p.colNames))
+		}
+		sp.branches = append(sp.branches, bp)
+		width = max(width, bp.childWidth)
+	}
+	var union *SelectStmt
+	for i, bp := range sp.branches {
+		c := *bp.child
+		c.Items = append([]SelectItem{{Expr: &LiteralExpr{Val: Int(int64(i))}}}, c.Items...)
+		for len(c.Items) < 1+width {
+			c.Items = append(c.Items, SelectItem{Expr: &CaseExpr{Whens: []CaseWhen{{
+				Cond: &LiteralExpr{Val: Bool(false)}, Then: &LiteralExpr{Val: Int(0)},
+			}}}})
+		}
+		if union == nil {
+			union = &c
+		} else {
+			union.UnionAll = append(union.UnionAll, &c)
+		}
+	}
+	sp.childWidth = 1 + width
+	sp.childSQL = union.String()
+	return sp, nil
+}
+
+// newBranchShardPlan decomposes one SELECT; inUnion marks a branch of a
+// compound, whose global aggregation carries a presence column.
+func newBranchShardPlan(stmt *SelectStmt, schema *Schema, inUnion bool) (*ShardPlan, error) {
 	p, err := compileForSchema(stmt, schema)
 	if err != nil {
 		return nil, err
 	}
-	sp := &ShardPlan{p: p}
+	sp := &ShardPlan{p: p, presenceCol: -1}
 	if p.grouped {
-		sp.buildGroupedChild(stmt)
+		sp.buildGroupedChild(stmt, inUnion)
 	} else {
 		sp.buildSimpleChild(stmt)
 	}
@@ -90,44 +159,50 @@ func NewShardPlan(stmt *SelectStmt, schema *Schema) (*ShardPlan, error) {
 func (sp *ShardPlan) ChildSQL() string { return sp.childSQL }
 
 // buildGroupedChild rewrites an aggregation statement into its partial
-// form: the original group keys (plus any COUNT(DISTINCT) argument
-// columns) followed by decomposed partial-aggregate columns.
-func (sp *ShardPlan) buildGroupedChild(stmt *SelectStmt) {
-	groupStrs := make([]string, len(stmt.GroupBy))
-	items := make([]SelectItem, 0, len(stmt.GroupBy)+len(sp.p.aggs))
-	for i, g := range stmt.GroupBy {
-		groupStrs[i] = g.String()
-		items = append(items, SelectItem{Expr: g})
+// form: the original select list's aggregate-free items in place (group
+// keys, constants and expressions over keys), then each group key and
+// COUNT(DISTINCT) argument column they do not carry, then decomposed
+// partial-aggregate columns.
+func (sp *ShardPlan) buildGroupedChild(stmt *SelectStmt, inUnion bool) {
+	var items []SelectItem
+	for _, it := range stmt.Items {
+		if !IsAggregate(it.Expr) {
+			items = append(items, it)
+		}
 	}
-	sp.numKeys = len(stmt.GroupBy)
+	numItems := len(items)
 
-	// keyPosFor resolves a COUNT(DISTINCT) argument to a child key
-	// column: an original group key when the texts match, else an extra
-	// key appended to the child GROUP BY (deduplicated by text).
-	extraIdx := make(map[string]int)
+	// keyPosFor resolves a group key or a COUNT(DISTINCT) argument to a
+	// child key column: an aggregate-free item or a key placed before
+	// when the texts match, else an extra key appended to the child
+	// GROUP BY.
+	var groupBy []Expr
+	keyPos := make(map[string]int)
 	keyPosFor := func(e Expr) int {
 		s := e.String()
-		for i, gs := range groupStrs {
-			if s == gs {
-				return i
-			}
-		}
-		if pos, ok := extraIdx[s]; ok {
+		if pos, ok := keyPos[s]; ok {
 			return pos
 		}
-		pos := len(items)
-		extraIdx[s] = pos
-		items = append(items, SelectItem{Expr: e})
+		pos := slices.IndexFunc(items[:numItems], func(it SelectItem) bool { return it.Expr.String() == s })
+		if pos < 0 {
+			pos = len(items)
+			items = append(items, SelectItem{Expr: e})
+		}
+		keyPos[s] = pos
+		groupBy = append(groupBy, e)
 		return pos
 	}
-	// First pass: distinct-argument keys, so every key column precedes
-	// every partial-aggregate column and the child GROUP BY is a prefix.
+	sp.keyCols = make([]int, len(stmt.GroupBy))
+	for i, g := range stmt.GroupBy {
+		sp.keyCols[i] = keyPosFor(g)
+	}
+	// Distinct-argument keys next, so every key column precedes every
+	// partial-aggregate column.
 	for i := range sp.p.aggs {
 		if sp.p.aggs[i].distinct {
 			keyPosFor(sp.p.aggs[i].src.Args[0])
 		}
 	}
-	groupByLen := len(items)
 
 	// Partial aggregate columns, deduplicated by rendered text so a
 	// repeated aggregate (legal SQL, shared slot upstream) is computed
@@ -165,6 +240,9 @@ func (sp *ShardPlan) buildGroupedChild(stmt *SelectStmt) {
 		}
 		sp.slots[i] = slot
 	}
+	if inUnion && len(sp.keyCols) == 0 {
+		sp.presenceCol = partialFor(&FuncExpr{Name: "COUNT", Star: true})
+	}
 
 	// A HAVING-only statement can plan no keys and no aggregates; keep
 	// the child select list non-empty (the placeholder feeds no slot).
@@ -173,17 +251,14 @@ func (sp *ShardPlan) buildGroupedChild(stmt *SelectStmt) {
 	}
 
 	child := &SelectStmt{
-		Items: items,
-		Table: stmt.Table,
-		Where: stmt.Where,
-		Limit: -1,
-	}
-	child.GroupBy = make([]Expr, groupByLen)
-	for i := 0; i < groupByLen; i++ {
-		child.GroupBy[i] = items[i].Expr
+		Items:   items,
+		Table:   stmt.Table,
+		Where:   stmt.Where,
+		GroupBy: groupBy,
+		Limit:   -1,
 	}
 	sp.childWidth = len(items)
-	sp.childSQL = child.String()
+	sp.child = child
 }
 
 // buildSimpleChild rewrites a projection-only statement: the original
@@ -208,7 +283,7 @@ func (sp *ShardPlan) buildSimpleChild(stmt *SelectStmt) {
 	// p.outputs reflects SELECT * expansion; the child expands the same
 	// way, so its rows are outputs ++ inline order keys.
 	sp.childWidth = len(sp.p.outputs) + extras
-	sp.childSQL = child.String()
+	sp.child = child
 }
 
 // ShardPart is one shard's contribution to a merge: the partial result
@@ -228,6 +303,9 @@ type ShardPart struct {
 // materialize); scan counters are the caller's to aggregate from the
 // child executions.
 func (sp *ShardPlan) Merge(parts []ShardPart) (*Result, error) {
+	if sp.branches != nil {
+		return sp.mergeUnion(parts)
+	}
 	p := sp.p
 	res := &Result{Columns: p.colNames}
 	res.Stats.Workers = 1
@@ -258,13 +336,15 @@ func (sp *ShardPlan) Merge(parts []ShardPart) (*Result, error) {
 				return nil, fmt.Errorf("sqldb: shard merge: child row has %d columns, want %d", len(row), sp.childWidth)
 			}
 			keyBuf = keyBuf[:0]
-			for i := 0; i < sp.numKeys; i++ {
-				keyBuf = row[i].appendKey(keyBuf)
+			for _, c := range sp.keyCols {
+				keyBuf = row[c].appendKey(keyBuf)
 			}
 			g, ok := groups[string(keyBuf)]
 			if !ok {
-				keys := make([]Value, sp.numKeys)
-				copy(keys, row[:sp.numKeys])
+				keys := make([]Value, len(sp.keyCols))
+				for i, c := range sp.keyCols {
+					keys[i] = row[c]
+				}
 				g = &groupEntry{keys: keys, states: make([]aggState, len(p.aggs))}
 				groups[string(keyBuf)] = g
 				entries = append(entries, g)
@@ -276,7 +356,7 @@ func (sp *ShardPlan) Merge(parts []ShardPart) (*Result, error) {
 	}
 
 	res.Stats.Groups = len(entries)
-	if sp.numKeys == 0 {
+	if len(sp.keyCols) == 0 {
 		// Global aggregation: a single-store scan materializes one group
 		// exactly when some row survived the filter. Children that matched
 		// nothing still contributed their synthetic row to the merge (a
@@ -337,4 +417,56 @@ func (s *shardSlot) fold(st *aggState, row []Value) {
 			st.seen = true
 		}
 	}
+}
+
+// mergeUnion splits every child's partial rows by their branch index,
+// merges each branch's partials in shard order and concatenates the
+// branches' results in branch order.
+func (sp *ShardPlan) mergeUnion(parts []ShardPart) (*Result, error) {
+	split := make([][]ShardPart, len(sp.branches))
+	for b := range split {
+		split[b] = make([]ShardPart, len(parts))
+	}
+	for pi, part := range parts {
+		for _, row := range part.Rows {
+			if len(row) != sp.childWidth {
+				return nil, fmt.Errorf("sqldb: shard merge: child row has %d columns, want %d", len(row), sp.childWidth)
+			}
+			b, ok := row[0].AsInt()
+			if !ok || b < 0 || int(b) >= len(sp.branches) {
+				return nil, fmt.Errorf("sqldb: shard merge: child row has branch index %v, want 0..%d", row[0], len(sp.branches)-1)
+			}
+			bp := &split[b][pi]
+			bp.Rows = append(bp.Rows, row[1:1+sp.branches[b].childWidth])
+		}
+	}
+	res := &Result{Columns: sp.branches[0].p.colNames}
+	res.Stats.Workers = 1
+	for b, bp := range sp.branches {
+		for pi := range split[b] {
+			split[b][pi].Groups = bp.partGroups(split[b][pi].Rows)
+		}
+		r, err := bp.Merge(split[b])
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, r.Rows...)
+		res.Stats.Groups += r.Stats.Groups
+	}
+	return res, nil
+}
+
+// partGroups is a compound branch's share of a child's materialized
+// groups as its Merge reads it: whether the child matched any row, for
+// a global aggregation, and the row count otherwise.
+func (sp *ShardPlan) partGroups(rows [][]Value) int {
+	if sp.presenceCol < 0 {
+		return len(rows)
+	}
+	for _, row := range rows {
+		if n, ok := row[sp.presenceCol].AsInt(); ok && n > 0 {
+			return 1
+		}
+	}
+	return 0
 }

@@ -141,3 +141,72 @@ func TestShardPlanMergeRejectsBadWidth(t *testing.T) {
 		t.Error("narrow child row should be rejected")
 	}
 }
+
+// TestShardPlanUnion pins a compound's decomposition: the child runs
+// the UNION ALL of the branch partials, each led by its branch index,
+// keeping its aggregate-free items in place and padded with typed
+// numeric NULLs to the widest; the merge routes rows by that index,
+// merges each branch on its own keys, and a global-aggregation branch
+// counts a group only when its presence column says the child matched
+// a row.
+func TestShardPlanUnion(t *testing.T) {
+	sp := planFor(t, "SELECT 0, d, AVG(m) FROM t GROUP BY d UNION ALL SELECT 1, NULL, COUNT(*) FROM t WHERE k > 5")
+	want := "SELECT 0, 0, d, SUM(m), COUNT(m) FROM t GROUP BY d UNION ALL SELECT 1, 1, NULL, COUNT(*), CASE WHEN false THEN 0 END FROM t WHERE (k > 5)"
+	if got := sp.ChildSQL(); got != want {
+		t.Fatalf("child SQL\n got %s\nwant %s", got, want)
+	}
+	// Shard 0 matched nothing in branch 1; shard 1 matched 3 rows. Group
+	// "a" appears in both shards and merges; the NULL key in branch 0 is
+	// a real NULL group.
+	res, err := sp.Merge([]ShardPart{
+		{Rows: [][]Value{
+			{Int(0), Int(0), Str("a"), Float(2), Int(1)},
+			{Int(1), Int(1), Null(), Int(0), Null()},
+			{Int(0), Int(0), Null(), Float(4), Int(2)},
+		}},
+		{Rows: [][]Value{
+			{Int(1), Int(1), Null(), Int(3), Null()},
+			{Int(0), Int(0), Str("a"), Float(6), Int(1)},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := [][]Value{
+		{Int(0), Str("a"), Float(4)},
+		{Int(0), Null(), Float(2)},
+		{Int(1), Null(), Int(3)},
+	}
+	if len(res.Rows) != len(wantRows) || res.Stats.Groups != 3 {
+		t.Fatalf("merged %v (groups %d), want %v", res.Rows, res.Stats.Groups, wantRows)
+	}
+	for i := range wantRows {
+		for j := range wantRows[i] {
+			if res.Rows[i][j].Compare(wantRows[i][j]) != 0 || res.Rows[i][j].Kind != wantRows[i][j].Kind {
+				t.Errorf("row %d col %d: %v, want %v", i, j, res.Rows[i][j], wantRows[i][j])
+			}
+		}
+	}
+	// A global branch no shard matched still emits its one row, and
+	// counts no group.
+	res, err = sp.Merge([]ShardPart{{Rows: [][]Value{{Int(1), Int(1), Null(), Int(0), Null()}}}})
+	if err != nil || len(res.Rows) != 1 || res.Stats.Groups != 0 {
+		t.Fatalf("unmatched global branch: %v rows %v groups %d", err, res.Rows, res.Stats.Groups)
+	}
+	for _, bad := range [][]Value{
+		{Int(2), Int(2), Null(), Null(), Null()},
+		{Str("0"), Int(0), Null(), Null(), Null()},
+		{Int(0), Int(0), Str("a"), Float(1)},
+	} {
+		if _, err := sp.Merge([]ShardPart{{Rows: [][]Value{bad}}}); err == nil {
+			t.Errorf("child row %v accepted", bad)
+		}
+	}
+	stmt, err := Parse("SELECT d FROM t UNION ALL SELECT d FROM u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewShardPlan(stmt, MustSchema(Column{Name: "d", Type: TypeString})); err == nil {
+		t.Error("a compound over two tables was decomposed")
+	}
+}

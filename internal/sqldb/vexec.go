@@ -32,13 +32,15 @@ package sqldb
 //       3. Slots. Group ids resolve to accumulator slots through a flat
 //          table when the id space is small and an integer map otherwise
 //          (never a string map); unseen ids take the next slot, in row
-//          order, so slots are in first-seen order.
-//       4. Accumulate. One loop per aggregate slot folds the selected
-//          rows into struct-of-arrays accumulators indexed by group slot
-//          (groupAcc), visiting rows in ascending order so every
-//          per-group float sum associates exactly as a row-at-a-time scan
-//          of the chunk would. MIN/MAX compare typed column values; no
-//          Value is built per row.
+//          order, so slots are in first-seen order. The last key
+//          column's share of the id is added in the same pass.
+//       4. Accumulate. The selected rows fold into struct-of-arrays
+//          accumulators indexed by group slot (groupAcc): one pass counts
+//          rows and adds up to four sums over columns without NULLs, one
+//          loop per remaining aggregate slot. Rows are visited in
+//          ascending order, so every per-group float sum associates
+//          exactly as a row-at-a-time scan of the chunk would. MIN/MAX
+//          compare typed column values; no Value is built per row.
 //   - Every group id is global before any worker starts. Int GROUP BY
 //     columns whose value span over [lo, hi) keeps the whole id space
 //     within denseGroupIDCap are range-coded: id = v − min + 1, with the
@@ -48,12 +50,13 @@ package sqldb
 //     order, exactly what a string column already has. The layout then
 //     knows every cardinality exactly, and the one runtime decline — an
 //     id space beyond maxGroupIDSpace — is decided before the scan.
-//   - At the end of its chunk a worker materializes groupEntry, aggState
-//     and key Values once, from three slabs, and the partials merge in
-//     chunk order, which reproduces exactly the first-seen group order of
-//     a sequential scan. Results are therefore identical to the row
-//     interpreter — bit for bit with one worker, whose single chunk folds
-//     rows in scan order — with one caveat family: SUM/AVG reassociate
+//   - When the workers are done, their accumulators merge column by
+//     column in chunk order, which reproduces exactly the first-seen
+//     group order of a sequential scan, and each branch materializes
+//     groupEntry, aggState and key Values once, from three slabs.
+//     Results are therefore identical to the row interpreter — bit for
+//     bit with one worker, whose single chunk folds rows in scan order —
+//     with one caveat family: SUM/AVG reassociate
 //     floating-point addition across chunks, so float aggregates can
 //     differ in final ulps when partial sums are inexact, and on data
 //     containing NaN the non-transitive Compare semantics (NaN "equals"
@@ -61,6 +64,13 @@ package sqldb
 //     across chunk splits. Selection kernels reproduce the interpreter's
 //     NaN comparison semantics exactly (see cmpFloat), so row selection
 //     never diverges.
+//   - A UNION ALL whose branches are all such queries over one column
+//     store is one scan: per block, each distinct WHERE and each
+//     distinct (WHERE, flag) is evaluated once, the flags' share of the
+//     group id is computed once per class of branches that share them,
+//     and each branch then adds its own keys, resolves its own slots
+//     and folds only its own aggregates. A plain SELECT is the one-branch
+//     case of the same code.
 //   - Context cancellation is checked once per block inside each worker
 //     and in the dictionary pre-pass, so large scans stay cancellable.
 //
@@ -76,10 +86,9 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
-
-	"seedb/internal/telemetry"
 )
 
 // denseGroupIDCap bounds the per-worker flat lookup table (entries are
@@ -143,6 +152,7 @@ type vecGroup struct {
 	col          int        // table column (dict/bool/num)
 	typ          ColumnType // column type (num)
 	flagSel      *selProg   // compiled flag predicate (flag only)
+	flagKey      string     // the predicate's SQL, its identity in a shared scan (flag only)
 	thenV, elseV int64      // flag arm values (flag only)
 }
 
@@ -151,8 +161,10 @@ type vecGroup struct {
 type vecInfo struct {
 	groups []vecGroup
 	// filterSel is the compiled WHERE predicate (nil when the query has
-	// no WHERE clause).
+	// no WHERE clause), and whereKey its SQL: branches of one statement
+	// with equal keys share one evaluation per block.
 	filterSel *selProg
+	whereKey  string
 	// numGroups indexes the vecGroupNum entries of groups.
 	numGroups []int
 	// countOf[ai] >= 0 says aggregate slot ai is a COUNT(x) whose value
@@ -202,7 +214,7 @@ func vectorizeGrouped(stmt *SelectStmt, p *plan, schema *Schema) (*vecInfo, stri
 				return nil, fallbackCaseShape
 			}
 			v.groups = append(v.groups, vecGroup{
-				kind: vecGroupFlag, flagSel: flagSel,
+				kind: vecGroupFlag, flagSel: flagSel, flagKey: e.Whens[0].Cond.String(),
 				thenV: thenLit.Val.I, elseV: elseLit.Val.I,
 			})
 		default:
@@ -251,6 +263,7 @@ func vectorizeGrouped(stmt *SelectStmt, p *plan, schema *Schema) (*vecInfo, stri
 		if v.filterSel, err = compileSelection(stmt.Where, schema); err != nil {
 			return nil, fallbackWhereShape
 		}
+		v.whereKey = stmt.Where.String()
 	}
 	return v, ""
 }
@@ -316,13 +329,22 @@ func (v *vecInfo) layout(ctx context.Context, t *colSnap, lo, hi int) (lay *vecL
 		}
 		lay.cards[i] = uint64(len(lay.dicts[i])) + 1
 	}
+	// Flags take the low strides, 1, 2, 4, ... in GROUP BY order, so
+	// their share of the id depends only on the flags and a shared scan
+	// computes it once for every branch with the same WHERE and flags.
+	// Which column gets which stride changes no slot and no key.
 	lay.idSpace = 1
-	for i, card := range lay.cards {
-		lay.strides[i] = lay.idSpace
-		if lay.idSpace > maxGroupIDSpace/card {
-			return nil, false, nil
+	for _, flags := range []bool{true, false} {
+		for i, card := range lay.cards {
+			if (v.groups[i].kind == vecGroupFlag) != flags {
+				continue
+			}
+			lay.strides[i] = lay.idSpace
+			if lay.idSpace > maxGroupIDSpace/card {
+				return nil, false, nil
+			}
+			lay.idSpace *= card
 		}
-		lay.idSpace *= card
 	}
 	return lay, true, nil
 }
@@ -430,14 +452,6 @@ func (lay *vecLayout) describe(v *vecInfo) string {
 	return strings.Join(names, ",")
 }
 
-// vecPartial is one worker's accumulated chunk state: entries in the
-// chunk's first-seen order, with the group id of each entry alongside.
-type vecPartial struct {
-	entries []*groupEntry
-	gids    []uint64
-	scanned int
-}
-
 // gidIndex maps combined group ids to entry slots (-1 = absent): a flat
 // table when the id space is small, an integer map otherwise. Both the
 // chunk scans and the merge use it, so group identity cannot drift
@@ -479,22 +493,141 @@ func (x *gidIndex) put(gid uint64, idx int32) {
 	}
 }
 
-// vecRun is the outcome of one fast-path execution.
+// vecRun is the outcome of one fast-path execution: per branch, the
+// merged group entries, and the rows each branch visited.
 type vecRun struct {
-	entries   []*groupEntry
+	entries   [][]*groupEntry
 	scanned   int
 	workers   int
-	kernels   int // selection kernels bound for this execution
-	residuals int // predicate conjuncts evaluated through closures
+	kernels   int    // selection kernels bound for this execution
+	residuals int    // predicate conjuncts evaluated through closures
+	keys      string // how each branch coded its group keys
 }
 
-// run executes the fast path over [lo, hi) with opts.Workers workers.
-// ran reports whether the fast path was applicable at runtime, which is
-// decided before any worker starts; when false the caller must use the
-// row interpreter.
-func (v *vecInfo) run(p *plan, t *colSnap, opts ExecOptions, lo, hi int) (res *vecRun, ran bool, err error) {
+// stamp records the run's counters on an execution's stats. RowsScanned
+// counts row visits per branch and Groups the groups of every branch.
+func (r *vecRun) stamp(stats *ExecStats) {
+	stats.RowsScanned, stats.Groups = r.scanned*len(r.entries), 0
+	for _, e := range r.entries {
+		stats.Groups += len(e)
+	}
+	stats.Vectorized = true
+	stats.Workers = r.workers
+	stats.SelectionKernels = r.kernels
+	stats.ResidualPredicates = r.residuals
+}
+
+// sharedScan is one execution's plan for scanning [lo, hi) once for
+// every branch of a statement: the distinct WHERE programs, flag
+// evaluations and selection classes of the branches, bound to the
+// snapshot once and read by every worker.
+type sharedScan struct {
+	t *colSnap
+	// wanted is the projection mask the residual evaluations see: the
+	// columns any branch scans.
+	wanted []bool
+	// wheres holds one bound program per distinct WHERE; flags one per
+	// distinct (WHERE, flag predicate) pair, since a flag is evaluated
+	// only on the rows its WHERE kept; classes one per distinct (WHERE,
+	// flag list), the unit that shares selected rows and the flags'
+	// share of the group id.
+	wheres   []*boundSel
+	flags    []flagEval
+	classes  []selClass
+	branches []scanBranch
+}
+
+// flagEval is one flag predicate (key is its SQL) evaluated under one
+// WHERE (-1: none).
+type flagEval struct {
+	where int
+	key   string
+	sel   *boundSel
+}
+
+// selClass is a WHERE (-1: none) and a list of flags (indices into
+// sharedScan.flags), in GROUP BY order.
+type selClass struct {
+	where int
+	flags []int
+}
+
+// scanBranch is one branch of a shared scan: its plan, fast-path
+// analysis, group-id layout and selection class.
+type scanBranch struct {
+	p     *plan
+	v     *vecInfo
+	lay   *vecLayout
+	class int
+}
+
+// newSharedScan lays out every branch and binds the distinct predicates.
+// ok=false reports a branch whose id space is beyond maxGroupIDSpace;
+// err is the context's, should it end a layout pre-pass.
+func newSharedScan(ctx context.Context, branches []*plan, t *colSnap, lo, hi int, res *vecRun) (sh *sharedScan, ok bool, err error) {
+	sh = &sharedScan{t: t, branches: make([]scanBranch, len(branches))}
+	var scanCols []int
+	for b, p := range branches {
+		lay, ok, err := p.vec.layout(ctx, t, lo, hi)
+		if !ok {
+			return nil, false, err
+		}
+		sh.branches[b] = scanBranch{p: p, v: p.vec, lay: lay}
+		scanCols = append(scanCols, p.scanCols...)
+	}
+	sh.wanted = t.wantedMask(scanCols)
+
+	// Distinct programs are found by their SQL text and bound once, so
+	// each counts once in the kernel and residual totals. A statement has
+	// a few of each, so a linear search finds them.
+	bind := func(prog *selProg) *boundSel {
+		res.kernels += prog.kernelCount()
+		res.residuals += prog.residualCount()
+		return prog.bind(t)
+	}
+	var whereKeys []string
+	for b := range sh.branches {
+		br := &sh.branches[b]
+		cls := selClass{where: -1}
+		if br.v.filterSel != nil {
+			cls.where = slices.Index(whereKeys, br.v.whereKey)
+			if cls.where < 0 {
+				cls.where = len(sh.wheres)
+				whereKeys = append(whereKeys, br.v.whereKey)
+				sh.wheres = append(sh.wheres, bind(br.v.filterSel))
+			}
+		}
+		for _, g := range br.v.groups {
+			if g.kind != vecGroupFlag {
+				continue
+			}
+			f := slices.IndexFunc(sh.flags, func(fe flagEval) bool { return fe.where == cls.where && fe.key == g.flagKey })
+			if f < 0 {
+				f = len(sh.flags)
+				sh.flags = append(sh.flags, flagEval{where: cls.where, key: g.flagKey, sel: bind(g.flagSel)})
+			}
+			cls.flags = append(cls.flags, f)
+		}
+		br.class = slices.IndexFunc(sh.classes, func(c selClass) bool { return c.where == cls.where && slices.Equal(c.flags, cls.flags) })
+		if br.class < 0 {
+			br.class = len(sh.classes)
+			sh.classes = append(sh.classes, cls)
+		}
+	}
+	return sh, true, nil
+}
+
+// runVec executes the fast path for branches — every one a vectorized
+// plan over the table t is a snapshot of — as one scan of [lo, hi) with
+// opts.Workers workers. Per block, each distinct WHERE and each distinct
+// flag is evaluated once, and each branch then folds the rows of its
+// class into its own groups. ran reports whether the fast path was
+// applicable at runtime, which is decided before any worker starts;
+// when false the caller runs the branches another way.
+func runVec(branches []*plan, t *colSnap, opts ExecOptions, lo, hi int) (res *vecRun, ran bool, err error) {
 	lo, hi = clampRange(lo, hi, t.rows)
-	lay, ok, err := v.layout(opts.Ctx, t, lo, hi)
+	res = &vecRun{}
+	sh, ok, err := newSharedScan(opts.Ctx, branches, t, lo, hi, res)
 	if !ok {
 		return nil, false, err
 	}
@@ -509,32 +642,9 @@ func (v *vecInfo) run(p *plan, t *colSnap, opts ExecOptions, lo, hi int) (res *v
 	if workers < 1 {
 		workers = 1
 	}
+	res.workers = workers
 
-	// Bind the compiled predicates to the live table once; the bound
-	// programs (dictionary match tables included) are shared read-only by
-	// every worker.
-	res = &vecRun{workers: workers}
-	bind := func(prog *selProg) *boundSel {
-		res.kernels += prog.kernelCount()
-		res.residuals += prog.residualCount()
-		return prog.bind(t)
-	}
-	var boundFilter *boundSel
-	if v.filterSel != nil {
-		boundFilter = bind(v.filterSel)
-	}
-	boundFlags := make([]*boundSel, len(v.groups))
-	for i, g := range v.groups {
-		if g.kind == vecGroupFlag {
-			boundFlags[i] = bind(g.flagSel)
-		}
-	}
-
-	// The same projection mask the row interpreter would use, shared
-	// read-only by every worker's residual evaluations.
-	wanted := t.wantedMask(p.scanCols)
-
-	parts := make([]*vecPartial, workers)
+	scans := make([]*chunkScan, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -543,8 +653,8 @@ func (v *vecInfo) run(p *plan, t *colSnap, opts ExecOptions, lo, hi int) (res *v
 		wg.Add(1)
 		go func(w, cLo, cHi int) {
 			defer wg.Done()
-			s := newChunkScan(v, p, t, lay, wanted, boundFilter, boundFlags)
-			parts[w], errs[w] = s.scan(opts.Ctx, cLo, cHi)
+			scans[w] = newChunkScan(sh)
+			errs[w] = scans[w].scan(opts.Ctx, cLo, cHi)
 		}(w, cLo, cHi)
 	}
 	wg.Wait()
@@ -554,10 +664,16 @@ func (v *vecInfo) run(p *plan, t *colSnap, opts ExecOptions, lo, hi int) (res *v
 		}
 	}
 
-	res.entries, res.scanned = v.merge(p, parts, lay.idSpace)
-	if sp := telemetry.SpanFromContext(opts.Ctx); sp != nil {
-		sp.SetAttr("group_keys", lay.describe(v))
+	res.entries, res.scanned = make([][]*groupEntry, len(branches)), hi-lo
+	keys := make([]string, len(branches))
+	for b := range branches {
+		for _, o := range scans[1:] {
+			scans[0].mergeAcc(b, o)
+		}
+		res.entries[b] = scans[0].materialize(b)
+		keys[b] = sh.branches[b].lay.describe(sh.branches[b].v)
 	}
+	res.keys = strings.Join(keys, ";")
 	return res, true, nil
 }
 
@@ -570,80 +686,115 @@ var identRows = func() (ident [selBlockRows]int32) {
 	return ident
 }()
 
-// chunkScan is one worker's scan of one contiguous row chunk: the
-// read-only execution context, the per-block vectors every stage reads
-// and writes, and the chunk's accumulators.
+// chunkScan is one worker's scan of one contiguous row chunk for every
+// branch: the per-block vectors every stage reads and writes, and each
+// branch's accumulators.
 type chunkScan struct {
-	v      *vecInfo
-	p      *plan
-	t      *colSnap
-	lay    *vecLayout
-	filter *boundSel   // bound WHERE program, nil → no WHERE clause
-	flags  []*boundSel // bound flag program per flag group column
+	sh *sharedScan
 	// view is the row the residual evaluations see; rowView is &view
 	// boxed once, so handing it to an evalFn does not allocate.
 	view    colRowView
 	rowView RowView
 
-	// Block vectors, reused across blocks. sel and flag are bitmaps over
-	// the block's rows, scratch two more for the disjunction kernels;
-	// rows lists the selected rows as block-relative indices; gids and
-	// slots run parallel to rows.
-	sel, flag   [selBlockRows]bool
-	scratch     [2 * selBlockRows]bool
-	rows, slots [selBlockRows]int32
-	gids        [selBlockRows]uint64
+	// Per-block state of the shared stages: per WHERE its kernels'
+	// verdict and its selected rows, per flag evaluation its bitmap, and
+	// per class its selected rows and the flags' share of each row's
+	// group id. scratch backs the disjunction kernels.
+	wheres  []whereBlock
+	flags   [][selBlockRows]bool
+	classes []classBlock
+	scratch [2 * selBlockRows]bool
+	// Per-branch block vectors, reused branch after branch: gids and
+	// slots run parallel to the class's selected rows.
+	gids  [selBlockRows]uint64
+	slots [selBlockRows]int32
 
-	index *gidIndex
-	acc   groupAcc
+	index []*gidIndex // per branch
+	acc   []groupAcc  // per branch
+}
+
+// whereBlock is one WHERE's verdict over the current block.
+type whereBlock struct {
+	sel  [selBlockRows]bool
+	rows [selBlockRows]int32
+	kept []int32
+}
+
+// classBlock is one class's view of the current block: its selected
+// rows and, when it has flags, their share of each row's group id.
+type classBlock struct {
+	rows []int32
+	base [selBlockRows]uint64
 }
 
 // newChunkScan sets up one worker's scan state.
-func newChunkScan(v *vecInfo, p *plan, t *colSnap, lay *vecLayout, wanted []bool, filter *boundSel, flags []*boundSel) *chunkScan {
+func newChunkScan(sh *sharedScan) *chunkScan {
 	s := &chunkScan{
-		v: v, p: p, t: t, lay: lay, filter: filter, flags: flags,
-		view:  colRowView{t: t, wanted: wanted},
-		index: newGIDIndex(lay.idSpace),
+		sh:      sh,
+		view:    colRowView{t: sh.t, wanted: sh.wanted},
+		wheres:  make([]whereBlock, len(sh.wheres)),
+		flags:   make([][selBlockRows]bool, len(sh.flags)),
+		classes: make([]classBlock, len(sh.classes)),
+		index:   make([]*gidIndex, len(sh.branches)),
+		acc:     make([]groupAcc, len(sh.branches)),
 	}
 	s.rowView = &s.view
-	s.acc.init(p.aggs, lay.idSpace)
+	for b := range sh.branches {
+		br := &sh.branches[b]
+		s.index[b] = newGIDIndex(br.lay.idSpace)
+		s.acc[b].init(br.p.aggs, br.lay.idSpace)
+	}
 	return s
 }
 
-// scan accumulates rows [lo, hi) block by block and materializes the
-// chunk's groups.
-func (s *chunkScan) scan(ctx context.Context, lo, hi int) (*vecPartial, error) {
+// scan accumulates rows [lo, hi) block by block for every branch.
+func (s *chunkScan) scan(ctx context.Context, lo, hi int) error {
 	for blockLo := lo; blockLo < hi; blockLo += selBlockRows {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		blockHi := min(blockLo+selBlockRows, hi)
-		rows := s.selectRows(blockLo, blockHi)
-		if len(rows) == 0 {
-			continue
+		for w := range s.wheres {
+			s.selectRows(w, blockLo, blockHi)
 		}
-		gids := s.gids[:len(rows)]
-		s.groupIDs(blockLo, blockHi, rows, gids)
-		s.accumulate(blockLo, blockHi, rows, s.resolveSlots(gids))
+		for f := range s.flags {
+			s.flagBits(f, blockLo, blockHi)
+		}
+		for c := range s.classes {
+			s.classRows(c, blockLo, blockHi)
+		}
+		for b := range s.sh.branches {
+			br := &s.sh.branches[b]
+			cls := &s.classes[br.class]
+			rows := cls.rows
+			if len(rows) == 0 {
+				continue
+			}
+			// The class's flag share is the id so far; the branch adds
+			// its key columns' shares to a copy.
+			gids := s.gids[:len(rows)]
+			copy(gids, cls.base[:len(rows)])
+			s.groupIDs(b, blockLo, blockHi, rows, gids)
+			s.accumulate(b, blockLo, blockHi, rows, s.resolveSlots(b, gids))
+		}
 	}
-	return s.materialize(hi - lo), nil
+	return nil
 }
 
-// selectRows is stage 1: it returns the block-relative indices of the
-// rows of [lo, hi) that pass the WHERE clause, ascending. With a WHERE
-// clause, s.sel holds the kernels' verdict (before residuals) for the
-// flag kernels to seed from.
-func (s *chunkScan) selectRows(lo, hi int) []int32 {
+// selectRows is stage 1 for WHERE w: it leaves in s.wheres[w].kept the
+// block-relative indices of the rows of [lo, hi) that pass it,
+// ascending, and in its sel the kernels' verdict (before residuals) for
+// the flag kernels to seed from.
+func (s *chunkScan) selectRows(w, lo, hi int) {
 	n := hi - lo
-	if s.filter == nil {
-		return identRows[:n]
-	}
-	sel := s.sel[:n]
+	wb := &s.wheres[w]
+	sel := wb.sel[:n]
 	fillRange(sel, n)
-	s.filter.apply(lo, hi, sel, s.scratch[:])
-	rows := s.rows[:n]
+	f := s.sh.wheres[w]
+	f.apply(lo, hi, sel, s.scratch[:])
+	rows := wb.rows[:n]
 	k := 0
 	for i, keep := range sel {
 		rows[k] = int32(i)
@@ -651,7 +802,7 @@ func (s *chunkScan) selectRows(lo, hi int) []int32 {
 			k++
 		}
 	}
-	return s.keepTruthy(rows[:k], lo, s.filter.residual)
+	wb.kept = s.keepTruthy(rows[:k], lo, f.residual)
 }
 
 // keepTruthy filters rows, in place, down to those on which every
@@ -674,6 +825,69 @@ rowLoop:
 	return kept
 }
 
+// selected returns the rows WHERE w (-1: none) kept in the current block
+// of n rows.
+func (s *chunkScan) selected(w, n int) []int32 {
+	if w < 0 {
+		return identRows[:n]
+	}
+	return s.wheres[w].kept
+}
+
+// flagBits evaluates flag f over the block into s.flags[f], a bitmap
+// that holds the predicate's truth at every row its WHERE selected.
+func (s *chunkScan) flagBits(f, lo, hi int) {
+	n := hi - lo
+	fe := &s.sh.flags[f]
+	flag := s.flags[f][:n]
+	// Seed from the WHERE's verdict so the flag kernels skip rows the
+	// WHERE kernels already rejected.
+	if fe.where >= 0 {
+		copy(flag, s.wheres[fe.where].sel[:n])
+	} else {
+		fillRange(flag, n)
+	}
+	fe.sel.apply(lo, hi, flag, s.scratch[:])
+	if len(fe.sel.residual) == 0 {
+		return
+	}
+	for _, r := range s.selected(fe.where, n) {
+		if !flag[r] {
+			continue
+		}
+		s.view.row = lo + int(r)
+		for _, fn := range fe.sel.residual {
+			if !fn(s.rowView).Truthy() {
+				flag[r] = false
+				break
+			}
+		}
+	}
+}
+
+// classRows sets class c's selected rows for the block and the flags'
+// share of their group ids: flag k of the class has stride 2^k in every
+// branch's layout.
+func (s *chunkScan) classRows(c, lo, hi int) {
+	cls, cb := &s.sh.classes[c], &s.classes[c]
+	cb.rows = s.selected(cls.where, hi-lo)
+	base := cb.base[:len(cb.rows)]
+	clear(base)
+	for k, f := range cls.flags {
+		// Load, conditionally add, store: unlike a conditional += this
+		// compiles without a branch, and the flag is data no predictor
+		// learns.
+		stride, flag := uint64(1)<<k, &s.flags[f]
+		for j, r := range cb.rows {
+			gid := base[j]
+			if flag[r] {
+				gid += stride
+			}
+			base[j] = gid
+		}
+	}
+}
+
 // nullsIn returns c's NULL markers for rows [lo, hi), or nil when the
 // column has none — the one null-ness test a block loop hoists.
 func nullsIn(c *columnVector, lo, hi int) []bool {
@@ -683,40 +897,50 @@ func nullsIn(c *columnVector, lo, hi int) []bool {
 	return c.nulls[lo:hi]
 }
 
-// groupIDs is stage 2: gids[j] becomes the combined group id of selected
-// row rows[j], one pass per GROUP BY column.
-func (s *chunkScan) groupIDs(lo, hi int, rows []int32, gids []uint64) {
-	clear(gids)
-	for i := range s.v.groups {
-		g := &s.v.groups[i]
-		stride := s.lay.strides[i]
-		switch {
-		case g.kind == vecGroupFlag:
-			// Load, conditionally add, store: unlike a conditional +=
-			// this compiles without a branch, and the flag is data no
-			// predictor learns.
-			flag := s.flagBits(i, lo, hi, rows)
-			for j, r := range rows {
-				gid := gids[j]
-				if flag[r] {
-					gid += stride
-				}
-				gids[j] = gid
-			}
-		case g.kind == vecGroupDict:
-			c := &s.t.cols[g.col]
-			addCodeIDs(gids, rows, c.codes[lo:hi], nullsIn(c, lo, hi), 0, stride)
-		case g.kind == vecGroupBool:
-			// Stored 0/1, so false and true are the range code over base 0.
-			c := &s.t.cols[g.col]
-			addCodeIDs(gids, rows, c.ints[lo:hi], nullsIn(c, lo, hi), 0, stride)
-		case s.lay.codes[i] != nil:
-			c, codes := &s.t.cols[g.col], s.lay.codes[i][lo-s.lay.lo:hi-s.lay.lo]
-			addCodeIDs(gids, rows, codes, nullsIn(c, lo, hi), 0, stride)
-		default: // range-coded int
-			c := &s.t.cols[g.col]
-			addCodeIDs(gids, rows, c.ints[lo:hi], nullsIn(c, lo, hi), s.lay.base[i], stride)
+// groupIDs is stage 2 for branch b: it adds to gids[j], which holds the
+// flags' share already, the share of every other GROUP BY column of
+// selected row rows[j], one pass per column.
+func (s *chunkScan) groupIDs(b, lo, hi int, rows []int32, gids []uint64) {
+	br := &s.sh.branches[b]
+	for i := range br.v.groups {
+		if br.v.groups[i].kind == vecGroupFlag {
+			continue
 		}
+		k := s.key(br, i, lo, hi)
+		if k.c32 != nil {
+			addCodeIDs(gids, rows, k.c32, k.nulls, 0, k.stride)
+		} else {
+			addCodeIDs(gids, rows, k.c64, k.nulls, k.base, k.stride)
+		}
+	}
+}
+
+// keyCodes is one GROUP BY column's codes over a block: its share of a
+// row's id is (code − base + 1)·stride, and 0 for NULL. Exactly one of
+// c32 (dictionary codes) and c64 (bools and range-coded ints) is set.
+type keyCodes struct {
+	c32    []int32
+	c64    []int64
+	nulls  []bool
+	base   int64
+	stride uint64
+}
+
+// key returns GROUP BY column i of branch br over the block [lo, hi).
+func (s *chunkScan) key(br *scanBranch, i, lo, hi int) keyCodes {
+	g, stride := &br.v.groups[i], br.lay.strides[i]
+	c := &s.sh.t.cols[g.col]
+	nulls := nullsIn(c, lo, hi)
+	switch {
+	case g.kind == vecGroupDict:
+		return keyCodes{c32: c.codes[lo:hi], nulls: nulls, stride: stride}
+	case g.kind == vecGroupBool:
+		// Stored 0/1, so false and true are the range code over base 0.
+		return keyCodes{c64: c.ints[lo:hi], nulls: nulls, stride: stride}
+	case br.lay.codes[i] != nil:
+		return keyCodes{c32: br.lay.codes[i][lo-br.lay.lo : hi-br.lay.lo], nulls: nulls, stride: stride}
+	default: // range-coded int
+		return keyCodes{c64: c.ints[lo:hi], nulls: nulls, base: br.lay.base[i], stride: stride}
 	}
 }
 
@@ -738,47 +962,18 @@ func addCodeIDs[T int32 | int64](gids []uint64, rows []int32, codes []T, nulls [
 	}
 }
 
-// flagBits evaluates flag group column i over the block and returns a
-// bitmap that holds the predicate's truth at every selected row.
-func (s *chunkScan) flagBits(i, lo, hi int, rows []int32) []bool {
-	n := hi - lo
-	flag := s.flag[:n]
-	bf := s.flags[i]
-	// Seed from the filter's verdict so the flag kernels skip rows the
-	// filter kernels already rejected.
-	if s.filter != nil {
-		copy(flag, s.sel[:n])
-	} else {
-		fillRange(flag, n)
-	}
-	bf.apply(lo, hi, flag, s.scratch[:])
-	if len(bf.residual) > 0 {
-		for _, r := range rows {
-			if !flag[r] {
-				continue
-			}
-			s.view.row = lo + int(r)
-			for _, fn := range bf.residual {
-				if !fn(s.rowView).Truthy() {
-					flag[r] = false
-					break
-				}
-			}
-		}
-	}
-	return flag
-}
-
-// resolveSlots is stage 3: each group id becomes its accumulator slot,
-// and an id not seen before in this chunk takes the next one — ids are
-// visited in row order, so slots are in first-seen order.
-func (s *chunkScan) resolveSlots(gids []uint64) []int32 {
+// resolveSlots is stage 3 for branch b: it turns each selected row's
+// group id into its accumulator slot; an id not seen before in this
+// chunk takes the next one — ids are visited in row order, so slots are
+// in first-seen order.
+func (s *chunkScan) resolveSlots(b int, gids []uint64) []int32 {
+	index, acc := s.index[b], &s.acc[b]
 	slots := s.slots[:len(gids)]
-	if dense := s.index.dense; dense != nil {
+	if dense := index.dense; dense != nil {
 		for j, gid := range gids {
 			slot := dense[gid]
 			if slot < 0 {
-				slot = s.acc.addGroup(gid)
+				slot = acc.addGroup(gid)
 				dense[gid] = slot
 			}
 			slots[j] = slot
@@ -786,41 +981,39 @@ func (s *chunkScan) resolveSlots(gids []uint64) []int32 {
 		return slots
 	}
 	for j, gid := range gids {
-		slot, ok := s.index.sparse[gid]
+		slot, ok := index.sparse[gid]
 		if !ok {
-			slot = s.acc.addGroup(gid)
-			s.index.sparse[gid] = slot
+			slot = acc.addGroup(gid)
+			index.sparse[gid] = slot
 		}
 		slots[j] = slot
 	}
 	return slots
 }
 
-// accumulate is stage 4: one typed loop per aggregate slot folds the
-// selected rows into the accumulators of their groups.
-func (s *chunkScan) accumulate(lo, hi int, rows, slots []int32) {
+// accumulate is stage 4 for branch b: it counts each group's rows,
+// then one typed loop per aggregate slot folds the selected rows into
+// the accumulators of their groups. A count the row count already gives
+// — COUNT(*), and COUNT(x), SUM(x) or AVG(x) over a column without NULL
+// markers — is not counted again (see rowCounted).
+func (s *chunkScan) accumulate(b, lo, hi int, rows, slots []int32) {
+	br, acc := &s.sh.branches[b], &s.acc[b]
 	rows = rows[:len(slots)]
-	for ai := range s.p.aggs {
-		if s.v.countOf[ai] >= 0 {
-			continue // materialize copies the count from the summing slot
+	for _, g := range slots {
+		acc.rows[g]++
+	}
+	for ai := range br.p.aggs {
+		a := &br.p.aggs[ai]
+		if br.v.countOf[ai] >= 0 || a.kind == aggCountStar {
+			continue // materialize copies the count from the summing slot or the rows
 		}
-		a := &s.p.aggs[ai]
-		ints, flts, seen := s.acc.slot(ai)
-		if a.kind == aggCountStar {
-			for _, g := range slots {
-				ints[g]++
-			}
-			continue
-		}
-		c := &s.t.cols[a.argCol]
+		ints, flts, seen := acc.slot(ai)
+		c := &s.sh.t.cols[a.argCol]
 		nulls := nullsIn(c, lo, hi)
 		switch {
 		case a.kind == aggCount:
 			if nulls == nil {
-				for _, g := range slots {
-					ints[g]++
-				}
-				continue
+				continue // the rows are the count
 			}
 			for j, g := range slots {
 				if !nulls[rows[j]] {
@@ -841,12 +1034,19 @@ func (s *chunkScan) accumulate(lo, hi int, rows, slots []int32) {
 	}
 }
 
+// rowCounted reports whether aggregate a's count is its group's row
+// count in this snapshot: COUNT(*), or a count over a column that has no
+// NULL markers.
+func rowCounted(a *aggSpec, t *colSnap) bool {
+	return a.kind == aggCountStar || t.cols[a.argCol].nulls == nil
+}
+
 // foldSum adds the non-NULL xs of the selected rows into their groups'
-// sums, counting them.
+// sums. With NULL markers it counts the values too; without, the
+// group's row count is their count.
 func foldSum[T int64 | float64](count []int64, sum []float64, slots, rows []int32, xs []T, nulls []bool) {
 	if nulls == nil {
 		for j, g := range slots {
-			count[g]++
 			sum[g] += float64(xs[rows[j]])
 		}
 		return
@@ -892,10 +1092,13 @@ func foldExtreme[T int64 | float64](ext []T, seen []bool, slots, rows []int32, x
 // groupAcc holds one chunk's aggregate accumulators as struct-of-arrays
 // slabs: for aggregate slot ai and group slot g, the cell is at
 // [ai*cap+g] of each slab, so one aggregate's loop walks one dense
-// segment. What a cell means depends on the aggregate:
+// segment. rows[g] counts the rows group slot g folded. What a cell
+// means depends on the aggregate:
 //
-//	COUNT(*), COUNT(x)   ints = rows counted
-//	SUM(x), AVG(x)       ints = values summed, flts = their sum
+//	COUNT(*)             unused: the count is rows
+//	COUNT(x)             ints = rows counted (unused when rowCounted)
+//	SUM(x), AVG(x)       ints = values summed (unused when rowCounted),
+//	                     flts = their sum
 //	MIN(x), MAX(x)       seen = has a value; the running extreme is in
 //	                     flts for a float x, in ints for an int or bool x
 type groupAcc struct {
@@ -903,6 +1106,7 @@ type groupAcc struct {
 	minMax bool     // some aggregate is a MIN or MAX, so seen is kept
 	cap    int      // group slots each segment has room for
 	gids   []uint64 // group id per slot, in first-seen order
+	rows   []int64
 	ints   []int64
 	flts   []float64
 	seen   []bool
@@ -929,6 +1133,9 @@ func (a *groupAcc) grow(cap int) {
 		seen = make([]bool, a.nAggs*cap)
 	}
 	n := len(a.gids)
+	rows := make([]int64, cap)
+	copy(rows, a.rows[:n])
+	a.rows = rows
 	for ai := 0; ai < a.nAggs; ai++ {
 		copy(ints[ai*cap:], a.ints[ai*a.cap:ai*a.cap+n])
 		copy(flts[ai*cap:], a.flts[ai*a.cap:ai*a.cap+n])
@@ -961,26 +1168,30 @@ func (a *groupAcc) slot(ai int) (ints []int64, flts []float64, seen []bool) {
 // the merge and the finalize stage share with the interpreter. Entries,
 // aggregate states and key Values each come from one slab, whatever the
 // number of groups.
-func (s *chunkScan) materialize(scanned int) *vecPartial {
-	n, nAggs, nKeys := len(s.acc.gids), len(s.p.aggs), len(s.v.groups)
+func (s *chunkScan) materialize(b int) []*groupEntry {
+	br, acc := &s.sh.branches[b], &s.acc[b]
+	n, nAggs, nKeys := len(acc.gids), len(br.p.aggs), len(br.v.groups)
 	entries := make([]groupEntry, n)
 	states := make([]aggState, n*nAggs)
 	keys := make([]Value, n*nKeys)
-	part := &vecPartial{entries: make([]*groupEntry, n), gids: s.acc.gids, scanned: scanned}
-	for g, gid := range s.acc.gids {
+	out := make([]*groupEntry, n)
+	for g, gid := range acc.gids {
 		e := &entries[g]
 		e.keys = keys[g*nKeys : (g+1)*nKeys : (g+1)*nKeys]
 		e.states = states[g*nAggs : (g+1)*nAggs : (g+1)*nAggs]
-		s.v.decodeKeys(e.keys, s.t, gid, s.lay)
-		part.entries[g] = e
+		br.v.decodeKeys(e.keys, s.sh.t, gid, br.lay)
+		out[g] = e
 	}
-	for ai := range s.p.aggs {
-		a := &s.p.aggs[ai]
+	for ai := range br.p.aggs {
+		a := &br.p.aggs[ai]
 		src := ai
-		if of := s.v.countOf[ai]; of >= 0 {
+		if of := br.v.countOf[ai]; of >= 0 {
 			src = of
 		}
-		ints, flts, seen := s.acc.slot(src)
+		ints, flts, seen := acc.slot(src)
+		if a.kind != aggMin && a.kind != aggMax && rowCounted(a, s.sh.t) {
+			ints = acc.rows
+		}
 		for g := 0; g < n; g++ {
 			st := &states[g*nAggs+ai]
 			switch a.kind {
@@ -1004,7 +1215,7 @@ func (s *chunkScan) materialize(scanned int) *vecPartial {
 			}
 		}
 	}
-	return part
+	return out
 }
 
 // decodeKeys fills keys with the group-key Values the row interpreter would
@@ -1036,31 +1247,50 @@ func (v *vecInfo) decodeKeys(keys []Value, t *colSnap, gid uint64, lay *vecLayou
 	}
 }
 
-// merge folds worker partials together in chunk order. Group ids are
-// global, and because chunks are contiguous and ordered, appending each
-// chunk's unseen groups in its own first-seen order reproduces the
-// first-seen order of a sequential scan.
-func (v *vecInfo) merge(p *plan, parts []*vecPartial, idSpace uint64) (out []*groupEntry, scanned int) {
-	if len(parts) == 1 {
-		return parts[0].entries, parts[0].scanned
-	}
-	index := newGIDIndex(idSpace)
-	for _, part := range parts {
-		scanned += part.scanned
-		for j, e := range part.entries {
-			gid := part.gids[j]
-			slot := index.get(gid)
-			if slot < 0 {
-				slot = int32(len(out))
-				out = append(out, e)
-				index.put(gid, slot)
-				continue
-			}
-			dst := out[slot].states
-			for ai := range p.aggs {
-				dst[ai].merge(&p.aggs[ai], &e.states[ai])
+// mergeAcc folds worker o's accumulators of branch b into s's. Group
+// ids are global, and o's chunk follows s's, so appending o's unseen
+// groups in o's first-seen order keeps the first-seen order of a
+// sequential scan; a group both saw merges cell by cell, s's value
+// first, exactly as aggState.merge would.
+func (s *chunkScan) mergeAcc(b int, o *chunkScan) {
+	aggs, dst, src, index := s.sh.branches[b].p.aggs, &s.acc[b], &o.acc[b], s.index[b]
+	for g, gid := range src.gids {
+		d := index.get(gid)
+		fresh := d < 0
+		if fresh {
+			d = dst.addGroup(gid)
+			index.put(gid, d)
+		}
+		dst.rows[d] += src.rows[g]
+		for ai := range aggs {
+			di, df, ds := dst.slot(ai)
+			si, sf, ss := src.slot(ai)
+			switch kind := aggs[ai].kind; {
+			case fresh:
+				di[d], df[d] = si[g], sf[g]
+				if ds != nil {
+					ds[d] = ss[g]
+				}
+			case kind != aggMin && kind != aggMax:
+				di[d] += si[g]
+				df[d] += sf[g]
+			case !ss[g]:
+				// o saw no value: s's extreme stands.
+			default:
+				typ := aggs[ai].argType
+				x, cur := extremeOf(typ, si[g], sf[g]), extremeOf(typ, di[d], df[d])
+				if !ds[d] || (kind == aggMin && x < cur) || (kind == aggMax && x > cur) {
+					di[d], df[d], ds[d] = si[g], sf[g], true
+				}
 			}
 		}
 	}
-	return out, scanned
+}
+
+// extremeOf is a MIN or MAX cell's value as foldExtreme compares it.
+func extremeOf(typ ColumnType, i int64, f float64) float64 {
+	if typ == TypeFloat {
+		return f
+	}
+	return float64(i)
 }

@@ -4,13 +4,17 @@ package sqldb_test
 // layer under the benchmark's sqldb.exec_ms: one SeeDB-shaped query —
 // one dimension, optionally the combined target/reference flag, eight
 // SUM/COUNT aggregates — per group-key coding, and per WHERE shape on
-// the dictionary dimension, over the load harness's own table. An
-// external test package because dataset imports sqldb.
+// the dictionary dimension, over the load harness's own table; and the
+// engine's UNION ALL phase statement over 1, 3 and 7 dimensions, whose
+// differences are the marginal cost of a branch. An external test
+// package because dataset imports sqldb.
 //
 //	go test ./internal/sqldb -run '^$' -bench GroupedScan -benchmem
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"seedb/internal/dataset"
@@ -74,6 +78,40 @@ func BenchmarkGroupedScan(b *testing.B) {
 		sql := fmt.Sprintf("SELECT city, %s FROM traffic WHERE %s GROUP BY city", benchAggs, w.pred)
 		b.Run("where/"+w.name, func(b *testing.B) { benchQuery(b, db, sql) })
 	}
+	for _, n := range []int{1, 3, 7} {
+		b.Run(fmt.Sprintf("union/%d", n), func(b *testing.B) { benchQuery(b, db, unionSQL(db, benchUnionDims[:n])) })
+	}
+}
+
+// benchUnionDims are the TrafficSpec dimensions the union/N
+// sub-benchmarks take as branches, the first N of them.
+var benchUnionDims = []string{"region", "state", "city", "device", "plan", "active", "quantity"}
+
+// unionSQL is the engine's phase statement over dims: one UNION ALL
+// branch per dimension with its index, one key column per column type
+// (NULL in the branches of other types), the flag and the eight
+// aggregates.
+func unionSQL(db *sqldb.DB, dims []string) string {
+	tab, _ := db.Table("traffic")
+	keyCol, types := make([]int, len(dims)), []sqldb.ColumnType{}
+	for i, d := range dims {
+		idx, _ := tab.Schema().Lookup(d)
+		typ := tab.Schema().Column(idx).Type
+		if keyCol[i] = slices.Index(types, typ); keyCol[i] < 0 {
+			keyCol[i], types = len(types), append(types, typ)
+		}
+	}
+	var branches []string
+	for i, d := range dims {
+		keys := make([]string, len(types))
+		for k := range keys {
+			keys[k] = "NULL"
+		}
+		keys[keyCol[i]] = d
+		branches = append(branches, fmt.Sprintf("SELECT %d, %s, %s, %s FROM traffic GROUP BY %s, %s",
+			i, strings.Join(keys, ", "), benchFlag, benchAggs, d, benchFlag))
+	}
+	return strings.Join(branches, " UNION ALL ")
 }
 
 // benchQuery runs sql b.N times on the fast path with two workers.

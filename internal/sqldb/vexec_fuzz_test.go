@@ -2,6 +2,8 @@ package sqldb
 
 import (
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -86,11 +88,22 @@ func fuzzGroupTable(t *testing.T, body []byte, reps int) *DB {
 	return db
 }
 
+// fuzzAggs are the aggregate lists the branches of a FuzzGroupedScan
+// statement draw from; the first is the one-branch statement's. Sums
+// and extremes stay on m and i, whose partial sums are exact: over the
+// hostile keys (NaN payloads, ±Inf) they would depend on the chunk
+// split, which vexec.go documents.
+var fuzzAggs = []string{"COUNT(*), SUM(m), COUNT(m), MIN(m), MAX(m), AVG(m)",
+	"SUM(m), COUNT(m)", "MIN(m)", "COUNT(*), AVG(m), MAX(m)", "COUNT(f), SUM(i), COUNT(i), AVG(m), SUM(m)"}
+
 // FuzzGroupedScan is a differential check of the vectorized grouped scan
 // against the row interpreter over hostile numeric group keys. The first
 // five bytes shape the query: the GROUP BY keys (one or two of i, w, f),
-// a CASE flag or none, a WHERE clause or none, 1–4 workers and the
-// scanned range [lo, hi); the rest is the table (fuzzGroupTable). Every
+// a CASE flag or none, a WHERE clause or none, 1–4 workers, the scanned
+// range [lo, hi) and (h[0]>>6) how many more SELECTs join the first by
+// UNION ALL; the rest is the table (fuzzGroupTable). Each further branch
+// has its own keys and aggregate list and shares the first one's WHERE
+// and flag or brings its own, so one shared scan meets every mix. Every
 // input must take the fast path and equal the ROW-layout twin bit for
 // bit.
 func FuzzGroupedScan(f *testing.F) {
@@ -98,9 +111,10 @@ func FuzzGroupedScan(f *testing.F) {
 	f.Add([]byte{0x44, 3, 200, 15, 0x27, 0x0d, 16, 130, 0xd1, 3, 255, 0x3e, 200, 128})
 	f.Add([]byte{0x0e, 0, 0, 3, 0x1a, 0x2d, 2, 100, 0xe3, 1, 0, 0x9c, 4, 132, 0x11, 5, 140})
 	// Seed k draws WHERE k and flag k mod 6, so plain go test runs every
-	// shape of both palettes.
+	// shape of both palettes; seeds with k ≥ 4 are compounds of k−2
+	// branches.
 	for k := range len(fuzzWheres) {
-		f.Add([]byte{byte(k), 0, 255, byte(k%6)<<4 | 15, byte(k)<<4 | byte(k%4)<<2,
+		f.Add([]byte{byte(k) | byte(max(k-3, 0))<<6, 0, 255, byte(k%6)<<4 | 15, byte(k)<<4 | byte(k%4)<<2,
 			0x0d, 16, 130, 0xd1, 3, 255, 0x3e, 200, 128, 0x9c, 4, 132, 0x11, 5, 140, 0x27, 1, 0})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -112,19 +126,56 @@ func FuzzGroupedScan(f *testing.F) {
 		tab, _ := db.Table("t")
 		n := tab.NumRows()
 		keys := []string{"i", "w", "f"}
-		group := []string{keys[h[0]%3]}
-		if h[0]&4 != 0 {
-			group = append(group, keys[(h[0]>>3)%3])
+		flagOf := func(fl int) string {
+			if fl %= len(fuzzFlags) + 1; fl > 0 {
+				return "CASE WHEN " + fuzzFlags[fl-1] + " THEN 1 ELSE 0 END"
+			}
+			return ""
 		}
-		if fl := (int(h[4]%4) + int(h[3]>>4)) % (len(fuzzFlags) + 1); fl > 0 {
-			group = append(group, "CASE WHEN "+fuzzFlags[fl-1]+" THEN 1 ELSE 0 END")
+		flag, where := flagOf(int(h[4]%4)+int(h[3]>>4)), fuzzWheres[int(h[4]>>4)%len(fuzzWheres)]
+		branches := 1 + int(h[0]>>6)
+		items, clauses := make([][]string, branches), make([]string, branches)
+		width := 0
+		for b := range branches {
+			// Branch b's shape comes from the header bytes turned by b;
+			// branch 0's is the one-branch statement's.
+			hb := h[0] + byte(b)*0x35
+			group := []string{keys[hb%3]}
+			if hb&4 != 0 {
+				group = append(group, keys[(hb>>3)%3])
+			}
+			bflag, bwhere, aggs := flag, where, fuzzAggs[0]
+			if b > 0 {
+				if h[3]>>b&1 != 0 {
+					bflag = flagOf(int(h[1]) + b)
+				}
+				if h[2]>>b&1 != 0 {
+					bwhere = fuzzWheres[(int(h[4])+b)%len(fuzzWheres)]
+				}
+				aggs = fuzzAggs[(int(h[1]>>4)+b)%len(fuzzAggs)]
+			}
+			if bflag != "" {
+				group = append(group, bflag)
+			}
+			items[b] = append(slices.Clone(group), strings.Split(aggs, ", ")...)
+			if branches > 1 {
+				items[b] = append([]string{strconv.Itoa(b)}, items[b]...)
+			}
+			width = max(width, len(items[b]))
+			clauses[b] = " FROM t"
+			if bwhere != "" {
+				clauses[b] += " WHERE " + bwhere
+			}
+			clauses[b] += " GROUP BY " + strings.Join(group, ", ")
 		}
-		g := strings.Join(group, ", ")
-		sql := "SELECT " + g + ", COUNT(*), SUM(m), COUNT(m), MIN(m), MAX(m), AVG(m) FROM t"
-		if w := fuzzWheres[int(h[4]>>4)%len(fuzzWheres)]; w != "" {
-			sql += " WHERE " + w
+		var parts []string
+		for b := range branches {
+			for len(items[b]) < width {
+				items[b] = append(items[b], "NULL")
+			}
+			parts = append(parts, "SELECT "+strings.Join(items[b], ", ")+clauses[b])
 		}
-		sql += " GROUP BY " + g
+		sql := strings.Join(parts, " UNION ALL ")
 		lo := int(h[1]) * n / 256
 		hi := lo + int(h[2])*(n-lo+1)/256
 		opts := ExecOptions{Lo: lo, Hi: hi}
@@ -138,5 +189,8 @@ func FuzzGroupedScan(f *testing.F) {
 			t.Fatalf("%s over [%d, %d): fell back: %s", sql, lo, hi, got.Stats.FallbackReason)
 		}
 		mustEqualResults(t, sql, ref, got)
+		if got.Stats.RowsScanned != ref.Stats.RowsScanned {
+			t.Fatalf("%s over [%d, %d): %d row visits, interpreter %d", sql, lo, hi, got.Stats.RowsScanned, ref.Stats.RowsScanned)
+		}
 	})
 }
