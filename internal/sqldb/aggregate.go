@@ -84,7 +84,7 @@ type aggState struct {
 	sum      float64
 	ext      Value // the running MIN or MAX; a slot is one or the other
 	seen     bool
-	distinct map[string]struct{} // only for COUNT(DISTINCT)
+	distinct *distinctSet // only for COUNT(DISTINCT); nil until its first value
 }
 
 // update folds one input row into the accumulator.
@@ -101,9 +101,9 @@ func (s *aggState) update(spec *aggSpec, row RowView) {
 	case aggCount:
 		if spec.distinct {
 			if s.distinct == nil {
-				s.distinct = make(map[string]struct{})
+				s.distinct = &distinctSet{}
 			}
-			s.distinct[string(v.appendKey(nil))] = struct{}{}
+			s.distinct.add(v)
 			return
 		}
 		s.count++
@@ -132,12 +132,13 @@ func (s *aggState) merge(spec *aggSpec, o *aggState) {
 	switch spec.kind {
 	case aggCountStar, aggCount:
 		if spec.distinct {
+			if o.distinct == nil {
+				return
+			}
 			if s.distinct == nil {
-				s.distinct = make(map[string]struct{}, len(o.distinct))
+				s.distinct = &distinctSet{}
 			}
-			for k := range o.distinct {
-				s.distinct[k] = struct{}{}
-			}
+			s.distinct.union(o.distinct)
 			return
 		}
 		s.count += o.count
@@ -164,7 +165,10 @@ func (s *aggState) final(spec *aggSpec) Value {
 		return Int(s.count)
 	case aggCount:
 		if spec.distinct {
-			return Int(int64(len(s.distinct)))
+			if s.distinct == nil {
+				return Int(0)
+			}
+			return Int(int64(s.distinct.len()))
 		}
 		return Int(s.count)
 	case aggSum:

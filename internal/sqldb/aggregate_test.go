@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -178,5 +179,147 @@ func TestCorruptTupleDetection(t *testing.T) {
 	err := rs.ScanRange(0, 1, nil, func(RowView) error { return nil })
 	if err == nil {
 		t.Error("corrupt tuple should fail the scan")
+	}
+}
+
+// distinctCase yields one value per row of the identity test's table, of
+// whichever kind k names; no ELSE, so k = 4 yields NULL.
+const distinctCase = "CASE WHEN k = 0 THEN i WHEN k = 1 THEN f WHEN k = 2 THEN b WHEN k = 3 THEN s END"
+
+// TestCountDistinctIdentity: COUNT(DISTINCT) tells values apart exactly
+// as appendKey does — Int(1), Float(1) and Bool(true) are three values
+// (through a mixed-kind CASE), ±0, two NaN payloads and ±Inf are six, and
+// "" is a value where NULL is none — in the interpreter on both layouts,
+// through aggState.merge, and through ShardPlan.Merge over 1–4 children
+// that hold overlapping values.
+func TestCountDistinctIdentity(t *testing.T) {
+	vals := []Value{Int(1), Float(1), Bool(true), Int(0), Bool(false), Str(""), Str("1"), Null()}
+	for _, f := range specialFloats {
+		vals = append(vals, Float(f))
+	}
+	kindSel := map[ValueKind]int64{KindInt: 0, KindFloat: 1, KindBool: 2, KindString: 3, KindNull: 4}
+	schema := MustSchema(
+		Column{Name: "g", Type: TypeInt},
+		Column{Name: "k", Type: TypeInt},
+		Column{Name: "i", Type: TypeInt},
+		Column{Name: "f", Type: TypeFloat},
+		Column{Name: "b", Type: TypeBool},
+		Column{Name: "s", Type: TypeString},
+	)
+	rng := rand.New(rand.NewSource(45))
+	var rows [][]Value
+	// oracle[g][a] is the appendKey set of aggregate a's non-NULL
+	// arguments in group g: the CASE, f and s.
+	oracle := map[int64][3]map[string]bool{}
+	for r := 0; r < 300; r++ {
+		v, g := vals[rng.Intn(len(vals))], int64(rng.Intn(3))
+		row := []Value{Int(g), Int(kindSel[v.Kind]), Null(), Null(), Null(), Null()}
+		if v.Kind != KindNull {
+			row[2+kindSel[v.Kind]] = v
+		}
+		rows = append(rows, row)
+		sets, ok := oracle[g]
+		if !ok {
+			sets = [3]map[string]bool{{}, {}, {}}
+			oracle[g] = sets
+		}
+		for a, arg := range []Value{v, row[3], row[5]} {
+			if !arg.IsNull() {
+				sets[a][string(arg.appendKey(nil))] = true
+			}
+		}
+	}
+	const sql = "SELECT g, COUNT(DISTINCT " + distinctCase + "), COUNT(DISTINCT f), COUNT(DISTINCT s) FROM v GROUP BY g"
+	check := func(what string, res *Result) {
+		t.Helper()
+		if len(res.Rows) != len(oracle) {
+			t.Fatalf("%s: %d groups, want %d", what, len(res.Rows), len(oracle))
+		}
+		for _, row := range res.Rows {
+			for a, sets := range oracle[row[0].I] {
+				if got, want := row[1+a].I, int64(len(sets)); row[1+a].Kind != KindInt || got != want {
+					t.Errorf("%s: group %d aggregate %d = %v, appendKey oracle %d", what, row[0].I, a, row[1+a], want)
+				}
+			}
+		}
+	}
+	load := func(rows [][]Value, layout Layout) *DB {
+		db := NewDB()
+		tab, err := db.CreateTable("v", schema, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			if err := tab.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+
+	for _, layout := range []Layout{LayoutRow, LayoutCol} {
+		res, err := load(rows, layout).Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("interpreter/"+layout.String(), res)
+	}
+
+	// aggState.merge: two accumulators over a split of the rows, and
+	// merges into and from an empty one, against the global oracle.
+	spec, err := newAggSpec(mustParse(t, "SELECT COUNT(DISTINCT "+distinctCase+") FROM v").Items[0].Expr.(*FuncExpr), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := map[string]bool{}
+	for _, sets := range oracle {
+		for k := range sets[0] {
+			all[k] = true
+		}
+	}
+	for _, cut := range []int{0, 1, len(rows) / 2, len(rows)} {
+		var left, right, empty aggState
+		for i, row := range rows {
+			if i < cut {
+				left.update(&spec, rowSlice(row))
+			} else {
+				right.update(&spec, rowSlice(row))
+			}
+		}
+		left.merge(&spec, &right)
+		left.merge(&spec, &empty)
+		empty.merge(&spec, &left)
+		for _, s := range []*aggState{&left, &empty} {
+			if got := s.final(&spec); got.I != int64(len(all)) {
+				t.Errorf("aggState.merge at cut %d: %v distinct, appendKey oracle %d", cut, got, len(all))
+			}
+		}
+	}
+
+	// ShardPlan.Merge: rows dealt round-robin, so every child holds
+	// values the others hold too.
+	stmt := mustParse(t, sql)
+	sp, err := NewShardPlan(stmt, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for children := 1; children <= 4; children++ {
+		parts := make([]ShardPart, children)
+		for c := range parts {
+			var mine [][]Value
+			for r := c; r < len(rows); r += children {
+				mine = append(mine, rows[r])
+			}
+			res, err := load(mine, LayoutCol).Query(sp.ChildSQL())
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts[c] = ShardPart{Rows: res.Rows, Groups: res.Stats.Groups}
+		}
+		res, err := sp.Merge(parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("ShardPlan.Merge/%d children", children), res)
 	}
 }

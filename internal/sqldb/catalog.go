@@ -3,6 +3,7 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"sync"
@@ -41,10 +42,10 @@ func (ts *TableStats) Column(name string) (ColumnStats, bool) {
 // StatsContext returns exact statistics for the named table's current
 // rows. Tables are append-only between drops, so the statistics of a new
 // version are those of the last one plus the appended tail: each call
-// scans only the rows added since the previous one, O(appended rows),
+// folds only the rows added since the previous one, O(appended rows),
 // into distinct-value sets retained for the table's incarnation until
 // DropTable or a reload replaces it. Concurrent callers at one version
-// share one scan and one snapshot. The scan checks ctx every checkEvery
+// share one fold and one snapshot. The fold checks ctx every checkEvery
 // rows (a nil ctx disables the checks).
 func (db *DB) StatsContext(ctx context.Context, table string) (*TableStats, error) {
 	if ctx != nil {
@@ -70,28 +71,29 @@ func (db *DB) StatsContext(ctx context.Context, table string) (*TableStats, erro
 // statsState is the incremental statistics of one table incarnation:
 // one distinct-value set per column over the first snap.Rows rows, and
 // the snapshot last published from them. Published snapshots are never
-// mutated; each extension publishes a fresh one.
+// mutated; each extension publishes a fresh one. Over a ColStore,
+// codeSeen marks, per TEXT column, the dictionary codes whose strings
+// the column's set already holds.
 type statsState struct {
-	mu    sync.Mutex
-	table Table
-	sets  []distinctSet
-	snap  *TableStats
+	mu       sync.Mutex
+	table    Table
+	sets     []distinctSet
+	codeSeen [][]uint64
+	snap     *TableStats
 }
 
 func newStatsState(t Table) *statsState {
-	st := &statsState{table: t, sets: make([]distinctSet, t.Schema().NumColumns())}
-	for i := range st.sets {
-		st.sets[i] = distinctSet{nums: make(map[uint64]struct{}), strs: make(map[string]struct{})}
-	}
+	n := t.Schema().NumColumns()
+	st := &statsState{table: t, sets: make([]distinctSet, n), codeSeen: make([][]uint64, n)}
 	st.snap = st.publish(0)
 	return st
 }
 
 // extend folds the rows appended since the last snapshot into the sets
-// and publishes the result. A cancelled scan leaves snap (and so the
-// folded row count) where it was: the next call rescans the same tail,
-// and the values the cancelled scan already inserted are harmless —
-// rows are immutable and set union is idempotent.
+// and publishes the result. A cancelled fold leaves snap (and so the
+// folded row count) where it was: the next call folds the same tail
+// again, and the values the cancelled one already inserted are harmless
+// — rows are immutable and set union is idempotent.
 func (st *statsState) extend(ctx context.Context) (*TableStats, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -99,8 +101,26 @@ func (st *statsState) extend(ctx context.Context) (*TableStats, error) {
 	if lo == n {
 		return st.snap, nil
 	}
+	var err error
+	if cs, ok := st.table.(*ColStore); ok {
+		snap := cs.snapshot()
+		n = snap.rows
+		err = st.foldColumns(ctx, snap, lo)
+	} else {
+		err = st.scanRows(ctx, lo, n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	st.snap = st.publish(n)
+	return st.snap, nil
+}
+
+// scanRows adds every value of rows [lo, hi) to its column's set, a row
+// at a time.
+func (st *statsState) scanRows(ctx context.Context, lo, hi int) error {
 	seen := 0
-	err := st.table.ScanRange(lo, n, nil, func(row RowView) error {
+	return st.table.ScanRange(lo, hi, nil, func(row RowView) error {
 		seen++
 		if ctx != nil && seen%checkEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -112,31 +132,92 @@ func (st *statsState) extend(ctx context.Context) (*TableStats, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// foldColumns folds rows [lo, t.rows) of a column store into the sets a
+// column at a time, reading the typed vectors a checkEvery-row block at
+// a time and checking ctx before each block.
+func (st *statsState) foldColumns(ctx context.Context, t *colSnap, lo int) error {
+	for i := range t.cols {
+		c, set := &t.cols[i], &st.sets[i]
+		var memo bitsMemo
+		memo.clear()
+		if more := (len(c.dict)+63)/64 - len(st.codeSeen[i]); more > 0 {
+			st.codeSeen[i] = append(st.codeSeen[i], make([]uint64, more)...)
+		}
+		for bLo := lo; bLo < t.rows; bLo += checkEvery {
+			if ctx != nil {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			bHi := min(bLo+checkEvery, t.rows)
+			if c.typ == TypeString {
+				set.addCodes(c, bLo, bHi, st.codeSeen[i])
+			} else {
+				set.addBits(c, bLo, bHi, &memo)
+			}
+		}
 	}
-	st.snap = st.publish(n)
-	return st.snap, nil
+	return nil
+}
+
+// addCodes adds the dictionary strings of TEXT column c's rows [lo, hi)
+// whose codes seen does not mark yet, and marks them: each string is
+// inserted once, when its code first appears. NULL rows are skipped, so
+// the "" a NULL row stores never counts.
+func (s *distinctSet) addCodes(c *columnVector, lo, hi int, seen []uint64) {
+	nulls := nullsIn(c, lo, hi)
+	for r := lo; r < hi; r++ {
+		if nulls != nil && nulls[r-lo] {
+			continue
+		}
+		code := c.codes[r]
+		if w, b := code>>6, uint64(1)<<(code&63); seen[w]&b == 0 {
+			s.addStr(c.dict[code])
+			seen[w] |= b
+		}
+	}
+}
+
+// addBits adds the values of numeric column c's non-NULL rows [lo, hi)
+// that memo has not just seen.
+func (s *distinctSet) addBits(c *columnVector, lo, hi int, memo *bitsMemo) {
+	nums := s.numsOf(zeroValue(c.typ).Kind) // the column's one kind
+	nulls := nullsIn(c, lo, hi)
+	for r := lo; r < hi; r++ {
+		if nulls != nil && nulls[r-lo] {
+			continue
+		}
+		bits := groupKeyBits(c, c.typ, r)
+		if m, hit := memo.slot(bits); !hit {
+			nums[bits] = struct{}{}
+			*m = bitsMemoEntry{bits: bits}
+		}
+	}
 }
 
 func (st *statsState) publish(rows int) *TableStats {
 	schema := st.table.Schema()
 	ts := &TableStats{Rows: rows, Columns: make([]ColumnStats, len(st.sets))}
-	for i, s := range st.sets {
+	for i := range st.sets {
 		c := schema.Column(i)
-		ts.Columns[i] = ColumnStats{Name: c.Name, Type: c.Type, Distinct: len(s.nums) + len(s.strs)}
+		ts.Columns[i] = ColumnStats{Name: c.Name, Type: c.Type, Distinct: st.sets[i].len()}
 	}
 	return ts
 }
 
-// distinctSet holds one column's distinct non-NULL values with
-// appendKey's identity and no per-value allocation: TEXT by the stored
-// string (which aliases the store's dictionary or intern table), INT
-// and BOOL by uint64(I), FLOAT by its bit pattern (so -0/+0 and NaN
-// payloads stay distinct). Stored values carry their column's type
-// (AppendRow coerces), so one numeric set per column never mixes kinds.
+// distinctSet is sqldb's one set of distinct non-NULL values: table
+// statistics, the interpreter's COUNT(DISTINCT) (aggState) and the shard
+// merge's union of per-child value sets (shardSlot.fold) all count with
+// it. Its identity is appendKey's. A number is its kind plus its 64 bits
+// — INT and BOOL uint64(I), FLOAT its bit pattern — so Int(1), Float(1)
+// and Bool(true) are three values and -0/+0 and NaN payloads stay
+// distinct. A string is its bytes, kept by its header (it aliases the
+// value's own storage), so no value costs an allocation. The zero value
+// is empty; maps are made on first use.
 type distinctSet struct {
-	nums map[uint64]struct{}
+	nums [KindBool + 1]map[uint64]struct{} // by Kind: INT, FLOAT, BOOL
 	strs map[string]struct{}
 }
 
@@ -144,10 +225,45 @@ func (s *distinctSet) add(v Value) {
 	switch v.Kind {
 	case KindNull:
 	case KindString:
-		s.strs[v.S] = struct{}{}
+		s.addStr(v.S)
 	case KindFloat:
-		s.nums[math.Float64bits(v.F)] = struct{}{}
+		s.numsOf(KindFloat)[math.Float64bits(v.F)] = struct{}{}
 	default:
-		s.nums[uint64(v.I)] = struct{}{}
+		s.numsOf(v.Kind)[uint64(v.I)] = struct{}{}
 	}
+}
+
+func (s *distinctSet) addStr(v string) {
+	if s.strs == nil {
+		s.strs = make(map[string]struct{})
+	}
+	s.strs[v] = struct{}{}
+}
+
+// numsOf returns the set's values of numeric kind k, by their bits.
+func (s *distinctSet) numsOf(k ValueKind) map[uint64]struct{} {
+	if s.nums[k] == nil {
+		s.nums[k] = make(map[uint64]struct{})
+	}
+	return s.nums[k]
+}
+
+// union adds every value of o to s.
+func (s *distinctSet) union(o *distinctSet) {
+	for k, m := range o.nums {
+		if len(m) > 0 {
+			maps.Copy(s.numsOf(ValueKind(k)), m)
+		}
+	}
+	for v := range o.strs {
+		s.addStr(v)
+	}
+}
+
+func (s *distinctSet) len() int {
+	n := len(s.strs)
+	for _, m := range s.nums {
+		n += len(m)
+	}
+	return n
 }

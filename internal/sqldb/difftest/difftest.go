@@ -225,6 +225,9 @@ var aggPool = []string{
 	"MIN(m0)", "MIN(m2)", "MAX(m1)", "MAX(m2)", "MIN(b0)",
 	// Interpreter-only shapes:
 	"COUNT(DISTINCT d1)", "MIN(s0)", "SUM(m0 + m1)", "AVG(ABS(m2))",
+	// Typed distinct sets (float with NULLs, int, bool), which a sharded
+	// run unions across children:
+	"COUNT(DISTINCT m0)", "COUNT(DISTINCT k0)", "COUNT(DISTINCT b0)",
 }
 
 // Gen generates one random grouped-aggregate query with an optional row

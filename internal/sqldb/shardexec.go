@@ -12,7 +12,8 @@ package sqldb
 //     into mergeable pieces: COUNT stays a count, SUM and AVG become
 //     SUM+COUNT pairs (AVG's division is deferred to finalization),
 //     MIN/MAX stay MIN/MAX, and COUNT(DISTINCT x) adds x to the child's
-//     GROUP BY so the merge can union value sets instead of adding
+//     GROUP BY so the merge can union value sets (distinctSet, typed:
+//     no value is boxed into a string key) instead of adding
 //     overlapping counts. HAVING, ORDER BY, DISTINCT, LIMIT and OFFSET
 //     are stripped from the child statement — they are meaningless on a
 //     partial view of the data — and re-applied after the merge.
@@ -373,18 +374,15 @@ func (sp *ShardPlan) Merge(parts []ShardPart) (*Result, error) {
 }
 
 // fold combines one child partial row into an aggregate state, mirroring
-// aggState.merge for the decomposed column layout.
+// aggState.merge for the decomposed column layout: a COUNT(DISTINCT)
+// slot adds the row's argument value to the group's distinctSet.
 func (s *shardSlot) fold(st *aggState, row []Value) {
 	switch {
 	case s.distinct:
-		v := row[s.keyPos]
-		if v.IsNull() {
-			return // SQL aggregates skip NULLs
-		}
 		if st.distinct == nil {
-			st.distinct = make(map[string]struct{})
+			st.distinct = &distinctSet{}
 		}
-		st.distinct[string(v.appendKey(nil))] = struct{}{}
+		st.distinct.add(row[s.keyPos]) // skips NULL, as SQL aggregates do
 	case s.kind == aggCountStar || s.kind == aggCount:
 		if n, ok := row[s.cntCol].AsInt(); ok {
 			st.count += n

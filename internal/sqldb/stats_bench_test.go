@@ -1,10 +1,13 @@
 package sqldb_test
 
-// Layer microbenchmark for table statistics, the layer under the
-// benchmark's backend.stats_ms on ingest_stream: the first StatsContext
-// after a 100-row append to a TrafficSpec table (the append is untimed).
+// Layer microbenchmarks for table statistics. StatsAfterAppend is the
+// layer under the benchmark's backend.stats_ms on ingest_stream: the
+// first StatsContext after a 100-row append to a TrafficSpec table (the
+// append is untimed). StatsCold is the first StatsContext on a freshly
+// built table (the build is untimed), the statistics part of the first
+// recommendation after a load.
 //
-//	go test ./internal/sqldb -run '^$' -bench StatsAfterAppend -benchmem
+//	go test ./internal/sqldb -run '^$' -bench 'StatsAfterAppend|StatsCold' -benchmem
 
 import (
 	"context"
@@ -60,6 +63,31 @@ func BenchmarkStatsAfterAppend(b *testing.B) {
 				b.StartTimer()
 				if _, err := db.StatsContext(ctx, "traffic"); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkStatsCold(b *testing.B) {
+	ctx := context.Background()
+	spec := dataset.TrafficSpec().WithRows(benchRows).WithSeed(1)
+	for _, layout := range []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol} {
+		b.Run(layout.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				db := sqldb.NewDB()
+				if _, err := dataset.BuildSynth(db, spec, layout); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				st, err := db.StatsContext(ctx, spec.Name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Rows != benchRows {
+					b.Fatalf("stats cover %d rows, want %d", st.Rows, benchRows)
 				}
 			}
 		})

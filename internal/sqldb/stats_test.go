@@ -39,36 +39,38 @@ func computeStats(t Table) *TableStats {
 	return ts
 }
 
-// countingTable counts the rows its ScanRange visits; onRow, when set,
-// runs before each one.
-type countingTable struct {
-	Table
-	visited atomic.Int64
-	onRow   func()
+// checkCtx is a context that counts its Err checks, which is how the
+// tests see how much a statistics fold did: StatsContext checks once on
+// entry, and a fold once per checkEvery-row block (foldChecks). From
+// check number fail on (fail > 0), Err reports context.Canceled.
+type checkCtx struct {
+	context.Context
+	checks atomic.Int64
+	fail   int64
 }
 
-func (c *countingTable) ScanRange(lo, hi int, cols []int, fn func(RowView) error) error {
-	return c.Table.ScanRange(lo, hi, cols, func(row RowView) error {
-		c.visited.Add(1)
-		if c.onRow != nil {
-			c.onRow()
-		}
-		return fn(row)
-	})
+func newCheckCtx(fail int64) *checkCtx {
+	return &checkCtx{Context: context.Background(), fail: fail}
 }
 
-// registerCounting registers an empty counting table named name.
-func registerCounting(t testing.TB, db *DB, name string, layout Layout) *countingTable {
-	t.Helper()
-	inner := Table(NewRowStore(name, statsTestSchema()))
-	if layout == LayoutCol {
-		inner = NewColStore(name, statsTestSchema())
+func (c *checkCtx) Err() error {
+	if n := c.checks.Add(1); c.fail > 0 && n >= c.fail {
+		return context.Canceled
 	}
-	ct := &countingTable{Table: inner}
-	if err := db.RegisterTable(ct); err != nil {
-		t.Fatal(err)
+	return nil
+}
+
+// foldChecks is how many ctx checks folding rows appended rows into the
+// statistics makes: the row store's scan checks after every checkEvery
+// rows, the column fold before every checkEvery-row block of every
+// column. Blocks start at the first unfolded row, so a fold that reread
+// the table from row 0 would check more often.
+func foldChecks(layout Layout, rows int) int64 {
+	if layout == LayoutRow {
+		return int64(rows / checkEvery)
 	}
-	return ct
+	blocks := (rows + checkEvery - 1) / checkEvery
+	return int64(statsTestSchema().NumColumns() * blocks)
 }
 
 // statsTestSchema: a TEXT column whose only "" would be the ColStore's
@@ -124,55 +126,81 @@ func appendStatsRows(t testing.TB, tab Table, rng *rand.Rand, n int) {
 	}
 }
 
-// checkStats asserts StatsContext equals the rescan oracle.
-func checkStats(t *testing.T, db *DB, name string, tab Table) {
+// checkStats asserts StatsContext equals the rescan oracle, and that it
+// folded only the appended rows: its ctx checks are the entry check plus
+// foldChecks(appended).
+func checkStats(t *testing.T, db *DB, name string, tab Table, appended int) {
 	t.Helper()
-	got, err := db.StatsContext(context.Background(), name)
+	ctx := newCheckCtx(0)
+	got, err := db.StatsContext(ctx, name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := computeStats(tab); !reflect.DeepEqual(got, want) {
 		t.Fatalf("incremental stats\n %+v\nrescan oracle\n %+v", got, want)
 	}
+	if got, want := ctx.checks.Load(), 1+foldChecks(tab.Layout(), appended); got != want {
+		t.Fatalf("folding %d appended rows made %d ctx checks, want %d", appended, got, want)
+	}
 }
 
 // TestStatsIncrementalMatchesRescan: seeded interleavings of append
 // batches and StatsContext calls must match a full rescan after every
-// call, through cancellations and a drop-and-recreate.
+// call and fold only the rows appended since the last one, through
+// cancellations and a drop-and-recreate. The tables are the stores
+// themselves, so the COL cases run the column fold.
 func TestStatsIncrementalMatchesRescan(t *testing.T) {
 	for _, layout := range []Layout{LayoutRow, LayoutCol} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%v/seed%d", layout, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				db := NewDB()
-				ct := registerCounting(t, db, "s", layout)
-				checkStats(t, db, "s", ct) // empty
+				tab, err := db.CreateTable("s", statsTestSchema(), layout)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkStats(t, db, "s", tab, 0) // empty
+				pending := 0
 				for step := 0; step < 30; step++ {
-					appendStatsRows(t, ct, rng, 1+rng.Intn(300))
+					n := 1 + rng.Intn(300)
+					appendStatsRows(t, tab, rng, n)
+					pending += n
 					// Zero calls folds two batches into one extension.
 					for calls := rng.Intn(3); calls > 0; calls-- {
-						checkStats(t, db, "s", ct)
+						checkStats(t, db, "s", tab, pending)
+						pending = 0
 					}
 				}
 
-				appendStatsRows(t, ct, rng, 50)
+				appendStatsRows(t, tab, rng, 50)
+				pending += 50
 				cancelled, cancel := context.WithCancel(context.Background())
 				cancel()
 				if _, err := db.StatsContext(cancelled, "s"); err != context.Canceled {
 					t.Fatalf("pre-cancelled ctx: err = %v", err)
 				}
-				checkStats(t, db, "s", ct)
+				checkStats(t, db, "s", tab, pending)
 
-				// Cancel a scan partway through a tail long enough to
-				// reach a ctx check; the half-folded tail must not count.
-				appendStatsRows(t, ct, rng, checkEvery+500)
-				mid, cancel := context.WithCancel(context.Background())
-				ct.onRow = cancel
+				// Cancel a fold partway through a tail long enough to
+				// reach a ctx check inside the fold — the row scan's
+				// first, or the column fold's in the middle of its third
+				// column. The half-folded tail must not count: the
+				// published snapshot stays the one before it.
+				const tail = checkEvery + 500
+				appendStatsRows(t, tab, rng, tail)
+				st := db.stats["s"]
+				before := st.snap
+				mid := newCheckCtx(1 + foldChecks(layout, tail)/2 + 1)
 				if _, err := db.StatsContext(mid, "s"); err != context.Canceled {
-					t.Fatalf("mid-scan cancel: err = %v", err)
+					t.Fatalf("mid-fold cancel: err = %v", err)
 				}
-				ct.onRow = nil
-				checkStats(t, db, "s", ct)
+				if got := mid.checks.Load(); got != mid.fail {
+					t.Fatalf("mid-fold cancel made %d ctx checks, want it to stop at check %d", got, mid.fail)
+				}
+				if st.snap != before || st.snap.Rows != tab.NumRows()-tail {
+					t.Fatalf("a cancelled fold published %+v, want the earlier %+v", st.snap, before)
+				}
+				checkStats(t, db, "s", tab, tail)
 
 				if err := db.DropTable("s"); err != nil {
 					t.Fatal(err)
@@ -182,60 +210,60 @@ func TestStatsIncrementalMatchesRescan(t *testing.T) {
 					t.Fatal(err)
 				}
 				appendStatsRows(t, fresh, rng, 7)
-				checkStats(t, db, "s", fresh)
+				checkStats(t, db, "s", fresh, 7)
 			})
 		}
 	}
 }
 
-// TestStatsScanOnce: concurrent readers of one version share one scan
-// and one snapshot, the next version scans only the appended rows, and
-// a published snapshot never changes.
+// TestStatsScanOnce: concurrent readers of one version share one fold
+// and one snapshot, the next version folds only the appended rows, and
+// a published snapshot never changes. The table spans three ctx-check
+// blocks and the append one, so a fold of the whole table shows.
 func TestStatsScanOnce(t *testing.T) {
-	db := NewDB()
-	ct := registerCounting(t, db, "s", LayoutCol)
-	rng := rand.New(rand.NewSource(1))
-	appendStatsRows(t, ct, rng, 1000)
+	const base = 2*checkEvery + 300
+	for _, layout := range []Layout{LayoutRow, LayoutCol} {
+		t.Run(layout.String(), func(t *testing.T) {
+			db := NewDB()
+			tab, err := db.CreateTable("s", statsTestSchema(), layout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			appendStatsRows(t, tab, rng, base)
 
-	const readers = 8
-	snaps := make([]*TableStats, readers)
-	errs := make([]error, readers)
-	var wg sync.WaitGroup
-	for i := range snaps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			snaps[i], errs[i] = db.StatsContext(context.Background(), "s")
-		}()
-	}
-	wg.Wait()
-	for i := range snaps {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if snaps[i] != snaps[0] {
-			t.Fatalf("reader %d got a different snapshot", i)
-		}
-	}
-	if v := ct.visited.Load(); v != 1000 {
-		t.Fatalf("%d readers visited %d rows in total, want each of 1000 once", readers, v)
-	}
+			const readers = 8
+			ctx := newCheckCtx(0) // shared: counts every reader's checks
+			snaps := make([]*TableStats, readers)
+			errs := make([]error, readers)
+			var wg sync.WaitGroup
+			for i := range snaps {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					snaps[i], errs[i] = db.StatsContext(ctx, "s")
+				}()
+			}
+			wg.Wait()
+			for i := range snaps {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if snaps[i] != snaps[0] {
+					t.Fatalf("reader %d got a different snapshot", i)
+				}
+			}
+			if got, want := ctx.checks.Load(), readers+foldChecks(layout, base); got != want {
+				t.Fatalf("%d readers made %d ctx checks, want %d: one fold of %d rows", readers, got, want, base)
+			}
 
-	before := snaps[0]
-	frozen := &TableStats{Rows: before.Rows, Columns: append([]ColumnStats(nil), before.Columns...)}
-	appendStatsRows(t, ct, rng, 100)
-	ct.visited.Store(0)
-	after, err := db.StatsContext(context.Background(), "s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := ct.visited.Load(); v != 100 {
-		t.Fatalf("statistics after a 100-row append visited %d rows, want 100", v)
-	}
-	if !reflect.DeepEqual(before, frozen) {
-		t.Fatalf("published snapshot changed: %+v, was %+v", before, frozen)
-	}
-	if want := computeStats(ct); !reflect.DeepEqual(after, want) {
-		t.Fatalf("stats after append %+v, oracle %+v", after, want)
+			before := snaps[0]
+			frozen := &TableStats{Rows: before.Rows, Columns: append([]ColumnStats(nil), before.Columns...)}
+			appendStatsRows(t, tab, rng, 100)
+			checkStats(t, db, "s", tab, 100)
+			if !reflect.DeepEqual(before, frozen) {
+				t.Fatalf("published snapshot changed: %+v, was %+v", before, frozen)
+			}
+		})
 	}
 }

@@ -230,9 +230,9 @@ func (v Value) Compare(o Value) int {
 }
 
 // AppendKey appends the value's injective group-key encoding to dst —
-// the same encoding the executors group rows and count distinct values
-// by — so out-of-package mergers (e.g. the shard router's statistics
-// union) agree with the embedded engine on value identity, bit for bit
+// the same identity the executors group rows and count distinct values
+// by — so out-of-package code (e.g. a test comparing two backends'
+// rows) agrees with the embedded engine on value identity, bit for bit
 // (float payload bits included).
 func (v Value) AppendKey(dst []byte) []byte { return v.appendKey(dst) }
 

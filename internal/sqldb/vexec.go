@@ -358,15 +358,8 @@ func (v *vecInfo) layout(ctx context.Context, t *colSnap, lo, hi int) (lay *vecL
 func numCodes(ctx context.Context, c *columnVector, typ ColumnType, lo, hi int) (codes []int32, dict []uint64, err error) {
 	codes = make([]int32, hi-lo)
 	ids := make(map[uint64]int32)
-	// memo is a direct-mapped cache in front of ids: a column of a few
-	// hundred distinct values resolves nearly every row without the map.
-	var memo [256]struct {
-		bits uint64
-		code int32
-	}
-	for i := range memo {
-		memo[i].code = -1
-	}
+	var memo bitsMemo
+	memo.clear()
 	for bLo := lo; bLo < hi; bLo += selBlockRows {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -380,20 +373,45 @@ func numCodes(ctx context.Context, c *columnVector, typ ColumnType, lo, hi int) 
 				continue
 			}
 			bits := groupKeyBits(c, typ, r)
-			m := &memo[bits*0x9e3779b97f4a7c15>>56]
-			if m.code < 0 || m.bits != bits {
+			m, hit := memo.slot(bits)
+			if !hit {
 				code, seen := ids[bits]
 				if !seen {
 					code = int32(len(dict))
 					ids[bits] = code
 					dict = append(dict, bits)
 				}
-				m.bits, m.code = bits, code
+				*m = bitsMemoEntry{bits: bits, code: code}
 			}
 			codes[r-lo] = m.code
 		}
 	}
 	return codes, dict, nil
+}
+
+// bitsMemo is a direct-mapped cache of numeric values' groupKeyBits in
+// front of a map keyed by them: a column of a few hundred distinct values
+// resolves nearly every row without the map. numCodes keeps each value's
+// code in it; the statistics fold (statsState.foldColumns) only asks
+// whether a value was just seen.
+type bitsMemo [256]bitsMemoEntry
+
+type bitsMemoEntry struct {
+	bits uint64
+	code int32 // -1 marks an empty entry
+}
+
+// clear empties the memo.
+func (m *bitsMemo) clear() {
+	for i := range m {
+		m[i].code = -1
+	}
+}
+
+// slot returns the entry bits maps to, and whether it holds bits.
+func (m *bitsMemo) slot(bits uint64) (e *bitsMemoEntry, hit bool) {
+	e = &m[bits*0x9e3779b97f4a7c15>>56]
+	return e, e.code >= 0 && e.bits == bits
 }
 
 // intRangeCard takes the bounds of int column c over rows [lo, hi) and
