@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"seedb/internal/dataset"
@@ -73,8 +74,9 @@ func TestSeedFlagChangesOutput(t *testing.T) {
 	}
 }
 
-// TestStreamedMatchesMaterialized proves the streaming path emits byte-
-// identical CSV to the old materialize-then-dump path it replaced.
+// TestStreamedMatchesMaterialized proves the streaming path emits
+// exactly the rows the engine builds for the same spec: the streamed
+// CSV, loaded back, equals the built table row for row.
 func TestStreamedMatchesMaterialized(t *testing.T) {
 	spec, err := dataset.ByName("census")
 	if err != nil {
@@ -89,12 +91,23 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var materialized bytes.Buffer
-	if err := dataset.WriteCSV(&materialized, tab); err != nil {
+	loaded, err := dataset.LoadCSV(db, "copy", spec.Schema(), sqldb.LayoutCol, bytes.NewReader(streamed))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(streamed, materialized.Bytes()) {
-		t.Fatal("streamed CSV differs from materialized WriteCSV output")
+	if loaded.NumRows() != tab.NumRows() {
+		t.Fatalf("streamed %d rows, built %d", loaded.NumRows(), tab.NumRows())
+	}
+	built, err := db.QueryOpts("SELECT * FROM census", sqldb.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied, err := db.QueryOpts("SELECT * FROM copy", sqldb.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(built.Rows, copied.Rows) {
+		t.Fatal("streamed CSV differs from the materialized table")
 	}
 }
 

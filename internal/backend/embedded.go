@@ -20,11 +20,6 @@ func NewEmbedded(db *sqldb.DB) *Embedded {
 	return &Embedded{db: db}
 }
 
-// DB returns the underlying embedded database, for table management
-// paths (loading datasets, appending rows) that are inherently
-// embedded-only.
-func (b *Embedded) DB() *sqldb.DB { return b.db }
-
 // Name identifies the embedded store.
 func (b *Embedded) Name() string { return "sqldb" }
 

@@ -41,7 +41,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"seedb/internal/backend"
@@ -97,25 +96,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats are cumulative client-side robustness counters (all calls, Exec
-// and introspection alike).
-type Stats struct {
-	// Calls counts logical calls; Attempts counts HTTP round trips
-	// issued for them (Attempts - Calls = retries).
-	Calls    int64
-	Attempts int64
-	// Retries counts attempts beyond the first.
-	Retries int64
-}
-
 // Client is the network backend. It is safe for concurrent use.
 type Client struct {
-	base  string // normalized base URL, no trailing slash
-	opts  Options
-	hc    *http.Client
-	caps  backend.Capabilities
-	calls atomic.Int64
-	tries atomic.Int64
+	base string // normalized base URL, no trailing slash
+	opts Options
+	hc   *http.Client
+	caps backend.Capabilities
 }
 
 // New connects to a seedb-server at baseURL and performs the capability
@@ -172,17 +158,8 @@ func (c *Client) endpoint(path, table string) string {
 // Name identifies the backend instance.
 func (c *Client) Name() string { return c.opts.Name }
 
-// Base returns the normalized remote base URL.
-func (c *Client) Base() string { return c.base }
-
 // Capabilities reports the remote backend's flags from the handshake.
 func (c *Client) Capabilities() backend.Capabilities { return c.caps }
-
-// Stats snapshots the client's robustness counters.
-func (c *Client) Stats() Stats {
-	calls, tries := c.calls.Load(), c.tries.Load()
-	return Stats{Calls: calls, Attempts: tries, Retries: tries - calls}
-}
 
 // TableInfo fetches the remote table description. Its version token is
 // prefixed with the base URL and remote backend name: remote tokens are
@@ -301,7 +278,6 @@ func retryableStatus(status int) bool {
 // loop under the caller's ctx. On success the body decodes into out.
 // Returns how many retries (attempts beyond the first) were spent.
 func (c *Client) doJSON(ctx context.Context, method, url string, body []byte, out any) (int, error) {
-	c.calls.Add(1)
 	var lastErr error
 	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -317,7 +293,6 @@ func (c *Client) doJSON(ctx context.Context, method, url string, body []byte, ou
 			}
 			return attempt, lastErr
 		}
-		c.tries.Add(1)
 		err := c.attempt(ctx, method, url, body, out)
 		if err == nil {
 			return attempt, nil

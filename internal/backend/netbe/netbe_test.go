@@ -138,15 +138,13 @@ func sameValues(a, b *backend.Rows) bool {
 	if !reflect.DeepEqual(a.Columns, b.Columns) || len(a.Rows) != len(b.Rows) {
 		return false
 	}
-	var ka, kb []byte
 	for r := range a.Rows {
 		if len(a.Rows[r]) != len(b.Rows[r]) {
 			return false
 		}
-		for c := range a.Rows[r] {
-			ka = a.Rows[r][c].AppendKey(ka[:0])
-			kb = b.Rows[r][c].AppendKey(kb[:0])
-			if string(ka) != string(kb) {
+		for c, va := range a.Rows[r] {
+			vb := b.Rows[r][c]
+			if va.Kind != vb.Kind || va.I != vb.I || va.S != vb.S || math.Float64bits(va.F) != math.Float64bits(vb.F) {
 				return false
 			}
 		}
@@ -218,8 +216,9 @@ func TestVersionTokensAreServerScoped(t *testing.T) {
 	if v1 == v2 {
 		t.Errorf("two servers share version token %q", v1)
 	}
-	if !strings.Contains(v1, c1.Base()) {
-		t.Errorf("token %q does not embed the server URL %q", v1, c1.Base())
+	u1, u2 := strings.SplitN(v1, "#", 2)[0], strings.SplitN(v2, "#", 2)[0]
+	if !strings.HasPrefix(u1, "http://") || u1 == u2 {
+		t.Errorf("tokens %q and %q are not scoped by distinct server URLs", v1, v2)
 	}
 }
 
@@ -257,9 +256,6 @@ func TestRetryRecoversFrom503(t *testing.T) {
 	}
 	if stats.NetRetries != 2 {
 		t.Errorf("NetRetries = %d, want 2", stats.NetRetries)
-	}
-	if s := c.Stats(); s.Retries != 2 {
-		t.Errorf("client Stats.Retries = %d, want 2", s.Retries)
 	}
 }
 

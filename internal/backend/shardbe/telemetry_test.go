@@ -58,7 +58,7 @@ func TestTracePropagatesThroughFanout(t *testing.T) {
 	if node.Find("shard.plan") == nil || node.Find("shard.merge") == nil {
 		t.Errorf("missing shard.plan/shard.merge spans:\n%s", node.Render())
 	}
-	if got := tel.ShardLatency.Count(); got != 3 {
+	if got := tel.ShardLatency.Snapshot().Count; got != 3 {
 		t.Errorf("shard histogram count = %d, want 3", got)
 	}
 }
@@ -101,7 +101,7 @@ func TestCancellationClosesOpenSpans(t *testing.T) {
 		t.Errorf("open spans after cancelled fan-out: %v", open)
 	}
 	// Failed and cancelled children do not pollute the latency histogram.
-	if got := tel.ShardLatency.Count(); got != 0 {
+	if got := tel.ShardLatency.Snapshot().Count; got != 0 {
 		t.Errorf("shard histogram count = %d after all-error fan-out", got)
 	}
 	node := tr.Finish()

@@ -177,11 +177,11 @@ func TestBuildShuffledPreservesContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := "SELECT COUNT(*), SUM(price) FROM housing"
-	r1, err := db1.Query(q)
+	r1, err := db1.QueryOpts(q, sqldb.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := db2.Query(q)
+	r2, err := db2.QueryOpts(q, sqldb.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,7 +177,7 @@ func TestCountersCacheHitsExcluded(t *testing.T) {
 	}
 	e := newTestEngine(db)
 	req := Request{Table: spec.Name, TargetWhere: spec.TargetPredicate(),
-		Dimensions: spec.DimNames(), Measures: spec.MeasureNames()}
+		Dimensions: spec.ViewDimNames(), Measures: spec.MeasureNames()}
 	opts := Options{Strategy: Sharing, K: 2, EnableCache: true}
 	if _, err := e.Recommend(context.Background(), req, opts); err != nil {
 		t.Fatal(err)

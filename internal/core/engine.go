@@ -75,9 +75,6 @@ func (e *Engine) Cache() *cache.Cache {
 // observation again.
 func (e *Engine) SetTelemetry(tel *telemetry.Collector) { e.tel.Store(tel) }
 
-// Telemetry returns the installed collector, or nil.
-func (e *Engine) Telemetry() *telemetry.Collector { return e.tel.Load() }
-
 // ensureCache returns the installed cache, creating a default-budget one
 // on the first cached request.
 func (e *Engine) ensureCache() *cache.Cache {

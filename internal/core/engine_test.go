@@ -18,15 +18,17 @@ func newTestEngine(db *sqldb.DB) *Engine {
 	return NewEngine(backend.NewEmbedded(db))
 }
 
-// embeddedDB unwraps the embedded database behind an engine's backend,
-// for tests that mutate table data directly.
-func embeddedDB(e *Engine) *sqldb.DB {
-	return e.Backend().(*backend.Embedded).DB()
-}
-
 // buildCensus loads a scaled-down census dataset and returns an engine
 // plus the canonical request (unmarried vs. all adults).
 func buildCensus(t testing.TB, layout sqldb.Layout, rows int) (*Engine, Request) {
+	t.Helper()
+	db, req := censusDB(t, layout, rows)
+	return newTestEngine(db), req
+}
+
+// censusDB is buildCensus's database, for tests that mutate table data
+// directly.
+func censusDB(t testing.TB, layout sqldb.Layout, rows int) (*sqldb.DB, Request) {
 	t.Helper()
 	spec := dataset.Census().WithRows(rows)
 	db, _, err := dataset.BuildDB(spec, layout)
@@ -36,10 +38,10 @@ func buildCensus(t testing.TB, layout sqldb.Layout, rows int) (*Engine, Request)
 	req := Request{
 		Table:       spec.Name,
 		TargetWhere: spec.TargetPredicate(),
-		Dimensions:  spec.DimNames(),
+		Dimensions:  spec.ViewDimNames(),
 		Measures:    spec.MeasureNames(),
 	}
-	return newTestEngine(db), req
+	return db, req
 }
 
 func TestViewSQLGeneration(t *testing.T) {
@@ -648,9 +650,6 @@ func TestStrategyAndSchemeStrings(t *testing.T) {
 	}
 	if CIPruning.String() != "CI" || MABPruning.String() != "MAB" || RandomPruning.String() != "RANDOM" || NoPruning.String() != "NO_PRU" {
 		t.Error("PruningScheme.String wrong")
-	}
-	if GroupByBinPack.String() != "BP" || GroupByMaxN.String() != "MAX_GB" {
-		t.Error("GroupByStrategy.String wrong")
 	}
 	if RefAll.String() != "ALL" || RefComplement.String() != "COMPLEMENT" || RefCustom.String() != "CUSTOM" {
 		t.Error("RefMode.String wrong")

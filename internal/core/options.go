@@ -164,24 +164,6 @@ const (
 	GroupByUnion
 )
 
-// String returns a short name for the strategy.
-func (g GroupByStrategy) String() string {
-	switch g {
-	case GroupByAuto:
-		return "AUTO"
-	case GroupBySingle:
-		return "SINGLE"
-	case GroupByBinPack:
-		return "BP"
-	case GroupByMaxN:
-		return "MAX_GB"
-	case GroupByUnion:
-		return "UNION"
-	default:
-		return fmt.Sprintf("GroupByStrategy(%d)", int(g))
-	}
-}
-
 // Default memory budgets (maximum distinct groups per query), matching
 // the empirical thresholds in Figure 8a of the paper.
 const (

@@ -219,7 +219,8 @@ func TestCacheMatchesUncachedAcrossStrategies(t *testing.T) {
 }
 
 func TestCacheInvalidationOnAppend(t *testing.T) {
-	eng, req := buildCensus(t, sqldb.LayoutCol, 2000)
+	db, req := censusDB(t, sqldb.LayoutCol, 2000)
+	eng := newTestEngine(db)
 	ctx := context.Background()
 	opts := Options{K: 3, EnableCache: true}
 
@@ -228,7 +229,7 @@ func TestCacheInvalidationOnAppend(t *testing.T) {
 	}
 	// Appending a row bumps the table generation: the next request must
 	// recompute rather than serve the stale entry.
-	tab, _ := embeddedDB(eng).Table(req.Table)
+	tab, _ := db.Table(req.Table)
 	row := make([]sqldb.Value, tab.Schema().NumColumns())
 	err := tab.ScanRange(0, 1, nil, func(rv sqldb.RowView) error {
 		for i := range row {

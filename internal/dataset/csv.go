@@ -9,38 +9,6 @@ import (
 	"seedb/internal/sqldb"
 )
 
-// WriteCSV writes a table (header + all rows) as CSV.
-func WriteCSV(w io.Writer, t sqldb.Table) error {
-	cw := csv.NewWriter(w)
-	schema := t.Schema()
-	header := make([]string, schema.NumColumns())
-	cols := make([]int, schema.NumColumns())
-	for i := range header {
-		header[i] = schema.Column(i).Name
-		cols[i] = i
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	record := make([]string, len(header))
-	err := t.ScanRange(0, t.NumRows(), cols, func(row sqldb.RowView) error {
-		for i := range record {
-			v := row.Value(i)
-			if v.IsNull() {
-				record[i] = ""
-			} else {
-				record[i] = v.String()
-			}
-		}
-		return cw.Write(record)
-	})
-	if err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // streamCSV writes a header plus generated rows as CSV, flushing every
 // synthBatch rows so memory stays bounded regardless of the row count.
 // generate must call emit once per row; the emitted slice may be reused.

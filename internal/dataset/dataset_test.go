@@ -76,13 +76,14 @@ func TestSpecHelpers(t *testing.T) {
 	if got := spec.WithRows(42).Rows; got != 42 {
 		t.Errorf("WithRows = %d", got)
 	}
-	if len(spec.DimNames()) != 10 || spec.DimNames()[1] != "sex" {
-		t.Errorf("DimNames = %v", spec.DimNames())
+	if len(spec.ViewDimNames()) != 10 || spec.ViewDimNames()[1] != "sex" {
+		t.Errorf("ViewDimNames = %v", spec.ViewDimNames())
 	}
 	if len(spec.MeasureNames()) != 4 || spec.MeasureNames()[1] != "capital_gain" {
 		t.Errorf("MeasureNames = %v", spec.MeasureNames())
 	}
-	if spec.Effect(1, 1) <= spec.Effect(1, 0) {
+	// Effects is indexed view dimension × measure.
+	if e, m := spec.Effects, len(spec.Measures); e[m+1] <= e[m] {
 		t.Error("planted (sex, capital_gain) effect must exceed (sex, age)")
 	}
 	schema := spec.Schema()
@@ -203,13 +204,13 @@ func TestPlantedDeviationOrdering(t *testing.T) {
 	}
 	dev := func(dim, measure string) float64 {
 		t.Helper()
-		target, err := db.Query(fmt.Sprintf(
-			"SELECT %s, AVG(%s) FROM census WHERE %s GROUP BY %s", dim, measure, spec.TargetPredicate(), dim))
+		target, err := db.QueryOpts(fmt.Sprintf(
+			"SELECT %s, AVG(%s) FROM census WHERE %s GROUP BY %s", dim, measure, spec.TargetPredicate(), dim), sqldb.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := db.Query(fmt.Sprintf(
-			"SELECT %s, AVG(%s) FROM census WHERE marital = 'Married' GROUP BY %s", dim, measure, dim))
+		ref, err := db.QueryOpts(fmt.Sprintf(
+			"SELECT %s, AVG(%s) FROM census WHERE marital = 'Married' GROUP BY %s", dim, measure, dim), sqldb.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +244,7 @@ func TestFigure1ShapeCapitalGainBySex(t *testing.T) {
 		t.Fatal(err)
 	}
 	split := func(where string) (f, m float64) {
-		res, err := db.Query("SELECT sex, AVG(capital_gain) FROM census " + where + " GROUP BY sex")
+		res, err := db.QueryOpts("SELECT sex, AVG(capital_gain) FROM census "+where+" GROUP BY sex", sqldb.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,11 +338,11 @@ func TestBuildBothLayoutsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := "SELECT neighborhood, AVG(price), COUNT(*) FROM housing GROUP BY neighborhood ORDER BY neighborhood"
-	r1, err := dbR.Query(q)
+	r1, err := dbR.QueryOpts(q, sqldb.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := dbC.Query(q)
+	r2, err := dbC.QueryOpts(q, sqldb.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,12 +360,12 @@ func TestBuildBothLayoutsAgree(t *testing.T) {
 
 func TestCSVRoundTrip(t *testing.T) {
 	spec := Housing().WithRows(50)
-	db, tab, err := BuildDB(spec, sqldb.LayoutCol)
+	db, _, err := BuildDB(spec, sqldb.LayoutCol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tab); err != nil {
+	if err := StreamCSV(&buf, spec, 0); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadCSV(db, "housing2", spec.Schema(), sqldb.LayoutRow, bytes.NewReader(buf.Bytes()))
@@ -374,11 +375,11 @@ func TestCSVRoundTrip(t *testing.T) {
 	if loaded.NumRows() != 50 {
 		t.Fatalf("loaded %d rows, want 50", loaded.NumRows())
 	}
-	r1, err := db.Query("SELECT COUNT(*), SUM(price) FROM housing")
+	r1, err := db.QueryOpts("SELECT COUNT(*), SUM(price) FROM housing", sqldb.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := db.Query("SELECT COUNT(*), SUM(price) FROM housing2")
+	r2, err := db.QueryOpts("SELECT COUNT(*), SUM(price) FROM housing2", sqldb.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +415,7 @@ func TestLoadCSVErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query("SELECT COUNT(*), COUNT(m), COUNT(a) FROM ok")
+	res, err := db.QueryOpts("SELECT COUNT(*), COUNT(m), COUNT(a) FROM ok", sqldb.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

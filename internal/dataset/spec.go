@@ -171,15 +171,6 @@ func (s Spec) WithRows(n int) Spec {
 	return s
 }
 
-// DimNames returns the dimension column names in order.
-func (s Spec) DimNames() []string {
-	out := make([]string, len(s.Dims))
-	for i, d := range s.Dims {
-		out[i] = d.Name
-	}
-	return out
-}
-
 // MeasureNames returns the measure column names in order.
 func (s Spec) MeasureNames() []string {
 	out := make([]string, len(s.Measures))
@@ -187,16 +178,6 @@ func (s Spec) MeasureNames() []string {
 		out[i] = m.Name
 	}
 	return out
-}
-
-// Effect returns the planted intended utility for view (viewDimIdx,
-// measureIdx) before assignment, where viewDimIdx indexes ViewDims().
-func (s Spec) Effect(viewDimIdx, measureIdx int) float64 {
-	k := viewDimIdx*len(s.Measures) + measureIdx
-	if k < len(s.Effects) {
-		return s.Effects[k]
-	}
-	return 0
 }
 
 // unitEMD computes, for a dimension with the given bucket ramp, the EMD a

@@ -176,30 +176,6 @@ func maxDiff(p, q []float64) float64 {
 	return m
 }
 
-// MaxValue returns an upper bound on Distance(f, p, q) over probability
-// vectors, used to scale utilities into [0, 1] for the Hoeffding-based
-// pruning bounds.
-func MaxValue(f Func, groups int) float64 {
-	switch f {
-	case EMD:
-		if groups < 2 {
-			return 1
-		}
-		return float64(groups - 1) // all mass moved end to end
-	case Euclidean:
-		return math.Sqrt2
-	case KL:
-		// Smoothed KL is bounded by log(1/ε) on probability vectors.
-		return math.Log(1 / klEpsilon)
-	case JS:
-		return math.Sqrt(math.Ln2)
-	case MaxDiff:
-		return 1
-	default:
-		return 1
-	}
-}
-
 // Normalize scales a non-negative vector into a probability distribution
 // (entries sum to 1) and returns it as a new slice; v is not modified.
 // See NormalizeInPlace for the rules.

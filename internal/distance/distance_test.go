@@ -91,14 +91,38 @@ func TestTriangleInequalityMetrics(t *testing.T) {
 	}
 }
 
-func TestBoundsRespectMaxValue(t *testing.T) {
+// TestRangeOnProbabilityVectors: over n groups every function stays
+// within its range, and point masses at opposite ends of the group axis
+// reach its supremum: n-1 for EMD, sqrt(2) for Euclidean, ln(1+1/ε) for
+// the ε-smoothed KL, sqrt(ln 2) for JS and 1 for MAX_DIFF.
+func TestRangeOnProbabilityVectors(t *testing.T) {
+	sup := func(f Func, n int) float64 {
+		switch f {
+		case EMD:
+			return float64(n - 1)
+		case Euclidean:
+			return math.Sqrt2
+		case KL:
+			return math.Log(1 + 1/klEpsilon)
+		case JS:
+			return math.Sqrt(math.Ln2)
+		default:
+			return 1
+		}
+	}
 	rng := rand.New(rand.NewSource(5))
 	for _, f := range Funcs() {
-		for trial := 0; trial < 100; trial++ {
-			n := 1 + rng.Intn(15)
-			p, q := randomDist(rng, n), randomDist(rng, n)
-			if d := Distance(f, p, q); d > MaxValue(f, n)+1e-9 {
-				t.Errorf("%v: d = %g exceeds MaxValue %g (n=%d)", f, d, MaxValue(f, n), n)
+		for n := 2; n <= 16; n++ {
+			for trial := 0; trial < 10; trial++ {
+				p, q := randomDist(rng, n), randomDist(rng, n)
+				if d := Distance(f, p, q); d < 0 || d > sup(f, n)*(1+1e-12) {
+					t.Errorf("%v: d = %g outside [0, %g] (n=%d)", f, d, sup(f, n), n)
+				}
+			}
+			p, q := make([]float64, n), make([]float64, n)
+			p[0], q[n-1] = 1, 1
+			if d := Distance(f, p, q); math.Abs(d-sup(f, n)) > 1e-9*sup(f, n) {
+				t.Errorf("%v: end-to-end point masses d = %g, want %g (n=%d)", f, d, sup(f, n), n)
 			}
 		}
 	}

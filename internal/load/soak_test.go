@@ -80,7 +80,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 		} `json:"executor"`
 	}
 	mustGetJSON(t, ts.URL+"/healthz", &health)
-	if got := srv.Telemetry().QueryLatency.Count(); got != health.Executor.QueriesExecuted {
+	if got := srv.Telemetry().QueryLatency.Snapshot().Count; got != health.Executor.QueriesExecuted {
 		t.Fatalf("query histogram count %d != queries_executed %d", got, health.Executor.QueriesExecuted)
 	}
 

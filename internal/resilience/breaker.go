@@ -211,13 +211,6 @@ func (b *Breaker) RecordCancel() {
 	}
 }
 
-// State returns the current state.
-func (b *Breaker) State() State {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 // Snapshot returns a consistent copy of the breaker's counters.
 func (b *Breaker) Snapshot() BreakerStats {
 	b.mu.Lock()

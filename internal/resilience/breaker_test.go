@@ -38,8 +38,8 @@ func newTestBreaker(threshold int, cooldown time.Duration) (*Breaker, *fakeClock
 func TestBreakerFullCycle(t *testing.T) {
 	b, clk := newTestBreaker(3, time.Second)
 
-	if b.State() != Closed {
-		t.Fatalf("new breaker state = %v, want Closed", b.State())
+	if b.Snapshot().State != Closed {
+		t.Fatalf("new breaker state = %v, want Closed", b.Snapshot().State)
 	}
 	// Two failures stay below the threshold.
 	for i := 0; i < 2; i++ {
@@ -48,8 +48,8 @@ func TestBreakerFullCycle(t *testing.T) {
 		}
 		b.RecordFailure()
 	}
-	if b.State() != Closed {
-		t.Fatalf("state after 2 failures = %v, want Closed", b.State())
+	if b.Snapshot().State != Closed {
+		t.Fatalf("state after 2 failures = %v, want Closed", b.Snapshot().State)
 	}
 	// A success resets the consecutive count.
 	b.Allow()
@@ -58,14 +58,14 @@ func TestBreakerFullCycle(t *testing.T) {
 		b.Allow()
 		b.RecordFailure()
 	}
-	if b.State() != Closed {
-		t.Fatalf("consecutive count not reset by success: state = %v", b.State())
+	if b.Snapshot().State != Closed {
+		t.Fatalf("consecutive count not reset by success: state = %v", b.Snapshot().State)
 	}
 	// Third consecutive failure trips it.
 	b.Allow()
 	b.RecordFailure()
-	if b.State() != Open {
-		t.Fatalf("state after threshold failures = %v, want Open", b.State())
+	if b.Snapshot().State != Open {
+		t.Fatalf("state after threshold failures = %v, want Open", b.Snapshot().State)
 	}
 	if b.Allow() {
 		t.Fatal("open breaker admitted a request before cooldown")
@@ -75,16 +75,16 @@ func TestBreakerFullCycle(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("breaker refused the half-open probe after cooldown")
 	}
-	if b.State() != HalfOpen {
-		t.Fatalf("state after probe admit = %v, want HalfOpen", b.State())
+	if b.Snapshot().State != HalfOpen {
+		t.Fatalf("state after probe admit = %v, want HalfOpen", b.Snapshot().State)
 	}
 	if b.Allow() {
 		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
 	// Probe fails: re-open, cooldown restarts.
 	b.RecordFailure()
-	if b.State() != Open {
-		t.Fatalf("state after failed probe = %v, want Open", b.State())
+	if b.Snapshot().State != Open {
+		t.Fatalf("state after failed probe = %v, want Open", b.Snapshot().State)
 	}
 	if b.Allow() {
 		t.Fatal("re-opened breaker admitted a request immediately")
@@ -95,8 +95,8 @@ func TestBreakerFullCycle(t *testing.T) {
 	}
 	// Probe succeeds: close.
 	b.RecordSuccess()
-	if b.State() != Closed {
-		t.Fatalf("state after successful probe = %v, want Closed", b.State())
+	if b.Snapshot().State != Closed {
+		t.Fatalf("state after successful probe = %v, want Closed", b.Snapshot().State)
 	}
 	if !b.Allow() {
 		t.Fatal("re-closed breaker refused a request")
@@ -129,8 +129,8 @@ func TestBreakerReadyHasNoSideEffects(t *testing.T) {
 			t.Fatalf("Ready false after cooldown (call %d)", i)
 		}
 	}
-	if b.State() != Open {
-		t.Fatalf("Ready transitioned state to %v", b.State())
+	if b.Snapshot().State != Open {
+		t.Fatalf("Ready transitioned state to %v", b.Snapshot().State)
 	}
 	if !b.Allow() {
 		t.Fatal("Allow refused after cooldown despite Ready reporting admissible")
@@ -183,14 +183,14 @@ func TestBreakerStragglersDoNotCorruptState(t *testing.T) {
 	b.Allow()
 	b.RecordFailure()
 	b.RecordFailure() // trips
-	if b.State() != Open {
-		t.Fatalf("state = %v, want Open", b.State())
+	if b.Snapshot().State != Open {
+		t.Fatalf("state = %v, want Open", b.Snapshot().State)
 	}
 	// Stragglers from before the trip report in while open: no effect.
 	b.RecordSuccess()
 	b.RecordFailure()
-	if b.State() != Open {
-		t.Fatalf("straggler outcome changed open state to %v", b.State())
+	if b.Snapshot().State != Open {
+		t.Fatalf("straggler outcome changed open state to %v", b.Snapshot().State)
 	}
 	if got := b.Snapshot().Transitions.ClosedToOpen; got != 1 {
 		t.Fatalf("ClosedToOpen = %d, want 1", got)
@@ -200,8 +200,8 @@ func TestBreakerStragglersDoNotCorruptState(t *testing.T) {
 		t.Fatal("probe refused after stragglers")
 	}
 	b.RecordSuccess()
-	if b.State() != Closed {
-		t.Fatalf("state = %v, want Closed", b.State())
+	if b.Snapshot().State != Closed {
+		t.Fatalf("state = %v, want Closed", b.Snapshot().State)
 	}
 }
 

@@ -491,7 +491,7 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 	if status := getJSON(t, srv.URL+"/healthz", &health); status != http.StatusOK {
 		t.Fatal("healthz unreachable after race")
 	}
-	if got := int(s.Telemetry().QueryLatency.Count()); got != health.Executor.QueriesExecuted {
+	if got := int(s.Telemetry().QueryLatency.Snapshot().Count); got != health.Executor.QueriesExecuted {
 		t.Fatalf("query histogram count %d != queries_executed %d", got, health.Executor.QueriesExecuted)
 	}
 	if health.Executor.QueriesExecuted == 0 {

@@ -187,9 +187,6 @@ func NewWithCacheBudget(db *sqldb.DB, cacheBudgetBytes int64) *Server {
 	return s
 }
 
-// Cache returns the server's process-wide result cache.
-func (s *Server) Cache() *cache.Cache { return s.cache }
-
 // Telemetry returns the server's process-wide telemetry collector.
 func (s *Server) Telemetry() *telemetry.Collector { return s.tel }
 
@@ -210,9 +207,6 @@ func (s *Server) SetSlowQueryLog(w io.Writer, threshold time.Duration) {
 func (s *Server) SetTraceSampling(p float64) {
 	s.traceSample = p
 }
-
-// TraceStore returns the server's bounded ring of completed traces.
-func (s *Server) TraceStore() *telemetry.TraceStore { return s.traces }
 
 // EnablePprof mounts the net/http/pprof profiling handlers under
 // /debug/pprof/. Off by default — profiling endpoints expose heap and
@@ -613,11 +607,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx = backend.WithAllowPartial(ctx)
 	}
 	// A Traceparent header means a remote caller (netbe) is tracing:
-	// open a child-side trace under the caller's span, so the executor
+	// open a child-side trace in the caller's trace, so the executor
 	// spans of this process travel home in the wire response.
 	var ctr *telemetry.Trace
-	if tid, psid, ok := telemetry.ParseTraceparent(r.Header.Get(telemetry.TraceparentHeader)); ok {
-		ctx, ctr = telemetry.WithRemoteTrace(ctx, "child.query", tid, psid)
+	if tid, ok := telemetry.ParseTraceparent(r.Header.Get(telemetry.TraceparentHeader)); ok {
+		ctx, ctr = telemetry.WithRemoteTrace(ctx, "child.query", tid)
 	}
 	start := time.Now()
 	res, stats, err := rb.be.Exec(ctx, req.SQL, req.ExecOptions)

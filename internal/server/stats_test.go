@@ -105,7 +105,7 @@ func recount(t *testing.T, db *sqldb.DB) *backend.TableStats {
 	out := &backend.TableStats{Rows: tab.NumRows()}
 	for i := 0; i < schema.NumColumns(); i++ {
 		col := schema.Column(i)
-		res, err := db.Query("SELECT COUNT(DISTINCT " + col.Name + ") FROM census")
+		res, err := db.QueryOpts("SELECT COUNT(DISTINCT "+col.Name+") FROM census", sqldb.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -204,17 +204,17 @@ func TestQueryFoldsIntoExecutorTotals(t *testing.T) {
 	if totals.QueriesExecuted != totals.VectorizedQueries+totals.FallbackQueries {
 		t.Errorf("executed %d != vectorized %d + fallback %d", totals.QueriesExecuted, totals.VectorizedQueries, totals.FallbackQueries)
 	}
-	if hist := s.tel.QueryLatency.Count(); hist != uint64(totals.QueriesExecuted) {
+	if hist := s.tel.QueryLatency.Snapshot().Count; hist != uint64(totals.QueriesExecuted) {
 		t.Errorf("query histogram count = %d, queries_executed = %d — the two paths disagree", hist, totals.QueriesExecuted)
 	}
 
 	// A failed query must not advance the executed counters (no stats
 	// were produced) nor the histogram.
-	before := s.tel.QueryLatency.Count()
+	before := s.tel.QueryLatency.Snapshot().Count
 	if code, _ := postStatus(t, srv.URL+"/api/query", wire.QueryRequest{SQL: "SELEKT"}); code != 400 {
 		t.Fatalf("bad query = %d", code)
 	}
-	if after := s.tel.QueryLatency.Count(); after != before {
+	if after := s.tel.QueryLatency.Snapshot().Count; after != before {
 		t.Errorf("failed query observed latency (%d -> %d)", before, after)
 	}
 }

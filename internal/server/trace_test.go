@@ -169,7 +169,7 @@ func TestStitchedCrossProcessTrace(t *testing.T) {
 	if !found {
 		t.Errorf("trace %s missing from listing %+v", resp.TraceID, list.Traces)
 	}
-	if got := s.TraceStore().Stats().Sampled; got < 1 {
+	if got := s.traces.Stats().Sampled; got < 1 {
 		t.Errorf("sampled counter = %d", got)
 	}
 	// An unknown ID is a clean 404.
@@ -208,7 +208,7 @@ func TestHeadSampling(t *testing.T) {
 	if resp.Trace != nil {
 		t.Error("sampled request leaked an inline trace tree")
 	}
-	if _, ok := s.TraceStore().Get(resp.TraceID); !ok {
+	if _, ok := s.traces.Get(resp.TraceID); !ok {
 		t.Error("sampled trace not retained")
 	}
 

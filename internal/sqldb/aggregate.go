@@ -127,37 +127,6 @@ func (s *aggState) update(spec *aggSpec, row RowView) {
 	}
 }
 
-// merge folds another accumulator (e.g. from a different partition) into s.
-func (s *aggState) merge(spec *aggSpec, o *aggState) {
-	switch spec.kind {
-	case aggCountStar, aggCount:
-		if spec.distinct {
-			if o.distinct == nil {
-				return
-			}
-			if s.distinct == nil {
-				s.distinct = &distinctSet{}
-			}
-			s.distinct.union(o.distinct)
-			return
-		}
-		s.count += o.count
-	case aggSum, aggAvg:
-		s.count += o.count
-		s.sum += o.sum
-	case aggMin:
-		if o.seen && (!s.seen || o.ext.Compare(s.ext) < 0) {
-			s.ext = o.ext
-			s.seen = true
-		}
-	case aggMax:
-		if o.seen && (!s.seen || o.ext.Compare(s.ext) > 0) {
-			s.ext = o.ext
-			s.seen = true
-		}
-	}
-}
-
 // final produces the aggregate's result value.
 func (s *aggState) final(spec *aggSpec) Value {
 	switch spec.kind {

@@ -2,103 +2,9 @@ package sqldb
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 )
-
-// TestAggStateMergeEqualsSequential pins the mergeability invariant: for
-// every aggregate, folding rows into two accumulators and merging them
-// must equal folding all rows into one. (Partition-parallel aggregation
-// depends on this.)
-func TestAggStateMergeEqualsSequential(t *testing.T) {
-	schema := MustSchema(Column{Name: "m", Type: TypeFloat})
-	rng := rand.New(rand.NewSource(31))
-
-	specs := []struct {
-		name string
-		sql  string
-	}{
-		{"count-star", "COUNT(*)"},
-		{"count", "COUNT(m)"},
-		{"count-distinct", "COUNT(DISTINCT m)"},
-		{"sum", "SUM(m)"},
-		{"avg", "AVG(m)"},
-		{"min", "MIN(m)"},
-		{"max", "MAX(m)"},
-	}
-	for _, sp := range specs {
-		stmt := mustParse(t, "SELECT "+sp.sql+" FROM t")
-		fe := stmt.Items[0].Expr.(*FuncExpr)
-		spec, err := newAggSpec(fe, schema)
-		if err != nil {
-			t.Fatalf("%s: %v", sp.name, err)
-		}
-		for trial := 0; trial < 20; trial++ {
-			n := 1 + rng.Intn(40)
-			rows := make([][]Value, n)
-			for i := range rows {
-				if rng.Intn(8) == 0 {
-					rows[i] = []Value{Null()}
-				} else {
-					rows[i] = []Value{Float(float64(rng.Intn(10)))}
-				}
-			}
-			cut := rng.Intn(n + 1)
-
-			var whole, left, right aggState
-			for i, r := range rows {
-				whole.update(&spec, rowSlice(r))
-				if i < cut {
-					left.update(&spec, rowSlice(r))
-				} else {
-					right.update(&spec, rowSlice(r))
-				}
-			}
-			left.merge(&spec, &right)
-
-			a, b := whole.final(&spec), left.final(&spec)
-			if a.Kind != b.Kind {
-				t.Fatalf("%s trial %d: kinds differ: %v vs %v", sp.name, trial, a, b)
-			}
-			af, aok := a.AsFloat()
-			bf, bok := b.AsFloat()
-			if aok != bok || (aok && math.Abs(af-bf) > 1e-9) {
-				t.Fatalf("%s trial %d: merged %v != sequential %v", sp.name, trial, b, a)
-			}
-		}
-	}
-}
-
-// TestAggStateMergeEmptySides: merging with an empty accumulator is the
-// identity in both directions.
-func TestAggStateMergeEmptySides(t *testing.T) {
-	schema := MustSchema(Column{Name: "m", Type: TypeFloat})
-	stmt := mustParse(t, "SELECT MIN(m) FROM t")
-	spec, err := newAggSpec(stmt.Items[0].Expr.(*FuncExpr), schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var full, empty aggState
-	full.update(&spec, rowSlice([]Value{Float(5)}))
-	full.update(&spec, rowSlice([]Value{Float(2)}))
-
-	merged := full
-	merged.merge(&spec, &empty)
-	if v := merged.final(&spec); v.F != 2 {
-		t.Errorf("merge with empty changed result: %v", v)
-	}
-	var fresh aggState
-	fresh.merge(&spec, &full)
-	if v := fresh.final(&spec); v.F != 2 {
-		t.Errorf("merge into empty lost state: %v", v)
-	}
-	// Fully empty MIN finalizes to NULL.
-	var never aggState
-	if v := never.final(&spec); !v.IsNull() {
-		t.Errorf("empty MIN = %v, want NULL", v)
-	}
-}
 
 // TestPostAggregationExpressionForms exercises the grouped-query
 // rewriter over every expression node type.
@@ -133,7 +39,7 @@ func TestPostAggregationExpressionForms(t *testing.T) {
 // TestLeadingDotNumber covers the ".5" literal form.
 func TestLeadingDotNumber(t *testing.T) {
 	db := buildDB(t, LayoutCol)
-	res, err := db.Query("SELECT COUNT(*) FROM census WHERE income > .5")
+	res, err := db.QueryOpts("SELECT COUNT(*) FROM census WHERE income > .5", ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,19 +58,6 @@ func TestLayoutAccessors(t *testing.T) {
 	}
 	if row.Layout().String() != "ROW" || col.Layout().String() != "COL" {
 		t.Error("layout names wrong")
-	}
-}
-
-// TestPreparedSQLRoundTrip covers PreparedQuery.SQL.
-func TestPreparedSQLRoundTrip(t *testing.T) {
-	db := buildDB(t, LayoutCol)
-	q, err := db.Prepare("select sex, count(*) from census group by sex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "SELECT sex, COUNT(*) FROM census GROUP BY sex"
-	if q.SQL() != want {
-		t.Errorf("SQL() = %q, want %q", q.SQL(), want)
 	}
 }
 
@@ -189,9 +82,9 @@ const distinctCase = "CASE WHEN k = 0 THEN i WHEN k = 1 THEN f WHEN k = 2 THEN b
 // TestCountDistinctIdentity: COUNT(DISTINCT) tells values apart exactly
 // as appendKey does — Int(1), Float(1) and Bool(true) are three values
 // (through a mixed-kind CASE), ±0, two NaN payloads and ±Inf are six, and
-// "" is a value where NULL is none — in the interpreter on both layouts,
-// through aggState.merge, and through ShardPlan.Merge over 1–4 children
-// that hold overlapping values.
+// "" is a value where NULL is none — in the interpreter on both layouts
+// and through ShardPlan.Merge over 1–4 children that hold overlapping
+// values.
 func TestCountDistinctIdentity(t *testing.T) {
 	vals := []Value{Int(1), Float(1), Bool(true), Int(0), Bool(false), Str(""), Str("1"), Null()}
 	for _, f := range specialFloats {
@@ -258,42 +151,11 @@ func TestCountDistinctIdentity(t *testing.T) {
 	}
 
 	for _, layout := range []Layout{LayoutRow, LayoutCol} {
-		res, err := load(rows, layout).Query(sql)
+		res, err := load(rows, layout).QueryOpts(sql, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		check("interpreter/"+layout.String(), res)
-	}
-
-	// aggState.merge: two accumulators over a split of the rows, and
-	// merges into and from an empty one, against the global oracle.
-	spec, err := newAggSpec(mustParse(t, "SELECT COUNT(DISTINCT "+distinctCase+") FROM v").Items[0].Expr.(*FuncExpr), schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := map[string]bool{}
-	for _, sets := range oracle {
-		for k := range sets[0] {
-			all[k] = true
-		}
-	}
-	for _, cut := range []int{0, 1, len(rows) / 2, len(rows)} {
-		var left, right, empty aggState
-		for i, row := range rows {
-			if i < cut {
-				left.update(&spec, rowSlice(row))
-			} else {
-				right.update(&spec, rowSlice(row))
-			}
-		}
-		left.merge(&spec, &right)
-		left.merge(&spec, &empty)
-		empty.merge(&spec, &left)
-		for _, s := range []*aggState{&left, &empty} {
-			if got := s.final(&spec); got.I != int64(len(all)) {
-				t.Errorf("aggState.merge at cut %d: %v distinct, appendKey oracle %d", cut, got, len(all))
-			}
-		}
 	}
 
 	// ShardPlan.Merge: rows dealt round-robin, so every child holds
@@ -310,7 +172,7 @@ func TestCountDistinctIdentity(t *testing.T) {
 			for r := c; r < len(rows); r += children {
 				mine = append(mine, rows[r])
 			}
-			res, err := load(mine, LayoutCol).Query(sp.ChildSQL())
+			res, err := load(mine, LayoutCol).QueryOpts(sp.ChildSQL(), ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package sqldb
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math"
 	"strings"
 	"sync"
@@ -246,18 +245,6 @@ func (s *distinctSet) numsOf(k ValueKind) map[uint64]struct{} {
 		s.nums[k] = make(map[uint64]struct{})
 	}
 	return s.nums[k]
-}
-
-// union adds every value of o to s.
-func (s *distinctSet) union(o *distinctSet) {
-	for k, m := range o.nums {
-		if len(m) > 0 {
-			maps.Copy(s.numsOf(ValueKind(k)), m)
-		}
-	}
-	for v := range o.strs {
-		s.addStr(v)
-	}
 }
 
 func (s *distinctSet) len() int {

@@ -20,7 +20,7 @@ import (
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]Table
-	// epochs counts catalog events (create/register/drop) per table name.
+	// epochs counts catalog events (create/drop) per table name.
 	// Together with the table's row count it forms the dataset
 	// version token that drives cache invalidation: dropping and
 	// reloading a table bumps the epoch, so entries cached under the old
@@ -74,19 +74,6 @@ func (db *DB) CreateTable(name string, schema *Schema, layout Layout) (Table, er
 	return t, nil
 }
 
-// RegisterTable registers an externally constructed table.
-func (db *DB) RegisterTable(t Table) error {
-	key := strings.ToLower(t.Name())
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, exists := db.tables[key]; exists {
-		return fmt.Errorf("sqldb: table %q already exists", t.Name())
-	}
-	db.tables[key] = t
-	db.epochs[key]++
-	return nil
-}
-
 // DropTable removes a table; dropping a missing table is an error.
 func (db *DB) DropTable(name string) error {
 	key := strings.ToLower(name)
@@ -111,11 +98,11 @@ func (db *DB) TableVersion(name string) (string, bool) {
 // TableState reads the named table, its version token and its row
 // count together, and reports whether the table exists. The token is
 // "id.epoch.rows": the DB's process-unique instance id, the catalog
-// epoch (bumped whenever a table of this name is created, registered or
-// dropped) and the row count it was read with. Tables are append-only
-// between drops, so any load, insert or drop-and-reload yields a token
-// never seen before — and same-named tables in different DB instances
-// never share one. A reader that scans only the first rows rows sees
+// epoch (bumped whenever a table of this name is created or dropped)
+// and the row count it was read with. Tables are append-only between
+// drops, so any load, insert or drop-and-reload yields a token never
+// seen before — and same-named tables in different DB instances never
+// share one. A reader that scans only the first rows rows sees
 // exactly the contents the token names. Cache keys embed it; stale
 // entries become unreachable the moment the data changes.
 func (db *DB) TableState(name string) (t Table, version string, rows int, ok bool) {
@@ -150,12 +137,8 @@ func (db *DB) TableNames() []string {
 	return names
 }
 
-// Query parses and executes sql over the full table.
-func (db *DB) Query(sql string) (*Result, error) {
-	return db.QueryOpts(sql, ExecOptions{})
-}
-
-// QueryContext is Query with cancellation support.
+// QueryContext parses and executes sql over the full table, with
+// cancellation support.
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
 	return db.QueryOpts(sql, ExecOptions{Ctx: ctx})
 }
@@ -216,9 +199,6 @@ func (q *PreparedQuery) lookup(name string) (Table, error) {
 	}
 	return t, nil
 }
-
-// SQL returns the canonical SQL text of the prepared statement.
-func (q *PreparedQuery) SQL() string { return q.stmt.String() }
 
 // Exec executes the prepared query with the given options.
 func (q *PreparedQuery) Exec(opts ExecOptions) (*Result, error) {

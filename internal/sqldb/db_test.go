@@ -18,6 +18,9 @@ func TestCreateDropTable(t *testing.T) {
 	if _, ok := db.Table("t"); !ok {
 		t.Error("table lookup failed")
 	}
+	if names := db.TableNames(); len(names) != 1 || names[0] != "t" {
+		t.Errorf("TableNames = %v", names)
+	}
 	if err := db.DropTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -29,21 +32,6 @@ func TestCreateDropTable(t *testing.T) {
 	}
 	if _, err := db.CreateTable("x", testSchema(), Layout(9)); err == nil {
 		t.Error("bad layout should fail")
-	}
-}
-
-func TestRegisterTable(t *testing.T) {
-	db := NewDB()
-	rs := NewRowStore("ext", testSchema())
-	if err := db.RegisterTable(rs); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.RegisterTable(rs); err == nil {
-		t.Error("duplicate register should fail")
-	}
-	names := db.TableNames()
-	if len(names) != 1 || names[0] != "ext" {
-		t.Errorf("TableNames = %v", names)
 	}
 }
 
@@ -79,7 +67,7 @@ func TestNullsInColumnStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Query("SELECT COUNT(*), COUNT(m), COUNT(a) FROM t")
+	res, err := db.QueryOpts("SELECT COUNT(*), COUNT(m), COUNT(a) FROM t", ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +85,7 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := db.Query("SELECT sex, AVG(income), SUM(hours) FROM census GROUP BY sex")
+			_, err := db.QueryOpts("SELECT sex, AVG(income), SUM(hours) FROM census GROUP BY sex", ExecOptions{})
 			if err != nil {
 				errs <- err
 			}
@@ -118,7 +106,7 @@ func TestConcurrentQueriesRowStore(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := db.Query("SELECT region, COUNT(*) FROM census GROUP BY region")
+			_, err := db.QueryOpts("SELECT region, COUNT(*) FROM census GROUP BY region", ExecOptions{})
 			if err != nil {
 				errs <- err
 			}
@@ -215,7 +203,7 @@ func TestReserveDoesNotCorrupt(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := db.Query("SELECT COUNT(*) FROM t")
+		res, err := db.QueryOpts("SELECT COUNT(*) FROM t", ExecOptions{})
 		if err != nil || res.Rows[0][0].I != 6 {
 			t.Errorf("[%v] after Reserve: %v, %v", layout, res, err)
 		}
@@ -353,7 +341,7 @@ func TestColStoreFailedAppendLeavesTableUnchanged(t *testing.T) {
 	if err := tab.AppendRow([]Value{Int(3), Float(3.5)}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query("SELECT a, b FROM t")
+	res, err := db.QueryOpts("SELECT a, b FROM t", ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

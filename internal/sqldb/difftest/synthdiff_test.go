@@ -3,6 +3,8 @@ package difftest
 import (
 	"runtime"
 	"testing"
+
+	"seedb/internal/sqldb"
 )
 
 // TestSynthDifferential feeds synthetic-spec-generated data (Zipf,
@@ -87,7 +89,7 @@ func TestSynthHarnessSelectivity(t *testing.T) {
 		"SELECT COUNT(*) FROM t WHERE m0 IS NULL",
 		"SELECT COUNT(*) FROM t WHERE b0 IS NULL",
 	} {
-		res, err := h.DB.Query(probe)
+		res, err := h.DB.QueryOpts(probe, sqldb.ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", probe, err)
 		}

@@ -61,7 +61,7 @@ func bothLayouts(t *testing.T, fn func(t *testing.T, db *DB)) {
 
 func queryRows(t *testing.T, db *DB, sql string) [][]Value {
 	t.Helper()
-	res, err := db.Query(sql)
+	res, err := db.QueryOpts(sql, ExecOptions{})
 	if err != nil {
 		t.Fatalf("Query(%q): %v", sql, err)
 	}
@@ -82,7 +82,7 @@ func TestSimpleProjection(t *testing.T) {
 
 func TestSelectStarExpansion(t *testing.T) {
 	bothLayouts(t, func(t *testing.T, db *DB) {
-		res, err := db.Query("SELECT * FROM census LIMIT 2")
+		res, err := db.QueryOpts("SELECT * FROM census LIMIT 2", ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,12 +163,12 @@ func TestGlobalAggregateNoGroups(t *testing.T) {
 
 func TestGlobalAggregateEmptyInput(t *testing.T) {
 	bothLayouts(t, func(t *testing.T, db *DB) {
-		rows := queryRows(t, db, "SELECT COUNT(*), SUM(income) FROM census WHERE region = 99")
+		rows := queryRows(t, db, "SELECT COUNT(*), SUM(income), MIN(hours) FROM census WHERE region = 99")
 		if len(rows) != 1 {
 			t.Fatalf("global aggregate over empty input must emit one row, got %d", len(rows))
 		}
-		if rows[0][0].I != 0 || !rows[0][1].IsNull() {
-			t.Errorf("empty agg = %v, want [0 NULL]", rows[0])
+		if rows[0][0].I != 0 || !rows[0][1].IsNull() || !rows[0][2].IsNull() {
+			t.Errorf("empty agg = %v, want [0 NULL NULL]", rows[0])
 		}
 	})
 }
@@ -273,7 +273,7 @@ func TestRangeScanPartitions(t *testing.T) {
 	// Partitioned execution: the union of partition results must equal
 	// the full-scan result. This is the primitive behind phased execution.
 	bothLayouts(t, func(t *testing.T, db *DB) {
-		full, err := db.Query("SELECT sex, COUNT(*) FROM census GROUP BY sex")
+		full, err := db.QueryOpts("SELECT sex, COUNT(*) FROM census GROUP BY sex", ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestRangeScanClamping(t *testing.T) {
 
 func TestExecStats(t *testing.T) {
 	bothLayouts(t, func(t *testing.T, db *DB) {
-		res, err := db.Query("SELECT sex, region, COUNT(*) FROM census GROUP BY sex, region")
+		res, err := db.QueryOpts("SELECT sex, region, COUNT(*) FROM census GROUP BY sex, region", ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +377,7 @@ func TestAggregateQueryErrors(t *testing.T) {
 			"SELECT sex, COUNT(*) FROM census GROUP BY sex ORDER BY 5",  // ordinal range
 		}
 		for _, sql := range bad {
-			if _, err := db.Query(sql); err == nil {
+			if _, err := db.QueryOpts(sql, ExecOptions{}); err == nil {
 				t.Errorf("Query(%q) should fail", sql)
 			}
 		}
@@ -443,7 +443,7 @@ func TestExecutorAgainstOracleRandomData(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := db.Query("SELECT d1, AVG(m1) FROM t GROUP BY d1")
+		res, err := db.QueryOpts("SELECT d1, AVG(m1) FROM t GROUP BY d1", ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -495,11 +495,11 @@ func TestRowAndColStoresAgree(t *testing.T) {
 			}
 		}
 		for _, sql := range queries {
-			r1, err := dbRow.Query(sql)
+			r1, err := dbRow.QueryOpts(sql, ExecOptions{})
 			if err != nil {
 				t.Fatalf("ROW %q: %v", sql, err)
 			}
-			r2, err := dbCol.Query(sql)
+			r2, err := dbCol.QueryOpts(sql, ExecOptions{})
 			if err != nil {
 				t.Fatalf("COL %q: %v", sql, err)
 			}
@@ -552,5 +552,29 @@ func TestPreparedQueryReuse(t *testing.T) {
 	}
 	if r2.Stats.RowsScanned != 3 {
 		t.Errorf("partial exec scanned %d, want 3", r2.Stats.RowsScanned)
+	}
+}
+
+// TestPrepareResolvesCaseInsensitively: Prepare accepts lower-case
+// keywords and a table name in any case, runs what the canonical query
+// runs, and fails up front on a missing table or a syntax error.
+func TestPrepareResolvesCaseInsensitively(t *testing.T) {
+	db := buildDB(t, LayoutCol)
+	q, err := db.Prepare("select sex, count(*) from CENSUS group by sex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := q.Exec(ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := queryRows(t, db, "SELECT sex, COUNT(*) FROM census GROUP BY sex")
+	if !reflect.DeepEqual(got.Rows, want) {
+		t.Errorf("prepared lower-case query = %v, want %v", got.Rows, want)
+	}
+	for _, sql := range []string{"SELECT COUNT(*) FROM nosuch", "SELECT COUNT(* FROM census"} {
+		if _, err := db.Prepare(sql); err == nil {
+			t.Errorf("Prepare(%q) should fail", sql)
+		}
 	}
 }

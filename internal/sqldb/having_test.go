@@ -60,7 +60,7 @@ func TestHavingWithoutGroupByIsGlobal(t *testing.T) {
 func TestHavingErrors(t *testing.T) {
 	db := buildDB(t, LayoutCol)
 	// Non-grouped column reference inside HAVING.
-	if _, err := db.Query("SELECT sex, COUNT(*) FROM census GROUP BY sex HAVING hours > 0"); err == nil {
+	if _, err := db.QueryOpts("SELECT sex, COUNT(*) FROM census GROUP BY sex HAVING hours > 0", ExecOptions{}); err == nil {
 		t.Error("HAVING referencing a non-grouped column should fail")
 	}
 }

@@ -73,31 +73,6 @@ func negateCmp(op cmpOp) cmpOp {
 	}
 }
 
-// cmpFloat applies op to two float64s. Numeric leaves compare through
-// float64 on purpose: the interpreter's Value.Equal/Compare coerce every
-// numeric kind with AsFloat, and the kernels must be bit-compatible with
-// it (including the int64-beyond-2^53 precision behavior and the NaN
-// corner: Value.Compare returns 0 when either side is NaN, so the
-// interpreter evaluates NaN <= x and NaN >= x as TRUE while NaN < x and
-// NaN = x stay FALSE — hence opLE/opGE negate the opposite strict
-// comparison instead of using IEEE <= / >=).
-func cmpFloat(op cmpOp, a, b float64) bool {
-	switch op {
-	case opEQ:
-		return a == b
-	case opNE:
-		return a != b
-	case opLT:
-		return a < b
-	case opLE:
-		return !(a > b)
-	case opGT:
-		return a > b
-	default: // opGE
-		return !(a < b)
-	}
-}
-
 // leafKind discriminates compiled leaf predicates.
 type leafKind uint8
 
@@ -627,11 +602,16 @@ func (k *kernNumCmp) and(lo, hi int, sel, _ []bool) {
 
 // andCmp folds "x <op> val" into sel over one block of a NULL-free (or
 // NULL-cleared) numeric column. The operator is dispatched once, outside
-// the row loops; each loop is cmpFloat's arm for that operator, so the
-// NaN and <=/>= semantics documented there hold here too. The loops
-// compare every row and then mask with sel, which compiles without a
-// branch: what sel holds after an earlier kernel is data, not a pattern
-// a predictor can learn.
+// the row loops. Numeric leaves compare through float64 on purpose: the
+// interpreter's Value.Equal/Compare coerce every numeric kind with
+// AsFloat, and the kernel must be bit-compatible with it (including the
+// int64-beyond-2^53 precision behavior and the NaN corner: Value.Compare
+// returns 0 when either side is NaN, so the interpreter evaluates
+// NaN <= x and NaN >= x as TRUE while NaN < x and NaN = x stay FALSE —
+// hence opLE/opGE negate the opposite strict comparison instead of using
+// IEEE <= / >=). The loops compare every row and then mask with sel,
+// which compiles without a branch: what sel holds after an earlier
+// kernel is data, not a pattern a predictor can learn.
 func andCmp[T int64 | float64](op cmpOp, xs []T, val float64, sel []bool) {
 	sel = sel[:len(xs)]
 	switch op {

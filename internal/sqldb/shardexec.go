@@ -20,8 +20,8 @@ package sqldb
 //
 //   - Merge folds the child results back together with the same
 //     discipline the parallel vectorized executor uses for its worker
-//     chunks (vexec.go): partials combine through aggState.merge-style
-//     updates in shard order, and each shard's unseen groups append in
+//     chunks (vexec.go): partials combine cell by cell (shardSlot.fold)
+//     in shard order, and each shard's unseen groups append in
 //     that shard's first-seen order. When shards hold contiguous blocks
 //     of the original row order, this reproduces exactly the first-seen
 //     group order of an unsharded sequential scan; the finalize stage

@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -8,11 +10,16 @@ import (
 // planFor compiles a shard plan against a canonical test schema.
 func planFor(t *testing.T, sql string) *ShardPlan {
 	t.Helper()
-	schema := MustSchema(
+	return planOver(t, sql, MustSchema(
 		Column{Name: "d", Type: TypeString},
 		Column{Name: "k", Type: TypeInt},
 		Column{Name: "m", Type: TypeFloat},
-	)
+	))
+}
+
+// planOver compiles a shard plan against schema.
+func planOver(t *testing.T, sql string, schema *Schema) *ShardPlan {
+	t.Helper()
 	stmt, err := Parse(sql)
 	if err != nil {
 		t.Fatal(err)
@@ -208,5 +215,138 @@ func TestShardPlanUnion(t *testing.T) {
 	}
 	if _, err := NewShardPlan(stmt, MustSchema(Column{Name: "d", Type: TypeString})); err == nil {
 		t.Error("a compound over two tables was decomposed")
+	}
+}
+
+// shardParts runs sp's child statement over each slice of rows on its
+// own column-store table t and returns the partials ShardPlan.Merge
+// takes, in slice order.
+func shardParts(t *testing.T, sp *ShardPlan, schema *Schema, slices ...[][]Value) []ShardPart {
+	t.Helper()
+	parts := make([]ShardPart, len(slices))
+	for i, rows := range slices {
+		db := loadTable(t, schema, rows)
+		res, err := db.QueryOpts(sp.ChildSQL(), ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = ShardPart{Rows: res.Rows, Groups: res.Stats.Groups}
+	}
+	return parts
+}
+
+// loadTable loads rows into a fresh column-store table t.
+func loadTable(t *testing.T, schema *Schema, rows [][]Value) *DB {
+	t.Helper()
+	db := NewDB()
+	tab, err := db.CreateTable("t", schema, LayoutCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := tab.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// sameRows reports whether a and b hold the same rows in the same order,
+// numeric cells equal to within 1e-9.
+func sameRows(a, b [][]Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			x, y := a[i][j], b[i][j]
+			if x.Kind != y.Kind {
+				return false
+			}
+			xf, xok := x.AsFloat()
+			yf, yok := y.AsFloat()
+			if xok != yok || (xok && math.Abs(xf-yf) > 1e-9) || (!xok && x.S != y.S) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestShardMergeEqualsWholeTable pins the mergeability invariant sharded
+// execution depends on: for every aggregate, grouped and global, merging
+// the partials of a split of the rows equals running the query over all
+// of them.
+func TestShardMergeEqualsWholeTable(t *testing.T) {
+	schema := MustSchema(Column{Name: "g", Type: TypeInt}, Column{Name: "m", Type: TypeFloat})
+	rng := rand.New(rand.NewSource(31))
+	for _, agg := range []string{"COUNT(*)", "COUNT(m)", "COUNT(DISTINCT m)", "SUM(m)", "AVG(m)", "MIN(m)", "MAX(m)"} {
+		t.Run(agg, func(t *testing.T) {
+			for _, sql := range []string{"SELECT " + agg + " FROM t", "SELECT g, " + agg + " FROM t GROUP BY g"} {
+				sp := planOver(t, sql, schema)
+				for trial := 0; trial < 20; trial++ {
+					n := 1 + rng.Intn(40)
+					rows := make([][]Value, n)
+					for i := range rows {
+						rows[i] = []Value{Int(int64(rng.Intn(3))), Float(float64(rng.Intn(10)))}
+						if rng.Intn(8) == 0 {
+							rows[i][1] = Null()
+						}
+					}
+					cut := rng.Intn(n + 1)
+					whole, err := loadTable(t, schema, rows).QueryOpts(sql, ExecOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					merged, err := sp.Merge(shardParts(t, sp, schema, rows[:cut], rows[cut:]))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameRows(whole.Rows, merged.Rows) || whole.Stats.Groups != merged.Stats.Groups {
+						t.Fatalf("%s, cut %d of %d: merged %v (%d groups), whole table %v (%d groups)",
+							sql, cut, n, merged.Rows, merged.Stats.Groups, whole.Rows, whole.Stats.Groups)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShardMergeEmptyChildren: a child whose table is empty is the
+// identity on either side of the merge, and a merge of empty children
+// gives a global aggregate's empty-input row (COUNT 0, MIN and SUM NULL)
+// with no group counted.
+func TestShardMergeEmptyChildren(t *testing.T) {
+	schema := MustSchema(Column{Name: "g", Type: TypeInt}, Column{Name: "m", Type: TypeFloat})
+	rows := [][]Value{{Int(1), Float(5)}, {Int(2), Float(2)}, {Int(1), Null()}}
+	for _, sql := range []string{
+		"SELECT COUNT(*), MIN(m), SUM(m) FROM t",
+		"SELECT g, COUNT(*), MIN(m), SUM(m) FROM t GROUP BY g",
+	} {
+		sp := planOver(t, sql, schema)
+		whole, err := loadTable(t, schema, rows).QueryOpts(sql, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, split := range [][2][][]Value{{rows, nil}, {nil, rows}} {
+			merged, err := sp.Merge(shardParts(t, sp, schema, split[0], split[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRows(whole.Rows, merged.Rows) || merged.Stats.Groups != whole.Stats.Groups {
+				t.Errorf("%s: merge with an empty child = %v, whole table %v", sql, merged.Rows, whole.Rows)
+			}
+		}
+	}
+	sp := planOver(t, "SELECT COUNT(*), MIN(m), SUM(m) FROM t", schema)
+	res, err := sp.Merge(shardParts(t, sp, schema, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].I != 0 || !res.Rows[0][1].IsNull() || !res.Rows[0][2].IsNull() || res.Stats.Groups != 0 {
+		t.Errorf("merge of empty children = %v (%d groups), want [0 NULL NULL] (0 groups)", res.Rows, res.Stats.Groups)
 	}
 }

@@ -116,7 +116,7 @@ func TestUnionAllFallsBackPerBranch(t *testing.T) {
 		{"SELECT d1, k1 FROM t WHERE m2 = 3 UNION ALL SELECT d2, COUNT(*) FROM t GROUP BY d2", fallbackNonGrouped},
 	}
 	for _, c := range cases {
-		got, err := db.Query(c.sql)
+		got, err := db.QueryOpts(c.sql, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.sql, err)
 		}
@@ -125,7 +125,7 @@ func TestUnionAllFallsBackPerBranch(t *testing.T) {
 		}
 		mustEqualResults(t, c.sql, interpret(t, twin, c.sql, ExecOptions{}), got)
 	}
-	res, err := db.Query("SELECT d1, COUNT(*) FROM t GROUP BY d1 UNION ALL SELECT d1, COUNT(*) FROM u GROUP BY d1")
+	res, err := db.QueryOpts("SELECT d1, COUNT(*) FROM t GROUP BY d1 UNION ALL SELECT d1, COUNT(*) FROM u GROUP BY d1", ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestParseUnionAll(t *testing.T) {
 	}
 	// A branch selecting * is checked against the schema when planned.
 	db := vexecTable(t, 10)
-	if _, err := db.Query("SELECT * FROM t UNION ALL SELECT d1 FROM t"); err == nil || !strings.Contains(err.Error(), "columns") {
+	if _, err := db.QueryOpts("SELECT * FROM t UNION ALL SELECT d1 FROM t", ExecOptions{}); err == nil || !strings.Contains(err.Error(), "columns") {
 		t.Fatalf("width mismatch through *: err %v", err)
 	}
 }

@@ -229,13 +229,6 @@ func (v Value) Compare(o Value) int {
 	}
 }
 
-// AppendKey appends the value's injective group-key encoding to dst —
-// the same identity the executors group rows and count distinct values
-// by — so out-of-package code (e.g. a test comparing two backends'
-// rows) agrees with the embedded engine on value identity, bit for bit
-// (float payload bits included).
-func (v Value) AppendKey(dst []byte) []byte { return v.appendKey(dst) }
-
 // appendKey appends a self-delimiting binary encoding of v to dst. The
 // encoding is injective per kind, so it can serve as a hash-aggregation
 // group key.

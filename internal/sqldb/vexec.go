@@ -62,7 +62,7 @@ package sqldb
 //     containing NaN the non-transitive Compare semantics (NaN "equals"
 //     everything) make MIN/MAX and NaN payload bits order-dependent
 //     across chunk splits. Selection kernels reproduce the interpreter's
-//     NaN comparison semantics exactly (see cmpFloat), so row selection
+//     NaN comparison semantics exactly (see andCmp), so row selection
 //     never diverges.
 //   - A UNION ALL whose branches are all such queries over one column
 //     store is one scan: per block, each distinct WHERE and each
@@ -1269,7 +1269,8 @@ func (v *vecInfo) decodeKeys(keys []Value, t *colSnap, gid uint64, lay *vecLayou
 // ids are global, and o's chunk follows s's, so appending o's unseen
 // groups in o's first-seen order keeps the first-seen order of a
 // sequential scan; a group both saw merges cell by cell, s's value
-// first, exactly as aggState.merge would.
+// first: counts and sums add, and o's MIN or MAX replaces s's only when
+// strictly beyond it.
 func (s *chunkScan) mergeAcc(b int, o *chunkScan) {
 	aggs, dst, src, index := s.sh.branches[b].p.aggs, &s.acc[b], &o.acc[b], s.index[b]
 	for g, gid := range src.gids {

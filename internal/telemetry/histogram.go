@@ -13,7 +13,7 @@ import (
 const numHistBuckets = 36
 
 // Histogram is a log2-bucketed latency histogram: fixed memory, one
-// short critical section per observation, mergeable, and quantile
+// short critical section per observation, and quantile
 // estimates within a factor of 2 (linear interpolation inside the
 // matching power-of-two bucket). The zero value is ready to use.
 type Histogram struct {
@@ -56,33 +56,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[i]++
 	h.count++
 	h.sum += d
-	h.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Merge folds another histogram's observations into h — the same
-// discipline Metrics.Merge applies to counters, so per-worker or
-// per-shard histograms can aggregate into a process-wide one.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o == h {
-		return
-	}
-	o.mu.Lock()
-	counts := o.counts
-	count, sum := o.count, o.sum
-	o.mu.Unlock()
-	h.mu.Lock()
-	for i := range counts {
-		h.counts[i] += counts[i]
-	}
-	h.count += count
-	h.sum += sum
 	h.mu.Unlock()
 }
 

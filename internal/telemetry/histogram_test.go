@@ -74,28 +74,38 @@ func TestHistogramEmptySnapshot(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(time.Millisecond)
-	b.Observe(time.Second)
-	b.Observe(2 * time.Second)
-	a.Merge(&b)
-	if got := a.Count(); got != 3 {
-		t.Fatalf("merged count = %d", got)
+// TestHistogramNegativeObservesZero: a negative duration (a clock step
+// between start and end) counts as zero, in the first bucket.
+func TestHistogramNegativeObservesZero(t *testing.T) {
+	var h Histogram
+	h.Observe(-5 * time.Millisecond)
+	h.Observe(3 * time.Millisecond)
+	snap := h.Snapshot()
+	if snap.Count != 2 || snap.SumMS != 3 {
+		t.Fatalf("count = %d, sum = %vms, want 2 and 3ms", snap.Count, snap.SumMS)
 	}
-	snap := a.Snapshot()
-	if snap.SumMS < 3000 || snap.SumMS > 3002 {
-		t.Fatalf("merged sum = %v", snap.SumMS)
+	if snap.Buckets[0].Cumulative != 1 {
+		t.Fatalf("first bucket cumulative = %d, want 1", snap.Buckets[0].Cumulative)
 	}
-	// Merging nil and self must be safe no-ops.
-	a.Merge(nil)
-	a.Merge(&a)
-	if got := a.Count(); got != 3 {
-		t.Fatalf("count after nil/self merge = %d", got)
+}
+
+// TestHistogramClampsPastTopBucket: an observation past the top finite
+// boundary lands in the last bucket, which is where the snapshot's
+// bucket list ends, and the quantiles stay at or below its bound.
+func TestHistogramClampsPastTopBucket(t *testing.T) {
+	var h Histogram
+	h.Observe(time.Millisecond)
+	h.Observe(500 * time.Hour)
+	snap := h.Snapshot()
+	if len(snap.Buckets) != numHistBuckets {
+		t.Fatalf("%d buckets, want %d", len(snap.Buckets), numHistBuckets)
 	}
-	// b is untouched by the merge.
-	if got := b.Count(); got != 2 {
-		t.Fatalf("source count = %d", got)
+	last := snap.Buckets[numHistBuckets-1]
+	if last.Bound != bucketBound(numHistBuckets-1) || last.Cumulative != 2 {
+		t.Fatalf("last bucket = %+v", last)
+	}
+	if top := durMS(last.Bound); snap.P99MS <= 0 || snap.P99MS > top {
+		t.Fatalf("p99 = %vms, want in (0, %v]", snap.P99MS, top)
 	}
 }
 
@@ -112,7 +122,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != 8000 {
+	if got := h.Snapshot().Count; got != 8000 {
 		t.Fatalf("count = %d", got)
 	}
 }

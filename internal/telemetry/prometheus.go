@@ -12,7 +12,8 @@ import (
 // PromWriter renders metrics in the Prometheus text exposition format
 // (version 0.0.4): "# HELP" / "# TYPE" headers followed by sample
 // lines. It is the whole dependency surface of the /metrics endpoint —
-// no client library, just the format.
+// no client library, just the format. After the first write error it
+// writes nothing more.
 type PromWriter struct {
 	w   io.Writer
 	err error
@@ -20,9 +21,6 @@ type PromWriter struct {
 
 // NewPromWriter wraps w.
 func NewPromWriter(w io.Writer) *PromWriter { return &PromWriter{w: w} }
-
-// Err returns the first write error.
-func (p *PromWriter) Err() error { return p.err }
 
 func (p *PromWriter) printf(format string, args ...any) {
 	if p.err == nil {

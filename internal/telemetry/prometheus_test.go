@@ -18,9 +18,6 @@ func TestPromWriterOutputValidates(t *testing.T) {
 		"reason", map[string]float64{"row-store table": 3, `weird "quoted"` + "\nreason": 1})
 	p.Scalar("gauge", "seedb_cache_bytes", "Cache occupancy.", 1234.5)
 	p.Histogram("seedb_request_duration_seconds", "Request latency.", h.Snapshot())
-	if p.Err() != nil {
-		t.Fatal(p.Err())
-	}
 	out := b.String()
 
 	if err := ValidatePrometheusText([]byte(out)); err != nil {

@@ -45,8 +45,7 @@ const TraceparentHeader = "Traceparent"
 // traceState is the per-trace state every span shares: the 128-bit
 // trace identity and the span-budget accounting.
 type traceState struct {
-	id      string // 32 lowercase hex chars (128-bit)
-	budget  int64
+	id      string       // 32 lowercase hex chars (128-bit)
 	spans   atomic.Int64 // spans materialized, root included
 	dropped atomic.Int64 // StartSpan calls refused by the budget
 }
@@ -55,10 +54,9 @@ type traceState struct {
 // span WithTrace created, identified by a random 128-bit trace ID.
 // Safe for concurrent span attachment.
 type Trace struct {
-	start      time.Time
-	root       *Span
-	st         *traceState
-	parentSpan string // remote parent span ID ("" for a locally rooted trace)
+	start time.Time
+	root  *Span
+	st    *traceState
 }
 
 // Span is one timed operation inside a trace. Spans are created with
@@ -97,42 +95,32 @@ func newID(n int) string {
 // builds the tree. Finish the trace (which ends the root) before
 // reading the tree.
 func WithTrace(ctx context.Context, name string) (context.Context, *Trace) {
-	return withTrace(ctx, name, newID(16), "", DefaultSpanBudget)
+	return withTrace(ctx, name, newID(16))
 }
 
-// WithTraceBudget is WithTrace with an explicit span budget (<= 0
-// selects DefaultSpanBudget).
-func WithTraceBudget(ctx context.Context, name string, budget int) (context.Context, *Trace) {
-	return withTrace(ctx, name, newID(16), "", budget)
-}
-
-// WithRemoteTrace attaches a trace continuing a remote caller's:
-// it adopts the caller's trace ID (falling back to a fresh one when the
-// ID is not 32 hex chars) and records the caller's span ID as the
-// parent, so the child-side tree the wire response carries home can be
-// stitched under the exact span that issued the call.
-func WithRemoteTrace(ctx context.Context, name, traceID, parentSpanID string) (context.Context, *Trace) {
+// WithRemoteTrace attaches a trace continuing a remote caller's: it
+// adopts the caller's trace ID (falling back to a fresh one when the ID
+// is not 32 hex chars), so the child-side tree the wire response
+// carries home belongs to the caller's trace. The caller grafts it
+// under the span that issued the call (AttachRemote).
+func WithRemoteTrace(ctx context.Context, name, traceID string) (context.Context, *Trace) {
 	if !validHexID(traceID, 32) {
 		traceID = newID(16)
 	}
-	return withTrace(ctx, name, traceID, parentSpanID, DefaultSpanBudget)
+	return withTrace(ctx, name, traceID)
 }
 
-func withTrace(ctx context.Context, name, traceID, parentSpanID string, budget int) (context.Context, *Trace) {
+func withTrace(ctx context.Context, name, traceID string) (context.Context, *Trace) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if budget <= 0 {
-		budget = DefaultSpanBudget
-	}
 	now := time.Now()
-	st := &traceState{id: traceID, budget: int64(budget)}
+	st := &traceState{id: traceID}
 	st.spans.Store(1) // the root
 	tr := &Trace{
-		start:      now,
-		root:       &Span{name: name, id: newID(8), start: now, st: st},
-		st:         st,
-		parentSpan: parentSpanID,
+		start: now,
+		root:  &Span{name: name, id: newID(8), start: now, st: st},
+		st:    st,
 	}
 	return context.WithValue(ctx, spanKey{}, tr.root), tr
 }
@@ -154,7 +142,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if st := parent.st; st != nil {
 		// Racing creators may overshoot the budget by a handful of spans;
 		// the budget bounds growth, it is not an exact quota.
-		if st.spans.Load() >= st.budget {
+		if st.spans.Load() >= DefaultSpanBudget {
 			st.dropped.Add(1)
 			return ctx, nil
 		}
@@ -185,14 +173,6 @@ func (s *Span) TraceID() string {
 	return s.st.id
 }
 
-// SpanID returns the span's 64-bit ID ("" on a nil span).
-func (s *Span) SpanID() string {
-	if s == nil {
-		return ""
-	}
-	return s.id
-}
-
 // Traceparent renders the span as an outgoing propagation header value,
 // "00-<trace id>-<span id>-01". Empty on a nil span, so untraced calls
 // send no header.
@@ -203,18 +183,18 @@ func (s *Span) Traceparent() string {
 	return "00-" + s.st.id + "-" + s.id + "-01"
 }
 
-// ParseTraceparent splits an incoming propagation header into the
-// caller's trace and span IDs. ok is false for absent or malformed
-// values — the callee then simply does not trace.
-func ParseTraceparent(h string) (traceID, spanID string, ok bool) {
+// ParseTraceparent returns the caller's trace ID from an incoming
+// propagation header. ok is false for absent or malformed values (the
+// span ID part is checked too) — the callee then simply does not trace.
+func ParseTraceparent(h string) (traceID string, ok bool) {
 	parts := strings.Split(h, "-")
 	if len(parts) != 4 || parts[0] != "00" {
-		return "", "", false
+		return "", false
 	}
 	if !validHexID(parts[1], 32) || !validHexID(parts[2], 16) {
-		return "", "", false
+		return "", false
 	}
-	return parts[1], parts[2], true
+	return parts[1], true
 }
 
 // validHexID reports whether s is exactly n lowercase hex characters.
@@ -381,14 +361,6 @@ func (tr *Trace) Finish() *SpanNode {
 
 // ID returns the trace's 128-bit identifier (32 hex chars).
 func (tr *Trace) ID() string { return tr.st.id }
-
-// ParentSpanID returns the remote caller's span ID for a trace opened
-// with WithRemoteTrace ("" otherwise).
-func (tr *Trace) ParentSpanID() string { return tr.parentSpan }
-
-// SpansDropped returns how many StartSpan calls the span budget has
-// refused so far.
-func (tr *Trace) SpansDropped() int64 { return tr.st.dropped.Load() }
 
 // endAll ends every span in the subtree that is still open.
 func (tr *Trace) endAll(s *Span) {

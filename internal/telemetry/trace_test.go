@@ -34,8 +34,11 @@ func TestNoTraceIsNoop(t *testing.T) {
 // and on a trace whose span budget is spent, StartSpan + End hand back
 // the caller's context and a nil span without allocating.
 func TestDisabledTracingAllocatesNothing(t *testing.T) {
-	spent, tr := WithTraceBudget(context.Background(), "req", 1) // the root is the whole budget
+	spent, tr := WithTrace(context.Background(), "req")
 	defer tr.Finish()
+	for i := 1; i < DefaultSpanBudget; i++ { // the root is the first span
+		StartSpan(spent, "fill")
+	}
 	for name, ctx := range map[string]context.Context{
 		"no trace":     context.Background(),
 		"budget spent": spent,
