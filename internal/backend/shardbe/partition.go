@@ -7,27 +7,34 @@ import (
 	"seedb/internal/sqldb"
 )
 
-// Blocks assigns contiguous row blocks: shard i gets global rows
-// [i*Total/shards, (i+1)*Total/shards). It preserves order — the
-// router's shard-major global row space then equals the original
-// insertion order, which is what makes sharded execution bit-identical
-// to an unsharded scan (first-seen group order, phased row-range
-// subsets). It needs the total row count up front, so it fits bulk
-// loads, not streaming appends.
+// Blocks assigns contiguous row blocks. With Total > 0, row seq goes to
+// shard min(seq*shards/Total, shards-1): shard i of n gets global rows
+// [⌈i·Total/n⌉, ⌈(i+1)·Total/n⌉), and the last shard also every row at
+// or past Total. With Total ≤ 0 every row goes to shard 0. It preserves
+// order — the router's shard-major global row space then equals the
+// original insertion order, which is what makes sharded execution
+// bit-identical to an unsharded scan (first-seen group order, phased
+// row-range subsets). It needs the total row count up front, so it fits
+// bulk loads, not streaming appends.
 type Blocks struct {
 	Total int
 }
 
-// shard returns the shard of the row with global sequence number seq.
-func (b Blocks) shard(seq, shards int) int {
+// span returns the rows [lo, hi) of a rows-row table that shard i of
+// shards gets.
+func (b Blocks) span(i, shards, rows int) (lo, hi int) {
 	if b.Total <= 0 {
-		return 0
+		if i == 0 {
+			return 0, rows
+		}
+		return rows, rows
 	}
-	s := seq * shards / b.Total
-	if s >= shards {
-		s = shards - 1
+	start := func(i int) int { return min((i*b.Total+shards-1)/shards, rows) }
+	lo, hi = start(i), start(i+1)
+	if i == shards-1 {
+		hi = rows
 	}
-	return s
+	return lo, hi
 }
 
 // EmbeddedChildren creates n empty embedded stores and wraps each as a
@@ -42,11 +49,14 @@ func EmbeddedChildren(n int) ([]*sqldb.DB, []backend.Backend) {
 	return dbs, bes
 }
 
-// ScatterTable copies one table from src into the child databases,
-// routing every row through part. Existing same-named child tables are
-// dropped first, so re-scattering after source writes refreshes every
-// shard — and bumps the child versions the router's version vector is
-// built from, which is what invalidates cached results.
+// ScatterTable copies one table from src into the child databases, one
+// Blocks span per child, each with sqldb.CopyRange: a typed copy of the
+// source's storage, so every child equals the table appending its rows
+// one at a time would build, dictionary order and NULL vectors included.
+// Existing same-named child tables are dropped first, so re-scattering
+// after source writes refreshes every shard — and bumps the child
+// versions the router's version vector is built from, which is what
+// invalidates cached results.
 func ScatterTable(src *sqldb.DB, table string, children []*sqldb.DB, part Blocks) error {
 	if len(children) == 0 {
 		return fmt.Errorf("shardbe: scatter needs at least one child")
@@ -55,36 +65,23 @@ func ScatterTable(src *sqldb.DB, table string, children []*sqldb.DB, part Blocks
 	if !ok {
 		return fmt.Errorf("shardbe: table %q does not exist in the source store", table)
 	}
-	schema := t.Schema()
-	layout := t.Layout()
-	tabs := make([]sqldb.Table, len(children))
+	rows := t.NumRows()
 	for i, db := range children {
 		if _, exists := db.Table(table); exists {
 			if err := db.DropTable(table); err != nil {
 				return err
 			}
 		}
-		ct, err := db.CreateTable(t.Name(), schema, layout)
+		ct, err := db.CreateTable(t.Name(), t.Schema(), t.Layout())
 		if err != nil {
 			return err
 		}
-		tabs[i] = ct
-	}
-
-	cols := make([]int, schema.NumColumns())
-	for i := range cols {
-		cols[i] = i
-	}
-	seq := 0
-	row := make([]sqldb.Value, schema.NumColumns())
-	return t.ScanRange(0, t.NumRows(), cols, func(rv sqldb.RowView) error {
-		for i := range row {
-			row[i] = rv.Value(i)
+		lo, hi := part.span(i, len(children), rows)
+		if err := sqldb.CopyRange(ct, t, lo, hi); err != nil {
+			return fmt.Errorf("shardbe: shard %d: %w", i, err)
 		}
-		shard := part.shard(seq, len(children))
-		seq++
-		return tabs[shard].AppendRow(row)
-	})
+	}
+	return nil
 }
 
 // AppendRows routes new rows into the child databases round-robin by

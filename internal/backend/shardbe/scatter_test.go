@@ -1,0 +1,181 @@
+package shardbe
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"seedb/internal/sqldb"
+)
+
+// shard is the per-row form of Blocks: the shard of the row with global
+// sequence number seq. ScatterTable copies whole spans instead; the
+// scatter oracle holds every span to this assignment.
+func (b Blocks) shard(seq, shards int) int {
+	if b.Total <= 0 {
+		return 0
+	}
+	return min(seq*shards/b.Total, shards-1)
+}
+
+// scatterSource builds a rows-row table with NULLs in every column type.
+// Its TEXT column cycles through its values backwards, so each block
+// meets them in a first-seen order of its own, unlike the source's.
+func scatterSource(t *testing.T, layout sqldb.Layout, rows int) *sqldb.DB {
+	t.Helper()
+	db := sqldb.NewDB()
+	schema := sqldb.MustSchema(
+		sqldb.Column{Name: "s", Type: sqldb.TypeString},
+		sqldb.Column{Name: "i", Type: sqldb.TypeInt},
+		sqldb.Column{Name: "f", Type: sqldb.TypeFloat},
+		sqldb.Column{Name: "b", Type: sqldb.TypeBool},
+	)
+	tab, err := db.CreateTable("t", schema, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(rows)))
+	texts := []string{"", "a", "b", "c", "d", "e", "f"}
+	for r := 0; r < rows; r++ {
+		row := []sqldb.Value{
+			sqldb.Str(texts[(rows-r)%len(texts)]),
+			sqldb.Int(int64(rng.Intn(9) - 4)),
+			sqldb.Float([]float64{math.Copysign(0, -1), 0.5, math.NaN(), math.Inf(1)}[rng.Intn(4)]),
+			sqldb.Bool(rng.Intn(2) == 0),
+		}
+		for c := range row {
+			if rng.Intn(5) == 0 {
+				row[c] = sqldb.Null()
+			}
+		}
+		if err := tab.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestScatterMatchesRowByRow is the scatter oracle: over ROW and COL
+// sources and 1–5 children, every child ScatterTable builds equals the
+// table the per-row assignment builds — each source row appended to its
+// Blocks.shard child with AppendRow — for Totals of 0 and below, below
+// the row count, equal to it (23, divisible by no child count above 1)
+// and above it.
+func TestScatterMatchesRowByRow(t *testing.T) {
+	const rows = 23
+	for _, layout := range []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol} {
+		src := scatterSource(t, layout, rows)
+		tab, _ := src.Table("t")
+		for n := 1; n <= 5; n++ {
+			for _, total := range []int{-1, 0, 1, 9, rows - 1, rows, rows + 6} {
+				t.Run(fmt.Sprintf("%v/children%d/total%d", layout, n, total), func(t *testing.T) {
+					part := Blocks{Total: total}
+					dbs, _ := EmbeddedChildren(n)
+					if err := ScatterTable(src, "t", dbs, part); err != nil {
+						t.Fatal(err)
+					}
+					twins, _ := EmbeddedChildren(n)
+					twinTabs := make([]sqldb.Table, n)
+					for i, db := range twins {
+						var err error
+						if twinTabs[i], err = db.CreateTable("t", tab.Schema(), layout); err != nil {
+							t.Fatal(err)
+						}
+					}
+					seq := 0
+					row := make([]sqldb.Value, tab.Schema().NumColumns())
+					if err := tab.ScanRange(0, rows, nil, func(rv sqldb.RowView) error {
+						for c := range row {
+							row[c] = rv.Value(c)
+						}
+						shard := part.shard(seq, n)
+						seq++
+						return twinTabs[shard].AppendRow(row)
+					}); err != nil {
+						t.Fatal(err)
+					}
+					// A row appended after the scatter, holding values the
+					// children already have, must find them in the copied
+					// dictionaries as it does in the twins'.
+					tail := []sqldb.Value{sqldb.Str("c"), sqldb.Int(1), sqldb.Float(0.5), sqldb.Bool(true)}
+					for i, db := range dbs {
+						got, _ := db.Table("t")
+						sameTable(t, fmt.Sprintf("child %d", i), got, twinTabs[i])
+						if err := got.AppendRow(tail); err != nil {
+							t.Fatal(err)
+						}
+						if err := twinTabs[i].AppendRow(tail); err != nil {
+							t.Fatal(err)
+						}
+						sameTable(t, fmt.Sprintf("child %d after an append", i), got, twinTabs[i])
+					}
+				})
+			}
+		}
+	}
+}
+
+// sameTable fails unless got equals want: row count and every cell
+// (floats by their bits), and the storage the cells do not show — a
+// column store's dictionaries, in order, and which columns hold a NULL
+// vector; a row store's encoded tuples.
+func sameTable(t *testing.T, what string, got, want sqldb.Table) {
+	t.Helper()
+	if got.NumRows() != want.NumRows() {
+		t.Fatalf("%s: %d rows, want %d", what, got.NumRows(), want.NumRows())
+	}
+	cells := func(tab sqldb.Table) [][]sqldb.Value {
+		var out [][]sqldb.Value
+		_ = tab.ScanRange(0, tab.NumRows(), nil, func(rv sqldb.RowView) error {
+			row := make([]sqldb.Value, tab.Schema().NumColumns())
+			for c := range row {
+				row[c] = rv.Value(c)
+			}
+			out = append(out, row)
+			return nil
+		})
+		return out
+	}
+	g, w := cells(got), cells(want)
+	for r := range w {
+		for c := range w[r] {
+			a, b := g[r][c], w[r][c]
+			if a.Kind != b.Kind || a.I != b.I || a.S != b.S || math.Float64bits(a.F) != math.Float64bits(b.F) {
+				t.Fatalf("%s: row %d column %d = %v, want %v", what, r, c, a, b)
+			}
+		}
+	}
+	if gs, ws := storage(got), storage(want); !reflect.DeepEqual(gs, ws) {
+		t.Fatalf("%s: storage\n %v\nwant\n %v", what, gs, ws)
+	}
+}
+
+// storage reads, through reflection, the parts of a table's storage its
+// cells do not show: per ColStore column its dictionary and whether it
+// has a NULL vector, or a RowStore's encoded tuples and their offsets.
+func storage(tab sqldb.Table) []string {
+	v := reflect.ValueOf(tab).Elem()
+	var out []string
+	switch tab.(type) {
+	case *sqldb.ColStore:
+		cols := v.FieldByName("cols")
+		for c := 0; c < cols.Len(); c++ {
+			col := cols.Index(c)
+			dict := col.FieldByName("dict")
+			words := make([]string, dict.Len())
+			for d := range words {
+				words[d] = dict.Index(d).String()
+			}
+			out = append(out, fmt.Sprintf("dict %q nulls %v", words, !col.FieldByName("nulls").IsNil()))
+		}
+	case *sqldb.RowStore:
+		offsets := v.FieldByName("offsets")
+		for r := 0; r < offsets.Len(); r++ {
+			out = append(out, fmt.Sprint(offsets.Index(r).Int()))
+		}
+		out = append(out, fmt.Sprintf("%x", v.FieldByName("data").Bytes()))
+	}
+	return out
+}

@@ -46,10 +46,12 @@
 //     invisible to it.
 //
 //   - TableStats merges child statistics exactly: per-column distinct
-//     counts come from one COUNT(DISTINCT c) query per column through
-//     Exec, whose merge unions the per-child value sets (summing
-//     per-child distinct counts would overcount values present on
-//     several shards), and Rows adds the children whose partials merged.
+//     counts come from one COUNT(DISTINCT c) query per INT, BOOL or TEXT
+//     column through Exec, whose merge unions the per-child value sets
+//     (summing per-child distinct counts would overcount values present
+//     on several shards), and Rows adds the children whose partials
+//     merged. A FLOAT column's count is Rows, as in every store
+//     (sqldb.ColumnStats), so no FLOAT value set crosses the fan-out.
 //     The router computes statistics on every call and remembers
 //     nothing; the engine keeps them in its shared cache.
 //
@@ -321,15 +323,16 @@ func (r *Router) TableVersion(ctx context.Context, table string) (string, bool) 
 }
 
 // TableStats merges per-shard statistics: one COUNT(DISTINCT c) query
-// per column runs through Exec, whose merge unions the children's value
-// sets, so values living on several shards count once. Every scan runs
-// over the child state TableInfo reads (the request's pin, or one this
-// call opens) and through the fan-out's breakers, spans and panic
-// containment. Rows sums the children whose partials merged into every
-// column: under the degraded-results opt-in a skipped child's rows are
-// missing, which is how a caller tells the statistics describe only the
-// survivors. Nothing is remembered here; the engine keeps statistics in
-// its shared cache.
+// per non-FLOAT column runs through Exec, whose merge unions the
+// children's value sets, so values living on several shards count once;
+// a FLOAT column's count is the merged Rows (sqldb.ColumnStats). Every
+// scan runs over the child state TableInfo reads (the request's pin, or
+// one this call opens) and through the fan-out's breakers, spans and
+// panic containment. Rows sums the children whose partials merged into
+// every column: under the degraded-results opt-in a skipped child's rows
+// are missing, which is how a caller tells the statistics describe only
+// the survivors. Nothing is remembered here; the engine keeps statistics
+// in its shared cache.
 func (r *Router) TableStats(ctx context.Context, table string) (*backend.TableStats, error) {
 	ctx = backend.WithPin(ctx)
 	st, err := r.state(ctx, table)
@@ -340,6 +343,10 @@ func (r *Router) TableStats(ctx context.Context, table string) (*backend.TableSt
 	out := &backend.TableStats{Columns: make([]backend.ColumnStats, len(cols))}
 	missing := slices.Clone(st.down)
 	for ci, col := range cols {
+		out.Columns[ci] = backend.ColumnStats{Name: col.Name, Type: col.Type}
+		if col.Type == backend.TypeFloat {
+			continue
+		}
 		stmt := &sqldb.SelectStmt{
 			Items: []sqldb.SelectItem{{Expr: &sqldb.FuncExpr{Name: "COUNT", Distinct: true, Args: []sqldb.Expr{&sqldb.ColumnExpr{Name: col.Name}}}}},
 			Table: table,
@@ -352,11 +359,16 @@ func (r *Router) TableStats(ctx context.Context, table string) (*backend.TableSt
 		for _, i := range stats.DegradedShards {
 			missing[i] = true
 		}
-		out.Columns[ci] = backend.ColumnStats{Name: col.Name, Type: col.Type, Distinct: int(rows.Rows[0][0].I)}
+		out.Columns[ci].Distinct = int(rows.Rows[0][0].I)
 	}
 	for i, ti := range st.infos {
 		if !missing[i] {
 			out.Rows += ti.Rows
+		}
+	}
+	for ci := range out.Columns {
+		if out.Columns[ci].Type == backend.TypeFloat {
+			out.Columns[ci].Distinct = out.Rows
 		}
 	}
 	return out, nil

@@ -1,9 +1,9 @@
 package shardbe_test
 
 // Layer microbenchmark for the router's per-table statistics: one
-// Router.TableStats call is a COUNT(DISTINCT) fan-out per column, so on
-// dataset.TrafficSpec its cost is dominated by grouped child scans over
-// high-cardinality float columns.
+// Router.TableStats call is a COUNT(DISTINCT) fan-out per non-FLOAT
+// column, so on dataset.TrafficSpec its cost is grouped child scans over
+// eight low-cardinality columns; the three FLOAT columns cost nothing.
 //
 //	go test ./internal/backend/shardbe -run '^$' -bench RouterStats -benchmem
 

@@ -12,7 +12,8 @@
 // Schema introspection works on any store: column names and types come
 // from database/sql column metadata (DatabaseTypeName) with a
 // sampled-value fallback for drivers that report none, and per-column
-// distinct counts come from one COUNT(DISTINCT ...) query.
+// distinct counts come from one COUNT(DISTINCT ...) query over the
+// non-FLOAT columns (a FLOAT column's count is the row count).
 //
 // Dataset versioning: an external store cannot push invalidations, so
 // TableInfo's Version is an instance-scoped generation token — cached
@@ -280,34 +281,36 @@ func (b *Backend) introspect(ctx context.Context, table string) (backend.TableIn
 }
 
 // TableStats computes per-column distinct counts with one
-// COUNT(DISTINCT ...) query over the table on every call, run under ctx
-// (the query scans the whole table on most stores, so cancellation
-// matters here most of all). Rows is the memoized TableInfo's count.
+// COUNT(DISTINCT ...) query over the table's non-FLOAT columns on every
+// call, run under ctx (the query scans the whole table on most stores,
+// so cancellation matters here most of all); with no such column it
+// sends no query. Rows is the memoized TableInfo's count, and a FLOAT
+// column's count too (sqldb.ColumnStats).
 func (b *Backend) TableStats(ctx context.Context, table string) (*backend.TableStats, error) {
 	ti, err := b.TableInfo(ctx, table)
 	if err != nil {
 		return nil, err
 	}
 
-	exprs := make([]string, len(ti.Columns))
+	ts := &backend.TableStats{Rows: ti.Rows, Columns: make([]backend.ColumnStats, len(ti.Columns))}
+	var exprs []string
+	var ptrs []any
 	for i, c := range ti.Columns {
 		if err := checkIdent("column", c.Name); err != nil {
 			return nil, err
 		}
-		exprs[i] = fmt.Sprintf("COUNT(DISTINCT %s)", c.Name)
+		ts.Columns[i] = backend.ColumnStats{Name: c.Name, Type: c.Type, Distinct: ti.Rows}
+		if c.Type != backend.TypeFloat {
+			exprs = append(exprs, fmt.Sprintf("COUNT(DISTINCT %s)", c.Name))
+			ptrs = append(ptrs, &ts.Columns[i].Distinct)
+		}
+	}
+	if len(exprs) == 0 {
+		return ts, nil
 	}
 	q := fmt.Sprintf("SELECT %s FROM %s", strings.Join(exprs, ", "), table)
-	counts := make([]int, len(ti.Columns))
-	ptrs := make([]any, len(counts))
-	for i := range counts {
-		ptrs[i] = &counts[i]
-	}
 	if err := b.db.QueryRowContext(ctx, q).Scan(ptrs...); err != nil {
 		return nil, fmt.Errorf("sqlbe: distinct counts for %s: %w", table, err)
-	}
-	ts := &backend.TableStats{Rows: ti.Rows, Columns: make([]backend.ColumnStats, len(ti.Columns))}
-	for i, c := range ti.Columns {
-		ts.Columns[i] = backend.ColumnStats{Name: c.Name, Type: c.Type, Distinct: counts[i]}
 	}
 	return ts, nil
 }

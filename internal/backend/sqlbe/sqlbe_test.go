@@ -89,8 +89,8 @@ func TestTableStats(t *testing.T) {
 	if c, _ := ts.Column("region"); c.Distinct != 2 {
 		t.Errorf("region distinct = %d, want 2", c.Distinct)
 	}
-	if c, _ := ts.Column("price"); c.Distinct != 3 { // one NULL excluded
-		t.Errorf("price distinct = %d, want 3", c.Distinct)
+	if c, _ := ts.Column("price"); c.Distinct != 4 { // FLOAT: the row count
+		t.Errorf("price distinct = %d, want the row count 4", c.Distinct)
 	}
 	if _, err := be.TableStats(context.Background(), "missing"); err == nil {
 		t.Error("TableStats(missing) should error")

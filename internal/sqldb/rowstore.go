@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -141,6 +142,31 @@ func (t *RowStore) Reserve(n int) {
 	t.publishHeap()
 }
 
+// snapshot reads the table for one scan: the row count first, then the
+// heap headers, published before it, so they hold that many tuples. It
+// returns those tuples' bytes and their offsets, sentinel included.
+func (t *RowStore) snapshot() (data []byte, offsets []int) {
+	n := t.NumRows()
+	h := t.heap.Load()
+	offsets = h.offsets[:n+1]
+	return h.data[:offsets[n]], offsets
+}
+
+// copyRange fills the empty table with src's tuples [lo, hi) (see
+// CopyRange), rebasing their offsets, and publishes them.
+func (t *RowStore) copyRange(src *RowStore, lo, hi int) {
+	data, offsets := src.snapshot()
+	lo, hi = clampRange(lo, hi, len(offsets)-1)
+	base := offsets[lo]
+	t.data = slices.Clone(data[base:offsets[hi]])
+	t.offsets = make([]int, hi-lo+1)
+	for r := range t.offsets {
+		t.offsets[r] = offsets[lo+r] - base
+	}
+	t.publishHeap()
+	t.rows.Store(int64(hi - lo))
+}
+
 // rowSlice is the RowView over one deserialized tuple.
 type rowSlice []Value
 
@@ -151,12 +177,8 @@ func (r rowSlice) Value(col int) Value { return r[col] }
 // deserializes the whole tuple on every scan. The scratch tuple is reused
 // across rows, so the RowView is only valid inside the callback.
 func (t *RowStore) ScanRange(lo, hi int, cols []int, fn func(row RowView) error) error {
-	n := t.NumRows()
-	// Headers loaded after n hold every published row.
-	h := t.heap.Load()
-	offsets := h.offsets[:n+1]
-	data := h.data[:offsets[n]]
-	lo, hi = clampRange(lo, hi, n)
+	data, offsets := t.snapshot()
+	lo, hi = clampRange(lo, hi, len(offsets)-1)
 	scratch := make([]Value, t.width)
 	view := RowView(rowSlice(scratch)) // once: converting per row allocates per row
 	intern := make(map[string]string)

@@ -169,6 +169,36 @@ type Table interface {
 	ScanRange(lo, hi int, cols []int, fn func(row RowView) error) error
 }
 
+// CopyRange appends rows [lo, hi) of src, clamped to its size, to dst:
+// an empty table of the same layout and schema. It reads one snapshot of
+// src and copies its storage instead of boxing each cell — a column
+// store's typed vectors, each TEXT column's codes re-coded in first-seen
+// order, a row store's encoded tuples — so dst ends up equal to the
+// table AppendRow would build from the same rows one at a time: every
+// cell, each dictionary's order, and a NULL vector only where the range
+// holds a NULL. The rows are published at once.
+func CopyRange(dst, src Table, lo, hi int) error {
+	if n := dst.NumRows(); n != 0 {
+		return fmt.Errorf("sqldb: copy into table %s: it already holds %d rows", dst.Name(), n)
+	}
+	if ds, ss := dst.Schema().String(), src.Schema().String(); ds != ss {
+		return fmt.Errorf("sqldb: copy from table %s %s into %s %s: schemas differ", src.Name(), ss, dst.Name(), ds)
+	}
+	switch d := dst.(type) {
+	case *ColStore:
+		if s, ok := src.(*ColStore); ok {
+			d.copyRange(s, lo, hi)
+			return nil
+		}
+	case *RowStore:
+		if s, ok := src.(*RowStore); ok {
+			d.copyRange(s, lo, hi)
+			return nil
+		}
+	}
+	return fmt.Errorf("sqldb: copy from %v table %s into %v table %s: layouts differ", src.Layout(), src.Name(), dst.Layout(), dst.Name())
+}
+
 // clampRange clamps [lo, hi) to [0, n).
 func clampRange(lo, hi, n int) (int, int) {
 	if lo < 0 {

@@ -110,3 +110,85 @@ func TestAppendAlongsideScans(t *testing.T) {
 		})
 	}
 }
+
+// TestCopyRangeAlongsideAppends: CopyRange copies a range of a source a
+// writer keeps appending to, while a reader queries the copy as it is
+// published. The reader sees no row or every copied one, never part;
+// the copy holds exactly the source rows of its range, on both layouts.
+// A non-empty destination, another layout or another schema is refused.
+func TestCopyRangeAlongsideAppends(t *testing.T) {
+	schema := MustSchema(Column{Name: "d", Type: TypeString}, Column{Name: "m", Type: TypeInt})
+	for _, layout := range []Layout{LayoutCol, LayoutRow} {
+		t.Run(layout.String(), func(t *testing.T) {
+			src, err := NewDB().CreateTable("t", schema, layout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const total = 4000
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < total; i++ {
+					d := Str(fmt.Sprintf("v%d", i%97))
+					if i%13 == 0 {
+						d = Null()
+					}
+					if err := src.AppendRow([]Value{d, Int(int64(i))}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			for copies := 0; src.NumRows() < total; copies++ {
+				hi := src.NumRows()
+				lo := hi / 3
+				db := NewDB()
+				dst, err := db.CreateTable("c", schema, layout)
+				if err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					for {
+						res, err := db.QueryOpts("SELECT COUNT(*), SUM(m) FROM c", ExecOptions{})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						count, sum := res.Rows[0][0].I, res.Rows[0][1]
+						if count == 0 && lo < hi {
+							continue
+						}
+						if f, _ := sum.AsFloat(); count != int64(hi-lo) || f != float64((lo+hi-1)*(hi-lo)/2) {
+							t.Errorf("copy %d of rows [%d, %d): a reader saw COUNT %d, SUM %v", copies, lo, hi, count, sum)
+						}
+						return
+					}
+				}()
+				if err := CopyRange(dst, src, lo, hi); err != nil {
+					t.Fatal(err)
+				}
+				<-done
+			}
+			wg.Wait()
+
+			dst, _ := NewDB().CreateTable("c", schema, layout)
+			if err := CopyRange(dst, src, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+			other := LayoutRow
+			if layout == LayoutRow {
+				other = LayoutCol
+			}
+			wrongLayout, _ := NewDB().CreateTable("c", schema, other)
+			wrongSchema, _ := NewDB().CreateTable("c", MustSchema(Column{Name: "d", Type: TypeString}, Column{Name: "m", Type: TypeFloat}), layout)
+			for what, to := range map[string]Table{"non-empty": dst, "other layout": wrongLayout, "other schema": wrongSchema} {
+				if err := CopyRange(to, src, 0, 1); err == nil {
+					t.Errorf("copy into a %s table succeeded", what)
+				}
+			}
+		})
+	}
+}
