@@ -133,7 +133,7 @@ func TestReloadInvalidatesCache(t *testing.T) {
 			if flag == "yes" && i%4 == 0 {
 				val *= scale // the signal the recommendation should surface
 			}
-			if err := tab.AppendRow([]Value{Str(grp), Str(flag), Float(val)}); err != nil {
+			if err := tab.Append([][]Value{{Str(grp), Str(flag), Float(val)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -177,7 +177,7 @@ func TestReloadInvalidatesCache(t *testing.T) {
 		for i := range row {
 			row[i] = rv.Value(i)
 		}
-		return tab.AppendRow(row)
+		return tab.Append([][]Value{row})
 	})
 	if err != nil {
 		t.Fatal(err)

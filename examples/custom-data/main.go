@@ -68,10 +68,8 @@ func main() {
 		{seedb.Str("Q2"), seedb.Str("EMEA"), seedb.Str("electronics"), seedb.Str("web"), seedb.Float(260), seedb.Float(7)},
 		{seedb.Str("Q2"), seedb.Str("EMEA"), seedb.Str("home"), seedb.Str("web"), seedb.Float(25), seedb.Float(1)},
 	}
-	for _, row := range extra {
-		if err := tab.AppendRow(row); err != nil {
-			log.Fatal(err)
-		}
+	if err := tab.Append(extra); err != nil {
+		log.Fatal(err)
 	}
 
 	// Custom reference: compare Q2 EMEA (target) against Q1 EMEA — an

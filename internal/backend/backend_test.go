@@ -28,10 +28,8 @@ func buildDB(t *testing.T) *sqldb.DB {
 		{sqldb.Str("east"), sqldb.Int(3), sqldb.Float(3.5)},
 		{sqldb.Str("west"), sqldb.Int(4), sqldb.Null()},
 	}
-	for _, r := range rows {
-		if err := tab.AppendRow(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := tab.Append(rows); err != nil {
+		t.Fatal(err)
 	}
 	return db
 }
@@ -75,7 +73,7 @@ func TestEmbeddedTableVersionChangesOnAppend(t *testing.T) {
 		t.Fatalf("TableVersion = %q %v", v1, ok)
 	}
 	tab, _ := db.Table("sales")
-	if err := tab.AppendRow([]sqldb.Value{sqldb.Str("north"), sqldb.Int(9), sqldb.Float(9)}); err != nil {
+	if err := tab.Append([][]sqldb.Value{{sqldb.Str("north"), sqldb.Int(9), sqldb.Float(9)}}); err != nil {
 		t.Fatal(err)
 	}
 	v2, _ := be.TableVersion(context.Background(), "sales")

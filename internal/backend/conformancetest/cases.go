@@ -168,17 +168,15 @@ func (c Case) source(tb testing.TB) *sqldb.DB {
 	if col, ok := schema.Lookup(c.SortBy); ok {
 		slices.SortStableFunc(rows, func(a, b []sqldb.Value) int { return a[col].Compare(b[col]) })
 	}
-	for _, r := range rows {
-		if err := tab.AppendRow(r); err != nil {
-			tb.Fatal(err)
-		}
+	if err := tab.Append(rows); err != nil {
+		tb.Fatal(err)
 	}
 	return db
 }
 
-// appendTail appends n drifted rows to db's table one at a time, the
-// way /api/ingest does: every numeric column shifted up by half its
-// range, drawn from another seed.
+// appendTail appends n drifted rows to db's table as one batch, the way
+// /api/ingest does: every numeric column shifted up by half its range,
+// drawn from another seed.
 func (c Case) appendTail(tb testing.TB, db *sqldb.DB, n int) {
 	tb.Helper()
 	spec := c.Spec.WithSeed(c.Seed + 1000).WithRows(n)
@@ -189,8 +187,15 @@ func (c Case) appendTail(tb testing.TB, db *sqldb.DB, n int) {
 			spec.Columns[i].Min, spec.Columns[i].Max, spec.Columns[i].Mean = col.Min+shift, col.Max+shift, col.Mean+shift
 		}
 	}
+	var rows [][]sqldb.Value
+	if err := spec.Generate(func(v []sqldb.Value) error {
+		rows = append(rows, slices.Clone(v))
+		return nil
+	}); err != nil {
+		tb.Fatal(err)
+	}
 	tab, _ := db.Table(SourceTable)
-	if err := spec.Generate(tab.AppendRow); err != nil {
+	if err := tab.Append(rows); err != nil {
 		tb.Fatal(err)
 	}
 }

@@ -39,10 +39,8 @@ func buildDB(t *testing.T) *sqldb.DB {
 		{sqldb.Str("b"), sqldb.Int(0), sqldb.Float(math.Inf(1))},
 		{sqldb.Null(), sqldb.Int(3), sqldb.Null()},
 	}
-	for _, row := range rows {
-		if err := tab.AppendRow(row); err != nil {
-			t.Fatal(err)
-		}
+	if err := tab.Append(rows); err != nil {
+		t.Fatal(err)
 	}
 	return db
 }

@@ -52,7 +52,8 @@ func EmbeddedChildren(n int) ([]*sqldb.DB, []backend.Backend) {
 // ScatterTable copies one table from src into the child databases, one
 // Blocks span per child, each with sqldb.CopyRange: a typed copy of the
 // source's storage, so every child equals the table appending its rows
-// one at a time would build, dictionary order and NULL vectors included.
+// (in any batches) would build, dictionary order and NULL vectors
+// included.
 // Existing same-named child tables are dropped first, so re-scattering
 // after source writes refreshes every shard — and bumps the child
 // versions the router's version vector is built from, which is what
@@ -86,21 +87,30 @@ func ScatterTable(src *sqldb.DB, table string, children []*sqldb.DB, part Blocks
 
 // AppendRows routes new rows into the child databases round-robin by
 // the table's global sequence number, continued from the current total
-// row count (so repeated appends stay deterministic). Each child's table
-// is looked up once, and the table must exist on every child (CreateTable
-// or ScatterTable first) before any row is written.
+// row count (so repeated appends stay deterministic), all or nothing:
+// the table must exist on every child (CreateTable or ScatterTable
+// first) and every row must suit its schema before any row is written.
+// Each child then takes its rows, in order, as one sqldb Append.
 func AppendRows(children []*sqldb.DB, table string, rows [][]sqldb.Value) error {
 	tabs, err := ChildTables(children, table)
 	if err != nil {
 		return err
 	}
+	if err := tabs[0].Schema().CheckRows(rows); err != nil {
+		return fmt.Errorf("shardbe: table %s: %w", table, err)
+	}
 	seq := 0
 	for _, t := range tabs {
 		seq += t.NumRows()
 	}
+	parts := make([][][]sqldb.Value, len(tabs))
 	for i, row := range rows {
-		if err := tabs[(seq+i)%len(tabs)].AppendRow(row); err != nil {
-			return fmt.Errorf("shardbe: row %d: %w", i, err)
+		c := (seq + i) % len(tabs)
+		parts[c] = append(parts[c], row)
+	}
+	for c, part := range parts {
+		if err := tabs[c].Append(part); err != nil {
+			return fmt.Errorf("shardbe: shard %d: %w", c, err)
 		}
 	}
 	return nil

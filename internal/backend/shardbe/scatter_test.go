@@ -20,25 +20,23 @@ func (b Blocks) shard(seq, shards int) int {
 	return min(seq*shards/b.Total, shards-1)
 }
 
-// scatterSource builds a rows-row table with NULLs in every column type.
-// Its TEXT column cycles through its values backwards, so each block
-// meets them in a first-seen order of its own, unlike the source's.
-func scatterSource(t *testing.T, layout sqldb.Layout, rows int) *sqldb.DB {
-	t.Helper()
-	db := sqldb.NewDB()
-	schema := sqldb.MustSchema(
-		sqldb.Column{Name: "s", Type: sqldb.TypeString},
-		sqldb.Column{Name: "i", Type: sqldb.TypeInt},
-		sqldb.Column{Name: "f", Type: sqldb.TypeFloat},
-		sqldb.Column{Name: "b", Type: sqldb.TypeBool},
-	)
-	tab, err := db.CreateTable("t", schema, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
+// sourceSchema is the schema of sourceRows' rows.
+var sourceSchema = sqldb.MustSchema(
+	sqldb.Column{Name: "s", Type: sqldb.TypeString},
+	sqldb.Column{Name: "i", Type: sqldb.TypeInt},
+	sqldb.Column{Name: "f", Type: sqldb.TypeFloat},
+	sqldb.Column{Name: "b", Type: sqldb.TypeBool},
+)
+
+// sourceRows returns rows rows of sourceSchema with NULLs in every
+// column type. The TEXT column cycles through its values backwards, so
+// each block of them meets the values in a first-seen order of its own,
+// unlike the whole.
+func sourceRows(rows int) [][]sqldb.Value {
 	rng := rand.New(rand.NewSource(int64(rows)))
 	texts := []string{"", "a", "b", "c", "d", "e", "f"}
-	for r := 0; r < rows; r++ {
+	out := make([][]sqldb.Value, rows)
+	for r := range out {
 		row := []sqldb.Value{
 			sqldb.Str(texts[(rows-r)%len(texts)]),
 			sqldb.Int(int64(rng.Intn(9) - 4)),
@@ -50,17 +48,70 @@ func scatterSource(t *testing.T, layout sqldb.Layout, rows int) *sqldb.DB {
 				row[c] = sqldb.Null()
 			}
 		}
-		if err := tab.AppendRow(row); err != nil {
-			t.Fatal(err)
-		}
+		out[r] = row
+	}
+	return out
+}
+
+// scatterSource builds a table of sourceRows(rows) with one Append.
+func scatterSource(t *testing.T, layout sqldb.Layout, rows int) *sqldb.DB {
+	t.Helper()
+	db := sqldb.NewDB()
+	tab, err := db.CreateTable("t", sourceSchema, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Append(sourceRows(rows)); err != nil {
+		t.Fatal(err)
 	}
 	return db
+}
+
+// TestAppendBatchesMatchRowByRow is the batch oracle of sqldb's Append,
+// kept beside the comparison it shares with the scatter oracle: on both
+// layouts, one Append of all the rows and a random split of them into
+// batches (empty ones included) build the table n single-row Appends
+// build — every cell, each dictionary's order, which columns hold a NULL
+// vector, and the row heap's bytes and offsets.
+func TestAppendBatchesMatchRowByRow(t *testing.T) {
+	for _, layout := range []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol} {
+		for _, n := range []int{0, 1, 23, 700} {
+			t.Run(fmt.Sprintf("%v/rows%d", layout, n), func(t *testing.T) {
+				rows := sourceRows(n)
+				build := func(batches ...[][]sqldb.Value) sqldb.Table {
+					tab, err := sqldb.NewDB().CreateTable("t", sourceSchema, layout)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, b := range batches {
+						if err := tab.Append(b); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return tab
+				}
+				var single, split [][][]sqldb.Value
+				for i := range rows {
+					single = append(single, rows[i:i+1])
+				}
+				rng := rand.New(rand.NewSource(int64(n) + 1))
+				for lo := 0; lo < n; {
+					hi := min(n, lo+rng.Intn(40))
+					split = append(split, rows[lo:hi])
+					lo = hi
+				}
+				want := build(single...)
+				sameTable(t, "one batch", build(rows), want)
+				sameTable(t, fmt.Sprintf("%d batches", len(split)), build(split...), want)
+			})
+		}
+	}
 }
 
 // TestScatterMatchesRowByRow is the scatter oracle: over ROW and COL
 // sources and 1–5 children, every child ScatterTable builds equals the
 // table the per-row assignment builds — each source row appended to its
-// Blocks.shard child with AppendRow — for Totals of 0 and below, below
+// Blocks.shard child with a single-row Append — for Totals of 0 and below, below
 // the row count, equal to it (23, divisible by no child count above 1)
 // and above it.
 func TestScatterMatchesRowByRow(t *testing.T) {
@@ -92,7 +143,7 @@ func TestScatterMatchesRowByRow(t *testing.T) {
 						}
 						shard := part.shard(seq, n)
 						seq++
-						return twinTabs[shard].AppendRow(row)
+						return twinTabs[shard].Append([][]sqldb.Value{row})
 					}); err != nil {
 						t.Fatal(err)
 					}
@@ -103,10 +154,10 @@ func TestScatterMatchesRowByRow(t *testing.T) {
 					for i, db := range dbs {
 						got, _ := db.Table("t")
 						sameTable(t, fmt.Sprintf("child %d", i), got, twinTabs[i])
-						if err := got.AppendRow(tail); err != nil {
+						if err := got.Append([][]sqldb.Value{tail}); err != nil {
 							t.Fatal(err)
 						}
-						if err := twinTabs[i].AppendRow(tail); err != nil {
+						if err := twinTabs[i].Append([][]sqldb.Value{tail}); err != nil {
 							t.Fatal(err)
 						}
 						sameTable(t, fmt.Sprintf("child %d after an append", i), got, twinTabs[i])

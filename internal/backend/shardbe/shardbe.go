@@ -21,10 +21,11 @@
 //     insertion order and every result — group first-seen order
 //     included — is bit-identical to an unsharded embedded execution on
 //     exactly-summable data (see the float caveat in
-//     sqldb/shardexec.go). Rows streamed in with AppendRow go
-//     round-robin, which keeps results deterministic and aggregates
-//     correct but permutes the global order, so phased pruning may make
-//     different (equally valid) decisions than an unsharded run.
+//     sqldb/shardexec.go). Rows appended with AppendRows go
+//     round-robin, one batch per child, which keeps results
+//     deterministic and aggregates correct but permutes the global
+//     order, so phased pruning may make different (equally valid)
+//     decisions than an unsharded run.
 //
 //   - Capabilities are the intersection of the children's: the router
 //     can only honor a row range if every child can. Degradation then

@@ -34,7 +34,7 @@ func buildSource(t *testing.T, rows int) *sqldb.DB {
 		if i%7 == 0 {
 			price = sqldb.Null()
 		}
-		if err := tab.AppendRow([]sqldb.Value{region, sqldb.Int(int64(i % 5)), price}); err != nil {
+		if err := tab.Append([][]sqldb.Value{{region, sqldb.Int(int64(i % 5)), price}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,7 +125,7 @@ func TestVersionVectorInvalidation(t *testing.T) {
 	}
 	// An append on any single child must change the vector.
 	tab, _ := dbs[1].Table("sales")
-	if err := tab.AppendRow([]sqldb.Value{sqldb.Str("east"), sqldb.Int(1), sqldb.Null()}); err != nil {
+	if err := tab.Append([][]sqldb.Value{{sqldb.Str("east"), sqldb.Int(1), sqldb.Null()}}); err != nil {
 		t.Fatal(err)
 	}
 	v2, ok := r.TableVersion(ctx, "sales")
@@ -267,7 +267,8 @@ func TestPartitioners(t *testing.T) {
 
 // TestAppendRowRouting checks streaming appends go round-robin,
 // continuing the global sequence deterministically across batches, and
-// that a table missing on one child fails a batch before any row lands.
+// that a table missing on one child, or a value no column can store,
+// fails a batch before any row lands on any child.
 func TestAppendRowRouting(t *testing.T) {
 	dbs, _ := EmbeddedChildren(3)
 	schema := sqldb.MustSchema(sqldb.Column{Name: "v", Type: sqldb.TypeInt})
@@ -304,6 +305,15 @@ func TestAppendRowRouting(t *testing.T) {
 	}
 	if tab, _ := dbs[0].Table("partial"); tab.NumRows() != 0 {
 		t.Errorf("shard 0 kept %d rows of a failed batch", tab.NumRows())
+	}
+	bad := append(batch(10, 13), []sqldb.Value{sqldb.Str("x")})
+	if err := AppendRows(dbs, "t", bad); err == nil || !strings.Contains(err.Error(), "row 3") {
+		t.Errorf("append of an uncoercible row 3: err = %v", err)
+	}
+	for i, db := range dbs {
+		if tab, _ := db.Table("t"); tab.NumRows() != counts[i] {
+			t.Errorf("shard %d went from %d to %d rows on a failed batch", i, counts[i], tab.NumRows())
+		}
 	}
 }
 

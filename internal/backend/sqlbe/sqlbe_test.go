@@ -35,10 +35,8 @@ func newBackend(t *testing.T) (*Backend, *sqldb.DB) {
 		{sqldb.Str("east"), sqldb.Bool(true), sqldb.Int(3), sqldb.Float(3.5)},
 		{sqldb.Str("west"), sqldb.Bool(true), sqldb.Int(4), sqldb.Float(4.5)},
 	}
-	for _, r := range rows {
-		if err := tab.AppendRow(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := tab.Append(rows); err != nil {
+		t.Fatal(err)
 	}
 	return New(sqldriver.Open(db), Options{}), db
 }
@@ -247,7 +245,7 @@ func TestCustomVersionRefreshesIntrospection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.AppendRow([]sqldb.Value{sqldb.Str("a"), sqldb.Float(1)}); err != nil {
+	if err := tab.Append([][]sqldb.Value{{sqldb.Str("a"), sqldb.Float(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	watermark := "w1"
@@ -264,7 +262,7 @@ func TestCustomVersionRefreshesIntrospection(t *testing.T) {
 		t.Fatalf("g distinct = %d", c.Distinct)
 	}
 
-	if err := tab.AppendRow([]sqldb.Value{sqldb.Str("b"), sqldb.Float(2)}); err != nil {
+	if err := tab.Append([][]sqldb.Value{{sqldb.Str("b"), sqldb.Float(2)}}); err != nil {
 		t.Fatal(err)
 	}
 	// Same watermark → memo still serves the old count.
@@ -308,7 +306,7 @@ func TestArbitraryDoubleRoundTrip(t *testing.T) {
 			x = sqldb.Null()
 		}
 		row := []sqldb.Value{sqldb.Str(fmt.Sprintf("g%d", i%7)), x}
-		if err := tab.AppendRow(row); err != nil {
+		if err := tab.Append([][]sqldb.Value{row}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -179,10 +179,8 @@ func buildShuffled(spec dataset.Spec, layout sqldb.Layout, seed int64) (*sqldb.D
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range rows {
-		if err := t.AppendRow(r); err != nil {
-			return nil, err
-		}
+	if err := t.Append(rows); err != nil {
+		return nil, err
 	}
 	return db, nil
 }

@@ -108,7 +108,7 @@ func TestCountersInterpreterShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := tab.AppendRow([]sqldb.Value{sqldb.Int(int64(i % 5)), sqldb.Float(float64(i))}); err != nil {
+		if err := tab.Append([][]sqldb.Value{{sqldb.Int(int64(i % 5)), sqldb.Float(float64(i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}

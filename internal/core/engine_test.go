@@ -305,7 +305,7 @@ func TestAggregateFunctionsEndToEnd(t *testing.T) {
 		{"a", "r", 4}, {"b", "r", 2}, {"b", "r", 6},
 	}
 	for _, r := range rows {
-		if err := tab.AppendRow([]sqldb.Value{sqldb.Str(r.g), sqldb.Str(r.f), sqldb.Float(r.m)}); err != nil {
+		if err := tab.Append([][]sqldb.Value{{sqldb.Str(r.g), sqldb.Str(r.f), sqldb.Float(r.m)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -604,9 +604,9 @@ func TestNoOptQueriesAreSerialAndPerView(t *testing.T) {
 		sqldb.Column{Name: "m2", Type: sqldb.TypeFloat},
 	), sqldb.LayoutCol)
 	for i := 0; i < 100; i++ {
-		err := tab.AppendRow([]sqldb.Value{
+		err := tab.Append([][]sqldb.Value{{
 			sqldb.Str(fmt.Sprintf("g%d", i%4)), sqldb.Float(float64(i)), sqldb.Float(float64(i * 2)),
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func pinTable(t *testing.T, db *sqldb.DB, rows int) sqldb.Table {
 	}
 	for i := 0; i < rows; i++ {
 		row := []sqldb.Value{sqldb.Str([]string{"a", "b"}[i%2]), sqldb.Str([]string{"x", "y", "z"}[i%3]), sqldb.Float(float64(i%7 + 1))}
-		if err := tab.AppendRow(row); err != nil {
+		if err := tab.Append([][]sqldb.Value{row}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func TestSharingRequestReadsOnePinnedState(t *testing.T) {
 		db := sqldb.NewDB()
 		tab := pinTable(t, db, 200)
 		be := &appendAfterFirstExec{Backend: backend.NewEmbedded(db), append: func() {
-			if err := tab.AppendRow([]sqldb.Value{sqldb.Str("a"), sqldb.Str("fresh"), sqldb.Float(5)}); err != nil {
+			if err := tab.Append([][]sqldb.Value{{sqldb.Str("a"), sqldb.Str("fresh"), sqldb.Float(5)}}); err != nil {
 				t.Error(err)
 			}
 		}}

@@ -240,7 +240,7 @@ func TestCacheInvalidationOnAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.AppendRow(row); err != nil {
+	if err := tab.Append([][]sqldb.Value{row}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -378,13 +378,13 @@ func TestRecommendOverlappingIngestIsNotCachedUnderNewVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		if err := tab.AppendRow([]sqldb.Value{sqldb.Str([]string{"a", "b"}[i%2]), sqldb.Float(float64(i%9 + 1))}); err != nil {
+		if err := tab.Append([][]sqldb.Value{{sqldb.Str([]string{"a", "b"}[i%2]), sqldb.Float(float64(i%9 + 1))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	be := &ingestBetween{Backend: backend.NewEmbedded(db)}
 	be.ingest = func() {
-		if err := tab.AppendRow([]sqldb.Value{sqldb.Str("fresh"), sqldb.Float(5)}); err != nil {
+		if err := tab.Append([][]sqldb.Value{{sqldb.Str("fresh"), sqldb.Float(5)}}); err != nil {
 			t.Error(err)
 		}
 	}

@@ -149,7 +149,7 @@ func TestStatsMemoInvalidatesOnBump(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendRow := func(region string, qty int64) {
-		if err := tab.AppendRow([]sqldb.Value{sqldb.Str(region), sqldb.Int(qty), sqldb.Float(float64(qty) + 0.5)}); err != nil {
+		if err := tab.Append([][]sqldb.Value{{sqldb.Str(region), sqldb.Int(qty), sqldb.Float(float64(qty) + 0.5)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

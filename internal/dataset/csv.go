@@ -81,25 +81,30 @@ func LoadCSV(db *sqldb.DB, name string, schema *sqldb.Schema, layout sqldb.Layou
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]sqldb.Value, schema.NumColumns())
-	for line := 2; ; line++ {
-		record, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: reading CSV line %d: %w", line, err)
-		}
-		for i, field := range record {
-			v, err := ParseField(field, schema.Column(i).Type)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: CSV line %d column %s: %w", line, schema.Column(i).Name, err)
+	err = appendBlocks(t, func(emit func([]sqldb.Value) error) error {
+		vals := make([]sqldb.Value, schema.NumColumns())
+		for line := 2; ; line++ {
+			record, err := cr.Read()
+			if err == io.EOF {
+				return nil
 			}
-			vals[i] = v
+			if err != nil {
+				return fmt.Errorf("dataset: reading CSV line %d: %w", line, err)
+			}
+			for i, field := range record {
+				v, err := ParseField(field, schema.Column(i).Type)
+				if err != nil {
+					return fmt.Errorf("dataset: CSV line %d column %s: %w", line, schema.Column(i).Name, err)
+				}
+				vals[i] = v
+			}
+			if err := emit(vals); err != nil {
+				return err
+			}
 		}
-		if err := t.AppendRow(vals); err != nil {
-			return nil, fmt.Errorf("dataset: CSV line %d: %w", line, err)
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

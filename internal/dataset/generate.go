@@ -157,13 +157,7 @@ func Build(db *sqldb.DB, spec Spec, layout sqldb.Layout) (sqldb.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch s := t.(type) {
-	case *sqldb.RowStore:
-		s.Reserve(spec.Rows)
-	case *sqldb.ColStore:
-		s.Reserve(spec.Rows)
-	}
-	if err := spec.Generate(t.AppendRow); err != nil {
+	if err := appendBlocks(t, spec.Generate); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -609,8 +609,32 @@ func (s SynthSpec) Generate(emit func(vals []sqldb.Value) error) error {
 }
 
 // synthBatch is how many rows the streaming builders buffer between
-// flushes; generation memory is O(synthBatch), never O(rows).
+// flushes — a CSV flush or one table Append; generation memory is
+// O(synthBatch), never O(rows).
 const synthBatch = 4096
+
+// appendBlocks appends the rows gen emits to t in order, synthBatch rows
+// per Append, so a reader of t sees whole blocks only. gen may reuse the
+// slice it emits; each row is copied into a block buffer the next block
+// reuses.
+func appendBlocks(t sqldb.Table, gen func(emit func([]sqldb.Value) error) error) error {
+	var cells []sqldb.Value
+	var block [][]sqldb.Value
+	err := gen(func(vals []sqldb.Value) error {
+		lo := len(cells)
+		cells = append(cells, vals...)
+		if block = append(block, cells[lo:len(cells):len(cells)]); len(block) < synthBatch {
+			return nil
+		}
+		err := t.Append(block)
+		cells, block = cells[:0], block[:0]
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	return t.Append(block)
+}
 
 // BuildSynth generates the spec into a new table inside db.
 func BuildSynth(db *sqldb.DB, spec SynthSpec, layout sqldb.Layout) (sqldb.Table, error) {
@@ -622,13 +646,7 @@ func BuildSynth(db *sqldb.DB, spec SynthSpec, layout sqldb.Layout) (sqldb.Table,
 	if err != nil {
 		return nil, err
 	}
-	switch s := t.(type) {
-	case *sqldb.RowStore:
-		s.Reserve(spec.Rows)
-	case *sqldb.ColStore:
-		s.Reserve(spec.Rows)
-	}
-	if err := spec.Generate(t.AppendRow); err != nil {
+	if err := appendBlocks(t, spec.Generate); err != nil {
 		return nil, err
 	}
 	return t, nil

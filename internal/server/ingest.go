@@ -1,15 +1,17 @@
 // Ingest and synthetic-load endpoints.
 //
-// Appends run alongside query traffic without a reader lock: the
-// embedded store publishes appended rows only once they are complete
-// (sqldb.Table), and every Recommend pins the row count its one
-// TableInfo read, bounding every scan it makes by it (core, and the
-// shard router's per-child counts). So a request reads one table state
-// however many ingests land during it. The mutating handlers
-// (/api/ingest, /api/datasets/load, /api/datasets/synth) and
-// EnableSharding serialize among themselves on the server's writer
-// mutex, dataMu: appends to one table must not interleave, and a batch
-// reaches the primary store and the shard children in the same order.
+// Appends run alongside query traffic without a reader lock: an ingest
+// batch lands as one sqldb Append on the primary store (and one per
+// shard child), which publishes the whole batch at once (sqldb.Table),
+// and every Recommend pins the row count its one TableInfo read,
+// bounding every scan it makes by it (core, and the shard router's
+// per-child counts). So a request reads one table state however many
+// ingests land during it, and that state holds whole batches only. The
+// mutating handlers (/api/ingest, /api/datasets/load,
+// /api/datasets/synth) and EnableSharding serialize among themselves on
+// the server's writer mutex, dataMu: appends to one table must not
+// interleave, and a batch reaches the primary store and the shard
+// children in the same order.
 package server
 
 import (
@@ -91,23 +93,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The children mirror exactly the rows the primary took.
-	n := 0
-	var appendErr error
-	for ; n < len(parsed); n++ {
-		if appendErr = t.AppendRow(parsed[n]); appendErr != nil {
-			break
-		}
+	// The primary takes the batch whole or not at all, and the children
+	// mirror it only once it has.
+	if err := t.Append(parsed); err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("appending: %w", err))
+		return
 	}
 	if len(s.shardDBs) > 0 {
-		if err := shardbe.AppendRows(s.shardDBs, req.Table, parsed[:n]); err != nil {
+		if err := shardbe.AppendRows(s.shardDBs, req.Table, parsed); err != nil {
 			writeError(w, http.StatusInternalServerError, fmt.Errorf("mirroring to shards: %w", err))
 			return
 		}
-	}
-	if appendErr != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("appending row %d: %w", n, appendErr))
-		return
 	}
 	writeJSON(w, http.StatusOK, ingestResponse{
 		Table:     req.Table,

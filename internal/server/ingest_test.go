@@ -305,15 +305,25 @@ func TestLoadSynthEndpoint(t *testing.T) {
 	}
 }
 
-// countingChild counts TableInfo calls reaching one shard child.
+// countingChild keeps the row count of every TableInfo call reaching
+// one shard child.
 type countingChild struct {
 	backend.Backend
-	infos *atomic.Int64
+	log *infoLog
+}
+
+// infoLog is the row counts one child's TableInfo calls returned.
+type infoLog struct {
+	mu   sync.Mutex
+	rows []int
 }
 
 func (c countingChild) TableInfo(ctx context.Context, table string) (backend.TableInfo, error) {
-	c.infos.Add(1)
-	return c.Backend.TableInfo(ctx, table)
+	info, err := c.Backend.TableInfo(ctx, table)
+	c.log.mu.Lock()
+	c.log.rows = append(c.log.rows, info.Rows)
+	c.log.mu.Unlock()
+	return info, err
 }
 
 // stormAnswer is one recommend response of the storm: which backend
@@ -334,6 +344,12 @@ type stormAnswer struct {
 // without pruning (COUNT aggregates merge exactly, so row order cannot
 // move their answer); embedded readers keep the default CI pruning,
 // whose phases see the rows in the reference's order.
+//
+// Every ingest lands whole or not at all, on the primary and on each
+// child: every row count a reader sees — an embedded answer's, a
+// /api/tables listing's — is the initial count plus whole ingests, and
+// every count a child's TableInfo returns to the router is the child's
+// initial count plus its round-robin share of whole ingests.
 func TestConcurrentIngestAndQueries(t *testing.T) {
 	const initial = 800
 	db := sqldb.NewDB()
@@ -341,9 +357,9 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(db)
-	var childInfos [2]atomic.Int64
+	var childInfos [2]infoLog
 	if err := s.EnableShardingOpts(2, shardbe.Options{}, func(i int, be backend.Backend) backend.Backend {
-		return countingChild{Backend: be, infos: &childInfos[i]}
+		return countingChild{Backend: be, log: &childInfos[i]}
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -352,6 +368,11 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 
 	tab, _ := db.Table("census")
 	schema := tab.Schema()
+	var initialChild [2]int
+	for i, sdb := range s.shardDBs {
+		st, _ := sdb.Table("census")
+		initialChild[i] = st.NumRows()
+	}
 	fresh := make([]string, schema.NumColumns())
 	for i := range fresh {
 		fresh[i] = "1"
@@ -375,7 +396,7 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 		rowsPerIngest = 5
 	)
 	var wg sync.WaitGroup
-	errs := make(chan error, (writers+readers)*opsPerWorker)
+	errs := make(chan error, (2*writers+readers)*opsPerWorker)
 	answers := make(chan stormAnswer, readers*opsPerWorker)
 	var shardRecommends, shardQueries atomic.Int64
 
@@ -409,6 +430,30 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 		return true
 	}
 
+	// A lister reads /api/tables while the writers run.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < writers*opsPerWorker; i++ {
+			resp, err := http.Get(srv.URL + "/api/tables")
+			if err != nil {
+				errs <- err
+				return
+			}
+			var tables []tableInfo
+			err = json.NewDecoder(resp.Body).Decode(&tables)
+			resp.Body.Close()
+			if err != nil {
+				errs <- err
+				return
+			}
+			for _, ti := range tables {
+				if ti.Name == "census" && (ti.Rows-initial)%rowsPerIngest != 0 {
+					errs <- fmt.Errorf("/api/tables listed %d rows, inside an ingest", ti.Rows)
+				}
+			}
+		}
+	}()
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
@@ -479,10 +524,28 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 	}
 
 	// One child TableInfo per request through the router — the
-	// Recommend's pin — never one per query it runs.
+	// Recommend's pin — never one per query it runs, and each returned
+	// the child's count after some number k of whole ingests: its
+	// initial rows plus its round-robin share of the global sequence
+	// numbers [initial, initial + k·rowsPerIngest).
 	for i := range childInfos {
-		if got, want := childInfos[i].Load(), shardRecommends.Load()+shardQueries.Load(); got != want {
+		log := &childInfos[i]
+		if got, want := int64(len(log.rows)), shardRecommends.Load()+shardQueries.Load(); got != want {
 			t.Errorf("shard %d answered %d TableInfo calls for %d recommends and %d raw queries", i, got, shardRecommends.Load(), shardQueries.Load())
+		}
+		boundary := map[int]bool{}
+		for k, n := 0, initialChild[i]; k <= writers*opsPerWorker; k++ {
+			boundary[n] = true
+			for seq := initial + k*rowsPerIngest; seq < initial+(k+1)*rowsPerIngest; seq++ {
+				if seq%len(childInfos) == i {
+					n++
+				}
+			}
+		}
+		for _, n := range log.rows {
+			if !boundary[n] {
+				t.Errorf("shard %d reported %d rows to the router, inside an ingest", i, n)
+			}
 		}
 	}
 
@@ -530,8 +593,12 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 		if a.n < initial || a.n > want {
 			t.Fatalf("a response read %d rows, outside [%d, %d]", a.n, initial, want)
 		}
+		// A router's count adds children each read on its own boundary.
+		if !a.shard && (a.n-initial)%rowsPerIngest != 0 {
+			t.Errorf("an embedded response read %d rows, inside an ingest", a.n)
+		}
 		for refTab.NumRows() < a.n {
-			if err := refTab.AppendRow(freshRow); err != nil {
+			if err := refTab.Append([][]sqldb.Value{freshRow}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -534,7 +534,8 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 // store — and mirrors the table across the shard children, so
 // {"backend": "shard"} requests see every loaded table. Both hold the
 // writer mutex, so no ingest interleaves with them. Readers take no
-// lock: a request that starts mid-load reads the rows loaded so far
+// lock: a request that starts mid-load reads the blocks loaded so far,
+// which the loaders append whole (dataset.Build), never part of one
 // (docs/ARCHITECTURE.md, "One request, one table state").
 func (s *Server) install(w http.ResponseWriter, table string, rows int, build func() error) {
 	s.dataMu.Lock()

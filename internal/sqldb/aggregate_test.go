@@ -66,7 +66,7 @@ func TestLayoutAccessors(t *testing.T) {
 // corrupted tuple bytes rather than returning garbage.
 func TestCorruptTupleDetection(t *testing.T) {
 	rs := NewRowStore("t", MustSchema(Column{Name: "x", Type: TypeInt}))
-	if err := rs.AppendRow([]Value{Int(7)}); err != nil {
+	if err := rs.Append([][]Value{{Int(7)}}); err != nil {
 		t.Fatal(err)
 	}
 	rs.data[0] = 99 // clobber the field tag
@@ -144,10 +144,8 @@ func TestCountDistinctIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range rows {
-			if err := tab.AppendRow(row); err != nil {
-				t.Fatal(err)
-			}
+		if err := tab.Append(rows); err != nil {
+			t.Fatal(err)
 		}
 		return db
 	}

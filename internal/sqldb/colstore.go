@@ -13,24 +13,22 @@ import (
 // SeeDB case: one dimension + one measure out of dozens of attributes) run
 // several times faster than on the row store — the paper observes ~5X.
 //
-// AppendRow is safe alongside concurrent scans, and no lock is held for
-// the length of a scan. A scan reads the published row count once, then
-// the column headers (snapshot), and never reads at or past that count.
-// AppendRow only writes past every published count — into spare capacity,
+// Append is safe alongside concurrent scans, and no lock is held for the
+// length of a scan. A scan reads the published row count once, then the
+// column headers (snapshot), and never reads at or past that count.
+// Append only writes past every published count — into spare capacity,
 // or into a fresh array when a vector grows, leaving the old one to the
-// scans that hold it — and then publishes: the headers when an array
-// moved, a dictionary's length when it grew, and the row count last.
-// Writers are not synchronized with each other; callers serialize them.
+// scans that hold it — and then publishes, once per batch: the headers
+// when an array moved, the dictionaries' lengths, and the row count
+// last. Writers are not synchronized with each other; callers serialize
+// them.
 type ColStore struct {
 	name   string
 	schema *Schema
-	// Writer side, touched only by AppendRow, Reserve and CopyRange: the
-	// vectors at their true lengths, each string column's dictionary
-	// lookup, and the coerced values of the row being appended (so a
-	// mid-row coercion failure leaves every vector untouched).
-	cols    []columnVector
-	index   []map[string]int32
-	scratch []Value
+	// Writer side, touched only by Append and CopyRange: the vectors at
+	// their true lengths and each string column's dictionary lookup.
+	cols  []columnVector
+	index []map[string]int32
 	// Reader side: the writer's headers as of the last move, each string
 	// column's published dictionary length, and the published row count.
 	vecs    atomic.Pointer[[]columnVector]
@@ -84,68 +82,76 @@ func (t *ColStore) Layout() Layout { return LayoutCol }
 // NumRows returns the number of published rows.
 func (t *ColStore) NumRows() int { return int(t.rows.Load()) }
 
-// AppendRow appends one tuple, decomposing it into the column vectors.
-// The row is coerced up front so a failure leaves the table unchanged
-// (the vectors must never go out of sync, and dataset-version consumers
-// assume a failed append has no effect).
-func (t *ColStore) AppendRow(vals []Value) error {
-	if len(vals) != len(t.cols) {
-		return fmt.Errorf("sqldb: table %s expects %d values, got %d", t.name, len(t.cols), len(vals))
+// Append implements Table. It checks the batch first (Schema.CheckRows),
+// then pushes it one column at a time — growing each vector the way
+// append does, so a load of many batches copies each cell O(1) times —
+// and publishes the headers (when an array moved), the dictionaries'
+// lengths and the row count once.
+func (t *ColStore) Append(rows [][]Value) error {
+	if err := t.schema.CheckRows(rows); err != nil {
+		return fmt.Errorf("sqldb: table %s: %w", t.name, err)
 	}
-	if cap(t.scratch) < len(vals) {
-		t.scratch = make([]Value, len(vals))
-	}
-	coerced := t.scratch[:len(vals)]
-	for i, raw := range vals {
-		v, err := coerce(raw, t.cols[i].typ)
-		if err != nil {
-			return fmt.Errorf("%w (column %s)", err, t.schema.Column(i).Name)
-		}
-		coerced[i] = v
-	}
-	n := t.NumRows()
+	n, pub := t.NumRows(), *t.vecs.Load()
 	moved := false
-	for i, v := range coerced {
-		c := &t.cols[i]
-		isNull := v.Kind == KindNull
-		if isNull {
-			if c.nulls == nil {
-				c.nulls, moved = make([]bool, n, n+1), true
-			}
-			v = zeroValue(c.typ)
-		}
-		if c.nulls != nil {
-			c.nulls = push(c.nulls, isNull, &moved)
-		}
-		switch c.typ {
-		case TypeInt, TypeBool:
-			c.ints = push(c.ints, v.I, &moved)
-		case TypeFloat:
-			c.flts = push(c.flts, v.F, &moved)
-		case TypeString:
-			code, ok := t.index[i][v.S]
-			if !ok {
-				code = int32(len(c.dict))
-				c.dict = push(c.dict, v.S, &moved)
-				t.index[i][v.S] = code
-				t.dictLen[i].Store(code + 1)
-			}
-			c.codes = push(c.codes, code, &moved)
-		}
+	for i := range t.cols {
+		t.appendColumn(i, n, rows)
+		moved = moved || t.cols[i].moved(&pub[i])
 	}
 	if moved {
 		t.publishVecs()
 	}
-	t.rows.Store(int64(n + 1))
+	for i := range t.cols {
+		t.dictLen[i].Store(int32(len(t.cols[i].dict)))
+	}
+	t.rows.Store(int64(n + len(rows)))
 	return nil
 }
 
-// push appends v to s, setting *moved when the append needs a new array.
-func push[T any](s []T, v T, moved *bool) []T {
-	if len(s) == cap(s) {
-		*moved = true
+// appendColumn pushes column col of the checked rows onto its vector,
+// which holds n rows, converting each value to the column's type (see
+// storable). A NULL is stored as its type's zero value, marked in the
+// NULL vector, which the column's first NULL creates; a TEXT value new
+// to the column joins its dictionary.
+func (t *ColStore) appendColumn(col, n int, rows [][]Value) {
+	c := &t.cols[col]
+	for r, row := range rows {
+		v := row[col]
+		isNull := v.Kind == KindNull
+		if isNull {
+			if c.nulls == nil {
+				c.nulls = make([]bool, n+r, n+len(rows))
+			}
+			v = Value{} // every conversion below makes it its type's zero
+		}
+		if c.nulls != nil {
+			c.nulls = append(c.nulls, isNull)
+		}
+		switch c.typ {
+		case TypeInt:
+			i, _ := v.AsInt()
+			c.ints = append(c.ints, i)
+		case TypeBool:
+			c.ints = append(c.ints, Bool(v.I != 0).I)
+		case TypeFloat:
+			f, _ := v.AsFloat()
+			c.flts = append(c.flts, f)
+		case TypeString:
+			code, ok := t.index[col][v.S]
+			if !ok {
+				code = int32(len(c.dict))
+				c.dict = append(c.dict, v.S)
+				t.index[col][v.S] = code
+			}
+			c.codes = append(c.codes, code)
+		}
 	}
-	return append(s, v)
+}
+
+// moved reports whether an array of c is not the one p names. An array
+// only moves to a larger capacity, so comparing capacities tells.
+func (c *columnVector) moved(p *columnVector) bool {
+	return cap(c.ints) != cap(p.ints) || cap(c.flts) != cap(p.flts) || cap(c.dict) != cap(p.dict) ||
+		cap(c.codes) != cap(p.codes) || cap(c.nulls) != cap(p.nulls)
 }
 
 // publishVecs publishes a copy of the writer's vector headers.
@@ -207,8 +213,8 @@ func (t *ColStore) copyRange(src *ColStore, lo, hi int) {
 
 // recode returns TEXT column from's codes of rows [lo, hi) in column
 // col's dictionary, adding each string there when its code first
-// appears — the order AppendRow would add them in. A NULL row's code is
-// that of "", as AppendRow stores it.
+// appears — the order Append would add them in. A NULL row's code is
+// that of "", as Append stores it.
 func (t *ColStore) recode(col int, from *columnVector, lo, hi int) []int32 {
 	c := &t.cols[col]
 	remap := make([]int32, len(from.dict)) // source code → own code + 1; 0 is unseen
@@ -224,31 +230,6 @@ func (t *ColStore) recode(col int, from *columnVector, lo, hi int) []int32 {
 		codes[r] = code
 	}
 	return codes
-}
-
-// Reserve pre-allocates capacity for n additional rows in every column.
-func (t *ColStore) Reserve(n int) {
-	for i := range t.cols {
-		c := &t.cols[i]
-		switch c.typ {
-		case TypeInt, TypeBool:
-			c.ints = reserve(c.ints, n)
-		case TypeFloat:
-			c.flts = reserve(c.flts, n)
-		case TypeString:
-			c.codes = reserve(c.codes, n)
-		}
-	}
-	t.publishVecs()
-}
-
-// reserve returns s with room for n more elements, moved to a new array
-// when its own lacks it.
-func reserve[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	return append(make([]T, 0, len(s)+n), s...)
 }
 
 // colRowView adapts the columnar layout to the RowView interface for one

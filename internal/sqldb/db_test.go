@@ -39,13 +39,13 @@ func TestAppendRowErrors(t *testing.T) {
 	for _, layout := range []Layout{LayoutRow, LayoutCol} {
 		db := NewDB()
 		tab, _ := db.CreateTable("t", testSchema(), layout)
-		if err := tab.AppendRow([]Value{Str("F")}); err == nil {
+		if err := tab.Append([][]Value{{Str("F")}}); err == nil {
 			t.Errorf("[%v] wrong arity should fail", layout)
 		}
-		if err := tab.AppendRow([]Value{Str("F"), Str("not-int"), Float(1), Int(1)}); err == nil {
+		if err := tab.Append([][]Value{{Str("F"), Str("not-int"), Float(1), Int(1)}}); err == nil {
 			t.Errorf("[%v] type mismatch should fail", layout)
 		}
-		if !strings.Contains(tab.AppendRow([]Value{Str("F"), Str("x"), Float(1), Int(1)}).Error(), "column") {
+		if !strings.Contains(tab.Append([][]Value{{Str("F"), Str("x"), Float(1), Int(1)}}).Error(), "column") {
 			t.Errorf("[%v] error should name the column", layout)
 		}
 	}
@@ -62,10 +62,8 @@ func TestNullsInColumnStore(t *testing.T) {
 		{Str("y"), Null()},
 		{Null(), Float(3)},
 	}
-	for _, r := range rows {
-		if err := tab.AppendRow(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := tab.Append(rows); err != nil {
+		t.Fatal(err)
 	}
 	res, err := db.QueryOpts("SELECT COUNT(*), COUNT(m), COUNT(a) FROM t", ExecOptions{})
 	if err != nil {
@@ -166,7 +164,7 @@ func TestStatsMemoIsOneSlotPerTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := tab.AppendRow(row); err != nil {
+		if err := tab.Append([][]Value{row}); err != nil {
 			t.Fatal(err)
 		}
 		ts, err := db.StatsContext(context.Background(), "census")
@@ -185,28 +183,6 @@ func TestStatsMemoIsOneSlotPerTable(t *testing.T) {
 	}
 	if n := len(db.stats); n != 0 {
 		t.Errorf("%d stats entries retained after DropTable, want 0", n)
-	}
-}
-
-func TestReserveDoesNotCorrupt(t *testing.T) {
-	for _, layout := range []Layout{LayoutRow, LayoutCol} {
-		db := NewDB()
-		tab, _ := db.CreateTable("t", testSchema(), layout)
-		switch s := tab.(type) {
-		case *RowStore:
-			s.Reserve(100)
-		case *ColStore:
-			s.Reserve(100)
-		}
-		for _, r := range testRows() {
-			if err := tab.AppendRow(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := db.QueryOpts("SELECT COUNT(*) FROM t", ExecOptions{})
-		if err != nil || res.Rows[0][0].I != 6 {
-			t.Errorf("[%v] after Reserve: %v, %v", layout, res, err)
-		}
 	}
 }
 
@@ -275,7 +251,7 @@ func TestTableVersion(t *testing.T) {
 	if !ok {
 		t.Fatal("no version after create")
 	}
-	if err := tab.AppendRow([]Value{Int(1)}); err != nil {
+	if err := tab.Append([][]Value{{Int(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	v2, _ := db.TableVersion("t")
@@ -305,7 +281,7 @@ func TestTableVersionDistinctAcrossDBs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tab.AppendRow([]Value{Int(val)}); err != nil {
+		if err := tab.Append([][]Value{{Int(val)}}); err != nil {
 			t.Fatal(err)
 		}
 		v, _ := db.TableVersion("t")
@@ -327,18 +303,18 @@ func TestColStoreFailedAppendLeavesTableUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.AppendRow([]Value{Int(1), Float(1.5)}); err != nil {
+	if err := tab.Append([][]Value{{Int(1), Float(1.5)}}); err != nil {
 		t.Fatal(err)
 	}
 	v1, _ := db.TableVersion("t")
 	// Column a coerces fine, column b fails: nothing may stick.
-	if err := tab.AppendRow([]Value{Int(2), Str("not-a-float")}); err == nil {
+	if err := tab.Append([][]Value{{Int(2), Str("not-a-float")}}); err == nil {
 		t.Fatal("bad append succeeded")
 	}
 	if v2, _ := db.TableVersion("t"); v2 != v1 {
 		t.Errorf("failed append changed version %s -> %s", v1, v2)
 	}
-	if err := tab.AppendRow([]Value{Int(3), Float(3.5)}); err != nil {
+	if err := tab.Append([][]Value{{Int(3), Float(3.5)}}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := db.QueryOpts("SELECT a, b FROM t", ExecOptions{})

@@ -117,7 +117,8 @@ func New(seed int64, rows int) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < rows; i++ {
+	all := make([][]sqldb.Value, rows)
+	for i := range all {
 		row := []sqldb.Value{
 			h.dimValue(0, 0.10),
 			h.dimValue(1, 0.08),
@@ -134,12 +135,13 @@ func New(seed int64, rows int) (*Harness, error) {
 		if h.rng.Float64() < 0.05 {
 			row[9] = sqldb.Null()
 		}
-		if err := tab.AppendRow(row); err != nil {
-			return nil, err
-		}
-		if err := ref.AppendRow(row); err != nil {
-			return nil, err
-		}
+		all[i] = row
+	}
+	if err := tab.Append(all); err != nil {
+		return nil, err
+	}
+	if err := ref.Append(all); err != nil {
+		return nil, err
 	}
 	return h, nil
 }

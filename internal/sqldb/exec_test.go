@@ -41,7 +41,7 @@ func buildDB(t *testing.T, layout Layout) *DB {
 		t.Fatal(err)
 	}
 	for _, r := range testRows() {
-		if err := tab.AppendRow(r); err != nil {
+		if err := tab.Append([][]Value{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -388,7 +388,7 @@ func TestContextCancellation(t *testing.T) {
 	db := NewDB()
 	tab, _ := db.CreateTable("big", MustSchema(Column{Name: "x", Type: TypeInt}), LayoutCol)
 	for i := 0; i < 100000; i++ {
-		if err := tab.AppendRow([]Value{Int(int64(i))}); err != nil {
+		if err := tab.Append([][]Value{{Int(int64(i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -438,10 +438,8 @@ func TestExecutorAgainstOracleRandomData(t *testing.T) {
 	for _, layout := range []Layout{LayoutRow, LayoutCol} {
 		db := NewDB()
 		tab, _ := db.CreateTable("t", schema, layout)
-		for _, r := range raw {
-			if err := tab.AppendRow(r); err != nil {
-				t.Fatal(err)
-			}
+		if err := tab.Append(raw); err != nil {
+			t.Fatal(err)
 		}
 		res, err := db.QueryOpts("SELECT d1, AVG(m1) FROM t GROUP BY d1", ExecOptions{})
 		if err != nil {
@@ -487,10 +485,10 @@ func TestRowAndColStoresAgree(t *testing.T) {
 				Str(fmt.Sprintf("x%d", rng.Intn(3))),
 				Float(float64(rng.Intn(1000)) / 10),
 			}
-			if err := tr.AppendRow(row); err != nil {
+			if err := tr.Append([][]Value{row}); err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.AppendRow(row); err != nil {
+			if err := tc.Append([][]Value{row}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -50,7 +50,7 @@ func predselTable(t *testing.T, rows int) *DB {
 		if r%4 == 0 {
 			vals[3] = Null()
 		}
-		if err := tab.AppendRow(vals); err != nil {
+		if err := tab.Append([][]Value{vals}); err != nil {
 			t.Fatal(err)
 		}
 	}

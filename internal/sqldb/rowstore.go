@@ -30,8 +30,9 @@ import (
 //
 // Appends are safe alongside concurrent scans, as in ColStore: a scan
 // reads the published row count once, then the heap headers, and never
-// reads a tuple at or past that count; AppendRow writes past it and
-// publishes the headers when an array moved, then the row count.
+// reads a tuple at or past that count; Append writes past it and
+// publishes the headers when an array moved, then the row count, once
+// per batch.
 type RowStore struct {
 	name   string
 	schema *Schema
@@ -90,56 +91,45 @@ func (t *RowStore) publishHeap() {
 	t.heap.Store(&rowHeap{data: t.data, offsets: t.offsets})
 }
 
-// AppendRow serializes one tuple onto the heap.
-func (t *RowStore) AppendRow(vals []Value) error {
-	if len(vals) != t.width {
-		return fmt.Errorf("sqldb: table %s expects %d values, got %d", t.name, t.width, len(vals))
+// Append implements Table: it checks the batch first (Schema.CheckRows),
+// serializes its tuples onto the heap, and publishes the headers (when an
+// array moved) and the row count once.
+func (t *RowStore) Append(rows [][]Value) error {
+	if err := t.schema.CheckRows(rows); err != nil {
+		return fmt.Errorf("sqldb: table %s: %w", t.name, err)
 	}
-	start := len(t.data)
-	for i, raw := range vals {
-		v, err := coerce(raw, t.schema.Column(i).Type)
-		if err != nil {
-			t.data = t.data[:start] // roll back the partial tuple
-			return fmt.Errorf("%w (column %s)", err, t.schema.Column(i).Name)
+	for _, row := range rows {
+		for i, v := range row {
+			t.data = appendField(t.data, v, t.schema.Column(i).Type)
 		}
-		switch v.Kind {
-		case KindNull:
-			t.data = append(t.data, tagNull)
-		case KindInt:
-			t.data = append(t.data, tagInt)
-			t.data = binary.LittleEndian.AppendUint64(t.data, uint64(v.I))
-		case KindFloat:
-			t.data = append(t.data, tagFloat)
-			t.data = binary.LittleEndian.AppendUint64(t.data, math.Float64bits(v.F))
-		case KindBool:
-			b := byte(0)
-			if v.I != 0 {
-				b = 1
-			}
-			t.data = append(t.data, tagBool, b)
-		case KindString:
-			t.data = append(t.data, tagStr)
-			t.data = binary.LittleEndian.AppendUint32(t.data, uint32(len(v.S)))
-			t.data = append(t.data, v.S...)
-		}
+		t.offsets = append(t.offsets, len(t.data))
 	}
-	t.offsets = append(t.offsets, len(t.data))
-	// An array only moves to a larger capacity, so a capacity that
-	// differs from the published one (a rolled-back row may have grown
-	// data too) means the headers are stale.
+	// An array only moves to a larger capacity.
 	if h := t.heap.Load(); cap(t.data) != cap(h.data) || cap(t.offsets) != cap(h.offsets) {
 		t.publishHeap()
 	}
-	t.rows.Add(1)
+	t.rows.Add(int64(len(rows)))
 	return nil
 }
 
-// Reserve pre-allocates capacity for approximately n additional rows.
-func (t *RowStore) Reserve(n int) {
-	// Estimate 9 bytes per field (the INT/FLOAT encoding).
-	t.data = reserve(t.data, n*t.width*9)
-	t.offsets = reserve(t.offsets, n+1)
-	t.publishHeap()
+// appendField appends to data the encoding of v, a value storable in a
+// column of type typ, converted to that type (see storable).
+func appendField(data []byte, v Value, typ ColumnType) []byte {
+	switch {
+	case v.Kind == KindNull:
+		return append(data, tagNull)
+	case typ == TypeInt:
+		i, _ := v.AsInt()
+		return binary.LittleEndian.AppendUint64(append(data, tagInt), uint64(i))
+	case typ == TypeFloat:
+		f, _ := v.AsFloat()
+		return binary.LittleEndian.AppendUint64(append(data, tagFloat), math.Float64bits(f))
+	case typ == TypeBool:
+		return append(data, tagBool, byte(Bool(v.I != 0).I))
+	default:
+		data = binary.LittleEndian.AppendUint32(append(data, tagStr), uint32(len(v.S)))
+		return append(data, v.S...)
+	}
 }
 
 // snapshot reads the table for one scan: the row count first, then the

@@ -62,6 +62,24 @@ func (s *Schema) Lookup(name string) (int, bool) {
 	return i, ok
 }
 
+// CheckRows returns an error naming the first of rows a table of this
+// schema cannot store: one whose value count is not the column count, or
+// that holds a value its column cannot store (see storable). Append
+// checks its batch with it before writing anything.
+func (s *Schema) CheckRows(rows [][]Value) error {
+	for r, row := range rows {
+		if len(row) != len(s.cols) {
+			return fmt.Errorf("row %d has %d values, want %d", r, len(row), len(s.cols))
+		}
+		for i, v := range row {
+			if !storable(v, s.cols[i].Type) {
+				return fmt.Errorf("row %d: cannot store %s value %q in %s column %s", r, v.Kind, v.String(), s.cols[i].Type, s.cols[i].Name)
+			}
+		}
+	}
+	return nil
+}
+
 // String renders the schema as "(name TYPE, ...)".
 func (s *Schema) String() string {
 	var b strings.Builder
@@ -142,10 +160,11 @@ type RowView interface {
 	Value(col int) Value
 }
 
-// Table is a stored relation. Implementations must let AppendRow run
-// alongside concurrent readers: a reader sees a prefix of the rows, fixed
-// when it reads the row count, and never a half-appended row. Writers
-// are not synchronized with each other; callers serialize them.
+// Table is a stored relation. Rows land only through Append, one batch
+// at a time, and implementations must let it run alongside concurrent
+// readers: a reader sees a prefix of the rows, fixed when it reads the
+// row count, that ends on a batch boundary — never part of a batch.
+// Writers are not synchronized with each other; callers serialize them.
 type Table interface {
 	// Name returns the table name.
 	Name() string
@@ -157,9 +176,12 @@ type Table interface {
 	NumRows() int
 	// Layout reports the physical layout (ROW or COL).
 	Layout() Layout
-	// AppendRow appends one row; vals must have one value per column,
-	// coercible to the column types.
-	AppendRow(vals []Value) error
+	// Append appends rows in order, all or nothing: unless every row
+	// has one value per column, each one its column can store
+	// (Schema.CheckRows), it returns an error and the table is unchanged.
+	// The batch is published at once: NumRows moves past all of it in
+	// one step.
+	Append(rows [][]Value) error
 	// ScanRange invokes fn for every row index in [lo, hi), clamped to
 	// the table size. cols lists the column indices the consumer will
 	// read; a column store uses it to touch only those vectors, while a
@@ -174,7 +196,7 @@ type Table interface {
 // src and copies its storage instead of boxing each cell — a column
 // store's typed vectors, each TEXT column's codes re-coded in first-seen
 // order, a row store's encoded tuples — so dst ends up equal to the
-// table AppendRow would build from the same rows one at a time: every
+// table Append would build from the same rows, in any batches: every
 // cell, each dictionary's order, and a NULL vector only where the range
 // holds a NULL. The rows are published at once.
 func CopyRange(dst, src Table, lo, hi int) error {

@@ -243,10 +243,8 @@ func loadTable(t *testing.T, schema *Schema, rows [][]Value) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if err := tab.AppendRow(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := tab.Append(rows); err != nil {
+		t.Fatal(err)
 	}
 	return db
 }

@@ -2,6 +2,9 @@ package sqldb
 
 import (
 	"fmt"
+	"maps"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -18,7 +21,7 @@ func TestTableVersionIsEpochAndRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			if err := tab.AppendRow([]Value{Int(int64(i))}); err != nil {
+			if err := tab.Append([][]Value{{Int(int64(i))}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -30,7 +33,7 @@ func TestTableVersionIsEpochAndRows(t *testing.T) {
 	if !ok || v2 != v1 || rows != 3 {
 		t.Fatalf("second read at 3 rows = %q (%d rows, ok %t), want %q", v2, rows, ok, v1)
 	}
-	if err := tab.AppendRow([]Value{Int(9)}); err != nil {
+	if err := tab.Append([][]Value{{Int(9)}}); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := db.TableVersion("t"); v == v1 {
@@ -45,11 +48,15 @@ func TestTableVersionIsEpochAndRows(t *testing.T) {
 	}
 }
 
-// TestAppendAlongsideScans: a writer appends rows — new dictionary
-// entries, a first NULL mid-stream, vectors outgrowing their arrays —
-// while readers query rows [0, n) for the n they read. Every answer must
-// be exactly that prefix's, on both layouts; -race checks that no reader
-// touches memory an append writes.
+// TestAppendAlongsideScans: a writer appends rows in batches of uneven
+// sizes — new dictionary entries, a first NULL mid-stream, vectors
+// outgrowing their arrays — while readers query rows [0, n) for the n
+// they read. Every n must fall on a batch boundary and every answer be
+// exactly that prefix's, on both layouts; -race checks that no reader
+// touches memory an append writes. Between batches the writer tries one
+// whose last row holds a value its column cannot store, after a new
+// dictionary word and (before the first NULL) a NULL: it must fail and
+// leave the row count, the version token and the storage unchanged.
 func TestAppendAlongsideScans(t *testing.T) {
 	for _, layout := range []Layout{LayoutCol, LayoutRow} {
 		t.Run(layout.String(), func(t *testing.T) {
@@ -69,14 +76,40 @@ func TestAppendAlongsideScans(t *testing.T) {
 				return []Value{d, Int(int64(i))}
 			}
 			const total = 4000
+			var batches [][][]Value
+			boundary := map[int]bool{0: true}
+			for lo, b := 0, 0; lo < total; b++ {
+				hi := min(total, lo+[]int{1, 7, 64, 3, 250, 0, 31}[b%7])
+				batch := make([][]Value, 0, hi-lo)
+				for i := lo; i < hi; i++ {
+					batch = append(batch, row(i))
+				}
+				batches, boundary[hi], lo = append(batches, batch), true, hi
+			}
+			bad := [][]Value{{Str("fresh"), Int(1)}, {Null(), Int(2)}, {Str("v1"), Str("not-an-int")}}
 			var wg sync.WaitGroup
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := 0; i < total; i++ {
-					if err := tab.AppendRow(row(i)); err != nil {
+				for b, batch := range batches {
+					if err := tab.Append(batch); err != nil {
 						t.Error(err)
 						return
+					}
+					if b%10 != 0 {
+						continue
+					}
+					rows, before := tab.NumRows(), writerState(tab)
+					version, _ := db.TableVersion("t")
+					if err := tab.Append(bad); err == nil {
+						t.Error("a batch with an uncoercible cell was appended")
+						return
+					}
+					if v, _ := db.TableVersion("t"); tab.NumRows() != rows || v != version {
+						t.Errorf("a failed batch moved the table from %d rows (%s) to %d (%s)", rows, version, tab.NumRows(), v)
+					}
+					if after := writerState(tab); !reflect.DeepEqual(after, before) {
+						t.Errorf("a failed batch at %d rows changed the storage:\n %v\nwant\n %v", rows, after, before)
 					}
 				}
 			}()
@@ -85,6 +118,10 @@ func TestAppendAlongsideScans(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for n := 0; n < total; n = tab.NumRows() {
+						if !boundary[n] {
+							t.Errorf("a reader saw %d rows, inside a batch", n)
+							return
+						}
 						if n == 0 {
 							continue
 						}
@@ -111,6 +148,24 @@ func TestAppendAlongsideScans(t *testing.T) {
 	}
 }
 
+// writerState copies the storage a failed Append must leave as it was:
+// a column store's vectors, dictionaries (lookup and published length
+// included) and NULL vectors, or a row store's heap.
+func writerState(tab Table) any {
+	switch s := tab.(type) {
+	case *ColStore:
+		var out []any
+		for i, c := range s.cols {
+			out = append(out, slices.Clone(c.ints), slices.Clone(c.flts), slices.Clone(c.dict),
+				slices.Clone(c.codes), slices.Clone(c.nulls), maps.Clone(s.index[i]), s.dictLen[i].Load())
+		}
+		return out
+	case *RowStore:
+		return []any{slices.Clone(s.data), slices.Clone(s.offsets)}
+	}
+	return nil
+}
+
 // TestCopyRangeAlongsideAppends: CopyRange copies a range of a source a
 // writer keeps appending to, while a reader queries the copy as it is
 // published. The reader sees no row or every copied one, never part;
@@ -134,7 +189,7 @@ func TestCopyRangeAlongsideAppends(t *testing.T) {
 					if i%13 == 0 {
 						d = Null()
 					}
-					if err := src.AppendRow([]Value{d, Int(int64(i))}); err != nil {
+					if err := src.Append([][]Value{{d, Int(int64(i))}}); err != nil {
 						t.Error(err)
 						return
 					}

@@ -31,7 +31,6 @@ func BenchmarkStatsAfterAppend(b *testing.B) {
 			db := sqldb.NewDB()
 			var tab sqldb.Table
 			next := pool.NumRows() // forces a load on the first iteration
-			row := make([]sqldb.Value, pool.Schema().NumColumns())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -50,12 +49,18 @@ func BenchmarkStatsAfterAppend(b *testing.B) {
 					}
 					next = 0
 				}
+				var rows [][]sqldb.Value
 				err := pool.ScanRange(next, next+batch, nil, func(rv sqldb.RowView) error {
+					row := make([]sqldb.Value, pool.Schema().NumColumns())
 					for c := range row {
 						row[c] = rv.Value(c)
 					}
-					return tab.AppendRow(row)
+					rows = append(rows, row)
+					return nil
 				})
+				if err == nil {
+					err = tab.Append(rows)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -125,7 +125,7 @@ func appendStatsRows(t testing.TB, tab Table, rng *rand.Rand, n int) {
 				return Float(float64(rng.Intn(1000)) / 8)
 			}),
 		}
-		if err := tab.AppendRow(row); err != nil {
+		if err := tab.Append([][]Value{row}); err != nil {
 			t.Fatal(err)
 		}
 	}

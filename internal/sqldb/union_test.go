@@ -106,7 +106,7 @@ func TestUnionAllFallsBackPerBranch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []string{"x", "y", "x"} {
-		if err := other.AppendRow([]Value{Str(s)}); err != nil {
+		if err := other.Append([][]Value{{Str(s)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -296,29 +296,20 @@ func zeroValue(t ColumnType) Value {
 	}
 }
 
-// coerce converts v to the column type t where a lossless or conventional
-// conversion exists; it returns an error otherwise. NULL passes through.
-func coerce(v Value, t ColumnType) (Value, error) {
-	if v.Kind == KindNull {
-		return v, nil
-	}
+// storable reports whether v can be stored in a column of type t: NULL
+// in any column, a number (INT, FLOAT or BOOL) in an INT or FLOAT
+// column, TEXT in a TEXT column, a BOOL or an INT in a BOOL column. The
+// stores convert what they take the conventional way: a FLOAT stored in
+// an INT column truncates, a nonzero INT stored in a BOOL column is TRUE.
+func storable(v Value, t ColumnType) bool {
 	switch t {
-	case TypeInt:
-		if i, ok := v.AsInt(); ok {
-			return Int(i), nil
-		}
-	case TypeFloat:
-		if f, ok := v.AsFloat(); ok {
-			return Float(f), nil
-		}
+	case TypeInt, TypeFloat:
+		_, ok := v.AsFloat()
+		return ok || v.Kind == KindNull
 	case TypeString:
-		if v.Kind == KindString {
-			return v, nil
-		}
+		return v.Kind == KindString || v.Kind == KindNull
 	case TypeBool:
-		if v.Kind == KindBool || v.Kind == KindInt {
-			return Bool(v.I != 0), nil
-		}
+		return v.Kind == KindBool || v.Kind == KindInt || v.Kind == KindNull
 	}
-	return Null(), fmt.Errorf("sqldb: cannot store %s value %q in %s column", v.Kind, v.String(), t)
+	return false
 }

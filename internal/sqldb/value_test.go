@@ -164,21 +164,37 @@ func TestValueAsFloatAsInt(t *testing.T) {
 	}
 }
 
-func TestCoerce(t *testing.T) {
-	if v, err := coerce(Int(3), TypeFloat); err != nil || v.Kind != KindFloat || v.F != 3 {
-		t.Errorf("coerce int→float = %v, %v", v, err)
+// TestStorable: which values each column type takes, and how both
+// stores convert what they take.
+func TestStorable(t *testing.T) {
+	for _, c := range []struct {
+		v   Value
+		typ ColumnType
+		ok  bool
+	}{
+		{Int(3), TypeFloat, true}, {Float(3.7), TypeInt, true}, {Bool(true), TypeInt, true},
+		{Int(2), TypeBool, true}, {Null(), TypeInt, true}, {Null(), TypeString, true}, {Null(), TypeBool, true},
+		{Str("x"), TypeInt, false}, {Str("x"), TypeFloat, false}, {Float(1), TypeBool, false}, {Int(1), TypeString, false},
+	} {
+		if got := storable(c.v, c.typ); got != c.ok {
+			t.Errorf("storable(%v, %v) = %t, want %t", c.v, c.typ, got, c.ok)
+		}
 	}
-	if v, err := coerce(Float(3.7), TypeInt); err != nil || v.I != 3 {
-		t.Errorf("coerce float→int = %v, %v", v, err)
-	}
-	if _, err := coerce(Str("x"), TypeInt); err == nil {
-		t.Error("coerce string→int must fail")
-	}
-	if v, err := coerce(Null(), TypeInt); err != nil || !v.IsNull() {
-		t.Error("NULL must coerce to any type")
-	}
-	if v, err := coerce(Int(1), TypeBool); err != nil || !v.Truthy() {
-		t.Errorf("coerce 1→bool = %v, %v", v, err)
+	schema := MustSchema(Column{Name: "f", Type: TypeFloat}, Column{Name: "i", Type: TypeInt}, Column{Name: "b", Type: TypeBool})
+	for _, layout := range []Layout{LayoutRow, LayoutCol} {
+		tab, _ := NewDB().CreateTable("t", schema, layout)
+		if err := tab.Append([][]Value{{Int(3), Float(3.7), Int(2)}}); err != nil {
+			t.Fatal(err)
+		}
+		want := []Value{Float(3), Int(3), Bool(true)}
+		_ = tab.ScanRange(0, 1, nil, func(row RowView) error {
+			for c, w := range want {
+				if got := row.Value(c); got != w {
+					t.Errorf("[%v] column %d stored %#v, want %#v", layout, c, got, w)
+				}
+			}
+			return nil
+		})
 	}
 }
 

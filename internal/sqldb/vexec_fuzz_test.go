@@ -81,7 +81,7 @@ func fuzzGroupTable(t *testing.T, body []byte, reps int) *DB {
 		if b := at(2); b != 255 {
 			row[3] = Float((float64(b) - 128) * 0.25)
 		}
-		if err := tab.AppendRow(row); err != nil {
+		if err := tab.Append([][]Value{row}); err != nil {
 			t.Fatal(err)
 		}
 	}

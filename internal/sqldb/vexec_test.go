@@ -45,7 +45,7 @@ func vexecTable(t *testing.T, rows int) *DB {
 		if i%17 == 0 {
 			vals[2] = Null()
 		}
-		if err := tab.AppendRow(vals); err != nil {
+		if err := tab.Append([][]Value{vals}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func rowTwin(t *testing.T, db *DB) *DB {
 		for i := range row {
 			row[i] = rv.Value(i)
 		}
-		return tab.AppendRow(row)
+		return tab.Append([][]Value{row})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestVectorizedFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := tab.AppendRow([]Value{Str(fmt.Sprintf("g%d", i%4)), Float(float64(i))}); err != nil {
+		if err := tab.Append([][]Value{{Str(fmt.Sprintf("g%d", i%4)), Float(float64(i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,7 +349,7 @@ func TestTypedMinMaxMatchesInterpreterBeyond2p53(t *testing.T) {
 		if i%2 == 1 {
 			v = big + 1 // same float64 as big: Compare sees them equal
 		}
-		if err := tab.AppendRow([]Value{Str(fmt.Sprintf("g%d", i%3)), Int(v)}); err != nil {
+		if err := tab.Append([][]Value{{Str(fmt.Sprintf("g%d", i%3)), Int(v)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,7 +382,7 @@ func TestNumericGroupKeyEdges(t *testing.T) {
 	}
 	vals := []Value{Float(0.0), Float(math.Copysign(0, -1)), Float(1.5), Null(), Float(-1.5)}
 	for i := 0; i < 500; i++ {
-		if err := tab.AppendRow([]Value{vals[i%len(vals)], Int(int64(i))}); err != nil {
+		if err := tab.Append([][]Value{{vals[i%len(vals)], Int(int64(i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -473,7 +473,7 @@ func TestGroupIDSpaceOverflowRetriesOnInterpreter(t *testing.T) {
 	}
 	for i := 0; i < 3000; i++ {
 		row := []Value{Float(float64(i % 1500)), Float(float64(i*7%1500) + 0.5), Float(float64(i*11%1500) - 0.25), Float(float64(i*13%1500) * 2), Int(int64(i))}
-		if err := tab.AppendRow(row); err != nil {
+		if err := tab.Append([][]Value{row}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -562,7 +562,7 @@ func TestGroupedScanAllocations(t *testing.T) {
 			if i%13 == 0 {
 				row[1] = Null()
 			}
-			if err := tab.AppendRow(row); err != nil {
+			if err := tab.Append([][]Value{row}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -25,10 +25,8 @@ func buildDB(t *testing.T) *sqldb.DB {
 		{sqldb.Str("west"), sqldb.Bool(false), sqldb.Int(2), sqldb.Null()},
 		{sqldb.Str("east"), sqldb.Bool(true), sqldb.Int(3), sqldb.Float(3.5)},
 	}
-	for _, r := range rows {
-		if err := tab.AppendRow(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := tab.Append(rows); err != nil {
+		t.Fatal(err)
 	}
 	return db
 }

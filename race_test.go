@@ -102,7 +102,7 @@ func TestConcurrentRecommendParallelScansAndLoads(t *testing.T) {
 			row[i] = Float(1)
 		}
 	}
-	if err := tab.AppendRow(row); err != nil {
+	if err := tab.Append([][]Value{row}); err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{Strategy: Sharing, K: 2, ScanParallelism: 3, EnableCache: true}

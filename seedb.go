@@ -321,11 +321,14 @@ func (c *Client) CreateTable(name string, schema *Schema, layout Layout) error {
 	}
 }
 
-// AppendRows appends rows to an existing table. On sharded clients each
-// row routes through the client's partitioner (round-robin by global
-// sequence, so repeated appends stay balanced and deterministic); either
-// way the table's version changes and cached results for it become
-// unreachable.
+// AppendRows appends rows to an existing table, all or nothing: a row
+// with the wrong value count or a value its column cannot store fails
+// the call before any row lands, on any store. On sharded clients the
+// rows route round-robin by global sequence (so repeated appends stay
+// balanced and deterministic), one batch per child. Once rows land, the
+// table's version changes and cached results for it become unreachable;
+// a reader sees none of the batch or all of it (on a sharded client, of
+// each child's part).
 func (c *Client) AppendRows(table string, rows [][]Value) error {
 	switch {
 	case c.db != nil:
@@ -333,12 +336,7 @@ func (c *Client) AppendRows(table string, rows [][]Value) error {
 		if !ok {
 			return fmt.Errorf("seedb: table %q does not exist", table)
 		}
-		for _, row := range rows {
-			if err := t.AppendRow(row); err != nil {
-				return err
-			}
-		}
-		return nil
+		return t.Append(rows)
 	case c.shardDBs != nil:
 		return shardbe.AppendRows(c.shardDBs, table, rows)
 	default:

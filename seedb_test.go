@@ -153,7 +153,7 @@ func TestCreateTableAndAppend(t *testing.T) {
 	if !ok {
 		t.Fatal("table missing")
 	}
-	if err := tab.AppendRow([]Value{Str("x"), Float(1.5)}); err != nil {
+	if err := tab.Append([][]Value{{Str("x"), Float(1.5)}}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := client.Query("SELECT d, m FROM t")

@@ -104,6 +104,39 @@ func TestShardedClientQueryAndCache(t *testing.T) {
 	}
 }
 
+// TestFailedAppendLandsNowhere: AppendRows is all or nothing. A batch
+// whose row k holds a value its column cannot store fails, on an
+// unsharded client and on one of three shards, and leaves the table's
+// version token (on the router, every child's) and row count as they
+// were: rows 0..k−1 land on no store.
+func TestFailedAppendLandsNowhere(t *testing.T) {
+	ctx := context.Background()
+	for name, c := range map[string]*seedb.Client{"New": seedb.New(), "NewSharded(3)": seedb.NewSharded(3)} {
+		t.Run(name, func(t *testing.T) {
+			loadExactTable(t, c)
+			before, err := c.Backend().TableInfo(ctx, "sales")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows [][]seedb.Value
+			for i := 0; i < 5; i++ {
+				rows = append(rows, []seedb.Value{seedb.Str("east"), seedb.Str("online"), seedb.Int(int64(i)), seedb.Float(1)})
+			}
+			rows[4][2] = seedb.Str("four")
+			if err := c.AppendRows("sales", rows); err == nil {
+				t.Fatal("a batch with an uncoercible cell was appended")
+			}
+			after, err := c.Backend().TableInfo(ctx, "sales")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Version != before.Version || after.Rows != before.Rows {
+				t.Errorf("a failed append moved the table from %d rows (%s) to %d (%s)", before.Rows, before.Version, after.Rows, after.Version)
+			}
+		})
+	}
+}
+
 // TestShardedClientLoadDataset checks built-in dataset loads scatter
 // across shards and recommendations come back sane.
 func TestShardedClientLoadDataset(t *testing.T) {
