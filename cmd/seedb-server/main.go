@@ -267,7 +267,9 @@ func serveWithDrain(hs *http.Server, ln net.Listener, drainTimeout time.Duration
 // contiguous blocks of every table — the child server's share when a
 // dataset is split across a fleet. Splitting with the same block
 // partitioner the in-process router uses means a -children router over
-// the fleet presents the original global row order.
+// the fleet presents the original global row order. The block is copied
+// out of its view into a table of its own, which holds only the share
+// and takes /api/ingest appends.
 func keepPartition(src *sqldb.DB, spec string) (*sqldb.DB, error) {
 	// Exactly two base-10 integers around one slash: trailing input
 	// ("1/2/3", "0/2x") is a typo that would serve the wrong block.
@@ -277,10 +279,8 @@ func keepPartition(src *sqldb.DB, spec string) (*sqldb.DB, error) {
 	if ierr != nil || nerr != nil || n < 1 || idx < 0 || idx >= n {
 		return nil, fmt.Errorf("bad -partition %q (want \"i/n\" with 0 <= i < n)", spec)
 	}
-	parts := make([]*sqldb.DB, n)
-	for i := range parts {
-		parts[i] = sqldb.NewDB()
-	}
+	parts, _ := shardbe.EmbeddedChildren(n)
+	kept := sqldb.NewDB()
 	for _, name := range src.TableNames() {
 		t, ok := src.Table(name)
 		if !ok {
@@ -289,10 +289,29 @@ func keepPartition(src *sqldb.DB, spec string) (*sqldb.DB, error) {
 		if err := shardbe.ScatterTable(src, name, parts, shardbe.Blocks{Total: t.NumRows()}); err != nil {
 			return nil, err
 		}
-		kept, _ := parts[idx].Table(name)
-		fmt.Printf("partition %d/%d of %s: %d rows\n", idx, n, name, kept.NumRows())
+		view, _ := parts[idx].Table(name)
+		var rows [][]sqldb.Value
+		width := t.Schema().NumColumns()
+		if err := view.ScanRange(0, view.NumRows(), nil, func(rv sqldb.RowView) error {
+			row := make([]sqldb.Value, width)
+			for c := range row {
+				row[c] = rv.Value(c)
+			}
+			rows = append(rows, row)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		own, err := kept.CreateTable(t.Name(), t.Schema(), t.Layout())
+		if err != nil {
+			return nil, err
+		}
+		if err := own.Append(rows); err != nil {
+			return nil, err
+		}
+		fmt.Printf("partition %d/%d of %s: %d rows\n", idx, n, name, own.NumRows())
 	}
-	return parts[idx], nil
+	return kept, nil
 }
 
 // splitList splits a comma-separated flag value, dropping empties.

@@ -63,12 +63,11 @@ func main() {
 	}
 
 	// Rows can also be appended programmatically.
-	tab, _ := client.DB().Table("orders")
 	extra := [][]seedb.Value{
 		{seedb.Str("Q2"), seedb.Str("EMEA"), seedb.Str("electronics"), seedb.Str("web"), seedb.Float(260), seedb.Float(7)},
 		{seedb.Str("Q2"), seedb.Str("EMEA"), seedb.Str("home"), seedb.Str("web"), seedb.Float(25), seedb.Float(1)},
 	}
-	if err := tab.Append(extra); err != nil {
+	if err := client.AppendRows("orders", extra); err != nil {
 		log.Fatal(err)
 	}
 

@@ -10,31 +10,32 @@ import (
 // Blocks assigns contiguous row blocks. With Total > 0, row seq goes to
 // shard min(seq*shards/Total, shards-1): shard i of n gets global rows
 // [⌈i·Total/n⌉, ⌈(i+1)·Total/n⌉), and the last shard also every row at
-// or past Total. With Total ≤ 0 every row goes to shard 0. It preserves
-// order — the router's shard-major global row space then equals the
-// original insertion order, which is what makes sharded execution
-// bit-identical to an unsharded scan (first-seen group order, phased
-// row-range subsets). It needs the total row count up front, so it fits
-// bulk loads, not streaming appends.
+// or past Total. With Total ≤ 0 every row goes to shard 0. Either way,
+// rows the source appends after ScatterTable join the last shard. It
+// preserves order — the router's shard-major global row space then
+// equals the original insertion order, which is what makes sharded
+// execution bit-identical to an unsharded scan (first-seen group order,
+// phased row-range subsets).
 type Blocks struct {
 	Total int
 }
 
 // span returns the rows [lo, hi) of a rows-row table that shard i of
-// shards gets.
+// shards gets; the last shard's span is open-ended (hi = -1).
 func (b Blocks) span(i, shards, rows int) (lo, hi int) {
-	if b.Total <= 0 {
-		if i == 0 {
-			return 0, rows
+	start := func(i int) int {
+		switch {
+		case i == 0:
+			return 0
+		case b.Total <= 0:
+			return rows
 		}
-		return rows, rows
+		return min((i*b.Total+shards-1)/shards, rows)
 	}
-	start := func(i int) int { return min((i*b.Total+shards-1)/shards, rows) }
-	lo, hi = start(i), start(i+1)
 	if i == shards-1 {
-		hi = rows
+		return start(i), -1
 	}
-	return lo, hi
+	return start(i), start(i + 1)
 }
 
 // EmbeddedChildren creates n empty embedded stores and wraps each as a
@@ -49,15 +50,15 @@ func EmbeddedChildren(n int) ([]*sqldb.DB, []backend.Backend) {
 	return dbs, bes
 }
 
-// ScatterTable copies one table from src into the child databases, one
-// Blocks span per child, each with sqldb.CopyRange: a typed copy of the
-// source's storage, so every child equals the table appending its rows
-// (in any batches) would build, dictionary order and NULL vectors
-// included.
+// ScatterTable places one table of src across the child databases, one
+// Blocks span per child, each a view of the source table
+// (sqldb.DB.CreateView) that holds no rows. The last child's view is
+// open-ended, so rows appended to the source table join the last shard
+// and every other child stays fixed.
 // Existing same-named child tables are dropped first, so re-scattering
-// after source writes refreshes every shard — and bumps the child
-// versions the router's version vector is built from, which is what
-// invalidates cached results.
+// after the source table is replaced refreshes every shard — and bumps
+// the child versions the router's version vector is built from, which
+// is what invalidates cached results.
 func ScatterTable(src *sqldb.DB, table string, children []*sqldb.DB, part Blocks) error {
 	if len(children) == 0 {
 		return fmt.Errorf("shardbe: scatter needs at least one child")
@@ -73,59 +74,10 @@ func ScatterTable(src *sqldb.DB, table string, children []*sqldb.DB, part Blocks
 				return err
 			}
 		}
-		ct, err := db.CreateTable(t.Name(), t.Schema(), t.Layout())
-		if err != nil {
-			return err
-		}
 		lo, hi := part.span(i, len(children), rows)
-		if err := sqldb.CopyRange(ct, t, lo, hi); err != nil {
+		if _, err := db.CreateView(t, lo, hi); err != nil {
 			return fmt.Errorf("shardbe: shard %d: %w", i, err)
 		}
 	}
 	return nil
-}
-
-// AppendRows routes new rows into the child databases round-robin by
-// the table's global sequence number, continued from the current total
-// row count (so repeated appends stay deterministic), all or nothing:
-// the table must exist on every child (CreateTable or ScatterTable
-// first) and every row must suit its schema before any row is written.
-// Each child then takes its rows, in order, as one sqldb Append.
-func AppendRows(children []*sqldb.DB, table string, rows [][]sqldb.Value) error {
-	tabs, err := ChildTables(children, table)
-	if err != nil {
-		return err
-	}
-	if err := tabs[0].Schema().CheckRows(rows); err != nil {
-		return fmt.Errorf("shardbe: table %s: %w", table, err)
-	}
-	seq := 0
-	for _, t := range tabs {
-		seq += t.NumRows()
-	}
-	parts := make([][][]sqldb.Value, len(tabs))
-	for i, row := range rows {
-		c := (seq + i) % len(tabs)
-		parts[c] = append(parts[c], row)
-	}
-	for c, part := range parts {
-		if err := tabs[c].Append(part); err != nil {
-			return fmt.Errorf("shardbe: shard %d: %w", c, err)
-		}
-	}
-	return nil
-}
-
-// ChildTables looks table up on every child, failing when any child
-// lacks it.
-func ChildTables(children []*sqldb.DB, table string) ([]sqldb.Table, error) {
-	tabs := make([]sqldb.Table, len(children))
-	for i, db := range children {
-		t, ok := db.Table(table)
-		if !ok {
-			return nil, fmt.Errorf("shardbe: table %q does not exist on shard %d", table, i)
-		}
-		tabs[i] = t
-	}
-	return tabs, nil
 }

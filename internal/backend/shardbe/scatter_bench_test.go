@@ -1,9 +1,9 @@
 package shardbe_test
 
 // Layer microbenchmark for the block scatter the sharded set-up runs:
-// one ScatterTable call copies 400k dataset.TrafficSpec rows into four
-// embedded children, a typed range copy per child (sqldb.CopyRange), on
-// both layouts. The source build is untimed.
+// one ScatterTable call places 400k dataset.TrafficSpec rows across
+// four embedded children, a view per child that copies no row
+// (sqldb.DB.CreateView), on both layouts. The source build is untimed.
 //
 //	go test ./internal/backend/shardbe -run '^$' -bench ScatterTable -benchmem
 

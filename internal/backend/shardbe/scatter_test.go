@@ -11,8 +11,8 @@ import (
 )
 
 // shard is the per-row form of Blocks: the shard of the row with global
-// sequence number seq. ScatterTable copies whole spans instead; the
-// scatter oracle holds every span to this assignment.
+// sequence number seq. ScatterTable places whole spans as views
+// instead; the scatter oracle holds every span to this assignment.
 func (b Blocks) shard(seq, shards int) int {
 	if b.Total <= 0 {
 		return 0
@@ -108,61 +108,90 @@ func TestAppendBatchesMatchRowByRow(t *testing.T) {
 	}
 }
 
-// TestScatterMatchesRowByRow is the scatter oracle: over ROW and COL
-// sources and 1–5 children, every child ScatterTable builds equals the
-// table the per-row assignment builds — each source row appended to its
-// Blocks.shard child with a single-row Append — for Totals of 0 and below, below
-// the row count, equal to it (23, divisible by no child count above 1)
-// and above it.
-func TestScatterMatchesRowByRow(t *testing.T) {
+// TestScatterViewsHoldTheirBlocks is the scatter oracle: over ROW and
+// COL sources and 1–5 children, every child ScatterTable places holds
+// exactly the source rows Blocks.shard assigns it, in order, for Totals
+// of 0 and below, below the row count, equal to it (23, divisible by no
+// child count above 1) and above it. Batches the source appends later
+// join the last child alone, and a child's Append fails and changes
+// nothing.
+func TestScatterViewsHoldTheirBlocks(t *testing.T) {
 	const rows = 23
+	more := sourceRows(7)
 	for _, layout := range []sqldb.Layout{sqldb.LayoutRow, sqldb.LayoutCol} {
-		src := scatterSource(t, layout, rows)
-		tab, _ := src.Table("t")
 		for n := 1; n <= 5; n++ {
 			for _, total := range []int{-1, 0, 1, 9, rows - 1, rows, rows + 6} {
 				t.Run(fmt.Sprintf("%v/children%d/total%d", layout, n, total), func(t *testing.T) {
+					src := scatterSource(t, layout, rows)
+					tab, _ := src.Table("t")
 					part := Blocks{Total: total}
 					dbs, _ := EmbeddedChildren(n)
 					if err := ScatterTable(src, "t", dbs, part); err != nil {
 						t.Fatal(err)
 					}
-					twins, _ := EmbeddedChildren(n)
-					twinTabs := make([]sqldb.Table, n)
-					for i, db := range twins {
-						var err error
-						if twinTabs[i], err = db.CreateTable("t", tab.Schema(), layout); err != nil {
-							t.Fatal(err)
-						}
-					}
-					seq := 0
-					row := make([]sqldb.Value, tab.Schema().NumColumns())
-					if err := tab.ScanRange(0, rows, nil, func(rv sqldb.RowView) error {
-						for c := range row {
-							row[c] = rv.Value(c)
-						}
+					want := make([][][]sqldb.Value, n)
+					for seq, row := range cells(tab) {
 						shard := part.shard(seq, n)
-						seq++
-						return twinTabs[shard].Append([][]sqldb.Value{row})
-					}); err != nil {
-						t.Fatal(err)
+						want[shard] = append(want[shard], row)
 					}
-					// A row appended after the scatter, holding values the
-					// children already have, must find them in the copied
-					// dictionaries as it does in the twins'.
-					tail := []sqldb.Value{sqldb.Str("c"), sqldb.Int(1), sqldb.Float(0.5), sqldb.Bool(true)}
+					check := func(when string) {
+						t.Helper()
+						for i, db := range dbs {
+							got, _ := db.Table("t")
+							sameCells(t, fmt.Sprintf("%s: child %d", when, i), got, want[i])
+						}
+					}
+					check("after the scatter")
+					for _, batch := range [][][]sqldb.Value{more[:3], more[3:]} {
+						if err := tab.Append(batch); err != nil {
+							t.Fatal(err)
+						}
+						want[n-1] = append(want[n-1], batch...)
+						check(fmt.Sprintf("at %d source rows", tab.NumRows()))
+					}
 					for i, db := range dbs {
-						got, _ := db.Table("t")
-						sameTable(t, fmt.Sprintf("child %d", i), got, twinTabs[i])
-						if err := got.Append([][]sqldb.Value{tail}); err != nil {
-							t.Fatal(err)
+						child, _ := db.Table("t")
+						if err := child.Append(more[:1]); err == nil {
+							t.Errorf("child %d took an append", i)
 						}
-						if err := twinTabs[i].Append([][]sqldb.Value{tail}); err != nil {
-							t.Fatal(err)
-						}
-						sameTable(t, fmt.Sprintf("child %d after an append", i), got, twinTabs[i])
 					}
+					if tab.NumRows() != rows+len(more) {
+						t.Errorf("the source holds %d rows after refused child appends, want %d", tab.NumRows(), rows+len(more))
+					}
+					check("after refused appends")
 				})
+			}
+		}
+	}
+}
+
+// cells reads every row of tab.
+func cells(tab sqldb.Table) [][]sqldb.Value {
+	var out [][]sqldb.Value
+	_ = tab.ScanRange(0, tab.NumRows(), nil, func(rv sqldb.RowView) error {
+		row := make([]sqldb.Value, tab.Schema().NumColumns())
+		for c := range row {
+			row[c] = rv.Value(c)
+		}
+		out = append(out, row)
+		return nil
+	})
+	return out
+}
+
+// sameCells fails unless got holds want's rows: its row count and every
+// cell, floats by their bits.
+func sameCells(t *testing.T, what string, got sqldb.Table, want [][]sqldb.Value) {
+	t.Helper()
+	if got.NumRows() != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, got.NumRows(), len(want))
+	}
+	g := cells(got)
+	for r := range want {
+		for c := range want[r] {
+			a, b := g[r][c], want[r][c]
+			if a.Kind != b.Kind || a.I != b.I || a.S != b.S || math.Float64bits(a.F) != math.Float64bits(b.F) {
+				t.Fatalf("%s: row %d column %d = %v, want %v", what, r, c, a, b)
 			}
 		}
 	}
@@ -174,30 +203,7 @@ func TestScatterMatchesRowByRow(t *testing.T) {
 // vector; a row store's encoded tuples.
 func sameTable(t *testing.T, what string, got, want sqldb.Table) {
 	t.Helper()
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("%s: %d rows, want %d", what, got.NumRows(), want.NumRows())
-	}
-	cells := func(tab sqldb.Table) [][]sqldb.Value {
-		var out [][]sqldb.Value
-		_ = tab.ScanRange(0, tab.NumRows(), nil, func(rv sqldb.RowView) error {
-			row := make([]sqldb.Value, tab.Schema().NumColumns())
-			for c := range row {
-				row[c] = rv.Value(c)
-			}
-			out = append(out, row)
-			return nil
-		})
-		return out
-	}
-	g, w := cells(got), cells(want)
-	for r := range w {
-		for c := range w[r] {
-			a, b := g[r][c], w[r][c]
-			if a.Kind != b.Kind || a.I != b.I || a.S != b.S || math.Float64bits(a.F) != math.Float64bits(b.F) {
-				t.Fatalf("%s: row %d column %d = %v, want %v", what, r, c, a, b)
-			}
-		}
-	}
+	sameCells(t, what, got, cells(want))
 	if gs, ws := storage(got), storage(want); !reflect.DeepEqual(gs, ws) {
 		t.Fatalf("%s: storage\n %v\nwant\n %v", what, gs, ws)
 	}

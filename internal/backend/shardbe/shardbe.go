@@ -16,16 +16,13 @@
 //   - Global row space. The router presents the concatenation of its
 //     children's row spaces, in child order: child 0's rows first, then
 //     child 1's, and so on. A phased-execution range [lo, hi) maps onto
-//     at most one contiguous local range per child. ScatterTable loads
-//     contiguous blocks, so the global order equals the original
-//     insertion order and every result — group first-seen order
-//     included — is bit-identical to an unsharded embedded execution on
+//     at most one contiguous local range per child. ScatterTable places
+//     contiguous blocks, and rows the source appends later join the
+//     last child, so the global order equals the original insertion
+//     order and every result — group first-seen order included — is
+//     bit-identical to an unsharded embedded execution on
 //     exactly-summable data (see the float caveat in
-//     sqldb/shardexec.go). Rows appended with AppendRows go
-//     round-robin, one batch per child, which keeps results
-//     deterministic and aggregates correct but permutes the global
-//     order, so phased pruning may make different (equally valid)
-//     decisions than an unsharded run.
+//     sqldb/shardexec.go).
 //
 //   - Capabilities are the intersection of the children's: the router
 //     can only honor a row range if every child can. Degradation then

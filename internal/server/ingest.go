@@ -1,17 +1,17 @@
 // Ingest and synthetic-load endpoints.
 //
 // Appends run alongside query traffic without a reader lock: an ingest
-// batch lands as one sqldb Append on the primary store (and one per
-// shard child), which publishes the whole batch at once (sqldb.Table),
-// and every Recommend pins the row count its one TableInfo read,
-// bounding every scan it makes by it (core, and the shard router's
-// per-child counts). So a request reads one table state however many
-// ingests land during it, and that state holds whole batches only. The
-// mutating handlers (/api/ingest, /api/datasets/load,
+// batch lands as one sqldb Append on the server's store, which
+// publishes the whole batch at once (sqldb.Table) — to the shard
+// children too, whose tables are views of the store's, the last one
+// open-ended — and every Recommend pins the row count its one
+// TableInfo read, bounding every scan it makes by it (core, and the
+// shard router's per-child counts). So a request reads one table state
+// however many ingests land during it, and that state holds whole
+// batches only. The mutating handlers (/api/ingest, /api/datasets/load,
 // /api/datasets/synth) and EnableSharding serialize among themselves on
 // the server's writer mutex, dataMu: appends to one table must not
-// interleave, and a batch reaches the primary store and the shard
-// children in the same order.
+// interleave.
 package server
 
 import (
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"seedb/internal/backend/shardbe"
 	"seedb/internal/dataset"
 	"seedb/internal/sqldb"
 )
@@ -42,9 +41,9 @@ type ingestResponse struct {
 // handleIngest implements POST /api/ingest: append rows to a loaded
 // table while the server keeps answering queries. Appends invalidate
 // cached results for the table via the existing version tokens (every
-// append changes the row count they embed). When embedded sharding is
-// enabled the rows are also routed into the shard children, keeping
-// {"backend": "shard"} answers consistent with the primary store.
+// append changes the row count they embed). With embedded sharding the
+// rows join the last shard child's view, so {"backend": "shard"}
+// answers read the same rows.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	req, ok := decode[ingestRequest](w, r)
 	if !ok {
@@ -85,25 +84,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
-	// A table missing on a shard child fails the batch before any row
-	// lands, on the primary or on a child.
-	if len(s.shardDBs) > 0 {
-		if _, err := shardbe.ChildTables(s.shardDBs, req.Table); err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("mirroring to shards: %w", err))
-			return
-		}
-	}
-	// The primary takes the batch whole or not at all, and the children
-	// mirror it only once it has.
 	if err := t.Append(parsed); err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("appending: %w", err))
 		return
-	}
-	if len(s.shardDBs) > 0 {
-		if err := shardbe.AppendRows(s.shardDBs, req.Table, parsed); err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("mirroring to shards: %w", err))
-			return
-		}
 	}
 	writeJSON(w, http.StatusOK, ingestResponse{
 		Table:     req.Table,

@@ -115,7 +115,8 @@ type Server struct {
 	// lock — a Recommend pins the row count its TableInfo read and scans
 	// only those rows (see ingest.go). It also guards shardDBs, which
 	// only writers read: the shard children EnableSharding registered a
-	// router over, which ingests and dataset loads mirror into.
+	// router over, whose tables are views of the store's, placed anew
+	// whenever a dataset load replaces a table.
 	dataMu   sync.Mutex
 	shardDBs []*sqldb.DB
 
@@ -261,10 +262,11 @@ func (s *Server) SetAdmission(maxInflight int, queueWait time.Duration) {
 }
 
 // EnableSharding registers a shard router (under ShardBackendName) over
-// n embedded children that mirror the server's embedded store: every
-// table already loaded is scattered across the children immediately with
-// the order-preserving block partitioner, and later dataset loads
-// re-scatter automatically. Requests opt in per call with
+// n embedded children that view the server's embedded store: every
+// table already loaded is split across the children immediately with
+// the order-preserving block partitioner, each child's block a view
+// that copies no row, and later dataset loads re-scatter automatically;
+// ingested rows join the last child's view. Requests opt in per call with
 // {"backend": "shard"}; see docs/ARCHITECTURE.md, "Sharded execution".
 // n = 1 is a valid degenerate router (the single-shard baseline of the
 // shard bench experiment).
@@ -307,8 +309,8 @@ func (s *Server) EnableShardingOpts(n int, opts shardbe.Options, wrap func(int, 
 	return nil
 }
 
-// scatterShards mirrors one embedded table across the shard children
-// (a no-op when sharding is off). The caller holds dataMu.
+// scatterShards places views of one embedded table across the shard
+// children (a no-op when sharding is off). The caller holds dataMu.
 func (s *Server) scatterShards(table string) error {
 	if len(s.shardDBs) == 0 {
 		return nil
@@ -531,7 +533,7 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 // install runs build — which creates the named table in the embedded
-// store — and mirrors the table across the shard children, so
+// store — and places views of the table across the shard children, so
 // {"backend": "shard"} requests see every loaded table. Both hold the
 // writer mutex, so no ingest interleaves with them. Readers take no
 // lock: a request that starts mid-load reads the blocks loaded so far,

@@ -1,7 +1,11 @@
 package server
 
 import (
+	"fmt"
+	"math"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"testing"
 
 	"seedb/internal/backend/sqlbe"
@@ -171,5 +175,109 @@ func TestLoadScattersToShards(t *testing.T) {
 	}, &q)
 	if code != 200 || len(q.Rows) != 1 || q.Rows[0][0] != "600" {
 		t.Fatalf("shard count after load = %d, %+v", code, q)
+	}
+}
+
+// salesCells returns row i of an exactly-summable sales table as
+// /api/ingest cells: prices are multiples of 0.25, NULL ("") every 13th.
+// Rows from 400 on lean to "north" and to higher prices, so a phase that
+// reads them early estimates otherwise than one that reads them last.
+func salesCells(i int) []string {
+	region := []string{"east", "west", "north", "south"}[i%4]
+	price := float64((i*7)%200) * 0.25
+	if i >= 400 {
+		price = float64((i*11)%300)*0.25 + 50
+		if i%3 != 0 {
+			region = "north"
+		}
+	}
+	cells := []string{region, []string{"retail", "online"}[(i/3)%2], strconv.Itoa(i % 9), strconv.FormatFloat(price, 'g', -1, 64)}
+	if i%13 == 0 {
+		cells[3] = ""
+	}
+	return cells
+}
+
+// TestShardAfterIngestMatchesEmbedded is the after-ingest oracle on the
+// server: a 400-row exactly-summable table, split across four shard
+// children by EnableSharding, takes batches of uneven sizes through
+// /api/ingest. The ingested rows join the last child's view, so the
+// router's global row order is the store's, and COMB with CI pruning and
+// without pruning return the same ranked views on the embedded and the
+// shard backend: utilities and distributions equal bit for bit, and as
+// many views pruned.
+func TestShardAfterIngestMatchesEmbedded(t *testing.T) {
+	db := sqldb.NewDB()
+	tab, err := db.CreateTable("sales", sqldb.MustSchema(
+		sqldb.Column{Name: "region", Type: sqldb.TypeString},
+		sqldb.Column{Name: "segment", Type: sqldb.TypeString},
+		sqldb.Column{Name: "qty", Type: sqldb.TypeInt},
+		sqldb.Column{Name: "price", Type: sqldb.TypeFloat},
+	), sqldb.LayoutCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var initial [][]sqldb.Value
+	for i := 0; i < 400; i++ {
+		row := make([]sqldb.Value, tab.Schema().NumColumns())
+		for c, cell := range salesCells(i) {
+			if row[c], err = dataset.ParseField(cell, tab.Schema().Column(c).Type); err != nil {
+				t.Fatal(err)
+			}
+		}
+		initial = append(initial, row)
+	}
+	if err := tab.Append(initial); err != nil {
+		t.Fatal(err)
+	}
+	s := New(db)
+	if err := s.EnableSharding(4); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s)
+	t.Cleanup(srv.Close)
+	from := 400
+	for _, n := range []int{1, 370, 5, 1200, 640, 3} {
+		var batch [][]string
+		for i := from; i < from+n; i++ {
+			batch = append(batch, salesCells(i))
+		}
+		if code := postJSON(t, srv.URL+"/api/ingest", ingestRequest{Table: "sales", Rows: batch}, nil); code != 200 {
+			t.Fatalf("ingest of rows [%d, %d) = %d", from, from+n, code)
+		}
+		from += n
+	}
+
+	for _, pruning := range []string{"ci", "none"} {
+		var res [2]RecommendResponse
+		for i, be := range []string{"", ShardBackendName} {
+			if code := postJSON(t, srv.URL+"/api/recommend", map[string]any{
+				"table": "sales", "target_where": "segment = 'online'", "k": 2,
+				"strategy": "comb", "pruning": pruning, "backend": be,
+				"aggregates": []string{"COUNT", "SUM", "AVG", "MIN", "MAX"},
+			}, &res[i]); code != 200 {
+				t.Fatalf("%s recommend on backend %q = %d", pruning, be, code)
+			}
+		}
+		want, got := res[0], res[1]
+		if pruning == "ci" && want.PrunedViews == 0 {
+			t.Fatal("CI pruning pruned no view: the oracle would not see an order change")
+		}
+		if got.PrunedViews != want.PrunedViews || len(got.Recommendations) != len(want.Recommendations) {
+			t.Fatalf("%s: shard backend pruned %d views and ranked %d, embedded %d and %d",
+				pruning, got.PrunedViews, len(got.Recommendations), want.PrunedViews, len(want.Recommendations))
+		}
+		bits := func(v RecommendedView) string {
+			out := fmt.Sprintf("%d %s %s %s %x %t %q", v.Rank, v.Dimension, v.Measure, v.Aggregate, math.Float64bits(v.Utility), v.Partial, v.Groups)
+			for _, f := range append(slices.Clone(v.Target), v.Reference...) {
+				out += fmt.Sprintf(" %x", math.Float64bits(f))
+			}
+			return out
+		}
+		for i := range want.Recommendations {
+			if g, w := bits(got.Recommendations[i]), bits(want.Recommendations[i]); g != w {
+				t.Errorf("%s: view %d on the shard backend\n %s\nwant\n %s", pruning, i, g, w)
+			}
+		}
 	}
 }

@@ -3,7 +3,7 @@ package sqldb_test
 // Layer microbenchmark for the write path: one /api/ingest-sized batch,
 // 100 dataset.TrafficSpec rows, appended with one Table.Append to a
 // 400k-row TrafficSpec table, on both layouts. Every 1 000 batches the
-// table is reset to a fresh copy of the 400k rows (sqldb.CopyRange,
+// table is reset to a fresh copy of the 400k rows (sqldb.CloneTable,
 // untimed), whose arrays are full, so each cycle adds 100k rows — a
 // quarter of the table, the room append's growth makes at this size —
 // and pays the array moves a table of this size pays per 100k appended
@@ -45,12 +45,7 @@ func BenchmarkAppend(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if i%resetEvery == 0 {
 					b.StopTimer()
-					if tab, err = sqldb.NewDB().CreateTable(spec.Name, src.Schema(), layout); err != nil {
-						b.Fatal(err)
-					}
-					if err := sqldb.CopyRange(tab, src, 0, rows); err != nil {
-						b.Fatal(err)
-					}
+					tab = sqldb.CloneTable(src)
 					b.StartTimer()
 				}
 				if err := tab.Append(pool[i%len(pool)]); err != nil {

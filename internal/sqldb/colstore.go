@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 )
 
@@ -22,11 +21,16 @@ import (
 // when an array moved, the dictionaries' lengths, and the row count
 // last. Writers are not synchronized with each other; callers serialize
 // them.
+//
+// A view (DB.CreateView) is a ColStore with src set: it holds no rows,
+// and its snapshot is rows [lo, hi) of src's.
 type ColStore struct {
 	name   string
 	schema *Schema
-	// Writer side, touched only by Append and CopyRange: the vectors at
-	// their true lengths and each string column's dictionary lookup.
+	src    *ColStore
+	lo, hi int
+	// Writer side, touched only by Append: the vectors at their true
+	// lengths and each string column's dictionary lookup.
 	cols  []columnVector
 	index []map[string]int32
 	// Reader side: the writer's headers as of the last move, each string
@@ -80,7 +84,13 @@ func (t *ColStore) Schema() *Schema { return t.schema }
 func (t *ColStore) Layout() Layout { return LayoutCol }
 
 // NumRows returns the number of published rows.
-func (t *ColStore) NumRows() int { return int(t.rows.Load()) }
+func (t *ColStore) NumRows() int {
+	if t.src != nil {
+		lo, hi := clampRange(t.lo, t.hi, t.src.NumRows())
+		return hi - lo
+	}
+	return int(t.rows.Load())
+}
 
 // Append implements Table. It checks the batch first (Schema.CheckRows),
 // then pushes it one column at a time — growing each vector the way
@@ -88,6 +98,9 @@ func (t *ColStore) NumRows() int { return int(t.rows.Load()) }
 // and publishes the headers (when an array moved), the dictionaries'
 // lengths and the row count once.
 func (t *ColStore) Append(rows [][]Value) error {
+	if t.src != nil {
+		return errViewAppend(t.name)
+	}
 	if err := t.schema.CheckRows(rows); err != nil {
 		return fmt.Errorf("sqldb: table %s: %w", t.name, err)
 	}
@@ -164,72 +177,40 @@ func (t *ColStore) publishVecs() {
 // headers, published before it, so their arrays hold that many rows.
 // A dictionary length may be stored before its array's headers are
 // published; the entries that array holds are then the ones the rows
-// scanned can name, hence the cap.
+// scanned can name, hence the cap. A view cuts its source's snapshot
+// to its rows; the dictionaries stay whole.
 func (t *ColStore) snapshot() *colSnap {
+	if t.src != nil {
+		s := t.src.snapshot()
+		s.cut(clampRange(t.lo, t.hi, s.rows))
+		return s
+	}
 	n := t.NumRows()
-	s := &colSnap{rows: n, cols: append([]columnVector(nil), *t.vecs.Load()...)}
+	s := &colSnap{cols: append([]columnVector(nil), *t.vecs.Load()...)}
 	for i := range s.cols {
 		c := &s.cols[i]
-		c.ints, c.flts, c.codes, c.nulls = upTo(c.ints, n), upTo(c.flts, n), upTo(c.codes, n), upTo(c.nulls, n)
 		c.dict = c.dict[:min(int(t.dictLen[i].Load()), cap(c.dict))]
 	}
+	s.cut(0, n)
 	return s
 }
 
-// upTo cuts s to its first n elements, which may lie past len(s) but
-// not past cap(s). A nil vector stays nil.
-func upTo[T any](s []T, n int) []T {
-	if s == nil {
+// cut narrows s to rows [lo, hi) of its vectors, which may lie past
+// their lengths but not past their capacities.
+func (s *colSnap) cut(lo, hi int) {
+	s.rows = hi - lo
+	for i := range s.cols {
+		c := &s.cols[i]
+		c.ints, c.flts, c.codes, c.nulls = window(c.ints, lo, hi), window(c.flts, lo, hi), window(c.codes, lo, hi), window(c.nulls, lo, hi)
+	}
+}
+
+// window returns v[lo:hi]; a nil vector stays nil.
+func window[T any](v []T, lo, hi int) []T {
+	if v == nil {
 		return nil
 	}
-	return s[:n]
-}
-
-// copyRange fills the empty table with src's rows [lo, hi) (see
-// CopyRange) and publishes them.
-func (t *ColStore) copyRange(src *ColStore, lo, hi int) {
-	s := src.snapshot()
-	lo, hi = clampRange(lo, hi, s.rows)
-	for i := range t.cols {
-		from, c := &s.cols[i], &t.cols[i]
-		switch c.typ {
-		case TypeInt, TypeBool:
-			c.ints = slices.Clone(from.ints[lo:hi])
-		case TypeFloat:
-			c.flts = slices.Clone(from.flts[lo:hi])
-		case TypeString:
-			c.codes = t.recode(i, from, lo, hi)
-		}
-		if from.nulls != nil && slices.Contains(from.nulls[lo:hi], true) {
-			c.nulls = slices.Clone(from.nulls[lo:hi])
-		}
-	}
-	t.publishVecs()
-	for i := range t.cols {
-		t.dictLen[i].Store(int32(len(t.cols[i].dict)))
-	}
-	t.rows.Store(int64(hi - lo))
-}
-
-// recode returns TEXT column from's codes of rows [lo, hi) in column
-// col's dictionary, adding each string there when its code first
-// appears — the order Append would add them in. A NULL row's code is
-// that of "", as Append stores it.
-func (t *ColStore) recode(col int, from *columnVector, lo, hi int) []int32 {
-	c := &t.cols[col]
-	remap := make([]int32, len(from.dict)) // source code → own code + 1; 0 is unseen
-	codes := make([]int32, hi-lo)
-	for r, old := range from.codes[lo:hi] {
-		code := remap[old] - 1
-		if code < 0 {
-			code = int32(len(c.dict))
-			c.dict = append(c.dict, from.dict[old])
-			t.index[col][from.dict[old]] = code
-			remap[old] = code + 1
-		}
-		codes[r] = code
-	}
-	return codes
+	return v[lo:hi]
 }
 
 // colRowView adapts the columnar layout to the RowView interface for one

@@ -54,12 +54,6 @@ func (db *DB) CreateTable(name string, schema *Schema, layout Layout) (Table, er
 	if name == "" {
 		return nil, fmt.Errorf("sqldb: empty table name")
 	}
-	key := strings.ToLower(name)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, exists := db.tables[key]; exists {
-		return nil, fmt.Errorf("sqldb: table %q already exists", name)
-	}
 	var t Table
 	switch layout {
 	case LayoutRow:
@@ -68,6 +62,37 @@ func (db *DB) CreateTable(name string, schema *Schema, layout Layout) (Table, er
 		t = NewColStore(name, schema)
 	default:
 		return nil, fmt.Errorf("sqldb: unknown layout %v", layout)
+	}
+	return db.register(t)
+}
+
+// CreateView registers, under src's name, a view of src's rows
+// [lo, hi): a table of src's layout and schema that holds no rows. Its
+// snapshot is those rows of src's published snapshot, and hi < 0 means
+// every row from lo on, rows src appends later included; the range is
+// clamped to src's size as it grows. The view's Append returns an
+// error: rows land on src.
+func (db *DB) CreateView(src Table, lo, hi int) (Table, error) {
+	var t Table
+	switch s := src.(type) {
+	case *ColStore:
+		t = &ColStore{name: s.name, schema: s.schema, src: s, lo: lo, hi: hi}
+	case *RowStore:
+		t = &RowStore{name: s.name, schema: s.schema, width: s.width, src: s, lo: lo, hi: hi}
+	default:
+		return nil, fmt.Errorf("sqldb: cannot view table %s of type %T", src.Name(), src)
+	}
+	return db.register(t)
+}
+
+// register adds t to the catalog under its name (case-insensitive) and
+// returns it.
+func (db *DB) register(t Table) (Table, error) {
+	key := strings.ToLower(t.Name())
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if _, exists := db.tables[key]; exists {
+		return nil, fmt.Errorf("sqldb: table %q already exists", t.Name())
 	}
 	db.tables[key] = t
 	db.epochs[key]++

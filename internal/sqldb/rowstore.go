@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 )
 
@@ -33,10 +32,15 @@ import (
 // reads a tuple at or past that count; Append writes past it and
 // publishes the headers when an array moved, then the row count, once
 // per batch.
+//
+// A view (DB.CreateView) is a RowStore with src set: it holds no rows,
+// and its snapshot is tuples [lo, hi) of src's.
 type RowStore struct {
 	name   string
 	schema *Schema
 	width  int
+	src    *RowStore
+	lo, hi int
 	// Writer side: serialized tuples back to back, and offsets[i] = start
 	// of row i in data, with a sentinel at the end.
 	data    []byte
@@ -84,7 +88,13 @@ func (t *RowStore) Schema() *Schema { return t.schema }
 func (t *RowStore) Layout() Layout { return LayoutRow }
 
 // NumRows returns the number of published rows.
-func (t *RowStore) NumRows() int { return int(t.rows.Load()) }
+func (t *RowStore) NumRows() int {
+	if t.src != nil {
+		lo, hi := clampRange(t.lo, t.hi, t.src.NumRows())
+		return hi - lo
+	}
+	return int(t.rows.Load())
+}
 
 // publishHeap publishes the writer's current headers.
 func (t *RowStore) publishHeap() {
@@ -95,6 +105,9 @@ func (t *RowStore) publishHeap() {
 // serializes its tuples onto the heap, and publishes the headers (when an
 // array moved) and the row count once.
 func (t *RowStore) Append(rows [][]Value) error {
+	if t.src != nil {
+		return errViewAppend(t.name)
+	}
 	if err := t.schema.CheckRows(rows); err != nil {
 		return fmt.Errorf("sqldb: table %s: %w", t.name, err)
 	}
@@ -134,27 +147,18 @@ func appendField(data []byte, v Value, typ ColumnType) []byte {
 
 // snapshot reads the table for one scan: the row count first, then the
 // heap headers, published before it, so they hold that many tuples. It
-// returns those tuples' bytes and their offsets, sentinel included.
+// returns those tuples' bytes and their offsets, sentinel included. A
+// view's offsets are its own tuples' within its source's bytes.
 func (t *RowStore) snapshot() (data []byte, offsets []int) {
+	if t.src != nil {
+		data, offsets = t.src.snapshot()
+		lo, hi := clampRange(t.lo, t.hi, len(offsets)-1)
+		return data[:offsets[hi]], offsets[lo : hi+1]
+	}
 	n := t.NumRows()
 	h := t.heap.Load()
 	offsets = h.offsets[:n+1]
 	return h.data[:offsets[n]], offsets
-}
-
-// copyRange fills the empty table with src's tuples [lo, hi) (see
-// CopyRange), rebasing their offsets, and publishes them.
-func (t *RowStore) copyRange(src *RowStore, lo, hi int) {
-	data, offsets := src.snapshot()
-	lo, hi = clampRange(lo, hi, len(offsets)-1)
-	base := offsets[lo]
-	t.data = slices.Clone(data[base:offsets[hi]])
-	t.offsets = make([]int, hi-lo+1)
-	for r := range t.offsets {
-		t.offsets[r] = offsets[lo+r] - base
-	}
-	t.publishHeap()
-	t.rows.Store(int64(hi - lo))
 }
 
 // rowSlice is the RowView over one deserialized tuple.

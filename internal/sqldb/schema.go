@@ -165,6 +165,8 @@ type RowView interface {
 // readers: a reader sees a prefix of the rows, fixed when it reads the
 // row count, that ends on a batch boundary — never part of a batch.
 // Writers are not synchronized with each other; callers serialize them.
+// A view (DB.CreateView) holds no rows: it reads a row range of the
+// table it views, which takes the appends, and its own Append fails.
 type Table interface {
 	// Name returns the table name.
 	Name() string
@@ -191,34 +193,9 @@ type Table interface {
 	ScanRange(lo, hi int, cols []int, fn func(row RowView) error) error
 }
 
-// CopyRange appends rows [lo, hi) of src, clamped to its size, to dst:
-// an empty table of the same layout and schema. It reads one snapshot of
-// src and copies its storage instead of boxing each cell — a column
-// store's typed vectors, each TEXT column's codes re-coded in first-seen
-// order, a row store's encoded tuples — so dst ends up equal to the
-// table Append would build from the same rows, in any batches: every
-// cell, each dictionary's order, and a NULL vector only where the range
-// holds a NULL. The rows are published at once.
-func CopyRange(dst, src Table, lo, hi int) error {
-	if n := dst.NumRows(); n != 0 {
-		return fmt.Errorf("sqldb: copy into table %s: it already holds %d rows", dst.Name(), n)
-	}
-	if ds, ss := dst.Schema().String(), src.Schema().String(); ds != ss {
-		return fmt.Errorf("sqldb: copy from table %s %s into %s %s: schemas differ", src.Name(), ss, dst.Name(), ds)
-	}
-	switch d := dst.(type) {
-	case *ColStore:
-		if s, ok := src.(*ColStore); ok {
-			d.copyRange(s, lo, hi)
-			return nil
-		}
-	case *RowStore:
-		if s, ok := src.(*RowStore); ok {
-			d.copyRange(s, lo, hi)
-			return nil
-		}
-	}
-	return fmt.Errorf("sqldb: copy from %v table %s into %v table %s: layouts differ", src.Layout(), src.Name(), dst.Layout(), dst.Name())
+// errViewAppend is the error Append returns on a view (DB.CreateView).
+func errViewAppend(table string) error {
+	return fmt.Errorf("sqldb: table %s is a view: append to the table it views", table)
 }
 
 // clampRange clamps [lo, hi) to [0, n).

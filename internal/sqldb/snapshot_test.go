@@ -166,84 +166,102 @@ func writerState(tab Table) any {
 	return nil
 }
 
-// TestCopyRangeAlongsideAppends: CopyRange copies a range of a source a
-// writer keeps appending to, while a reader queries the copy as it is
-// published. The reader sees no row or every copied one, never part;
-// the copy holds exactly the source rows of its range, on both layouts.
-// A non-empty destination, another layout or another schema is refused.
-func TestCopyRangeAlongsideAppends(t *testing.T) {
+// TestViewAlongsideAppends: a writer appends batches of uneven sizes to
+// a table while readers query two views of it (DB.CreateView), made
+// once it holds 300 rows: an open-ended one from row lo on, and one
+// bounded to rows [lo, hi). On both layouts, every row count a reader
+// of the open-ended view sees ends on a batch boundary, and every
+// answer is exactly those rows'; the bounded view never changes.
+func TestViewAlongsideAppends(t *testing.T) {
 	schema := MustSchema(Column{Name: "d", Type: TypeString}, Column{Name: "m", Type: TypeInt})
+	const lo, hi, start, total = 100, 250, 300, 4000
 	for _, layout := range []Layout{LayoutCol, LayoutRow} {
 		t.Run(layout.String(), func(t *testing.T) {
 			src, err := NewDB().CreateTable("t", schema, layout)
 			if err != nil {
 				t.Fatal(err)
 			}
-			const total = 4000
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < total; i++ {
+			appendRows := func(from, to int) error {
+				batch := make([][]Value, 0, to-from)
+				for i := from; i < to; i++ {
 					d := Str(fmt.Sprintf("v%d", i%97))
 					if i%13 == 0 {
 						d = Null()
 					}
-					if err := src.Append([][]Value{{d, Int(int64(i))}}); err != nil {
+					batch = append(batch, []Value{d, Int(int64(i))})
+				}
+				return src.Append(batch)
+			}
+			if err := appendRows(0, start); err != nil {
+				t.Fatal(err)
+			}
+			open, bounded := NewDB(), NewDB()
+			openView, err := open.CreateView(src, lo, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := bounded.CreateView(src, lo, hi); err != nil {
+				t.Fatal(err)
+			}
+			boundary := map[int]bool{start - lo: true}
+			var cuts []int
+			for at, b := start, 0; at < total; b++ {
+				at = min(total, at+[]int{1, 7, 64, 3, 250, 0, 31}[b%7])
+				cuts, boundary[at-lo] = append(cuts, at), true
+			}
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for from, b := start, 0; b < len(cuts); from, b = cuts[b], b+1 {
+					if err := appendRows(from, cuts[b]); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 			}()
-			for copies := 0; src.NumRows() < total; copies++ {
-				hi := src.NumRows()
-				lo := hi / 3
-				db := NewDB()
-				dst, err := db.CreateTable("c", schema, layout)
+			// query returns the row count and SUM(m) a grouped scan of db's
+			// view reads.
+			query := func(db *DB) (int, float64, error) {
+				res, err := db.QueryOpts("SELECT d, COUNT(*), SUM(m) FROM t GROUP BY d", ExecOptions{Workers: 2})
 				if err != nil {
-					t.Fatal(err)
+					return 0, 0, err
 				}
-				done := make(chan struct{})
+				var count int64
+				var sum float64
+				for _, g := range res.Rows {
+					s, _ := g[2].AsFloat()
+					count, sum = count+g[1].I, sum+s
+				}
+				return int(count), sum, nil
+			}
+			sum := func(from, to int) float64 { return float64(from+to-1) * float64(to-from) / 2 }
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
 				go func() {
-					defer close(done)
-					for {
-						res, err := db.QueryOpts("SELECT COUNT(*), SUM(m) FROM c", ExecOptions{})
+					defer wg.Done()
+					for n := 0; n < total-lo; {
+						count, s, err := query(open)
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						count, sum := res.Rows[0][0].I, res.Rows[0][1]
-						if count == 0 && lo < hi {
-							continue
+						if !boundary[count] || s != sum(lo, lo+count) {
+							t.Errorf("the open-ended view read %d rows summing to %g; want a batch boundary and %g", count, s, sum(lo, lo+count))
+							return
 						}
-						if f, _ := sum.AsFloat(); count != int64(hi-lo) || f != float64((lo+hi-1)*(hi-lo)/2) {
-							t.Errorf("copy %d of rows [%d, %d): a reader saw COUNT %d, SUM %v", copies, lo, hi, count, sum)
+						if count, s, err = query(bounded); err != nil || count != hi-lo || s != sum(lo, hi) {
+							t.Errorf("the bounded view read %d rows summing to %g (err %v); want %d and %g", count, s, err, hi-lo, sum(lo, hi))
+							return
 						}
-						return
+						if n = openView.NumRows(); !boundary[n] {
+							t.Errorf("the open-ended view counts %d rows, inside a batch", n)
+							return
+						}
 					}
 				}()
-				if err := CopyRange(dst, src, lo, hi); err != nil {
-					t.Fatal(err)
-				}
-				<-done
 			}
 			wg.Wait()
-
-			dst, _ := NewDB().CreateTable("c", schema, layout)
-			if err := CopyRange(dst, src, 0, 1); err != nil {
-				t.Fatal(err)
-			}
-			other := LayoutRow
-			if layout == LayoutRow {
-				other = LayoutCol
-			}
-			wrongLayout, _ := NewDB().CreateTable("c", schema, other)
-			wrongSchema, _ := NewDB().CreateTable("c", MustSchema(Column{Name: "d", Type: TypeString}, Column{Name: "m", Type: TypeFloat}), layout)
-			for what, to := range map[string]Table{"non-empty": dst, "other layout": wrongLayout, "other schema": wrongSchema} {
-				if err := CopyRange(to, src, 0, 1); err == nil {
-					t.Errorf("copy into a %s table succeeded", what)
-				}
-			}
 		})
 	}
 }

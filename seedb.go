@@ -148,7 +148,7 @@ const (
 // NewSchema builds a table schema from columns.
 func NewSchema(cols ...Column) (*Schema, error) { return sqldb.NewSchema(cols...) }
 
-// Value constructors for appending rows through DB().
+// Value constructors for appending rows (AppendRows).
 var (
 	// Null returns the SQL NULL value.
 	Null = sqldb.Null
@@ -169,8 +169,8 @@ var (
 // starts), but concurrent AppendRows calls must be serialized by the
 // caller.
 type Client struct {
-	db       *sqldb.DB   // nil for sharded clients and external backends
-	shardDBs []*sqldb.DB // sharded clients: the embedded child stores
+	db       *sqldb.DB   // the store loads and appends write to; nil for external backends
+	shardDBs []*sqldb.DB // sharded clients: the child stores, which view db's tables
 	engine   *core.Engine
 }
 
@@ -181,11 +181,12 @@ func New() *Client {
 }
 
 // NewSharded creates a client whose engine runs against a shard router
-// over n embedded child stores (n <= 1 falls back to New). Dataset
-// loads scatter rows across the children with the contiguous block
-// partitioner — the order-preserving choice, so sharded execution
-// reproduces an unsharded scan exactly — and AppendRows routes new rows
-// round-robin. Recommend fans every view query out across the shards
+// over n embedded child stores (n <= 1 falls back to New). The client
+// keeps its tables in a private store, and each child holds a view of
+// one contiguous block of every table (the order-preserving block
+// partitioner, so sharded execution reproduces an unsharded scan
+// exactly); rows AppendRows adds join the last shard. Recommend fans
+// every view query out across the shards
 // and merges decomposed partial aggregation states; see
 // internal/backend/shardbe and the "Sharded execution" section of
 // docs/ARCHITECTURE.md.
@@ -198,7 +199,7 @@ func NewSharded(n int) *Client {
 	if err != nil {
 		panic(err) // unreachable: n >= 2 children
 	}
-	return &Client{shardDBs: dbs, engine: core.NewEngine(router)}
+	return &Client{db: sqldb.NewDB(), shardDBs: dbs, engine: core.NewEngine(router)}
 }
 
 // Shards reports the client's shard fan-out width (0 for unsharded
@@ -224,8 +225,13 @@ func NewSQLBackend(db *sql.DB, opts SQLBackendOptions) Backend {
 }
 
 // DB exposes the embedded database for direct table management. It is
-// nil for clients constructed with NewWithBackend.
-func (c *Client) DB() *sqldb.DB { return c.db }
+// nil for clients constructed with NewWithBackend or NewSharded.
+func (c *Client) DB() *sqldb.DB {
+	if c.shardDBs != nil {
+		return nil
+	}
+	return c.db
+}
 
 // Backend returns the store the client's engine executes against.
 func (c *Client) Backend() Backend { return c.engine.Backend() }
@@ -239,30 +245,23 @@ func errNoEmbeddedDB(op string) error {
 // Datasets lists the built-in Table 1 dataset generators.
 func (c *Client) Datasets() []string { return dataset.Names() }
 
-// buildAndPlace materializes one table: straight into the embedded
-// database for unsharded clients; for sharded clients into a staging
-// store whose rows then scatter across the shard children through the
-// order-preserving block partitioner.
+// buildAndPlace materializes one table in the client's store and, on
+// sharded clients, places views of its blocks across the shard
+// children through the order-preserving block partitioner. A build
+// that fails part way leaves the table it created, as on an unsharded
+// client, and the shards view that table all the same.
 func (c *Client) buildAndPlace(op, table string, build func(db *sqldb.DB) error) error {
-	switch {
-	case c.db != nil:
-		return build(c.db)
-	case c.shardDBs != nil:
-		if _, exists := c.shardDBs[0].Table(table); exists {
-			return fmt.Errorf("seedb: table %q already exists", table)
-		}
-		staging := sqldb.NewDB()
-		if err := build(staging); err != nil {
-			return err
-		}
-		t, ok := staging.Table(table)
-		if !ok {
-			return fmt.Errorf("seedb: %s did not produce table %q", op, table)
-		}
-		return shardbe.ScatterTable(staging, table, c.shardDBs, shardbe.Blocks{Total: t.NumRows()})
-	default:
+	if c.db == nil {
 		return errNoEmbeddedDB(op)
 	}
+	_, existed := c.db.Table(table)
+	err := build(c.db)
+	if t, ok := c.db.Table(table); ok && !existed && c.shardDBs != nil {
+		if serr := shardbe.ScatterTable(c.db, table, c.shardDBs, shardbe.Blocks{Total: t.NumRows()}); err == nil {
+			err = serr
+		}
+	}
+	return err
 }
 
 // LoadDataset generates one of the built-in paper datasets (Table 1) into
@@ -302,46 +301,31 @@ func (c *Client) LoadCSV(table string, schema *Schema, layout Layout, r io.Reade
 	})
 }
 
-// CreateTable creates an empty table (on every shard child for sharded
-// clients); append rows via DB().Table(name) or AppendRows.
+// CreateTable creates an empty table (viewed by every shard child on
+// sharded clients); append rows with AppendRows.
 func (c *Client) CreateTable(name string, schema *Schema, layout Layout) error {
-	switch {
-	case c.db != nil:
-		_, err := c.db.CreateTable(name, schema, layout)
+	return c.buildAndPlace("CreateTable", name, func(db *sqldb.DB) error {
+		_, err := db.CreateTable(name, schema, layout)
 		return err
-	case c.shardDBs != nil:
-		for _, db := range c.shardDBs {
-			if _, err := db.CreateTable(name, schema, layout); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return errNoEmbeddedDB("CreateTable")
-	}
+	})
 }
 
 // AppendRows appends rows to an existing table, all or nothing: a row
 // with the wrong value count or a value its column cannot store fails
-// the call before any row lands, on any store. On sharded clients the
-// rows route round-robin by global sequence (so repeated appends stay
-// balanced and deterministic), one batch per child. Once rows land, the
-// table's version changes and cached results for it become unreachable;
-// a reader sees none of the batch or all of it (on a sharded client, of
-// each child's part).
+// the call before any row lands. On sharded clients the rows join the
+// last shard, whose view of the table is open-ended, so the global row
+// order stays the order rows were added in. Once rows land, the
+// table's version changes and cached results for it become
+// unreachable; a reader sees none of the batch or all of it.
 func (c *Client) AppendRows(table string, rows [][]Value) error {
-	switch {
-	case c.db != nil:
-		t, ok := c.db.Table(table)
-		if !ok {
-			return fmt.Errorf("seedb: table %q does not exist", table)
-		}
-		return t.Append(rows)
-	case c.shardDBs != nil:
-		return shardbe.AppendRows(c.shardDBs, table, rows)
-	default:
+	if c.db == nil {
 		return errNoEmbeddedDB("AppendRows")
 	}
+	t, ok := c.db.Table(table)
+	if !ok {
+		return fmt.Errorf("seedb: table %q does not exist", table)
+	}
+	return t.Append(rows)
 }
 
 // Query runs a raw SQL query — the manual chart-building path of the

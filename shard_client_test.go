@@ -2,6 +2,9 @@ package seedb_test
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"seedb"
@@ -23,23 +26,97 @@ func loadExactTable(t *testing.T, c *seedb.Client) {
 	if err := c.CreateTable("sales", schema, seedb.ColumnLayout); err != nil {
 		t.Fatal(err)
 	}
+	if err := c.AppendRows("sales", exactRows(0, 400)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// exactRows returns rows [from, to) of loadExactTable's table. Rows
+// from 400 on lean to "north" and to higher prices, so a phase that
+// reads them early estimates otherwise than one that reads them last.
+func exactRows(from, to int) [][]seedb.Value {
 	regions := []string{"east", "west", "north", "south"}
 	segments := []string{"retail", "online"}
 	var rows [][]seedb.Value
-	for i := 0; i < 400; i++ {
+	for i := from; i < to; i++ {
+		region := regions[i%len(regions)]
 		price := seedb.Float(float64((i*7)%200) * 0.25)
+		if i >= 400 {
+			price = seedb.Float(float64((i*11)%300)*0.25 + 50)
+			if i%3 != 0 {
+				region = "north"
+			}
+		}
 		if i%13 == 0 {
 			price = seedb.Null()
 		}
 		rows = append(rows, []seedb.Value{
-			seedb.Str(regions[i%len(regions)]),
+			seedb.Str(region),
 			seedb.Str(segments[(i/3)%len(segments)]),
 			seedb.Int(int64(i % 9)),
 			price,
 		})
 	}
-	if err := c.AppendRows("sales", rows); err != nil {
-		t.Fatal(err)
+	return rows
+}
+
+// TestShardedAfterAppendsMatchesUnsharded is the after-ingest oracle: an
+// unsharded client and a NewSharded(4) one load the same exactly-summable
+// table and then take the same batches of uneven sizes. The appended
+// rows join the last shard, so the router's global row order is the
+// order the rows were added in, and COMB with CI pruning and without
+// pruning must return the same ranked views on both — and the same
+// estimate for every view, pruned ones included, whose utilities depend
+// on the rows read before pruning — utilities equal bit for bit.
+func TestShardedAfterAppendsMatchesUnsharded(t *testing.T) {
+	ctx := context.Background()
+	clients := []*seedb.Client{seedb.New(), seedb.NewSharded(4)}
+	for _, c := range clients {
+		loadExactTable(t, c)
+		from := 400
+		for _, n := range []int{1, 37, 5, 120, 64, 3} {
+			if err := c.AppendRows("sales", exactRows(from, from+n)); err != nil {
+				t.Fatal(err)
+			}
+			from += n
+		}
+	}
+	req := seedb.Request{Table: "sales", TargetWhere: "segment = 'online'",
+		Aggs: []seedb.AggFunc{seedb.AggCount, seedb.AggSum, seedb.AggAvg, seedb.AggMin, seedb.AggMax}}
+	for _, pruning := range []seedb.PruningScheme{seedb.CIPruning, seedb.NoPruning} {
+		opts := seedb.Options{Strategy: seedb.Comb, Pruning: pruning, K: 2, KeepAllViews: true}
+		var res [2]*seedb.Result
+		for i, c := range clients {
+			var err error
+			if res[i], err = c.Recommend(ctx, req, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, got := res[0], res[1]
+		if pruning == seedb.CIPruning && want.Metrics.PrunedViews == 0 {
+			t.Fatal("CI pruning pruned no view: the oracle would not see an order change")
+		}
+		if got.Metrics.PrunedViews != want.Metrics.PrunedViews {
+			t.Errorf("%v: sharded run pruned %d views, unsharded %d", pruning, got.Metrics.PrunedViews, want.Metrics.PrunedViews)
+		}
+		sameViews(t, fmt.Sprintf("%v top %d", pruning, opts.K), got.Recommendations, want.Recommendations)
+		sameViews(t, fmt.Sprintf("%v every view", pruning), got.AllViews, want.AllViews)
+	}
+}
+
+// sameViews fails unless got and want list the same views in the same
+// order, each with the same utility bits and partial flag.
+func sameViews(t *testing.T, what string, got, want []seedb.Recommendation) {
+	t.Helper()
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("%s: %d views, want %d (and at least one)", what, len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.View != w.View || math.Float64bits(g.Utility) != math.Float64bits(w.Utility) || g.Partial != w.Partial {
+			t.Errorf("%s: view %d = %v (utility %v, partial %t), want %v (utility %v, partial %t)",
+				what, i, g.View, g.Utility, g.Partial, w.View, w.Utility, w.Partial)
+		}
 	}
 }
 
@@ -134,6 +211,34 @@ func TestFailedAppendLandsNowhere(t *testing.T) {
 				t.Errorf("a failed append moved the table from %d rows (%s) to %d (%s)", before.Rows, before.Version, after.Rows, after.Version)
 			}
 		})
+	}
+}
+
+// TestFailedLoadLeavesWhatUnshardedLeaves: a LoadCSV that fails on a
+// bad cell leaves a sharded client's table as it leaves an unsharded
+// client's — created, holding the rows loaded before the failure, and
+// taken, so a second CreateTable fails — and the router reads it.
+func TestFailedLoadLeavesWhatUnshardedLeaves(t *testing.T) {
+	schema, err := seedb.NewSchema(seedb.Column{Name: "a", Type: seedb.TypeString}, seedb.Column{Name: "n", Type: seedb.TypeInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counts []int64
+	for _, c := range []*seedb.Client{seedb.New(), seedb.NewSharded(2)} {
+		if err := c.LoadCSV("t", schema, seedb.ColumnLayout, strings.NewReader("a,n\nx,1\ny,2\nz,oops\n")); err == nil {
+			t.Fatalf("%d shards: a CSV with a bad cell loaded", c.Shards())
+		}
+		res, err := c.Query("SELECT COUNT(*) FROM t")
+		if err != nil {
+			t.Fatalf("%d shards: %v", c.Shards(), err)
+		}
+		counts = append(counts, res.Rows[0][0].I)
+		if err := c.CreateTable("t", schema, seedb.ColumnLayout); err == nil {
+			t.Errorf("%d shards: CreateTable took the name of a table a failed load left", c.Shards())
+		}
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("after a failed load the sharded client counts %d rows, the unsharded one %d", counts[1], counts[0])
 	}
 }
 
