@@ -131,7 +131,8 @@ type Metrics struct {
 }
 
 // Recommendation is one scored view with its distributions, ready to
-// render as a bar chart.
+// render as a bar chart. A Recommendation in a Result is read-only (see
+// Result).
 type Recommendation struct {
 	View View
 	// Utility is the deviation-based utility estimate. For pruned views
@@ -152,6 +153,12 @@ type Recommendation struct {
 }
 
 // Result is the output of one Recommend invocation.
+//
+// Recommendations and AllViews, and every slice and map they reach, are
+// read-only: a result served from the whole-request cache (the
+// computing caller's, a singleflight waiter's, a hit's or a stale
+// replay's) shares them with the cache entry and with every other
+// caller it serves. Metrics is the caller's own.
 type Result struct {
 	// Recommendations holds the top-k views, highest utility first.
 	Recommendations []Recommendation
@@ -162,7 +169,8 @@ type Result struct {
 	Metrics Metrics
 	// encoded is the whole-request cache entry's slot for its one
 	// encoding of Recommendations (see EncodedRecommendations). Every
-	// copy of the entry shares it; nil on a result never cached.
+	// result served from the entry shares it; nil on a result never
+	// cached.
 	encoded *encodedRecs
 }
 
@@ -295,11 +303,11 @@ func (e *Engine) staleResult(req Request, opts Options) (*Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	res := cloneResult(v.(*Result))
+	res := *v.(*Result)
 	res.Metrics.resetInvocationCost()
 	res.Metrics.ServedStale = true
-	stampDegradation(res, opts.Strategy, EffectiveStrategy(opts.Strategy, e.be.Capabilities()))
-	return res, true
+	stampDegradation(&res, opts.Strategy, EffectiveStrategy(opts.Strategy, e.be.Capabilities()))
+	return &res, true
 }
 
 // stampDegradation records on a result whether the requested strategy
@@ -450,17 +458,17 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 			if err != nil {
 				return nil, err
 			}
-			res.encoded = &encodedRecs{recs: res.Recommendations}
+			res.encoded = &encodedRecs{}
 			return res, nil
 		},
 	)
 	if err != nil {
 		return nil, err
 	}
-	// The cached Result is shared; every caller (the computing one
-	// included, since its Result now lives in the cache) gets a private
-	// deep copy.
-	res := cloneResult(v.(*Result))
+	// The entry is shared and never written again, so every caller (the
+	// computing one included, since its Result now lives in the cache)
+	// gets a shallow copy: its own Metrics, the entry's everything else.
+	res := *v.(*Result)
 	if outcome != cache.Computed {
 		// Warm path: report what THIS invocation cost.
 		res.Metrics.resetInvocationCost()
@@ -477,9 +485,9 @@ func (e *Engine) recommendInner(ctx context.Context, req Request, opts Options) 
 			c.Put(staleCacheKey(e.be.Name(), req, rawOpts), key, int64(2*len(key)), 0)
 		}
 	}
-	stampDegradation(res, requested, opts.Strategy)
+	stampDegradation(&res, requested, opts.Strategy)
 	res.Metrics.Elapsed = time.Since(start)
-	return res, nil
+	return &res, nil
 }
 
 // runRecommend executes one cold recommendation.

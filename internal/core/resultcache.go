@@ -1,8 +1,10 @@
 package core
 
 // This file is the engine side of the shared result cache
-// (internal/cache): what the engine stores under each key namespace,
-// how big it says those values are, and how it copies them in and out.
+// (internal/cache): what the engine stores under each key namespace
+// and how big it says those values are. A stored Result is never
+// written again: every caller it serves gets a shallow copy that shares
+// its recommendations and owns only its Metrics.
 // There is one reuse layer, whole-request memoization (r): a Recommend
 // whose canonical request key (request + result-affecting options +
 // dataset version) was already answered returns the cached Result
@@ -112,69 +114,27 @@ func appendList(parts []string, list []string) []string {
 }
 
 // encodedRecs is an r entry's one encoding of its recommendations:
-// recs is the cached value's own slice, which nothing mutates, and
-// once fills b from it for the first caller that asks.
+// once fills b for the first caller that asks.
 type encodedRecs struct {
 	once sync.Once
-	recs []Recommendation
 	b    []byte
 	err  error
 }
 
-// EncodedRecommendations returns encode(Recommendations). A result
-// served through the whole-request cache shares one slot with every
-// copy of its entry — the computing caller, its singleflight waiters,
-// later hits and stale replays — so encode runs once per entry, over
-// the recommendations as computed, and every call returns the same
-// bytes, which callers must not modify. A result that was never cached
-// is encoded on every call. Every caller must pass an equivalent encode.
+// EncodedRecommendations returns encode(Recommendations). Every result
+// served from one whole-request entry — the computing caller, its
+// singleflight waiters, later hits and stale replays — shares the
+// entry's Recommendations and one encoding slot, so encode runs once
+// per entry and every call returns the same bytes, which callers must
+// not modify. A result that was never cached is encoded on every call.
+// Every caller must pass an equivalent encode.
 func (r *Result) EncodedRecommendations(encode func([]Recommendation) ([]byte, error)) ([]byte, error) {
 	s := r.encoded
 	if s == nil {
 		return encode(r.Recommendations)
 	}
-	s.once.Do(func() { s.b, s.err = encode(s.recs) })
+	s.once.Do(func() { s.b, s.err = encode(r.Recommendations) })
 	return s.b, s.err
-}
-
-// cloneResult deep-copies a Result so cached values stay immutable while
-// callers are free to mutate what Recommend returns. The encoding slot
-// is the one thing shared, by pointer: it is the entry's, not the copy's.
-func cloneResult(r *Result) *Result {
-	cp := *r
-	cp.Recommendations = cloneRecommendations(r.Recommendations)
-	cp.AllViews = cloneRecommendations(r.AllViews)
-	cp.Metrics.DegradedShards = append([]int(nil), r.Metrics.DegradedShards...)
-	return &cp
-}
-
-// cloneRecommendations deep-copies a recommendation slice.
-func cloneRecommendations(recs []Recommendation) []Recommendation {
-	if recs == nil {
-		return nil
-	}
-	out := make([]Recommendation, len(recs))
-	for i, rec := range recs {
-		out[i] = rec
-		out[i].Groups = append([]string(nil), rec.Groups...)
-		out[i].Target = append([]float64(nil), rec.Target...)
-		out[i].Reference = append([]float64(nil), rec.Reference...)
-		out[i].TargetAgg = cloneAggMap(rec.TargetAgg)
-		out[i].ReferenceAgg = cloneAggMap(rec.ReferenceAgg)
-	}
-	return out
-}
-
-// cloneAggMap copies a group → value map.
-func cloneAggMap(m map[string]float64) map[string]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // resultSizeBytes estimates a Result's cache footprint, the bytes its

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"seedb/internal/backend"
 	"seedb/internal/sqldb"
@@ -253,33 +254,214 @@ func TestCacheInvalidationOnAppend(t *testing.T) {
 	}
 }
 
-func TestCachedResultsAreIsolated(t *testing.T) {
-	eng, req := buildCensus(t, sqldb.LayoutCol, 2000)
+// outageKey marks a request context as running during an outage that
+// follows an ingest (see servingBackend).
+type outageKey struct{}
+
+// servingBackend lets a test serve one r entry every way. A request
+// whose context carries outageKey sees the table at a newer version and
+// every Exec fail with backend.ErrUnavailable: a miss the engine answers
+// with a stale replay. Otherwise, when release is set, Execs close held
+// and wait for release, so a second request can join the flight.
+type servingBackend struct {
+	backend.Backend
+	held, release chan struct{}
+	once          sync.Once
+}
+
+func (b *servingBackend) TableInfo(ctx context.Context, table string) (backend.TableInfo, error) {
+	ti, err := b.Backend.TableInfo(ctx, table)
+	if ctx.Value(outageKey{}) != nil {
+		ti.Version += ".next"
+	}
+	return ti, err
+}
+
+func (b *servingBackend) Exec(ctx context.Context, query string, opts backend.ExecOptions) (*backend.Rows, backend.ExecStats, error) {
+	if ctx.Value(outageKey{}) != nil {
+		return nil, backend.ExecStats{}, backend.ErrUnavailable
+	}
+	if b.release != nil {
+		b.once.Do(func() { close(b.held) })
+		<-b.release
+	}
+	return b.Backend.Exec(ctx, query, opts)
+}
+
+// servedEngine is buildCensus over a servingBackend.
+func servedEngine(t *testing.T) (*Engine, *servingBackend, Request) {
+	db, req := censusDB(t, sqldb.LayoutCol, 2000)
+	be := &servingBackend{Backend: backend.NewEmbedded(db)}
+	return NewEngine(be), be, req
+}
+
+// cachedEntry is the r entry the request shape's stale alias names.
+func cachedEntry(t *testing.T, eng *Engine, req Request, opts Options) *Result {
+	t.Helper()
+	c := eng.Cache()
+	alias, ok := c.Get(staleCacheKey(eng.Backend().Name(), req, opts))
+	if !ok {
+		t.Fatal("no stale alias for the request")
+	}
+	v, ok := c.Get(alias.(string))
+	if !ok {
+		t.Fatal("stale alias names no entry")
+	}
+	return v.(*Result)
+}
+
+// TestCachedResultsShareTheEntry pins the read-only contract on Result:
+// every caller served from one r entry — the computing caller, a
+// singleflight waiter, a hit and a stale replay — shares the entry's
+// recommendations and owns its Metrics.
+func TestCachedResultsShareTheEntry(t *testing.T) {
+	eng, be, req := servedEngine(t)
 	ctx := context.Background()
-	opts := Options{K: 3, EnableCache: true}
+	opts := Options{K: 3, EnableCache: true, KeepAllViews: true, ServeStaleOnError: true}
+	recommend := func(ctx context.Context) *Result {
+		t.Helper()
+		res, err := eng.Recommend(ctx, req, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 
-	first, err := eng.Recommend(ctx, req, opts)
+	// The computing caller holds its Execs until a second caller has
+	// missed the entry and joined the flight.
+	be.held, be.release = make(chan struct{}), make(chan struct{})
+	var computed, waiter *Result
+	done := make(chan struct{})
+	go func() { computed = recommend(ctx); close(done) }()
+	<-be.held
+	misses := eng.Cache().Stats().Misses
+	waited := make(chan struct{})
+	go func() { waiter = recommend(ctx); close(waited) }()
+	for eng.Cache().Stats().Misses == misses {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // from its miss into the flight
+	close(be.release)
+	<-done
+	<-waited
+	if computed.Metrics.CacheMisses != 1 {
+		computed, waiter = waiter, computed
+	}
+	if shared := eng.Cache().Stats().Shared; shared != 1 {
+		t.Fatalf("%d callers joined the flight, want 1", shared)
+	}
+	hit := recommend(ctx)
+	replay := recommend(context.WithValue(ctx, outageKey{}, true))
+	entry := cachedEntry(t, eng, req, opts)
+
+	for _, c := range []struct {
+		name string
+		res  *Result
+	}{{"computing caller", computed}, {"waiter", waiter}, {"hit", hit}, {"stale replay", replay}} {
+		r := c.res
+		if r == entry {
+			t.Fatalf("%s: got the entry itself, not its own Result", c.name)
+		}
+		if &r.Recommendations[0] != &entry.Recommendations[0] ||
+			&r.Recommendations[0].Groups[0] != &entry.Recommendations[0].Groups[0] ||
+			&r.AllViews[0] != &entry.AllViews[0] {
+			t.Fatalf("%s: recommendations are not the entry's", c.name)
+		}
+	}
+	if m := computed.Metrics; m.CacheMisses != 1 || m.CacheHits != 0 || m.QueriesExecuted == 0 || m.ServedFromCache {
+		t.Fatalf("computing caller's metrics: %+v", m)
+	}
+	for _, c := range []struct {
+		name string
+		m    Metrics
+	}{{"waiter", waiter.Metrics}, {"hit", hit.Metrics}} {
+		if c.m.CacheHits != 1 || c.m.CacheMisses != 0 || !c.m.ServedFromCache ||
+			!reflect.DeepEqual(c.m.ExecTotals, ExecTotals{}) {
+			t.Fatalf("%s's metrics: %+v", c.name, c.m)
+		}
+	}
+	if m := replay.Metrics; !m.ServedStale || !reflect.DeepEqual(m.ExecTotals, ExecTotals{}) {
+		t.Fatalf("stale replay's metrics: %+v", m)
+	}
+
+	// One caller's Metrics are no other's.
+	want := hit.Metrics
+	for _, r := range []*Result{computed, waiter, hit, replay} {
+		r.Metrics = Metrics{Views: -1, CacheHits: 99, ServedStale: true}
+	}
+	got := recommend(ctx).Metrics
+	want.Elapsed, got.Elapsed = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("hit after overwriting callers' metrics: %+v, want %+v", got, want)
+	}
+}
+
+// TestServedEntryIsNeverWritten is how the engine side of the read-only
+// contract is enforced: goroutines serve hits and stale replays of one
+// key, read every field of every recommendation and encode it, while
+// the engine stamps each caller's Metrics. Under go test -race any
+// write the engine makes to the published entry races with those reads
+// and fails the test.
+func TestServedEntryIsNeverWritten(t *testing.T) {
+	eng, _, req := servedEngine(t)
+	opts := Options{K: 3, EnableCache: true, KeepAllViews: true, ServeStaleOnError: true}
+	if _, err := eng.Recommend(context.Background(), req, opts); err != nil {
+		t.Fatal(err)
+	}
+	encode := func(recs []Recommendation) ([]byte, error) { return json.Marshal(recs) }
+	want, err := cachedEntry(t, eng, req, opts).EncodedRecommendations(encode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt everything the caller can reach.
-	want := first.Recommendations[0].Target[0]
-	first.Recommendations[0].Target[0] = 12345
-	first.Recommendations[0].Groups[0] = "corrupted"
-	for k := range first.Recommendations[0].TargetAgg {
-		first.Recommendations[0].TargetAgg[k] = -1
+	readAll := func(recs []Recommendation) (sum float64) {
+		for _, r := range recs {
+			sum += r.Utility + float64(len(r.View.Dimension)+len(r.View.Measure)+len(r.View.Agg))
+			if r.Partial {
+				sum++
+			}
+			// Group order, not map order: the sum must not depend on
+			// how a map happens to iterate.
+			sum += float64(len(r.TargetAgg) + len(r.ReferenceAgg))
+			for i, g := range r.Groups {
+				sum += float64(len(g)) + r.Target[i] + r.Reference[i] + r.TargetAgg[g] + r.ReferenceAgg[g]
+			}
+		}
+		return sum
 	}
 
-	second, err := eng.Recommend(ctx, req, opts)
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	sums := make([]float64, 8)
+	for w := range sums {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				ctx := context.Background()
+				if (w+i)%2 == 1 {
+					ctx = context.WithValue(ctx, outageKey{}, true)
+				}
+				res, err := eng.Recommend(ctx, req, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Metrics.ServedFromCache == res.Metrics.ServedStale {
+					t.Errorf("worker %d call %d: neither a hit nor a replay: %+v", w, i, res.Metrics)
+					return
+				}
+				sum := readAll(res.Recommendations) + readAll(res.AllViews)
+				if i > 0 && sum != sums[w] {
+					t.Errorf("worker %d call %d: recommendations changed between calls", w, i)
+				}
+				sums[w] = sum
+				b, err := res.EncodedRecommendations(encode)
+				if err != nil || string(b) != string(want) {
+					t.Errorf("worker %d call %d: encoding differs from the entry's (%v)", w, i, err)
+				}
+			}
+		}()
 	}
-	if second.Recommendations[0].Target[0] != want {
-		t.Fatal("caller mutation leaked into the cache")
-	}
-	if second.Recommendations[0].Groups[0] == "corrupted" {
-		t.Fatal("caller mutation of groups leaked into the cache")
-	}
+	wg.Wait()
 }
 
 // TestCacheKeyCoversEveryField guards cache-key completeness: every
@@ -429,9 +611,9 @@ func TestRecommendOverlappingIngestIsNotCachedUnderNewVersion(t *testing.T) {
 }
 
 // TestEncodedRecommendationsOncePerEntry pins the encoding slot: every
-// copy of one r entry — the computing caller and later hits — shares
-// one encoding of the recommendations as computed, so a caller's
-// mutation cannot reach it, while an uncached result encodes per call.
+// result served from one r entry — the computing caller and later hits
+// — shares one encoding of the entry's recommendations, while an
+// uncached result encodes per call.
 func TestEncodedRecommendationsOncePerEntry(t *testing.T) {
 	eng, req := buildCensus(t, sqldb.LayoutCol, 2000)
 	ctx := context.Background()
@@ -446,7 +628,6 @@ func TestEncodedRecommendationsOncePerEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := cold.Recommendations[0].Groups[0]
-	cold.Recommendations[0].Groups[0] = "corrupted"
 	for i := 0; i < 3; i++ {
 		res := cold
 		if i > 0 {

@@ -19,9 +19,9 @@ import (
 // /api/recommend, served in process: a 100k-row traffic table, k 5,
 // and the 32 equality predicates of the hot_dashboard pool (four
 // dimensions, every value), all primed and requested in turn. The
-// request decode, the cache lookup and copy, and the response encode
-// are the whole cost. bytes/resp is the mean body size, so 32 times it
-// is the pool's bytes.
+// request decode, the cache lookup, and the response write of the
+// entry's encoded recommendations are the whole cost. bytes/resp is
+// the mean body size, so 32 times it is the pool's bytes.
 func BenchmarkRecommendHot(b *testing.B) {
 	db := sqldb.NewDB()
 	spec := dataset.TrafficSpec()

@@ -351,10 +351,13 @@ func (c *Client) QueryContext(ctx context.Context, sql string) (*SQLResult, erro
 // Recommend evaluates the candidate view space for req and returns the
 // top-k most interesting visualizations under the deviation metric.
 //
-// With Options.EnableCache set, results, shared view queries and
-// materialized reference distributions are reused across Recommend
-// calls (and across concurrent callers, via singleflight) until the
-// dataset changes; see internal/cache.
+// With Options.EnableCache set, whole results are reused across
+// Recommend calls (and across concurrent callers, via singleflight)
+// until the dataset changes; see internal/cache. Once a cache is
+// installed, table statistics are reused per table version whatever the
+// flag. A result served from the cache shares its Recommendations and
+// AllViews with every other caller it serves: treat them, and every
+// slice and map they reach, as read-only. Metrics is the caller's own.
 func (c *Client) Recommend(ctx context.Context, req Request, opts Options) (*Result, error) {
 	return c.engine.Recommend(ctx, req, opts)
 }
