@@ -179,6 +179,36 @@ func AllowPartialFrom(ctx context.Context) bool {
 	return b
 }
 
+// decomposableKey carries the decomposable-statement mark through the
+// context.
+type decomposableKey struct{}
+
+// WithDecomposable marks ctx's Exec calls as running decomposable
+// statements over table: grouped aggregations, or UNION ALLs of them
+// over that one table, whose every aggregate is SUM, COUNT, MIN or MAX
+// of a column and whose other items are group keys and constants, with
+// no HAVING, ORDER BY, DISTINCT or LIMIT. Any row partition can run such
+// a statement as written, and the caller promises to fold the
+// partitions' partial rows itself. A routing backend
+// (internal/backend/shardbe) then sends the text to its children
+// unchanged and returns their rows in child order with each child's
+// boundary in Rows.Parts, instead of re-planning the statement and
+// merging the partials. Leaf backends ignore the mark. Like the partial
+// opt-in it travels in the context, through every wrapper; the netbe
+// wire does not carry it, so a remote router merges as for any caller.
+// An empty table withdraws the mark. The engine marks the statements it
+// sends and nothing else, so user SQL keeps the merge.
+func WithDecomposable(ctx context.Context, table string) context.Context {
+	return context.WithValue(ctx, decomposableKey{}, table)
+}
+
+// DecomposableFrom returns the table ctx's decomposable-statement mark
+// names (WithDecomposable), and whether ctx carries one.
+func DecomposableFrom(ctx context.Context) (table string, ok bool) {
+	table, _ = ctx.Value(decomposableKey{}).(string)
+	return table, table != ""
+}
+
 // pinKey carries a request's pin through the context.
 type pinKey struct{}
 
@@ -221,6 +251,14 @@ func Pinned[T any](ctx context.Context, key any, read func() (T, error)) (T, err
 type Rows struct {
 	Columns []string
 	Rows    [][]Value
+	// Parts is nil on a final result. A routing backend sets it only on
+	// the result of a decomposable statement (WithDecomposable) that
+	// more than one partition answered: part i is
+	// Rows[Parts[i-1]:Parts[i]] (Parts[-1] read as 0), partition i's
+	// partial rows in its own order, partitions in row-space order. A
+	// group then has one partial row per part that holds it, and the
+	// caller folds them.
+	Parts []int
 }
 
 // Capabilities declares which engine optimizations a backend can

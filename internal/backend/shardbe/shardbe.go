@@ -1,7 +1,10 @@
 // Package shardbe implements the shard router: a backend.Backend that
 // holds a fact table partitioned row-wise across N child backends and
-// answers queries by fanning them out and merging decomposed partial
-// aggregation states (internal/sqldb's ShardPlan).
+// answers queries by fanning them out. User SQL is decomposed into
+// partial aggregation states and merged (internal/sqldb's ShardPlan);
+// a statement the caller marks decomposable — every statement the
+// engine sends — runs on the children as written, and their partial
+// rows return unmerged for the caller to fold.
 //
 // The router is "just another Backend" on the seam PR 3 built — the
 // engine above it runs unchanged — which is exactly the middleware
@@ -23,6 +26,11 @@
 //     bit-identical to an unsharded embedded execution on
 //     exactly-summable data (see the float caveat in
 //     sqldb/shardexec.go).
+//
+//   - Decomposable statements pass through (backend.WithDecomposable):
+//     no parse, plan or merge; the text goes to the children unchanged,
+//     and their rows return in child order with each child's end in
+//     Rows.Parts. Unmarked statements keep the plan and the merge.
 //
 //   - Capabilities are the intersection of the children's: the router
 //     can only honor a row range if every child can. Degradation then
@@ -395,10 +403,21 @@ type childRun struct {
 // results. The query is decomposed by sqldb.NewShardPlan: aggregates
 // travel as mergeable partial states (AVG as SUM+COUNT, COUNT(DISTINCT)
 // as value sets), and HAVING/ORDER BY/DISTINCT/LIMIT apply after the
-// merge. Every planned child runs concurrently; the first child error
-// cancels the remaining executions.
+// merge. A statement ctx marks decomposable (backend.WithDecomposable)
+// skips the plan and the merge: every child runs the text as written,
+// and the partial rows come back in child order, each child's boundary
+// in Rows.Parts (see passThrough). Every planned child runs
+// concurrently; the first child error cancels the remaining executions.
 func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOptions) (*backend.Rows, backend.ExecStats, error) {
-	sp, st, err := r.plan(ctx, query)
+	var sp *sqldb.ShardPlan
+	var st childState
+	var err error
+	table, decomposable := backend.DecomposableFrom(ctx)
+	if decomposable {
+		st, err = r.state(ctx, table)
+	} else {
+		sp, st, err = r.plan(ctx, query)
+	}
 	if err != nil {
 		return nil, backend.ExecStats{}, err
 	}
@@ -411,7 +430,11 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 		}
 	}
 	tasks := r.childTasks(st.infos, opts.Lo, opts.Hi)
-	runs := r.fanout(ctx, tasks, sp.ChildSQL(), opts.Workers)
+	sql := query
+	if !decomposable {
+		sql = sp.ChildSQL()
+	}
+	runs := r.fanout(ctx, tasks, sql, opts.Workers, decomposable)
 	if err := firstFailure(tasks, runs); err != nil {
 		return nil, backend.ExecStats{}, err
 	}
@@ -423,6 +446,11 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 		// partial contract is "the result over surviving partitions",
 		// and the surviving partitions hold no rows in that range.
 		return nil, backend.ExecStats{}, fmt.Errorf("shardbe: %w: all %d shards unavailable", backend.ErrUnavailable, len(r.children))
+	}
+	if decomposable {
+		rows, groups := passThrough(runs)
+		stats.Groups = groups
+		return rows, stats, nil
 	}
 
 	// A degraded partial merges as zero rows: the global result is then
@@ -442,6 +470,43 @@ func (r *Router) Exec(ctx context.Context, query string, opts backend.ExecOption
 	}
 	stats.Groups = merged.Stats.Groups
 	return &backend.Rows{Columns: merged.Columns, Rows: merged.Rows}, stats, nil
+}
+
+// passThrough returns a decomposable statement's partial rows unmerged:
+// the answering children's rows in child order, each child's end in
+// Parts (a nested router's parts counted as its own), and the
+// children's summed Groups — partial groups, one per (child, group), so
+// a group several children hold counts once per child. A degraded
+// child adds no part, exactly as it merges as zero rows. One answering
+// child's result is returned as it is: one part needs no folding.
+func passThrough(runs []childRun) (*backend.Rows, int) {
+	var answered []*backend.Rows
+	n, groups := 0, 0
+	for _, run := range runs {
+		if !run.degraded {
+			answered = append(answered, run.rows)
+			n += len(run.rows.Rows)
+			groups += run.stats.Groups
+		}
+	}
+	switch len(answered) {
+	case 0:
+		return &backend.Rows{}, 0
+	case 1:
+		return answered[0], groups
+	}
+	out := &backend.Rows{Columns: answered[0].Columns, Rows: make([][]backend.Value, 0, n)}
+	for _, rows := range answered {
+		base := len(out.Rows)
+		for _, end := range rows.Parts {
+			out.Parts = append(out.Parts, base+end)
+		}
+		out.Rows = append(out.Rows, rows.Rows...)
+		if len(rows.Parts) == 0 {
+			out.Parts = append(out.Parts, len(out.Rows))
+		}
+	}
+	return out, groups
 }
 
 // plan parses the query, takes the children's state (the request's
@@ -506,14 +571,19 @@ func (r *Router) childTasks(infos []backend.TableInfo, lo, hi int) []childTask {
 
 // fanout runs every task concurrently — one goroutine per planned
 // child; child-side scan parallelism multiplies on top — and waits for
-// all of them. The first failure cancels the rest.
-func (r *Router) fanout(ctx context.Context, tasks []childTask, sql string, workers int) []childRun {
+// all of them. The first failure cancels the rest. A decomposable
+// statement's fan-out span says so (pass_through), since no
+// shard.plan or shard.merge span sits beside it.
+func (r *Router) fanout(ctx context.Context, tasks []childTask, sql string, workers int, decomposable bool) []childRun {
 	runs := make([]childRun, len(tasks))
 	if len(tasks) == 0 {
 		return runs
 	}
 	fanCtx, fsp := telemetry.StartSpan(ctx, "shard.fanout")
 	fsp.SetAttr("children", strconv.Itoa(len(tasks)))
+	if decomposable {
+		fsp.SetAttr("pass_through", "true")
+	}
 	defer fsp.End()
 	fanCtx, cancel := context.WithCancel(fanCtx)
 	defer cancel()
@@ -668,7 +738,8 @@ func firstFailure(tasks []childTask, runs []childRun) error {
 //     ShardStragglerMax is the slowest of them as the router timed it
 //     (a nested straggler included), DegradedShards lists its children
 //     whose part is missing or incomplete, and Groups comes from the
-//     merge (Exec sets it).
+//     merge, or from passThrough for a decomposable statement (Exec
+//     sets it).
 //
 // A degraded partial executed nothing; it only counts as a skipped shard.
 func foldStats(tasks []childTask, runs []childRun, down []bool) backend.ExecStats {

@@ -58,8 +58,45 @@ func TestTracePropagatesThroughFanout(t *testing.T) {
 	if node.Find("shard.plan") == nil || node.Find("shard.merge") == nil {
 		t.Errorf("missing shard.plan/shard.merge spans:\n%s", node.Render())
 	}
+	if fan.Attrs["pass_through"] != "" {
+		t.Errorf("an unmarked statement's fan-out is marked pass_through:\n%s", node.Render())
+	}
 	if got := tel.ShardLatency.Snapshot().Count; got != 3 {
 		t.Errorf("shard histogram count = %d, want 3", got)
+	}
+}
+
+// TestPassThroughTrace pins the span tree of a statement the caller
+// marks decomposable: no shard.plan or shard.merge span, a shard.fanout
+// span marked pass_through with one shard.exec child per child, and the
+// children's rows returned unmerged, one part each.
+func TestPassThroughTrace(t *testing.T) {
+	bes := salesChildren(t, 3)
+	r, err := New(bes, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, tr := telemetry.WithTrace(context.Background(), "test")
+	rows, stats, err := r.Exec(backend.WithDecomposable(ctx, "sales"), "SELECT region, COUNT(qty) FROM sales GROUP BY region", backend.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ShardFanout != 3 || len(rows.Parts) != 3 || rows.Parts[2] != len(rows.Rows) {
+		t.Fatalf("fanout %d, parts %v over %d rows; want 3 parts ending at the last row", stats.ShardFanout, rows.Parts, len(rows.Rows))
+	}
+	if stats.Groups != len(rows.Rows) {
+		t.Errorf("Groups = %d, want the %d partial rows", stats.Groups, len(rows.Rows))
+	}
+	node := tr.Finish()
+	if node.Find("shard.plan") != nil || node.Find("shard.merge") != nil {
+		t.Errorf("pass-through statement has a shard.plan or shard.merge span:\n%s", node.Render())
+	}
+	fan := node.Find("shard.fanout")
+	if fan == nil || fan.Attrs["pass_through"] != "true" || fan.Attrs["children"] != "3" {
+		t.Fatalf("want a shard.fanout span with pass_through=true over 3 children:\n%s", node.Render())
+	}
+	if got := len(execSpans(node)); got != 3 {
+		t.Errorf("%d shard.exec spans, want 3:\n%s", got, node.Render())
 	}
 }
 

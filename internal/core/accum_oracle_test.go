@@ -188,7 +188,7 @@ func TestDenseAccumMatchesMapReference(t *testing.T) {
 					continue
 				}
 				res := oracleRows(rng, pool, rng.Intn(9))
-				st.mergeResult(side.q, res)
+				st.mergeResult(side.q, res.Rows)
 				for _, row := range res.Rows {
 					vals[row[0].String()] = row[0]
 					for _, c := range consumers {

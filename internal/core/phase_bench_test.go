@@ -85,7 +85,7 @@ func phaseFixture(tb testing.TB) (phase func()) {
 	st := &execState{req: req, opts: opts, views: views, accums: accums}
 	return func() {
 		for qi, q := range queries {
-			st.mergeResult(q, results[qi])
+			st.mergeResult(q, results[qi].Rows)
 		}
 		for _, acc := range st.accums {
 			acc.utility(opts.Distance, &st.scratch)

@@ -110,15 +110,47 @@ type queryBranch struct {
 	consumers []consumer
 }
 
+// aggCol is one aggregate column of a branch: the role it feeds and, for
+// a SUM, the column of its measure's COUNT, which says whether a partial
+// summed any value.
+type aggCol struct {
+	col, cnt int
+	role     accumRole
+}
+
+// aggCols lists the branch's aggregate columns once each. A SUM's COUNT
+// is its view's COUNT consumer: rolesFor gives every view that sums its
+// measure's COUNT too.
+func (br *queryBranch) aggCols() []aggCol {
+	var aggs []aggCol
+	for _, c := range br.consumers {
+		if slices.ContainsFunc(aggs, func(a aggCol) bool { return a.col == c.col }) {
+			continue
+		}
+		a := aggCol{col: c.col, cnt: -1, role: c.role}
+		if c.role == roleSum {
+			i := slices.IndexFunc(br.consumers, func(d consumer) bool { return d.viewIdx == c.viewIdx && d.role == roleCount })
+			a.cnt = br.consumers[i].col
+		}
+		aggs = append(aggs, a)
+	}
+	return aggs
+}
+
 // branchOf returns the branch a result row of q belongs to, from a row
 // check accepted. In a UNION ALL statement the leading branch index is
 // the only thing that tells another branch's placeholder NULL apart
 // from a real NULL group.
 func (q *sharedQuery) branchOf(row []sqldb.Value) *queryBranch {
+	return &q.branches[q.branchIndex(row)]
+}
+
+// branchIndex is branchOf's index into q.branches.
+func (q *sharedQuery) branchIndex(row []sqldb.Value) int {
 	if !q.union {
-		return &q.branches[0]
+		return 0
 	}
-	return &q.branches[row[0].I]
+	return int(row[0].I)
 }
 
 // check validates a result against q's shape before any row folds: the
@@ -549,12 +581,19 @@ func (s *execState) execAndMerge(ctx context.Context, q *sharedQuery, lo, hi int
 			err = fmt.Errorf("core: backend panicked: %v", p)
 		}
 	}()
-	rows, stats, err := s.runQuery(ctx, q.sql, lo, hi)
+	res, stats, err := s.runQuery(ctx, q.sql, lo, hi)
 	if err != nil {
 		return err
 	}
-	if err := q.check(rows.Rows); err != nil {
+	if err := q.check(res.Rows); err != nil {
 		return err
+	}
+	rows := res.Rows
+	if len(res.Parts) > 1 {
+		// Partitions' partial rows: merge them first, outside the lock,
+		// and count the merged groups as a merging store would.
+		rows = q.foldParts(res)
+		stats.Groups = len(rows)
 	}
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()
@@ -569,9 +608,13 @@ func (s *execState) execAndMerge(ctx context.Context, q *sharedQuery, lo, hi int
 // runQuery executes one shared query under its query span.
 func (s *execState) runQuery(ctx context.Context, sql string, lo, hi int) (*backend.Rows, backend.ExecStats, error) {
 	// The degraded-results opt-in reaches routing backends through ctx
-	// (backend.WithAllowPartial, set once per request by recommend).
+	// (backend.WithAllowPartial, set once per request by recommend), and
+	// so does the decomposable mark: every statement the builder renders
+	// holds only SUM, COUNT, MIN and MAX of columns next to key columns,
+	// the CASE flag and typed-NULL pads, so a router's children run it as
+	// written and foldParts merges their partials.
 	execOpts := backend.ExecOptions{Lo: lo, Hi: hi, Workers: s.opts.ScanParallelism}
-	qctx, qsp := telemetry.StartSpan(ctx, "query")
+	qctx, qsp := telemetry.StartSpan(backend.WithDecomposable(ctx, s.req.Table), "query")
 	defer qsp.End()
 	qsp.SetAttr("sql", sql)
 	t0 := time.Now()
@@ -625,8 +668,8 @@ func (s *execState) logSlowQuery(sql string, lo, hi int, d time.Duration, stats 
 // dictionary once and each view's cells are resolved once — lazily, on
 // the first value that folds, because only a group with a non-NULL value
 // enters the dictionary or grows a side.
-func (s *execState) mergeResult(q *sharedQuery, res *backend.Rows) {
-	for _, row := range res.Rows {
+func (s *execState) mergeResult(q *sharedQuery, rows [][]sqldb.Value) {
+	for _, row := range rows {
 		br := q.branchOf(row)
 		// toTarget/toRef: which side(s) this row's values fold into.
 		// Combined rows route by flag; the reference side takes every row
@@ -673,6 +716,107 @@ func (s *execState) mergeResult(q *sharedQuery, res *backend.Rows) {
 			if ref != nil {
 				fold(ref, c.role, f)
 			}
+		}
+	}
+}
+
+// foldParts merges a result of several parts — row partitions' partial
+// rows, partitions in row order (backend.Rows.Parts) — into one row per
+// group, as the shard router's merge (sqldb.ShardPlan.Merge) does: a
+// group is a (branch, key columns, flag) tuple under
+// sqldb.Value.AppendKey identity, in first-seen order with the parts
+// read in order, and each aggregate column folds its partials in part
+// order from a zero state. A COUNT adds its partials. A SUM adds its
+// non-NULL partials to +0 and is NULL when those partials' COUNTs add
+// to 0. A MIN or MAX keeps the first non-NULL extreme by Value.Compare.
+// The merged rows then fold into the cells as one result. A cell takes
+// rows of one branch only, and within a branch the merge's group order
+// is this one (it only concatenates branches), so every cell adds the
+// same values in the same order as when the router merged, and results
+// keep their bits.
+func (q *sharedQuery) foldParts(res *backend.Rows) [][]sqldb.Value {
+	aggs := make([][]aggCol, len(q.branches))
+	for b := range q.branches {
+		aggs[b] = q.branches[b].aggCols()
+	}
+	// One slab holds every group's row, q.width values each. A SUM
+	// column carries its running count in I until it is finalized.
+	w := q.width
+	var slab []sqldb.Value
+	ids := make(map[string]int, len(res.Rows)/len(res.Parts)+1)
+	var key []byte
+	for _, row := range res.Rows {
+		b := q.branchIndex(row)
+		key = key[:0]
+		if q.union {
+			key = row[0].AppendKey(key)
+		}
+		br := &q.branches[b]
+		for _, c := range br.dimCols {
+			key = row[c].AppendKey(key)
+		}
+		if br.side == sideCombined {
+			key = row[br.flagCol].AppendKey(key)
+		}
+		g, ok := ids[string(key)]
+		if !ok {
+			g = len(ids)
+			ids[string(key)] = g
+			slab = append(slab, row...)
+			for _, a := range aggs[b] {
+				slab[g*w+a.col] = partialZero[a.role]
+			}
+		}
+		for _, a := range aggs[b] {
+			foldPartial(&slab[g*w+a.col], row, a)
+		}
+	}
+	out := make([][]sqldb.Value, len(ids))
+	for g := range out {
+		m := slab[g*w : (g+1)*w : (g+1)*w]
+		for _, a := range aggs[q.branchIndex(m)] {
+			if a.role == roleSum {
+				if m[a.col].I == 0 {
+					m[a.col] = sqldb.Null()
+				} else {
+					m[a.col] = sqldb.Float(m[a.col].F)
+				}
+			}
+		}
+		out[g] = m
+	}
+	return out
+}
+
+// partialZero is each role's merged state before its first partial: a
+// count of 0, a SUM of +0 that counted nothing, and NULL for MIN and MAX
+// (no extreme yet).
+var partialZero = [...]sqldb.Value{roleSum: sqldb.Float(0), roleCount: sqldb.Int(0), roleMin: sqldb.Null(), roleMax: sqldb.Null()}
+
+// foldPartial folds one partial row's value of column a into a merged
+// group's state st (see foldParts).
+func foldPartial(st *sqldb.Value, row []sqldb.Value, a aggCol) {
+	v := row[a.col]
+	switch a.role {
+	case roleCount:
+		if n, ok := v.AsInt(); ok {
+			st.I += n
+		}
+	case roleSum:
+		f, ok := v.AsFloat()
+		if v.IsNull() || !ok {
+			return
+		}
+		n, _ := row[a.cnt].AsInt()
+		st.F += f
+		st.I += n
+	case roleMin:
+		if !v.IsNull() && (st.IsNull() || v.Compare(*st) < 0) {
+			*st = v
+		}
+	case roleMax:
+		if !v.IsNull() && (st.IsNull() || v.Compare(*st) > 0) {
+			*st = v
 		}
 	}
 }

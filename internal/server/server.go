@@ -814,12 +814,22 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 // recsKey opens every /api/recommend body.
 const recsKey = `{"recommendations":`
 
+// bodies holds the buffers writeRecommend assembles bodies in. A buffer
+// goes back once the body's one Write has returned: a ResponseWriter
+// does not keep the slice it is given.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody caps the buffers bodies keeps, so one huge response does
+// not pin its buffer for the life of the pool.
+const maxPooledBody = 1 << 20
+
 // writeRecommend writes resp with recs, an encoded RecommendedView
 // array, as its recommendations. resp is encoded without them and recs
 // is spliced in place of the null, so the body is byte for byte what
 // writeJSON would send for the whole response, without re-encoding
 // recs (an r entry encodes them once, see
-// core.Result.EncodedRecommendations).
+// core.Result.EncodedRecommendations). The body is assembled in a
+// pooled buffer and sent in one Write, with no Content-Length.
 func writeRecommend(w http.ResponseWriter, recs []byte, resp RecommendResponse) {
 	meta, err := json.Marshal(resp)
 	if err != nil {
@@ -828,11 +838,16 @@ func writeRecommend(w http.ResponseWriter, recs []byte, resp RecommendResponse) 
 	}
 	// Recommendations is RecommendResponse's first field.
 	rest := meta[len(recsKey+"null"):]
-	body := make([]byte, 0, len(recsKey)+len(recs)+len(rest)+1)
-	body = append(body, recsKey...)
+	buf := bodies.Get().(*[]byte)
+	body := append((*buf)[:0], recsKey...)
 	body = append(body, recs...)
 	body = append(body, rest...)
-	writeBody(w, http.StatusOK, append(body, '\n'))
+	body = append(body, '\n')
+	writeBody(w, http.StatusOK, body)
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		bodies.Put(buf)
+	}
 }
 
 // encodeViews encodes a result's recommendations as the response's

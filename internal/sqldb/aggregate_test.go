@@ -81,7 +81,7 @@ func TestCorruptTupleDetection(t *testing.T) {
 const distinctCase = "CASE WHEN k = 0 THEN i WHEN k = 1 THEN f WHEN k = 2 THEN b WHEN k = 3 THEN s END"
 
 // TestCountDistinctIdentity: COUNT(DISTINCT) tells values apart exactly
-// as appendKey does — Int(1), Float(1) and Bool(true) are three values
+// as AppendKey does — Int(1), Float(1) and Bool(true) are three values
 // (through a mixed-kind CASE), ±0, two NaN payloads and ±Inf are six, and
 // "" is a value where NULL is none — in the interpreter on both layouts
 // and through ShardPlan.Merge over 1–4 children that hold overlapping
@@ -103,7 +103,7 @@ func TestCountDistinctIdentity(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(45))
 	var rows [][]Value
-	// oracle[g][a] is the appendKey set of aggregate a's non-NULL
+	// oracle[g][a] is the AppendKey set of aggregate a's non-NULL
 	// arguments in group g: the CASE, f and s.
 	oracle := map[int64][3]map[string]bool{}
 	for r := 0; r < 300; r++ {
@@ -120,7 +120,7 @@ func TestCountDistinctIdentity(t *testing.T) {
 		}
 		for a, arg := range []Value{v, row[3], row[5]} {
 			if !arg.IsNull() {
-				sets[a][string(arg.appendKey(nil))] = true
+				sets[a][string(arg.AppendKey(nil))] = true
 			}
 		}
 	}
@@ -133,7 +133,7 @@ func TestCountDistinctIdentity(t *testing.T) {
 		for _, row := range res.Rows {
 			for a, sets := range oracle[row[0].I] {
 				if got, want := row[1+a].I, int64(len(sets)); row[1+a].Kind != KindInt || got != want {
-					t.Errorf("%s: group %d aggregate %d = %v, appendKey oracle %d", what, row[0].I, a, row[1+a], want)
+					t.Errorf("%s: group %d aggregate %d = %v, AppendKey oracle %d", what, row[0].I, a, row[1+a], want)
 				}
 			}
 		}
@@ -196,7 +196,7 @@ func TestCountDistinctIdentity(t *testing.T) {
 				keys := map[string]bool{}
 				for _, row := range rows {
 					if !row[ci].IsNull() {
-						keys[string(row[ci].appendKey(nil))] = true
+						keys[string(row[ci].AppendKey(nil))] = true
 					}
 				}
 				want = len(keys)

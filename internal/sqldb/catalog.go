@@ -225,7 +225,7 @@ func (st *statsState) publish(rows int) *TableStats {
 // distinctSet is sqldb's one set of distinct non-NULL values: table
 // statistics, the interpreter's COUNT(DISTINCT) (aggState) and the shard
 // merge's union of per-child value sets (shardSlot.fold) all count with
-// it. Its identity is appendKey's. A number is its kind plus its 64 bits
+// it. Its identity is AppendKey's. A number is its kind plus its 64 bits
 // — INT and BOOL uint64(I), FLOAT its bit pattern — so Int(1), Float(1)
 // and Bool(true) are three values and -0/+0 and NaN payloads stay
 // distinct. A string is its bytes, kept by its header (it aliases the

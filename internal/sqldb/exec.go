@@ -781,7 +781,7 @@ func dedupeRows(rows [][]Value) [][]Value {
 	for _, row := range rows {
 		key = key[:0]
 		for _, v := range row {
-			key = v.appendKey(key)
+			key = v.AppendKey(key)
 		}
 		if !seen[string(key)] {
 			seen[string(key)] = true
@@ -927,7 +927,7 @@ func (p *plan) aggregateSerial(opts ExecOptions, lo, hi int, stats *ExecStats) (
 		keyBuf = keyBuf[:0]
 		for i, kf := range p.groupKeys {
 			scratch[i] = kf(row)
-			keyBuf = scratch[i].appendKey(keyBuf)
+			keyBuf = scratch[i].AppendKey(keyBuf)
 		}
 		g, ok := groups[string(keyBuf)]
 		if !ok {

@@ -795,7 +795,7 @@ func fillRange(b []bool, n int) {
 
 // groupKeyBits returns the identity bits of a numeric group-key cell:
 // the raw int64 bits for int columns and the IEEE-754 bits for float
-// columns. This matches the row interpreter's appendKey encoding, so
+// columns. This matches the row interpreter's AppendKey encoding, so
 // -0.0 vs +0.0 and distinct NaN payloads split groups identically on
 // both paths.
 func groupKeyBits(c *columnVector, typ ColumnType, r int) uint64 {

@@ -4,8 +4,12 @@ package sqldb
 //
 // A shard router (internal/backend/shardbe) holds a fact table
 // partitioned row-wise across N child stores and must answer any query
-// the single-store engine would — bit for bit. This file supplies the
-// two halves of that contract:
+// the single-store engine would — bit for bit. This file serves user
+// SQL (/api/query) and the router's own statistics: the recommendation
+// engine's statements are marked decomposable, run on every child as
+// written, and the engine folds their partial rows itself
+// (backend.WithDecomposable), so they never reach this plan or merge.
+// This file supplies the two halves of that contract:
 //
 //   - NewShardPlan analyzes one SELECT and rewrites it into a *partial*
 //     statement every shard executes locally. Aggregates are decomposed
@@ -338,7 +342,7 @@ func (sp *ShardPlan) Merge(parts []ShardPart) (*Result, error) {
 			}
 			keyBuf = keyBuf[:0]
 			for _, c := range sp.keyCols {
-				keyBuf = row[c].appendKey(keyBuf)
+				keyBuf = row[c].AppendKey(keyBuf)
 			}
 			g, ok := groups[string(keyBuf)]
 			if !ok {

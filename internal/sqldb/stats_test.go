@@ -13,7 +13,7 @@ import (
 
 // computeStats is the full-rescan statistics path StatsContext replaced,
 // kept as the oracle: one scan of every row, each column's distinct
-// non-NULL values counted by their appendKey encoding — except a FLOAT
+// non-NULL values counted by their AppendKey encoding — except a FLOAT
 // column's, which is the row count (ColumnStats.Distinct).
 func computeStats(t Table) *TableStats {
 	schema := t.Schema()
@@ -26,7 +26,7 @@ func computeStats(t Table) *TableStats {
 	_ = t.ScanRange(0, t.NumRows(), nil, func(row RowView) error {
 		for i := 0; i < n; i++ {
 			if v := row.Value(i); !v.IsNull() {
-				keyBuf = v.appendKey(keyBuf[:0])
+				keyBuf = v.AppendKey(keyBuf[:0])
 				distinct[i][string(keyBuf)] = struct{}{}
 			}
 		}
@@ -91,7 +91,7 @@ func statsTestSchema() *Schema {
 	)
 }
 
-// Floats appendKey tells apart although some compare equal (or unequal
+// Floats AppendKey tells apart although some compare equal (or unequal
 // to themselves): signed zeros, two NaN payloads, the infinities.
 var specialFloats = []float64{
 	math.Copysign(0, -1), 0,

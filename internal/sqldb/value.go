@@ -229,10 +229,11 @@ func (v Value) Compare(o Value) int {
 	}
 }
 
-// appendKey appends a self-delimiting binary encoding of v to dst. The
+// AppendKey appends a self-delimiting binary encoding of v to dst. The
 // encoding is injective per kind, so it can serve as a hash-aggregation
-// group key.
-func (v Value) appendKey(dst []byte) []byte {
+// group key: two values share it exactly when GROUP BY puts them in one
+// group (±0 and NaN payloads stay apart).
+func (v Value) AppendKey(dst []byte) []byte {
 	dst = append(dst, byte(v.Kind))
 	switch v.Kind {
 	case KindNull:

@@ -118,16 +118,16 @@ func TestValueCompareAntisymmetryProperty(t *testing.T) {
 func TestValueKeyEncodingInjectiveProperty(t *testing.T) {
 	// Distinct values must encode to distinct group keys.
 	f := func(a, b int64) bool {
-		ka := string(Int(a).appendKey(nil))
-		kb := string(Int(b).appendKey(nil))
+		ka := string(Int(a).AppendKey(nil))
+		kb := string(Int(b).AppendKey(nil))
 		return (a == b) == (ka == kb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 	g := func(a, b string) bool {
-		ka := string(Str(a).appendKey(nil))
-		kb := string(Str(b).appendKey(nil))
+		ka := string(Str(a).AppendKey(nil))
+		kb := string(Str(b).AppendKey(nil))
 		return (a == b) == (ka == kb)
 	}
 	if err := quick.Check(g, nil); err != nil {
@@ -137,13 +137,13 @@ func TestValueKeyEncodingInjectiveProperty(t *testing.T) {
 
 func TestValueKeyEncodingKindTagged(t *testing.T) {
 	// The same bits under different kinds must not collide.
-	a := string(Int(1).appendKey(nil))
-	b := string(Bool(true).appendKey(nil))
+	a := string(Int(1).AppendKey(nil))
+	b := string(Bool(true).AppendKey(nil))
 	if a == b {
 		t.Error("Int(1) and Bool(true) keys must differ")
 	}
-	c := string(Str("").appendKey(nil))
-	d := string(Null().appendKey(nil))
+	c := string(Str("").AppendKey(nil))
+	d := string(Null().AppendKey(nil))
 	if c == d {
 		t.Error("empty string and NULL keys must differ")
 	}

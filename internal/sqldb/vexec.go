@@ -350,7 +350,7 @@ func (v *vecInfo) layout(ctx context.Context, t *colSnap, lo, hi int) (lay *vecL
 }
 
 // numCodes dictionary-codes numeric column c over rows [lo, hi) by value
-// identity (groupKeyBits, the interpreter's appendKey identity):
+// identity (groupKeyBits, the interpreter's AppendKey identity):
 // codes[r−lo] is row r's code, and dict lists the values' bits in
 // first-seen order, so code k stands for dict[k]. NULL rows keep code 0;
 // their id comes from the NULL markers. The context is checked once per

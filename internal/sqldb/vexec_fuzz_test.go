@@ -12,7 +12,7 @@ import (
 // bits of input each. intKeys straddles the range-coding limits (a
 // span of 65534 fits the dense id space alone, 32766 next to a flag);
 // wideKeys can never be range-coded together; floatKeys holds the
-// identities appendKey tells apart although Compare does not (±0, NaN
+// identities AppendKey tells apart although Compare does not (±0, NaN
 // payloads). A nil entry is NULL.
 var (
 	intKeys = []any{nil, int64(0), int64(1), int64(-1), int64(2), int64(7), int64(255), int64(-256),

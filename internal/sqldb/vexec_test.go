@@ -95,7 +95,7 @@ func interpret(t *testing.T, twin *DB, sql string, opts ExecOptions) *Result {
 	return res
 }
 
-// mustEqualResults asserts byte-identical rows (appendKey encoding, so
+// mustEqualResults asserts byte-identical rows (AppendKey encoding, so
 // NaN and -0.0 are distinguished) and equal columns.
 func mustEqualResults(t *testing.T, sql string, a, b *Result) {
 	t.Helper()
@@ -110,8 +110,8 @@ func mustEqualResults(t *testing.T, sql string, a, b *Result) {
 			t.Fatalf("%s: row %d width %d vs %d", sql, i, len(a.Rows[i]), len(b.Rows[i]))
 		}
 		for j := range a.Rows[i] {
-			ka := string(a.Rows[i][j].appendKey(nil))
-			kb := string(b.Rows[i][j].appendKey(nil))
+			ka := string(a.Rows[i][j].AppendKey(nil))
+			kb := string(b.Rows[i][j].AppendKey(nil))
 			if ka != kb {
 				t.Fatalf("%s: row %d col %d: %v vs %v", sql, i, j,
 					a.Rows[i][j], b.Rows[i][j])
